@@ -51,6 +51,7 @@ from .locc import (
     Protocol,
     as_channel,
     enumerate_branches,
+    replay,
     run_sampled,
     teleport,
 )

@@ -95,6 +95,8 @@ def cmd_prepare(args) -> int:
     report = _base_report(args)
     t0 = time.time()
     proto, _target = _build_protocol(args)
+    if args.backend == "tableau" and not proto.clifford:
+        raise ConfigError(f"protocol {proto.name!r} is not Clifford; use --backend dense")
     report["protocol"] = proto.name
     report["depth"] = proto.depth()
     violations = proto.validate_circuit()
@@ -428,12 +430,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CapacityError as exc:
+    except (CapacityError, BranchCapExceeded) as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except BranchCapExceeded as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    except ProtocolError as exc:
+        print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

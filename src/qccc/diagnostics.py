@@ -24,7 +24,17 @@ import numpy as np
 from . import circuits as cx
 from . import gates
 from .lattice import Lattice, Region, boundary, distance
-from .locc import Protocol, run_sampled
+from .locc import (
+    DETERMINISM_TOL,
+    ApplyLayers,
+    Correct,
+    Measure,
+    MeasurementSpec,
+    Protocol,
+    bell_rotation_ops,
+    enumerate_branches,
+    run_sampled,
+)
 from .stabilizer import (
     CliffordMap,
     GraphState,
@@ -209,14 +219,75 @@ class CJProtocol:
         return u
 
     def _choi_tableau(self) -> TableauState:
-        ts = TableauState(
-            [(k, "s", 2) for k in range(self.n)] + [(k, "a", 2) for k in range(self.n)]
-        )
+        ts = TableauState(self._entries("s", "a"))
         ts.tab = self.resource.add_qubits(self.n)
-        for k in range(self.n):
-            ts.apply_named("H", [(k, "a")])
-            ts.apply_named(self.entangler, [(k, "a"), (k, "s")])
+        cx.apply_layer(ts, self._entangler_layer())
         return ts
+
+    def _entries(self, *slots: str) -> List[Tuple[int, str, int]]:
+        return [(k, slot, 2) for slot in slots for k in range(self.n)]
+
+    def _entangler_layer(self) -> cx.LocalLayer:
+        """H on every ancilla, then the entangler from it onto its resource carrier."""
+        return cx.LocalLayer(
+            [
+                cx.local_op([(k, "a"), (k, "s")], [("H", (0,)), (self.entangler, (0, 1))])
+                for k in range(self.n)
+            ]
+        )
+
+    def initial_state(self, input_state, backend: str = "dense"):
+        """resource (x) |0...0>_a (x) input, over the s, a and in carriers.
+
+        input_state is a PureState over (k, "in") for the dense backend, or a
+        list of named Clifford gates preparing it from |0...0> for the tableau.
+        """
+        if backend == "dense":
+            ancillas = np.zeros(1 << self.n)
+            ancillas[0] = 1.0
+            amps = np.kron(np.kron(self.resource.to_statevector(), ancillas), input_state.amps)
+            return PureState(QuditRegister(self._entries("s", "a", "in")), amps)
+        if backend == "tableau":
+            ts = TableauState(self._entries("s", "a", "in"))
+            ts.tab = self.resource.add_qubits(2 * self.n)
+            for name, qubits in input_state or []:
+                ts.apply_named(name, [(q, "in") for q in qubits])
+            return ts
+        raise ValueError(f"unknown backend {backend!r}")
+
+    def protocol(self) -> Protocol:
+        """The gadget program: H and the entangler on every (a, s) pair, then per
+        site the Bell rotation of (a, in) and its two measurements, then w^dag."""
+        n = self.n
+        lat = Lattice((n,))
+        entangle = self._entangler_layer()
+        program: List = [ApplyLayers([entangle])]
+        for k in range(n):
+            program += [
+                ApplyLayers([cx.LocalLayer(bell_rotation_ops((k, "a"), (k, "in"), 2))]),
+                Measure(MeasurementSpec((k, "in"), f"in{k}")),
+                Measure(MeasurementSpec((k, "a"), f"a{k}")),
+            ]
+
+        def frame_fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
+            wdag = self.correction({k: (outcomes[f"in{k}"], outcomes[f"a{k}"]) for k in range(n)})
+            paulis = {(1, 1): "Y", (1, 0): "X", (0, 1): "Z"}
+            return [
+                cx.local_op([(k, "s")], [(paulis[x, z], (0,))])
+                for k, (x, z) in enumerate(zip(wdag.x.tolist(), wdag.z.tolist()))
+                if x or z
+            ]
+
+        program.append(Correct(frame_fix, "Pauli frame w^dag"))
+        return Protocol(
+            name=f"cj[{n}]",
+            lattice=lat,
+            register=self._entries("s", "a", "in"),
+            program=program,
+            circuit=cx.Circuit(lat, [entangle]),
+            system_entries=[(k, "s") for k in range(n)],
+            clifford=True,
+        )
 
     def correction(self, outcomes: Dict[int, Tuple[int, int]]) -> PauliString:
         """w^dag for Bell outcomes {site: (m_in, m_a)}; w = U (tensor sigma) U^dag.
@@ -334,107 +405,15 @@ def verify_clifford_table(cj: CJProtocol, dense_max: int = 4) -> bool:
     return True
 
 
-def run_cj_unitary(
-    cj: CJProtocol,
-    input_state,
-    backend: str = "dense",
-    force: Optional[Sequence[Tuple[int, int]]] = None,
-    seed: int = 0,
-):
+def run_cj_unitary(cj: CJProtocol, input_state, backend: str = "dense", seed: int = 0):
     """Apply the implied unitary to an input via Bell measurements + frame fix.
 
     input_state: PureState over entries (k, "in") for the dense backend, or a
     list of named Clifford gates preparing the input from |0...0> for the
     tableau backend. Returns the output state on the (k, "s") register.
     """
-    n = cj.n
-    rng = np.random.default_rng(seed)
-    if backend == "dense":
-        state = _cj_dense_premeasure(cj, input_state)
-        outcomes = {}
-        for k in range(n):
-            _apply_bell_rotation(state, k)
-            if force is not None:
-                m_in, _ = state.measure_remove((k, "in"), force=force[k][0])
-                m_a, _ = state.measure_remove((k, "a"), force=force[k][1])
-            else:
-                m_in, _ = state.measure_remove((k, "in"), rng=rng)
-                m_a, _ = state.measure_remove((k, "a"), rng=rng)
-            outcomes[k] = (m_in, m_a)
-        wdag = cj.correction(outcomes)
-        _apply_pauli_dense(state, wdag)
-        return state.permuted([(k, "s") for k in range(n)])
-    if backend == "tableau":
-        ts = TableauState(
-            [(k, "s", 2) for k in range(n)]
-            + [(k, "a", 2) for k in range(n)]
-            + [(k, "in", 2) for k in range(n)]
-        )
-        base = cj.resource.add_qubits(2 * n)
-        ts.tab = base
-        for k in range(n):
-            ts.apply_named("H", [(k, "a")])
-            ts.apply_named(cj.entangler, [(k, "a"), (k, "s")])
-        for name, qubits in input_state or []:
-            ts.apply_named(name, [(q, "in") for q in qubits])
-        outcomes = {}
-        for k in range(n):
-            ts.apply_named("CNOT", [(k, "a"), (k, "in")])
-            ts.apply_named("H", [(k, "a")])
-            if force is not None:
-                m_in, _ = ts.measure((k, "in"), force=force[k][0])
-                m_a, _ = ts.measure((k, "a"), force=force[k][1])
-            else:
-                m_in, _ = ts.measure((k, "in"), rng=rng)
-                m_a, _ = ts.measure((k, "a"), rng=rng)
-            ts.remove_entry((k, "in"))
-            ts.remove_entry((k, "a"))
-            outcomes[k] = (m_in, m_a)
-        wdag = cj.correction(outcomes)
-        for k in range(n):
-            if wdag.x[k] and wdag.z[k]:
-                ts.apply_named("Y", [(k, "s")])
-            elif wdag.x[k]:
-                ts.apply_named("X", [(k, "s")])
-            elif wdag.z[k]:
-                ts.apply_named("Z", [(k, "s")])
-        return ts
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _cj_dense_premeasure(cj: CJProtocol, input_state: PureState) -> PureState:
-    n = cj.n
-    res_vec = cj.resource.to_statevector()
-    reg = QuditRegister(
-        [(k, "s", 2) for k in range(n)]
-        + [(k, "a", 2) for k in range(n)]
-        + [(k, "in", 2) for k in range(n)]
-    )
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    a_block = plus
-    for _ in range(n - 1):
-        a_block = np.kron(a_block, plus)
-    amps = np.kron(np.kron(res_vec, a_block), input_state.amps)
-    state = PureState(reg, amps)
-    for k in range(n):
-        state.apply_named(cj.entangler, [(k, "a"), (k, "s")])
+    state, _ = run_sampled(cj.protocol(), seed, backend, input_state=cj.initial_state(input_state, backend))
     return state
-
-
-def _apply_bell_rotation(state: PureState, k: int) -> None:
-    # source = input carrier, partner = ancilla; outcomes (m_in, m_a)
-    state.apply_named("CNOT", [(k, "a"), (k, "in")])
-    state.apply_named("H", [(k, "a")])
-
-
-def _apply_pauli_dense(state: PureState, p: PauliString) -> None:
-    for k in range(p.n):
-        if p.x[k] and p.z[k]:
-            state.apply_named("Y", [(k, "s")])
-        elif p.x[k]:
-            state.apply_named("X", [(k, "s")])
-        elif p.z[k]:
-            state.apply_named("Z", [(k, "s")])
 
 
 def enumerate_cj_branches(
@@ -445,43 +424,11 @@ def enumerate_cj_branches(
     Fidelity is against `reference` amplitudes when given, else against the
     first branch.
     """
-    n = cj.n
-    base = _cj_dense_premeasure(cj, input_state)
-    for k in range(n):
-        _apply_bell_rotation(base, k)
-    first = None
-    min_fid = 1.0
-    deterministic = True
-    for pattern in np.ndindex(*(4,) * n):
-        st = base.clone()
-        outcomes = {}
-        ok = True
-        for k in range(n):
-            m_in, m_a = pattern[k] // 2, pattern[k] % 2
-            try:
-                st.measure_remove((k, "in"), force=m_in)
-                st.measure_remove((k, "a"), force=m_a)
-            except ValueError:
-                ok = False
-                break
-            outcomes[k] = (m_in, m_a)
-        if not ok:
-            deterministic = False
-            continue
-        _apply_pauli_dense(st, cj.correction(outcomes))
-        out = st.permuted([(k, "s") for k in range(n)])
-        if reference is not None:
-            fid = float(abs(np.vdot(reference, out.amps)) ** 2)
-        else:
-            if first is None:
-                first = out.amps
-                fid = 1.0
-            else:
-                fid = float(abs(np.vdot(first, out.amps)) ** 2)
-        min_fid = min(min_fid, fid)
-        if fid < 1 - 1e-9:
-            deterministic = False
-    return deterministic, min_fid
+    target = None
+    if reference is not None:
+        target = PureState(QuditRegister([(k, "s", 2) for k in range(cj.n)]), reference)
+    res = enumerate_branches(cj.protocol(), input_state=cj.initial_state(input_state), target=target)
+    return res.deterministic and res.min_fidelity >= 1 - DETERMINISM_TOL, res.min_fidelity
 
 
 def graph_clifford_unitary(adjacency: np.ndarray) -> np.ndarray:

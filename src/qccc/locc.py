@@ -2,9 +2,11 @@
 
 A Protocol is a program of steps over a register: circuit chunks, single-qudit
 measurements with fixed bases, and outcome-conditioned local corrections.
-Running it samples one history; enumerating it explores every measurement
-branch and certifies determinism (all branches agree up to a global phase)
-plus, if a target is given, the fidelity to it.
+One step interpreter runs it under three outcome policies: `run_sampled`
+samples one history, `replay` forces a recorded one, and `enumerate_branches`
+explores every measurement branch and certifies determinism (all branches
+agree up to a global phase and their probabilities sum to 1) plus, if a
+target is given, the fidelity to it.
 
 The layer-exact circuit structure of each protocol is kept in a separate
 Circuit object for depth accounting and validation; the program may order
@@ -23,7 +25,7 @@ import numpy as np
 from . import circuits as cx
 from . import gates
 from .lattice import Lattice
-from .stabilizer import TableauState
+from .stabilizer import StabilizerTableau, TableauState
 from .statevector import EntryKey, PureState, QuditRegister
 
 DETERMINISM_TOL = 1e-9
@@ -201,31 +203,45 @@ def _branch_fidelity(state, reference) -> float:
     return 1.0 if state.states_equal(reference) else 0.0
 
 
-def run_sampled(
-    protocol: Protocol,
-    seed: int,
-    backend: str = "dense",
-    input_state=None,
-) -> Tuple[object, OutcomeRecord]:
-    """Execute one sampled history; returns (final system state, record)."""
-    rng = np.random.default_rng(seed)
-    state = input_state.clone() if input_state is not None else initial_state(protocol, backend)
-    outcomes: List[Tuple[str, int, float]] = []
-    for step in protocol.program:
-        if isinstance(step, ApplyLayers):
-            for layer in step.layers:
-                cx.apply_layer(state, layer)
-        elif isinstance(step, Measure):
-            spec = step.spec
-            k, p = _measure_step(state, spec, rng=rng)
-            outcomes.append((spec.tag, int(k), float(p)))
-        elif isinstance(step, Correct):
-            acts = step.fn({t: k for t, k, _ in outcomes})
-            _apply_correction(state, acts)
+def _execute(program: Sequence[Step], state, choose):
+    """The step interpreter: run `program` on `state` and yield
+    (final state, outcomes, probability) for every history it follows.
+
+    `choose(state, spec, outcomes)` returns the `_measure_step` keyword
+    arguments of each outcome to follow at a Measure step: one `rng` to sample,
+    one `force` to replay, or one `force` per live outcome to enumerate. Every
+    outcome but the last runs on a clone; the last, and a single one, reuse
+    the state, so single-history policies mutate `state` in place. Pending
+    outcomes wait on an explicit stack and are visited depth-first in order.
+    """
+    stack = [(state, 0, (), 1.0, None)]
+    while stack:
+        state, j, outcomes, prob, options = stack.pop()
+        while j < len(program):
+            step = program[j]
+            if isinstance(step, ApplyLayers):
+                for layer in step.layers:
+                    cx.apply_layer(state, layer)
+            elif isinstance(step, Measure):
+                spec = step.spec
+                if options is None:
+                    options = choose(state, spec, outcomes)
+                    if not options:  # every outcome is below the probability floor
+                        break
+                if len(options) > 1:
+                    stack.append((state, j, outcomes, prob, options[1:]))
+                    state = state.clone()
+                k, p = _measure_step(state, spec, **options[0])
+                options = None
+                outcomes += ((spec.tag, int(k), float(p)),)
+                prob *= p
+            elif isinstance(step, Correct):
+                _apply_correction(state, step.fn({t: k for t, k, _ in outcomes}))
+            else:
+                raise TypeError(f"unknown step {step!r}")
+            j += 1
         else:
-            raise TypeError(f"unknown step {step!r}")
-    state = _finalize(state, protocol)
-    return state, OutcomeRecord(tuple(outcomes))
+            yield state, outcomes, prob
 
 
 def _measure_step(state, spec: MeasurementSpec, force=None, rng=None):
@@ -235,6 +251,49 @@ def _measure_step(state, spec: MeasurementSpec, force=None, rng=None):
     if spec.remove:
         state.remove_entry(spec.entry)
     return k, p
+
+
+def _sample(rng: np.random.Generator):
+    return lambda state, spec, outcomes: ({"rng": rng},)
+
+
+def _force(record: OutcomeRecord):
+    def choose(state, spec, outcomes):
+        i = len(outcomes)
+        if i >= len(record.outcomes) or record.outcomes[i][0] != spec.tag:
+            raise ProtocolError("record does not match protocol schedule")
+        return ({"force": record.outcomes[i][1]},)
+
+    return choose
+
+
+def _start(protocol: Protocol, backend: str, input_state):
+    return input_state.clone() if input_state is not None else initial_state(protocol, backend)
+
+
+def _run_one(protocol: Protocol, choose, backend: str, input_state) -> Tuple[object, OutcomeRecord]:
+    state, outcomes, _ = next(_execute(protocol.program, _start(protocol, backend, input_state), choose))
+    return _finalize(state, protocol), OutcomeRecord(outcomes)
+
+
+def run_sampled(
+    protocol: Protocol,
+    seed: int,
+    backend: str = "dense",
+    input_state=None,
+) -> Tuple[object, OutcomeRecord]:
+    """Execute one sampled history; returns (final system state, record)."""
+    return _run_one(protocol, _sample(np.random.default_rng(seed)), backend, input_state)
+
+
+def replay(
+    protocol: Protocol,
+    record: OutcomeRecord,
+    backend: str = "dense",
+    input_state=None,
+) -> Tuple[object, OutcomeRecord]:
+    """Re-run the branch of a recorded history by forcing its outcomes."""
+    return _run_one(protocol, _force(record), backend, input_state)
 
 
 def enumerate_branches(
@@ -249,59 +308,46 @@ def enumerate_branches(
     """Depth-first exploration of every measurement branch above prob_floor.
 
     Branch fidelity is measured against the protocol target when one exists,
-    otherwise against the first branch; the DETERMINISTIC verdict additionally
-    requires all branches to agree with the first branch up to global phase.
+    otherwise against the first branch. The DETERMINISTIC verdict additionally
+    requires all branches to agree with the first branch up to global phase
+    and their probabilities to sum to 1 within DETERMINISM_TOL.
     """
     if target == "protocol":
         target = protocol.target_generators if backend == "tableau" else protocol.target
+    if target is not None and not isinstance(target, PureState):  # tableau generators
+        target = StabilizerTableau.from_generators(list(target))
+
+    def live(state, spec, outcomes):
+        probs = state.branch_probabilities(spec.entry, spec.basis)
+        return [{"force": k} for k, p in enumerate(probs) if p > prob_floor]
+
     reports: List[BranchReport] = []
     finals: List[object] = []
-
-    def walk(state, idx: int, outcomes: List[Tuple[str, int, float]], prob: float):
-        for j in range(idx, len(protocol.program)):
-            step = protocol.program[j]
-            if isinstance(step, ApplyLayers):
-                for layer in step.layers:
-                    cx.apply_layer(state, layer)
-            elif isinstance(step, Correct):
-                acts = step.fn({t: k for t, k, _ in outcomes})
-                _apply_correction(state, acts)
-            elif isinstance(step, Measure):
-                spec = step.spec
-                probs = state.branch_probabilities(spec.entry, spec.basis)
-                live = [k for k, p in enumerate(probs) if p > prob_floor]
-                for pos, k in enumerate(live):
-                    child = state if pos == len(live) - 1 else state.clone()
-                    _, pk = _measure_step(child, spec, force=k)
-                    walk(child, j + 1, outcomes + [(spec.tag, k, float(pk))], prob * pk)
-                return
+    reference = None
+    deterministic = True
+    for state, outcomes, prob in _execute(protocol.program, _start(protocol, backend, input_state), live):
         if len(reports) >= branch_cap:
             raise BranchCapExceeded(f"more than {branch_cap} branches")
         final = _finalize(state, protocol)
-        finals.append(final)
-        reports.append(BranchReport(OutcomeRecord(tuple(outcomes)), prob, 0.0))
-
-    state0 = input_state.clone() if input_state is not None else initial_state(protocol, backend)
-    walk(state0, 0, [], 1.0)
-
-    reference = finals[0]
-    deterministic = True
-    fids = []
-    for st, rep in zip(finals, reports):
-        agree_first = _branch_fidelity(st, reference)
+        if reference is None:
+            reference = final
+        agree_first = _branch_fidelity(final, reference)
         if agree_first < 1.0 - DETERMINISM_TOL:
             deterministic = False
         if target is None:
             fid = agree_first
         elif isinstance(target, PureState):
-            fid = st.fidelity(target) if isinstance(st, PureState) else float("nan")
-        else:  # generator list for the tableau backend
-            from .stabilizer import StabilizerTableau
-
-            tt = StabilizerTableau.from_generators(list(target))
-            fid = 1.0 if st.tab.states_equal(tt) else 0.0
-        rep.fidelity = float(fid)
-        fids.append(float(fid))
+            fid = final.fidelity(target) if isinstance(final, PureState) else float("nan")
+        else:
+            fid = 1.0 if final.tab.states_equal(target) else 0.0
+        reports.append(BranchReport(OutcomeRecord(outcomes), prob, float(fid)))
+        if keep_states:
+            finals.append(final)
+    if not reports:
+        raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
+    fids = [r.fidelity for r in reports]
+    mass = sum(r.probability for r in reports)
+    deterministic = deterministic and abs(1.0 - mass) <= DETERMINISM_TOL
     return EnumerationResult(
         reports, deterministic, min(fids), max(fids), reference, finals if keep_states else None
     )
@@ -360,24 +406,33 @@ def teleport(
     for e in (source, e1, e2):
         if state.register.dim(e) != d:
             raise ValueError(f"entry {e} does not have dimension {d}")
+    if source[0] != e1[0]:
+        raise ProtocolError("source and pair[0] must share a site")
     rho = state.reduced_density([e1, e2])
     bell = gates.bell_state(d)
     if abs(np.vdot(bell, rho @ bell) - 1.0) > tol:
         raise ValueError("pair entries do not hold the maximally entangled state")
-    _apply_correction(state, bell_rotation_ops(source, e1, d))
     if force is not None:
-        m_s, _ = state.measure(source, force=force[0])
-        m_p, _ = state.measure(e1, force=force[1])
+        choose = _force(OutcomeRecord((("ts", force[0], 0.0), ("tp", force[1], 0.0))))
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        m_s, _ = state.measure(source, rng=rng)
-        m_p, _ = state.measure(e1, rng=rng)
-    state.remove_entry(source)
-    state.remove_entry(e1)
-    a, b = bell_outcome_to_pauli(m_s, m_p, d)
-    _apply_correction(state, teleport_correction(e2, a, b, d))
+        choose = _sample(rng if rng is not None else np.random.default_rng(0))
+    next(_execute(_teleport_steps(source, e1, e2, d, "t"), state, choose))
     return state
+
+
+def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: int, tag: str) -> List[Step]:
+    """Bell-rotate two co-located qudits, measure them, fix the receiver."""
+
+    def fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
+        a, b = bell_outcome_to_pauli(outcomes[f"{tag}s"], outcomes[f"{tag}p"], d)
+        return teleport_correction(target, a, b, d)
+
+    return [
+        ApplyLayers([cx.LocalLayer(bell_rotation_ops(source, partner, d))]),
+        Measure(MeasurementSpec(source, f"{tag}s")),
+        Measure(MeasurementSpec(partner, f"{tag}p")),
+        Correct(fix, f"teleport fix {tag}"),
+    ]
 
 
 # -- channels ------------------------------------------------------------------------
@@ -459,27 +514,6 @@ class ComposedChannel:
 
     def then(self, other: Channel) -> "ComposedChannel":
         return ComposedChannel(self.channels + [other])
-
-
-def _replay(protocol: Protocol, record: OutcomeRecord, input_state=None):
-    """Re-run a specific branch by forcing its recorded outcomes."""
-    state = input_state.clone() if input_state is not None else initial_state(protocol, "dense")
-    forced = list(record.outcomes)
-    outcomes: List[Tuple[str, int, float]] = []
-    for step in protocol.program:
-        if isinstance(step, ApplyLayers):
-            for layer in step.layers:
-                cx.apply_layer(state, layer)
-        elif isinstance(step, Measure):
-            tag, k, _ = forced.pop(0)
-            if tag != step.spec.tag:
-                raise ProtocolError("record does not match protocol schedule")
-            _, p = _measure_step(state, step.spec, force=k)
-            outcomes.append((tag, k, p))
-        elif isinstance(step, Correct):
-            _apply_correction(state, step.fn({t: k for t, k, _ in outcomes}))
-    state = _finalize(state, protocol)
-    return state, OutcomeRecord(tuple(outcomes))
 
 
 def as_channel(protocol: Protocol, **kw) -> Channel:

@@ -716,8 +716,7 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     from . import circuits as cx
     from . import gates
     from .lattice import Lattice
-    from .locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol
-    from .protocols import _teleport_steps
+    from .locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol, _teleport_steps
 
     if n_sites % q:
         raise ValueError("chain length must be divisible by the blocking factor")
@@ -751,8 +750,8 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     prep = None
     bell_c = None
     if use_c:
-        prep = gates.complete_to_unitary({0: np.concatenate([alphas, np.zeros(cdim - r)])})
-        bell_c = gates.bell_pair_gate(cdim) if cdim == r else _embedded_bell_gate(cdim, r)
+        prep = gates.complete_to_unitary({0: alphas})
+        bell_c = gates.bell_pair_gate(cdim)
     bond_writer = None
     if use_bonds:
         cols: Dict[int, np.ndarray] = {}
@@ -1013,12 +1012,3 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
             math.inf, q, m_sites, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(measured), True
         )
     return PipelineResult(proto, worst, alphas, chis, writer_defect, circuit.depth())
-
-
-def _embedded_bell_gate(cdim: int, r: int) -> np.ndarray:
-    from . import gates
-
-    v = np.zeros(cdim * cdim, dtype=complex)
-    for k in range(r):
-        v[k * cdim + k] = 1.0 / math.sqrt(r)
-    return gates.complete_to_unitary({0: v})

@@ -24,8 +24,7 @@ from .locc import (
     Measure,
     MeasurementSpec,
     Protocol,
-    bell_outcome_to_pauli,
-    teleport_correction,
+    _teleport_steps,
 )
 from .stabilizer import PauliString, StabilizerTableau
 from .statevector import EntryKey, PureState, QuditRegister
@@ -131,28 +130,6 @@ def _w_split_gate(z: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _teleport_steps(
-    source: EntryKey, partner: EntryKey, target: EntryKey, d: int, tag: str
-) -> List:
-    """Bell-rotate two co-located qudits, measure them, fix the receiver."""
-    if d == 2:
-        rot = cx.local_op([source, partner], [("CNOT", (0, 1)), ("H", (0,))])
-    else:
-        mat = np.kron(gates.fourier(d).conj().T, np.eye(d)) @ gates.cnot_d(d)
-        rot = cx.local_op([source, partner], mat)
-
-    def fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-        a, b = bell_outcome_to_pauli(outcomes[f"{tag}s"], outcomes[f"{tag}p"], d)
-        return teleport_correction(target, a, b, d)
-
-    return [
-        ApplyLayers([cx.LocalLayer([rot])]),
-        Measure(MeasurementSpec(source, f"{tag}s")),
-        Measure(MeasurementSpec(partner, f"{tag}p")),
-        Correct(fix, f"teleport fix {tag}"),
-    ]
 
 
 def w_protocol(n: int) -> Tuple[Protocol, PureState]:
@@ -326,11 +303,7 @@ def rg_fixed_point_protocol(spec: RGFixedPointSpec) -> Tuple[Protocol, PureState
     ghz_layers: List[cx.Layer] = []
     if bdim > 1:
         prep = gates.complete_to_unitary({0: np.asarray(spec.alphas, dtype=complex)})
-        if cdim > bdim:
-            full = np.eye(cdim, dtype=complex)
-            full[:bdim, :bdim] = prep
-            prep = full
-        bell_b = gates.bell_pair_gate(cdim) if cdim == bdim else _embedded_bell(cdim, bdim)
+        bell_b = gates.bell_pair_gate(cdim)
         adds_cp = cx.LocalLayer(
             [cx.add_ancilla(i, "Cp", cdim) for i in range(1, n)]
             + [cx.local_op([(n - 1, "C")], prep)]
@@ -402,14 +375,6 @@ def rg_fixed_point_protocol(spec: RGFixedPointSpec) -> Tuple[Protocol, PureState
         clifford=False,
     )
     return proto, target
-
-
-def _embedded_bell(cdim: int, bdim: int) -> np.ndarray:
-    """|0,0> -> sum_{k<bdim} |k,k>/sqrt(bdim) on two cdim qudits."""
-    v = np.zeros(cdim * cdim, dtype=complex)
-    for k in range(bdim):
-        v[k * cdim + k] = 1.0 / np.sqrt(bdim)
-    return gates.complete_to_unitary({0: v})
 
 
 # -- toric code ------------------------------------------------------------------------

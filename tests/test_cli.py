@@ -65,6 +65,11 @@ class TestPrepare:
         )
         assert code == EXIT_OK and rep["stabilizer_match"]
 
+    def test_non_clifford_on_tableau_is_config_error(self, capsys):
+        code = main(["prepare", "--protocol", "w", "--n", "3", "--backend", "tableau"])
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_capacity_exit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QCCC_MAX_AMPLITUDES", "4096")
         code = main(["prepare", "--protocol", "ghz", "--n", "16", "--mode", "enumerate"])

@@ -14,6 +14,7 @@ from qccc.locc import (
     ProtocolError,
     as_channel,
     enumerate_branches,
+    replay,
     run_sampled,
     teleport,
 )
@@ -45,6 +46,42 @@ def _forget_protocol():
     return Protocol(
         "forget", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")], clifford=True
     )
+
+
+def _ghz(n):
+    from qccc.protocols import ghz_protocol
+
+    return ghz_protocol(n)[0], None
+
+
+def _w(n):
+    from qccc.protocols import w_protocol
+
+    return w_protocol(n)[0], None
+
+
+def _rg(b, n):
+    from qccc.protocols import RGFixedPointSpec, rg_fixed_point_protocol
+
+    spec = RGFixedPointSpec(b, np.ones(b) / np.sqrt(b), gates.bell_state(2), n)
+    return rg_fixed_point_protocol(spec)[0], None
+
+
+def _cj_ghz(n):
+    from qccc.diagnostics import ghz_unitary_cj
+
+    cj = ghz_unitary_cj(n)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    inp = PureState(QuditRegister([(k, "in", 2) for k in range(n)]), psi)
+    return cj.protocol(), cj.initial_state(inp)
+
+
+def _same_state(a, b):
+    if isinstance(a, PureState):
+        return a.fidelity(b) > 1 - 1e-12
+    return a.states_equal(b)
 
 
 class TestEngine:
@@ -106,15 +143,47 @@ class TestEngine:
         with pytest.raises(ProtocolError):
             run_sampled(proto, seed=0)
 
-    def test_sampled_matches_enumerated_branch(self):
-        from qccc.protocols import ghz_protocol
+    @pytest.mark.parametrize(
+        "build, backend",
+        [
+            (lambda: _ghz(4), "dense"),
+            (lambda: _ghz(4), "tableau"),
+            (lambda: _w(3), "dense"),
+            (lambda: _rg(2, 2), "dense"),
+            (lambda: _cj_ghz(2), "dense"),
+        ],
+        ids=["ghz4-dense", "ghz4-tableau", "w3", "rg-B2-N2", "cj-ghz2"],
+    )
+    def test_sampled_matches_enumerated_branch(self, build, backend):
+        """Sampling, replaying and enumerating are three policies of one executor."""
+        proto, inp = build()
+        res = enumerate_branches(proto, backend=backend, input_state=inp, keep_states=True)
+        for seed in range(5):
+            st, rec = run_sampled(proto, seed=seed, backend=backend, input_state=inp)
+            match = [i for i, r in enumerate(res.reports) if r.record.key() == rec.key()]
+            assert len(match) == 1
+            assert abs(res.reports[match[0]].probability - rec.probability()) < 1e-12
+            assert _same_state(st, res.finals[match[0]])
+            again, rec2 = replay(proto, rec, backend=backend, input_state=inp)
+            assert rec2.key() == rec.key()
+            assert _same_state(st, again)
 
-        proto, _ = ghz_protocol(4)
-        st, rec = run_sampled(proto, seed=5)
-        res = enumerate_branches(proto, keep_states=True)
-        match = [i for i, r in enumerate(res.reports) if r.record.key() == rec.key()]
-        assert len(match) == 1
-        assert st.fidelity(res.finals[match[0]]) > 1 - 1e-12
+    def test_pruned_mass_is_not_deterministic(self):
+        # one ancilla rotated to outcome probabilities 0.9 / 0.1, then measured
+        lat = Lattice((2,))
+        theta = 2 * np.arccos(np.sqrt(0.9))
+        ry = np.array(
+            [[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]]
+        )
+        prog = [
+            ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", 2), cx.local_op([(0, "a")], ry)])]),
+            Measure(MeasurementSpec((0, "a"), "k")),
+        ]
+        proto = Protocol("lossy", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+        res = enumerate_branches(proto, prob_floor=0.2)
+        assert len(res.reports) == 1
+        assert abs(res.total_probability() - 0.9) < 1e-12
+        assert res.verdict == "NOT_DETERMINISTIC"
 
     def test_lexicographic_branch_order(self):
         from qccc.protocols import ghz_protocol

@@ -65,9 +65,9 @@ class TestGHZ:
         for n in (6, 10, 12):
             proto, _ = ghz_protocol(n)
             st_t, rec = run_sampled(proto, seed=13, backend="tableau")
-            from qccc.locc import _replay
+            from qccc.locc import replay
 
-            st_d, _ = _replay(proto, rec)
+            st_d, _ = replay(proto, rec)
             assert st_t.to_pure_state().fidelity(st_d) > 1 - 1e-10, n
 
     def test_n_too_small(self):
@@ -315,19 +315,19 @@ class TestToricCodeProtocol:
     def test_all_plus_branch_is_tc_without_correction(self):
         # forcing every outcome to +1 must reproduce the target; the
         # correction is empty on this branch
-        from qccc.locc import _replay, OutcomeRecord
+        from qccc.locc import replay, OutcomeRecord
 
         proto, target = toric_code_protocol(4)
         order = sorted(ToricCodeLayout(4).plaquettes_a, key=lambda p: (p[0] % 2, p[0], p[1]))
         record = OutcomeRecord(tuple((f"k{p[0]},{p[1]}", 0, 0.5) for p in order))
-        st, rec = _replay(proto, record)
+        st, rec = replay(proto, record)
         assert st.fidelity(target) > 1 - 1e-9
 
     def test_circuit_vs_program_equivalence_tableau(self):
         # running the wave-parallel 16-layer circuit, then measuring, matches
         # the plaquette-sequential program on the same forced outcomes
         from qccc import circuits as cx
-        from qccc.locc import _replay, OutcomeRecord
+        from qccc.locc import replay, OutcomeRecord
         from qccc.stabilizer import TableauState
 
         proto, _ = toric_code_protocol(4)
@@ -349,7 +349,7 @@ class TestToricCodeProtocol:
         record = OutcomeRecord(
             tuple((f"k{p[0]},{p[1]}", int(b), 0.5) for p, b in zip(order, bits))
         )
-        st2, _ = _replay_tableau(proto, record)
+        st2, _ = replay(proto, record, backend="tableau")
         assert ts.permuted(proto.system_entries).tab.states_equal(st2.tab)
 
     def test_plaquette_block_equals_direct_vp(self):
@@ -381,27 +381,3 @@ class TestToricCodeProtocol:
         expect = np.kron(plusx @ psi, [1, 0]) + np.kron(minusx @ psi, [0, 1])
         assert abs(abs(np.vdot(st.amps, expect)) - 1) < 1e-10
 
-
-def _replay_tableau(proto, record):
-    """Force a record through the program on the tableau backend."""
-    from qccc import circuits as cx
-    from qccc.locc import ApplyLayers, Correct, Measure, _finalize, _measure_step
-
-    from qccc.locc import initial_state
-
-    state = initial_state(proto, "tableau")
-    forced = list(record.outcomes)
-    outcomes = []
-    for step in proto.program:
-        if isinstance(step, ApplyLayers):
-            for layer in step.layers:
-                cx.apply_layer(state, layer)
-        elif isinstance(step, Measure):
-            tag, k, _ = forced.pop(0)
-            assert tag == step.spec.tag
-            _, pk = _measure_step(state, step.spec, force=k)
-            outcomes.append((tag, k, pk))
-        elif isinstance(step, Correct):
-            acts = step.fn({t: kk for t, kk, _ in outcomes})
-            cx.apply_layer(state, cx.LocalLayer(acts))
-    return _finalize(state, proto), outcomes
