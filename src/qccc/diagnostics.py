@@ -424,11 +424,19 @@ def enumerate_cj_branches(
     Fidelity is against `reference` amplitudes when given, else against the
     first branch.
     """
+    return _enumerate_cj(cj, input_state, reference)[:2]
+
+
+def _enumerate_cj(
+    cj: CJProtocol, input_state: PureState, reference: Optional[np.ndarray]
+) -> Tuple[bool, float, int]:
+    """`enumerate_cj_branches` plus the number of branches it ran."""
     target = None
     if reference is not None:
         target = PureState(QuditRegister([(k, "s", 2) for k in range(cj.n)]), reference)
     res = enumerate_branches(cj.protocol(), input_state=cj.initial_state(input_state), target=target)
-    return res.deterministic and res.min_fidelity >= 1 - DETERMINISM_TOL, res.min_fidelity
+    deterministic = res.deterministic and res.min_fidelity >= 1 - DETERMINISM_TOL
+    return deterministic, res.min_fidelity, len(res.reports)
 
 
 def graph_clifford_unitary(adjacency: np.ndarray) -> np.ndarray:

@@ -203,7 +203,7 @@ def _branch_fidelity(state, reference) -> float:
     return 1.0 if state.states_equal(reference) else 0.0
 
 
-def _execute(program: Sequence[Step], state, choose):
+def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
     """The step interpreter: run `program` on `state` and yield
     (final state, outcomes, probability) for every history it follows.
 
@@ -213,8 +213,15 @@ def _execute(program: Sequence[Step], state, choose):
     outcome but the last runs on a clone; the last, and a single one, reuse
     the state, so single-history policies mutate `state` in place. Pending
     outcomes wait on an explicit stack and are visited depth-first in order.
+
+    Every pending outcome yields at least one history, so the histories
+    finished, pending and in progress bound the total from below; with a
+    `cap`, BranchCapExceeded is raised as soon as that bound exceeds it.
     """
     stack = [(state, 0, (), 1.0, None)]
+    histories = 1
+    if cap is not None and cap < histories:
+        raise BranchCapExceeded(f"more than {cap} branches")
     while stack:
         state, j, outcomes, prob, options = stack.pop()
         while j < len(program):
@@ -227,7 +234,11 @@ def _execute(program: Sequence[Step], state, choose):
                 if options is None:
                     options = choose(state, spec, outcomes)
                     if not options:  # every outcome is below the probability floor
+                        histories -= 1
                         break
+                    histories += len(options) - 1
+                    if cap is not None and histories > cap:
+                        raise BranchCapExceeded(f"more than {cap} branches")
                 if len(options) > 1:
                     stack.append((state, j, outcomes, prob, options[1:]))
                     state = state.clone()
@@ -325,9 +336,8 @@ def enumerate_branches(
     finals: List[object] = []
     reference = None
     deterministic = True
-    for state, outcomes, prob in _execute(protocol.program, _start(protocol, backend, input_state), live):
-        if len(reports) >= branch_cap:
-            raise BranchCapExceeded(f"more than {branch_cap} branches")
+    start = _start(protocol, backend, input_state)
+    for state, outcomes, prob in _execute(protocol.program, start, live, branch_cap):
         final = _finalize(state, protocol)
         if reference is None:
             reference = final

@@ -483,7 +483,11 @@ def gauge_condition_number(t_chain: np.ndarray, gap_tol: float = 1e-8) -> float:
 
 
 def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
-    """All analytic envelope factors plus the measured deficit at (q, M)."""
+    """All analytic envelope factors plus the measured deficit at (q, M).
+
+    `envelope_holds` is False when the measured deficit exceeds the envelope;
+    the report says so and leaves the verdict to the caller.
+    """
     a = mps.tensor
     chi = mps.chi
     t = transfer_matrix(a)
@@ -523,10 +527,6 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
         # check meaningful above that noise floor
         budget = epsilon_q + epsilon_q**2 * math.exp(epsilon_q) * (1 + epsilon_q / m_sites)
         envelope = bool(measured <= budget + 1e-10)
-        if not envelope:
-            raise AssertionError(
-                f"measured deficit {measured:.3e} exceeds the envelope {budget:.3e}"
-            )
     return BoundReport(
         alpha,
         q,

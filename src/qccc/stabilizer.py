@@ -7,7 +7,10 @@ Hermitian with phase in {0, 2} (plus / minus).
 The tableau stores n destabilizers followed by n stabilizers, giving O(n^2)
 measurements. Qubits can be appended freely and removed again once they are
 decoupled, which is what LOCC protocols need when they discard measured
-ancillas.
+ancillas. Removal is O(n^2): row operations on whole arrays bring one
+stabilizer to the qubit's local Pauli and keep the destabilizers, so the
+tableau is never rebuilt from its generators. Row products track phases with
+one array expression per batch of rows (`_rowmult`, `_product`).
 """
 
 from __future__ import annotations
@@ -21,27 +24,28 @@ _PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _CHAR_BITS = {c: b for b, c in _PAULI_CHARS.items()}
 
 
-def _g_exponent(x1, z1, x2, z2):
-    """Exponent of i when multiplying single-qubit Paulis (CHP convention)."""
-    if x1 == 0 and z1 == 0:
-        return 0
-    if x1 == 1 and z1 == 1:
-        return int(z2) - int(x2)
-    if x1 == 1 and z1 == 0:
-        return int(z2) * (2 * int(x2) - 1)
-    return int(x2) * (1 - 2 * int(z2))
+# Exponent of i in the single-qubit product (x1, z1) * (x2, z2), indexed by
+# the bits x1 z1 x2 z2 (the g function of Aaronson-Gottesman).
+_G_EXPONENT = np.array([0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int64)
 
 
-def _g_exponent_sum(x1, z1, x2, z2) -> int:
-    """Vectorized sum of the i-exponents over all qubits."""
-    x1 = x1.astype(np.int64)
-    z1 = z1.astype(np.int64)
-    x2 = x2.astype(np.int64)
-    z2 = z2.astype(np.int64)
-    y_case = (x1 & z1) * (z2 - x2)
-    x_case = (x1 & (1 - z1)) * (z2 * (2 * x2 - 1))
-    z_case = ((1 - x1) & z1) * (x2 * (1 - 2 * z2))
-    return int(np.sum(y_case + x_case + z_case))
+def _g_exponent_sum(x1, z1, x2, z2):
+    """Sum of the i-exponents over the last (qubit) axis; broadcasts over rows."""
+    return _G_EXPONENT[(x1 << 3) | (z1 << 2) | (x2 << 1) | z2].sum(axis=-1)
+
+
+def _product(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Ordered product of the k Pauli rows (x, z, r) of shape (k, n): its bits and phase.
+
+    Row t is multiplied onto the running product of rows 0..t-1, whose bits
+    are the prefix XORs, so every phase term comes from one array expression.
+    """
+    if len(x) == 0:
+        return np.zeros(x.shape[1], dtype=np.uint8), np.zeros(z.shape[1], dtype=np.uint8), 0
+    px = np.bitwise_xor.accumulate(x, axis=0)
+    pz = np.bitwise_xor.accumulate(z, axis=0)
+    extra = int(_g_exponent_sum(px[:-1], pz[:-1], x[1:], z[1:]).sum())
+    return px[-1], pz[-1], (int(r.sum(dtype=np.int64)) + extra) % 4
 
 
 @dataclass
@@ -191,12 +195,19 @@ class StabilizerTableau:
         gens = [PauliString.from_label(line.strip()) for line in text.strip().splitlines()]
         return cls.from_generators(gens)
 
-    def _rowmult(self, h: int, i: int) -> None:
-        """row_h <- row_h * row_i with phase tracking."""
+    def _rowmult(self, h, i: int) -> None:
+        """row_h <- row_h * row_i with phase tracking; h may be an index array."""
         extra = _g_exponent_sum(self.x[h], self.z[h], self.x[i], self.z[i])
-        self.r[h] = (int(self.r[h]) + int(self.r[i]) + extra) % 4
+        self.r[h] = (self.r[h].astype(np.int64) + int(self.r[i]) + extra) % 4
         self.x[h] ^= self.x[i]
         self.z[h] ^= self.z[i]
+
+    def _rowmult_all(self, h: int, rows: np.ndarray) -> None:
+        """row_h <- row_h * row_rows[0] * row_rows[1] * ... with phase tracking."""
+        if len(rows) == 0:
+            return
+        idx = np.concatenate([[h], rows]).astype(np.intp)
+        self.x[h], self.z[h], self.r[h] = _product(self.x[idx], self.z[idx], self.r[idx])
 
     # -- gates ----------------------------------------------------------------
 
@@ -278,17 +289,15 @@ class StabilizerTableau:
             self.x.astype(np.int64) @ p.z.astype(np.int64)
             + self.z.astype(np.int64) @ p.x.astype(np.int64)
         ) % 2
-        anti = list(np.nonzero(sym)[0])
-        anti_stab = [i for i in anti if i >= self.n]
-        if anti_stab:
-            pivot = anti_stab[0]
-            for i in anti:
-                if i != pivot:
-                    self._rowmult(i, pivot)
+        anti = np.flatnonzero(sym)
+        anti_stab = anti[anti >= self.n]
+        if anti_stab.size:
+            pivot = int(anti_stab[0])
+            self._rowmult(anti[anti != pivot], pivot)
             # pivot stabilizer row becomes +/- P; old row becomes its destabilizer
             d = pivot - self.n
-            self.x[d] = self.x[pivot].copy()
-            self.z[d] = self.z[pivot].copy()
+            self.x[d] = self.x[pivot]
+            self.z[d] = self.z[pivot]
             self.r[d] = self.r[pivot]
             if force is not None:
                 bit = int(force)
@@ -296,20 +305,26 @@ class StabilizerTableau:
                 if rng is None:
                     raise ValueError("sampled measurement requires an rng")
                 bit = int(rng.integers(0, 2))
-            self.x[pivot] = p.x.copy()
-            self.z[pivot] = p.z.copy()
+            self.x[pivot] = p.x
+            self.z[pivot] = p.z
             self.r[pivot] = (p.phase + (2 if bit else 0)) % 4
             return bit, 0.5, False
-        # deterministic: accumulate stabilizer rows flagged by anticommuting destabilizers
-        scratch = PauliString.identity(self.n)
-        for i in np.nonzero(sym[: self.n])[0]:
-            scratch = scratch * self.stabilizer(int(i))
-        if not (np.array_equal(scratch.x, p.x) and np.array_equal(scratch.z, p.z)):
-            raise AssertionError("deterministic measurement did not reproduce the Pauli")
-        bit = 0 if scratch.phase == p.phase else 1
+        bit = self._deterministic_bit(p, anti)
         if force is not None and int(force) != bit:
             raise ValueError(f"forced outcome {force} has probability 0")
         return bit, 1.0, True
+
+    def _deterministic_bit(self, p: PauliString, destabs: np.ndarray) -> int:
+        """Outcome bit of a Pauli p that commutes with every stabilizer.
+
+        `destabs` are the destabilizer rows anticommuting with p; the product
+        of their stabilizer partners is +/- p, and its sign is the outcome.
+        """
+        rows = self.n + destabs
+        x, z, phase = _product(self.x[rows], self.z[rows], self.r[rows])
+        if not (np.array_equal(x, p.x) and np.array_equal(z, p.z)):
+            raise AssertionError("deterministic measurement did not reproduce the Pauli")
+        return 0 if phase == p.phase else 1
 
     # -- structure ---------------------------------------------------------------
 
@@ -324,78 +339,74 @@ class StabilizerTableau:
                 raise ValueError("generator length mismatch")
             if g.phase % 2 != 0:
                 raise ValueError("generator phases must be +/-1")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not gens[i].commutes(gens[j]):
-                    raise ValueError(f"generators {i} and {j} anticommute")
-        g_mat = np.zeros((n, 2 * n), dtype=np.uint8)
-        for i, g in enumerate(gens):
-            g_mat[i, :n] = g.x
-            g_mat[i, n:] = g.z
+        gx = np.array([g.x for g in gens], dtype=np.int64)
+        gz = np.array([g.z for g in gens], dtype=np.int64)
+        anti = np.argwhere(np.triu((gx @ gz.T + gz @ gx.T) % 2, 1))
+        if anti.size:
+            i, j = anti[0]
+            raise ValueError(f"generators {i} and {j} anticommute")
+        g_mat = np.concatenate([gx, gz], axis=1)
         if _gf2_rank(g_mat) != n:
             raise ValueError("generators are not independent over GF(2)")
         # destabilizers: solve <d_i, g_j> = delta_ij, then orthogonalize pairwise
-        a = np.zeros((n, 2 * n), dtype=np.uint8)
-        a[:, :n] = g_mat[:, n:]  # z parts multiply vx
-        a[:, n:] = g_mat[:, :n]  # x parts multiply vz
+        a = np.concatenate([gz, gx], axis=1)  # z parts multiply vx, x parts multiply vz
         sols = _gf2_solve_many(a, np.eye(n, dtype=np.uint8))
         if sols is None:
             raise ValueError("failed to construct destabilizers")
-        destab_bits = [sols[:, i].copy() for i in range(n)]
+        d = sols.T.astype(np.int64)  # row i: destabilizer i as (x | z)
         for i in range(1, n):
-            done = np.array(destab_bits[:i])  # i x 2n
-            sp = (
-                done[:, n:].astype(np.int64) @ destab_bits[i][:n].astype(np.int64)
-                + done[:, :n].astype(np.int64) @ destab_bits[i][n:].astype(np.int64)
-            ) % 2
-            for j in np.nonzero(sp)[0]:
-                destab_bits[i] ^= g_mat[int(j)]
+            sp = (d[:i, n:] @ d[i, :n] + d[:i, :n] @ d[i, n:]) % 2
+            d[i] ^= (sp @ g_mat[:i]) % 2
         tab = cls.__new__(cls)
         tab.n = n
-        tab.x = np.zeros((2 * n, n), dtype=np.uint8)
-        tab.z = np.zeros((2 * n, n), dtype=np.uint8)
+        tab.x = np.concatenate([d[:, :n], gx]).astype(np.uint8)
+        tab.z = np.concatenate([d[:, n:], gz]).astype(np.uint8)
         tab.r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            tab.x[i] = destab_bits[i][:n]
-            tab.z[i] = destab_bits[i][n:]
-            tab.x[n + i] = gens[i].x
-            tab.z[n + i] = gens[i].z
-            tab.r[n + i] = gens[i].phase
+        tab.r[n:] = [g.phase for g in gens]
         return tab
 
     def canonical_stabilizers(self) -> List[PauliString]:
         """Row-reduced echelon form of the stabilizer group (deterministic)."""
-        rows = [self.stabilizer(i) for i in range(self.n)]
-        rank = 0
-        for col in range(2 * self.n):
-            def bit(p: PauliString) -> int:
-                return int(p.x[col]) if col < self.n else int(p.z[col - self.n])
+        m, r = self._canonical_rows()
+        n = self.n
+        return [PauliString(m[i, :n], m[i, n:], r[i]) for i in range(n)]
 
-            pivot = next((i for i in range(rank, len(rows)) if bit(rows[i])), None)
-            if pivot is None:
+    def _canonical_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """GF(2) elimination of the stabilizer rows: (x | z) bits (n, 2n) and phases.
+
+        Columns are swept x first, then z; at each pivot every other row
+        carrying the column is multiplied by the pivot row in one step.
+        """
+        n = self.n
+        m = np.concatenate([self.x[n:], self.z[n:]], axis=1)
+        r = self.r[n:].astype(np.int64)
+        rank = 0
+        for col in range(2 * n):
+            hits = m[rank:, col].nonzero()[0]
+            if hits.size == 0:
                 continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(len(rows)):
-                if i != rank and bit(rows[i]):
-                    rows[i] = rows[i] * rows[rank]
+            pivot = rank + hits[0]
+            if pivot != rank:
+                m[[rank, pivot]] = m[[pivot, rank]]
+                r[[rank, pivot]] = r[[pivot, rank]]
+            # rows carrying the column: those above the pivot, and the other hits
+            rows = np.concatenate([m[:rank, col].nonzero()[0], rank + hits[1:]])
+            if rows.size:
+                p = m[rank]
+                r[rows] += r[rank] + _g_exponent_sum(m[rows, :n], m[rows, n:], p[:n], p[n:])
+                m[rows] ^= p
             rank += 1
-            if rank == len(rows):
+            if rank == n:
                 break
-        return rows
+        r %= 4
+        return m, r
 
     def states_equal(self, other: "StabilizerTableau") -> bool:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        a = self.canonical_stabilizers()
-        b = other.canonical_stabilizers()
-        for ga, gb in zip(a, b):
-            if not (
-                np.array_equal(ga.x, gb.x)
-                and np.array_equal(ga.z, gb.z)
-                and ga.phase == gb.phase
-            ):
-                return False
-        return True
+        ma, ra = self._canonical_rows()
+        mb, rb = other._canonical_rows()
+        return np.array_equal(ma, mb) and np.array_equal(ra, rb)
 
     def add_qubits(self, k: int) -> "StabilizerTableau":
         """Append k fresh qubits in |0>, returning a new tableau."""
@@ -416,52 +427,45 @@ class StabilizerTableau:
         return t
 
     def remove_qubit(self, q: int) -> "StabilizerTableau":
-        """Drop a decoupled qubit, returning a new tableau on n-1 qubits."""
-        gens = [self.stabilizer(i) for i in range(self.n)]
-        # reduce the (x_q, z_q) column pair to at most two pivot generators
-        pivot_x = next((i for i, g in enumerate(gens) if g.x[q]), None)
-        if pivot_x is not None:
-            for i, g in enumerate(gens):
-                if i != pivot_x and g.x[q]:
-                    gens[i] = g * gens[pivot_x]
-        pivot_z = next(
-            (i for i, g in enumerate(gens) if i != pivot_x and g.z[q]), None
-        )
-        if pivot_z is not None:
-            for i, g in enumerate(gens):
-                if i != pivot_z and g.z[q]:
-                    gens[i] = g * gens[pivot_z]
-        pivots = [i for i in (pivot_x, pivot_z) if i is not None]
-        if len(pivots) == 2:
-            raise ValueError(f"qubit {q} is entangled; cannot remove")
-        if len(pivots) == 0:
-            raise AssertionError("no stabilizer acts on the qubit")
-        gq = gens[pivots[0]]
-        others = [g for i, g in enumerate(gens) if i != pivots[0]]
-        # reduce gq's support outside q against the other generators (GF(2) echelon)
-        cols = [k for k in range(self.n) if k != q]
-        work = [g.copy() for g in others]
-        rank = 0
-        for c in cols:
-            for part in ("x", "z"):
-                def bit(p, c=c, part=part):
-                    return int(p.x[c]) if part == "x" else int(p.z[c])
+        """Drop a decoupled qubit, returning a new tableau on n-1 qubits.
 
-                pivot = next((i for i in range(rank, len(work)) if bit(work[i])), None)
-                if pivot is None:
-                    continue
-                work[rank], work[pivot] = work[pivot], work[rank]
-                for i in range(len(work)):
-                    if i != rank and bit(work[i]):
-                        work[i] = work[i] * work[rank]
-                if bit(gq):
-                    gq = gq * work[rank]
-                rank += 1
-        if any((gq.x[k] or gq.z[k]) for k in cols):
-            raise ValueError(f"qubit {q} is entangled; cannot remove")
-        keep = np.array(cols, dtype=int)
-        new_gens = [PauliString(p.x[keep], p.z[keep], p.phase) for p in work]
-        return StabilizerTableau.from_generators(new_gens)
+        Row operations on a copy, O(n^2): one stabilizer s_p is brought to
+        +/- P_q while every (destabilizer, stabilizer) pair stays symplectic,
+        then that pair and column q are dropped.
+        """
+        n = self.n
+        t = self.copy()
+        x, z = t.x, t.z
+        on_q = n + np.flatnonzero(x[n:, q] | z[n:, q])
+        if on_q.size == 0:
+            raise AssertionError("no stabilizer acts on the qubit")
+        entangled = ValueError(f"qubit {q} is entangled; cannot remove")
+        p = int(on_q[0])
+        if np.any(x[on_q, q] != x[p, q]) or np.any(z[on_q, q] != z[p, q]):
+            raise entangled
+        # clear q from the other stabilizers; the pivot's destabilizer absorbs theirs
+        t._rowmult(on_q[1:], p)
+        t._rowmult_all(p - n, on_q[1:] - n)
+        # s_p off q must be the product of the stabilizers j with <d_j, s_p off q> = 1
+        rx, rz = x[p].astype(np.int64), z[p].astype(np.int64)
+        rx[q] = rz[q] = 0
+        c = (x[:n].astype(np.int64) @ rz + z[:n].astype(np.int64) @ rx) % 2
+        if c[p - n]:
+            raise entangled
+        js = np.flatnonzero(c)
+        t._rowmult_all(p, n + js)
+        t._rowmult(js, p - n)
+        if np.any(np.delete(x[p] | z[p], q)):
+            raise entangled
+        # s_p = +/- P_q now, so every other destabilizer carries I or P on q and
+        # dropping column q keeps all symplectic products
+        out = StabilizerTableau.__new__(StabilizerTableau)
+        out.n = n - 1
+        rows = [p - n, p]
+        out.x = np.delete(np.delete(x, rows, axis=0), q, axis=1)
+        out.z = np.delete(np.delete(z, rows, axis=0), q, axis=1)
+        out.r = np.delete(t.r, rows)
+        return out
 
     def to_statevector(self, seed: int = 7) -> np.ndarray:
         """Dense amplitude vector (2^n), qubit 0 slowest-varying. Small n only."""
@@ -810,9 +814,10 @@ class TableauState:
         if basis is not None:
             raise ValueError("tableau backend measures in the computational basis only")
         q = self.index(entry)
-        if np.any(self.tab.x[self.tab.n :, q]):
+        tab = self.tab
+        if np.any(tab.x[tab.n :, q]):
             return np.array([0.5, 0.5])
-        bit, _, _ = self.tab.copy().measure_z(q)
+        bit = tab._deterministic_bit(PauliString.single(tab.n, q, "Z"), np.flatnonzero(tab.x[: tab.n, q]))
         probs = np.zeros(2)
         probs[bit] = 1.0
         return probs

@@ -6,6 +6,7 @@ import pytest
 from qccc.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
+    EXIT_FAIL,
     EXIT_NOT_NORMAL,
     EXIT_OK,
     main,
@@ -121,6 +122,21 @@ class TestMps:
         assert code == EXIT_OK
         assert all(row["measured_deficit"] < 1e-10 for row in rep["bound_sweep"])
 
+    def test_deficit_above_envelope_fails_without_raising(self, tmp_path, monkeypatch):
+        from qccc import mps
+
+        # for AKLT the envelope is vacuous (epsilon_q >= 1) up to q = 18 and
+        # exceeds 1 at q = 20; at q = 22 it is about 0.26. Blocks that large
+        # take their deficit from the transfer matrix, smaller ones from
+        # fidelity_deficit.
+        monkeypatch.setattr(mps, "fidelity_deficit", lambda *a, **k: 1.0)
+        monkeypatch.setattr(mps, "deficit_via_transfer_only", lambda *a, **k: 1.0)
+        rep = mps.bound_report(mps.aklt_mps(), 22, 6)
+        assert rep.epsilon_q < 1 and rep.envelope_holds is False
+        code, out = run_cli(["mps", "--fixture", "aklt", "--q-list", "4,22"], tmp_path)
+        assert code == EXIT_FAIL and out["passed"] is False
+        assert [row["envelope_holds"] for row in out["bound_sweep"]] == [None, False]
+
     def test_ghz_requires_allow_blocks(self, tmp_path):
         code, rep = run_cli(["mps", "--fixture", "ghz"], tmp_path)
         assert code == EXIT_NOT_NORMAL
@@ -171,6 +187,15 @@ class TestDiagnose:
         assert code == EXIT_OK
         assert rep["clifford_table"] and rep["deterministic"]
         assert rep["min_fidelity"] > 1 - 1e-9
+
+    def test_cj_ghz_large_n_claims_no_branches(self, tmp_path):
+        code, rep = run_cli(
+            ["diagnose", "--check", "cj", "--target", "ghz", "--n", "5", "--seed", "1"], tmp_path
+        )
+        assert code == EXIT_OK
+        assert rep["branches_checked"] == 0
+        assert rep["deterministic"] is None and rep["min_fidelity"] is None
+        assert rep["clifford_table"] and rep["passed"]
 
 
 class TestRangeAndShift:

@@ -113,6 +113,34 @@ class TestEngine:
         with pytest.raises(BranchCapExceeded):
             enumerate_branches(proto, branch_cap=3)
 
+    @pytest.mark.parametrize("backend", ["dense", "tableau"])
+    @pytest.mark.parametrize("cap", [1, 3, 15])
+    def test_branch_cap_before_the_work(self, monkeypatch, backend, cap):
+        """No history beyond the cap runs: neither its program nor its finalize."""
+        from dataclasses import replace
+
+        from qccc import locc
+        from qccc.protocols import ghz_protocol
+
+        finalized, completed = [], []
+        real_finalize = locc._finalize
+
+        def counting_finalize(state, protocol):
+            finalized.append(protocol.name)
+            return real_finalize(state, protocol)
+
+        monkeypatch.setattr(locc, "_finalize", counting_finalize)
+        ghz, _ = ghz_protocol(5)  # 16 branches
+        # a last step that runs once for every history reaching the end of the program
+        proto = replace(ghz, program=ghz.program + [Correct(lambda o: completed.append(o) or [])])
+        with pytest.raises(BranchCapExceeded):
+            enumerate_branches(proto, backend=backend, branch_cap=cap)
+        assert len(finalized) <= cap and len(completed) <= cap
+        finalized.clear()
+        completed.clear()
+        assert len(enumerate_branches(proto, backend=backend, branch_cap=16).reports) == 16
+        assert len(finalized) == len(completed) == 16
+
     def test_undetached_ancilla_raises(self):
         lat = Lattice((2,))
         prog = [

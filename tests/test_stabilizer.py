@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qccc import circuits as cx
 from qccc import gates
+from qccc.lattice import Lattice
+from qccc.locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol, enumerate_branches
 from qccc.stabilizer import (
     CliffordMap,
     PauliString,
@@ -307,3 +312,194 @@ class TestTableauState:
     def test_qudit_rejected(self):
         with pytest.raises(ValueError):
             TableauState([(0, "s", 3)])
+
+
+# -- properties of the tableau primitives against dense references ----------------
+
+# fixed example budget and no example database: the same cases on every run
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _symplectic(t: StabilizerTableau) -> bool:
+    """<d_i, s_j> = delta_ij, everything else commutes, stabilizers Hermitian."""
+    x, z = t.x.astype(int), t.z.astype(int)
+    gram = (x @ z.T + z @ x.T) % 2
+    eye = np.eye(t.n, dtype=int)
+    zero = np.zeros_like(eye)
+    return np.array_equal(gram, np.block([[zero, eye], [eye, zero]])) and not np.any(t.r[t.n :] % 2)
+
+
+def _with_local_qubit(n: int, rng, entangle: bool):
+    """A random n-qubit state with one extra qubit in a random single-qubit
+    stabilizer state (or CNOT-entangled with another qubit), moved to a random
+    position q. Returns (tableau, q)."""
+    t = random_stabilizer_tableau(n, rng).add_qubits(1)
+    if entangle:
+        c = int(rng.integers(0, n))
+        if not np.any(t.x[t.n :, c]):  # a Z eigenstate would not entangle
+            t.apply_gate("H", c)
+        t.apply_gate("CNOT", c, n)
+    for name in rng.choice(["H", "S", "X", "Z"], size=int(rng.integers(0, 5))):
+        t.apply_gate(str(name), n)
+    q = int(rng.integers(0, n + 1))
+    if q != n:
+        t.apply_gate("SWAP", q, n)
+    return _mixed_generators(t, rng), q
+
+
+def _mixed_generators(t: StabilizerTableau, rng) -> StabilizerTableau:
+    """The same state rebuilt from generators multiplied together at random."""
+    gens = t.generators()
+    for _ in range(2 * t.n):
+        i, j = rng.integers(0, t.n, size=2)
+        if i != j:
+            gens[i] = gens[i] * gens[j]
+    return StabilizerTableau.from_generators(gens)
+
+
+def _split_off(vec: np.ndarray, n: int, q: int):
+    """Reduced state of qubit q of a dense n-qubit vector: (purity, rest | top local state)."""
+    m = np.moveaxis(vec.reshape((2,) * n), q, 0).reshape(2, -1)
+    rho = m @ m.conj().T
+    _, v = np.linalg.eigh(rho)
+    rest = v[:, -1].conj() @ m
+    return float(np.real(np.trace(rho @ rho))), rest / np.linalg.norm(rest)
+
+
+class TestPrimitiveProperties:
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 6), seed=SEEDS)
+    def test_remove_matches_dense_reduction(self, n, seed):
+        t, q = _with_local_qubit(n, np.random.default_rng(seed), entangle=False)
+        purity, rest = _split_off(t.to_statevector(), n + 1, q)
+        assert purity > 1 - 1e-9
+        small = t.remove_qubit(q)
+        assert small.n == n and _symplectic(small)
+        assert abs(np.vdot(small.to_statevector(), rest)) ** 2 > 1 - 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 6), seed=SEEDS)
+    def test_remove_entangled_raises(self, n, seed):
+        t, q = _with_local_qubit(n, np.random.default_rng(seed), entangle=True)
+        purity, _ = _split_off(t.to_statevector(), n + 1, q)
+        assert purity < 1 - 1e-9
+        with pytest.raises(ValueError, match="entangled"):
+            t.remove_qubit(q)
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 7), seed=SEEDS)
+    def test_canonical_form_decides_equality(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t = random_stabilizer_tableau(n, rng)
+        gens = t.generators()
+        same = _mixed_generators(t, rng)
+        flipped_gens = list(gens)
+        k = int(rng.integers(0, n))
+        flipped_gens[k] = PauliString(gens[k].x, gens[k].z, gens[k].phase + 2)
+        flipped = StabilizerTableau.from_generators(flipped_gens)
+        v = t.to_statevector()
+        assert t.states_equal(same) and same.states_equal(t)
+        assert abs(np.vdot(v, same.to_statevector())) ** 2 > 1 - 1e-9
+        assert not t.states_equal(flipped)
+        assert abs(np.vdot(v, flipped.to_statevector())) ** 2 < 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 4), seed=SEEDS)
+    def test_pauli_product_matches_dense(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (PauliString(*rng.integers(0, 2, (2, n)), rng.integers(0, 4)) for _ in "ab")
+        assert np.allclose((a * b).dense(), a.dense() @ b.dense())
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 9), seed=SEEDS)
+    def test_canonical_rows_match_loop_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t = _mixed_generators(random_stabilizer_tableau(n, rng), rng)
+        got = [g.label() for g in t.canonical_stabilizers()]
+        assert got == [g.label() for g in _canonical_reference(t)]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=SEEDS)
+    def test_backends_agree_on_random_clifford_protocols(self, seed):
+        proto = _random_clifford_protocol(np.random.default_rng(seed))
+        dense = enumerate_branches(proto, backend="dense", target=None, keep_states=True)
+        tab = enumerate_branches(proto, backend="tableau", target=None, keep_states=True)
+        assert dense.verdict == tab.verdict
+        assert [r.record.key() for r in dense.reports] == [r.record.key() for r in tab.reports]
+        for a, b, sa, sb in zip(dense.reports, tab.reports, dense.finals, tab.finals):
+            assert [t for t, _, _ in a.record.outcomes] == [t for t, _, _ in b.record.outcomes]
+            assert abs(a.probability - b.probability) < 1e-9
+            assert sa.fidelity(sb.to_pure_state()) > 1 - 1e-9
+
+
+def _canonical_reference(t: StabilizerTableau):
+    """Row-reduced echelon form by one PauliString product at a time."""
+    rows = t.generators()
+    rank = 0
+    for col in range(2 * t.n):
+        def bit(p):
+            return p.x[col] if col < t.n else p.z[col - t.n]
+
+        pivot = next((i for i in range(rank, t.n) if bit(rows[i])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(t.n):
+            if i != rank and bit(rows[i]):
+                rows[i] = rows[i] * rows[rank]
+        rank += 1
+    return rows
+
+
+def _random_clifford_protocol(rng) -> Protocol:
+    """System qubits on 2-3 sites plus at most two live ancillas (<= 5 qubits):
+    random Clifford layers, ancillas entangled and measured, Pauli corrections."""
+    k = int(rng.integers(2, 4))
+    system = [(i, "s") for i in range(k)]
+    one_q = ["H", "S", "X", "Z", "SDG"]
+
+    def random_ops(entries):
+        acts = []
+        for _ in range(int(rng.integers(1, 4))):
+            if len(entries) > 1 and rng.random() < 0.5:
+                a, b = rng.choice(len(entries), size=2, replace=False)
+                name = "CNOT" if rng.random() < 0.5 else "CZ"
+                acts.append(cx.local_op([entries[a], entries[b]], [(name, (0, 1))]))
+            else:
+                e = entries[int(rng.integers(0, len(entries)))]
+                acts.append(cx.local_op([e], [(str(rng.choice(one_q)), (0,))]))
+        return acts
+
+    program = [ApplyLayers([cx.LocalLayer(random_ops(system))])]
+    tags = []
+    for a in range(int(rng.integers(1, 4))):
+        site = int(rng.integers(0, k))
+        anc = (site, f"a{a}")
+        program.append(
+            ApplyLayers(
+                [
+                    cx.LocalLayer([cx.add_ancilla(site, anc[1], 2)]),
+                    cx.LocalLayer([cx.local_op([anc], [("H", (0,))])]),
+                    cx.LocalLayer(random_ops(system + [anc])),
+                    cx.LocalLayer([cx.local_op([anc, system[int(rng.integers(0, k))]], [("CZ", (0, 1))])]),
+                ]
+            )
+        )
+        tags.append(f"m{a}")
+        program.append(Measure(MeasurementSpec(anc, tags[-1])))
+        fix_site = int(rng.integers(0, k))
+        fix = str(rng.choice(["X", "Z", "Y"]))
+        read = list(tags)
+
+        def correction(outcomes, fix_site=fix_site, fix=fix, read=read):
+            if sum(outcomes[t] for t in read) % 2:
+                return [cx.local_op([(fix_site, "s")], [(fix, (0,))])]
+            return []
+
+        program.append(Correct(correction))
+    register = [(i, "s", 2) for i in range(k)]
+    return Protocol(
+        "random-clifford", Lattice((k,)), register, program, cx.Circuit(Lattice((k,)), []), system,
+        clifford=True,
+    )
