@@ -9,7 +9,7 @@ random shallow circuits never exceed their depth.
 import numpy as np
 
 from qccc import circuits as cx
-from qccc.cli import _random_circuit, _shift_unitary
+from qccc.circuits import _random_circuit, _shift_unitary
 from qccc.lattice import Lattice
 from qccc.statevector import PureState, QuditRegister
 

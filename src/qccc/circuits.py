@@ -13,6 +13,7 @@ backend.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -89,6 +90,22 @@ class Circuit:
 
     def gate_count(self) -> int:
         return sum(len(l.gates) for l in self.layers if isinstance(l, GateLayer))
+
+
+def parallel(blocks: Sequence[Sequence[Layer]]) -> List[Layer]:
+    """Run per-block layer sequences side by side: layer i of the result holds
+    layer i of every block, and a shorter block idles. The blocks must act on
+    disjoint qudits and agree on the kind of every layer they share."""
+    out: List[Layer] = []
+    for i, stage in enumerate(itertools.zip_longest(*blocks)):
+        stage = [layer for layer in stage if layer is not None]
+        if all(isinstance(layer, GateLayer) for layer in stage):
+            out.append(GateLayer([g for layer in stage for g in layer.gates]))
+        elif all(isinstance(layer, LocalLayer) for layer in stage):
+            out.append(LocalLayer([a for layer in stage for a in layer.actions]))
+        else:
+            raise ValueError(f"blocks disagree on the kind of layer {i}")
+    return out
 
 
 @dataclass
@@ -280,6 +297,37 @@ def build_shift_circuit(lat: Lattice, slot: str = "shift") -> Circuit:
     unswap = LocalLayer([local_op([(j, "s"), (j, slot)], swap) for j in range(n)])
     removes = LocalLayer([remove_ancilla(j, slot) for j in range(n)])
     return Circuit(lat, [adds, even, odd, unswap, removes])
+
+
+def _shift_unitary(lat: Lattice) -> np.ndarray:
+    """Dense permutation matrix of the left shift on a 1D periodic chain."""
+    n, d = lat.n_sites, lat.local_dim
+    dim = d**n
+    u = np.zeros((dim, dim), dtype=complex)
+    for basis in np.ndindex(*(d,) * n):
+        src = 0
+        for i in range(n):
+            src = src * d + basis[i]
+        shifted = tuple(basis[(i + 1) % n] for i in range(n))
+        dst = 0
+        for i in range(n):
+            dst = dst * d + shifted[i]
+        u[dst, src] = 1.0
+    return u
+
+
+def _random_circuit(lat: Lattice, depth: int, rng: np.random.Generator) -> Circuit:
+    """Brickwork of Haar-random two-site gates on the system qudits of a chain."""
+    n = lat.n_sites
+    d = lat.local_dim
+    layers = []
+    for layer_i in range(depth):
+        offset = layer_i % 2
+        gates_ = []
+        for i in range(offset, n - 1, 2):
+            gates_.append(Gate(((i, "s"), (i + 1, "s")), gates.random_unitary(d * d, rng)))
+        layers.append(GateLayer(gates_))
+    return Circuit(lat, layers)
 
 
 # -- QCA range estimation ----------------------------------------------------------

@@ -287,14 +287,14 @@ def cmd_range(args) -> int:
     lat = Lattice((args.n,), local_dim=args.d)
     if args.shift:
         circuit = cx.build_shift_circuit(lat)
-        u = _shift_unitary(lat)
+        u = cx._shift_unitary(lat)
         r = cx.estimate_range(u, lat)
         report["operator"] = "shift"
     else:
         if args.seed is None:
             raise ConfigError("random circuits require --seed")
         rng = np.random.default_rng(args.seed)
-        circuit = _random_circuit(lat, args.depth, rng)
+        circuit = cx._random_circuit(lat, args.depth, rng)
         reg = [(i, "s", lat.local_dim) for i in range(lat.n_sites)]
         u = cx.circuit_unitary(circuit, reg)
         r = cx.estimate_range(u, lat)
@@ -333,35 +333,6 @@ def cmd_shift(args) -> int:
     report["timings"]["total_s"] = time.time() - t0
     _write_report(report, args.out)
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _shift_unitary(lat: Lattice) -> np.ndarray:
-    n, d = lat.n_sites, lat.local_dim
-    dim = d**n
-    u = np.zeros((dim, dim), dtype=complex)
-    for basis in np.ndindex(*(d,) * n):
-        src = 0
-        for i in range(n):
-            src = src * d + basis[i]
-        shifted = tuple(basis[(i + 1) % n] for i in range(n))
-        dst = 0
-        for i in range(n):
-            dst = dst * d + shifted[i]
-        u[dst, src] = 1.0
-    return u
-
-
-def _random_circuit(lat: Lattice, depth: int, rng: np.random.Generator) -> cx.Circuit:
-    n = lat.n_sites
-    d = lat.local_dim
-    layers = []
-    for layer_i in range(depth):
-        offset = layer_i % 2
-        gates_ = []
-        for i in range(offset, n - 1, 2):
-            gates_.append(cx.Gate(((i, "s"), (i + 1, "s")), gates.random_unitary(d * d, rng)))
-        layers.append(cx.GateLayer(gates_))
-    return cx.Circuit(lat, layers)
 
 
 def build_parser() -> argparse.ArgumentParser:

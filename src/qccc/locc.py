@@ -197,10 +197,11 @@ def _finalize(state, protocol: Protocol):
     return state.permuted(system)
 
 
-def _branch_fidelity(state, reference) -> float:
-    if isinstance(state, PureState):
-        return state.fidelity(reference)
-    return 1.0 if state.states_equal(reference) else 0.0
+def _rows_equal(a, b) -> float:
+    """1.0 when two canonical (bits, phases) row sets agree, else 0.0."""
+    if a[0].shape != b[0].shape:
+        raise ValueError("qubit count mismatch")
+    return float(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
 
 
 def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
@@ -332,24 +333,29 @@ def enumerate_branches(
         probs = state.branch_probabilities(spec.entry, spec.basis)
         return [{"force": k} for k, p in enumerate(probs) if p > prob_floor]
 
+    # tableau states compare by their canonical rows: the first branch's and
+    # the target's are eliminated once, each final once
+    target_rows = target._canonical_rows() if isinstance(target, StabilizerTableau) else None
     reports: List[BranchReport] = []
     finals: List[object] = []
-    reference = None
+    reference = reference_rows = None
     deterministic = True
     start = _start(protocol, backend, input_state)
     for state, outcomes, prob in _execute(protocol.program, start, live, branch_cap):
         final = _finalize(state, protocol)
+        dense = isinstance(final, PureState)
+        final_rows = None if dense else final.tab._canonical_rows()
         if reference is None:
-            reference = final
-        agree_first = _branch_fidelity(final, reference)
+            reference, reference_rows = final, final_rows
+        agree_first = final.fidelity(reference) if dense else _rows_equal(final_rows, reference_rows)
         if agree_first < 1.0 - DETERMINISM_TOL:
             deterministic = False
         if target is None:
             fid = agree_first
         elif isinstance(target, PureState):
-            fid = final.fidelity(target) if isinstance(final, PureState) else float("nan")
+            fid = final.fidelity(target) if dense else float("nan")
         else:
-            fid = 1.0 if final.tab.states_equal(target) else 0.0
+            fid = _rows_equal(final_rows, target_rows)
         reports.append(BranchReport(OutcomeRecord(outcomes), prob, float(fid)))
         if keep_states:
             finals.append(final)

@@ -23,6 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
+from . import gates
+from .lattice import Lattice
+from .protocols import _fixed_point_protocol, _polished_columns
 from .statevector import PureState, QuditRegister, max_amplitudes
 
 SPECTRAL_TOL = 1e-9
@@ -463,13 +466,16 @@ def gauge_condition_number(t_chain: np.ndarray, gap_tol: float = 1e-8) -> float:
     """kappa of a similarity separating the leading eigenvalue from the rest.
 
     Schur-based two-block decoupling; an upper-bound surrogate for the exact
-    Jordan gauge, reported as such.
+    Jordan gauge, reported as such. The leading block holds the eigenvalues
+    within half the spectral gap of 1, which is the leading one alone when the
+    tensor is normal.
     """
     n = t_chain.shape[0]
     if n == 1:
         return 1.0
+    half_gap = (1.0 - abs(sorted_spectrum(t_chain)[1])) / 2
     t, z, sdim = scipy.linalg.schur(
-        t_chain.astype(complex), output="complex", sort=lambda x: abs(x - 1.0) < 0.5
+        t_chain.astype(complex), output="complex", sort=lambda x: abs(x - 1.0) < half_gap
     )
     if sdim != 1:
         raise ValueError("leading eigenvalue is not simple; tensor not normal")
@@ -645,79 +651,20 @@ class PipelineResult:
     depth: int
 
 
-def _conveyor(lat, src, dst, dim: int, tmp: str):
-    """Gate layers moving the content of entry `src` into existing entry `dst`
-    one nearest-neighbor hop at a time; temps end in |0> and are removed."""
-    from . import circuits as cx
-
-    n = lat.n_sites
-    s_site, _ = src
-    d_site, _ = dst
-    fwd = (d_site - s_site) % n
-    bwd = (s_site - d_site) % n
-    step = 1 if fwd <= bwd else -1
-    path = []
-    site = s_site
-    while site != d_site:
-        site = (site + step) % n
-        path.append(site)
-    layers = []
-    temps = []
-    prev = src
-    for hop, site in enumerate(path):
-        if site == d_site:
-            layers.append(cx.GateLayer([cx.Gate((prev, dst), [("SWAP", (0, 1))])]))
-        else:
-            t_entry = (site, tmp)
-            temps.append(t_entry)
-            layers.append(cx.LocalLayer([cx.add_ancilla(site, tmp, dim)]))
-            layers.append(cx.GateLayer([cx.Gate((prev, t_entry), [("SWAP", (0, 1))])]))
-        prev = (site, tmp) if site != d_site else dst
-    if temps:
-        layers.append(
-            cx.LocalLayer([cx.remove_ancilla(s, sl) for s, sl in temps])
-        )
-    return layers
-
-
-def _polished_columns(cols: Dict[int, np.ndarray]) -> Tuple[Dict[int, np.ndarray], float]:
-    """Gram-Schmidt polish of prescribed writer columns; returns the defect."""
-    keys = sorted(cols)
-    defect = 0.0
-    basis: List[np.ndarray] = []
-    out = {}
-    for k in keys:
-        v = np.asarray(cols[k], dtype=complex).copy()
-        orig = v.copy()
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            raise ValueError("writer columns are not independent; blocks overlap")
-        v = v / nv
-        defect = max(defect, float(np.linalg.norm(v - orig)))
-        basis.append(v)
-        out[k] = v
-    return out, defect
-
-
 def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     """Compile an MPS into a preparation protocol on the unblocked chain.
 
     Canonicalizes, blocks q sites, builds each block's renormalization fixed
-    point, writes the fixed point in the entangled-pair normal form, and emits
-    the bond-pair / superposition / conditioned-writer / teleport protocol.
+    point, and writes the fixed point onto the physical sites with one
+    polished writer per block. The bond-pair / superposition /
+    conditioned-writer / teleport protocol around it comes from the same
+    builder as `rg_fixed_point_protocol`.
 
-    The returned protocol's `circuit` holds the staged nearest-neighbor form
-    (blocked operations expanded into swap conveyors); its `program` applies
-    the same unitaries block by block, taking the free-swap shortcuts that
-    keep the dense register narrow.
+    The returned protocol's `program` runs block by block, taking free-swap
+    shortcuts across a block to keep the dense register narrow; its `circuit`
+    is the staged nearest-neighbor form, whose depth depends on q but not on
+    the chain length.
     """
-    from . import circuits as cx
-    from . import gates
-    from .lattice import Lattice
-    from .locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol, _teleport_steps
-
     if n_sites % q:
         raise ValueError("chain length must be divisible by the blocking factor")
     m_sites = n_sites // q
@@ -732,268 +679,42 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
         fps.append(rg_fixed_point_tensor(block(blk, q)))
     chis = [blk.chi for _, blk in cf.blocks]
     bond_d = max(chis)
-    cdim = max(r, 2)
-    use_c = r > 1
-    use_bonds = bond_d > 1
 
     weights = mus.astype(complex) ** n_sites
     alphas = weights / np.linalg.norm(weights)
 
-    lat = Lattice((n_sites,), local_dim=d)
-    register = [(i, "s", d) for i in range(n_sites)]
-    system = [(i, "s") for i in range(n_sites)]
-    hub = lambda b: b * q
-    tail = lambda b: b * q + q - 1
-
-    # ---- shared unitaries -------------------------------------------------
-    bell = gates.bell_pair_gate(bond_d) if use_bonds else None
-    prep = None
-    bell_c = None
-    if use_c:
-        prep = gates.complete_to_unitary({0: alphas})
-        bell_c = gates.bell_pair_gate(cdim)
-    bond_writer = None
-    if use_bonds:
-        cols: Dict[int, np.ndarray] = {}
-        for k in range(r):
-            chi_k = chis[k]
-            bond = np.zeros((bond_d, bond_d), dtype=complex)
-            bond[:chi_k, :chi_k] = fps[k].data.bond_matrix
-            vec = np.zeros((cdim if use_c else 1) * bond_d * bond_d, dtype=complex)
-            for rr in range(chi_k):
-                for lp in range(chi_k):
-                    slot = ((k if use_c else 0) * bond_d + lp) * bond_d + rr
-                    vec[slot] = bond[rr, lp]
-            cols[(k if use_c else 0) * bond_d * bond_d] = vec
-        cols, _ = _polished_columns(cols)
-        bond_writer = gates.complete_to_unitary(cols)
+    # bond matrices, zero-padded to the widest block
+    bonds = []
+    for k in range(r):
+        bond = np.zeros((bond_d, bond_d), dtype=complex)
+        bond[: chis[k], : chis[k]] = fps[k].data.bond_matrix
+        bonds.append(bond)
+    # the writer takes |k, i, j> on (C, L, R) and |0...0> on the block's q
+    # sites to |0, 0, 0> and column (i, j) of block k's isometry; a register
+    # that takes no part counts as dimension 1
     wcols: Dict[int, np.ndarray] = {}
     dq = d**q
-    in_dims = ([cdim] if use_c else []) + ([bond_d, bond_d] if use_bonds else [])
-    head_dim = int(np.prod(in_dims, dtype=np.int64)) if in_dims else 1
     for k in range(r):
         chi_k = chis[k]
-        u_k = fps[k].isometry
         for i in range(chi_k):
             for j in range(chi_k):
-                if use_c and use_bonds:
-                    head = (k * bond_d + i) * bond_d + j
-                elif use_c:
-                    head = k  # chi_k == 1 here, so (i, j) == (0, 0)
-                elif use_bonds:
-                    head = i * bond_d + j
-                else:
-                    head = 0
-                # ancilla outputs land in |0...0>, so the column occupies the
-                # leading d^q slice regardless of the input head index
-                vec = np.zeros(head_dim * dq, dtype=complex)
-                vec[:dq] = u_k[:, i * chi_k + j]
-                wcols[head * dq] = vec
+                vec = np.zeros(r * bond_d * bond_d * dq, dtype=complex)
+                vec[:dq] = fps[k].isometry[:, i * chi_k + j]
+                wcols[((k * bond_d + i) * bond_d + j) * dq] = vec
     wcols, writer_defect = _polished_columns(wcols)
     writer = gates.complete_to_unitary(wcols)
 
-    # ---- helper fragments --------------------------------------------------
-    def pair_add_actions(b):
-        return [
-            cx.add_ancilla(tail(b), "Rp", bond_d),
-            cx.add_ancilla(hub((b + 1) % m_sites), "L", bond_d),
-        ]
-
-    def pair_gate(b):
-        return cx.Gate(((tail(b), "Rp"), (hub((b + 1) % m_sites), "L")), bell)
-
-    def bond_write_entries(b):
-        ent = [(hub(b), "C")] if use_c else []
-        return ent + [(tail(b), "Lp"), (tail(b), "R")]
-
-    def writer_entries(b):
-        ent = [(hub(b), "C")] if use_c else []
-        if use_bonds:
-            ent += [(hub(b), "L"), (tail(b), "R")]
-        return ent + [(hub(b) + jj, "s") for jj in range(q)]
-
-    def writer_removals(b):
-        acts = []
-        if use_c:
-            acts.append(cx.remove_ancilla(hub(b), "C"))
-        if use_bonds:
-            acts += [cx.remove_ancilla(hub(b), "L"), cx.remove_ancilla(tail(b), "R")]
-        return acts
-
-    # ---- program (block-interleaved, narrow register) ----------------------
-    program: List = []
-    if use_c:
-        program.append(
-            ApplyLayers(
-                [
-                    cx.LocalLayer(
-                        [cx.add_ancilla(hub(b), "C", cdim) for b in range(m_sites)]
-                        + [cx.add_ancilla(hub(b), "Cp", cdim) for b in range(1, m_sites)]
-                        + [cx.local_op([(hub(m_sites - 1), "C")], prep)]
-                    ),
-                    cx.LocalLayer(
-                        [
-                            cx.local_op([(hub(b), "C"), (hub(b + 1), "Cp")], bell_c)
-                            for b in range(m_sites - 1)
-                        ]
-                    ),
-                    cx.LocalLayer(
-                        [
-                            cx.local_op([(hub(b), "C"), (hub(b), "Cp")], gates.cnot_d(cdim))
-                            for b in range(1, m_sites)
-                        ]
-                    ),
-                ]
-            )
-        )
-        for b in range(1, m_sites):
-            program.append(Measure(MeasurementSpec((hub(b), "Cp"), f"c{b}")))
-
-        def c_fix(outcomes):
-            acts = []
-            for b in range(m_sites - 1):
-                shift = -sum(outcomes[f"c{j}"] for j in range(b + 1, m_sites)) % cdim
-                if shift:
-                    acts.append(cx.local_op([(hub(b), "C")], gates.shift_x(cdim, shift)))
-            return acts
-
-        program.append(Correct(c_fix, "block label alignment"))
-
-    for b in range(m_sites):
-        if use_bonds:
-            layers = [
-                cx.LocalLayer(
-                    pair_add_actions(b)
-                    + [cx.add_ancilla(tail(b), "Lp", bond_d), cx.add_ancilla(tail(b), "R", bond_d)]
-                ),
-                cx.GateLayer([pair_gate(b)]),
-                cx.LocalLayer([cx.local_op(bond_write_entries(b), bond_writer)]),
-            ]
-            program.append(ApplyLayers(layers))
-        if b >= 1:
-            program.append(
-                ApplyLayers(
-                    [
-                        cx.LocalLayer(
-                            [cx.local_op(writer_entries(b), writer)] + writer_removals(b)
-                        )
-                    ]
-                )
-            )
-        if use_bonds:
-            program.extend(
-                _teleport_steps(
-                    (tail(b), "Lp"), (tail(b), "Rp"), (hub((b + 1) % m_sites), "L"), bond_d, f"T{b}"
-                )
-            )
-    program.append(
-        ApplyLayers(
-            [cx.LocalLayer([cx.local_op(writer_entries(0), writer)] + writer_removals(0))]
-        )
-    )
-
-    # ---- circuit view (staged, fully nearest-neighbor) ----------------------
-    circuit_layers: List = []
-    if use_bonds:
-        circuit_layers.append(
-            cx.LocalLayer(
-                [a for b in range(m_sites) for a in pair_add_actions(b)]
-                + [cx.add_ancilla(tail(b), "Lp", bond_d) for b in range(m_sites)]
-                + [cx.add_ancilla(tail(b), "R", bond_d) for b in range(m_sites)]
-            )
-        )
-        for par in (0, 1):
-            circuit_layers.append(cx.GateLayer([pair_gate(b) for b in range(par, m_sites, 2)]))
-    if use_c:
-        circuit_layers.append(
-            cx.LocalLayer(
-                [cx.add_ancilla(hub(b), "C", cdim) for b in range(m_sites)]
-                + [cx.add_ancilla(hub(b), "Cp", cdim) for b in range(1, m_sites)]
-                + [cx.local_op([(hub(m_sites - 1), "C")], prep)]
-            )
-        )
-        for par in (0, 1):
-            for b in range(par, m_sites - 1, 2):
-                circuit_layers.append(
-                    cx.LocalLayer(
-                        [
-                            cx.add_ancilla(hub(b), "mv", cdim),
-                            cx.local_op([(hub(b), "C"), (hub(b), "mv")], bell_c),
-                        ]
-                    )
-                )
-                circuit_layers.extend(
-                    _conveyor(lat, (hub(b), "mv"), (hub(b + 1), "Cp"), cdim, "cchain")
-                )
-                circuit_layers.append(cx.LocalLayer([cx.remove_ancilla(hub(b), "mv")]))
-        circuit_layers.append(
-            cx.LocalLayer(
-                [
-                    cx.local_op([(hub(b), "C"), (hub(b), "Cp")], gates.cnot_d(cdim))
-                    for b in range(1, m_sites)
-                ]
-            )
-        )
-    if use_bonds:
-        for b in range(m_sites):
-            if use_c and q > 1:
-                circuit_layers.append(cx.LocalLayer([cx.add_ancilla(tail(b), "Cmv", cdim)]))
-                circuit_layers.extend(_conveyor(lat, (hub(b), "C"), (tail(b), "Cmv"), cdim, "cpath"))
-                circuit_layers.append(
-                    cx.LocalLayer(
-                        [
-                            cx.local_op(
-                                [(tail(b), "Cmv"), (tail(b), "Lp"), (tail(b), "R")], bond_writer
-                            )
-                        ]
-                    )
-                )
-                circuit_layers.extend(_conveyor(lat, (tail(b), "Cmv"), (hub(b), "C"), cdim, "cpath"))
-                circuit_layers.append(cx.LocalLayer([cx.remove_ancilla(tail(b), "Cmv")]))
-            else:
-                circuit_layers.append(
-                    cx.LocalLayer([cx.local_op(bond_write_entries(b), bond_writer)])
-                )
-    for b in range(m_sites):
-        circ = []
-        entries = []
-        if use_c:
-            entries.append((hub(b), "C"))
-        if use_bonds:
-            circ.append(cx.LocalLayer([cx.add_ancilla(hub(b), "Rmv", bond_d)]))
-            circ.extend(_conveyor(lat, (tail(b), "R"), (hub(b), "Rmv"), bond_d, "rpath"))
-            entries += [(hub(b), "L"), (hub(b), "Rmv")]
-        entries.append((hub(b), "s"))
-        for jj in range(1, q):
-            circ.append(cx.LocalLayer([cx.add_ancilla(hub(b), f"w{jj}", d)]))
-            circ.extend(_conveyor(lat, (hub(b) + jj, "s"), (hub(b), f"w{jj}"), d, f"wpath{jj}"))
-            entries.append((hub(b), f"w{jj}"))
-        circ.append(cx.LocalLayer([cx.local_op(entries, writer)]))
-        for jj in range(1, q):
-            circ.extend(_conveyor(lat, (hub(b), f"w{jj}"), (hub(b) + jj, "s"), d, f"wpath{jj}"))
-            circ.append(cx.LocalLayer([cx.remove_ancilla(hub(b), f"w{jj}")]))
-        removals = []
-        if use_c:
-            removals.append(cx.remove_ancilla(hub(b), "C"))
-        if use_bonds:
-            removals += [cx.remove_ancilla(hub(b), "L"), cx.remove_ancilla(hub(b), "Rmv")]
-        if removals:
-            circ.append(cx.LocalLayer(removals))
-        circuit_layers.extend(circ)
-
-    circuit = cx.Circuit(lat, circuit_layers)
     target = None
     if d**n_sites <= max_amplitudes():
         target = state_from_mps(mps, n_sites)
-    proto = Protocol(
-        name=f"mps-pipeline[q={q},N={n_sites}]",
-        lattice=lat,
-        register=register,
-        program=program,
-        circuit=circuit,
-        system_entries=system,
-        target=target,
-        clifford=False,
+    proto = _fixed_point_protocol(
+        f"mps-pipeline[q={q},N={n_sites}]",
+        Lattice((n_sites,), local_dim=d),
+        q,
+        alphas,
+        bonds,
+        writer,
+        target,
     )
     # aggregate bound data: worst block
     reports = []
@@ -1011,4 +732,4 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
         worst = BoundReport(
             math.inf, q, m_sites, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(measured), True
         )
-    return PipelineResult(proto, worst, alphas, chis, writer_defect, circuit.depth())
+    return PipelineResult(proto, worst, alphas, chis, writer_defect, proto.depth())

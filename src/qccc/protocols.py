@@ -281,100 +281,249 @@ def rg_target_state(spec: RGFixedPointSpec) -> PureState:
 def rg_fixed_point_protocol(spec: RGFixedPointSpec) -> Tuple[Protocol, PureState]:
     """Example-2 style preparation: bond Bell pairs, a C-register superposition,
     conditioned bond writing, and teleport hops. Gate-layer depth 4 (2 if B=1)."""
-    n, ddim, cdim, bdim = spec.N, spec.bond_dim, spec.c_dim, spec.B
-    lat = Lattice((n,))
-    register = [
-        (i, slot, cdim if slot == "C" else ddim) for i in range(n) for slot in ("C", "L", "R")
-    ]
-    system = [(i, slot) for i in range(n) for slot in ("C", "L", "R")]
+    bonds = [b.reshape(spec.bond_dim, spec.bond_dim) for b in spec.bond_states]
+    target = rg_target_state(spec)
+    proto = _fixed_point_protocol(
+        f"rg[B={spec.B},N={spec.N}]", Lattice((spec.N,)), 1, spec.alphas, bonds, target=target
+    )
+    return proto, target
 
-    bell_d = gates.bell_pair_gate(ddim)
-    pair_layers = [
-        cx.GateLayer(
-            [cx.Gate(((i, "Rp"), ((i + 1) % n, "L")), bell_d) for i in range(0, n, 2) if i < n]
-        ),
-        cx.GateLayer(
-            [cx.Gate(((i, "Rp"), ((i + 1) % n, "L")), bell_d) for i in range(1, n, 2)]
-        ),
-    ]
-    adds_rp = cx.LocalLayer([cx.add_ancilla(i, "Rp", ddim) for i in range(n)])
-    circuit_layers: List[cx.Layer] = [adds_rp] + pair_layers
 
-    ghz_layers: List[cx.Layer] = []
-    if bdim > 1:
-        prep = gates.complete_to_unitary({0: np.asarray(spec.alphas, dtype=complex)})
-        bell_b = gates.bell_pair_gate(cdim)
-        adds_cp = cx.LocalLayer(
-            [cx.add_ancilla(i, "Cp", cdim) for i in range(1, n)]
-            + [cx.local_op([(n - 1, "C")], prep)]
-        )
-        ghz_layers = [
-            adds_cp,
-            cx.GateLayer(
-                [cx.Gate(((i, "C"), (i + 1, "Cp")), bell_b) for i in range(0, n - 1, 2)]
-            ),
-            cx.GateLayer(
-                [cx.Gate(((i, "C"), (i + 1, "Cp")), bell_b) for i in range(1, n - 1, 2)]
-            ),
-            cx.LocalLayer(
-                [
-                    cx.local_op([(i, "C"), (i, "Cp")], gates.cnot_d(cdim))
-                    for i in range(1, n)
-                ]
-            ),
+def _polished_columns(cols: Dict[int, np.ndarray]) -> Tuple[Dict[int, np.ndarray], float]:
+    """Gram-Schmidt polish of prescribed writer columns; returns the defect."""
+    defect = 0.0
+    basis: List[np.ndarray] = []
+    out = {}
+    for k in sorted(cols):
+        orig = np.asarray(cols[k], dtype=complex)
+        v = orig.copy()
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+        nv = np.linalg.norm(v)
+        if nv < 1e-8:
+            raise ValueError("writer columns are not independent; blocks overlap")
+        v = v / nv
+        defect = max(defect, float(np.linalg.norm(v - orig)))
+        basis.append(v)
+        out[k] = v
+    return out, defect
+
+
+def _conveyor(n: int, src: EntryKey, dst: EntryKey, dim: int) -> List[cx.Layer]:
+    """Layers moving the content of entry `src` into a new entry `dst`, one
+    nearest-neighbor SWAP per hop the shorter way round a ring of n sites;
+    `src` and the temps on the way end in |0> and are removed."""
+    if src == dst:
+        return []
+    s, t = src[0], dst[0]
+    step = 1 if (t - s) % n <= (s - t) % n else -1
+    hops = ((t - s) * step) % n
+    chain = [src] + [((s + h * step) % n, "hop") for h in range(1, hops)] + [dst]
+    swap = gates.swap_d(dim, dim)
+    return (
+        [cx.LocalLayer([cx.add_ancilla(site, slot, dim) for site, slot in chain[1:]])]
+        + [cx.GateLayer([cx.Gate((a, b), swap)]) for a, b in zip(chain, chain[1:])]
+        + [cx.LocalLayer([cx.remove_ancilla(site, slot) for site, slot in chain[:-1]])]
+    )
+
+
+def _in_turns(pairs: List[List[cx.Layer]]) -> List[cx.Layer]:
+    """Run the layers of pairs 0, 2, 4, ... side by side, then those of the odd
+    pairs; neighboring pairs share a site. Both turns keep their layers even
+    when the odd one is empty."""
+    idle = [type(layer)() for layer in pairs[0]]
+    return cx.parallel([p + idle if i % 2 == 0 else idle + p for i, p in enumerate(pairs)])
+
+
+def _fixed_point_protocol(
+    name: str,
+    lat: Lattice,
+    q: int,
+    alphas: np.ndarray,
+    bonds: Sequence[np.ndarray],
+    writer: Optional[np.ndarray] = None,
+    target: Optional[PureState] = None,
+) -> Protocol:
+    """The renormalization fixed point sum_k alpha_k |k>_C (x)_b psi_k on blocks
+    of q sites: bond Bell pairs, a C-register GHZ with its alignment fix, a
+    conditioned bond writer, and teleport hops.
+
+    Block b spans sites bq..bq+q-1; its hub (first site) holds the label C and
+    the left bond leg L, its tail (last site) the right bond leg R. Each bond
+    matrix psi_k is indexed (R leg, L leg). C takes part only with more than
+    one label, and the bonds only at bond dimension > 1.
+
+    Without `writer`, C, L and R are the system. A `writer` is a unitary on
+    (C, L, R, s_hub ... s_tail) that writes every block onto its physical sites
+    and leaves C, L and R in |0>; they are then ancillas, added and removed.
+
+    The program runs block by block so that few ancillas are alive at once,
+    taking free-swap shortcuts across a block. The circuit is the staged
+    nearest-neighbor form: shortcuts become swap conveyors, and the same stage
+    of every block shares its layers, so its depth does not grow with the
+    chain length.
+    """
+    n = lat.n_sites
+    m = n // q
+    hub = lambda b: b * q
+    tail = lambda b: b * q + q - 1
+    sites = lambda b: [(b * q + j, "s") for j in range(q)]
+    alphas = np.asarray(alphas, dtype=complex)
+    cdim = max(len(alphas), 2)
+    ddim = bonds[0].shape[0]
+    use_c = len(alphas) > 1
+    use_bonds = ddim > 1
+    if writer is None:
+        register = [
+            (site, slot, cdim if slot == "C" else ddim)
+            for b in range(m)
+            for site, slot in ((hub(b), "C"), (hub(b), "L"), (tail(b), "R"))
         ]
-        circuit_layers += ghz_layers
-    circuit = cx.Circuit(lat, circuit_layers)
+    else:
+        register = [(i, "s", lat.local_dim) for i in range(n)]
 
-    program: List = [ApplyLayers([adds_rp] + pair_layers)]
-    if bdim > 1:
-        program.append(ApplyLayers(ghz_layers))
-        program.extend(
-            Measure(MeasurementSpec((i, "Cp"), f"c{i}")) for i in range(1, n)
+    # conditioned bond writer |k>|0>|0> -> |k> psi_k on (C, Lp, R)
+    cols = {}
+    for k, psi in enumerate(bonds):
+        vec = np.zeros((len(bonds), ddim, ddim), dtype=complex)
+        vec[k] = psi.T
+        cols[k * ddim * ddim] = vec.reshape(-1)
+    bond_writer = gates.complete_to_unitary(_polished_columns(cols)[0])
+
+    def bond_write(b: int, c_site: int) -> cx.LocalAction:
+        head = [(c_site, "C")] if use_c else []
+        return cx.local_op(head + [(tail(b), "Lp"), (tail(b), "R")], bond_writer)
+
+    def block_write(b: int, r_site: int, out: List[EntryKey]) -> cx.LocalLayer:
+        head = [(hub(b), "C")] if use_c else []
+        if use_bonds:
+            head += [(hub(b), "L"), (r_site, "R")]
+        return cx.LocalLayer(
+            [cx.local_op(head + out, writer)]
+            + [cx.remove_ancilla(site, slot) for site, slot in head]
         )
+
+    def bond_adds(b: int) -> List[cx.LocalAction]:
+        legs = [(tail(b), "Rp"), (tail(b), "Lp")]
+        if writer is not None:
+            legs += [(hub((b + 1) % m), "L"), (tail(b), "R")]
+        return [cx.add_ancilla(site, slot, ddim) for site, slot in legs]
+
+    bell = gates.bell_pair_gate(ddim)
+    pair_gates = [cx.Gate(((tail(b), "Rp"), (hub((b + 1) % m), "L")), bell) for b in range(m)]
+
+    program: List = []
+    circuit: List[cx.Layer] = []
+    if use_bonds:
+        circuit.append(cx.LocalLayer([a for b in range(m) for a in bond_adds(b)]))
+        circuit += _in_turns([[cx.GateLayer([g])] for g in pair_gates])
+    if use_c:
+        bell_c = gates.bell_pair_gate(cdim)
+        labels = cx.LocalLayer(
+            [cx.add_ancilla(hub(b), "C", cdim) for b in range(m) if writer is not None]
+            + [cx.local_op([(hub(m - 1), "C")], gates.complete_to_unitary({0: alphas}))]
+        )
+        fuse = cx.LocalLayer(
+            [cx.local_op([(hub(b), "C"), (hub(b), "Cp")], gates.cnot_d(cdim)) for b in range(1, m)]
+        )
+        program.append(
+            ApplyLayers(
+                [
+                    labels,
+                    cx.LocalLayer(
+                        [cx.add_ancilla(hub(b), "Cp", cdim) for b in range(1, m)]
+                        + [
+                            cx.local_op([(hub(b), "C"), (hub(b + 1), "Cp")], bell_c)
+                            for b in range(m - 1)
+                        ]
+                    ),
+                    fuse,
+                ]
+            )
+        )
+        program += [Measure(MeasurementSpec((hub(b), "Cp"), f"c{b}")) for b in range(1, m)]
 
         def c_fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
             acts = []
-            for i in range(n - 1):
-                shift = -sum(outcomes[f"c{j}"] for j in range(i + 1, n)) % cdim
+            for b in range(m - 1):
+                shift = -sum(outcomes[f"c{j}"] for j in range(b + 1, m)) % cdim
                 if shift:
-                    acts.append(cx.local_op([(i, "C")], gates.shift_x(cdim, shift)))
+                    acts.append(cx.local_op([(hub(b), "C")], gates.shift_x(cdim, shift)))
             return acts
 
-        program.append(Correct(c_fix, "C register alignment"))
+        program.append(Correct(c_fix, "label alignment"))
+        circuit.append(labels)
+        circuit += _in_turns(
+            [
+                [
+                    cx.LocalLayer(
+                        [
+                            cx.add_ancilla(hub(b), "mv", cdim),
+                            cx.local_op([(hub(b), "C"), (hub(b), "mv")], bell_c),
+                        ]
+                    )
+                ]
+                + _conveyor(n, (hub(b), "mv"), (hub(b + 1), "Cp"), cdim)
+                for b in range(m - 1)
+            ]
+        )
+        circuit.append(fuse)
 
-    # conditioned bond writer |k>|0>|0> -> |k>|psi_k arranged (Lp, R)>
-    cols = {}
-    for k in range(bdim):
-        psi = spec.bond_states[k].reshape(ddim, ddim)
-        vec = np.zeros(cdim * ddim * ddim, dtype=complex)
-        for r in range(ddim):
-            for lp in range(ddim):
-                vec[(k * ddim + lp) * ddim + r] = psi[r, lp]
-        cols[k * ddim * ddim] = vec
-    writer = gates.complete_to_unitary(cols)
-    writer_ops = cx.LocalLayer(
-        [cx.add_ancilla(i, "Lp", ddim) for i in range(n)]
-        + [cx.local_op([(i, "C"), (i, "Lp"), (i, "R")], writer) for i in range(n)]
-    )
-    program.append(ApplyLayers([writer_ops]))
-    for i in range(n):
-        program.extend(
-            _teleport_steps((i, "Lp"), (i, "Rp"), ((i + 1) % n, "L"), ddim, f"T{i}")
+    for b in range(m):
+        if use_bonds:
+            program.append(
+                ApplyLayers(
+                    [
+                        cx.LocalLayer(bond_adds(b)),
+                        cx.GateLayer([pair_gates[b]]),
+                        cx.LocalLayer([bond_write(b, hub(b))]),
+                    ]
+                )
+            )
+        if writer is not None and b >= 1:
+            program.append(ApplyLayers([block_write(b, tail(b), sites(b))]))
+        if use_bonds:
+            program += _teleport_steps(
+                (tail(b), "Lp"), (tail(b), "Rp"), (hub((b + 1) % m), "L"), ddim, f"T{b}"
+            )
+    if writer is not None:
+        program.append(ApplyLayers([block_write(0, tail(0), sites(0))]))
+
+    if use_bonds:
+        # C visits the tail, where the bond writer acts
+        carry_c = lambda a, z: _conveyor(n, (a, "C"), (z, "C"), cdim) if use_c else []
+        circuit += cx.parallel(
+            [
+                carry_c(hub(b), tail(b))
+                + [cx.LocalLayer([bond_write(b, tail(b))])]
+                + carry_c(tail(b), hub(b))
+                for b in range(m)
+            ]
+        )
+    if writer is not None:
+        # R and the block's other sites visit the hub, where the writer acts
+        d = lat.local_dim
+        visits = lambda b: [((hub(b) + j, "s"), (hub(b), f"w{j}")) for j in range(1, q)]
+        circuit += cx.parallel(
+            [
+                (_conveyor(n, (tail(b), "R"), (hub(b), "R"), ddim) if use_bonds else [])
+                + [layer for src, dst in visits(b) for layer in _conveyor(n, src, dst, d)]
+                + [block_write(b, hub(b), [(hub(b), "s")] + [dst for _, dst in visits(b)])]
+                + [layer for src, dst in visits(b) for layer in _conveyor(n, dst, src, d)]
+                for b in range(m)
+            ]
         )
 
-    target = rg_target_state(spec)
-    proto = Protocol(
-        name=f"rg[B={bdim},N={n}]",
+    return Protocol(
+        name=name,
         lattice=lat,
         register=register,
         program=program,
-        circuit=circuit,
-        system_entries=system,
+        circuit=cx.Circuit(lat, circuit),
+        system_entries=[(site, slot) for site, slot, _ in register],
         target=target,
         clifford=False,
     )
-    return proto, target
 
 
 # -- toric code ------------------------------------------------------------------------
@@ -501,11 +650,9 @@ def tc_target_generators(layout: ToricCodeLayout) -> List[PauliString]:
     return tab.canonical_stabilizers()
 
 
-def _tc_plaquette_block(layout: ToricCodeLayout, p: Tuple[int, int]) -> Tuple[List[cx.Layer], List[cx.GateLayer]]:
-    """Swap-in / local V_p / swap-out gadget for one plaquette.
-
-    Returns (ordered layers incl. local ones, the 8 gate layers alone).
-    """
+def _tc_plaquette_block(layout: ToricCodeLayout, p: Tuple[int, int]) -> List[cx.Layer]:
+    """Swap-in / local V_p / swap-out gadget for one plaquette: 8 gate layers
+    with the local ones in between."""
     i, j = p
     n = layout.N
     lat = layout.lattice
@@ -556,8 +703,7 @@ def _tc_plaquette_block(layout: ToricCodeLayout, p: Tuple[int, int]) -> Tuple[Li
             cx.remove_ancilla(q_ll, "h"),
         ]
     )
-    ordered = [adds, g[0], g[1], g[2], g[3], vp, g[4], g[5], g[6], g[7], removes]
-    return ordered, g
+    return [adds, g[0], g[1], g[2], g[3], vp, g[4], g[5], g[6], g[7], removes]
 
 
 def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
@@ -578,31 +724,13 @@ def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
     # layer-exact circuit: two waves of eight parallel gate layers each
     circuit_layers: List[cx.Layer] = []
     for wave in (wave1, wave2):
-        blocks = [_tc_plaquette_block(layout, p) for p in wave]
-        circuit_layers.append(
-            cx.LocalLayer([a for ordered, _ in blocks for a in ordered[0].actions])
-        )
-        for li in range(4):
-            circuit_layers.append(
-                cx.GateLayer([g for _, gl in blocks for g in gl[li].gates])
-            )
-        circuit_layers.append(
-            cx.LocalLayer([a for ordered, _ in blocks for a in ordered[5].actions])
-        )
-        for li in range(4, 8):
-            circuit_layers.append(
-                cx.GateLayer([g for _, gl in blocks for g in gl[li].gates])
-            )
-        circuit_layers.append(
-            cx.LocalLayer([a for ordered, _ in blocks for a in ordered[10].actions])
-        )
+        circuit_layers += cx.parallel([_tc_plaquette_block(layout, p) for p in wave])
     circuit = cx.Circuit(lat, circuit_layers)
 
     # program: plaquette blocks in wave order, each measured and dropped right away
     program: List = []
     for p in wave1 + wave2:
-        ordered, _ = _tc_plaquette_block(layout, p)
-        program.append(ApplyLayers(ordered))
+        program.append(ApplyLayers(_tc_plaquette_block(layout, p)))
         corner = lat.site_index(p)
         program.append(Measure(MeasurementSpec((corner, "ap"), f"k{p[0]},{p[1]}")))
 

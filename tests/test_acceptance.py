@@ -14,7 +14,7 @@ import pytest
 from qccc import circuits as cx
 from qccc import gates
 from qccc import mps as M
-from qccc.cli import _random_circuit, _shift_unitary
+from qccc.circuits import _random_circuit, _shift_unitary
 from qccc.diagnostics import (
     area_law_audit,
     build_cj_protocol,

@@ -66,6 +66,24 @@ class TestValidate:
         assert any("removed but absent" in v.reason for v in out)
 
 
+class TestParallel:
+    def test_stages_merge_layer_by_layer(self):
+        def block(i):
+            return [
+                cx.LocalLayer([cx.add_ancilla(i, "a", 2)]),
+                cx.GateLayer([cx.Gate(((i, "a"), (i + 1, "s")), [("SWAP", (0, 1))])]),
+            ]
+
+        merged = cx.parallel([block(0), block(2), block(4)[:1]])
+        assert [type(layer) for layer in merged] == [cx.LocalLayer, cx.GateLayer]
+        assert len(merged[0].actions) == 3 and len(merged[1].gates) == 2
+        assert cx.validate(cx.Circuit(Lattice((6,)), merged), qreg(6)) == []
+
+    def test_kind_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            cx.parallel([[cx.LocalLayer()], [cx.GateLayer()]])
+
+
 class TestRun:
     def test_depth_zero_identity(self):
         lat = Lattice((3,))
@@ -175,7 +193,7 @@ class TestRange:
         assert cx.estimate_range(np.eye(16, dtype=complex), lat) == 0
 
     def test_shift_range_one(self):
-        from qccc.cli import _shift_unitary
+        from qccc.circuits import _shift_unitary
 
         lat = Lattice((6,))
         assert cx.estimate_range(_shift_unitary(lat), lat) == 1

@@ -213,6 +213,21 @@ class TestEngine:
         assert abs(res.total_probability() - 0.9) < 1e-12
         assert res.verdict == "NOT_DETERMINISTIC"
 
+    def test_tableau_eliminates_each_state_once(self, monkeypatch):
+        # the first branch and the target are reduced once per enumeration,
+        # not once per branch
+        from qccc.protocols import ghz_protocol
+        from qccc.stabilizer import StabilizerTableau
+
+        calls = []
+        rows = StabilizerTableau._canonical_rows
+        monkeypatch.setattr(
+            StabilizerTableau, "_canonical_rows", lambda self: calls.append(1) or rows(self)
+        )
+        res = enumerate_branches(ghz_protocol(10)[0], backend="tableau")
+        assert res.verdict == "DETERMINISTIC" and res.min_fidelity == 1.0
+        assert len(calls) <= len(res.reports) + 2
+
     def test_lexicographic_branch_order(self):
         from qccc.protocols import ghz_protocol
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qccc import circuits as cx
+from qccc import gates
 from qccc import mps as M
 from qccc.locc import enumerate_branches, run_sampled
 from qccc.mps import _sqrt_psd
@@ -262,6 +264,16 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             M.bound_report(M.MPS(M.ghz_mps().tensor), 2, 4)
 
+    def test_normal_tensor_with_subleading_near_one(self):
+        # |lambda| = 1, 0.70, 0.70, 0.67: the subleading eigenvalues lie within
+        # 0.5 of 1 but are separated from the leading one by the gap
+        t = M.random_normal_mps(2, 2, np.random.default_rng(39))
+        assert isinstance(M.bound_report(t, 4, 6), M.BoundReport)
+
+    def test_aklt_gauge_condition_number_unchanged(self):
+        c_v = M.gauge_condition_number(M.transfer_matrix(M.aklt_mps()))
+        assert abs(c_v - 1.0000000000000002) < 1e-12
+
 
 class TestFixtures:
     def test_files_match_builders(self):
@@ -322,3 +334,61 @@ class TestPipeline:
         out = enumerate_branches(res.protocol)
         assert out.verdict == "DETERMINISTIC"
         assert out.min_fidelity > 0.99
+
+    @pytest.mark.parametrize(
+        "tensor, q, lengths, parent_depth",
+        [(M.ghz_mps, 2, (6, 8, 10, 12, 16), 10), (M.aklt_mps, 4, (8, 12), 32)],
+        ids=["ghz-q2", "aklt-q4"],
+    )
+    def test_staged_depth_independent_of_length(self, tensor, q, lengths, parent_depth):
+        # the same stage of every block shares its layers; parent_depth is the
+        # depth at the smallest length before the blocks were merged
+        depths = set()
+        for n in lengths:
+            res = M.preparation_pipeline(tensor(), q, n)
+            assert res.protocol.validate_circuit() == []
+            depths.add(res.depth)
+        assert len(depths) == 1 and depths.pop() <= parent_depth
+
+    @pytest.mark.parametrize(
+        "tensor, q, n",
+        [(lambda: M.random_normal_mps(4, 2, np.random.default_rng(3)), 1, 3), (M.aklt_mps, 2, 4)],
+        ids=["random-q1", "aklt-q2"],
+    )
+    def test_staged_writer_reads_the_bond(self, tensor, q, n):
+        # follow what each entry holds through the staged circuit: a fresh
+        # ancilla holds "0", a local op or entangling gate leaves its own mark
+        # on its entries, a swap exchanges contents. The writer reads
+        # (L, R, sites); the bond writer is the op on Lp.
+        res = M.preparation_pipeline(tensor(), q, n)
+        held = {(i, "s"): "0" for i in range(n)}
+        bond_marks, writer_inputs = set(), []
+        for layer in res.protocol.circuit.layers:
+            items = layer.gates if isinstance(layer, cx.GateLayer) else layer.actions
+            for item in items:
+                kind = getattr(item, "kind", "op")
+                if kind == "add":
+                    held[item.entries[0]] = "0"
+                elif kind == "remove":
+                    del held[item.entries[0]]
+                elif len(item.entries) == 2 and _is_swap(item.spec):
+                    a, b = item.entries
+                    held[a], held[b] = held[b], held[a]
+                else:
+                    slots = [slot for _, slot in item.entries]
+                    if "s" in slots:
+                        writer_inputs.append(held[item.entries[slots.index("L") + 1]])
+                    if "Lp" in slots:
+                        bond_marks.add(item.entries)
+                    for e in item.entries:
+                        held[e] = item.entries
+        assert len(writer_inputs) == n // q
+        assert all(mark in bond_marks for mark in writer_inputs)
+        assert not [e for e in held if e[1] == "R"]
+
+
+def _is_swap(spec) -> bool:
+    if not isinstance(spec, np.ndarray):
+        return list(spec) == [("SWAP", (0, 1))]
+    dim = math.isqrt(spec.shape[0])
+    return dim * dim == spec.shape[0] and np.array_equal(spec, gates.swap_d(dim, dim))

@@ -182,6 +182,13 @@ class TestRG:
         proto, _ = rg_fixed_point_protocol(spec)
         assert proto.depth() == 2
 
+    @pytest.mark.parametrize("b, n, depth", [(1, 2, 2), (1, 5, 2), (2, 2, 4), (3, 5, 4)])
+    def test_circuit_validates(self, b, n, depth):
+        spec = RGFixedPointSpec(b, np.ones(b) / np.sqrt(b), gates.bell_state(2), n)
+        proto, _ = rg_fixed_point_protocol(spec)
+        assert proto.depth() == depth
+        assert proto.validate_circuit() == []
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             RGFixedPointSpec(2, [1.0], gates.bell_state(2), 3)
@@ -361,7 +368,7 @@ class TestToricCodeProtocol:
 
         layout = ToricCodeLayout(4)
         p = (0, 0)
-        ordered, _ = _tc_plaquette_block(layout, p)
+        ordered = _tc_plaquette_block(layout, p)
         sites = layout.plaquette_sites(p)
         rng = np.random.default_rng(8)
         reg = QuditRegister([(s, "s", 2) for s in sites] + [])
