@@ -17,7 +17,6 @@ from .statevector import (
     RegionOperator,
     fidelity,
     global_phase_equal,
-    init_product,
 )
 from .stabilizer import (
     CliffordMap,

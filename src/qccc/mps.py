@@ -412,12 +412,7 @@ def state_from_mps(mps: MPS, n: int, normalize: bool = True) -> PureState:
         if nrm == 0:
             raise ValueError("chain state vanishes at this length")
         return PureState(reg, amps / nrm)
-    state = PureState.__new__(PureState)
-    state.register = reg
-    state._t = amps.reshape(reg.dims)
-    state._order = list(range(reg.size))
-    state.norm_tol = np.inf
-    return state
+    return PureState(reg, amps, norm_tol=np.inf)
 
 
 def raw_overlap(a: MPS, b: MPS, n: int) -> complex:

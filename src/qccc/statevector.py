@@ -6,9 +6,15 @@ slots), everything else is an ancilla. Entries can be added and removed
 dynamically; removal requires the entry to be decoupled from the rest.
 
 Amplitude layout: C order over the register, first entry slowest-varying.
-Internally the tensor axes are kept in whatever order the applied operators
-left them (with a label map back to register positions), so two-qudit SWAPs
-and axis restores cost nothing; `amps` materializes the canonical order.
+Internally the state is a tensor whose axes are labelled by entry key, in
+whatever order the applied operators left them, times one small product factor
+per entry known to be unentangled: a fresh ancilla, and an entry collapsed by
+`measure`. A factor joins the tensor only when an operation other than SWAP
+acts on it. A SWAP is a relabelling, whatever each side holds, so carrier
+ancillas that only move qudits around never grow the tensor, and removing a
+factor costs O(1). A tensor entry back in |0> is removed by taking its
+index-0 slice; only other entries need the reduced-state test. `amps`,
+`tensor` and every other reader see the logical state in register order.
 """
 
 from __future__ import annotations
@@ -41,31 +47,33 @@ class QuditRegister:
     """Ordered collection of (site, slot, dim) entries with unique (site, slot) keys."""
 
     def __init__(self, entries: Iterable[Tuple[int, str, int]]):
-        self._keys: List[EntryKey] = []
-        self._dims: List[int] = []
+        cap = max_amplitudes()
+        self._pos: Dict[EntryKey, int] = {}
+        dims: List[int] = []
         for site, slot, dim in entries:
             key = (int(site), str(slot))
-            if key in self._keys:
+            if key in self._pos:
                 raise ValueError(f"duplicate register entry {key}")
             if dim < 2:
                 raise ValueError(f"local dimension must be >= 2, got {dim} for {key}")
-            self._keys.append(key)
-            self._dims.append(int(dim))
+            self._pos[key] = len(dims)
+            dims.append(int(dim))
         total = 1
-        for d in self._dims:
+        for d in dims:
             total *= d
-            if total > max_amplitudes():
-                raise CapacityError(
-                    f"register dimension {total}+ exceeds cap {max_amplitudes()}"
-                )
+            if total > cap:
+                raise CapacityError(f"register dimension {total}+ exceeds cap {cap}")
+        self._keys: Tuple[EntryKey, ...] = tuple(self._pos)
+        self._dims: Tuple[int, ...] = tuple(dims)
+        self._total = total
 
     @property
     def keys(self) -> Tuple[EntryKey, ...]:
-        return tuple(self._keys)
+        return self._keys
 
     @property
     def dims(self) -> Tuple[int, ...]:
-        return tuple(self._dims)
+        return self._dims
 
     @property
     def size(self) -> int:
@@ -73,22 +81,19 @@ class QuditRegister:
 
     @property
     def total_dim(self) -> int:
-        total = 1
-        for d in self._dims:
-            total *= d
-        return total
+        return self._total
 
     def index(self, key: EntryKey) -> int:
         try:
-            return self._keys.index(tuple(key))
-        except ValueError:
+            return self._pos[tuple(key)]
+        except KeyError:
             raise KeyError(f"entry {key} not in register") from None
 
     def dim(self, key: EntryKey) -> int:
         return self._dims[self.index(key)]
 
     def __contains__(self, key) -> bool:
-        return tuple(key) in self._keys
+        return tuple(key) in self._pos
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,7 +135,13 @@ def pauli_on(entry: EntryKey, name: str) -> RegionOperator:
 
 
 class PureState:
-    """Normalized dense pure state over a QuditRegister."""
+    """Normalized dense pure state over a QuditRegister.
+
+    The state is the materialised tensor `_t`, one axis per key in `_keys`,
+    times one normalised product factor per key in `_lazy`. Every register key
+    is in exactly one of the two. Arrays held in `_t` and `_lazy` are never
+    written in place, so a clone may share the factor vectors.
+    """
 
     def __init__(self, register: QuditRegister, amplitudes: np.ndarray, norm_tol: float = NORM_TOL):
         self.register = register
@@ -143,7 +154,8 @@ class PureState:
         if abs(n - 1.0) > norm_tol:
             raise ValueError(f"state not normalized: ||psi|| = {n}")
         self._t = amps.reshape(register.dims) if register.size else amps.reshape(())
-        self._order = list(range(register.size))  # internal axis -> register position
+        self._relabel(list(register.keys))
+        self._lazy: Dict[EntryKey, np.ndarray] = {}
         self.norm_tol = norm_tol
 
     # -- construction ------------------------------------------------------
@@ -177,7 +189,9 @@ class PureState:
         s = PureState.__new__(PureState)
         s.register = self.register
         s._t = self._t.copy()
-        s._order = list(self._order)
+        s._keys = list(self._keys)
+        s._axis = dict(self._axis)
+        s._lazy = dict(self._lazy)
         s.norm_tol = self.norm_tol
         return s
 
@@ -186,26 +200,40 @@ class PureState:
     @property
     def amps(self) -> np.ndarray:
         """Flat amplitudes in register order (first entry slowest-varying)."""
-        if self._order == sorted(self._order):
-            return np.ascontiguousarray(self._t).reshape(-1)
-        inv = [self._order.index(j) for j in range(len(self._order))]
-        return np.ascontiguousarray(self._t.transpose(inv)).reshape(-1)
+        return self._split(self.register.keys).reshape(-1)
 
     def tensor(self) -> np.ndarray:
         return self.amps.reshape(self.register.dims)
 
-    def _axes_of(self, keys: Sequence[EntryKey]) -> List[int]:
-        return [self._order.index(self.register.index(k)) for k in keys]
+    def _relabel(self, keys: List[EntryKey]) -> None:
+        self._keys = keys
+        self._axis = {k: a for a, k in enumerate(keys)}
 
-    def _split(self, keys: Sequence[EntryKey]):
-        """(matrix with `keys` composite row index, column = rest) as a copy."""
-        axes = self._axes_of(keys)
-        rest = [a for a in range(self._t.ndim) if a not in axes]
-        t = self._t.transpose(axes + rest)
+    def _split(self, keys: Sequence[EntryKey]) -> np.ndarray:
+        """Matrix with `keys` as composite row index and the other tensor
+        entries as column index.
+
+        Factors outside `keys` are left out: each is a normalised product
+        factor, so leaving it out changes no reduced state on `keys`, no
+        Schmidt rank across them and no expectation value on them.
+        """
+        keys = [tuple(k) for k in keys]
+        for k in keys:
+            self.register.index(k)
+        t, pos = self._t, dict(self._axis)
+        for k in keys:
+            if k in self._lazy:
+                pos[k] = t.ndim
+                t = np.multiply.outer(t, self._lazy[k])
+        axes = [pos[k] for k in keys]
+        rest = [a for a in range(t.ndim) if a not in axes]
         d_sel = 1
         for a in axes:
-            d_sel *= self._t.shape[a]
-        return t.reshape(d_sel, -1), rest
+            d_sel *= t.shape[a]
+        return t.transpose(axes + rest).reshape(d_sel, -1)
+
+    def _drop_axis(self, ax: int) -> None:
+        self._relabel(self._keys[:ax] + self._keys[ax + 1 :])
 
     # -- operations --------------------------------------------------------
 
@@ -222,39 +250,67 @@ class PureState:
             )
         if unitary_check and not gates.is_unitary(op.matrix):
             raise ValueError("operator is not unitary (pass unitary_check=False to override)")
-        axes = self._axes_of(op.entries)
+        m = op.matrix
+        if any(k in self._lazy for k in op.entries):
+            # a factor entry joins the tensor through the operator's output:
+            # its input leg is contracted with the factor's vector
+            m = m.reshape(dims + dims)
+            for i in reversed(range(len(dims))):
+                if op.entries[i] in self._lazy:
+                    m = np.tensordot(m, self._lazy.pop(op.entries[i]), axes=(len(dims) + i, 0))
+            m = m.reshape(d_sup, -1)
+        axes = [self._axis[k] for k in op.entries if k in self._axis]
         rest = [a for a in range(self._t.ndim) if a not in axes]
-        mat = self._t.transpose(axes + rest).reshape(d_sup, -1)
-        out = op.matrix @ mat
-        shape = list(dims) + [self._t.shape[a] for a in rest]
-        self._t = out.reshape(shape)
-        self._order = [self._order[a] for a in axes] + [self._order[a] for a in rest]
+        mat = self._t.transpose(axes + rest).reshape(m.shape[1], -1)
+        out = m @ mat
+        self._t = out.reshape(dims + [self._t.shape[a] for a in rest])
+        self._relabel(list(op.entries) + [self._keys[a] for a in rest])
         return self
 
     def apply_named(self, name: str, entries: Sequence[EntryKey]) -> "PureState":
         if name.upper() == "SWAP":
-            a, b = self._axes_of(entries)
-            if self._t.shape[a] != self._t.shape[b]:
+            a, b = (tuple(k) for k in entries)
+            if self.register.dim(a) != self.register.dim(b):
                 raise ValueError("swap requires equal local dimensions")
-            self._order[a], self._order[b] = self._order[b], self._order[a]
+            self._exchange(a, b)
             return self
         return self.apply(RegionOperator(tuple(entries), gates.named_gate(name)), unitary_check=False)
+
+    def _exchange(self, a: EntryKey, b: EntryKey) -> None:
+        """Swap the contents of two entries by relabelling: no amplitude moves."""
+        va, vb = self._lazy.pop(a, None), self._lazy.pop(b, None)
+        ia, ib = self._axis.pop(a, None), self._axis.pop(b, None)
+        if va is not None:
+            self._lazy[b] = va
+        if vb is not None:
+            self._lazy[a] = vb
+        if ia is not None:
+            self._axis[b] = ia
+            self._keys[ia] = b
+        if ib is not None:
+            self._axis[a] = ib
+            self._keys[ib] = a
 
     def branch_probabilities(self, entry: EntryKey, basis: Optional[np.ndarray] = None) -> np.ndarray:
         """Born-rule probabilities for measuring one entry in the given basis.
 
         `basis` has the basis vectors as columns; None means computational.
         """
-        d = self.register.dim(entry)
-        (ax,) = self._axes_of([entry])
+        key = tuple(entry)
+        d = self.register.dim(key)
+        if basis is not None:
+            basis = np.asarray(basis, dtype=complex)
+            if basis.shape != (d, d) or not gates.is_unitary(basis):
+                raise ValueError("measurement basis must be an orthonormal d x d frame")
+        if key in self._lazy:
+            local = self._lazy[key] if basis is None else basis.conj().T @ self._lazy[key]
+            return np.abs(local) ** 2
+        ax = self._axis[key]
         if basis is None:
             weights = np.abs(self._t) ** 2
             other = tuple(a for a in range(self._t.ndim) if a != ax)
             probs = weights.sum(axis=other) if other else weights
         else:
-            basis = np.asarray(basis, dtype=complex)
-            if basis.shape != (d, d) or not gates.is_unitary(basis):
-                raise ValueError("measurement basis must be an orthonormal d x d frame")
             proj = np.tensordot(basis.conj().T, self._t, axes=(1, ax))
             other = tuple(range(1, proj.ndim))
             probs = (np.abs(proj) ** 2).sum(axis=other) if other else np.abs(proj) ** 2
@@ -282,23 +338,16 @@ class PureState:
     ) -> Tuple[int, float]:
         """Projective measurement of one entry; collapses in place.
 
-        Returns (outcome index, probability). Forced outcomes with probability
-        below `prob_floor` raise.
+        The measured entry is left as a product factor holding its basis
+        vector. Returns (outcome index, probability). Forced outcomes with
+        probability below `prob_floor` raise.
         """
-        d = self.register.dim(entry)
-        probs = self.branch_probabilities(entry, basis)
-        k = self._pick_outcome(probs, d, force, rng, prob_floor)
-        (ax,) = self._axes_of([entry])
-        comp = self._project(ax, k, basis) / np.sqrt(probs[k])
-        vec = np.zeros(d, dtype=complex)
-        if basis is None:
-            vec[k] = 1.0
-        else:
-            vec = np.asarray(basis, dtype=complex)[:, k]
-        self._t = np.multiply.outer(vec, comp)
-        reg_pos = self._order[ax]
-        self._order = [reg_pos] + [p for a, p in enumerate(self._order) if a != ax]
-        return k, float(probs[k])
+        key = tuple(entry)
+        k, p, phase = self._collapse(key, basis, force, rng, prob_floor)
+        d = self.register.dim(key)
+        frame = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
+        self._lazy[key] = phase * frame[:, k]
+        return k, p
 
     def measure_remove(
         self,
@@ -309,14 +358,29 @@ class PureState:
         prob_floor: float = 1e-12,
     ) -> Tuple[int, float]:
         """Measure one entry and drop it from the register in a single pass."""
-        d = self.register.dim(entry)
-        probs = self.branch_probabilities(entry, basis)
+        key = tuple(entry)
+        k, p, phase = self._collapse(key, basis, force, rng, prob_floor)
+        if phase != 1:
+            self._t = self._t * phase
+        self._drop_register_entry(key)
+        return k, p
+
+    def _collapse(self, key, basis, force, rng, prob_floor) -> Tuple[int, float, complex]:
+        """Pick an outcome and project `key` out of the state, leaving it in
+        neither `_t` nor `_lazy`. Returns (outcome, probability, phase): the
+        collapsed state is (phase * basis vector) (x) the rest."""
+        d = self.register.dim(key)
+        probs = self.branch_probabilities(key, basis)
         k = self._pick_outcome(probs, d, force, rng, prob_floor)
-        (ax,) = self._axes_of([entry])
-        comp = self._project(ax, k, basis)
-        self._t = comp / np.sqrt(probs[k])
-        self._drop_register_entry(entry, ax)
-        return k, float(probs[k])
+        p = float(probs[k])
+        if key in self._lazy:
+            local = self._lazy.pop(key)
+            amp = local[k] if basis is None else np.vdot(np.asarray(basis, dtype=complex)[:, k], local)
+            return k, p, amp / abs(amp)
+        ax = self._axis[key]
+        self._t = self._project(ax, k, basis) / np.sqrt(probs[k])
+        self._drop_axis(ax)
+        return k, p, 1.0
 
     def _project(self, ax: int, k: int, basis) -> np.ndarray:
         if basis is None:
@@ -324,18 +388,16 @@ class PureState:
         bk = np.asarray(basis, dtype=complex)[:, k]
         return np.tensordot(bk.conj(), self._t, axes=(0, ax))
 
-    def _drop_register_entry(self, entry: EntryKey, ax: int) -> None:
-        reg_pos = self.register.index(entry)
-        entries = self.register.entries()
-        kept = [entries[i] for i in range(len(entries)) if i != reg_pos]
-        self.register = QuditRegister(kept)
-        labels = [p for a, p in enumerate(self._order) if a != ax]
-        self._order = [p - 1 if p > reg_pos else p for p in labels]
+    def _drop_register_entry(self, key: EntryKey) -> None:
+        self.register = QuditRegister([e for e in self.register.entries() if (e[0], e[1]) != key])
 
     def expectation(self, op: RegionOperator) -> complex:
-        work = self.clone()
-        work.apply(op, unitary_check=False)
-        return complex(np.vdot(self.amps, work.amps))
+        mat = self._split(op.entries)
+        if op.matrix.shape[0] != mat.shape[0]:
+            raise ValueError(
+                f"operator dimension {op.matrix.shape[0]} does not match support dimension {mat.shape[0]}"
+            )
+        return complex(np.vdot(mat, op.matrix @ mat))
 
     def fidelity(self, other: "PureState") -> float:
         if self.register != other.register:
@@ -347,21 +409,15 @@ class PureState:
         keys = [tuple(k) for k in entries]
         if len(keys) == 0 or len(keys) == self.register.size:
             raise ValueError("max_entropy requires a proper non-empty sub-register")
-        mat, _ = self._split(keys)
-        s = np.linalg.svd(mat, compute_uv=False)
+        s = np.linalg.svd(self._split(keys), compute_uv=False)
         rank = int(np.sum(s > rank_tol * s[0]))
         return float(np.log2(rank))
 
-    def schmidt_values(self, entries: Sequence[EntryKey]) -> np.ndarray:
-        mat, _ = self._split([tuple(k) for k in entries])
-        return np.linalg.svd(mat, compute_uv=False)
-
     def reduced_density(self, keep: Sequence[EntryKey]) -> np.ndarray:
         """Reduced density matrix over the kept entries (in the given order)."""
-        keys = [tuple(k) for k in keep]
-        if len(keys) == 0:
+        if len(keep) == 0:
             raise ValueError("cannot trace out every entry")
-        mat, _ = self._split(keys)
+        mat = self._split(keep)
         return mat @ mat.conj().T
 
     def purity(self, keep: Sequence[EntryKey]) -> float:
@@ -370,7 +426,7 @@ class PureState:
 
     def is_product_across(self, entries: Sequence[EntryKey], tol: float = DECOUPLE_TOL) -> bool:
         """True when rho factorizes as rho_A (x) rho_rest, i.e. Schmidt rank one."""
-        mat, _ = self._split([tuple(k) for k in entries])
+        mat = self._split(entries)
         if mat.shape[0] <= mat.shape[1]:
             w = np.linalg.eigvalsh(mat @ mat.conj().T)
         else:
@@ -380,37 +436,49 @@ class PureState:
     # -- dynamic register --------------------------------------------------
 
     def add_entry(self, site: int, slot: str, dim: int, local_state=None) -> "PureState":
-        """Append a fresh decoupled qudit (default |0>) at the end of the register."""
+        """Append a fresh decoupled qudit (default |0>) at the end of the register.
+
+        It is kept as a product factor until an operation other than SWAP
+        touches it.
+        """
         key = (int(site), str(slot))
         if key in self.register:
             raise ValueError(f"entry {key} already present")
         if local_state is None:
             local_state = np.zeros(dim, dtype=complex)
             local_state[0] = 1.0
-        local_state = np.asarray(local_state, dtype=complex)
+        local_state = np.array(local_state, dtype=complex).reshape(-1)
         if local_state.size != dim or abs(np.linalg.norm(local_state) - 1.0) > NORM_TOL:
             raise ValueError("ancilla init state must be normalized and of the declared dim")
-        new_reg = QuditRegister(self.register.entries() + [(site, slot, dim)])
-        self._t = np.multiply.outer(self._t, local_state)
-        self._order = self._order + [new_reg.size - 1]
-        self.register = new_reg
+        self.register = QuditRegister(self.register.entries() + [(site, slot, dim)])
+        self._lazy[key] = local_state
         return self
 
     def remove_entry(self, entry: EntryKey, tol: float = DECOUPLE_TOL) -> "PureState":
-        """Drop a decoupled entry; raises when it is still entangled with the rest."""
+        """Drop a decoupled entry; raises when it is still entangled with the rest.
+
+        A product factor goes in O(1). A materialised entry in |0> is accepted
+        when its index-0 slice keeps weight >= 1 - tol, which bounds the top
+        eigenvalue of its reduced state from below; any other entry is tested
+        on that reduced state.
+        """
         key = tuple(entry)
-        (ax,) = self._axes_of([key])
-        d = self._t.shape[ax]
-        mat = np.moveaxis(self._t, ax, 0).reshape(d, -1)
-        rho = mat @ mat.conj().T
-        w, v = np.linalg.eigh(rho)
-        if 1.0 - w[-1] > tol:
-            raise ValueError(f"entry {key} is not decoupled (residual {1.0 - w[-1]:.3e})")
-        local = v[:, -1]
-        rest = np.tensordot(local.conj(), self._t, axes=(0, ax))
-        rest = rest / np.linalg.norm(rest)
-        self._t = rest
-        self._drop_register_entry(key, ax)
+        self.register.index(key)
+        if self._lazy.pop(key, None) is None:
+            ax = self._axis[key]
+            rest = self._project(ax, 0, None)
+            weight = np.vdot(rest, rest).real
+            if weight < 1.0 - tol:
+                d = self._t.shape[ax]
+                mat = np.moveaxis(self._t, ax, 0).reshape(d, -1)
+                w, v = np.linalg.eigh(mat @ mat.conj().T)
+                if 1.0 - w[-1] > tol:
+                    raise ValueError(f"entry {key} is not decoupled (residual {1.0 - w[-1]:.3e})")
+                rest = np.tensordot(v[:, -1].conj(), self._t, axes=(0, ax))
+                weight = np.vdot(rest, rest).real
+            self._t = rest / np.sqrt(weight)
+            self._drop_axis(ax)
+        self._drop_register_entry(key)
         return self
 
     def permuted(self, new_order: Sequence[EntryKey]) -> "PureState":
@@ -418,10 +486,8 @@ class PureState:
         keys = [tuple(k) for k in new_order]
         if sorted(keys) != sorted(self.register.keys):
             raise ValueError("new order must be a permutation of the register")
-        axes = self._axes_of(keys)
-        entries = self.register.entries()
-        reg = QuditRegister([entries[self.register.index(k)] for k in keys])
-        return PureState(reg, np.ascontiguousarray(self._t.transpose(axes)).reshape(-1))
+        reg = QuditRegister([(s, sl, self.register.dim((s, sl))) for s, sl in keys])
+        return PureState(reg, self._split(keys).reshape(-1))
 
     # -- serialization -----------------------------------------------------
 
@@ -441,10 +507,6 @@ class PureState:
         reg = QuditRegister([(e["site"], e["slot"], e["dim"]) for e in data["register"]])
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
         return cls(reg, amps)
-
-
-def init_product(register: QuditRegister, assignment=None) -> PureState:
-    return PureState.product(register, assignment)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -319,6 +319,24 @@ class TestToricCodeProtocol:
         st, _ = run_sampled(proto, seed=11, backend="dense")
         assert st.fidelity(target) > 1 - 1e-9
 
+    def test_dense_history_materialises_at_most_17_qubits(self, monkeypatch):
+        # the plaquette gadget's four carrier ancillas only move qubits by SWAP,
+        # so only the measured one joins the 16 system qubits in the tensor
+        from qccc import circuits as cx
+
+        sizes = []
+        apply_layer = cx.apply_layer
+
+        def recording(state, layer):
+            apply_layer(state, layer)
+            sizes.append(state._t.size)
+
+        monkeypatch.setattr(cx, "apply_layer", recording)
+        proto, target = toric_code_protocol(4)
+        st, _ = run_sampled(proto, seed=5, backend="dense")
+        assert st.fidelity(target) > 1 - 1e-9
+        assert len(sizes) > 0 and max(sizes) <= 2**17
+
     def test_all_plus_branch_is_tc_without_correction(self):
         # forcing every outcome to +1 must reproduce the target; the
         # correction is empty on this branch

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qccc import gates
 from qccc.statevector import (
@@ -274,3 +276,261 @@ class TestDump:
         st2 = PureState.load(st.dumps())
         assert st2.register == reg
         assert np.allclose(st2.amps, st.amps)
+
+
+
+# -- differential tests against a plain numpy reference -------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SEEDS = hst.integers(0, 2**32 - 1)
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+ONE_QUBIT = ["H", "S", "SDG", "X", "Y", "Z"]
+TWO_QUBIT = ["CNOT", "CZ", "SWAP"]
+
+
+class _Reference:
+    """Amplitudes in register order, updated with np.kron and np.einsum only."""
+
+    def __init__(self, entries, vec):
+        self.entries = list(entries)  # [(key, dim)] in register order
+        self.vec = np.asarray(vec, dtype=complex)
+
+    def copy(self):
+        return _Reference(self.entries, self.vec.copy())
+
+    @property
+    def keys(self):
+        return [k for k, _ in self.entries]
+
+    @property
+    def dims(self):
+        return [d for _, d in self.entries]
+
+    def dim(self, key):
+        return dict(self.entries)[key]
+
+    def applied(self, keys, matrix):
+        n = len(self.entries)
+        axes = [self.keys.index(k) for k in keys]
+        ins = LETTERS[:n]
+        new = LETTERS[n : n + len(axes)]
+        outs = list(ins)
+        for j, a in enumerate(axes):
+            outs[a] = new[j]
+        op = np.asarray(matrix).reshape([self.dims[a] for a in axes] * 2)
+        spec = f"{new}{''.join(ins[a] for a in axes)},{ins}->{''.join(outs)}"
+        return np.einsum(spec, op, self.vec.reshape(self.dims)).reshape(-1)
+
+    def apply(self, keys, matrix):
+        self.vec = self.applied(keys, matrix)
+
+    def add(self, key, local):
+        self.entries.append((key, len(local)))
+        self.vec = np.kron(self.vec, local)
+
+    def grouped(self, keys):
+        """Rows over `keys` in the given order, columns over the other entries."""
+        n = len(self.entries)
+        axes = [self.keys.index(k) for k in keys]
+        rest = [a for a in range(n) if a not in axes]
+        t = np.einsum(f"{LETTERS[:n]}->{''.join(LETTERS[a] for a in axes + rest)}",
+                      self.vec.reshape(self.dims))
+        return t.reshape(int(np.prod([self.dims[a] for a in axes])), -1)
+
+    def top_local(self, key):
+        """Largest eigenvalue and its eigenvector of the entry's reduced state."""
+        mat = self.grouped([key])
+        w, v = np.linalg.eigh(mat @ mat.conj().T)
+        return w[-1], v[:, -1]
+
+    def drop(self, key, local):
+        rest = local.conj() @ self.grouped([key])
+        self.entries = [e for e in self.entries if e[0] != key]
+        self.vec = rest / np.linalg.norm(rest)
+
+    def probabilities(self, key, basis):
+        return (np.abs(basis.conj().T @ self.grouped([key])) ** 2).sum(axis=1)
+
+    def expectation(self, keys, matrix):
+        return np.vdot(self.vec, self.applied(keys, matrix))
+
+    def collapse(self, key, basis, k, remove):
+        if remove:
+            self.drop(key, basis[:, k])
+        else:
+            self.apply([key], np.outer(basis[:, k], basis[:, k].conj()))
+            self.vec = self.vec / np.linalg.norm(self.vec)
+
+
+def _unit_vector(d, rng):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def _assert_same(st, ref):
+    assert st.register.keys == tuple(ref.keys)
+    assert st.register.dims == tuple(ref.dims)
+    got = st.amps
+    overlap = np.vdot(ref.vec, got)
+    assert abs(abs(overlap) - 1) < 1e-9
+    assert np.allclose(got, overlap / abs(overlap) * ref.vec, atol=1e-9)
+    assert st.tensor().shape == tuple(ref.dims)
+
+
+class _Program:
+    """One random program run on a PureState and on the reference side by side."""
+
+    def __init__(self, sys_dims, rng):
+        self.rng = rng
+        psi = _unit_vector(int(np.prod(sys_dims)), rng)
+        entries = [(i, "s", d) for i, d in enumerate(sys_dims)]
+        self.st = PureState(QuditRegister(entries), psi)
+        self.ref = _Reference([((i, "s"), d) for i, _, d in entries], psi)
+        self.n_sites = len(sys_dims)
+        self.fresh = 0
+
+    def pick(self, keys):
+        return keys[int(self.rng.integers(0, len(keys)))]
+
+    def ancillas(self):
+        return [k for k in self.ref.keys if k[1] != "s"]
+
+    def add(self):
+        key = (int(self.rng.integers(0, self.n_sites)), f"a{self.fresh}")
+        self.fresh += 1
+        d = int(self.rng.choice([2, 3]))
+        local = _unit_vector(d, self.rng) if self.rng.random() < 0.5 else None
+        self.st.add_entry(*key, d, local)
+        self.ref.add(key, np.eye(d)[0] if local is None else local)
+        return key
+
+    def gate(self, keys, matrix):
+        self.st.apply(RegionOperator(tuple(keys), matrix))
+        self.ref.apply(keys, matrix)
+
+    def random_gate(self, first=None):
+        keys = self.ref.keys
+        support = [first if first is not None else self.pick(keys)]
+        if len(keys) > 1 and self.rng.random() < 0.6:
+            support.append(self.pick([k for k in keys if k != support[0]]))
+        d = int(np.prod([self.ref.dim(k) for k in support]))
+        return support, gates.random_unitary(d, self.rng)
+
+    def named(self):
+        qubits = [k for k in self.ref.keys if self.ref.dim(k) == 2]
+        if not qubits:
+            return
+        if len(qubits) > 1 and self.rng.random() < 0.5:
+            a = self.pick(qubits)
+            keys, name = [a, self.pick([k for k in qubits if k != a])], self.pick(TWO_QUBIT)
+        else:
+            keys, name = [self.pick(qubits)], self.pick(ONE_QUBIT)
+        self.st.apply_named(name, keys)
+        self.ref.apply(keys, gates.named_gate(name))
+
+    def swap(self, a=None):
+        a = a if a is not None else self.pick(self.ref.keys)
+        partners = [k for k in self.ref.keys if k != a and self.ref.dim(k) == self.ref.dim(a)]
+        if not partners:
+            return None
+        b = self.pick(partners)
+        self.st.apply_named("SWAP", [a, b])
+        self.ref.apply([a, b], gates.swap_d(self.ref.dim(a), self.ref.dim(b)))
+        return b
+
+    def remove(self, key):
+        """Remove when the reference says the entry is decoupled; expect a raise when not."""
+        if len(self.ref.keys) == 1:
+            return
+        top, local = self.ref.top_local(key)
+        if top >= 1 - 1e-9:
+            self.st.remove_entry(key)
+            self.ref.drop(key, local)
+        elif top < 1 - 1e-6:
+            with pytest.raises(ValueError, match="not decoupled"):
+                self.st.remove_entry(key)
+
+    def roundtrip(self):
+        """A fresh ancilla left untouched, swapped only, touched and undone, or entangled."""
+        key = self.add()
+        kind = int(self.rng.integers(0, 4))
+        if kind == 1:
+            key = self.swap(key) or key
+        elif kind >= 2:
+            support, u = self.random_gate(first=key)
+            self.gate(support, u)
+            if kind == 2:
+                self.gate(support, u.conj().T)
+        self.remove(key)
+
+    def measure(self):
+        key = self.pick(self.ref.keys)
+        d = self.ref.dim(key)
+        basis = gates.random_unitary(d, self.rng) if self.rng.random() < 0.5 else None
+        frame = np.eye(d) if basis is None else basis
+        probs = self.ref.probabilities(key, frame)
+        assert np.allclose(self.st.branch_probabilities(key, basis), probs, atol=1e-10)
+        live = np.flatnonzero(probs > 1e-6)
+        k = int(self.rng.choice(live, p=probs[live] / probs[live].sum()))
+        remove = len(self.ref.keys) > 1 and self.rng.random() < 0.5
+        op = self.st.measure_remove if remove else self.st.measure
+        got, p = op(key, basis=basis, force=k)
+        assert got == k and abs(p - probs[k]) < 1e-10
+        self.ref.collapse(key, frame, k, remove)
+
+    def clone(self):
+        """Edit a clone; the original must not move. Continue with either one."""
+        other, ref2 = self.st.clone(), self.ref.copy()
+        support, u = self.random_gate()
+        other.apply(RegionOperator(tuple(support), u))
+        ref2.apply(support, u)
+        _assert_same(other, ref2)
+        _assert_same(self.st, self.ref)
+        if self.rng.random() < 0.5:
+            self.st, self.ref = other, ref2
+
+    def read(self):
+        keys = self.ref.keys
+        support, _ = self.random_gate()
+        d = int(np.prod([self.ref.dim(k) for k in support]))
+        h = self.rng.normal(size=(d, d)) + 1j * self.rng.normal(size=(d, d))
+        h = h + h.conj().T
+        val = self.st.expectation(RegionOperator(tuple(support), h))
+        assert abs(val - self.ref.expectation(support, h)) < 1e-9
+        keep = [keys[i] for i in self.rng.permutation(len(keys))[: int(self.rng.integers(1, len(keys) + 1))]]
+        mat = self.ref.grouped(keep)
+        assert np.allclose(self.st.reduced_density(keep), mat @ mat.conj().T, atol=1e-10)
+        order = [keys[i] for i in self.rng.permutation(len(keys))]
+        ref_perm = _Reference([(k, self.ref.dim(k)) for k in order], self.ref.grouped(order).reshape(-1))
+        _assert_same(self.st.permuted(order), ref_perm)
+
+    def step(self):
+        moves = [self.named, self.swap, self.measure, self.clone, self.read, self.roundtrip]
+        if len(self.ref.keys) < 6:
+            moves += [self.add, self.roundtrip]
+        moves[int(self.rng.integers(0, len(moves)))]()
+        ancillas = self.ancillas()
+        if ancillas and self.rng.random() < 0.3:
+            self.remove(self.pick(ancillas))
+        _assert_same(self.st, self.ref)
+
+
+class TestDifferential:
+    @PROPERTY_SETTINGS
+    @given(sys_dims=hst.lists(hst.sampled_from([2, 3]), min_size=1, max_size=3), seed=SEEDS)
+    def test_random_programs_match_reference(self, sys_dims, seed):
+        prog = _Program(sys_dims, np.random.default_rng(seed))
+        for _ in range(30):
+            prog.step()
+
+    def test_entangled_ancilla_still_raises(self):
+        st = PureState.product(qubits(2))
+        st.add_entry(0, "a", 2)
+        st.apply_named("H", [(0, "s")])
+        st.apply_named("CNOT", [(0, "s"), (0, "a")])
+        st.add_entry(1, "b", 2)
+        st.apply_named("SWAP", [(0, "a"), (1, "b")])
+        with pytest.raises(ValueError, match="not decoupled"):
+            st.remove_entry((1, "b"))
+        st.remove_entry((0, "a"))
+        assert st.register.keys == ((0, "s"), (1, "s"), (1, "b"))
