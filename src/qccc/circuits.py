@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gates
 from .lattice import Lattice, distance
-from .statevector import EntryKey, PureState, QuditRegister, RegionOperator
+from .statevector import EntryKey, PureState, QuditRegister, RegionOperator, max_amplitudes
 
 OpSpec = Union[np.ndarray, List[Tuple[str, Tuple[int, ...]]]]
 
@@ -39,9 +39,6 @@ class Gate:
 
     def sites(self) -> Tuple[int, ...]:
         return tuple(sorted({s for s, _ in self.entries}))
-
-    def is_named(self) -> bool:
-        return not isinstance(self.spec, np.ndarray)
 
 
 @dataclass
@@ -257,19 +254,25 @@ def run(circuit: Circuit, state):
 
 
 def circuit_unitary(circuit: Circuit, register: List[Tuple[int, str, int]]) -> np.ndarray:
-    """Dense unitary of a circuit without add/remove actions (small registers)."""
+    """Dense unitary of a circuit without add/remove actions (small registers).
+
+    One run takes c basis columns at once: a reference entry of dimension c
+    holds the column index, so the state starts as c columns of the identity
+    and ends as c columns of U, with c * dim within max_amplitudes().
+    """
     reg = QuditRegister(register)
     dim = reg.total_dim
     if dim > 2**14:
         raise ValueError("circuit_unitary capped at total dimension 2^14")
-    cols = []
-    for b in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[b] = 1.0
-        st = PureState(reg, amps)
+    c = max(2, min(dim, max_amplitudes() // dim))
+    ref = QuditRegister(reg.entries() + [(-1, "columns", c)])
+    u = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, c):
+        start = min(start, dim - c)  # the last run may overlap the one before
+        st = PureState(ref, np.eye(dim, c, -start, dtype=complex), norm_tol=np.inf)
         run(circuit, st)
-        cols.append(st.amps)
-    return np.array(cols).T
+        u[:, start : start + c] = st.amps.reshape(dim, c)
+    return u
 
 
 # -- the shift construction ------------------------------------------------------
@@ -345,22 +348,28 @@ def _site_operator_basis(d: int) -> List[np.ndarray]:
 
 
 def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[int, ...]:
-    """Sites where the operator acts nontrivially, by the partial-trace criterion."""
+    """Sites where the operator acts nontrivially, by the partial-trace criterion.
+
+    Site j is in the support when ||A - 1_j (x) tr_j A / d|| > tol max(||A||, 1).
+    The residual is summed block by block over the (j, j') index pair: the
+    off-diagonal blocks by their weight in |A|^2, the diagonal ones minus
+    their mean, never as a difference of large norms.
+    """
     n = lat.n_sites
     d = lat.local_dim
-    norm = np.linalg.norm(op)
+    bound = tol * max(np.linalg.norm(op), 1.0)
+    # block weights of every site at once: E^T |A|^2 E, E[r, (j, a)] = [digit j of r is a]
+    digits = np.indices((d,) * n).reshape(n, -1).T
+    e = (digits[:, :, None] == np.arange(d)).reshape(-1, n * d).astype(float)
+    w = (e.T @ ((op.real**2 + op.imag**2) @ e)).reshape(n, d, n, d)
+    off = ~np.eye(d, dtype=bool)
+    diag_ix = np.arange(d)
     support = []
-    t = op.reshape((d,) * (2 * n))
     for j in range(n):
-        # trace out site j, then rebuild 1_j (x) tr_j/d at the same axis position
-        tr = np.trace(t, axis1=j, axis2=n + j) / d
-        rebuilt = np.tensordot(np.eye(d), tr.reshape((d,) * (2 * (n - 1))), axes=0)
-        perm_out = list(range(2, 2 + (n - 1)))
-        perm_in = list(range(2 + (n - 1), 2 + 2 * (n - 1)))
-        perm_out.insert(j, 0)
-        perm_in.insert(j, 1)
-        rebuilt = np.transpose(rebuilt, perm_out + perm_in)
-        if np.linalg.norm(op - rebuilt.reshape(op.shape)) > tol * max(norm, 1.0):
+        diag = op.reshape((d**j, d, d ** (n - j - 1)) * 2)[:, diag_ix, :, :, diag_ix, :]
+        dev = diag - diag.sum(axis=0) / d
+        res2 = w[j, :, j, :][off].sum() + np.vdot(dev, dev).real
+        if np.sqrt(res2) > bound:
             support.append(j)
     return tuple(support)
 
@@ -377,23 +386,18 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
         raise ValueError("unitary dimension does not match the lattice")
     basis = _site_operator_basis(d)
     udag = unitary.conj().T
+    u_sites = unitary.reshape((d,) * n + (dim,))
     r = 0
     for i in range(n):
         for op in basis:
-            full = _embed_site_op(op, i, n, d)
-            evolved = udag @ full @ unitary
+            # O_i U: O contracted into output axis i of U, O(d dim^2)
+            ou = np.moveaxis(np.tensordot(op, u_sites, axes=(1, i)), 0, i)
+            evolved = udag @ ou.reshape(dim, dim)
             supp = operator_support(evolved, lat, tol)
             for j in supp:
                 if j != i:
                     r = max(r, distance(lat, [i], [j]))
     return r
-
-
-def _embed_site_op(op: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for j in range(n):
-        m = np.kron(m, op if j == site else np.eye(d))
-    return m
 
 
 # -- serialization -----------------------------------------------------------------

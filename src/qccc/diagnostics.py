@@ -90,10 +90,8 @@ def check_factorization(
     if set(op_a.entries) & set(op_b.entries):
         raise ValueError("operators must have disjoint supports")
     sep = distance(lat, sites_a, sites_b)
-    work = state.clone()
-    work.apply(op_b, unitary_check=False)
-    work.apply(op_a, unitary_check=False)
-    lhs = complex(np.vdot(state.amps, work.amps))
+    joint = RegionOperator(op_a.entries + op_b.entries, np.kron(op_a.matrix, op_b.matrix))
+    lhs = state.expectation(joint)
     rhs = complex(state.expectation(op_a) * state.expectation(op_b))
     residual = abs(lhs - rhs)
     violates = None
@@ -123,10 +121,6 @@ class AreaLawReport:
     @property
     def passes(self) -> bool:
         return all(e.passes for e in self.entries)
-
-    @property
-    def max_ratio(self) -> float:
-        return max((e.s0 / e.boundary_size) for e in self.entries)
 
     def to_dict(self) -> dict:
         return {

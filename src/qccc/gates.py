@@ -22,9 +22,6 @@ SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-# v|0> = |+>; equals H·Z up to global phase
-V_PLUS = np.array([[1, -1], [1, 1]], dtype=complex) * _SQ2
-
 NAMED_1Q = {"H": H, "S": S, "SDG": SDG, "X": X, "Y": Y, "Z": Z, "I": I2}
 NAMED_2Q = {"CNOT": CNOT, "CZ": CZ, "SWAP": SWAP}
 
@@ -103,8 +100,9 @@ def bell_state(d: int) -> np.ndarray:
 def complete_to_unitary(columns: dict) -> np.ndarray:
     """Build a unitary whose column j equals columns[j] for each given index.
 
-    The prescribed columns must be orthonormal; the rest are filled by
-    Gram-Schmidt against the canonical basis.
+    The prescribed columns must be orthonormal. The free columns, in index
+    order, are the orthogonal complement of their span from one complete QR
+    factorization of the prescribed block.
     """
     n = len(next(iter(columns.values())))
     u = np.zeros((n, n), dtype=complex)
@@ -120,25 +118,9 @@ def complete_to_unitary(columns: dict) -> np.ndarray:
         u[:, j] = v
         basis.append(v)
     free = [j for j in range(n) if j not in columns]
-    for j in free:
-        # seed with the canonical basis vector, orthogonalize twice for stability
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            # canonical vector already in span; pick a random seed
-            rng = np.random.default_rng(j)
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            for _ in range(2):
-                for b in basis:
-                    v = v - np.vdot(b, v) * b
-            nv = np.linalg.norm(v)
-        v /= nv
-        u[:, j] = v
-        basis.append(v)
+    if free:
+        q, _ = np.linalg.qr(u[:, fixed], mode="complete")
+        u[:, free] = q[:, len(fixed) :]
     return u
 
 

@@ -16,7 +16,6 @@ dropped early) to keep dense states small.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,9 +76,6 @@ Step = Union[ApplyLayers, Measure, Correct]
 class OutcomeRecord:
     outcomes: Tuple[Tuple[str, int, float], ...] = ()
 
-    def as_dict(self) -> Dict[str, int]:
-        return {tag: k for tag, k, _ in self.outcomes}
-
     def probability(self) -> float:
         p = 1.0
         for _, _, pk in self.outcomes:
@@ -113,25 +109,6 @@ class EnumerationResult:
     def total_probability(self) -> float:
         return sum(r.probability for r in self.reports)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "n_branches": len(self.reports),
-                "min_fidelity": self.min_fidelity,
-                "max_fidelity": self.max_fidelity,
-                "total_probability": self.total_probability(),
-                "branches": [
-                    {
-                        "outcomes": [[t, k, p] for t, k, p in r.record.outcomes],
-                        "probability": r.probability,
-                        "fidelity": r.fidelity,
-                    }
-                    for r in self.reports
-                ],
-            }
-        )
-
 
 @dataclass
 class Protocol:
@@ -154,9 +131,6 @@ class Protocol:
                 if key in seen:
                     raise ProtocolError(f"entry {key} is measured more than once")
                 seen.add(key)
-
-    def n_measurements(self) -> int:
-        return sum(1 for s in self.program if isinstance(s, Measure))
 
     def depth(self) -> int:
         return self.circuit.depth()
@@ -393,7 +367,6 @@ def bell_outcome_to_pauli(m_source: int, m_partner: int, d: int) -> Tuple[int, i
 
 def teleport_correction(target: EntryKey, a: int, b: int, d: int) -> List[cx.LocalAction]:
     """Pauli-frame fix X^a Z^b on the receiving qudit."""
-    corr = gates.shift_x(d, a) @ np.linalg.matrix_power(gates.clock_z(d), b)
     if d == 2:
         ops = []
         if b:
@@ -401,7 +374,7 @@ def teleport_correction(target: EntryKey, a: int, b: int, d: int) -> List[cx.Loc
         if a:
             ops.append(("X", (0,)))
         return [cx.local_op([target], ops)] if ops else []
-    return [cx.local_op([target], corr)]
+    return [cx.local_op([target], gates.shift_x(d, a) @ np.linalg.matrix_power(gates.clock_z(d), b))]
 
 
 def teleport(

@@ -74,18 +74,31 @@ class MPS:
         return cls(t)
 
 
+def _physical_sum(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
+    """a_mat^T conj(b_mat) for two (d x n) matrices: a sum over the physical index.
+
+    One zgemm that conjugates b inside BLAS, so no conjugated d x n copy is made.
+    """
+    return scipy.linalg.blas.zgemm(1.0, a_mat.T, b_mat.T, trans_b=2)
+
+
 def transfer_matrix(mps_or_tensor, chain: bool = True) -> np.ndarray:
     a = mps_or_tensor.tensor if isinstance(mps_or_tensor, MPS) else np.asarray(mps_or_tensor)
-    chi = a.shape[1]
     if chain:
-        return np.einsum("sij,skl->ikjl", a, a.conj()).reshape(chi * chi, chi * chi)
-    return np.einsum("sij,skl->ijkl", a.conj(), a).reshape(chi * chi, chi * chi)
+        return mixed_transfer(a, a)
+    a_mat = a.reshape(a.shape[0], -1)
+    return np.conj(_physical_sum(a_mat, a_mat))
 
 
 def mixed_transfer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chain-pairing transfer of <chain(b)|chain(a)> contributions."""
+    """Chain-pairing transfer of <chain(b)|chain(a)> contributions.
+
+    One gemm over the physical index on the (d x chi^2) matrices, then the
+    chi^4 shuffle (i j),(k l) -> (i k),(j l).
+    """
     chi = a.shape[1]
-    return np.einsum("sij,skl->ikjl", a, b.conj()).reshape(chi * chi, chi * chi)
+    m = _physical_sum(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1))
+    return m.reshape(chi, chi, chi, chi).transpose(0, 2, 1, 3).reshape(chi * chi, chi * chi)
 
 
 def chain_from_io(io: np.ndarray) -> np.ndarray:
@@ -239,18 +252,37 @@ def is_normal(mps: MPS, gap_tol: float = SPECTRAL_TOL) -> bool:
     return False
 
 
+def _chain_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(A, chi, chi) and (B, chi, chi) -> (A*B, chi, chi) with out[a*B + b] = x[a] @ y[b].
+
+    One (A*chi x chi) @ (chi x B*chi) gemm, then a transpose to (A, B, chi, chi).
+    """
+    na, chi, _ = x.shape
+    nb = y.shape[0]
+    m = x.reshape(na * chi, chi) @ y.transpose(1, 0, 2).reshape(chi, nb * chi)
+    return m.reshape(na, chi, nb, chi).transpose(0, 2, 1, 3).reshape(na * nb, chi, chi)
+
+
+def _chain_power(a: np.ndarray, q: int) -> np.ndarray:
+    """The q-site products A^{s1} ... A^{sq}, indexed s1 slowest, by binary powering."""
+    out, sq = None, a
+    while True:
+        if q & 1:
+            out = sq if out is None else _chain_product(out, sq)
+        q >>= 1
+        if not q:
+            return out
+        sq = _chain_product(sq, sq)
+
+
 def block(mps: MPS, q: int) -> MPS:
     """Group q neighboring sites: A^(s1..sq) = A^{s1} ... A^{sq}."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = mps.tensor
     d, chi = mps.d, mps.chi
     if (d**q) * chi * chi > BLOCK_CAP:
         raise ValueError(f"blocked tensor would exceed the cap ({d}^{q} x {chi}^2)")
-    out = a
-    for _ in range(q - 1):
-        out = np.einsum("aij,sjk->asik", out, a).reshape(-1, chi, chi)
-    return MPS(out, normal=mps.normal)
+    return MPS(_chain_power(mps.tensor, q), normal=mps.normal)
 
 
 # -- fixed points ----------------------------------------------------------------------
@@ -327,7 +359,7 @@ def rg_fixed_point_tensor(blocked: MPS, rank_cutoff: float = 1e-10) -> RGFixedPo
     a = blocked.tensor
     d_eff, chi = a.shape[0], a.shape[1]
     a_mat = a.reshape(d_eff, chi * chi)
-    tau_aa_io = a_mat.conj().T @ a_mat
+    tau_aa_io = transfer_matrix(a, chain=False)
     w, v = np.linalg.eigh((tau_aa_io + tau_aa_io.conj().T) / 2)
     if w[-1] <= 0:
         raise ValueError("tau_AA is numerically zero")
@@ -343,11 +375,12 @@ def rg_fixed_point_tensor(blocked: MPS, rank_cutoff: float = 1e-10) -> RGFixedPo
     inv_sq = np.where(kept, 1.0 / np.where(kept, sq, 1.0), 0.0)
     a_tilde = (v * sq) @ v.conj().T
     a_pinv = (v * inv_sq) @ v.conj().T
-    rho, sigma = transfer_fixed_points(transfer_matrix(a))
+    # tau_AA in the in/out pairing is the transfer matrix; re-pair, no second d^q pass
+    rho, sigma = transfer_fixed_points(chain_from_io(tau_aa_io))
     data = fixed_point_data(rho, sigma)
     u = a_mat @ a_pinv
     support = a_tilde @ a_pinv
-    if np.linalg.norm(u.conj().T @ u - support) > 1e-8 * chi * chi:
+    if np.linalg.norm(np.conj(_physical_sum(u, u)) - support) > 1e-8 * chi * chi:
         raise ValueError("isometry check failed: U^dag U != 1 on the support")
     tau_bb = data.tau_bb_chain
     if np.linalg.norm(tau_bb @ tau_bb - tau_bb) > 1e-9 * max(1.0, np.linalg.norm(tau_bb)):
@@ -402,10 +435,13 @@ def state_from_mps(mps: MPS, n: int, normalize: bool = True) -> PureState:
     d, chi = mps.d, mps.chi
     if d**n > max_amplitudes():
         raise ValueError("dense expansion exceeds the amplitude cap")
-    g = mps.tensor
-    for _ in range(n - 1):
-        g = np.einsum("aij,sjk->asik", g, mps.tensor).reshape(-1, chi, chi)
-    amps = np.trace(g, axis1=1, axis2=2)
+    # tr(L[x] R[y]) for the left n - n//2 and the right n//2 sites: one gemm
+    left = _chain_power(mps.tensor, n - n // 2)
+    if n == 1:
+        amps = np.trace(left, axis1=1, axis2=2)
+    else:
+        right = _chain_power(mps.tensor, n // 2)
+        amps = left.reshape(left.shape[0], chi * chi) @ right.transpose(2, 1, 0).reshape(chi * chi, -1)
     reg = QuditRegister([(i, "s", d) for i in range(n)])
     if normalize:
         nrm = np.linalg.norm(amps)

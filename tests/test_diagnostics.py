@@ -47,6 +47,36 @@ class TestFactorization:
         )
         assert abs(rep.residual - 0.125) < 1e-9
 
+    @pytest.mark.parametrize("case", ["ghz8", "w8", "random_two_site", "qutrit"])
+    def test_joint_expectation_matches_clone_and_apply(self, case):
+        # <A (x) B> from one expectation on the joint support, against
+        # applying both operators to a clone of the state
+        rng = np.random.default_rng(11)
+        if case == "ghz8":
+            st, lat = ghz_state(8), Lattice((8,))
+            op_a, op_b = pauli_on((0, "s"), "Z"), pauli_on((4, "s"), "Z")
+        elif case == "w8":
+            st, lat = w_state(8), Lattice((8,))
+            sp = np.array([[0, 1], [0, 0]], dtype=complex)
+            op_a, op_b = RegionOperator(((0, "s"),), sp), RegionOperator(((4, "s"),), sp.conj().T)
+        else:
+            d = 3 if case == "qutrit" else 2
+            n = 5
+            reg = QuditRegister([(i, "s", d) for i in range(n)])
+            amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+            st, lat = PureState(reg, amps / np.linalg.norm(amps)), Lattice((n,), local_dim=d)
+            op_a = RegionOperator(((3, "s"), (0, "s")), rng.normal(size=(d * d, d * d)))
+            op_b = RegionOperator(((2, "s"),), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        work = st.clone()
+        work.apply(op_b, unitary_check=False)
+        work.apply(op_a, unitary_check=False)
+        lhs = complex(np.vdot(st.amps, work.amps))
+        rhs = complex(st.expectation(op_a) * st.expectation(op_b))
+        rep = check_factorization(st, lat, op_a, op_b)
+        assert abs(rep.lhs - lhs) <= 1e-12
+        assert abs(rep.rhs - rhs) <= 1e-12
+        assert abs(rep.residual - abs(lhs - rhs)) <= 1e-12
+
     def test_overlapping_supports_rejected(self):
         lat = Lattice((4,))
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from qccc.locc import (
     replay,
     run_sampled,
     teleport,
+    teleport_correction,
 )
 from qccc.statevector import PureState, QuditRegister, RegionOperator
 
@@ -295,6 +296,23 @@ class TestTeleport:
         st = PureState.product(QuditRegister([(0, "src", 2), (0, "e1", 3), (1, "e2", 3)]))
         with pytest.raises(ValueError):
             teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 3)
+
+    def test_qubit_correction_is_named_and_builds_no_matrix(self, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a qubit correction needs no dense matrix")
+
+        monkeypatch.setattr(gates, "shift_x", no_matrix)
+        monkeypatch.setattr(gates, "clock_z", no_matrix)
+        target = (1, "e2")
+        assert teleport_correction(target, 0, 0, 2) == []
+        acts = teleport_correction(target, 1, 1, 2)
+        assert [(a.entries, a.spec) for a in acts] == [((target,), [("Z", (0,)), ("X", (0,))])]
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 2), (2, 1)])
+    def test_qudit_correction_matrix(self, a, b):
+        (act,) = teleport_correction((1, "e2"), a, b, 3)
+        want = gates.shift_x(3, a) @ np.linalg.matrix_power(gates.clock_z(3), b)
+        assert np.array_equal(act.spec, want)
 
 
 class TestChannel:
