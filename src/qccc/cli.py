@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op-a", default="Z")
     p.add_argument("--op-b", default="Z")
     p.add_argument("--rank-tol", type=float, default=1e-10)
-    p.add_argument("--report", dest="out")
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 

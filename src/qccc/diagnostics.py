@@ -41,6 +41,9 @@ from .stabilizer import (
     PauliString,
     StabilizerTableau,
     TableauState,
+    _gf2_solve_many,
+    _PAULI_CHARS,
+    _product,
     to_graph_state,
 )
 from .statevector import EntryKey, PureState, QuditRegister, RegionOperator
@@ -265,9 +268,8 @@ class CJProtocol:
 
         def frame_fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
             wdag = self.correction({k: (outcomes[f"in{k}"], outcomes[f"a{k}"]) for k in range(n)})
-            paulis = {(1, 1): "Y", (1, 0): "X", (0, 1): "Z"}
             return [
-                cx.local_op([(k, "s")], [(paulis[x, z], (0,))])
+                cx.local_op([(k, "s")], [(_PAULI_CHARS[x, z], (0,))])
                 for k, (x, z) in enumerate(zip(wdag.x.tolist(), wdag.z.tolist()))
                 if x or z
             ]
@@ -292,14 +294,9 @@ class CJProtocol:
         """
         sigma = PauliString.identity(self.n)
         for k, (m_in, m_a) in outcomes.items():
-            part = PauliString.identity(self.n)
-            part.x[k] = m_in % 2
-            part.z[k] = m_a % 2
-            sigma = sigma * part
+            sigma.x[k], sigma.z[k] = m_in % 2, m_a % 2
         w = self.u_map.conjugate(sigma)
-        wdag = w.copy()
-        wdag.phase = (-wdag.phase) % 4
-        return wdag
+        return PauliString(w.x, w.z, -w.phase)
 
 
 def _extract_clifford_map(choi: TableauState, n: int) -> CliffordMap:
@@ -309,35 +306,19 @@ def _extract_clifford_map(choi: TableauState, n: int) -> CliffordMap:
     group elements (U X_k U^dag)_s X_{a_k} and (U Z_k U^dag)_s Z_{a_k}; they
     are isolated by solving a GF(2) system over the generators' a-side bits.
     """
-    gens = choi.tab.generators()
-    m = len(gens)  # = 2n
-    a_cols = np.zeros((2 * n, m), dtype=np.uint8)  # rows: a-side x bits then z bits
-    for j, g in enumerate(gens):
-        a_cols[:n, j] = g.x[n:]
-        a_cols[n:, j] = g.z[n:]
-    from .stabilizer import _gf2_solve
-
-    def image(pauli: str, k: int) -> PauliString:
-        target = np.zeros(2 * n, dtype=np.uint8)
-        if pauli == "X":
-            target[k] = 1
-        else:
-            target[n + k] = 1
-        sol = _gf2_solve(a_cols, target)
-        if sol is None:
-            raise ValueError("resource is not maximally entangled with the ancillas")
-        acc = PauliString.identity(2 * n)
-        for j in range(m):
-            if sol[j]:
-                acc = acc * gens[j]
-        # sanity: a-side must be exactly the single target Pauli
-        if not (np.array_equal(acc.x[n:], target[:n]) and np.array_equal(acc.z[n:], target[n:])):
-            raise AssertionError("a-side isolation failed")
-        return PauliString(acc.x[:n].copy(), acc.z[:n].copy(), acc.phase)
-
-    xs = [image("X", k) for k in range(n)]
-    zs = [image("Z", k) for k in range(n)]
-    return CliffordMap(xs, zs)
+    tab = choi.tab
+    gx, gz, gr = tab.x[tab.n :], tab.z[tab.n :], tab.r[tab.n :]
+    # column j: generator j's a-side bits, x then z; all 2n targets X_k, Z_k in one solve
+    a_cols = np.concatenate([gx[:, n:], gz[:, n:]], axis=1).T
+    sols = _gf2_solve_many(a_cols, np.eye(2 * n, dtype=np.uint8))
+    if sols is None:
+        raise ValueError("resource is not maximally entangled with the ancillas")
+    images = [_product(gx[sel], gz[sel], gr[sel]) for sel in sols.T.astype(bool)]
+    x, z, r = map(np.array, zip(*images))
+    # sanity: the a-side of each product must be exactly its single target Pauli
+    if not np.array_equal(np.concatenate([x[:, n:], z[:, n:]], axis=1), np.eye(2 * n)):
+        raise AssertionError("a-side isolation failed")
+    return CliffordMap._from_rows(x[:, :n], z[:, :n], r.astype(np.uint8))
 
 
 def build_cj_protocol(resource: StabilizerTableau) -> CJProtocol:

@@ -107,9 +107,6 @@ def chain_from_io(io: np.ndarray) -> np.ndarray:
     return np.conj(io.reshape(chi, chi, chi, chi).transpose(0, 2, 1, 3)).reshape(io.shape)
 
 
-io_from_chain = chain_from_io
-
-
 def spectral_radius(t: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(t))))
 
@@ -414,7 +411,7 @@ def deficit_via_transfer_only(mps: MPS, q: int, m_sites: int, rank_cutoff: float
     is injective) with all objects chi^2-sized.
     """
     t = transfer_matrix(mps)
-    tau_aa_io = io_from_chain(np.linalg.matrix_power(t, q))
+    tau_aa_io = chain_from_io(np.linalg.matrix_power(t, q))
     w = np.linalg.eigvalsh((tau_aa_io + tau_aa_io.conj().T) / 2)
     if w[0] < rank_cutoff * w[-1]:
         raise ValueError("blocked tau_AA is rank-deficient; transfer-only route invalid")

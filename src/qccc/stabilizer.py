@@ -11,6 +11,12 @@ ancillas. Removal is O(n^2): row operations on whole arrays bring one
 stabilizer to the qubit's local Pauli and keep the destabilizers, so the
 tableau is never rebuilt from its generators. Row products track phases with
 one array expression per batch of rows (`_rowmult`, `_product`).
+
+How each named Clifford conjugates a Pauli is written once, in
+`_conjugate_rows`, which updates any stack of Pauli rows in place. The
+tableau, the graph-state reduction, `conjugate_pauli` and `CliffordMap` all
+run their gates through it; a `CliffordMap` holds the images of X_k and Z_k
+as tableau-shaped rows.
 """
 
 from __future__ import annotations
@@ -46,6 +52,59 @@ def _product(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, n
     pz = np.bitwise_xor.accumulate(z, axis=0)
     extra = int(_g_exponent_sum(px[:-1], pz[:-1], x[1:], z[1:]).sum())
     return px[-1], pz[-1], (int(r.sum(dtype=np.int64)) + extra) % 4
+
+
+def _conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, name: str, qubits: Sequence[int]) -> None:
+    """Conjugate the k Pauli rows (x, z, r) of shape (k, n) by a named Clifford, in place.
+
+    The one conjugation rule: the tableau, `CliffordMap`, `conjugate_pauli` and
+    the graph reduction all run their gates through it.
+    """
+    n = x.shape[1]
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{name} requires distinct qubits")
+    name = name.upper()
+    if name == "H":
+        (q,) = qubits
+        r += 2 * (x[:, q] & z[:, q])
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+    elif name == "S":
+        (q,) = qubits
+        r += 2 * (x[:, q] & z[:, q])
+        z[:, q] ^= x[:, q]
+    elif name == "SDG":
+        (q,) = qubits
+        r += 2 * (x[:, q] & (z[:, q] ^ 1))
+        z[:, q] ^= x[:, q]
+    elif name == "X":
+        (q,) = qubits
+        r += 2 * z[:, q]
+    elif name == "Z":
+        (q,) = qubits
+        r += 2 * x[:, q]
+    elif name == "Y":
+        (q,) = qubits
+        r += 2 * (x[:, q] ^ z[:, q])
+    elif name == "CNOT":
+        a, b = qubits
+        r += 2 * (x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1))
+        x[:, b] ^= x[:, a]
+        z[:, a] ^= z[:, b]
+    elif name == "CZ":
+        a, b = qubits
+        r += 2 * (x[:, a] & x[:, b] & (z[:, a] ^ z[:, b]))
+        z[:, a] ^= x[:, b]
+        z[:, b] ^= x[:, a]
+    elif name == "SWAP":
+        a, b = qubits
+        x[:, [a, b]] = x[:, [b, a]]
+        z[:, [a, b]] = z[:, [b, a]]
+    else:
+        raise ValueError(f"gate {name!r} is not a supported Clifford primitive")
+    r %= 4
 
 
 @dataclass
@@ -212,55 +271,7 @@ class StabilizerTableau:
     # -- gates ----------------------------------------------------------------
 
     def apply_gate(self, name: str, *qubits: int) -> "StabilizerTableau":
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range")
-        name = name.upper()
-        x, z, r = self.x, self.z, self.r
-        if name == "H":
-            (q,) = qubits
-            r += 2 * (x[:, q] & z[:, q])
-            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-        elif name == "S":
-            (q,) = qubits
-            r += 2 * (x[:, q] & z[:, q])
-            z[:, q] ^= x[:, q]
-        elif name == "SDG":
-            (q,) = qubits
-            self.apply_gate("S", q)
-            self.apply_gate("S", q)
-            self.apply_gate("S", q)
-            return self
-        elif name == "X":
-            (q,) = qubits
-            r += 2 * z[:, q]
-        elif name == "Z":
-            (q,) = qubits
-            r += 2 * x[:, q]
-        elif name == "Y":
-            (q,) = qubits
-            r += 2 * (x[:, q] ^ z[:, q])
-        elif name == "CNOT":
-            a, b = qubits
-            if a == b:
-                raise ValueError("CNOT requires distinct qubits")
-            r += 2 * (x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1))
-            x[:, b] ^= x[:, a]
-            z[:, a] ^= z[:, b]
-        elif name == "CZ":
-            a, b = qubits
-            if a == b:
-                raise ValueError("CZ requires distinct qubits")
-            r += 2 * (x[:, a] & x[:, b] & (z[:, a] ^ z[:, b]))
-            z[:, a] ^= x[:, b]
-            z[:, b] ^= x[:, a]
-        elif name == "SWAP":
-            a, b = qubits
-            x[:, [a, b]] = x[:, [b, a]]
-            z[:, [a, b]] = z[:, [b, a]]
-        else:
-            raise ValueError(f"gate {name!r} is not a supported Clifford primitive")
-        self.r %= 4
+        _conjugate_rows(self.x, self.z, self.r, name, qubits)
         return self
 
     # -- measurement -----------------------------------------------------------
@@ -346,13 +357,12 @@ class StabilizerTableau:
             i, j = anti[0]
             raise ValueError(f"generators {i} and {j} anticommute")
         g_mat = np.concatenate([gx, gz], axis=1)
-        if _gf2_rank(g_mat) != n:
-            raise ValueError("generators are not independent over GF(2)")
-        # destabilizers: solve <d_i, g_j> = delta_ij, then orthogonalize pairwise
+        # destabilizers: solve <d_i, g_j> = delta_ij, then orthogonalize pairwise;
+        # every right-hand side is solvable exactly when the generators are independent
         a = np.concatenate([gz, gx], axis=1)  # z parts multiply vx, x parts multiply vz
         sols = _gf2_solve_many(a, np.eye(n, dtype=np.uint8))
         if sols is None:
-            raise ValueError("failed to construct destabilizers")
+            raise ValueError("generators are not independent over GF(2)")
         d = sols.T.astype(np.int64)  # row i: destabilizer i as (x | z)
         for i in range(1, n):
             sp = (d[:i, n:] @ d[i, :n] + d[:i, :n] @ d[i, n:]) % 2
@@ -486,26 +496,6 @@ class StabilizerTableau:
 # -- GF(2) helpers -------------------------------------------------------------
 
 
-def _gf2_rank(mat: np.ndarray) -> int:
-    m = (mat.copy() % 2).astype(np.uint8)
-    rank = 0
-    rows, cols = m.shape
-    for c in range(cols):
-        hits = np.nonzero(m[rank:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = rank + int(hits[0])
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        mask = m[:, c].copy().astype(bool)
-        mask[rank] = False
-        m[mask] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def _gf2_solve_many(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """Solutions V of A V = B over GF(2) (one column per RHS), or None."""
     rows, cols = a.shape
@@ -538,12 +528,6 @@ def _gf2_solve_many(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     return v
 
 
-def _gf2_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """One solution of A v = b over GF(2), or None."""
-    v = _gf2_solve_many(a, b.reshape(-1, 1))
-    return None if v is None else v[:, 0]
-
-
 # -- graph states ----------------------------------------------------------------
 
 
@@ -574,201 +558,108 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
     available row, Hadamard fixes are used for rank repair, S for Y diagonals.
     """
     n = tab.n
-    rows = [tab.stabilizer(i) for i in range(n)]
+    x, z, r = tab.x[n:].copy(), tab.z[n:].copy(), tab.r[n:].copy()
     applied: List[Tuple[str, int]] = []
-
-    def conj_gate(name: str, q: int):
-        for p in rows:
-            if name == "H":
-                if p.x[q] and p.z[q]:
-                    p.phase = (p.phase + 2) % 4
-                p.x[q], p.z[q] = p.z[q], p.x[q]
-            elif name == "S":
-                if p.x[q] and p.z[q]:
-                    p.phase = (p.phase + 2) % 4
-                p.z[q] ^= p.x[q]
-            elif name == "Z":
-                if p.x[q]:
-                    p.phase = (p.phase + 2) % 4
-            else:
-                raise AssertionError(name)
-        applied.append((name, q))
-
     for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i].x[col]), None)
-        if pivot is None:
-            zrow = next((i for i in range(col, n) if rows[i].z[col]), None)
-            if zrow is None:
+        if not x[col:, col].any():
+            if not z[col:, col].any():
                 raise AssertionError("invalid tableau: empty pivot column")
-            conj_gate("H", col)
-            pivot = next(i for i in range(col, n) if rows[i].x[col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(n):
-            if i != col and rows[i].x[col]:
-                rows[i] = rows[i] * rows[col]
+            _conjugate_rows(x, z, r, "H", (col,))
+            applied.append(("H", col))
+        pivot = col + int(np.flatnonzero(x[col:, col])[0])
+        for a in (x, z, r):
+            a[[col, pivot]] = a[[pivot, col]]
+        hits = np.flatnonzero(x[:, col])
+        hits = hits[hits != col]
+        r[hits] = (r[hits] + r[col] + _g_exponent_sum(x[hits], z[hits], x[col], z[col])) % 4
+        x[hits] ^= x[col]
+        z[hits] ^= z[col]
     for q in range(n):
-        if rows[q].z[q]:
-            conj_gate("S", q)
+        if z[q, q]:
+            _conjugate_rows(x, z, r, "S", (q,))
+            applied.append(("S", q))
     for q in range(n):
-        if rows[q].phase == 2:
-            conj_gate("Z", q)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for v in range(n):
-        if rows[v].phase != 0:
-            raise AssertionError("graph reduction left a nontrivial phase")
-        adj[v] = rows[v].z
-        if adj[v, v]:
-            raise AssertionError("graph reduction left a diagonal entry")
-    if not np.array_equal(adj, adj.T):
+        if r[q] == 2:
+            _conjugate_rows(x, z, r, "Z", (q,))
+            applied.append(("Z", q))
+    if r.any():
+        raise AssertionError("graph reduction left a nontrivial phase")
+    if np.diagonal(z).any():
+        raise AssertionError("graph reduction left a diagonal entry")
+    if not np.array_equal(z, z.T):
         raise AssertionError("graph adjacency not symmetric")
-    return GraphState(adj, applied)
+    return GraphState(z, applied)
 
 
 # -- Clifford maps (symbolic conjugation) ------------------------------------------
 
 
 class CliffordMap:
-    """A Clifford unitary U represented by the images U P U^dag of X_k and Z_k."""
+    """A Clifford unitary U represented by the images U P U^dag of X_k and Z_k.
+
+    The images are tableau-shaped Pauli rows (x, z, r) of shape (2n, n): the
+    image of X_k in row k and that of Z_k in row n + k, the layout
+    `StabilizerTableau(n)` starts from.
+    """
 
     def __init__(self, x_images: Sequence[PauliString], z_images: Sequence[PauliString]):
+        images = list(x_images) + list(z_images)
         self.n = len(x_images)
-        self.x_images = [p.copy() for p in x_images]
-        self.z_images = [p.copy() for p in z_images]
+        self.x = np.array([p.x for p in images], dtype=np.uint8).reshape(2 * self.n, self.n)
+        self.z = np.array([p.z for p in images], dtype=np.uint8).reshape(2 * self.n, self.n)
+        self.r = np.array([p.phase for p in images], dtype=np.uint8)
+
+    @classmethod
+    def _from_rows(cls, x: np.ndarray, z: np.ndarray, r: np.ndarray) -> "CliffordMap":
+        m = cls.__new__(cls)
+        m.n, m.x, m.z, m.r = x.shape[1], x, z, r
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "CliffordMap":
-        return cls(
-            [PauliString.single(n, k, "X") for k in range(n)],
-            [PauliString.single(n, k, "Z") for k in range(n)],
-        )
+        t = StabilizerTableau(n)
+        return cls._from_rows(t.x, t.z, t.r)
 
     @classmethod
     def from_gates(cls, n: int, circuit: Iterable[Tuple[str, Tuple[int, ...]]]) -> "CliffordMap":
         m = cls.identity(n)
         for name, qubits in circuit:
-            m = m.then_gate(name, *qubits)
+            _conjugate_rows(m.x, m.z, m.r, name, qubits)
         return m
-
-    def then_gate(self, name: str, *qubits: int) -> "CliffordMap":
-        """Compose with a named Clifford applied after this map."""
-        out = CliffordMap(self.x_images, self.z_images)
-        for imgs in (out.x_images, out.z_images):
-            for p in imgs:
-                _conjugate_inplace(p, name, qubits)
-        return out
 
     def conjugate(self, p: PauliString) -> "PauliString":
         """U p U^dag for an arbitrary Pauli string."""
         if p.n != self.n:
             raise ValueError("length mismatch")
-        out = PauliString.identity(self.n)
-        out.phase = p.phase
-        for k in range(self.n):
-            if p.x[k]:
-                out = out * self.x_images[k]
-            if p.z[k]:
-                out = out * self.z_images[k]
-            if p.x[k] and p.z[k]:
-                # (x,z)=(1,1) denotes Y = i X Z
-                out.phase = (out.phase + 1) % 4
-        return out
+        # X images first, then Z images: the image of X_j commutes with that of
+        # Z_k for j != k, so this is the product in p's own qubit order
+        rows = np.concatenate([p.x, p.z]).astype(bool)
+        x, z, phase = _product(self.x[rows], self.z[rows], self.r[rows])
+        # (x,z)=(1,1) denotes Y = i X Z
+        return PauliString(x, z, phase + p.phase + int(np.sum(p.x & p.z)))
 
     def inverse(self) -> "CliffordMap":
         """Symplectic inverse: images of X_k, Z_k under U^dag . U."""
         n = self.n
-        # build the 2n x 2n GF(2) matrix of the map on (x|z) bit vectors
-        basis_imgs = self.x_images + self.z_images
-        mat = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for j, img in enumerate(basis_imgs):
-            mat[: n, j] = img.x
-            mat[n:, j] = img.z
-        inv_x = []
-        inv_z = []
-        for k in range(n):
-            target = np.zeros(2 * n, dtype=np.uint8)
-            target[k] = 1
-            sol = _gf2_solve(mat, target)
-            inv_x.append(self._build_preimage(sol))
-        for k in range(n):
-            target = np.zeros(2 * n, dtype=np.uint8)
-            target[n + k] = 1
-            sol = _gf2_solve(mat, target)
-            inv_z.append(self._build_preimage(sol))
-        return CliffordMap(inv_x, inv_z)
-
-    def _build_preimage(self, sol: np.ndarray) -> PauliString:
-        n = self.n
-        pre = PauliString.identity(n)
-        img = PauliString.identity(n)
-        for k in range(n):
-            if sol[k]:
-                pre = pre * PauliString.single(n, k, "X")
-                img = img * self.x_images[k]
-        for k in range(n):
-            if sol[n + k]:
-                pre = pre * PauliString.single(n, k, "Z")
-                img = img * self.z_images[k]
-        # fix the sign so that conjugate(pre) is exactly the target single Pauli
-        pre.phase = (pre.phase - img.phase) % 4
-        return pre
+        # column j of the GF(2) map on (x|z) bit vectors is the image in row j;
+        # column t of the solution selects the images whose product is X_t (t < n) or Z_{t-n}
+        mat = np.concatenate([self.x, self.z], axis=1).T
+        sols = _gf2_solve_many(mat, np.eye(2 * n, dtype=np.uint8))
+        if sols is None:
+            raise ValueError("images are not independent over GF(2)")
+        x, z = sols[:n].T.copy(), sols[n:].T.copy()
+        # each preimage's sign cancels its product's phase and its Y = i X Z factors
+        phases = np.array([_product(self.x[sel], self.z[sel], self.r[sel])[2] for sel in sols.T.astype(bool)])
+        r = (-phases - np.sum(x & z, axis=1, dtype=np.int64)) % 4
+        return self._from_rows(x, z, r.astype(np.uint8))
 
 
-def _conjugate_inplace(p: PauliString, name: str, qubits: Tuple[int, ...]) -> None:
-    name = name.upper()
-    if name == "H":
-        (q,) = qubits
-        if p.x[q] and p.z[q]:
-            p.phase = (p.phase + 2) % 4
-        p.x[q], p.z[q] = p.z[q], p.x[q]
-    elif name == "S":
-        (q,) = qubits
-        if p.x[q] and p.z[q]:
-            p.phase = (p.phase + 2) % 4
-        p.z[q] ^= p.x[q]
-    elif name == "SDG":
-        (q,) = qubits
-        for _ in range(3):
-            _conjugate_inplace(p, "S", qubits)
-    elif name == "X":
-        (q,) = qubits
-        if p.z[q]:
-            p.phase = (p.phase + 2) % 4
-    elif name == "Y":
-        (q,) = qubits
-        if p.x[q] ^ p.z[q]:
-            p.phase = (p.phase + 2) % 4
-    elif name == "Z":
-        (q,) = qubits
-        if p.x[q]:
-            p.phase = (p.phase + 2) % 4
-    elif name == "CNOT":
-        a, b = qubits
-        if p.x[a] and p.z[b] and (p.x[b] ^ p.z[a] ^ 1):
-            p.phase = (p.phase + 2) % 4
-        p.x[b] ^= p.x[a]
-        p.z[a] ^= p.z[b]
-    elif name == "CZ":
-        a, b = qubits
-        if p.x[a] and p.x[b] and (p.z[a] ^ p.z[b]):
-            p.phase = (p.phase + 2) % 4
-        p.z[a] ^= p.x[b]
-        p.z[b] ^= p.x[a]
-    elif name == "SWAP":
-        a, b = qubits
-        p.x[a], p.x[b] = p.x[b], p.x[a]
-        p.z[a], p.z[b] = p.z[b], p.z[a]
-    else:
-        raise ValueError(f"gate {name!r} is not a supported Clifford primitive")
-
-
-def conjugate_pauli(
-    circuit: Iterable[Tuple[str, Tuple[int, ...]]], p: PauliString, n: Optional[int] = None
-) -> PauliString:
+def conjugate_pauli(circuit: Iterable[Tuple[str, Tuple[int, ...]]], p: PauliString) -> PauliString:
     """U p U^dag for U given as an ordered gate list (first gate acts first)."""
-    out = p.copy()
+    x, z, r = p.x[None].copy(), p.z[None].copy(), np.array([p.phase], dtype=np.uint8)
     for name, qubits in circuit:
-        _conjugate_inplace(out, name, tuple(qubits))
-    return out
+        _conjugate_rows(x, z, r, name, qubits)
+    return PauliString(x[0], z[0], r[0])
 
 
 class TableauState:

@@ -228,6 +228,12 @@ class TestCJConstruction:
         uf = graph_clifford_unitary(cj.graph.adjacency)
         assert np.linalg.norm(u - uf) < 1e-8
 
+    @pytest.mark.parametrize("dagger", [False, True])
+    def test_ghz_clifford_table_signs(self, dagger):
+        # U_GHZ^dag maps Z_0 to -Y X ..., so a dropped image sign shows here
+        for n in (2, 3, 4):
+            assert verify_clifford_table(ghz_unitary_cj(n, dagger=dagger))
+
     def test_clifford_table_verified_random_resources(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -9,6 +9,7 @@ from qccc.lattice import Lattice
 from qccc.locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol, enumerate_branches
 from qccc.stabilizer import (
     CliffordMap,
+    GraphState,
     PauliString,
     StabilizerTableau,
     TableauState,
@@ -43,6 +44,27 @@ class TestGates:
         t = StabilizerTableau(2)
         with pytest.raises(ValueError):
             t.apply_gate("H", 5)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [("H", (2,)), ("H", (-1,)), ("CNOT", (0, 2)), ("CZ", (-1, 0)), ("CNOT", (0, 0)), ("CZ", (1, 1))],
+        ids=["H-2", "H-neg", "CNOT-0-2", "CZ-neg-0", "CNOT-0-0", "CZ-1-1"],
+    )
+    @pytest.mark.parametrize("entry", ["conjugate_pauli", "clifford_map", "apply_gate"])
+    def test_bad_qubits_rejected(self, entry, gate):
+        name, qubits = gate
+        with pytest.raises(ValueError):
+            if entry == "conjugate_pauli":
+                conjugate_pauli([gate], PauliString.from_label("+XI"))
+            elif entry == "clifford_map":
+                CliffordMap.from_gates(2, [gate])
+            else:
+                StabilizerTableau(2).apply_gate(name, *qubits)
+
+    def test_dependent_generators_rejected(self):
+        gens = [PauliString.from_label("+ZI"), PauliString.from_label("+ZI")]
+        with pytest.raises(ValueError, match="not independent over GF"):
+            StabilizerTableau.from_generators(gens)
 
     def test_generators_stay_independent_and_commuting(self):
         rng = np.random.default_rng(0)
@@ -187,7 +209,7 @@ class TestConjugation:
 
     def test_conjugation_vs_dense(self):
         rng = np.random.default_rng(4)
-        names1 = ["H", "S", "X", "Y", "Z"]
+        names1 = ["H", "S", "SDG", "X", "Y", "Z"]
         for trial in range(25):
             n = int(rng.integers(1, 5))
             circuit = []
@@ -196,7 +218,7 @@ class TestConjugation:
                     a, b = map(int, rng.choice(n, 2, replace=False))
                     circuit.append((["CNOT", "CZ", "SWAP"][rng.integers(0, 3)], (a, b)))
                 else:
-                    circuit.append((names1[rng.integers(0, 5)], (int(rng.integers(0, n)),)))
+                    circuit.append((names1[rng.integers(0, len(names1))], (int(rng.integers(0, n)),)))
             p = PauliString(
                 rng.integers(0, 2, n).astype(np.uint8),
                 rng.integers(0, 2, n).astype(np.uint8),
@@ -210,6 +232,8 @@ class TestConjugation:
                 u = full @ u
             lhs = u @ p.dense() @ u.conj().T
             assert np.linalg.norm(lhs - out.dense()) < 1e-9, trial
+            mapped = CliffordMap.from_gates(n, circuit).conjugate(p)
+            assert np.linalg.norm(lhs - mapped.dense()) < 1e-9, trial
 
     def test_clifford_map_inverse(self):
         rng = np.random.default_rng(6)
@@ -431,6 +455,133 @@ class TestPrimitiveProperties:
             assert [t for t, _, _ in a.record.outcomes] == [t for t, _, _ in b.record.outcomes]
             assert abs(a.probability - b.probability) < 1e-9
             assert sa.fidelity(sb.to_pure_state()) > 1 - 1e-9
+
+
+class TestConjugationRuleAgainstLoopReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 11), seed=SEEDS)
+    def test_tableau_graph_and_maps_match_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        circuit = _random_circuit(n, rng, int(rng.integers(0, 40)))
+        t = StabilizerTableau(n)
+        for name, qubits in circuit:
+            t.apply_gate(name, *qubits)
+        rows = [t.destabilizer(i) for i in range(n)] + t.generators()
+        ref_rows = [PauliString.single(n, k, pl) for pl in "XZ" for k in range(n)]
+        for ref in ref_rows:
+            for name, qubits in circuit:
+                _conjugate_inplace_reference(ref, name, qubits)
+        assert [p.label() for p in rows] == [p.label() for p in ref_rows]
+
+        t = _mixed_generators(random_stabilizer_tableau(n, rng, depth=int(rng.integers(0, 60))), rng)
+        for name, q in circuit[: int(rng.integers(0, 10))]:
+            if len(q) == 1:
+                t.apply_gate(name, *q)
+        gs, ref_gs = to_graph_state(t), _graph_state_reference(t)
+        assert np.array_equal(gs.adjacency, ref_gs.adjacency)
+        assert gs.local_cliffords == ref_gs.local_cliffords
+
+        p = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(0, 4)))
+        ref = p.copy()
+        for name, qubits in circuit:
+            _conjugate_inplace_reference(ref, name, qubits)
+        ref_inv = p.copy()
+        for name, qubits in reversed(circuit):
+            _conjugate_inplace_reference(ref_inv, {"S": "SDG", "SDG": "S"}.get(name, name), qubits)
+        m = CliffordMap.from_gates(n, circuit)
+        assert conjugate_pauli(circuit, p).label() == ref.label()
+        assert m.conjugate(p).label() == ref.label()
+        assert m.inverse().conjugate(p).label() == ref_inv.label()
+
+
+def _random_circuit(n: int, rng, length: int):
+    one_q = ["H", "S", "SDG", "X", "Y", "Z"]
+    circuit = []
+    for _ in range(length):
+        if n > 1 and rng.integers(0, 2):
+            a, b = map(int, rng.choice(n, 2, replace=False))
+            circuit.append((["CNOT", "CZ", "SWAP"][rng.integers(0, 3)], (a, b)))
+        else:
+            circuit.append((one_q[rng.integers(0, len(one_q))], (int(rng.integers(0, n)),)))
+    return circuit
+
+
+def _conjugate_inplace_reference(p: PauliString, name: str, qubits) -> None:
+    """One gate's conjugation rule on the scalar bits of one Pauli string."""
+    if name == "H":
+        (q,) = qubits
+        if p.x[q] and p.z[q]:
+            p.phase = (p.phase + 2) % 4
+        p.x[q], p.z[q] = p.z[q], p.x[q]
+    elif name == "S":
+        (q,) = qubits
+        if p.x[q] and p.z[q]:
+            p.phase = (p.phase + 2) % 4
+        p.z[q] ^= p.x[q]
+    elif name == "SDG":
+        for _ in range(3):
+            _conjugate_inplace_reference(p, "S", qubits)
+    elif name == "X":
+        (q,) = qubits
+        if p.z[q]:
+            p.phase = (p.phase + 2) % 4
+    elif name == "Y":
+        (q,) = qubits
+        if p.x[q] ^ p.z[q]:
+            p.phase = (p.phase + 2) % 4
+    elif name == "Z":
+        (q,) = qubits
+        if p.x[q]:
+            p.phase = (p.phase + 2) % 4
+    elif name == "CNOT":
+        a, b = qubits
+        if p.x[a] and p.z[b] and (p.x[b] ^ p.z[a] ^ 1):
+            p.phase = (p.phase + 2) % 4
+        p.x[b] ^= p.x[a]
+        p.z[a] ^= p.z[b]
+    elif name == "CZ":
+        a, b = qubits
+        if p.x[a] and p.x[b] and (p.z[a] ^ p.z[b]):
+            p.phase = (p.phase + 2) % 4
+        p.z[a] ^= p.x[b]
+        p.z[b] ^= p.x[a]
+    elif name == "SWAP":
+        a, b = qubits
+        p.x[a], p.x[b] = p.x[b], p.x[a]
+        p.z[a], p.z[b] = p.z[b], p.z[a]
+    else:
+        raise ValueError(name)
+
+
+def _graph_state_reference(tab: StabilizerTableau) -> GraphState:
+    """Graph reduction on a list of PauliString rows, one product at a time."""
+    n = tab.n
+    rows = tab.generators()
+    applied = []
+
+    def conj_gate(name, q):
+        for p in rows:
+            _conjugate_inplace_reference(p, name, (q,))
+        applied.append((name, q))
+
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i].x[col]), None)
+        if pivot is None:
+            assert any(rows[i].z[col] for i in range(col, n))
+            conj_gate("H", col)
+            pivot = next(i for i in range(col, n) if rows[i].x[col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i].x[col]:
+                rows[i] = rows[i] * rows[col]
+    for q in range(n):
+        if rows[q].z[q]:
+            conj_gate("S", q)
+    for q in range(n):
+        if rows[q].phase == 2:
+            conj_gate("Z", q)
+    assert all(p.phase == 0 for p in rows)
+    return GraphState(np.array([p.z for p in rows], dtype=np.uint8), applied)
 
 
 def _canonical_reference(t: StabilizerTableau):
