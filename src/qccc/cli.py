@@ -37,7 +37,14 @@ class ConfigError(ValueError):
 
 
 def _write_report(report: dict, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Indented JSON, except that each `branches` row is one compact line:
+    the indented encoder is pure Python and slow on thousands of rows."""
+    rows = report.get("branches")
+    text = json.dumps(dict(report, branches=[]) if rows else report, indent=2, sort_keys=True)
+    if rows:
+        encode = json.JSONEncoder(sort_keys=True).encode
+        body = ",\n".join("    " + encode(row) for row in rows)
+        text = text.replace('\n  "branches": []', '\n  "branches": [\n' + body + "\n  ]", 1)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -113,6 +120,8 @@ def cmd_prepare(args) -> int:
         report["min_fidelity"] = res.min_fidelity
         report["max_fidelity"] = res.max_fidelity
         report["total_probability"] = res.total_probability()
+        report["n_merged"] = res.n_merged
+        report["merge_error"] = res.merge_error
         report["branches"] = [
             {
                 "outcomes": [[t, k] for t, k, _ in r.record.outcomes],

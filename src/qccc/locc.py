@@ -8,6 +8,15 @@ explores every measurement branch and certifies determinism (all branches
 agree up to a global phase and their probabilities sum to 1) plus, if a
 target is given, the fidelity to it.
 
+A Correct may declare the outcome tags it reads; the teleport fixes and the
+fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
+corrections do not. On dense states, `enumerate_branches` runs the rest of
+the program once for sibling histories that meet after a declared Correct
+with equal live outcomes (those read by a later Correct) and states equal up
+to phase within MERGE_TOL: the later history reports the earlier one's leaves
+under its own prefix. The rows are those of the plain depth-first search,
+which is the same protocol with `reads` stripped.
+
 The layer-exact circuit structure of each protocol is kept in a separate
 Circuit object for depth accounting and validation; the program may order
 commuting operations differently (ancillas created late, measured ancillas
@@ -17,7 +26,7 @@ dropped early) to keep dense states small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +39,7 @@ from .statevector import EntryKey, PureState, QuditRegister
 DETERMINISM_TOL = 1e-9
 DEFAULT_BRANCH_CAP = 2**16
 DEFAULT_PROB_FLOOR = 1e-12
+MERGE_TOL = 1e-12
 
 
 class ProtocolError(RuntimeError):
@@ -63,10 +73,15 @@ class Measure:
 
 @dataclass
 class Correct:
-    """Outcome-conditioned local correction: fn(outcomes) -> list[LocalAction]."""
+    """Outcome-conditioned local correction: fn(outcomes) -> list[LocalAction].
+
+    `reads` declares the outcome tags fn reads; fn then sees only those.
+    None means it reads every tag.
+    """
 
     fn: Callable[[Dict[str, int]], List[cx.LocalAction]]
     name: str = "correction"
+    reads: Optional[FrozenSet[str]] = None
 
 
 Step = Union[ApplyLayers, Measure, Correct]
@@ -101,6 +116,8 @@ class EnumerationResult:
     max_fidelity: float
     reference: object  # final state of the first branch
     finals: Optional[List[object]] = None  # all branch states when requested
+    n_merged: int = 0  # histories absorbed into an equal sibling's subtree
+    merge_error: float = 0.0  # sum of their state difference norms
 
     @property
     def verdict(self) -> str:
@@ -178,7 +195,7 @@ def _rows_equal(a, b) -> float:
     return float(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
 
 
-def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
+def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, merge=None):
     """The step interpreter: run `program` on `state` and yield
     (final state, outcomes, probability) for every history it follows.
 
@@ -188,6 +205,10 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
     outcome but the last runs on a clone; the last, and a single one, reuse
     the state, so single-history policies mutate `state` in place. Pending
     outcomes wait on an explicit stack and are visited depth-first in order.
+
+    After each Correct that declares its reads, `merge(state, j, outcomes,
+    prob)` may absorb the history at position j: it returns the number of rows
+    it reported for it, and the history stops there; None lets it go on.
 
     Every pending outcome yields at least one history, so the histories
     finished, pending and in progress bound the total from below; with a
@@ -222,7 +243,16 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
                 outcomes += ((spec.tag, int(k), float(p)),)
                 prob *= p
             elif isinstance(step, Correct):
-                _apply_correction(state, step.fn({t: k for t, k, _ in outcomes}))
+                reads = step.reads
+                seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
+                _apply_correction(state, step.fn(seen))
+                if merge is not None and reads is not None:
+                    rows = merge(state, j + 1, outcomes, prob)
+                    if rows is not None:
+                        histories += rows - 1
+                        if cap is not None and histories > cap:
+                            raise BranchCapExceeded(f"more than {cap} branches")
+                        break
             else:
                 raise TypeError(f"unknown step {step!r}")
             j += 1
@@ -297,6 +327,13 @@ def enumerate_branches(
     otherwise against the first branch. The DETERMINISTIC verdict additionally
     requires all branches to agree with the first branch up to global phase
     and their probabilities to sum to 1 within DETERMINISM_TOL.
+
+    Dense histories that meet at a merge point (see `_merge_points`) with the
+    same live outcomes and states equal up to phase within MERGE_TOL run the
+    rest of the program once: the later one reports the first one's leaves
+    under its own prefix and probability. The report lists the same rows in
+    the same order as the plain DFS, which is the protocol with `reads`
+    stripped; 2 * merge_error bounds the fidelity error of a derived row.
     """
     if target == "protocol":
         target = protocol.target_generators if backend == "tableau" else protocol.target
@@ -315,7 +352,54 @@ def enumerate_branches(
     reference = reference_rows = None
     deterministic = True
     start = _start(protocol, backend, input_state)
-    for state, outcomes, prob in _execute(protocol.program, start, live, branch_cap):
+    points = _merge_points(protocol.program) if isinstance(start, PureState) else {}
+    # (position, live outcomes) -> [register, amplitudes, outcomes, first row, end row]
+    memo: Dict[tuple, list] = {}
+    n_merged, merge_error = 0, 0.0
+
+    def merge(state, j, outcomes, prob):
+        nonlocal n_merged, merge_error
+        if j not in points:
+            return None
+        key = (j, tuple((t, k) for t, k, _ in outcomes if t in points[j]))
+        amps = state.amps
+        seen = memo.get(key)
+        if seen is None:
+            memo[key] = [state.register, amps, outcomes, len(reports), None]
+            return None
+        register, stored, prefix, first, end = seen
+        if state.register != register:
+            return None
+        overlap = np.vdot(stored, amps)
+        if overlap == 0:
+            return None
+        err = float(np.linalg.norm(amps - (overlap / abs(overlap)) * stored))
+        if err > MERGE_TOL:
+            return None
+        n = len(outcomes)
+        if end is None:
+            # the stack is LIFO, so the stored history's subtree is finished
+            # before any history outside it gets here: its rows are complete
+            # and run contiguously from `first`
+            end = first
+            while end < len(reports) and reports[end].record.outcomes[:n] == prefix:
+                end += 1
+            seen[4] = end
+        if len(reports) + end - first > branch_cap:
+            raise BranchCapExceeded(f"more than {branch_cap} branches")
+        for rep in reports[first:end]:
+            suffix = rep.record.outcomes[n:]
+            p = prob
+            for _, _, pk in suffix:
+                p *= pk
+            reports.append(BranchReport(OutcomeRecord(outcomes + suffix), p, rep.fidelity))
+        if keep_states:
+            finals.extend(finals[first:end])
+        n_merged += 1
+        merge_error += err
+        return end - first
+
+    for state, outcomes, prob in _execute(protocol.program, start, live, branch_cap, merge):
         final = _finalize(state, protocol)
         dense = isinstance(final, PureState)
         final_rows = None if dense else final.tab._canonical_rows()
@@ -337,10 +421,36 @@ def enumerate_branches(
         raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
     fids = [r.fidelity for r in reports]
     mass = sum(r.probability for r in reports)
-    deterministic = deterministic and abs(1.0 - mass) <= DETERMINISM_TOL
-    return EnumerationResult(
-        reports, deterministic, min(fids), max(fids), reference, finals if keep_states else None
+    deterministic = (
+        deterministic and abs(1.0 - mass) <= DETERMINISM_TOL and 2 * merge_error <= DETERMINISM_TOL
     )
+    return EnumerationResult(
+        reports,
+        deterministic,
+        min(fids),
+        max(fids),
+        reference,
+        finals if keep_states else None,
+        n_merged,
+        merge_error,
+    )
+
+
+def _merge_points(program: Sequence[Step]) -> Dict[int, FrozenSet[str]]:
+    """Map the position after each declared Correct to its live tags, the
+    tags read by every later Correct; a position with an undeclared Correct
+    after it reads everything, so it is no merge point."""
+    points: Dict[int, FrozenSet[str]] = {}
+    live: Optional[FrozenSet[str]] = frozenset()
+    for j in reversed(range(len(program))):
+        step = program[j]
+        if isinstance(step, Correct):
+            if step.reads is None:
+                live = None
+            elif live is not None:
+                points[j + 1] = live
+                live = live | step.reads
+    return points
 
 
 # -- teleportation ------------------------------------------------------------------
@@ -420,7 +530,7 @@ def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: in
         ApplyLayers([cx.LocalLayer(bell_rotation_ops(source, partner, d))]),
         Measure(MeasurementSpec(source, f"{tag}s")),
         Measure(MeasurementSpec(partner, f"{tag}p")),
-        Correct(fix, f"teleport fix {tag}"),
+        Correct(fix, f"teleport fix {tag}", frozenset({f"{tag}s", f"{tag}p"})),
     ]
 
 

@@ -451,7 +451,7 @@ def _fixed_point_protocol(
                     acts.append(cx.local_op([(hub(b), "C")], gates.shift_x(cdim, shift)))
             return acts
 
-        program.append(Correct(c_fix, "label alignment"))
+        program.append(Correct(c_fix, "label alignment", frozenset(f"c{b}" for b in range(1, m))))
         circuit.append(labels)
         circuit += _in_turns(
             [

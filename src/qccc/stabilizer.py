@@ -54,16 +54,20 @@ def _product(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, n
     return px[-1], pz[-1], (int(r.sum(dtype=np.int64)) + extra) % 4
 
 
+def _check_qubit(q: int, n: int) -> None:
+    """Reject a qubit outside 0..n-1, which numpy indexing would wrap or miss."""
+    if not 0 <= q < n:
+        raise ValueError(f"qubit {q} out of range")
+
+
 def _conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, name: str, qubits: Sequence[int]) -> None:
     """Conjugate the k Pauli rows (x, z, r) of shape (k, n) by a named Clifford, in place.
 
     The one conjugation rule: the tableau, `CliffordMap`, `conjugate_pauli` and
     the graph reduction all run their gates through it.
     """
-    n = x.shape[1]
     for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range")
+        _check_qubit(q, x.shape[1])
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"{name} requires distinct qubits")
     name = name.upper()
@@ -150,6 +154,7 @@ class PauliString:
 
     @classmethod
     def single(cls, n: int, qubit: int, pauli: str) -> "PauliString":
+        _check_qubit(qubit, n)
         p = cls.identity(n)
         xb, zb = _CHAR_BITS[pauli]
         p.x[qubit] = xb
@@ -444,6 +449,7 @@ class StabilizerTableau:
         then that pair and column q are dropped.
         """
         n = self.n
+        _check_qubit(q, n)
         t = self.copy()
         x, z = t.x, t.z
         on_q = n + np.flatnonzero(x[n:, q] | z[n:, q])

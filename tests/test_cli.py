@@ -9,6 +9,7 @@ from qccc.cli import (
     EXIT_FAIL,
     EXIT_NOT_NORMAL,
     EXIT_OK,
+    _write_report,
     main,
 )
 
@@ -106,6 +107,35 @@ class TestPrepare:
             ["prepare", "--protocol", "rg", "--n", "2", "--spec", str(path)], tmp_path
         )
         assert code == EXIT_OK and rep["verdict"] == "DETERMINISTIC"
+
+
+    def test_w_enumerate_reports_merges(self, tmp_path):
+        code, rep = run_cli(
+            ["prepare", "--protocol", "w", "--n", "4", "--mode", "enumerate"], tmp_path
+        )
+        assert code == EXIT_OK
+        assert rep["verdict"] == "DETERMINISTIC" and rep["n_branches"] == 256
+        assert rep["n_merged"] > 0 and 0.0 <= rep["merge_error"] <= 1e-12
+        lines = (tmp_path / "report.json").read_text().splitlines()
+        assert sum('"outcomes"' in line for line in lines) == 256
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_branch_rows_one_per_line(self, tmp_path, n_rows):
+        report = {
+            "version": "0",
+            "config": {"branches": [1, 2]},
+            "branches": [
+                {"outcomes": [["t0s", k], ["t0p", 1]], "probability": 0.1 * k, "fidelity": 1 - 1e-16}
+                for k in range(n_rows)
+            ],
+            "verdict": "DETERMINISTIC",
+        }
+        out = tmp_path / "report.json"
+        _write_report(report, str(out))
+        text = out.read_text()
+        assert json.loads(text) == json.loads(json.dumps(report, indent=2, sort_keys=True))
+        rows = [line.rstrip(",") for line in text.splitlines() if '"outcomes"' in line]
+        assert rows == ["    " + json.dumps(r, sort_keys=True) for r in report["branches"]]
 
 
 class TestMps:

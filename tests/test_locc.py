@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qccc import circuits as cx
 from qccc import gates
@@ -353,3 +355,157 @@ class TestChannel:
         ens = composed.apply()
         assert len(ens.branches) == 4
         assert abs(sum(p for p, _ in ens.branches) - 1) < 1e-12
+
+
+def _dfs(proto):
+    """The plain DFS reference: the same protocol with every `reads` stripped."""
+    from dataclasses import replace
+
+    program = [replace(s, reads=None) if isinstance(s, Correct) else s for s in proto.program]
+    return replace(proto, program=program)
+
+
+def _random_rg(b, n, seed):
+    from qccc.protocols import RGFixedPointSpec, rg_fixed_point_protocol
+
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(size=b) + 1j * rng.normal(size=b)
+    bond = rng.normal(size=4) + 1j * rng.normal(size=4)
+    spec = RGFixedPointSpec(b, alphas / np.linalg.norm(alphas), bond / np.linalg.norm(bond), n)
+    return rg_fixed_point_protocol(spec)[0]
+
+
+def _pipeline(fixture, q, n):
+    from qccc import mps
+
+    return mps.preparation_pipeline(mps.fixture(fixture), q, n).protocol
+
+
+def _assert_same_as_dfs(proto):
+    merged, dfs = enumerate_branches(proto), enumerate_branches(_dfs(proto))
+    assert merged.verdict == dfs.verdict
+    assert len(merged.reports) == len(dfs.reports)
+    for a, b in zip(merged.reports, dfs.reports):
+        assert a.record.key() == b.record.key()
+        assert [t for t, _, _ in a.record.outcomes] == [t for t, _, _ in b.record.outcomes]
+        assert abs(a.probability - b.probability) <= 1e-12
+        assert abs(a.fidelity - b.fidelity) <= 1e-12
+    assert dfs.n_merged == 0 and dfs.merge_error == 0.0
+    return merged
+
+
+def _kicked_sibling(theta):
+    """Measure a |+> ancilla that rotates the system by Ry(theta) when it is 1,
+    then run a no-op correction that declares it reads nothing."""
+    lat = Lattice((2,))
+    ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]])
+    cry = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), ry]])
+    prog = [
+        ApplyLayers(
+            [
+                cx.LocalLayer(
+                    [
+                        cx.add_ancilla(0, "a", 2),
+                        cx.local_op([(0, "a")], [("H", (0,))]),
+                        cx.local_op([(0, "a"), (0, "s")], cry),
+                    ]
+                )
+            ]
+        ),
+        Measure(MeasurementSpec((0, "a"), "k")),
+        Correct(lambda o: [], "no-op", frozenset()),
+    ]
+    return Protocol("kick", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+
+
+class TestBranchMerging:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n=n: _w(n)[0] for n in range(2, 7)]
+        + [
+            lambda: _random_rg(2, 3, 0),
+            lambda: _random_rg(3, 3, 1),
+            lambda: _pipeline("aklt", 2, 8),
+            lambda: _pipeline("aklt", 4, 8),
+            lambda: _pipeline("cluster", 3, 9),
+        ],
+        ids=[f"w{n}" for n in range(2, 7)]
+        + ["rg-B2-N3", "rg-B3-N3", "aklt-q2-N8", "aklt-q4-N8", "cluster-q3-N9"],
+    )
+    def test_merged_matches_dfs(self, build):
+        res = _assert_same_as_dfs(build())
+        assert res.verdict == "DETERMINISTIC"
+        assert res.n_merged > 0 and 2 * res.merge_error <= 1e-12
+
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(2, 3))
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    def test_random_rg_specs_match_dfs(self, seed, n):
+        _assert_same_as_dfs(_random_rg(2, n, seed))
+
+    def test_undeclared_corrections_never_merge(self):
+        res = enumerate_branches(_ghz(6)[0])
+        assert res.n_merged == 0 and len(res.reports) == 32
+
+    def test_unequal_siblings_are_not_merged(self):
+        res = enumerate_branches(_kicked_sibling(np.pi / 2))  # |0> against |+>
+        assert res.verdict == "NOT_DETERMINISTIC"
+        assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.5])
+        assert res.n_merged == 0
+
+    def test_merge_error_enters_the_verdict(self, monkeypatch):
+        """A merge accepted under a loose tolerance still fails the verdict."""
+        from qccc import locc
+
+        eps = 1e-6
+        proto = _kicked_sibling(eps)
+        assert enumerate_branches(proto).verdict == "DETERMINISTIC"  # fidelity 1 - eps^2/4
+        monkeypatch.setattr(locc, "MERGE_TOL", 1e-3)
+        res = enumerate_branches(proto)
+        assert res.n_merged == 1 and len(res.reports) == 2
+        assert res.merge_error == pytest.approx(eps / 2, rel=1e-3)
+        assert res.verdict == "NOT_DETERMINISTIC"
+
+    @pytest.mark.parametrize("flip_reads", [frozenset({"k"}), None], ids=["declared", "undeclared"])
+    def test_live_tags_keep_equal_siblings_apart(self, flip_reads):
+        """Equal states still differ in what a later correction reads."""
+        lat = Lattice((2,))
+        prog = [
+            ApplyLayers(
+                [cx.LocalLayer([cx.add_ancilla(0, "a", 2), cx.local_op([(0, "a")], [("H", (0,))])])]
+            ),
+            Measure(MeasurementSpec((0, "a"), "k")),
+            Correct(lambda o: [], "no-op", frozenset()),
+            Correct(lambda o: [cx.local_op([(0, "s")], [("X", (0,))])] * o["k"], "flip", flip_reads),
+        ]
+        proto = Protocol("late-flip", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+        res = enumerate_branches(proto)
+        assert res.verdict == "NOT_DETERMINISTIC"
+        assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.0])
+        assert res.n_merged == 0
+
+    def test_undeclared_read_raises(self):
+        proto = _forget_protocol()
+        proto.program.append(Correct(lambda o: [] if o["k"] else [], "reads k", frozenset()))
+        with pytest.raises(KeyError):
+            enumerate_branches(proto)
+        with pytest.raises(KeyError):
+            run_sampled(proto, seed=0)
+
+    def test_cap_counts_derived_rows(self, monkeypatch):
+        from qccc import locc
+
+        rows = []
+        report = locc.BranchReport
+        monkeypatch.setattr(locc, "BranchReport", lambda *a: rows.append(1) or report(*a))
+        with pytest.raises(BranchCapExceeded):
+            enumerate_branches(_w(4)[0], branch_cap=100)  # 256 rows
+        assert 0 < len(rows) <= 100
+
+    def test_w8_at_the_cap(self):
+        import time
+
+        t0 = time.perf_counter()
+        res = enumerate_branches(_w(8)[0])
+        assert time.perf_counter() - t0 < 10.0
+        assert len(res.reports) == 2**16 and res.verdict == "DETERMINISTIC"
+        assert res.min_fidelity > 1 - 1e-9

@@ -61,6 +61,20 @@ class TestGates:
             else:
                 StabilizerTableau(2).apply_gate(name, *qubits)
 
+    @pytest.mark.parametrize("q", [-1, 2])
+    @pytest.mark.parametrize("entry", ["single", "measure_z", "remove_qubit"])
+    def test_bad_qubit_index_rejected(self, entry, q):
+        # qubit 1 holds |1>; a wrapped -1 would measure or remove it
+        t = StabilizerTableau(2)
+        t.apply_gate("X", 1)
+        with pytest.raises(ValueError, match="out of range"):
+            if entry == "single":
+                PauliString.single(2, q, "Z")
+            elif entry == "measure_z":
+                t.measure_z(q)
+            else:
+                t.remove_qubit(q)
+
     def test_dependent_generators_rejected(self):
         gens = [PauliString.from_label("+ZI"), PauliString.from_label("+ZI")]
         with pytest.raises(ValueError, match="not independent over GF"):
