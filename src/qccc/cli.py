@@ -190,6 +190,8 @@ def cmd_mps(args) -> int:
             "verdict": out.verdict,
             "n_branches": len(out.reports),
             "min_fidelity": out.min_fidelity,
+            "n_merged": out.n_merged,
+            "merge_error": out.merge_error,
             "epsilon_q": res.report.epsilon_q,
             "measured_deficit": res.report.measured_deficit,
             "envelope_holds": res.report.envelope_holds,

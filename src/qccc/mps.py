@@ -606,7 +606,8 @@ def aklt_mps() -> MPS:
         ]
     )
     cf = canonicalize(MPS(t))
-    assert len(cf.blocks) == 1
+    if cf.reducible:
+        raise ValueError(f"AKLT tensor split into {len(cf.blocks)} blocks; expected one")
     return cf.blocks[0][1]
 
 

@@ -24,6 +24,7 @@ from .locc import (
     Measure,
     MeasurementSpec,
     Protocol,
+    ProtocolError,
     _teleport_steps,
 )
 from .stabilizer import PauliString, StabilizerTableau
@@ -539,6 +540,23 @@ class ToricCodeLayout:
         if self.N < 4 or self.N % 2:
             raise ValueError("toric code layout needs even N >= 4")
         self.lattice = Lattice((self.N, self.N))
+        plaquettes = self.plaquettes_a
+        row = {p: r for r, p in enumerate(plaquettes)}
+        self.incidence = np.zeros((len(plaquettes), self.N * self.N), dtype=np.uint8)
+        for r, p in enumerate(plaquettes):
+            self.incidence[r, self.plaquette_sites(p)] = 1
+        # breadth-first spanning tree of the A-plaquette graph, rooted at
+        # plaquettes[0]; an edge is the qubit its two plaquettes share. Row r of
+        # tree_paths marks the qubits on plaquette r's (shortest) path to the root.
+        self.tree_paths = np.zeros_like(self.incidence)
+        queue, seen = [plaquettes[0]], {plaquettes[0]}
+        for cur in queue:
+            for nb in self.plaquette_neighbors(cur):
+                if nb not in seen:
+                    seen.add(nb)
+                    self.tree_paths[row[nb]] = self.tree_paths[row[cur]]
+                    self.tree_paths[row[nb], self.shared_qubit(cur, nb)] ^= 1
+                    queue.append(nb)
 
     @property
     def plaquettes_a(self) -> List[Tuple[int, int]]:
@@ -576,57 +594,27 @@ class ToricCodeLayout:
             raise ValueError(f"plaquettes {p} and {q} share {len(shared)} qubits")
         return shared.pop()
 
-    def plaquette_distance_path(
-        self, start: Tuple[int, int], goal: Tuple[int, int]
-    ) -> List[Tuple[int, int]]:
-        """Shortest path on the A-plaquette adjacency graph (BFS)."""
-        from collections import deque
-
-        prev = {start: None}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            if cur == goal:
-                path = [cur]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return list(reversed(path))
-            for nb in self.plaquette_neighbors(cur):
-                if nb not in prev:
-                    prev[nb] = cur
-                    queue.append(nb)
-        raise RuntimeError("plaquette graph is connected; unreachable")
-
 
 def find_tc_correction(layout: ToricCodeLayout, outcomes: Dict[Tuple[int, int], int]) -> List[int]:
     """Qubits whose sigma^z product flips exactly the negative plaquettes.
 
-    Negative plaquettes are paired greedily (nearest first); each pair is joined
-    by a shortest path on the plaquette adjacency graph and the shared qubit of
-    every path edge is toggled. Requires prod k_p = +1.
+    Each negative plaquette toggles the qubits on its path to the root of the
+    layout's breadth-first spanning tree (`tree_paths`); the root's own
+    toggles cancel because the negatives are even in number. The result is a
+    linear GF(2) map of the outcome bits. Any Z string with this syndrome
+    will do, since the target is a +1 eigenstate of every closed Z loop.
+    Requires prod k_p = +1.
     """
-    negatives = [p for p in layout.plaquettes_a if outcomes[p] == -1]
-    if len(negatives) % 2:
+    negative = np.array([outcomes[p] == -1 for p in layout.plaquettes_a], dtype=np.uint8)
+    if negative.sum() % 2:
         raise ValueError("product of outcomes is -1; impossible measurement record")
-    chosen: set = set()
-    remaining = list(negatives)
-    while remaining:
-        p = remaining.pop(0)
-        best, best_path = None, None
-        for q in remaining:
-            path = layout.plaquette_distance_path(p, q)
-            if best_path is None or len(path) < len(best_path):
-                best, best_path = q, path
-        remaining.remove(best)
-        for a, b in zip(best_path, best_path[1:]):
-            chosen ^= {layout.shared_qubit(a, b)}
-    # verify the anticommutation parity for every plaquette
-    for p in layout.plaquettes_a:
-        parity = sum(1 for s in layout.plaquette_sites(p) if s in chosen) % 2
-        want = 1 if outcomes[p] == -1 else 0
-        if parity != want:
-            raise AssertionError(f"correction parity check failed at plaquette {p}")
-    return sorted(chosen)
+    # uint8 sums wrap modulo 256, which keeps their parity
+    chosen = (negative @ layout.tree_paths) % 2
+    bad = np.flatnonzero((layout.incidence @ chosen) % 2 != negative)
+    if bad.size:
+        p = layout.plaquettes_a[bad[0]]
+        raise ProtocolError(f"correction parity check failed at plaquette {p}")
+    return np.flatnonzero(chosen).tolist()
 
 
 def tc_target_state(layout: ToricCodeLayout) -> PureState:

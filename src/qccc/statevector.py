@@ -166,24 +166,18 @@ class PureState:
         register: QuditRegister,
         assignment: Optional[Dict[EntryKey, Sequence[complex]]] = None,
     ) -> "PureState":
-        """Tensor product state; unassigned entries start in |0>."""
-        assignment = {tuple(k): np.asarray(v, dtype=complex) for k, v in (assignment or {}).items()}
-        amps = np.ones(1, dtype=complex)
-        for (key, d) in zip(register.keys, register.dims):
-            local = assignment.pop(key, None)
-            if local is None:
-                local = np.zeros(d, dtype=complex)
-                local[0] = 1.0
-            else:
-                if local.size != d:
-                    raise ValueError(f"local state for {key} has wrong dimension")
-                n = np.linalg.norm(local)
-                if abs(n - 1.0) > NORM_TOL:
-                    raise ValueError(f"local state for {key} not normalized")
-            amps = np.kron(amps, local)
+        """Tensor product state; unassigned entries start in |0>.
+
+        Every entry starts as a product factor, as a fresh ancilla does.
+        """
+        assignment = {tuple(k): v for k, v in (assignment or {}).items()}
+        state = cls(QuditRegister([]), np.ones(1, dtype=complex))
+        for (site, slot), d in zip(register.keys, register.dims):
+            state.add_entry(site, slot, d, assignment.pop((site, slot), None))
         if assignment:
             raise ValueError(f"assignment refers to unknown entries {sorted(assignment)}")
-        return cls(register, amps)
+        state.register = register
+        return state
 
     def clone(self) -> "PureState":
         s = PureState.__new__(PureState)

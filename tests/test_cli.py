@@ -184,6 +184,12 @@ class TestMps:
         assert code == EXIT_OK
         assert rep["pipeline"]["verdict"] == "DETERMINISTIC"
         assert rep["pipeline"]["min_fidelity"] > 1 - 1e-9
+        from qccc import mps
+        from qccc.locc import enumerate_branches
+
+        direct = enumerate_branches(mps.preparation_pipeline(mps.fixture("ghz"), 2, 6).protocol)
+        assert rep["pipeline"]["n_merged"] == direct.n_merged
+        assert rep["pipeline"]["merge_error"] == direct.merge_error
 
     def test_file_input(self, tmp_path):
         from qccc import mps as M

@@ -28,6 +28,12 @@ class TestCanonicalForm:
         assert abs(vals[0] - 1) < 1e-9
         assert np.allclose(vals[1:], -1 / 3, atol=1e-9)
 
+    def test_aklt_rejects_reducible_canonical_form(self, monkeypatch):
+        two = M.canonicalize(M.ghz_mps())
+        monkeypatch.setattr(M, "canonicalize", lambda mps: two)
+        with pytest.raises(ValueError):
+            M.aklt_mps()
+
     def test_w_chi2_decomposes_into_product_blocks(self):
         cf = M.canonicalize(M.w_chi2_mps())
         assert len(cf.blocks) == 2
@@ -311,6 +317,22 @@ class TestPipeline:
         # the true gap to AKLT_8 is the finite-size normalization + deficit
         assert out.min_fidelity > 0.999
         assert res.writer_defect < 1e-10
+
+    def test_aklt_q4_history_materialises_at_most_3_to_the_8(self, monkeypatch):
+        # the product entries start as factors, so the tensor never holds
+        # more than the 8 spin-1 sites
+        sizes = []
+        apply_layer = cx.apply_layer
+
+        def recording(state, layer):
+            apply_layer(state, layer)
+            sizes.append(state._t.size)
+
+        monkeypatch.setattr(cx, "apply_layer", recording)
+        out = enumerate_branches(M.preparation_pipeline(M.aklt_mps(), 4, 8).protocol)
+        assert out.verdict == "DETERMINISTIC" and len(out.reports) == 16
+        assert abs(out.min_fidelity - 0.9995429616087764) < 1e-12
+        assert len(sizes) > 0 and max(sizes) <= 3**8
 
     def test_aklt_q2(self):
         res = M.preparation_pipeline(M.aklt_mps(), 2, 8)

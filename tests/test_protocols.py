@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from qccc import gates
-from qccc.locc import enumerate_branches, run_sampled
+from qccc.locc import ProtocolError, enumerate_branches, run_sampled
 from qccc.protocols import (
     RGFixedPointSpec,
     ToricCodeLayout,
@@ -287,6 +289,55 @@ class TestTCCorrection:
         for p in layout.plaquettes_a:
             parity = len(corr & set(layout.plaquette_sites(p))) % 2
             assert parity == (1 if out[p] == -1 else 0)
+
+
+def _random_even_syndrome(layout, rng):
+    signs = {p: 1 - 2 * int(rng.integers(2)) for p in layout.plaquettes_a}
+    if list(signs.values()).count(-1) % 2:
+        signs[layout.plaquettes_a[0]] *= -1
+    return signs
+
+
+class TestTCDecoder:
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_random_error_round_trip(self, n):
+        # a random Z error and its decoded correction multiply to a closed Z
+        # loop, contractible or not, which fixes the target state
+        layout = ToricCodeLayout(n)
+        target = StabilizerTableau.from_generators(tc_target_generators(layout))
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            error = set(np.flatnonzero(rng.random(n * n) < 0.3).tolist())
+            signs = {
+                p: -1 if len(error & set(layout.plaquette_sites(p))) % 2 else 1
+                for p in layout.plaquettes_a
+            }
+            tab = target.copy()
+            for q in sorted(error) + find_tc_correction(layout, signs):
+                tab.apply_gate("Z", q)
+            assert tab.states_equal(target)
+
+    @pytest.mark.parametrize("n, n_seeds", [(8, 4), (16, 2)])
+    def test_tableau_histories_match_target(self, n, n_seeds):
+        proto, _ = toric_code_protocol(n)
+        target = StabilizerTableau.from_generators(proto.target_generators)
+        for seed in range(n_seeds):
+            st, _ = run_sampled(proto, seed=seed, backend="tableau")
+            assert st.tab.states_equal(target)
+
+    def test_n24_decodes_fast(self):
+        signs = _random_even_syndrome(ToricCodeLayout(24), np.random.default_rng(24))
+        t0 = time.perf_counter()
+        find_tc_correction(ToricCodeLayout(24), signs)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_corrupted_table_fails_the_parity_check(self):
+        layout = ToricCodeLayout(8)
+        layout.tree_paths[5, 0] ^= 1
+        signs = {p: 1 for p in layout.plaquettes_a}
+        signs[layout.plaquettes_a[0]] = signs[layout.plaquettes_a[5]] = -1
+        with pytest.raises(ProtocolError):
+            find_tc_correction(layout, signs)
 
 
 class TestToricCodeProtocol:

@@ -42,6 +42,30 @@ class TestInitProduct:
         with pytest.raises(ValueError):
             PureState.product(qubits(1), {(0, "s"): [1.0, 1.0]})
 
+    def test_unknown_entry_rejected(self):
+        with pytest.raises(ValueError):
+            PureState.product(qubits(2), {(5, "s"): [1.0, 0.0]})
+
+    @given(
+        entries=hst.lists(hst.tuples(hst.sampled_from([2, 3]), hst.booleans()), min_size=1, max_size=5),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_matches_kron_reference(self, entries, seed):
+        rng = np.random.default_rng(seed)
+        reg = QuditRegister([(i, "s", d) for i, (d, _) in enumerate(entries)])
+        assignment, ref = {}, np.ones(1, dtype=complex)
+        for i, (d, assigned) in enumerate(entries):
+            local = np.eye(d, dtype=complex)[0]
+            if assigned:
+                local = rng.normal(size=d) + 1j * rng.normal(size=d)
+                local /= np.linalg.norm(local)
+                assignment[(i, "s")] = local
+            ref = np.kron(ref, local)
+        st = PureState.product(reg, assignment)
+        assert st.register == reg
+        assert np.allclose(st.amps, ref, atol=1e-12)
+
 
 class TestApply:
     def test_x_flip(self):
