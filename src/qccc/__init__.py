@@ -21,6 +21,7 @@ from .statevector import (
 from .stabilizer import (
     CliffordMap,
     GraphState,
+    InternalError,
     PauliString,
     StabilizerTableau,
     TableauState,

@@ -1,6 +1,7 @@
 """Command-line front end: protocol runs, MPS sweeps, diagnostics, reports.
 
-Exit codes: 0 success / certification passed; 1 certification failed;
+Exit codes: 0 success / certification passed; 1 certification failed,
+protocol error or internal error (a broken invariant, reported on one line);
 2 configuration error; 3 capacity exceeded; 4 non-normal tensor without
 --allow-blocks.
 
@@ -23,6 +24,7 @@ from . import circuits as cx
 from . import gates, mps
 from .lattice import Lattice
 from .locc import BranchCapExceeded, ProtocolError, enumerate_branches, run_sampled
+from .stabilizer import InternalError
 from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, pauli_on
 
 EXIT_OK = 0
@@ -122,6 +124,7 @@ def cmd_prepare(args) -> int:
         report["total_probability"] = res.total_probability()
         report["n_merged"] = res.n_merged
         report["merge_error"] = res.merge_error
+        report["engine"] = res.engine
         report["branches"] = [
             {
                 "outcomes": [[t, k] for t, k, _ in r.record.outcomes],
@@ -428,6 +431,9 @@ def main(argv=None) -> int:
         return EXIT_CAPACITY
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -38,6 +38,7 @@ from .locc import (
 from .stabilizer import (
     CliffordMap,
     GraphState,
+    InternalError,
     PauliString,
     StabilizerTableau,
     TableauState,
@@ -317,7 +318,7 @@ def _extract_clifford_map(choi: TableauState, n: int) -> CliffordMap:
     x, z, r = map(np.array, zip(*images))
     # sanity: the a-side of each product must be exactly its single target Pauli
     if not np.array_equal(np.concatenate([x[:, n:], z[:, n:]], axis=1), np.eye(2 * n)):
-        raise AssertionError("a-side isolation failed")
+        raise InternalError("a-side isolation failed")
     return CliffordMap._from_rows(x[:, :n], z[:, :n], r.astype(np.uint8))
 
 

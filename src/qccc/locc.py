@@ -8,6 +8,14 @@ explores every measurement branch and certifies determinism (all branches
 agree up to a global phase and their probabilities sum to 1) plus, if a
 target is given, the fidelity to it.
 
+`enumerate_branches` has two engines. On the tableau, a program whose
+corrections are named single-qubit Paulis is certified from one history (the
+first branch) that carries a Pauli frame per measurement record: outcome
+flips enter as Aaronson-Gottesman destabilizers, and each record's final
+state is the first branch's with stabilizer signs flipped by its frame. That
+history counts the records exactly, so the branch cap is checked right after
+it. Every other program runs the depth-first search, one history per leaf.
+
 A Correct may declare the outcome tags it reads; the teleport fixes and the
 fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
 corrections do not. On dense states, `enumerate_branches` runs the rest of
@@ -25,6 +33,7 @@ dropped early) to keep dense states small.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -33,7 +42,7 @@ import numpy as np
 from . import circuits as cx
 from . import gates
 from .lattice import Lattice
-from .stabilizer import StabilizerTableau, TableauState
+from .stabilizer import StabilizerTableau, TableauState, _conjugate_rows
 from .statevector import EntryKey, PureState, QuditRegister
 
 DETERMINISM_TOL = 1e-9
@@ -118,6 +127,7 @@ class EnumerationResult:
     finals: Optional[List[object]] = None  # all branch states when requested
     n_merged: int = 0  # histories absorbed into an equal sibling's subtree
     merge_error: float = 0.0  # sum of their state difference norms
+    engine: str = "dfs"  # "frames": one tableau history plus Pauli frames; "dfs": one history per leaf
 
     @property
     def verdict(self) -> str:
@@ -245,7 +255,10 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
             elif isinstance(step, Correct):
                 reads = step.reads
                 seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
-                _apply_correction(state, step.fn(seen))
+                actions = step.fn(seen)
+                _apply_correction(state, actions)
+                if isinstance(state, _FramedTableau):
+                    state.correct(step, actions, outcomes)
                 if merge is not None and reads is not None:
                     rows = merge(state, j + 1, outcomes, prob)
                     if rows is not None:
@@ -321,12 +334,51 @@ def enumerate_branches(
     target: Optional[object] = "protocol",
     keep_states: bool = False,
 ) -> EnumerationResult:
-    """Depth-first exploration of every measurement branch above prob_floor.
+    """Every measurement branch above prob_floor, with its probability and fidelity.
 
     Branch fidelity is measured against the protocol target when one exists,
     otherwise against the first branch. The DETERMINISTIC verdict additionally
     requires all branches to agree with the first branch up to global phase
     and their probabilities to sum to 1 within DETERMINISM_TOL.
+
+    A tableau program whose corrections are all named single-qubit Paulis is
+    certified by `_enumerate_frames` (engine "frames"): one history and a
+    Pauli frame per record, with BranchCapExceeded raised as soon as that
+    history has counted its records. Any other program, and every dense one,
+    runs through the depth-first search `_enumerate_dfs` (engine "dfs"). Both
+    report the same rows in the same order.
+    """
+    tableau = isinstance(input_state, TableauState) if input_state is not None else backend == "tableau"
+    if tableau and prob_floor < 0.5:
+        start = _start(protocol, backend, input_state)
+        try:
+            return _enumerate_frames(
+                protocol, start, branch_cap, _resolve_target(protocol, backend, target), keep_states
+            )
+        except _NotPauli:
+            pass
+    return _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
+
+
+def _resolve_target(protocol: Protocol, backend: str, target):
+    """The target state: a PureState, a StabilizerTableau, or None."""
+    if target == "protocol":
+        target = protocol.target_generators if backend == "tableau" else protocol.target
+    if target is not None and not isinstance(target, PureState):  # tableau generators
+        target = StabilizerTableau.from_generators(list(target))
+    return target
+
+
+def _enumerate_dfs(
+    protocol: Protocol,
+    backend: str = "dense",
+    prob_floor: float = DEFAULT_PROB_FLOOR,
+    branch_cap: int = DEFAULT_BRANCH_CAP,
+    input_state=None,
+    target: Optional[object] = "protocol",
+    keep_states: bool = False,
+) -> EnumerationResult:
+    """`enumerate_branches` by depth-first exploration: one history per leaf.
 
     Dense histories that meet at a merge point (see `_merge_points`) with the
     same live outcomes and states equal up to phase within MERGE_TOL run the
@@ -335,10 +387,7 @@ def enumerate_branches(
     the same order as the plain DFS, which is the protocol with `reads`
     stripped; 2 * merge_error bounds the fidelity error of a derived row.
     """
-    if target == "protocol":
-        target = protocol.target_generators if backend == "tableau" else protocol.target
-    if target is not None and not isinstance(target, PureState):  # tableau generators
-        target = StabilizerTableau.from_generators(list(target))
+    target = _resolve_target(protocol, backend, target)
 
     def live(state, spec, outcomes):
         probs = state.branch_probabilities(spec.entry, spec.basis)
@@ -433,6 +482,183 @@ def enumerate_branches(
         finals if keep_states else None,
         n_merged,
         merge_error,
+    )
+
+
+class _NotPauli(Exception):
+    """A Correct that the frames cannot carry; the DFS certifies the program."""
+
+
+# the tableau rejects "I", so a correction naming it goes to the DFS and fails there
+_FRAME_PAULIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+class _FramedTableau(TableauState):
+    """The reference history of a Clifford program, with one Pauli frame per
+    measurement record riding along: the Aaronson-Gottesman flip applied the
+    way Stim's frame simulator applies it (Gidney, arXiv:2103.02202).
+
+    The tableau follows the history that takes outcome 0 at every random
+    measurement. Column i of `fx`/`fz` (qubit-major, shape (n, R)) is a Pauli
+    F_i such that record i's state is F_i |reference> up to phase; records are
+    in depth-first order, and row t of `bits` is every record's outcome of
+    measurement t. Frame phases are not kept: F_i only moves stabilizer signs,
+    which its bits fix. Once the count of records exceeds `cap` the frames are
+    dropped, and the history only counts.
+    """
+
+    def __init__(self, state: TableauState, cap: int):
+        self.keys, self.tab, self.cap = state.keys, state.tab, cap
+        self.n_records = 1
+        self.fx = np.zeros((self.tab.n, 1), dtype=np.uint8)
+        self.fz = np.zeros_like(self.fx)
+        self.bits = np.zeros((0, 1), dtype=np.uint8)
+
+    def apply_named(self, name: str, entries) -> "_FramedTableau":
+        qubits = [self.index(e) for e in entries]
+        self.tab.apply_gate(name, *qubits)
+        if self.fx is not None:
+            _conjugate_rows(self.fx.T, self.fz.T, np.zeros(self.fx.shape[1], dtype=np.uint8), name, qubits)
+        return self
+
+    def add_entry(self, site: int, slot: str, dim: int = 2, local_state=None) -> "_FramedTableau":
+        super().add_entry(site, slot, dim, local_state)
+        if self.fx is not None:
+            self.fx, self.fz = (np.pad(f, ((0, 1), (0, 0))) for f in (self.fx, self.fz))
+        return self
+
+    def remove_entry(self, entry) -> "_FramedTableau":
+        q = self.index(entry)
+        super().remove_entry(entry)
+        if self.fx is not None:
+            self.fx, self.fz = (np.delete(f, q, axis=0) for f in (self.fx, self.fz))
+        return self
+
+    def measure(self, entry, basis=None, force=None, rng=None, prob_floor: float = 1e-12):
+        """Measure Z on the reference, taking outcome 0 when it is random.
+
+        A record reads the reference bit XOR x_q of its frame. A random
+        measurement doubles the records (k = 0, 1); where k XOR x_q(F) is 1
+        the frame takes the flip Pauli, the old stabilizer that anticommuted
+        with Z_q, which `measure_pauli` leaves in the pivot's destabilizer row.
+        """
+        q = self.index(entry)
+        anti = np.flatnonzero(self.tab.x[self.tab.n :, q])
+        if basis is not None or anti.size == 0:
+            bit, p = super().measure(entry, basis)
+            if self.fx is not None:
+                self.bits = np.vstack([self.bits, bit ^ self.fx[q]])
+            return bit, p
+        bit, p = super().measure(entry, force=0)
+        self.n_records *= 2
+        if self.n_records > self.cap:
+            self.fx = self.fz = self.bits = None
+        if self.fx is not None:
+            k = np.tile(np.array([0, 1], dtype=np.uint8), self.fx.shape[1])
+            fx, fz = (np.repeat(f, 2, axis=1) for f in (self.fx, self.fz))
+            flip = (k ^ fx[q]).astype(bool)
+            d = int(anti[0])
+            fx[:, flip] ^= self.tab.x[d][:, None]
+            fz[:, flip] ^= self.tab.z[d][:, None]
+            self.fx, self.fz = fx, fz
+            self.bits = np.vstack([np.repeat(self.bits, 2, axis=1), k])
+        return bit, p
+
+    def correct(self, step: Correct, actions: List[cx.LocalAction], outcomes) -> None:
+        """Multiply each record's frame by its own correction times the
+        reference's `actions`; record 0 is the reference, fn runs once for each other."""
+        if self.fx is None:
+            return
+        qubit = {k: q for q, k in enumerate(self.keys)}
+        ref = self._pauli(actions, qubit)
+        tags = [t for t, _, _ in outcomes]
+        cols = [t for t, tag in enumerate(tags) if step.reads is None or tag in step.reads]
+        paulis = [ref] + [
+            self._pauli(step.fn({tags[t]: k for t, k in zip(cols, ks)}), qubit)
+            for ks in self.bits[cols, 1:].T.tolist()
+        ]
+        flips = (np.array(paulis, dtype=np.uint8) ^ np.array(ref, dtype=np.uint8)).T
+        n = self.tab.n
+        self.fx ^= flips[:n]
+        self.fz ^= flips[n:]
+
+    @staticmethod
+    def _pauli(actions: List[cx.LocalAction], qubit: Dict[EntryKey, int]) -> List[int]:
+        """(x | z) bits of a correction made of named single-qubit Paulis."""
+        n = len(qubit)
+        out = [0] * (2 * n)
+        for act in actions:
+            entries, spec = act.entries, act.spec
+            if act.kind != "op" or isinstance(spec, np.ndarray):
+                raise _NotPauli
+            if len(entries) != 1 and len({s for s, _ in entries}) != 1:
+                raise _NotPauli
+            for name, idx in spec:
+                bits = _FRAME_PAULIS.get(name.upper())
+                if bits is None or len(idx) != 1:
+                    raise _NotPauli
+                q = qubit[tuple(entries[idx[0]])]
+                out[q] ^= bits[0]
+                out[n + q] ^= bits[1]
+        return out
+
+
+def _enumerate_frames(
+    protocol: Protocol, start: TableauState, branch_cap: int, target, keep_states: bool
+) -> EnumerationResult:
+    """`enumerate_branches` from one tableau history and its Pauli frames.
+
+    Every record has probability 2^-r (deterministic steps contribute 1), and
+    record i's final state is F_i |reference>: the reference's canonical rows
+    c_j with signs flipped by the symplectic products <F_i, c_j>. So a record
+    agrees with the first branch iff every product is 0, and matches a target
+    with the reference's bits iff the products equal the sign differences.
+    Raises _NotPauli at a Correct outside the frame rules.
+    """
+    framed = _FramedTableau(start, branch_cap)
+    _, outcomes, prob = next(_execute(protocol.program, framed, lambda state, spec, outcomes: ({},)))
+    if framed.n_records > branch_cap:
+        raise BranchCapExceeded(f"more than {branch_cap} branches: {framed.n_records} records")
+    reference = _finalize(framed, protocol)
+    order = [framed.index(k) for k in reference.keys]
+    fx, fz = framed.fx[order].astype(np.int64), framed.fz[order].astype(np.int64)
+    n = reference.tab.n
+
+    def signs_flipped(rows):  # <F_i, row_j> for every record i (axis 0) and row j
+        return ((rows[:, n:] @ fx + rows[:, :n] @ fz) % 2).T
+
+    rows, signs = reference.tab._canonical_rows()
+    flips = signs_flipped(rows.astype(np.int64))
+    agree = ~flips.any(axis=1)
+    if target is None:
+        fids = agree.astype(float)
+    elif isinstance(target, PureState):
+        fids = np.full(len(agree), np.nan)
+    else:
+        target_rows, target_signs = target._canonical_rows()
+        if target_rows.shape != rows.shape:
+            raise ValueError("qubit count mismatch")
+        diff = (target_signs - signs) % 4
+        same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
+        fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
+    choices = [((t, 0, p), (t, 1, p)) for t, _, p in outcomes]
+    reports = [
+        BranchReport(OutcomeRecord(tuple(map(operator.getitem, choices, ks))), prob, fid)
+        for ks, fid in zip(framed.bits.T.tolist(), fids.tolist())
+    ]
+    finals = None
+    if keep_states:
+        finals = []
+        tab = reference.tab
+        for row in signs_flipped(np.concatenate([tab.x, tab.z], axis=1).astype(np.int64)):
+            final = reference.clone()
+            final.tab.r = ((tab.r + 2 * row) % 4).astype(np.uint8)
+            finals.append(final)
+    fid_list = [r.fidelity for r in reports]
+    mass = sum(r.probability for r in reports)
+    deterministic = bool(agree.all()) and abs(1.0 - mass) <= DETERMINISM_TOL
+    return EnumerationResult(
+        reports, deterministic, min(fid_list), max(fid_list), reference, finals, engine="frames"
     )
 
 

@@ -30,6 +30,10 @@ _PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _CHAR_BITS = {c: b for b, c in _PAULI_CHARS.items()}
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant: a fault in qccc, not in its input."""
+
+
 # Exponent of i in the single-qubit product (x1, z1) * (x2, z2), indexed by
 # the bits x1 z1 x2 z2 (the g function of Aaronson-Gottesman).
 _G_EXPONENT = np.array([0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int64)
@@ -339,7 +343,7 @@ class StabilizerTableau:
         rows = self.n + destabs
         x, z, phase = _product(self.x[rows], self.z[rows], self.r[rows])
         if not (np.array_equal(x, p.x) and np.array_equal(z, p.z)):
-            raise AssertionError("deterministic measurement did not reproduce the Pauli")
+            raise InternalError("deterministic measurement did not reproduce the Pauli")
         return 0 if phase == p.phase else 1
 
     # -- structure ---------------------------------------------------------------
@@ -454,7 +458,7 @@ class StabilizerTableau:
         x, z = t.x, t.z
         on_q = n + np.flatnonzero(x[n:, q] | z[n:, q])
         if on_q.size == 0:
-            raise AssertionError("no stabilizer acts on the qubit")
+            raise InternalError("no stabilizer acts on the qubit")
         entangled = ValueError(f"qubit {q} is entangled; cannot remove")
         p = int(on_q[0])
         if np.any(x[on_q, q] != x[p, q]) or np.any(z[on_q, q] != z[p, q]):
@@ -569,7 +573,7 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
     for col in range(n):
         if not x[col:, col].any():
             if not z[col:, col].any():
-                raise AssertionError("invalid tableau: empty pivot column")
+                raise InternalError("invalid tableau: empty pivot column")
             _conjugate_rows(x, z, r, "H", (col,))
             applied.append(("H", col))
         pivot = col + int(np.flatnonzero(x[col:, col])[0])
@@ -589,11 +593,11 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
             _conjugate_rows(x, z, r, "Z", (q,))
             applied.append(("Z", q))
     if r.any():
-        raise AssertionError("graph reduction left a nontrivial phase")
+        raise InternalError("graph reduction left a nontrivial phase")
     if np.diagonal(z).any():
-        raise AssertionError("graph reduction left a diagonal entry")
+        raise InternalError("graph reduction left a diagonal entry")
     if not np.array_equal(z, z.T):
-        raise AssertionError("graph adjacency not symmetric")
+        raise InternalError("graph adjacency not symmetric")
     return GraphState(z, applied)
 
 

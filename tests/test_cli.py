@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,36 @@ class TestPrepare:
         code = main(["prepare", "--protocol", "w", "--n", "3", "--backend", "tableau"])
         assert code == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend, engine", [("dense", "dfs"), ("tableau", "frames")])
+    def test_enumerate_reports_its_engine(self, tmp_path, backend, engine):
+        code, rep = run_cli(
+            ["prepare", "--protocol", "ghz", "--n", "4", "--backend", backend, "--mode", "enumerate"],
+            tmp_path,
+        )
+        assert code == EXIT_OK and rep["engine"] == engine and rep["n_branches"] == 8
+
+    def test_tc8_tableau_enumeration_stops_at_the_cap(self, capsys):
+        t0 = time.perf_counter()
+        code = main(["prepare", "--protocol", "tc", "--n", "8", "--backend", "tableau", "--mode", "enumerate"])
+        assert code == EXIT_CAPACITY and time.perf_counter() - t0 < 10.0
+        assert "2147483648 records" in capsys.readouterr().err
+
+    def test_internal_error_exit(self, monkeypatch, capsys):
+        from qccc.stabilizer import StabilizerTableau
+
+        real = StabilizerTableau.remove_qubit
+
+        def corrupted(self, q):
+            self.x[self.n :, q] = self.z[self.n :, q] = 0  # no stabilizer acts on q
+            return real(self, q)
+
+        monkeypatch.setattr(StabilizerTableau, "remove_qubit", corrupted)
+        argv = ["prepare", "--protocol", "ghz", "--n", "3", "--backend", "tableau", "--mode", "sample"]
+        code = main(argv + ["--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAIL
+        assert err == "internal error: no stabilizer acts on the qubit\n"
 
     def test_capacity_exit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QCCC_MAX_AMPLITUDES", "4096")

@@ -141,8 +141,11 @@ class TestEngine:
         assert len(finalized) <= cap and len(completed) <= cap
         finalized.clear()
         completed.clear()
-        assert len(enumerate_branches(proto, backend=backend, branch_cap=16).reports) == 16
-        assert len(finalized) == len(completed) == 16
+        res = enumerate_branches(proto, backend=backend, branch_cap=16)
+        assert len(res.reports) == len(completed) == 16
+        # the DFS finalizes every history, the Pauli-frame engine only its reference
+        assert res.engine == {"dense": "dfs", "tableau": "frames"}[backend]
+        assert len(finalized) == {"dfs": 16, "frames": 1}[res.engine]
 
     def test_undetached_ancilla_raises(self):
         lat = Lattice((2,))
@@ -509,3 +512,173 @@ class TestBranchMerging:
         assert time.perf_counter() - t0 < 10.0
         assert len(res.reports) == 2**16 and res.verdict == "DETERMINISTIC"
         assert res.min_fidelity > 1 - 1e-9
+
+
+# -- the Pauli-frame engine against the DFS -----------------------------------------
+
+
+def _assert_frames_match_dfs(proto, input_state=None, target="protocol", keep_states=True):
+    """Frames and DFS give the same verdict, records in order, bit-equal
+    probabilities, equal fidelities and equal reference and final states."""
+    from qccc import locc
+
+    kw = dict(backend="tableau", input_state=input_state, target=target, keep_states=keep_states)
+    frames, dfs = enumerate_branches(proto, **kw), locc._enumerate_dfs(proto, **kw)
+    assert (frames.engine, dfs.engine) == ("frames", "dfs")
+    assert frames.verdict == dfs.verdict
+    assert [r.record.outcomes for r in frames.reports] == [r.record.outcomes for r in dfs.reports]
+    assert [(r.probability, r.fidelity) for r in frames.reports] == [
+        (r.probability, r.fidelity) for r in dfs.reports
+    ]
+    assert (frames.min_fidelity, frames.max_fidelity) == (dfs.min_fidelity, dfs.max_fidelity)
+    assert frames.total_probability() == dfs.total_probability()
+    assert frames.reference.keys == dfs.reference.keys and frames.reference.states_equal(dfs.reference)
+    if keep_states:
+        assert len(frames.finals) == len(dfs.finals)
+        assert all(a.states_equal(b) for a, b in zip(frames.finals, dfs.finals))
+    return frames, dfs
+
+
+def _random_pauli_program(rng) -> Protocol:
+    """System qubits on 2-3 sites under random Clifford layers. Each round adds
+    an ancilla, entangles it, measures it in place, applies a Pauli correction
+    that reads a random parity of the outcomes so far (and may flip the
+    ancilla), then copies the ancilla's Z value onto a fresh qubit and
+    measures that: a deterministic measurement whose outcome the frames move."""
+    k = int(rng.integers(2, 4))
+    system = [(i, "s") for i in range(k)]
+
+    def ops(entries, count):
+        acts = []
+        for _ in range(count):
+            if len(entries) > 1 and rng.random() < 0.5:
+                a, b = rng.choice(len(entries), size=2, replace=False)
+                name = str(rng.choice(["CNOT", "CZ", "SWAP"]))
+                acts.append(cx.local_op([entries[a], entries[b]], [(name, (0, 1))]))
+            else:
+                name = str(rng.choice(["H", "S", "SDG", "X", "Y", "Z"]))
+                acts.append(cx.local_op([entries[int(rng.integers(len(entries)))]], [(name, (0,))]))
+        return acts
+
+    program = [ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(1, 5))))])]
+    tags = []
+    for j in range(int(rng.integers(1, 4))):
+        anc, copy = (int(rng.integers(k)), f"a{j}"), (int(rng.integers(k)), f"c{j}")
+        start = [cx.add_ancilla(*anc)] + ([cx.local_op([anc], [("H", (0,))])] if rng.random() < 0.8 else [])
+        program += [
+            ApplyLayers([cx.LocalLayer(start), cx.LocalLayer(ops(system + [anc], int(rng.integers(1, 4))))]),
+            Measure(MeasurementSpec(anc, f"m{j}", remove=False)),
+        ]
+        tags.append(f"m{j}")
+        read = [t for t in tags if rng.random() < 0.7]
+        fixes = [
+            (e, str(rng.choice(["X", "Y", "Z"])), [t for t in read if rng.random() < 0.6], int(rng.integers(2)))
+            for e in system + [anc]
+            if rng.random() < 0.6
+        ]
+
+        def fix(outcomes, fixes=fixes):
+            return [
+                cx.local_op([e], [(p, (0,))])
+                for e, p, mask, offset in fixes
+                if (offset + sum(outcomes[t] for t in mask)) % 2
+            ]
+
+        program += [
+            Correct(fix, f"fix {j}", frozenset(read) if rng.random() < 0.5 else None),
+            ApplyLayers([cx.LocalLayer([cx.add_ancilla(*copy), cx.local_op([anc, copy], [("CNOT", (0, 1))])])]),
+            Measure(MeasurementSpec(copy, f"c{j}")),
+        ]
+        tags.append(f"c{j}")
+        program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 3))))]))
+    register = [(i, "s", 2) for i in range(k)]
+    lat = Lattice((k,))
+    return Protocol("random-pauli", lat, register, program, cx.Circuit(lat, []), system, clifford=True)
+
+
+def _ghz_with_fix(n, fix):
+    """GHZ_n with its correction replaced by fix(outcomes, parity X string)."""
+    from dataclasses import replace
+
+    proto = _ghz(n)[0]
+    step = proto.program[-1]
+    program = proto.program[:-1] + [Correct(lambda o: fix(o, step.fn(o)), "edited fix")]
+    return replace(proto, program=program)
+
+
+class TestPauliFrames:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_ghz_matches_dfs(self, n):
+        frames, _ = _assert_frames_match_dfs(_ghz(n)[0], keep_states=n <= 8)
+        assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 2 ** (n - 1)
+
+    def test_toric_code_n4_matches_dfs(self):
+        from qccc.protocols import toric_code_protocol
+
+        frames, _ = _assert_frames_match_dfs(toric_code_protocol(4)[0])
+        assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 128
+        # one plaquette sign is fixed by the others: a deterministic step in every record
+        assert sorted({p for _, _, p in frames.reports[0].record.outcomes}) == [0.5, 1.0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_choi_gadgets_match_dfs(self, n):
+        from qccc.diagnostics import ghz_unitary_cj
+
+        cj = ghz_unitary_cj(n)
+        prep = [("H", (0,)), ("S", (0,)), ("CNOT", (0, n - 1)), ("H", (n - 1,))]
+        frames, _ = _assert_frames_match_dfs(cj.protocol(), input_state=cj.initial_state(prep, "tableau"))
+        assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 4**n
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=hst.integers(0, 2**32 - 1))
+    def test_random_pauli_programs_match_dfs(self, seed):
+        proto = _random_pauli_program(np.random.default_rng(seed))
+        frames, dfs = _assert_frames_match_dfs(proto, target=None)
+        # against the last record's final state (sign differences enter) and
+        # against |0...0>, whose stabilizer bits mostly differ from the finals'
+        from qccc.stabilizer import PauliString
+
+        n = len(proto.system_entries)
+        for target in (dfs.finals[-1].tab.generators(), [PauliString.single(n, i, "Z") for i in range(n)]):
+            _assert_frames_match_dfs(proto, target=target, keep_states=False)
+
+    def test_wrong_correction_is_not_deterministic(self):
+        # the X string is skipped whenever k1 = k2 = 1
+        proto = _ghz_with_fix(5, lambda o, acts: [] if o["k1"] and o["k2"] else acts)
+        frames, _ = _assert_frames_match_dfs(proto)
+        assert frames.verdict == "NOT_DETERMINISTIC"
+        fids = [r.fidelity for r in frames.reports]
+        assert set(fids) == {0.0, 1.0} and fids.count(0.0) == 4
+
+    def test_non_pauli_correction_falls_back_to_the_dfs(self):
+        from qccc import locc
+
+        s_fix = [cx.local_op([(0, "s")], [("S", (0,))])]
+        proto = _ghz_with_fix(4, lambda o, acts: acts + s_fix * o["k3"])
+        res, dfs = enumerate_branches(proto, backend="tableau"), locc._enumerate_dfs(proto, backend="tableau")
+        assert res.engine == "dfs" and res.verdict == dfs.verdict == "NOT_DETERMINISTIC"
+        assert [(r.record.outcomes, r.probability, r.fidelity) for r in res.reports] == [
+            (r.record.outcomes, r.probability, r.fidelity) for r in dfs.reports
+        ]
+
+    def test_ghz17_at_the_cap(self):
+        import time
+
+        proto = _ghz(17)[0]
+        t0 = time.perf_counter()
+        res = enumerate_branches(proto, backend="tableau")
+        assert time.perf_counter() - t0 < 10.0
+        assert res.engine == "frames" and len(res.reports) == 2**16
+        assert res.verdict == "DETERMINISTIC" and res.min_fidelity == 1.0
+
+    @pytest.mark.parametrize("protocol, n", [("ghz", 18), ("tc", 8)], ids=["ghz18", "tc8"])
+    def test_cap_raised_after_one_history(self, protocol, n):
+        import time
+
+        from qccc.protocols import ghz_protocol, toric_code_protocol
+
+        proto = {"ghz": ghz_protocol, "tc": toric_code_protocol}[protocol](n)[0]
+        t0 = time.perf_counter()
+        with pytest.raises(BranchCapExceeded, match="records"):
+            enumerate_branches(proto, backend="tableau")
+        assert time.perf_counter() - t0 < 2.0

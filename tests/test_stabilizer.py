@@ -10,6 +10,7 @@ from qccc.locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol, 
 from qccc.stabilizer import (
     CliffordMap,
     GraphState,
+    InternalError,
     PauliString,
     StabilizerTableau,
     TableauState,
@@ -324,6 +325,27 @@ class TestRemoveAddQubits:
         assert big.n == 4
         bit, _, det = big.measure_z(3)
         assert det and bit == 0
+
+
+class TestInternalErrors:
+    """A corrupted tableau breaks an invariant; that is an InternalError, not bad input."""
+
+    def test_corrupted_stabilizer_row_fails_the_deterministic_bit(self):
+        t = StabilizerTableau(2)
+        t.z[t.n] = 1  # the stabilizer paired with X_0 becomes Z_0 Z_1
+        with pytest.raises(InternalError, match="did not reproduce"):
+            t.measure_z(0)
+
+    def test_qubit_without_stabilizer_support(self):
+        t = StabilizerTableau(2)
+        t.z[t.n :, 1] = 0
+        with pytest.raises(InternalError, match="no stabilizer acts"):
+            t.remove_qubit(1)
+        with pytest.raises(InternalError, match="empty pivot column"):
+            to_graph_state(t)
+
+    def test_internal_error_is_not_a_config_error(self):
+        assert not issubclass(InternalError, (ValueError, KeyError, AssertionError))
 
 
 class TestTableauState:
