@@ -336,17 +336,6 @@ def _random_circuit(lat: Lattice, depth: int, rng: np.random.Generator) -> Circu
 # -- QCA range estimation ----------------------------------------------------------
 
 
-def _site_operator_basis(d: int) -> List[np.ndarray]:
-    """d^2 - 1 traceless unitary basis ops (shift/clock monomials)."""
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            if a == 0 and b == 0:
-                continue
-            ops.append(gates.shift_x(d, a) @ gates.clock_z(d, b))
-    return ops
-
-
 def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[int, ...]:
     """Sites where the operator acts nontrivially, by the partial-trace criterion.
 
@@ -376,7 +365,13 @@ def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[i
 
 def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
     """QCA range: the largest site-distance growth of Heisenberg-evolved
-    single-site operators."""
+    single-site operators.
+
+    Only the shift X and the clock Z of each site are evolved: they generate
+    the site's operator algebra, and supp(U^dag A B U) lies within
+    supp(U^dag A U) | supp(U^dag B U), so every other site operator reaches
+    no further than these two.
+    """
     n = lat.n_sites
     d = lat.local_dim
     dim = d**n
@@ -384,7 +379,7 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
         raise ValueError("estimate_range capped at total dimension 2^14")
     if unitary.shape != (dim, dim):
         raise ValueError("unitary dimension does not match the lattice")
-    basis = _site_operator_basis(d)
+    basis = (gates.shift_x(d), gates.clock_z(d))
     udag = unitary.conj().T
     u_sites = unitary.reshape((d,) * n + (dim,))
     r = 0

@@ -15,6 +15,10 @@ flips enter as Aaronson-Gottesman destabilizers, and each record's final
 state is the first branch's with stabilizer signs flipped by its frame. That
 history counts the records exactly, so the branch cap is checked right after
 it. Every other program runs the depth-first search, one history per leaf.
+Both engines score a branch by its final state's `fidelity` to the first
+branch's and to the target (1 or 0 on the tableau, where it tests equality),
+and one rule gives both verdicts. A target fits the backend that runs: a
+PureState on dense states, stabilizer generators on the tableau.
 
 A Correct may declare the outcome tags it reads; the teleport fixes and the
 fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
@@ -198,14 +202,7 @@ def _finalize(state, protocol: Protocol):
     return state.permuted(system)
 
 
-def _rows_equal(a, b) -> float:
-    """1.0 when two canonical (bits, phases) row sets agree, else 0.0."""
-    if a[0].shape != b[0].shape:
-        raise ValueError("qubit count mismatch")
-    return float(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
-
-
-def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, merge=None):
+def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, on_correct=None):
     """The step interpreter: run `program` on `state` and yield
     (final state, outcomes, probability) for every history it follows.
 
@@ -216,9 +213,10 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
     the state, so single-history policies mutate `state` in place. Pending
     outcomes wait on an explicit stack and are visited depth-first in order.
 
-    After each Correct that declares its reads, `merge(state, j, outcomes,
-    prob)` may absorb the history at position j: it returns the number of rows
-    it reported for it, and the history stops there; None lets it go on.
+    After each Correct, `on_correct(state, j, step, actions, outcomes, prob)`
+    sees the history at position j, just past the Correct `step` that applied
+    `actions`. It may absorb the history: it returns the number of rows it
+    reported for it, and the history stops there; None lets it go on.
 
     Every pending outcome yields at least one history, so the histories
     finished, pending and in progress bound the total from below; with a
@@ -257,10 +255,8 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
                 seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
                 actions = step.fn(seen)
                 _apply_correction(state, actions)
-                if isinstance(state, _FramedTableau):
-                    state.correct(step, actions, outcomes)
-                if merge is not None and reads is not None:
-                    rows = merge(state, j + 1, outcomes, prob)
+                if on_correct is not None:
+                    rows = on_correct(state, j + 1, step, actions, outcomes, prob)
                     if rows is not None:
                         histories += rows - 1
                         if cap is not None and histories > cap:
@@ -346,27 +342,51 @@ def enumerate_branches(
     Pauli frame per record, with BranchCapExceeded raised as soon as that
     history has counted its records. Any other program, and every dense one,
     runs through the depth-first search `_enumerate_dfs` (engine "dfs"). Both
-    report the same rows in the same order.
+    report the same rows in the same order, and `_result` gives both verdicts.
+    A target that does not fit the backend (see `_resolve_target`) raises
+    ValueError before the run.
     """
     tableau = isinstance(input_state, TableauState) if input_state is not None else backend == "tableau"
     if tableau and prob_floor < 0.5:
         start = _start(protocol, backend, input_state)
+        resolved = _resolve_target(protocol, start, target)
         try:
-            return _enumerate_frames(
-                protocol, start, branch_cap, _resolve_target(protocol, backend, target), keep_states
-            )
+            return _enumerate_frames(protocol, start, branch_cap, resolved, keep_states)
         except _NotPauli:
             pass
     return _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
 
 
-def _resolve_target(protocol: Protocol, backend: str, target):
-    """The target state: a PureState, a StabilizerTableau, or None."""
+def _resolve_target(protocol: Protocol, start, target):
+    """The target on the backend of `start`: a PureState on dense states, a
+    TableauState over `system_entries` built from stabilizer generators on the
+    tableau, or None."""
+    tableau = isinstance(start, TableauState)
     if target == "protocol":
-        target = protocol.target_generators if backend == "tableau" else protocol.target
-    if target is not None and not isinstance(target, PureState):  # tableau generators
-        target = StabilizerTableau.from_generators(list(target))
-    return target
+        target = protocol.target_generators if tableau else protocol.target
+    if target is not None and isinstance(target, PureState) == tableau:
+        want = "stabilizer generators" if tableau else "a PureState"
+        raise ValueError(f"the {'tableau' if tableau else 'dense'} backend takes a target as {want}")
+    if target is None or not tableau:
+        return target
+    gens = list(target)
+    if len(gens) != len(protocol.system_entries):
+        raise ValueError(f"{len(gens)} target generators for {len(protocol.system_entries)} system entries")
+    state = TableauState([(site, slot, 2) for site, slot in protocol.system_entries])
+    state.tab = StabilizerTableau.from_generators(gens)
+    return state
+
+
+def _result(reports, agree, reference, finals, engine: str, n_merged=0, merge_error=0.0) -> EnumerationResult:
+    """The one verdict: DETERMINISTIC when every branch agrees with the first
+    (`agree`), the probabilities sum to 1 and every merged row is exact, each
+    within DETERMINISM_TOL."""
+    fids = [r.fidelity for r in reports]
+    mass = sum(r.probability for r in reports)
+    deterministic = bool(agree) and abs(1.0 - mass) <= DETERMINISM_TOL and 2 * merge_error <= DETERMINISM_TOL
+    return EnumerationResult(
+        reports, deterministic, min(fids), max(fids), reference, finals, n_merged, merge_error, engine
+    )
 
 
 def _enumerate_dfs(
@@ -387,26 +407,24 @@ def _enumerate_dfs(
     the same order as the plain DFS, which is the protocol with `reads`
     stripped; 2 * merge_error bounds the fidelity error of a derived row.
     """
-    target = _resolve_target(protocol, backend, target)
+    start = _start(protocol, backend, input_state)
+    target = _resolve_target(protocol, start, target)
 
     def live(state, spec, outcomes):
         probs = state.branch_probabilities(spec.entry, spec.basis)
         return [{"force": k} for k, p in enumerate(probs) if p > prob_floor]
 
-    # tableau states compare by their canonical rows: the first branch's and
-    # the target's are eliminated once, each final once
-    target_rows = target._canonical_rows() if isinstance(target, StabilizerTableau) else None
     reports: List[BranchReport] = []
     finals: List[object] = []
-    reference = reference_rows = None
-    deterministic = True
-    start = _start(protocol, backend, input_state)
+    reference = None
+    agree = True
+    # merge points lie just past declared Corrects, so an undeclared one never merges
     points = _merge_points(protocol.program) if isinstance(start, PureState) else {}
     # (position, live outcomes) -> [register, amplitudes, outcomes, first row, end row]
     memo: Dict[tuple, list] = {}
     n_merged, merge_error = 0, 0.0
 
-    def merge(state, j, outcomes, prob):
+    def merge(state, j, step, actions, outcomes, prob):
         nonlocal n_merged, merge_error
         if j not in points:
             return None
@@ -450,39 +468,17 @@ def _enumerate_dfs(
 
     for state, outcomes, prob in _execute(protocol.program, start, live, branch_cap, merge):
         final = _finalize(state, protocol)
-        dense = isinstance(final, PureState)
-        final_rows = None if dense else final.tab._canonical_rows()
         if reference is None:
-            reference, reference_rows = final, final_rows
-        agree_first = final.fidelity(reference) if dense else _rows_equal(final_rows, reference_rows)
-        if agree_first < 1.0 - DETERMINISM_TOL:
-            deterministic = False
-        if target is None:
-            fid = agree_first
-        elif isinstance(target, PureState):
-            fid = final.fidelity(target) if dense else float("nan")
-        else:
-            fid = _rows_equal(final_rows, target_rows)
-        reports.append(BranchReport(OutcomeRecord(outcomes), prob, float(fid)))
+            reference = final
+        agree_first = final.fidelity(reference)
+        agree = agree and agree_first >= 1.0 - DETERMINISM_TOL
+        fid = agree_first if target is None else final.fidelity(target)
+        reports.append(BranchReport(OutcomeRecord(outcomes), prob, fid))
         if keep_states:
             finals.append(final)
     if not reports:
         raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
-    fids = [r.fidelity for r in reports]
-    mass = sum(r.probability for r in reports)
-    deterministic = (
-        deterministic and abs(1.0 - mass) <= DETERMINISM_TOL and 2 * merge_error <= DETERMINISM_TOL
-    )
-    return EnumerationResult(
-        reports,
-        deterministic,
-        min(fids),
-        max(fids),
-        reference,
-        finals if keep_states else None,
-        n_merged,
-        merge_error,
-    )
+    return _result(reports, agree, reference, finals if keep_states else None, "dfs", n_merged, merge_error)
 
 
 class _NotPauli(Exception):
@@ -564,8 +560,9 @@ class _FramedTableau(TableauState):
             self.bits = np.vstack([np.repeat(self.bits, 2, axis=1), k])
         return bit, p
 
-    def correct(self, step: Correct, actions: List[cx.LocalAction], outcomes) -> None:
-        """Multiply each record's frame by its own correction times the
+    def correct(self, j: int, step: Correct, actions: List[cx.LocalAction], outcomes, prob) -> None:
+        """The `_execute` hook after a Correct (passed unbound, so `self` is the
+        state): multiply each record's frame by its own correction times the
         reference's `actions`; record 0 is the reference, fn runs once for each other."""
         if self.fx is None:
             return
@@ -616,7 +613,10 @@ def _enumerate_frames(
     Raises _NotPauli at a Correct outside the frame rules.
     """
     framed = _FramedTableau(start, branch_cap)
-    _, outcomes, prob = next(_execute(protocol.program, framed, lambda state, spec, outcomes: ({},)))
+    history = _execute(
+        protocol.program, framed, lambda state, spec, outcomes: ({},), on_correct=_FramedTableau.correct
+    )
+    _, outcomes, prob = next(history)
     if framed.n_records > branch_cap:
         raise BranchCapExceeded(f"more than {branch_cap} branches: {framed.n_records} records")
     reference = _finalize(framed, protocol)
@@ -632,12 +632,8 @@ def _enumerate_frames(
     agree = ~flips.any(axis=1)
     if target is None:
         fids = agree.astype(float)
-    elif isinstance(target, PureState):
-        fids = np.full(len(agree), np.nan)
     else:
-        target_rows, target_signs = target._canonical_rows()
-        if target_rows.shape != rows.shape:
-            raise ValueError("qubit count mismatch")
+        target_rows, target_signs = target.tab._canonical_rows()
         diff = (target_signs - signs) % 4
         same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
         fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
@@ -654,12 +650,7 @@ def _enumerate_frames(
             final = reference.clone()
             final.tab.r = ((tab.r + 2 * row) % 4).astype(np.uint8)
             finals.append(final)
-    fid_list = [r.fidelity for r in reports]
-    mass = sum(r.probability for r in reports)
-    deterministic = bool(agree.all()) and abs(1.0 - mass) <= DETERMINISM_TOL
-    return EnumerationResult(
-        reports, deterministic, min(fid_list), max(fid_list), reference, finals, engine="frames"
-    )
+    return _result(reports, agree.all(), reference, finals, "frames")
 
 
 def _merge_points(program: Sequence[Step]) -> Dict[int, FrozenSet[str]]:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import gates
 from .lattice import Lattice
@@ -79,6 +78,8 @@ def _physical_sum(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
 
     One zgemm that conjugates b inside BLAS, so no conjugated d x n copy is made.
     """
+    import scipy.linalg
+
     return scipy.linalg.blas.zgemm(1.0, a_mat.T, b_mat.T, trans_b=2)
 
 
@@ -501,6 +502,8 @@ def gauge_condition_number(t_chain: np.ndarray, gap_tol: float = 1e-8) -> float:
     n = t_chain.shape[0]
     if n == 1:
         return 1.0
+    import scipy.linalg
+
     half_gap = (1.0 - abs(sorted_spectrum(t_chain)[1])) / 2
     t, z, sdim = scipy.linalg.schur(
         t_chain.astype(complex), output="complex", sort=lambda x: abs(x - 1.0) < half_gap

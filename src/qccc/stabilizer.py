@@ -774,6 +774,13 @@ class TableauState:
             other = other.permuted(self.keys)
         return self.tab.states_equal(other.tab)
 
+    def fidelity(self, other: "TableauState") -> float:
+        """1.0 when the states are equal, else 0.0: an equality test, since two
+        distinct stabilizer states may still overlap."""
+        if self.keys != other.keys:
+            raise ValueError("fidelity requires identical registers")
+        return float(self.states_equal(other))
+
 
 def random_stabilizer_tableau(n: int, rng: np.random.Generator, depth: int = 30) -> StabilizerTableau:
     """Random stabilizer state from a random Clifford circuit on |0...0>."""

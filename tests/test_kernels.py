@@ -80,11 +80,18 @@ def ref_embed(op, site, n, d):
     return m
 
 
+def ref_site_operator_basis(d):
+    """All d^2 - 1 nontrivial shift-clock monomials X^a Z^b of one site."""
+    return [
+        gates.shift_x(d, a) @ gates.clock_z(d, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)
+    ]
+
+
 def ref_estimate_range(unitary, lat, tol=1e-9):
     n, d = lat.n_sites, lat.local_dim
     r = 0
     for i in range(n):
-        for op in cx._site_operator_basis(d):
+        for op in ref_site_operator_basis(d):
             evolved = unitary.conj().T @ ref_embed(op, i, n, d) @ unitary
             for j in ref_operator_support(evolved, lat, tol):
                 if j != i:

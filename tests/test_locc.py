@@ -682,3 +682,31 @@ class TestPauliFrames:
         with pytest.raises(BranchCapExceeded, match="records"):
             enumerate_branches(proto, backend="tableau")
         assert time.perf_counter() - t0 < 2.0
+
+
+class TestTargets:
+    """A target must fit the backend that runs, on either engine."""
+
+    def test_dense_target_on_the_tableau_raises(self):
+        # such a target once gave NaN fidelities under a DETERMINISTIC verdict
+        from qccc import locc
+        from qccc.protocols import ghz_state
+
+        for run in (enumerate_branches, locc._enumerate_dfs):
+            with pytest.raises(ValueError, match="stabilizer generators"):
+                run(_ghz(4)[0], backend="tableau", target=ghz_state(4))
+
+    def test_generator_target_on_dense_raises(self):
+        from qccc.protocols import ghz_generators
+
+        with pytest.raises(ValueError, match="a PureState"):
+            enumerate_branches(_ghz(4)[0], target=ghz_generators(4))
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_generator_count_must_match_the_system(self, count):
+        from qccc import locc
+        from qccc.protocols import ghz_generators
+
+        for run in (enumerate_branches, locc._enumerate_dfs):
+            with pytest.raises(ValueError, match="4 system entries"):
+                run(_ghz(4)[0], backend="tableau", target=ghz_generators(count))

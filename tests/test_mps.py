@@ -414,3 +414,19 @@ def _is_swap(spec) -> bool:
         return list(spec) == [("SWAP", (0, 1))]
     dim = math.isqrt(spec.shape[0])
     return dim * dim == spec.shape[0] and np.array_equal(spec, gates.swap_d(dim, dim))
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy is imported by the two mps functions that use it, not by `import qccc`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, qccc; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -373,6 +373,23 @@ class TestTableauState:
         with pytest.raises(ValueError):
             TableauState([(0, "s", 3)])
 
+    def test_fidelity_is_state_equality(self):
+        def bell(keys):
+            ts = TableauState([(site, slot, 2) for site, slot in keys])
+            ts.apply_named("H", [keys[0]])
+            ts.apply_named("CNOT", keys)
+            return ts
+
+        keys = [(0, "s"), (1, "s")]
+        a, b = bell(keys), bell(keys)
+        b.apply_named("H", [keys[1]]).apply_named("H", [keys[1]])  # same state, other rows
+        assert a.fidelity(b) == 1.0
+        assert a.fidelity(b.apply_named("Z", [keys[0]])) == 0.0  # sign of XX flipped
+        with pytest.raises(ValueError, match="identical registers"):
+            a.fidelity(bell(keys[::-1]))
+        with pytest.raises(ValueError, match="identical registers"):
+            a.fidelity(bell([(0, "s"), (2, "s")]))
+
 
 # -- properties of the tableau primitives against dense references ----------------
 
