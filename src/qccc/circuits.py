@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gates
 from .lattice import Lattice, distance
-from .statevector import EntryKey, PureState, QuditRegister, RegionOperator, max_amplitudes
+from .statevector import CapacityError, EntryKey, PureState, QuditRegister, RegionOperator, max_amplitudes
 
 OpSpec = Union[np.ndarray, List[Tuple[str, Tuple[int, ...]]]]
 
@@ -263,7 +263,7 @@ def circuit_unitary(circuit: Circuit, register: List[Tuple[int, str, int]]) -> n
     reg = QuditRegister(register)
     dim = reg.total_dim
     if dim > 2**14:
-        raise ValueError("circuit_unitary capped at total dimension 2^14")
+        raise CapacityError("circuit_unitary capped at total dimension 2^14")
     c = max(2, min(dim, max_amplitudes() // dim))
     ref = QuditRegister(reg.entries() + [(-1, "columns", c)])
     u = np.empty((dim, dim), dtype=complex)
@@ -306,6 +306,8 @@ def _shift_unitary(lat: Lattice) -> np.ndarray:
     """Dense permutation matrix of the left shift on a 1D periodic chain."""
     n, d = lat.n_sites, lat.local_dim
     dim = d**n
+    if dim > 2**14:  # estimate_range's cap, checked before the dim x dim allocation
+        raise CapacityError("shift unitary capped at total dimension 2^14")
     u = np.zeros((dim, dim), dtype=complex)
     for basis in np.ndindex(*(d,) * n):
         src = 0
@@ -376,7 +378,7 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
     d = lat.local_dim
     dim = d**n
     if dim > 2**14:
-        raise ValueError("estimate_range capped at total dimension 2^14")
+        raise CapacityError("estimate_range capped at total dimension 2^14")
     if unitary.shape != (dim, dim):
         raise ValueError("unitary dimension does not match the lattice")
     basis = (gates.shift_x(d), gates.clock_z(d))

@@ -1,9 +1,23 @@
 """Command-line front end: protocol runs, MPS sweeps, diagnostics, reports.
 
-Exit codes: 0 success / certification passed; 1 certification failed,
-protocol error or internal error (a broken invariant, reported on one line);
-2 configuration error; 3 capacity exceeded; 4 non-normal tensor without
---allow-blocks.
+`main` runs every command: it parses the arguments, times the command, sets
+the report's `passed` and `timings.total_s`, and writes the JSON report. Each
+`cmd_x(args, report)` fills in its own fields and returns its exit code: 0 when
+the certification passed, 1 when it failed, 4 for a non-normal tensor without
+--allow-blocks (that report carries an `error` field).
+
+A failure prints one stderr line, never a traceback, and exits through the
+first matching row of `FAILURES`:
+
+  BranchCapExceeded, CapacityError  3  capacity exceeded
+  ProtocolError                     1  protocol error
+  InternalError                     1  internal error (a broken invariant)
+  ValueError, KeyError, OSError     2  configuration error (bad arguments or
+                                       spec, an unreadable input file, an
+                                       unwritable --out)
+  any other exception               1  internal error
+
+A usage error found by argparse exits 2 with argparse's own message.
 
 All sampling commands require an explicit --seed so reports are reproducible;
 identical configurations produce identical reports except for the timing
@@ -16,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +38,7 @@ from . import __version__
 from . import circuits as cx
 from . import gates, mps
 from .lattice import Lattice
-from .locc import BranchCapExceeded, ProtocolError, enumerate_branches, run_sampled
+from .locc import BranchCapExceeded, ProtocolError, _resolve_target, enumerate_branches, run_sampled
 from .stabilizer import InternalError
 from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, pauli_on
 
@@ -32,6 +47,15 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_NOT_NORMAL = 4
+
+# (errors, exit code, stderr label): the first row that matches wins
+FAILURES = (
+    ((BranchCapExceeded, CapacityError), EXIT_CAPACITY, "capacity exceeded"),
+    (ProtocolError, EXIT_FAIL, "protocol error"),
+    (InternalError, EXIT_FAIL, "internal error"),
+    ((ValueError, KeyError, OSError), EXIT_CONFIG, "configuration error"),
+    (Exception, EXIT_FAIL, "internal error"),
+)
 
 
 class ConfigError(ValueError):
@@ -54,31 +78,19 @@ def _write_report(report: dict, out_path):
         print(text)
 
 
-def _base_report(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    return {"version": __version__, "config": cfg, "timings": {}}
-
-
 def _build_protocol(args):
     from . import protocols as P
 
     name = args.protocol
     if name == "ghz":
-        if args.n < 2:
-            raise ConfigError("ghz needs --n >= 2")
         return P.ghz_protocol(args.n)
     if name == "w":
-        if args.n < 2:
-            raise ConfigError("w needs --n >= 2")
         return P.w_protocol(args.n)
     if name == "tc":
-        if args.n < 4 or args.n % 2:
-            raise ConfigError("tc needs even --n >= 4")
         return P.toric_code_protocol(args.n)
     if name == "rg":
         if args.spec:
-            with open(args.spec) as fh:
-                raw = json.load(fh)
+            raw = json.loads(Path(args.spec).read_text())
             spec = P.RGFixedPointSpec(
                 B=int(raw["B"]),
                 alphas=np.array([complex(re, im) for re, im in raw["alphas"]]),
@@ -91,8 +103,6 @@ def _build_protocol(args):
                 bond_dim=int(raw.get("bond_dim", 2)),
             )
         else:
-            if args.n < 2:
-                raise ConfigError("rg needs --n >= 2")
             spec = P.RGFixedPointSpec(
                 2, np.array([1.0, 1.0]) / np.sqrt(2.0), gates.bell_state(2), args.n
             )
@@ -100,9 +110,7 @@ def _build_protocol(args):
     raise ConfigError(f"unknown protocol {name!r}")
 
 
-def cmd_prepare(args) -> int:
-    report = _base_report(args)
-    t0 = time.time()
+def cmd_prepare(args, report: dict) -> int:
     proto, _target = _build_protocol(args)
     if args.backend == "tableau" and not proto.clifford:
         raise ConfigError(f"protocol {proto.name!r} is not Clifford; use --backend dense")
@@ -139,31 +147,22 @@ def cmd_prepare(args) -> int:
             raise ConfigError("sample mode requires --seed")
         state, record = run_sampled(proto, seed=args.seed, backend=args.backend)
         report["outcomes"] = [[t, k] for t, k, _ in record.outcomes]
-        if args.backend == "dense" and proto.target is not None:
-            fid = state.fidelity(proto.target)
-            report["fidelity"] = fid
+        target = _resolve_target(proto, state, "protocol")
+        if target is not None:
+            fid = state.fidelity(target)  # 1.0 or 0.0 on the tableau
+            if args.backend == "dense":
+                report["fidelity"] = fid
+            else:
+                report["stabilizer_match"] = fid == 1.0
             ok = fid >= 1 - 1e-9
-        elif args.backend == "tableau" and proto.target_generators is not None:
-            from .stabilizer import StabilizerTableau
-
-            tgt = StabilizerTableau.from_generators(proto.target_generators)
-            match = state.tab.states_equal(tgt)
-            report["stabilizer_match"] = match
-            ok = match
-    report["passed"] = bool(ok)
-    report["timings"]["total_s"] = time.time() - t0
-    _write_report(report, args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_mps(args) -> int:
-    report = _base_report(args)
-    t0 = time.time()
+def cmd_mps(args, report: dict) -> int:
     if args.fixture:
         tensor = mps.fixture(args.fixture)
     elif args.file:
-        with open(args.file) as fh:
-            tensor = mps.MPS.load(fh.read())
+        tensor = mps.MPS.load(Path(args.file).read_text())
     else:
         raise ConfigError("provide --fixture or --file")
     cf = mps.canonicalize(tensor)
@@ -172,15 +171,12 @@ def cmd_mps(args) -> int:
     ]
     if cf.reducible and not args.allow_blocks:
         report["error"] = "tensor is not normal; rerun with --allow-blocks"
-        _write_report(report, args.out)
         return EXIT_NOT_NORMAL
     qs = [int(x) for x in args.q_list.split(",")] if args.q_list else []
     if qs and not cf.reducible:
-        sweeps = []
-        for q in qs:
-            rep = mps.bound_report(cf.blocks[0][1], q, args.m_sites)
-            sweeps.append(rep.to_dict())
-        report["bound_sweep"] = sweeps
+        report["bound_sweep"] = [
+            mps.bound_report(cf.blocks[0][1], q, args.m_sites).to_dict() for q in qs
+        ]
     # a deficit above its envelope fails the run; a vacuous bound (None) does not
     ok = all(row["envelope_holds"] is not False for row in report.get("bound_sweep", []))
     if args.pipeline:
@@ -206,24 +202,19 @@ def cmd_mps(args) -> int:
             and out.deterministic
             and out.min_fidelity >= 1 - max(res.report.epsilon_q, 1e-9)
         )
-    report["passed"] = bool(ok)
-    report["timings"]["total_s"] = time.time() - t0
-    _write_report(report, args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args, report: dict) -> int:
     from . import diagnostics as dg
     from . import protocols as P
 
-    report = _base_report(args)
-    t0 = time.time()
     ok = True
     if args.check == "prop1":
         n = args.n
         lat = Lattice((n,))
         if args.state_in:
-            state = PureState.load(open(args.state_in).read())
+            state = PureState.load(Path(args.state_in).read_text())
             n = state.register.size
             lat = Lattice((n,))
             op_a = pauli_on((args.site_a, "s"), args.op_a)
@@ -260,11 +251,10 @@ def cmd_diagnose(args) -> int:
         report["arealaw"] = rep.to_dict()
         report["rank_tol"] = args.rank_tol
         ok = rep.passes
-    elif args.check == "cj":
-        if args.target == "ghz":
-            cj = dg.ghz_unitary_cj(args.n)
-        else:
+    else:  # cj
+        if args.target != "ghz":
             raise ConfigError("cj targets: ghz")
+        cj = dg.ghz_unitary_cj(args.n)
         table_ok = dg.verify_clifford_table(cj)
         report["clifford_table"] = table_ok
         rng = np.random.default_rng(args.seed or 1)
@@ -287,43 +277,27 @@ def cmd_diagnose(args) -> int:
         report["deterministic"] = det
         report["min_fidelity"] = minf
         ok = table_ok and det is not False
-    else:
-        raise ConfigError(f"unknown check {args.check!r}")
-    report["passed"] = bool(ok)
-    report["timings"]["total_s"] = time.time() - t0
-    _write_report(report, args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_range(args) -> int:
-    report = _base_report(args)
-    t0 = time.time()
+def cmd_range(args, report: dict) -> int:
     lat = Lattice((args.n,), local_dim=args.d)
     if args.shift:
-        circuit = cx.build_shift_circuit(lat)
         u = cx._shift_unitary(lat)
-        r = cx.estimate_range(u, lat)
         report["operator"] = "shift"
     else:
         if args.seed is None:
             raise ConfigError("random circuits require --seed")
         rng = np.random.default_rng(args.seed)
         circuit = cx._random_circuit(lat, args.depth, rng)
-        reg = [(i, "s", lat.local_dim) for i in range(lat.n_sites)]
-        u = cx.circuit_unitary(circuit, reg)
-        r = cx.estimate_range(u, lat)
+        u = cx.circuit_unitary(circuit, [(i, "s", lat.local_dim) for i in range(lat.n_sites)])
         report["operator"] = f"random depth-{args.depth} circuit"
         report["depth"] = args.depth
-    report["range"] = r
-    report["passed"] = True
-    report["timings"]["total_s"] = time.time() - t0
-    _write_report(report, args.out)
+    report["range"] = cx.estimate_range(u, lat)
     return EXIT_OK
 
 
-def cmd_shift(args) -> int:
-    report = _base_report(args)
-    t0 = time.time()
+def cmd_shift(args, report: dict) -> int:
     lat = Lattice((args.n,), local_dim=args.d)
     circuit = cx.build_shift_circuit(lat)
     report["depth"] = circuit.depth()
@@ -343,9 +317,6 @@ def cmd_shift(args) -> int:
             break
         checked += 1
     report["basis_states_checked"] = checked
-    report["passed"] = bool(ok)
-    report["timings"]["total_s"] = time.time() - t0
-    _write_report(report, args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -413,28 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    report = {"version": __version__, "config": cfg, "timings": {}}
+    t0 = time.time()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CapacityError, BranchCapExceeded) as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        code = args.func(args, report)
+        report["passed"] = code == EXIT_OK
+        report["timings"]["total_s"] = time.time() - t0
+        _write_report(report, args.out)
+    except Exception as exc:
+        code, label = next((c, label) for errors, c, label in FAILURES if isinstance(exc, errors))
+        print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import gates
 from .lattice import Lattice
 from .protocols import _fixed_point_protocol, _polished_columns
-from .statevector import PureState, QuditRegister, max_amplitudes
+from .statevector import CapacityError, PureState, QuditRegister, max_amplitudes
 
 SPECTRAL_TOL = 1e-9
 RANK_TOL = 1e-9
@@ -279,7 +279,7 @@ def block(mps: MPS, q: int) -> MPS:
         raise ValueError("q must be >= 1")
     d, chi = mps.d, mps.chi
     if (d**q) * chi * chi > BLOCK_CAP:
-        raise ValueError(f"blocked tensor would exceed the cap ({d}^{q} x {chi}^2)")
+        raise CapacityError(f"blocked tensor would exceed the cap ({d}^{q} x {chi}^2)")
     return MPS(_chain_power(mps.tensor, q), normal=mps.normal)
 
 
@@ -432,7 +432,7 @@ def state_from_mps(mps: MPS, n: int, normalize: bool = True) -> PureState:
     """Dense chain state sum tr(A^{s_1} ... A^{s_n}) |s_1 ... s_n>."""
     d, chi = mps.d, mps.chi
     if d**n > max_amplitudes():
-        raise ValueError("dense expansion exceeds the amplitude cap")
+        raise CapacityError("dense expansion exceeds the amplitude cap")
     # tr(L[x] R[y]) for the left n - n//2 and the right n//2 sites: one gemm
     left = _chain_power(mps.tensor, n - n // 2)
     if n == 1:
@@ -475,20 +475,7 @@ class BoundReport:
     envelope_holds: Optional[bool]  # None when epsilon_q >= 1 (bound vacuous)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "q": self.q,
-            "m_sites": self.m_sites,
-            "gamma_q": self.gamma_q,
-            "c_v": self.c_v,
-            "lambda_q": self.lambda_q,
-            "c_q": self.c_q,
-            "ctilde_q": self.ctilde_q,
-            "epsilon_q": self.epsilon_q,
-            "delta_q": self.delta_q,
-            "measured_deficit": self.measured_deficit,
-            "envelope_holds": self.envelope_holds,
-        }
+        return asdict(self)
 
 
 def gauge_condition_number(t_chain: np.ndarray, gap_tol: float = 1e-8) -> float:

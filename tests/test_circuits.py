@@ -4,7 +4,7 @@ import pytest
 from qccc import gates
 from qccc import circuits as cx
 from qccc.lattice import Lattice
-from qccc.statevector import PureState, QuditRegister
+from qccc.statevector import CapacityError, PureState, QuditRegister
 
 
 def qreg(n, d=2):
@@ -221,7 +221,7 @@ class TestRange:
 
     def test_capacity(self):
         lat = Lattice((15,))
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             cx.estimate_range(np.eye(2, dtype=complex), lat)
 
 

@@ -13,6 +13,8 @@ from qccc.cli import (
     _write_report,
     main,
 )
+from qccc.locc import BranchCapExceeded, ProtocolError
+from qccc.stabilizer import InternalError
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -32,10 +34,6 @@ class TestPrepare:
         assert rep["n_branches"] == 32
         assert rep["min_fidelity"] > 1 - 1e-9
         assert rep["depth"] == 2
-
-    def test_tc_odd_n_config_error(self, tmp_path):
-        code = main(["prepare", "--protocol", "tc", "--n", "3"])
-        assert code == EXIT_CONFIG
 
     def test_w4_sampled(self, tmp_path):
         code, rep = run_cli(
@@ -102,11 +100,6 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert code == EXIT_FAIL
         assert err == "internal error: no stabilizer acts on the qubit\n"
-
-    def test_capacity_exit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", "4096")
-        code = main(["prepare", "--protocol", "ghz", "--n", "16", "--mode", "enumerate"])
-        assert code == EXIT_CAPACITY
 
     def test_report_deterministic_given_seed(self, tmp_path):
         _, rep1 = run_cli(
@@ -285,6 +278,64 @@ class TestRangeAndShift:
     def test_shift_qutrits(self, tmp_path):
         code, rep = run_cli(["shift", "--n", "3", "--d", "3"], tmp_path)
         assert code == EXIT_OK and rep["basis_states_checked"] == 27
+
+
+class TestFailures:
+    """Every failure exits through one row of the failure table with one
+    stderr line and no traceback."""
+
+    RG = ["prepare", "--protocol", "rg", "--n", "3", "--spec"]
+    CASES = {
+        "tc_odd_n": (["prepare", "--protocol", "tc", "--n", "3"], None, EXIT_CONFIG),
+        "ghz_n1": (["prepare", "--protocol", "ghz", "--n", "1"], None, EXIT_CONFIG),
+        "bad_json": (RG + ["bad.json"], None, EXIT_CONFIG),
+        "missing_key": (RG + ["no_key.json"], None, EXIT_CONFIG),
+        "missing_spec": (RG + ["missing.json"], None, EXIT_CONFIG),
+        "spec_is_a_directory": (RG + ["."], None, EXIT_CONFIG),
+        "missing_file": (["mps", "--file", "missing.json"], None, EXIT_CONFIG),
+        "missing_in": (["diagnose", "--check", "prop1", "--in", "missing.json"], None, EXIT_CONFIG),
+        "out_in_missing_dir": (["shift", "--n", "3", "--out", "missing/r.json"], None, EXIT_CONFIG),
+        "unitary_cap": (["range", "--n", "20", "--seed", "1"], None, EXIT_CAPACITY),
+        "shift_unitary_cap": (["range", "--shift", "--n", "15"], None, EXIT_CAPACITY),
+        "block_cap": (["mps", "--fixture", "cluster", "--q-list", "30"], None, EXIT_CAPACITY),
+        "amplitude_cap": (["prepare", "--protocol", "ghz", "--n", "16"], "4096", EXIT_CAPACITY),
+    }
+    LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_path(self, case, tmp_path, monkeypatch, capsys):
+        argv, max_amplitudes, expected = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "no_key.json").write_text(json.dumps({"alphas": [[1, 0]], "bond_state": [[1, 0]]}))
+        if max_amplitudes:
+            monkeypatch.setenv("QCCC_MAX_AMPLITUDES", max_amplitudes)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == expected
+        assert err.startswith(self.LABELS[expected]) and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "exc, expected, line",
+        [
+            (BranchCapExceeded("cap"), EXIT_CAPACITY, "capacity exceeded: cap"),
+            (ProtocolError("bad record"), EXIT_FAIL, "protocol error: bad record"),
+            (InternalError("broken"), EXIT_FAIL, "internal error: broken"),
+            (KeyError("B"), EXIT_CONFIG, "configuration error: 'B'"),
+            (ZeroDivisionError("two\nlines"), EXIT_FAIL, "internal error: two lines"),
+        ],
+        ids=["branch_cap", "protocol", "internal", "key", "other"],
+    )
+    def test_table_rows(self, exc, expected, line, monkeypatch, capsys):
+        from qccc import cli
+
+        def fail(args, report):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_shift", fail)
+        assert main(["shift"]) == expected
+        assert capsys.readouterr().err == line + "\n"
 
 
 class TestGoldenState:

@@ -8,6 +8,7 @@ from qccc import gates
 from qccc import mps as M
 from qccc.locc import enumerate_branches, run_sampled
 from qccc.mps import _sqrt_psd
+from qccc.statevector import CapacityError
 
 
 class TestCanonicalForm:
@@ -98,7 +99,7 @@ class TestBlocking:
             assert abs(abs(vq[1]) - abs(v1[1]) ** q) < 1e-8, i
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             M.block(M.aklt_mps(), 40)
 
 
