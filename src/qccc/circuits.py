@@ -289,7 +289,7 @@ def build_shift_circuit(lat: Lattice, slot: str = "shift") -> Circuit:
         raise ValueError("shift circuit requires a 1D periodic lattice")
     n = lat.n_sites
     d = lat.local_dim
-    swap = gates.swap_d(d, d)
+    swap = [("SWAP", (0, 1))]
     adds = LocalLayer([add_ancilla(j, slot, d) for j in range(n)])
     even = GateLayer(
         [Gate(((j, "s"), ((j - 1) % n, slot)), swap) for j in range(0, n, 2)]

@@ -78,6 +78,14 @@ def _write_report(report: dict, out_path):
         print(text)
 
 
+def _complex_pairs(rows, name: str) -> np.ndarray:
+    """A spec field that lists complex numbers as [re, im] pairs."""
+    try:
+        return np.array([complex(re, im) for re, im in rows])
+    except TypeError:
+        raise ConfigError(f"spec field {name!r} must be a list of [re, im] pairs") from None
+
+
 def _build_protocol(args):
     from . import protocols as P
 
@@ -91,13 +99,15 @@ def _build_protocol(args):
     if name == "rg":
         if args.spec:
             raw = json.loads(Path(args.spec).read_text())
+            if not isinstance(raw, dict):
+                raise ConfigError("an RG spec must be a JSON object")
             spec = P.RGFixedPointSpec(
                 B=int(raw["B"]),
-                alphas=np.array([complex(re, im) for re, im in raw["alphas"]]),
+                alphas=_complex_pairs(raw["alphas"], "alphas"),
                 bond_states=(
-                    [np.array([complex(re, im) for re, im in b]) for b in raw["bond_states"]]
+                    [_complex_pairs(b, "bond_states") for b in raw["bond_states"]]
                     if "bond_states" in raw
-                    else np.array([complex(re, im) for re, im in raw["bond_state"]])
+                    else _complex_pairs(raw["bond_state"], "bond_state")
                 ),
                 N=int(raw.get("N", args.n)),
                 bond_dim=int(raw.get("bond_dim", 2)),

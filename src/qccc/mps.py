@@ -291,7 +291,6 @@ class FixedPointData:
     rho: np.ndarray  # right fixed point (PSD, trace-normalized against sigma)
     sigma: np.ndarray  # left fixed point (PSD)
     tau_bb_chain: np.ndarray
-    tau_bb_io: np.ndarray
     b_tilde: np.ndarray
     bond_matrix: np.ndarray  # sqrt(sigma) sqrt(rho), indexed (right leg, left leg)
 
@@ -334,10 +333,9 @@ def fixed_point_data(rho: np.ndarray, sigma: np.ndarray) -> FixedPointData:
     a = rho.reshape(-1)
     b = sigma.reshape(-1)
     tau_bb_chain = np.outer(a, b.conj())
-    tau_bb_io = np.kron(rho.conj(), sigma)
     b_tilde = np.kron(_sqrt_psd(rho).conj(), _sqrt_psd(sigma))
     bond = _sqrt_psd(sigma) @ _sqrt_psd(rho)
-    return FixedPointData(rho, sigma, tau_bb_chain, tau_bb_io, b_tilde, bond)
+    return FixedPointData(rho, sigma, tau_bb_chain, b_tilde, bond)
 
 
 @dataclass
@@ -406,11 +404,17 @@ def fidelity_deficit(a: MPS, b: MPS, m_sites: int) -> float:
 
 
 def deficit_via_transfer_only(mps: MPS, q: int, m_sites: int, rank_cutoff: float = 1e-10) -> float:
-    """Measured deficit at blocking q without materializing the d^q tensor.
+    """|<psi_M|phi_M> - 1| at blocking q from chi^2-sized matrices alone.
 
-    Uses tau_AB = A~ B~ (valid when tau_AA is full rank, i.e. the blocked map
-    is injective) with all objects chi^2-sized.
+    Equals fidelity_deficit(block(mps, q), rg_fixed_point_tensor(block(mps, q)).b,
+    m_sites) without building the d^q blocked tensor: tau_AA is T^q re-paired
+    and tau_AB = A~ B~. Raises ValueError where rg_fixed_point_tensor does: when
+    the blocked tau_AA is rank-deficient (the blocked map is not injective).
     """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if m_sites < 2:
+        raise ValueError("need at least two blocked sites")
     t = transfer_matrix(mps)
     tau_aa_io = chain_from_io(np.linalg.matrix_power(t, q))
     w = np.linalg.eigvalsh((tau_aa_io + tau_aa_io.conj().T) / 2)
@@ -510,23 +514,22 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
     """All analytic envelope factors plus the measured deficit at (q, M).
 
     `envelope_holds` is False when the measured deficit exceeds the envelope;
-    the report says so and leaves the verdict to the caller.
+    the report says so and leaves the verdict to the caller. The measured
+    deficit comes from deficit_via_transfer_only at every q, so nothing
+    d^q-sized is built and no q is too large to report.
     """
-    a = mps.tensor
     chi = mps.chi
-    t = transfer_matrix(a)
+    t = transfer_matrix(mps)
     vals = sorted_spectrum(t)
     if abs(vals[0] - 1.0) > 1e-7:
         raise ValueError("tensor must be canonically scaled")
     lam1 = abs(vals[1]) if (chi > 1 and len(vals) > 1) else 0.0
-    if lam1 < 1e-14:
-        # zero correlation length: already a fixed point after any blocking
-        blocked = block(mps, q)
-        fp = rg_fixed_point_tensor(blocked)
-        measured = fidelity_deficit(blocked, fp.b, m_sites)
-        return BoundReport(math.inf, q, m_sites, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, measured, True)
     if lam1 > 1 - SPECTRAL_TOL:
         raise ValueError("no spectral gap; tensor not normal")
+    measured = deficit_via_transfer_only(mps, q, m_sites)
+    if lam1 < 1e-14:
+        # zero correlation length: already a fixed point after any blocking
+        return BoundReport(math.inf, q, m_sites, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, measured, True)
     alpha = -math.log(lam1)
     c_v = gauge_condition_number(t)
     rho, sigma = transfer_fixed_points(t)
@@ -539,12 +542,6 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
     ctilde_q = max(1.0, tau_bb_norm) * c_q
     epsilon_q = ctilde_q * m_sites * math.exp(-alpha * q / 2)
     delta_q = epsilon_q / m_sites
-    if (mps.d**q) * chi * chi <= BLOCK_CAP:
-        blocked = block(mps, q)
-        fp = rg_fixed_point_tensor(blocked)
-        measured = fidelity_deficit(blocked, fp.b, m_sites)
-    else:
-        measured = deficit_via_transfer_only(mps, q, m_sites)
     envelope: Optional[bool] = None
     if epsilon_q < 1.0:
         # floating-point deficits saturate around 1e-10; keep the envelope
@@ -692,12 +689,14 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     d = mps.d
     cf = canonicalize(mps)
     r = len(cf.blocks)
-    mus = np.array([mu for mu, _ in cf.blocks])
-    fps: List[RGFixedPointTensor] = []
-    for _, blk in cf.blocks:
-        fps.append(rg_fixed_point_tensor(block(blk, q)))
     chis = [blk.chi for _, blk in cf.blocks]
     bond_d = max(chis)
+    dq = d**q
+    width = r * bond_d * bond_d * dq
+    if width * width > max_amplitudes():
+        raise CapacityError(f"the {width} x {width} writer would exceed the amplitude cap")
+    mus = np.array([mu for mu, _ in cf.blocks])
+    fps = [rg_fixed_point_tensor(block(blk, q)) for _, blk in cf.blocks]
 
     weights = mus.astype(complex) ** n_sites
     alphas = weights / np.linalg.norm(weights)
@@ -712,12 +711,11 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     # sites to |0, 0, 0> and column (i, j) of block k's isometry; a register
     # that takes no part counts as dimension 1
     wcols: Dict[int, np.ndarray] = {}
-    dq = d**q
     for k in range(r):
         chi_k = chis[k]
         for i in range(chi_k):
             for j in range(chi_k):
-                vec = np.zeros(r * bond_d * bond_d * dq, dtype=complex)
+                vec = np.zeros(width, dtype=complex)
                 vec[:dq] = fps[k].isometry[:, i * chi_k + j]
                 wcols[((k * bond_d + i) * bond_d + j) * dq] = vec
     wcols, writer_defect = _polished_columns(wcols)
@@ -735,20 +733,6 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
         writer,
         target,
     )
-    # aggregate bound data: worst block
-    reports = []
-    for (mu, blk) in cf.blocks:
-        if blk.chi == 1:
-            continue
-        reports.append(bound_report(blk, q, m_sites))
-    if reports:
-        worst = max(reports, key=lambda rep: rep.epsilon_q)
-    else:
-        measured = sum(
-            abs(alphas[k]) ** 2 * fidelity_deficit(block(cf.blocks[k][1], q), fps[k].b, m_sites)
-            for k in range(r)
-        )
-        worst = BoundReport(
-            math.inf, q, m_sites, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(measured), True
-        )
+    # aggregate bound data: the worst block (the first of equals)
+    worst = max((bound_report(blk, q, m_sites) for _, blk in cf.blocks), key=lambda rep: rep.epsilon_q)
     return PipelineResult(proto, worst, alphas, chis, writer_defect, proto.depth())

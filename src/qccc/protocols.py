@@ -187,7 +187,7 @@ def w_protocol(n: int) -> Tuple[Protocol, PureState]:
             layers.append(cx.LocalLayer([cx.local_op([(i, "ar"), hop_target], list(pair_gate))]))
         token_ops: List[cx.LocalAction] = []
         if i > 0:
-            token_ops.append(cx.local_op([(i, "al"), (i, "s")], gates.swap_d(2, 2)))
+            token_ops.append(cx.local_op([(i, "al"), (i, "s")], [("SWAP", (0, 1))]))
         token_ops.append(cx.local_op([(i, "al"), (i, "s")], _w_split_gate(zs[i])))
         layers.append(cx.LocalLayer(token_ops))
         program.append(ApplyLayers(layers))
@@ -320,7 +320,7 @@ def _conveyor(n: int, src: EntryKey, dst: EntryKey, dim: int) -> List[cx.Layer]:
     step = 1 if (t - s) % n <= (s - t) % n else -1
     hops = ((t - s) * step) % n
     chain = [src] + [((s + h * step) % n, "hop") for h in range(1, hops)] + [dst]
-    swap = gates.swap_d(dim, dim)
+    swap = [("SWAP", (0, 1))]
     return (
         [cx.LocalLayer([cx.add_ancilla(site, slot, dim) for site, slot in chain[1:]])]
         + [cx.GateLayer([cx.Gate((a, b), swap)]) for a, b in zip(chain, chain[1:])]

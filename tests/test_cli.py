@@ -215,6 +215,12 @@ class TestMps:
         assert rep["pipeline"]["n_merged"] == direct.n_merged
         assert rep["pipeline"]["merge_error"] == direct.merge_error
 
+    def test_bound_sweep_blocks_nothing(self, tmp_path):
+        # q = 30 would be a 2^30 x 4 blocked tensor; the deficit needs only T^30
+        code, rep = run_cli(["mps", "--fixture", "cluster", "--q-list", "30"], tmp_path)
+        assert code == EXIT_OK
+        assert rep["bound_sweep"][0]["measured_deficit"] < 1e-12
+
     def test_file_input(self, tmp_path):
         from qccc import mps as M
 
@@ -297,7 +303,13 @@ class TestFailures:
         "out_in_missing_dir": (["shift", "--n", "3", "--out", "missing/r.json"], None, EXIT_CONFIG),
         "unitary_cap": (["range", "--n", "20", "--seed", "1"], None, EXIT_CAPACITY),
         "shift_unitary_cap": (["range", "--shift", "--n", "15"], None, EXIT_CAPACITY),
-        "block_cap": (["mps", "--fixture", "cluster", "--q-list", "30"], None, EXIT_CAPACITY),
+        "pipeline_writer_cap": (
+            ["mps", "--fixture", "aklt", "--pipeline", "--q", "8", "--n", "16"],
+            None,
+            EXIT_CAPACITY,
+        ),
+        "spec_is_a_list": (RG + ["list.json"], None, EXIT_CONFIG),
+        "spec_alphas_not_pairs": (RG + ["not_pairs.json"], None, EXIT_CONFIG),
         "amplitude_cap": (["prepare", "--protocol", "ghz", "--n", "16"], "4096", EXIT_CAPACITY),
     }
     LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
@@ -308,6 +320,8 @@ class TestFailures:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "no_key.json").write_text(json.dumps({"alphas": [[1, 0]], "bond_state": [[1, 0]]}))
+        (tmp_path / "list.json").write_text(json.dumps([1, 2]))
+        (tmp_path / "not_pairs.json").write_text(json.dumps({"B": 2, "alphas": [1, 0], "bond_state": [[1, 0]]}))
         if max_amplitudes:
             monkeypatch.setenv("QCCC_MAX_AMPLITUDES", max_amplitudes)
         code = main(argv)

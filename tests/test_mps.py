@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -162,13 +163,32 @@ class TestDeficit:
         assert M.fidelity_deficit(p2, p2, 4) < 1e-12
 
     def test_transfer_only_route(self):
-        aklt = M.aklt_mps()
-        for q in (2, 4, 6):
-            bq = M.block(aklt, q)
-            fp = M.rg_fixed_point_tensor(bq)
-            d1 = M.fidelity_deficit(bq, fp.b, 4)
-            d2 = M.deficit_via_transfer_only(aklt, q, 4)
-            assert abs(d1 - d2) < 1e-10 * max(1, d1)
+        # bound_report's chi^2-sized deficit equals the one read off the
+        # blocked tensor and its fixed point, and both refuse the same q:
+        # those where d^q < chi^2 leaves the blocked tau_AA rank-deficient
+        rng = np.random.default_rng(5)
+        cases = [
+            ("aklt", M.aklt_mps(), range(1, 13)),
+            ("cluster", M.canonicalize(M.cluster_mps()).blocks[0][1], range(1, 7)),
+            ("product", M.product_mps(), range(1, 5)),
+        ] + [
+            (f"random{d}x{chi}", M.random_normal_mps(d, chi, rng), range(1, 7))
+            for d, chi in [(2, 2), (3, 2), (2, 3), (4, 3)]
+        ]
+        for name, tensor, qs in cases:
+            for q in qs:
+                bq = M.block(tensor, q)
+                if tensor.d**q < tensor.chi**2:
+                    with pytest.raises(ValueError):
+                        M.rg_fixed_point_tensor(bq)
+                    with pytest.raises(ValueError):
+                        M.bound_report(tensor, q, 4)
+                    continue
+                fp = M.rg_fixed_point_tensor(bq)
+                for m_sites in (2, 6):
+                    d1 = M.fidelity_deficit(bq, fp.b, m_sites)
+                    d2 = M.bound_report(tensor, q, m_sites).measured_deficit
+                    assert abs(d1 - d2) < 1e-13, (name, q, m_sites)
 
 
 class TestStateFromMPS:
@@ -347,6 +367,13 @@ class TestPipeline:
         assert res.protocol.validate_circuit() == []
         res2 = M.preparation_pipeline(M.ghz_mps(), 2, 6)
         assert res2.protocol.validate_circuit() == []
+
+    def test_writer_cap_before_the_work(self):
+        # AKLT q=8 needs a 26,244 x 26,244 writer: refused before any block is built
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError):
+            M.preparation_pipeline(M.aklt_mps(), 8, 16)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_indivisible_length_rejected(self):
         with pytest.raises(ValueError):
