@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gates
 from .lattice import Lattice, distance
-from .statevector import CapacityError, EntryKey, PureState, QuditRegister, RegionOperator, max_amplitudes
+from .statevector import EntryKey, PureState, QuditRegister, RegionOperator, check_amplitudes
 
 OpSpec = Union[np.ndarray, List[Tuple[str, Tuple[int, ...]]]]
 
@@ -254,25 +254,17 @@ def run(circuit: Circuit, state):
 
 
 def circuit_unitary(circuit: Circuit, register: List[Tuple[int, str, int]]) -> np.ndarray:
-    """Dense unitary of a circuit without add/remove actions (small registers).
+    """Dense unitary of a circuit over `register` (ancillas it adds, it removes).
 
-    One run takes c basis columns at once: a reference entry of dimension c
-    holds the column index, so the state starts as c columns of the identity
-    and ends as c columns of U, with c * dim within max_amplitudes().
+    One run takes every basis column: a reference entry of dimension dim holds
+    the column index, so the state starts as the identity and ends as U. The
+    register refuses dim^2 amplitudes above the cap before np.eye allocates.
     """
-    reg = QuditRegister(register)
-    dim = reg.total_dim
-    if dim > 2**14:
-        raise CapacityError("circuit_unitary capped at total dimension 2^14")
-    c = max(2, min(dim, max_amplitudes() // dim))
-    ref = QuditRegister(reg.entries() + [(-1, "columns", c)])
-    u = np.empty((dim, dim), dtype=complex)
-    for start in range(0, dim, c):
-        start = min(start, dim - c)  # the last run may overlap the one before
-        st = PureState(ref, np.eye(dim, c, -start, dtype=complex), norm_tol=np.inf)
-        run(circuit, st)
-        u[:, start : start + c] = st.amps.reshape(dim, c)
-    return u
+    dim = QuditRegister(register).total_dim
+    ref = QuditRegister(list(register) + [(-1, "columns", dim)])
+    st = PureState(ref, np.eye(dim, dtype=complex), norm_tol=np.inf)
+    run(circuit, st)
+    return st.amps.reshape(dim, dim)
 
 
 # -- the shift construction ------------------------------------------------------
@@ -306,18 +298,10 @@ def _shift_unitary(lat: Lattice) -> np.ndarray:
     """Dense permutation matrix of the left shift on a 1D periodic chain."""
     n, d = lat.n_sites, lat.local_dim
     dim = d**n
-    if dim > 2**14:  # estimate_range's cap, checked before the dim x dim allocation
-        raise CapacityError("shift unitary capped at total dimension 2^14")
+    check_amplitudes(dim * dim, "the shift unitary")
+    digits = np.indices((d,) * n).reshape(n, dim)
     u = np.zeros((dim, dim), dtype=complex)
-    for basis in np.ndindex(*(d,) * n):
-        src = 0
-        for i in range(n):
-            src = src * d + basis[i]
-        shifted = tuple(basis[(i + 1) % n] for i in range(n))
-        dst = 0
-        for i in range(n):
-            dst = dst * d + shifted[i]
-        u[dst, src] = 1.0
+    u[np.ravel_multi_index(np.roll(digits, -1, axis=0), (d,) * n), np.arange(dim)] = 1.0
     return u
 
 
@@ -377,8 +361,7 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
     n = lat.n_sites
     d = lat.local_dim
     dim = d**n
-    if dim > 2**14:
-        raise CapacityError("estimate_range capped at total dimension 2^14")
+    check_amplitudes(dim * dim, "estimate_range")
     if unitary.shape != (dim, dim):
         raise ValueError("unitary dimension does not match the lattice")
     basis = (gates.shift_x(d), gates.clock_z(d))

@@ -21,7 +21,9 @@ A usage error found by argparse exits 2 with argparse's own message.
 
 All sampling commands require an explicit --seed so reports are reproducible;
 identical configurations produce identical reports except for the timing
-fields. The dense amplitude cap can be overridden with QCCC_MAX_AMPLITUDES.
+fields. QCCC_MAX_AMPLITUDES (default 2^27) bounds every dense array, checked
+before it is allocated: registers, dim^2 unitaries, blocked tensors and the
+pipeline writer. Qubit `qccc range` reaches n = 13 at the default cap.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def _complex_pairs(rows, name: str) -> np.ndarray:
         raise ConfigError(f"spec field {name!r} must be a list of [re, im] pairs") from None
 
 
+def _int_field(value, name: str) -> int:
+    """A spec field that must be a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"spec field {name!r} must be an integer")
+    return value
+
+
 def _build_protocol(args):
     from . import protocols as P
 
@@ -102,15 +111,15 @@ def _build_protocol(args):
             if not isinstance(raw, dict):
                 raise ConfigError("an RG spec must be a JSON object")
             spec = P.RGFixedPointSpec(
-                B=int(raw["B"]),
+                B=_int_field(raw["B"], "B"),
                 alphas=_complex_pairs(raw["alphas"], "alphas"),
                 bond_states=(
                     [_complex_pairs(b, "bond_states") for b in raw["bond_states"]]
                     if "bond_states" in raw
                     else _complex_pairs(raw["bond_state"], "bond_state")
                 ),
-                N=int(raw.get("N", args.n)),
-                bond_dim=int(raw.get("bond_dim", 2)),
+                N=_int_field(raw.get("N", args.n), "N"),
+                bond_dim=_int_field(raw.get("bond_dim", 2), "bond_dim"),
             )
         else:
             spec = P.RGFixedPointSpec(

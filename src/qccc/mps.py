@@ -25,11 +25,10 @@ import numpy as np
 from . import gates
 from .lattice import Lattice
 from .protocols import _fixed_point_protocol, _polished_columns
-from .statevector import CapacityError, PureState, QuditRegister, max_amplitudes
+from .statevector import PureState, QuditRegister, check_amplitudes, max_amplitudes
 
 SPECTRAL_TOL = 1e-9
 RANK_TOL = 1e-9
-BLOCK_CAP = 2**22
 
 
 @dataclass
@@ -278,8 +277,7 @@ def block(mps: MPS, q: int) -> MPS:
     if q < 1:
         raise ValueError("q must be >= 1")
     d, chi = mps.d, mps.chi
-    if (d**q) * chi * chi > BLOCK_CAP:
-        raise CapacityError(f"blocked tensor would exceed the cap ({d}^{q} x {chi}^2)")
+    check_amplitudes(d**q * chi * chi, f"the {d}^{q} x {chi}^2 blocked tensor")
     return MPS(_chain_power(mps.tensor, q), normal=mps.normal)
 
 
@@ -435,8 +433,7 @@ def deficit_via_transfer_only(mps: MPS, q: int, m_sites: int, rank_cutoff: float
 def state_from_mps(mps: MPS, n: int, normalize: bool = True) -> PureState:
     """Dense chain state sum tr(A^{s_1} ... A^{s_n}) |s_1 ... s_n>."""
     d, chi = mps.d, mps.chi
-    if d**n > max_amplitudes():
-        raise CapacityError("dense expansion exceeds the amplitude cap")
+    reg = QuditRegister([(i, "s", d) for i in range(n)])
     # tr(L[x] R[y]) for the left n - n//2 and the right n//2 sites: one gemm
     left = _chain_power(mps.tensor, n - n // 2)
     if n == 1:
@@ -444,7 +441,6 @@ def state_from_mps(mps: MPS, n: int, normalize: bool = True) -> PureState:
     else:
         right = _chain_power(mps.tensor, n // 2)
         amps = left.reshape(left.shape[0], chi * chi) @ right.transpose(2, 1, 0).reshape(chi * chi, -1)
-    reg = QuditRegister([(i, "s", d) for i in range(n)])
     if normalize:
         nrm = np.linalg.norm(amps)
         if nrm == 0:
@@ -693,8 +689,7 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     bond_d = max(chis)
     dq = d**q
     width = r * bond_d * bond_d * dq
-    if width * width > max_amplitudes():
-        raise CapacityError(f"the {width} x {width} writer would exceed the amplitude cap")
+    check_amplitudes(width * width, f"the {width} x {width} writer")
     mus = np.array([mu for mu, _ in cf.blocks])
     fps = [rg_fixed_point_tensor(block(blk, q)) for _, blk in cf.blocks]
 

@@ -20,6 +20,7 @@ index-0 slice; only other entries need the reduced-state test. `amps`,
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,18 +37,26 @@ DECOUPLE_TOL = 1e-9
 
 
 class CapacityError(RuntimeError):
-    """Raised instead of allocating a state beyond the amplitude cap."""
+    """Raised instead of allocating a dense array beyond the amplitude cap."""
 
 
 def max_amplitudes() -> int:
     return int(os.environ.get("QCCC_MAX_AMPLITUDES", DEFAULT_MAX_AMPLITUDES))
 
 
+def check_amplitudes(count: int, what: str) -> None:
+    """The one size cap: call before allocating a dense array of `count`
+    complex entries that grows with the system (a register, a dim x dim
+    unitary, a blocked tensor, a writer)."""
+    cap = max_amplitudes()
+    if count > cap:
+        raise CapacityError(f"{what} needs {count} amplitudes, over the cap {cap}")
+
+
 class QuditRegister:
     """Ordered collection of (site, slot, dim) entries with unique (site, slot) keys."""
 
     def __init__(self, entries: Iterable[Tuple[int, str, int]]):
-        cap = max_amplitudes()
         self._pos: Dict[EntryKey, int] = {}
         dims: List[int] = []
         for site, slot, dim in entries:
@@ -58,11 +67,8 @@ class QuditRegister:
                 raise ValueError(f"local dimension must be >= 2, got {dim} for {key}")
             self._pos[key] = len(dims)
             dims.append(int(dim))
-        total = 1
-        for d in dims:
-            total *= d
-            if total > cap:
-                raise CapacityError(f"register dimension {total}+ exceeds cap {cap}")
+        total = math.prod(dims)
+        check_amplitudes(total, "the register")
         self._keys: Tuple[EntryKey, ...] = tuple(self._pos)
         self._dims: Tuple[int, ...] = tuple(dims)
         self._total = total

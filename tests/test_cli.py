@@ -180,10 +180,7 @@ class TestMps:
         from qccc import mps
 
         # for AKLT the envelope is vacuous (epsilon_q >= 1) up to q = 18 and
-        # exceeds 1 at q = 20; at q = 22 it is about 0.26. Blocks that large
-        # take their deficit from the transfer matrix, smaller ones from
-        # fidelity_deficit.
-        monkeypatch.setattr(mps, "fidelity_deficit", lambda *a, **k: 1.0)
+        # exceeds 1 at q = 20; at q = 22 it is about 0.26
         monkeypatch.setattr(mps, "deficit_via_transfer_only", lambda *a, **k: 1.0)
         rep = mps.bound_report(mps.aklt_mps(), 22, 6)
         assert rep.epsilon_q < 1 and rep.envelope_holds is False
@@ -303,6 +300,7 @@ class TestFailures:
         "out_in_missing_dir": (["shift", "--n", "3", "--out", "missing/r.json"], None, EXIT_CONFIG),
         "unitary_cap": (["range", "--n", "20", "--seed", "1"], None, EXIT_CAPACITY),
         "shift_unitary_cap": (["range", "--shift", "--n", "15"], None, EXIT_CAPACITY),
+        "unitary_cap_dim_squared": (["range", "--n", "7", "--seed", "1"], "4096", EXIT_CAPACITY),
         "pipeline_writer_cap": (
             ["mps", "--fixture", "aklt", "--pipeline", "--q", "8", "--n", "16"],
             None,
@@ -310,6 +308,7 @@ class TestFailures:
         ),
         "spec_is_a_list": (RG + ["list.json"], None, EXIT_CONFIG),
         "spec_alphas_not_pairs": (RG + ["not_pairs.json"], None, EXIT_CONFIG),
+        "spec_b_not_an_integer": (RG + ["b_list.json"], None, EXIT_CONFIG),
         "amplitude_cap": (["prepare", "--protocol", "ghz", "--n", "16"], "4096", EXIT_CAPACITY),
     }
     LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
@@ -322,6 +321,7 @@ class TestFailures:
         (tmp_path / "no_key.json").write_text(json.dumps({"alphas": [[1, 0]], "bond_state": [[1, 0]]}))
         (tmp_path / "list.json").write_text(json.dumps([1, 2]))
         (tmp_path / "not_pairs.json").write_text(json.dumps({"B": 2, "alphas": [1, 0], "bond_state": [[1, 0]]}))
+        (tmp_path / "b_list.json").write_text(json.dumps({"B": [2], "alphas": [[1, 0]], "bond_state": [[1, 0]]}))
         if max_amplitudes:
             monkeypatch.setenv("QCCC_MAX_AMPLITUDES", max_amplitudes)
         code = main(argv)

@@ -1,8 +1,8 @@
 """Differential tests of the vectorised circuit and MPS kernels.
 
 Each kernel is checked against the implementation it replaced, kept here as a
-plain reference: the column-by-column `circuit_unitary`, the
-rebuild-and-subtract `operator_support` with the `np.kron` site embedding,
+plain reference: the column-by-column `circuit_unitary`, the basis-state loop
+of `_shift_unitary`, the rebuild-and-subtract `operator_support` with the `np.kron` site embedding,
 the `einsum` forms of `block`, the transfer matrices and `state_from_mps`,
 and the Gram-Schmidt `complete_to_unitary`.
 """
@@ -17,7 +17,7 @@ from qccc import gates, locc
 from qccc import mps as M
 from qccc.lattice import Lattice, distance
 from qccc.protocols import RGFixedPointSpec, rg_fixed_point_protocol
-from qccc.statevector import PureState, QuditRegister
+from qccc.statevector import CapacityError, PureState, QuditRegister
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SEEDS = hst.integers(0, 2**32 - 1)
@@ -36,6 +36,21 @@ def ref_circuit_unitary(circuit, register):
         cx.run(circuit, st)
         cols.append(st.amps)
     return np.array(cols).T
+
+
+def ref_shift_unitary(lat):
+    n, d = lat.n_sites, lat.local_dim
+    u = np.zeros((d**n, d**n), dtype=complex)
+    for basis in np.ndindex(*(d,) * n):
+        src = 0
+        for i in range(n):
+            src = src * d + basis[i]
+        shifted = tuple(basis[(i + 1) % n] for i in range(n))
+        dst = 0
+        for i in range(n):
+            dst = dst * d + shifted[i]
+        u[dst, src] = 1.0
+    return u
 
 
 def ref_operator_support(op, lat, tol=1e-9):
@@ -176,15 +191,14 @@ class TestCircuitUnitary:
         assert np.allclose(u, ref_circuit_unitary(circuit, reg), rtol=0, atol=1e-14)
         assert gates.is_unitary(u)
 
-    @pytest.mark.parametrize("cap", [64 * 2, 64 * 5, 64 * 64])
-    def test_runs_split_under_the_cap(self, cap, monkeypatch):
-        # 2, 5 (the last run overlapping the one before) and 64 columns per run
-        lat = Lattice((6,))
-        circuit = cx._random_circuit(lat, 3, np.random.default_rng(4))
-        reg = [(i, "s", 2) for i in range(6)]
-        ref = ref_circuit_unitary(circuit, reg)
-        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", str(cap))
-        assert np.array_equal(cx.circuit_unitary(circuit, reg), ref)
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
+    def test_shift_circuit_is_the_shift_permutation(self, d, n):
+        # the depth-2 swap circuit, its ancillas added and removed, against
+        # the permutation the range tests use and that permutation's loop form
+        lat = Lattice((n,), local_dim=d)
+        u = cx.circuit_unitary(cx.build_shift_circuit(lat), [(i, "s", d) for i in range(n)])
+        assert np.array_equal(u, cx._shift_unitary(lat))
+        assert np.array_equal(u, ref_shift_unitary(lat))
 
     def test_named_gates_and_swaps(self):
         lat = Lattice((4,))
@@ -200,6 +214,40 @@ class TestCircuitUnitary:
 
 def _random_operator(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+class TestAmplitudeCap:
+    """One cap bounds every dense array, checked before it is allocated."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_dim_squared_unitaries(self, n, monkeypatch):
+        lat = Lattice((n,))
+        circuit = cx._random_circuit(lat, 3, np.random.default_rng(4))
+        reg = [(i, "s", 2) for i in range(n)]
+        ref = ref_circuit_unitary(circuit, reg)
+        dim = 2**n
+        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", str(dim * dim - 1))
+        with pytest.raises(CapacityError):
+            cx.circuit_unitary(circuit, reg)
+        with pytest.raises(CapacityError):
+            cx.estimate_range(ref, lat)
+        with pytest.raises(CapacityError):
+            cx._shift_unitary(lat)
+        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", str(dim * dim))
+        assert np.array_equal(cx.circuit_unitary(circuit, reg), ref)
+        assert cx.estimate_range(ref, lat) == ref_estimate_range(ref, lat)
+        assert np.array_equal(cx._shift_unitary(lat), ref_shift_unitary(lat))
+
+    def test_block(self, monkeypatch):
+        # AKLT: d = 3, chi = 2, so q = 3 holds 27 * 4 = 108 amplitudes
+        aklt = M.aklt_mps()
+        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", "108")
+        assert np.allclose(M.block(aklt, 3).tensor, ref_block(aklt.tensor, 3), rtol=0, atol=1e-14)
+        with pytest.raises(CapacityError):
+            M.block(aklt, 4)
+        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", "107")
+        with pytest.raises(CapacityError):
+            M.block(aklt, 3)
 
 
 class TestOperatorSupport:
