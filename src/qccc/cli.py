@@ -42,7 +42,7 @@ from . import gates, mps
 from .lattice import Lattice
 from .locc import BranchCapExceeded, ProtocolError, _resolve_target, enumerate_branches, run_sampled
 from .stabilizer import InternalError
-from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, pauli_on
+from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, complex_pairs, pauli_on
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,14 +80,6 @@ def _write_report(report: dict, out_path):
         print(text)
 
 
-def _complex_pairs(rows, name: str) -> np.ndarray:
-    """A spec field that lists complex numbers as [re, im] pairs."""
-    try:
-        return np.array([complex(re, im) for re, im in rows])
-    except TypeError:
-        raise ConfigError(f"spec field {name!r} must be a list of [re, im] pairs") from None
-
-
 def _int_field(value, name: str) -> int:
     """A spec field that must be a JSON integer."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -112,11 +104,11 @@ def _build_protocol(args):
                 raise ConfigError("an RG spec must be a JSON object")
             spec = P.RGFixedPointSpec(
                 B=_int_field(raw["B"], "B"),
-                alphas=_complex_pairs(raw["alphas"], "alphas"),
+                alphas=complex_pairs(raw["alphas"], "spec field 'alphas'"),
                 bond_states=(
-                    [_complex_pairs(b, "bond_states") for b in raw["bond_states"]]
+                    [complex_pairs(b, "spec field 'bond_states'") for b in raw["bond_states"]]
                     if "bond_states" in raw
-                    else _complex_pairs(raw["bond_state"], "bond_state")
+                    else complex_pairs(raw["bond_state"], "spec field 'bond_state'")
                 ),
                 N=_int_field(raw.get("N", args.n), "N"),
                 bond_dim=_int_field(raw.get("bond_dim", 2), "bond_dim"),

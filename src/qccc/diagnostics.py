@@ -14,22 +14,22 @@ Three families of checks:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import circuits as cx
 from . import gates
-from .lattice import Lattice, Region, boundary, distance
+from .lattice import Lattice, boundary, distance
 from .locc import (
     DETERMINISM_TOL,
     ApplyLayers,
     Correct,
     Measure,
     MeasurementSpec,
+    PauliMap,
     Protocol,
     bell_rotation_ops,
     enumerate_branches,
@@ -43,11 +43,10 @@ from .stabilizer import (
     StabilizerTableau,
     TableauState,
     _gf2_solve_many,
-    _PAULI_CHARS,
     _product,
     to_graph_state,
 )
-from .statevector import EntryKey, PureState, QuditRegister, RegionOperator
+from .statevector import PureState, QuditRegister, RegionOperator
 
 # -- factorization of distant observables ------------------------------------------
 
@@ -267,15 +266,14 @@ class CJProtocol:
                 Measure(MeasurementSpec((k, "a"), f"a{k}")),
             ]
 
-        def frame_fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-            wdag = self.correction({k: (outcomes[f"in{k}"], outcomes[f"a{k}"]) for k in range(n)})
-            return [
-                cx.local_op([(k, "s")], [(_PAULI_CHARS[x, z], (0,))])
-                for k, (x, z) in enumerate(zip(wdag.x.tolist(), wdag.z.tolist()))
-                if x or z
-            ]
-
-        program.append(Correct(frame_fix, "Pauli frame w^dag"))
+        # the rotation CNOT(a -> in), H(a) maps (X^alpha Z^beta x 1)_{a,in}|Phi+>
+        # to |beta>_a |alpha>_in, so site k's outcomes insert X_k^{m_in} Z_k^{m_a}
+        # on the input, which w^dag = U X_k^{m_in} Z_k^{m_a} U^dag undoes up to phase:
+        # column in{k} is the x|z image of X_k (row k of u_map), a{k} that of Z_k
+        tags = [f"in{k}" for k in range(n)] + [f"a{k}" for k in range(n)]
+        images = np.concatenate([self.u_map.x, self.u_map.z], axis=1).T
+        frame = PauliMap(tags, [(k, "s") for k in range(n)], images)
+        program.append(Correct(name="Pauli frame w^dag", pauli=frame))
         return Protocol(
             name=f"cj[{n}]",
             lattice=lat,
@@ -285,19 +283,6 @@ class CJProtocol:
             system_entries=[(k, "s") for k in range(n)],
             clifford=True,
         )
-
-    def correction(self, outcomes: Dict[int, Tuple[int, int]]) -> PauliString:
-        """w^dag for Bell outcomes {site: (m_in, m_a)}; w = U (tensor sigma) U^dag.
-
-        The rotation CNOT(a -> in), H(a) maps the Bell state
-        (X^alpha Z^beta x 1)_{a,in}|Phi+> to |beta>_a |alpha>_in, and the
-        measurement inserts X^alpha Z^beta on the input carrier.
-        """
-        sigma = PauliString.identity(self.n)
-        for k, (m_in, m_a) in outcomes.items():
-            sigma.x[k], sigma.z[k] = m_in % 2, m_a % 2
-        w = self.u_map.conjugate(sigma)
-        return PauliString(w.x, w.z, -w.phase)
 
 
 def _extract_clifford_map(choi: TableauState, n: int) -> CliffordMap:

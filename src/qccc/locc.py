@@ -8,10 +8,12 @@ explores every measurement branch and certifies determinism (all branches
 agree up to a global phase and their probabilities sum to 1) plus, if a
 target is given, the fidelity to it.
 
-`enumerate_branches` has two engines. On the tableau, a program whose
-corrections are named single-qubit Paulis is certified from one history (the
-first branch) that carries a Pauli frame per measurement record: outcome
-flips enter as Aaronson-Gottesman destabilizers, and each record's final
+`enumerate_branches` has two engines, chosen before the run. On the tableau,
+a program whose corrections all declare a PauliMap (GF(2)-affine Pauli fixes,
+from which their fn is derived: GHZ, the toric code, the Choi gadgets) is
+certified from one history (the first branch) that carries a Pauli frame per
+measurement record: outcome flips enter as Aaronson-Gottesman destabilizers,
+a Correct moves all frames by one matrix product, and each record's final
 state is the first branch's with stabilizer signs flipped by its frame. That
 history counts the records exactly, so the branch cap is checked right after
 it. Every other program runs the depth-first search, one history per leaf.
@@ -20,10 +22,10 @@ branch's and to the target (1 or 0 on the tableau, where it tests equality),
 and one rule gives both verdicts. A target fits the backend that runs: a
 PureState on dense states, stabilizer generators on the tableau.
 
-A Correct may declare the outcome tags it reads; the teleport fixes and the
-fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
+A Correct may declare the outcome tags it reads (`reads`); the teleport fixes
+and the fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
 corrections do not. On dense states, `enumerate_branches` runs the rest of
-the program once for sibling histories that meet after a declared Correct
+the program once for sibling histories that meet after a Correct with `reads`
 with equal live outcomes (those read by a later Correct) and states equal up
 to phase within MERGE_TOL: the later history reports the earlier one's leaves
 under its own prefix. The rows are those of the plain depth-first search,
@@ -38,7 +40,7 @@ dropped early) to keep dense states small.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,7 +48,7 @@ import numpy as np
 from . import circuits as cx
 from . import gates
 from .lattice import Lattice
-from .stabilizer import StabilizerTableau, TableauState, _conjugate_rows
+from .stabilizer import _PAULI_CHARS, StabilizerTableau, TableauState, _conjugate_rows
 from .statevector import EntryKey, PureState, QuditRegister
 
 DETERMINISM_TOL = 1e-9
@@ -84,17 +86,56 @@ class Measure:
     spec: MeasurementSpec
 
 
+@dataclass(eq=False)
+class PauliMap:
+    """A Pauli correction that is GF(2)-affine in the outcome bits: entry e
+    gets X^x_e Z^z_e, named X, Y or Z, where (x | z) = matrix @ v + offset
+    (mod 2) and v lists the outcome bits of `tags` in order."""
+
+    tags: Tuple[str, ...]
+    entries: Tuple[EntryKey, ...]  # distinct single qubits
+    matrix: np.ndarray  # (2 * len(entries), len(tags)): the entries' x rows, then their z rows
+    offset: Optional[np.ndarray] = None  # (2 * len(entries),); None is zero
+
+    def __post_init__(self):
+        self.tags, self.entries = tuple(self.tags), tuple(map(tuple, self.entries))
+        shape = (2 * len(self.entries), len(self.tags))
+        offset = np.zeros(shape[0]) if self.offset is None else self.offset
+        self.matrix, self.offset = (np.asarray(a, dtype=np.uint8) % 2 for a in (self.matrix, offset))
+        if len(set(self.entries)) < len(self.entries) or (self.matrix.shape, len(self.offset)) != (shape, shape[0]):
+            raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offset bits")
+
+    def actions(self, outcomes: Dict[str, int]) -> List[cx.LocalAction]:
+        """X, Y or Z on each entry whose bits are set, in entry order."""
+        v = np.array([outcomes[t] for t in self.tags], dtype=np.uint8)
+        bits = ((self.matrix @ v + self.offset) % 2).tolist()  # uint8 sums wrap mod 256, keeping parity
+        n = len(self.entries)
+        fixes = zip(self.entries, bits[:n], bits[n:])
+        return [cx.local_op([e], [(_PAULI_CHARS[x, z], (0,))]) for e, x, z in fixes if x or z]
+
+
 @dataclass
 class Correct:
     """Outcome-conditioned local correction: fn(outcomes) -> list[LocalAction].
 
     `reads` declares the outcome tags fn reads; fn then sees only those.
-    None means it reads every tag.
+    None means it reads every tag. A Correct that declares a `pauli` map
+    takes its fn from it, and the tableau certifies it with Pauli frames.
     """
 
-    fn: Callable[[Dict[str, int]], List[cx.LocalAction]]
+    fn: Optional[Callable[[Dict[str, int]], List[cx.LocalAction]]] = None
     name: str = "correction"
     reads: Optional[FrozenSet[str]] = None
+    pauli: Optional[PauliMap] = None
+
+    def __post_init__(self):
+        if self.pauli is None and self.fn is None:
+            raise ValueError(f"correction {self.name!r} needs fn or a Pauli map")
+        if self.pauli is not None:
+            reads_tags = self.reads is None or self.reads.issuperset(self.pauli.tags)
+            if self.fn not in (None, self.pauli.actions) or not reads_tags:
+                raise ValueError(f"correction {self.name!r}: its Pauli map sets fn and reads only `reads`")
+            self.fn = self.pauli.actions
 
 
 Step = Union[ApplyLayers, Measure, Correct]
@@ -213,10 +254,10 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
     the state, so single-history policies mutate `state` in place. Pending
     outcomes wait on an explicit stack and are visited depth-first in order.
 
-    After each Correct, `on_correct(state, j, step, actions, outcomes, prob)`
-    sees the history at position j, just past the Correct `step` that applied
-    `actions`. It may absorb the history: it returns the number of rows it
-    reported for it, and the history stops there; None lets it go on.
+    After each Correct, `on_correct(state, j, step, outcomes, prob)` sees the
+    history at position j, just past the Correct `step`. It may absorb the
+    history: it returns the number of rows it reported for it, and the
+    history stops there; None lets it go on.
 
     Every pending outcome yields at least one history, so the histories
     finished, pending and in progress bound the total from below; with a
@@ -253,10 +294,9 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
             elif isinstance(step, Correct):
                 reads = step.reads
                 seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
-                actions = step.fn(seen)
-                _apply_correction(state, actions)
+                _apply_correction(state, step.fn(seen))
                 if on_correct is not None:
-                    rows = on_correct(state, j + 1, step, actions, outcomes, prob)
+                    rows = on_correct(state, j + 1, step, outcomes, prob)
                     if rows is not None:
                         histories += rows - 1
                         if cap is not None and histories > cap:
@@ -337,23 +377,20 @@ def enumerate_branches(
     requires all branches to agree with the first branch up to global phase
     and their probabilities to sum to 1 within DETERMINISM_TOL.
 
-    A tableau program whose corrections are all named single-qubit Paulis is
-    certified by `_enumerate_frames` (engine "frames"): one history and a
-    Pauli frame per record, with BranchCapExceeded raised as soon as that
-    history has counted its records. Any other program, and every dense one,
-    runs through the depth-first search `_enumerate_dfs` (engine "dfs"). Both
-    report the same rows in the same order, and `_result` gives both verdicts.
-    A target that does not fit the backend (see `_resolve_target`) raises
-    ValueError before the run.
+    A tableau program whose corrections all declare a Pauli map is certified
+    by `_enumerate_frames` (engine "frames"): one history and a Pauli frame
+    per record, with BranchCapExceeded raised as soon as that history has
+    counted its records. Any other program, and every dense one, runs through
+    the depth-first search `_enumerate_dfs` (engine "dfs"). The engine is
+    chosen before the run; both report the same rows in the same order, and
+    `_result` gives both verdicts. A target that does not fit the backend
+    (see `_resolve_target`) raises ValueError before the run.
     """
     tableau = isinstance(input_state, TableauState) if input_state is not None else backend == "tableau"
-    if tableau and prob_floor < 0.5:
+    declared = all(step.pauli is not None for step in protocol.program if isinstance(step, Correct))
+    if tableau and prob_floor < 0.5 and declared:
         start = _start(protocol, backend, input_state)
-        resolved = _resolve_target(protocol, start, target)
-        try:
-            return _enumerate_frames(protocol, start, branch_cap, resolved, keep_states)
-        except _NotPauli:
-            pass
+        return _enumerate_frames(protocol, start, branch_cap, _resolve_target(protocol, start, target), keep_states)
     return _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
 
 
@@ -418,13 +455,13 @@ def _enumerate_dfs(
     finals: List[object] = []
     reference = None
     agree = True
-    # merge points lie just past declared Corrects, so an undeclared one never merges
+    # merge points lie just past Corrects with `reads`, so one without never merges
     points = _merge_points(protocol.program) if isinstance(start, PureState) else {}
     # (position, live outcomes) -> [register, amplitudes, outcomes, first row, end row]
     memo: Dict[tuple, list] = {}
     n_merged, merge_error = 0, 0.0
 
-    def merge(state, j, step, actions, outcomes, prob):
+    def merge(state, j, step, outcomes, prob):
         nonlocal n_merged, merge_error
         if j not in points:
             return None
@@ -481,14 +518,6 @@ def _enumerate_dfs(
     return _result(reports, agree, reference, finals if keep_states else None, "dfs", n_merged, merge_error)
 
 
-class _NotPauli(Exception):
-    """A Correct that the frames cannot carry; the DFS certifies the program."""
-
-
-# the tableau rejects "I", so a correction naming it goes to the DFS and fails there
-_FRAME_PAULIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
 class _FramedTableau(TableauState):
     """The reference history of a Clifford program, with one Pauli frame per
     measurement record riding along: the Aaronson-Gottesman flip applied the
@@ -530,7 +559,7 @@ class _FramedTableau(TableauState):
             self.fx, self.fz = (np.delete(f, q, axis=0) for f in (self.fx, self.fz))
         return self
 
-    def measure(self, entry, basis=None, force=None, rng=None, prob_floor: float = 1e-12):
+    def measure(self, entry, basis=None, force=None, rng=None):
         """Measure Z on the reference, taking outcome 0 when it is random.
 
         A record reads the reference bit XOR x_q of its frame. A random
@@ -560,44 +589,21 @@ class _FramedTableau(TableauState):
             self.bits = np.vstack([np.repeat(self.bits, 2, axis=1), k])
         return bit, p
 
-    def correct(self, j: int, step: Correct, actions: List[cx.LocalAction], outcomes, prob) -> None:
+    def correct(self, j: int, step: Correct, outcomes, prob) -> None:
         """The `_execute` hook after a Correct (passed unbound, so `self` is the
-        state): multiply each record's frame by its own correction times the
-        reference's `actions`; record 0 is the reference, fn runs once for each other."""
+        state): the reference took the map's Pauli at its own bits, so record
+        i's frame takes M (v_i + v_0), M the step's declared matrix and v_i
+        record i's bits of the tags it reads; the offset cancels."""
         if self.fx is None:
             return
-        qubit = {k: q for q, k in enumerate(self.keys)}
-        ref = self._pauli(actions, qubit)
-        tags = [t for t, _, _ in outcomes]
-        cols = [t for t, tag in enumerate(tags) if step.reads is None or tag in step.reads]
-        paulis = [ref] + [
-            self._pauli(step.fn({tags[t]: k for t, k in zip(cols, ks)}), qubit)
-            for ks in self.bits[cols, 1:].T.tolist()
-        ]
-        flips = (np.array(paulis, dtype=np.uint8) ^ np.array(ref, dtype=np.uint8)).T
-        n = self.tab.n
-        self.fx ^= flips[:n]
-        self.fz ^= flips[n:]
-
-    @staticmethod
-    def _pauli(actions: List[cx.LocalAction], qubit: Dict[EntryKey, int]) -> List[int]:
-        """(x | z) bits of a correction made of named single-qubit Paulis."""
-        n = len(qubit)
-        out = [0] * (2 * n)
-        for act in actions:
-            entries, spec = act.entries, act.spec
-            if act.kind != "op" or isinstance(spec, np.ndarray):
-                raise _NotPauli
-            if len(entries) != 1 and len({s for s, _ in entries}) != 1:
-                raise _NotPauli
-            for name, idx in spec:
-                bits = _FRAME_PAULIS.get(name.upper())
-                if bits is None or len(idx) != 1:
-                    raise _NotPauli
-                q = qubit[tuple(entries[idx[0]])]
-                out[q] ^= bits[0]
-                out[n + q] ^= bits[1]
-        return out
+        pauli = step.pauli
+        row = {t: i for i, (t, _, _) in enumerate(outcomes)}
+        v = self.bits[[row[t] for t in pauli.tags]]
+        # uint8 sums wrap modulo 256, which keeps their parity
+        flips = (pauli.matrix @ (v ^ v[:, :1])) % 2
+        qubits, n = [self.index(e) for e in pauli.entries], len(pauli.entries)
+        self.fx[qubits] ^= flips[:n]
+        self.fz[qubits] ^= flips[n:]
 
 
 def _enumerate_frames(
@@ -610,7 +616,8 @@ def _enumerate_frames(
     c_j with signs flipped by the symplectic products <F_i, c_j>. So a record
     agrees with the first branch iff every product is 0, and matches a target
     with the reference's bits iff the products equal the sign differences.
-    Raises _NotPauli at a Correct outside the frame rules.
+    Every Correct of the program declares its Pauli map, so one GF(2) product
+    over all records moves their frames (`_FramedTableau.correct`).
     """
     framed = _FramedTableau(start, branch_cap)
     history = _execute(
@@ -654,8 +661,8 @@ def _enumerate_frames(
 
 
 def _merge_points(program: Sequence[Step]) -> Dict[int, FrozenSet[str]]:
-    """Map the position after each declared Correct to its live tags, the
-    tags read by every later Correct; a position with an undeclared Correct
+    """Map the position after each Correct with `reads` to its live tags, the
+    tags read by every later Correct; a position with a Correct without `reads`
     after it reads everything, so it is no merge point."""
     points: Dict[int, FrozenSet[str]] = {}
     live: Optional[FrozenSet[str]] = frozenset()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,9 +66,12 @@ class MPS:
     @classmethod
     def load(cls, text: str) -> "MPS":
         data = json.loads(text) if isinstance(text, str) else text
-        t = np.array(
-            [[[complex(re, im) for re, im in row] for row in mat] for mat in data["tensor"]]
-        )
+        if not isinstance(data, dict):
+            raise ValueError("an MPS file must be a JSON object")
+        try:
+            t = np.array([[[complex(re, im) for re, im in row] for row in mat] for mat in data["tensor"]])
+        except (TypeError, ValueError):
+            raise ValueError("'tensor' must list d chi x chi matrices of [re, im] pairs") from None
         return cls(t)
 
 

@@ -23,11 +23,12 @@ from .locc import (
     Correct,
     Measure,
     MeasurementSpec,
+    PauliMap,
     Protocol,
     ProtocolError,
     _teleport_steps,
 )
-from .stabilizer import PauliString, StabilizerTableau
+from .stabilizer import InternalError, PauliString, StabilizerTableau
 from .statevector import EntryKey, PureState, QuditRegister
 
 
@@ -73,19 +74,13 @@ def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
     )
     circuit = cx.Circuit(lat, [adds, even, odd, locals_])
 
-    def correction(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-        acts = []
-        acc = 0
-        for i in range(1, n):
-            acc ^= outcomes[f"k{i}"]
-            if acc:
-                acts.append(cx.local_op([(i, "s")], [("X", (0,))]))
-        return acts
-
+    # X on site i when k1 + ... + ki is odd: a lower-triangular prefix-parity map
+    prefix = np.tril(np.ones((n - 1, n - 1), dtype=np.uint8))
+    parity = PauliMap([f"k{i}" for i in range(1, n)], system[1:], np.concatenate([prefix, 0 * prefix]))
     program = [
         ApplyLayers([adds, even, odd, locals_]),
         *[Measure(MeasurementSpec((i, "a"), f"k{i}")) for i in range(1, n)],
-        Correct(correction, "parity X string"),
+        Correct(name="parity X string", pauli=parity),
     ]
     from .statevector import max_amplitudes
 
@@ -603,7 +598,8 @@ def find_tc_correction(layout: ToricCodeLayout, outcomes: Dict[Tuple[int, int], 
     toggles cancel because the negatives are even in number. The result is a
     linear GF(2) map of the outcome bits. Any Z string with this syndrome
     will do, since the target is a +1 eigenstate of every closed Z loop.
-    Requires prod k_p = +1.
+    Requires prod k_p = +1. `toric_code_protocol` declares the same map
+    (`_tc_sign_map`), so its runs do not call this.
     """
     negative = np.array([outcomes[p] == -1 for p in layout.plaquettes_a], dtype=np.uint8)
     if negative.sum() % 2:
@@ -615,6 +611,21 @@ def find_tc_correction(layout: ToricCodeLayout, outcomes: Dict[Tuple[int, int], 
         p = layout.plaquettes_a[bad[0]]
         raise ProtocolError(f"correction parity check failed at plaquette {p}")
     return np.flatnonzero(chosen).tolist()
+
+
+def _tc_sign_map(layout: ToricCodeLayout) -> PauliMap:
+    """`find_tc_correction` as a declared map, k_p = 1 (a negative plaquette)
+    putting Z on row p of `tree_paths`. Its table is checked once: the Z string
+    of row p must flip exactly plaquettes p and the root (the root's, none), so
+    with an even number of negatives every record's fix clears its syndrome."""
+    paths = layout.tree_paths.T
+    expected = np.eye(paths.shape[1], dtype=np.uint8)
+    expected[0] ^= 1  # the root is plaquettes_a[0]
+    bad = np.flatnonzero(((layout.incidence @ paths) % 2 != expected).any(axis=0))
+    if bad.size:
+        raise InternalError(f"the tree path of plaquette {layout.plaquettes_a[bad[0]]} has the wrong syndrome")
+    tags = [f"k{i},{j}" for i, j in layout.plaquettes_a]
+    return PauliMap(tags, [(s, "s") for s in range(paths.shape[0])], np.concatenate([0 * paths, paths]))
 
 
 def tc_target_state(layout: ToricCodeLayout) -> PureState:
@@ -722,12 +733,7 @@ def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
         corner = lat.site_index(p)
         program.append(Measure(MeasurementSpec((corner, "ap"), f"k{p[0]},{p[1]}")))
 
-    def correction(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-        signs = {p: 1 - 2 * outcomes[f"k{p[0]},{p[1]}"] for p in layout.plaquettes_a}
-        flips = find_tc_correction(layout, signs)
-        return [cx.local_op([(s, "s")], [("Z", (0,))]) for s in flips]
-
-    program.append(Correct(correction, "plaquette sign fix"))
+    program.append(Correct(name="plaquette sign fix", pauli=_tc_sign_map(layout)))
 
     target = tc_target_state(layout) if n == 4 else None
     proto = Protocol(

@@ -723,7 +723,7 @@ class TableauState:
         probs[bit] = 1.0
         return probs
 
-    def measure(self, entry, basis=None, force=None, rng=None, prob_floor: float = 1e-12):
+    def measure(self, entry, basis=None, force=None, rng=None):
         if basis is not None:
             raise ValueError("tableau backend measures in the computational basis only")
         q = self.index(entry)

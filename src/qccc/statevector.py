@@ -34,6 +34,7 @@ EntryKey = Tuple[int, str]
 DEFAULT_MAX_AMPLITUDES = 2**27
 NORM_TOL = 1e-10
 DECOUPLE_TOL = 1e-9
+FORCE_FLOOR = 1e-12  # a forced outcome below this probability raises
 
 
 class CapacityError(RuntimeError):
@@ -316,34 +317,21 @@ class PureState:
             probs = (np.abs(proj) ** 2).sum(axis=other) if other else np.abs(proj) ** 2
         return np.asarray(probs).real.reshape(-1)
 
-    def _pick_outcome(self, probs, d, force, rng, prob_floor):
-        if force is not None:
-            k = int(force)
-            if not 0 <= k < d:
-                raise ValueError(f"forced outcome {k} out of range")
-            if probs[k] < prob_floor:
-                raise ValueError(f"forced outcome {k} has vanishing probability {probs[k]:.3e}")
-            return k
-        if rng is None:
-            raise ValueError("sampled measurement requires an rng")
-        return int(rng.choice(d, p=probs / probs.sum()))
-
     def measure(
         self,
         entry: EntryKey,
         basis: Optional[np.ndarray] = None,
         force: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        prob_floor: float = 1e-12,
     ) -> Tuple[int, float]:
         """Projective measurement of one entry; collapses in place.
 
         The measured entry is left as a product factor holding its basis
         vector. Returns (outcome index, probability). Forced outcomes with
-        probability below `prob_floor` raise.
+        probability below FORCE_FLOOR raise.
         """
         key = tuple(entry)
-        k, p, phase = self._collapse(key, basis, force, rng, prob_floor)
+        k, p, phase = self._collapse(key, basis, force, rng)
         d = self.register.dim(key)
         frame = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
         self._lazy[key] = phase * frame[:, k]
@@ -355,23 +343,31 @@ class PureState:
         basis: Optional[np.ndarray] = None,
         force: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        prob_floor: float = 1e-12,
     ) -> Tuple[int, float]:
         """Measure one entry and drop it from the register in a single pass."""
         key = tuple(entry)
-        k, p, phase = self._collapse(key, basis, force, rng, prob_floor)
+        k, p, phase = self._collapse(key, basis, force, rng)
         if phase != 1:
             self._t = self._t * phase
         self._drop_register_entry(key)
         return k, p
 
-    def _collapse(self, key, basis, force, rng, prob_floor) -> Tuple[int, float, complex]:
+    def _collapse(self, key, basis, force, rng) -> Tuple[int, float, complex]:
         """Pick an outcome and project `key` out of the state, leaving it in
         neither `_t` nor `_lazy`. Returns (outcome, probability, phase): the
         collapsed state is (phase * basis vector) (x) the rest."""
         d = self.register.dim(key)
         probs = self.branch_probabilities(key, basis)
-        k = self._pick_outcome(probs, d, force, rng, prob_floor)
+        if force is None:
+            if rng is None:
+                raise ValueError("sampled measurement requires an rng")
+            k = int(rng.choice(d, p=probs / probs.sum()))
+        else:
+            k = int(force)
+            if not 0 <= k < d:
+                raise ValueError(f"forced outcome {k} out of range")
+            if probs[k] < FORCE_FLOOR:
+                raise ValueError(f"forced outcome {k} has vanishing probability {probs[k]:.3e}")
         p = float(probs[k])
         if key in self._lazy:
             local = self._lazy.pop(key)
@@ -504,9 +500,18 @@ class PureState:
     def load(cls, data) -> "PureState":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("a state file must be a JSON object")
         reg = QuditRegister([(e["site"], e["slot"], e["dim"]) for e in data["register"]])
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(reg, amps)
+        return cls(reg, complex_pairs(data["amplitudes"], "'amplitudes'"))
+
+
+def complex_pairs(rows, what: str) -> np.ndarray:
+    """Complex numbers listed as JSON [re, im] pairs; ValueError for anything else."""
+    try:
+        return np.array([complex(re, im) for re, im in rows])
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a list of [re, im] pairs") from None
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -310,6 +310,11 @@ class TestFailures:
         "spec_alphas_not_pairs": (RG + ["not_pairs.json"], None, EXIT_CONFIG),
         "spec_b_not_an_integer": (RG + ["b_list.json"], None, EXIT_CONFIG),
         "amplitude_cap": (["prepare", "--protocol", "ghz", "--n", "16"], "4096", EXIT_CAPACITY),
+        "mps_entries_not_pairs": (["mps", "--file", "flat_tensor.json"], None, EXIT_CONFIG),
+        "mps_tensor_not_a_list": (["mps", "--file", "int_tensor.json"], None, EXIT_CONFIG),
+        "mps_file_is_a_list": (["mps", "--file", "list.json"], None, EXIT_CONFIG),
+        "state_amplitudes_not_pairs": (["diagnose", "--check", "prop1", "--in", "flat_state.json"], None, EXIT_CONFIG),
+        "state_file_is_a_list": (["diagnose", "--check", "prop1", "--in", "list.json"], None, EXIT_CONFIG),
     }
     LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
 
@@ -322,6 +327,10 @@ class TestFailures:
         (tmp_path / "list.json").write_text(json.dumps([1, 2]))
         (tmp_path / "not_pairs.json").write_text(json.dumps({"B": 2, "alphas": [1, 0], "bond_state": [[1, 0]]}))
         (tmp_path / "b_list.json").write_text(json.dumps({"B": [2], "alphas": [[1, 0]], "bond_state": [[1, 0]]}))
+        (tmp_path / "flat_tensor.json").write_text(json.dumps({"d": 2, "chi": 1, "tensor": [[[1, 0]], [[0, 0]]]}))
+        (tmp_path / "int_tensor.json").write_text(json.dumps({"tensor": 5}))
+        register = [{"site": 0, "slot": "s", "dim": 2}]
+        (tmp_path / "flat_state.json").write_text(json.dumps({"register": register, "amplitudes": [1, 0]}))
         if max_amplitudes:
             monkeypatch.setenv("QCCC_MAX_AMPLITUDES", max_amplitudes)
         code = main(argv)

@@ -12,6 +12,7 @@ from qccc.locc import (
     Correct,
     Measure,
     MeasurementSpec,
+    PauliMap,
     Protocol,
     ProtocolError,
     as_channel,
@@ -21,6 +22,7 @@ from qccc.locc import (
     teleport,
     teleport_correction,
 )
+from qccc.stabilizer import _CHAR_BITS
 from qccc.statevector import PureState, QuditRegister, RegionOperator
 
 
@@ -134,7 +136,8 @@ class TestEngine:
 
         monkeypatch.setattr(locc, "_finalize", counting_finalize)
         ghz, _ = ghz_protocol(5)  # 16 branches
-        # a last step that runs once for every history reaching the end of the program
+        # an undeclared last step, so the DFS runs: it is called once for every
+        # history reaching the end of the program
         proto = replace(ghz, program=ghz.program + [Correct(lambda o: completed.append(o) or [])])
         with pytest.raises(BranchCapExceeded):
             enumerate_branches(proto, backend=backend, branch_cap=cap)
@@ -142,10 +145,16 @@ class TestEngine:
         finalized.clear()
         completed.clear()
         res = enumerate_branches(proto, backend=backend, branch_cap=16)
-        assert len(res.reports) == len(completed) == 16
-        # the DFS finalizes every history, the Pauli-frame engine only its reference
-        assert res.engine == {"dense": "dfs", "tableau": "frames"}[backend]
-        assert len(finalized) == {"dfs": 16, "frames": 1}[res.engine]
+        assert res.engine == "dfs" and len(res.reports) == len(completed) == len(finalized) == 16
+        if backend == "tableau":
+            # GHZ's declared fix runs on the Pauli-frame engine, which raises
+            # before it finalizes anything and otherwise finalizes only its reference
+            finalized.clear()
+            with pytest.raises(BranchCapExceeded):
+                enumerate_branches(ghz, backend=backend, branch_cap=cap)
+            assert finalized == []
+            res = enumerate_branches(ghz, backend=backend, branch_cap=16)
+            assert res.engine == "frames" and len(res.reports) == 16 and len(finalized) == 1
 
     def test_undetached_ancilla_raises(self):
         lat = Lattice((2,))
@@ -541,10 +550,11 @@ def _assert_frames_match_dfs(proto, input_state=None, target="protocol", keep_st
 
 def _random_pauli_program(rng) -> Protocol:
     """System qubits on 2-3 sites under random Clifford layers. Each round adds
-    an ancilla, entangles it, measures it in place, applies a Pauli correction
-    that reads a random parity of the outcomes so far (and may flip the
-    ancilla), then copies the ancilla's Z value onto a fresh qubit and
-    measures that: a deterministic measurement whose outcome the frames move."""
+    an ancilla, entangles it, measures it in place, applies a declared Pauli
+    correction whose entries each read a random parity of the outcomes so far
+    plus a random offset (and may flip the ancilla), then copies the ancilla's
+    Z value onto a fresh qubit and measures that: a deterministic measurement
+    whose outcome the frames move."""
     k = int(rng.integers(2, 4))
     system = [(i, "s") for i in range(k)]
 
@@ -577,15 +587,12 @@ def _random_pauli_program(rng) -> Protocol:
             if rng.random() < 0.6
         ]
 
-        def fix(outcomes, fixes=fixes):
-            return [
-                cx.local_op([e], [(p, (0,))])
-                for e, p, mask, offset in fixes
-                if (offset + sum(outcomes[t] for t in mask)) % 2
-            ]
-
+        matrix = [[_CHAR_BITS[p][b] * (t in mask) for t in read] for b in (0, 1) for _, p, mask, _ in fixes]
+        offset = [_CHAR_BITS[p][b] * offset for b in (0, 1) for _, p, _, offset in fixes]
+        matrix = np.array(matrix, dtype=np.uint8).reshape(2 * len(fixes), len(read))
+        fix = PauliMap(read, [e for e, *_ in fixes], matrix, offset)
         program += [
-            Correct(fix, f"fix {j}", frozenset(read) if rng.random() < 0.5 else None),
+            Correct(name=f"fix {j}", reads=frozenset(read) if rng.random() < 0.5 else None, pauli=fix),
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(*copy), cx.local_op([anc, copy], [("CNOT", (0, 1))])])]),
             Measure(MeasurementSpec(copy, f"c{j}")),
         ]
@@ -604,6 +611,18 @@ def _ghz_with_fix(n, fix):
     step = proto.program[-1]
     program = proto.program[:-1] + [Correct(lambda o: fix(o, step.fn(o)), "edited fix")]
     return replace(proto, program=program)
+
+
+def _ghz_with_map(n, edit):
+    """GHZ_n with edit(matrix, offset) applied to copies of its declared map."""
+    from dataclasses import replace
+
+    proto = _ghz(n)[0]
+    parity = proto.program[-1].pauli
+    matrix, offset = parity.matrix.copy(), parity.offset.copy()
+    edit(matrix, offset)
+    fix = Correct(name="edited map", pauli=PauliMap(parity.tags, parity.entries, matrix, offset))
+    return replace(proto, program=proto.program[:-1] + [fix])
 
 
 class TestPauliFrames:
@@ -643,12 +662,57 @@ class TestPauliFrames:
             _assert_frames_match_dfs(proto, target=target, keep_states=False)
 
     def test_wrong_correction_is_not_deterministic(self):
-        # the X string is skipped whenever k1 = k2 = 1
+        # the X string is skipped whenever k1 = k2 = 1: not affine, so it cannot
+        # be declared and the DFS certifies it
         proto = _ghz_with_fix(5, lambda o, acts: [] if o["k1"] and o["k2"] else acts)
-        frames, _ = _assert_frames_match_dfs(proto)
+        res = enumerate_branches(proto, backend="tableau")
+        assert res.engine == "dfs" and res.verdict == "NOT_DETERMINISTIC"
+        fids = [r.fidelity for r in res.reports]
+        assert set(fids) == {0.0, 1.0} and fids.count(0.0) == 4
+
+    def test_wrong_matrix_entry_is_not_deterministic(self):
+        # site 1 also reads k2, so every record with k2 = 1 ends X_1-flipped
+        def edit(matrix, offset):
+            matrix[0, 1] ^= 1
+
+        frames, _ = _assert_frames_match_dfs(_ghz_with_map(5, edit))
         assert frames.verdict == "NOT_DETERMINISTIC"
         fids = [r.fidelity for r in frames.reports]
-        assert set(fids) == {0.0, 1.0} and fids.count(0.0) == 4
+        assert set(fids) == {0.0, 1.0} and fids.count(0.0) == 8
+
+    def test_flipped_offset_misses_the_target(self):
+        # X_1 on every record: the branches agree, but none is GHZ
+        def edit(matrix, offset):
+            offset[0] ^= 1
+
+        frames, _ = _assert_frames_match_dfs(_ghz_with_map(5, edit))
+        assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 16
+        assert frames.max_fidelity == 0.0
+
+    def test_declarations_are_checked(self):
+        entry = [(0, "s")]
+        with pytest.raises(ValueError, match="distinct entries"):
+            PauliMap(["k"], entry * 2, np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"\(2, 1\) matrix and 2 offset bits"):
+            PauliMap(["k"], entry, np.zeros((1, 2)))
+        fix = PauliMap(["k"], entry, [[1], [1]], offset=[0, 1])
+        assert [a.spec for a in fix.actions({"k": 0})] == [[("Z", (0,))]]
+        assert [a.spec for a in fix.actions({"k": 1})] == [[("X", (0,))]]
+        assert Correct(pauli=fix).fn == fix.actions
+        for bad in (dict(fn=lambda o: []), dict(reads=frozenset({"j"}))):
+            with pytest.raises(ValueError, match="Pauli map"):
+                Correct(pauli=fix, **bad)
+
+    def test_ghz17_derives_one_fix(self, monkeypatch):
+        """The declared fix runs once, for the reference history; the other
+        2^16 - 1 records take it from one GF(2) product."""
+        from qccc import locc
+
+        calls = []
+        actions = locc.PauliMap.actions
+        monkeypatch.setattr(locc.PauliMap, "actions", lambda self, o: calls.append(1) or actions(self, o))
+        res = enumerate_branches(_ghz(17)[0], backend="tableau")
+        assert res.engine == "frames" and len(res.reports) == 2**16 and calls == [1]
 
     def test_non_pauli_correction_falls_back_to_the_dfs(self):
         from qccc import locc

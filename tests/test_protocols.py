@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -338,6 +339,37 @@ class TestTCDecoder:
         signs[layout.plaquettes_a[0]] = signs[layout.plaquettes_a[5]] = -1
         with pytest.raises(ProtocolError):
             find_tc_correction(layout, signs)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_declared_map_matches_the_decoder(self, n):
+        """The protocol's declared sign fix puts Z where find_tc_correction does."""
+        layout = ToricCodeLayout(n)
+        fix = toric_code_protocol(n)[0].program[-1]
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            k = rng.integers(0, 2, size=len(layout.plaquettes_a))
+            k[0] = k[1:].sum() % 2  # an even number of negative plaquettes
+            acts = fix.fn({f"k{i},{j}": int(b) for (i, j), b in zip(layout.plaquettes_a, k)})
+            assert all(a.spec == [("Z", (0,))] for a in acts)
+            signs = {p: 1 - 2 * int(b) for p, b in zip(layout.plaquettes_a, k)}
+            assert [a.entries[0][0] for a in acts] == find_tc_correction(layout, signs)
+
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_corrupted_table_fails_when_the_protocol_is_built(self, monkeypatch, row):
+        """The declared sign map is checked once, before any history runs."""
+        from qccc import protocols
+        from qccc.stabilizer import InternalError
+
+        build = ToricCodeLayout.__post_init__
+
+        def corrupted(layout):
+            build(layout)
+            layout.tree_paths[row, 3] ^= 1
+
+        monkeypatch.setattr(protocols.ToricCodeLayout, "__post_init__", corrupted)
+        plaquette = ToricCodeLayout(4).plaquettes_a[row]
+        with pytest.raises(InternalError, match=re.escape(f"plaquette {plaquette}")):
+            toric_code_protocol(4)
 
 
 class TestToricCodeProtocol:
