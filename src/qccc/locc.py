@@ -11,12 +11,14 @@ target is given, the fidelity to it.
 `enumerate_branches` has two engines, chosen before the run. On the tableau,
 a program whose corrections all declare a PauliMap (GF(2)-affine Pauli fixes,
 from which their fn is derived: GHZ, the toric code, the Choi gadgets) is
-certified from one history (the first branch) that carries a Pauli frame per
-measurement record: outcome flips enter as Aaronson-Gottesman destabilizers,
-a Correct moves all frames by one matrix product, and each record's final
-state is the first branch's with stabilizer signs flipped by its frame. That
-history counts the records exactly, so the branch cap is checked right after
-it. Every other program runs the depth-first search, one history per leaf.
+certified from one history (the first branch) whose Pauli frame is a
+GF(2)-linear function of the r random outcomes, kept as r frame columns:
+outcome flips enter as Aaronson-Gottesman destabilizers, and a Correct moves
+the columns by one matrix product. That history counts the 2^r records
+exactly, so the branch cap is checked right after it; below the cap one GF(2)
+product with the record vectors expands every record's outcomes and its final
+state, the first branch's with stabilizer signs flipped by its frame. Every
+other program runs the depth-first search, one history per leaf.
 Both engines score a branch by its final state's `fidelity` to the first
 branch's and to the target (1 or 0 on the tableau, where it tests equality),
 and one rule gives both verdicts. A target fits the backend that runs: a
@@ -378,13 +380,13 @@ def enumerate_branches(
     and their probabilities to sum to 1 within DETERMINISM_TOL.
 
     A tableau program whose corrections all declare a Pauli map is certified
-    by `_enumerate_frames` (engine "frames"): one history and a Pauli frame
-    per record, with BranchCapExceeded raised as soon as that history has
-    counted its records. Any other program, and every dense one, runs through
-    the depth-first search `_enumerate_dfs` (engine "dfs"). The engine is
-    chosen before the run; both report the same rows in the same order, and
-    `_result` gives both verdicts. A target that does not fit the backend
-    (see `_resolve_target`) raises ValueError before the run.
+    by `_enumerate_frames` (engine "frames"): one history and r frame
+    columns, one per random outcome, with BranchCapExceeded raised as soon as
+    that history has counted its 2^r records. Any other program, and every
+    dense one, runs through the depth-first search `_enumerate_dfs` (engine
+    "dfs"). The engine is chosen before the run; both report the same rows in
+    the same order, and `_result` gives both verdicts. A target that does not
+    fit the backend (see `_resolve_target`) raises ValueError before the run.
     """
     tableau = isinstance(input_state, TableauState) if input_state is not None else backend == "tableau"
     declared = all(step.pauli is not None for step in protocol.program if isinstance(step, Correct))
@@ -519,88 +521,81 @@ def _enumerate_dfs(
 
 
 class _FramedTableau(TableauState):
-    """The reference history of a Clifford program, with one Pauli frame per
-    measurement record riding along: the Aaronson-Gottesman flip applied the
-    way Stim's frame simulator applies it (Gidney, arXiv:2103.02202).
+    """The reference history of a Clifford program, with its Pauli frames kept
+    as GF(2)-linear functions of the random outcomes, one frame column per
+    random outcome: the Aaronson-Gottesman flip applied the way Stim's frame
+    simulator applies it (Gidney, arXiv:2103.02202).
 
     The tableau follows the history that takes outcome 0 at every random
-    measurement. Column i of `fx`/`fz` (qubit-major, shape (n, R)) is a Pauli
-    F_i such that record i's state is F_i |reference> up to phase; records are
-    in depth-first order, and row t of `bits` is every record's outcome of
-    measurement t. Frame phases are not kept: F_i only moves stabilizer signs,
-    which its bits fix. Once the count of records exceeds `cap` the frames are
-    dropped, and the history only counts.
+    measurement. A record is the vector v of its r random outcomes, and its
+    state is F(v) |reference> up to phase, F(v) the sum of the columns i of
+    `fx`/`fz` (qubit-major, shape (n, r)) with v_i = 1. Row t of `forms`
+    (shape (m, 1 + r)) is measurement t's outcome as an affine form
+    [reference bit | linear part]. Frame phases are not kept: F only moves
+    stabilizer signs, which its bits fix.
     """
 
-    def __init__(self, state: TableauState, cap: int):
-        self.keys, self.tab, self.cap = state.keys, state.tab, cap
-        self.n_records = 1
-        self.fx = np.zeros((self.tab.n, 1), dtype=np.uint8)
+    def __init__(self, state: TableauState):
+        self.keys, self.tab = state.keys, state.tab
+        self.fx = np.zeros((self.tab.n, 0), dtype=np.uint8)
         self.fz = np.zeros_like(self.fx)
-        self.bits = np.zeros((0, 1), dtype=np.uint8)
+        self.forms = np.zeros((0, 1), dtype=np.uint8)
 
     def apply_named(self, name: str, entries) -> "_FramedTableau":
         qubits = [self.index(e) for e in entries]
         self.tab.apply_gate(name, *qubits)
-        if self.fx is not None:
-            _conjugate_rows(self.fx.T, self.fz.T, np.zeros(self.fx.shape[1], dtype=np.uint8), name, qubits)
+        _conjugate_rows(self.fx.T, self.fz.T, np.zeros(self.fx.shape[1], dtype=np.uint8), name, qubits)
         return self
 
     def add_entry(self, site: int, slot: str, dim: int = 2, local_state=None) -> "_FramedTableau":
         super().add_entry(site, slot, dim, local_state)
-        if self.fx is not None:
-            self.fx, self.fz = (np.pad(f, ((0, 1), (0, 0))) for f in (self.fx, self.fz))
+        self.fx, self.fz = (np.vstack([f, np.zeros(f.shape[1], dtype=np.uint8)]) for f in (self.fx, self.fz))
         return self
 
     def remove_entry(self, entry) -> "_FramedTableau":
         q = self.index(entry)
         super().remove_entry(entry)
-        if self.fx is not None:
-            self.fx, self.fz = (np.delete(f, q, axis=0) for f in (self.fx, self.fz))
+        self.fx, self.fz = (np.delete(f, q, axis=0) for f in (self.fx, self.fz))
         return self
 
     def measure(self, entry, basis=None, force=None, rng=None):
         """Measure Z on the reference, taking outcome 0 when it is random.
 
         A record reads the reference bit XOR x_q of its frame. A random
-        measurement doubles the records (k = 0, 1); where k XOR x_q(F) is 1
-        the frame takes the flip Pauli, the old stabilizer that anticommuted
-        with Z_q, which `measure_pauli` leaves in the pivot's destabilizer row.
+        measurement adds a variable t, the record's outcome; where t XOR x_q(F)
+        is 1 the frame takes the flip Pauli D, the old stabilizer that
+        anticommuted with Z_q, which `measure_pauli` leaves in the pivot's
+        destabilizer row. So the columns gain D (e_t + x_q(F)).
         """
         q = self.index(entry)
         anti = np.flatnonzero(self.tab.x[self.tab.n :, q])
         if basis is not None or anti.size == 0:
             bit, p = super().measure(entry, basis)
-            if self.fx is not None:
-                self.bits = np.vstack([self.bits, bit ^ self.fx[q]])
+            self.forms = np.vstack([self.forms, np.hstack([np.uint8(bit), self.fx[q]])])
             return bit, p
         bit, p = super().measure(entry, force=0)
-        self.n_records *= 2
-        if self.n_records > self.cap:
-            self.fx = self.fz = self.bits = None
-        if self.fx is not None:
-            k = np.tile(np.array([0, 1], dtype=np.uint8), self.fx.shape[1])
-            fx, fz = (np.repeat(f, 2, axis=1) for f in (self.fx, self.fz))
-            flip = (k ^ fx[q]).astype(bool)
-            d = int(anti[0])
-            fx[:, flip] ^= self.tab.x[d][:, None]
-            fz[:, flip] ^= self.tab.z[d][:, None]
-            self.fx, self.fz = fx, fz
-            self.bits = np.vstack([np.repeat(self.bits, 2, axis=1), k])
+        self.fx, self.fz, self.forms = (
+            np.hstack([f, np.zeros((len(f), 1), dtype=np.uint8)]) for f in (self.fx, self.fz, self.forms)
+        )
+        e_t = np.zeros(self.forms.shape[1], dtype=np.uint8)
+        e_t[-1] = 1
+        self.forms = np.vstack([self.forms, e_t])
+        flip = e_t[1:] ^ self.fx[q]
+        d = int(anti[0])
+        self.fx ^= self.tab.x[d][:, None] & flip
+        self.fz ^= self.tab.z[d][:, None] & flip
         return bit, p
 
     def correct(self, j: int, step: Correct, outcomes, prob) -> None:
         """The `_execute` hook after a Correct (passed unbound, so `self` is the
-        state): the reference took the map's Pauli at its own bits, so record
-        i's frame takes M (v_i + v_0), M the step's declared matrix and v_i
-        record i's bits of the tags it reads; the offset cancels."""
-        if self.fx is None:
-            return
+        state): the reference took the map's Pauli at its own bits c, and
+        record v reads c + L v, L the linear parts of the forms of the step's
+        tags; so the columns gain M L, M the step's declared matrix, and the
+        offset and c cancel."""
         pauli = step.pauli
         row = {t: i for i, (t, _, _) in enumerate(outcomes)}
-        v = self.bits[[row[t] for t in pauli.tags]]
         # uint8 sums wrap modulo 256, which keeps their parity
-        flips = (pauli.matrix @ (v ^ v[:, :1])) % 2
+        flips = (pauli.matrix @ self.forms[[row[t] for t in pauli.tags], 1:]) % 2
         qubits, n = [self.index(e) for e in pauli.entries], len(pauli.entries)
         self.fx[qubits] ^= flips[:n]
         self.fz[qubits] ^= flips[n:]
@@ -609,33 +604,37 @@ class _FramedTableau(TableauState):
 def _enumerate_frames(
     protocol: Protocol, start: TableauState, branch_cap: int, target, keep_states: bool
 ) -> EnumerationResult:
-    """`enumerate_branches` from one tableau history and its Pauli frames.
+    """`enumerate_branches` from one tableau history and its affine Pauli frames.
 
-    Every record has probability 2^-r (deterministic steps contribute 1), and
-    record i's final state is F_i |reference>: the reference's canonical rows
-    c_j with signs flipped by the symplectic products <F_i, c_j>. So a record
-    agrees with the first branch iff every product is 0, and matches a target
-    with the reference's bits iff the products equal the sign differences.
-    Every Correct of the program declares its Pauli map, so one GF(2) product
-    over all records moves their frames (`_FramedTableau.correct`).
+    Every record has probability 2^-r (deterministic steps contribute 1). The
+    records are the vectors v in GF(2)^r in depth-first order: binary
+    counting, first variable most significant. Record v's outcomes are its
+    forms at v, and its final state is F(v) |reference>: the reference's
+    canonical rows c_j with signs flipped by the symplectic products
+    <F(v), c_j>, linear in v. So one GF(2) product of the record vectors with
+    the forms' linear parts and the columns' products expands every row. A
+    record agrees with the first branch iff every product is 0, and matches a
+    target with the reference's bits iff the products equal the sign
+    differences.
     """
-    framed = _FramedTableau(start, branch_cap)
-    history = _execute(
-        protocol.program, framed, lambda state, spec, outcomes: ({},), on_correct=_FramedTableau.correct
-    )
+    framed = _FramedTableau(start)
+    history = _execute(protocol.program, framed, lambda *_: ({},), on_correct=_FramedTableau.correct)
     _, outcomes, prob = next(history)
-    if framed.n_records > branch_cap:
-        raise BranchCapExceeded(f"more than {branch_cap} branches: {framed.n_records} records")
+    r, m = framed.fx.shape[1], len(outcomes)
+    if 2**r > branch_cap:
+        raise BranchCapExceeded(f"more than {branch_cap} branches: {2**r} records")
     reference = _finalize(framed, protocol)
     order = [framed.index(k) for k in reference.keys]
-    fx, fz = framed.fx[order].astype(np.int64), framed.fz[order].astype(np.int64)
-    n = reference.tab.n
-
-    def signs_flipped(rows):  # <F_i, row_j> for every record i (axis 0) and row j
-        return ((rows[:, n:] @ fx + rows[:, :n] @ fz) % 2).T
-
-    rows, signs = reference.tab._canonical_rows()
-    flips = signs_flipped(rows.astype(np.int64))
+    fx, fz = framed.fx[order], framed.fz[order]
+    tab, n = reference.tab, reference.tab.n
+    rows, signs = tab._canonical_rows()
+    # the canonical rows, then (for the finals) every tableau row
+    paulis = np.concatenate([rows, np.concatenate([tab.x, tab.z], axis=1)] if keep_states else [rows])
+    linear = np.concatenate([framed.forms[:, 1:], (paulis[:, n:] @ fx + paulis[:, :n] @ fz)]).T
+    records = ((np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1).astype(np.uint8)
+    # uint8 sums and products wrap modulo 256, which keeps their parity
+    expanded = (records @ linear) % 2
+    bits, flips = expanded[:, :m] ^ framed.forms[:, 0], expanded[:, m : m + n]
     agree = ~flips.any(axis=1)
     if target is None:
         fids = agree.astype(float)
@@ -647,13 +646,12 @@ def _enumerate_frames(
     choices = [((t, 0, p), (t, 1, p)) for t, _, p in outcomes]
     reports = [
         BranchReport(OutcomeRecord(tuple(map(operator.getitem, choices, ks))), prob, fid)
-        for ks, fid in zip(framed.bits.T.tolist(), fids.tolist())
+        for ks, fid in zip(bits.tolist(), fids.tolist())
     ]
     finals = None
     if keep_states:
         finals = []
-        tab = reference.tab
-        for row in signs_flipped(np.concatenate([tab.x, tab.z], axis=1).astype(np.int64)):
+        for row in expanded[:, m + n :]:
             final = reference.clone()
             final.tab.r = ((tab.r + 2 * row) % 4).astype(np.uint8)
             finals.append(final)

@@ -412,20 +412,21 @@ def deficit_via_transfer_only(mps: MPS, q: int, m_sites: int, rank_cutoff: float
     and tau_AB = A~ B~. Raises ValueError where rg_fixed_point_tensor does: when
     the blocked tau_AA is rank-deficient (the blocked map is not injective).
     """
+    t = transfer_matrix(mps)
+    return _deficit(t, fixed_point_data(*transfer_fixed_points(t)), q, m_sites, rank_cutoff)
+
+
+def _deficit(t: np.ndarray, data: FixedPointData, q: int, m_sites: int, rank_cutoff: float = 1e-10) -> float:
+    """`deficit_via_transfer_only` from the transfer matrix t and its fixed-point data."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if m_sites < 2:
         raise ValueError("need at least two blocked sites")
-    t = transfer_matrix(mps)
     tau_aa_io = chain_from_io(np.linalg.matrix_power(t, q))
     w = np.linalg.eigvalsh((tau_aa_io + tau_aa_io.conj().T) / 2)
     if w[0] < rank_cutoff * w[-1]:
         raise ValueError("blocked tau_AA is rank-deficient; transfer-only route invalid")
-    a_tilde = _sqrt_psd(tau_aa_io)
-    rho, sigma = transfer_fixed_points(t)
-    data = fixed_point_data(rho, sigma)
-    tau_ab_io = a_tilde @ data.b_tilde
-    tab = chain_from_io(tau_ab_io)
+    tab = chain_from_io(_sqrt_psd(tau_aa_io) @ data.b_tilde)
     tbb = data.tau_bb_chain
     val = np.trace(np.linalg.matrix_power(tab, m_sites)) - np.trace(
         np.linalg.matrix_power(tbb, m_sites)
@@ -514,8 +515,9 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
 
     `envelope_holds` is False when the measured deficit exceeds the envelope;
     the report says so and leaves the verdict to the caller. The measured
-    deficit comes from deficit_via_transfer_only at every q, so nothing
-    d^q-sized is built and no q is too large to report.
+    deficit is deficit_via_transfer_only's at every q, from the same transfer
+    matrix and fixed points as the envelope, so nothing d^q-sized is built
+    and no q is too large to report.
     """
     chi = mps.chi
     t = transfer_matrix(mps)
@@ -525,14 +527,13 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
     lam1 = abs(vals[1]) if (chi > 1 and len(vals) > 1) else 0.0
     if lam1 > 1 - SPECTRAL_TOL:
         raise ValueError("no spectral gap; tensor not normal")
-    measured = deficit_via_transfer_only(mps, q, m_sites)
+    data = fixed_point_data(*transfer_fixed_points(t))
+    measured = _deficit(t, data, q, m_sites)
     if lam1 < 1e-14:
         # zero correlation length: already a fixed point after any blocking
         return BoundReport(math.inf, q, m_sites, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, measured, True)
     alpha = -math.log(lam1)
     c_v = gauge_condition_number(t)
-    rho, sigma = transfer_fixed_points(t)
-    data = fixed_point_data(rho, sigma)
     gamma_q = (chi**3) * (q ** (chi * chi - 1)) * math.exp(alpha * (chi * chi - 1))
     lambda_q = chi * c_v * gamma_q
     tau_bb_norm = float(np.linalg.norm(data.tau_bb_chain, 2))

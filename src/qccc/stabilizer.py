@@ -429,20 +429,16 @@ class StabilizerTableau:
 
     def add_qubits(self, k: int) -> "StabilizerTableau":
         """Append k fresh qubits in |0>, returning a new tableau."""
-        n2 = self.n + k
-        t = StabilizerTableau(n2)
-        t.x[:] = 0
-        t.z[:] = 0
-        t.r[:] = 0
-        t.x[: self.n, : self.n] = self.x[: self.n]
-        t.z[: self.n, : self.n] = self.z[: self.n]
-        t.r[: self.n] = self.r[: self.n]
-        t.x[n2 : n2 + self.n, : self.n] = self.x[self.n :]
-        t.z[n2 : n2 + self.n, : self.n] = self.z[self.n :]
-        t.r[n2 : n2 + self.n] = self.r[self.n :]
-        for j in range(k):
-            t.x[self.n + j, self.n + j] = 1
-            t.z[n2 + self.n + j, self.n + j] = 1
+        n, n2 = self.n, self.n + k
+        t = StabilizerTableau.__new__(StabilizerTableau)
+        t.n = n2
+        t.x = np.zeros((2 * n2, n2), dtype=np.uint8)
+        t.z = np.zeros_like(t.x)
+        t.r = np.zeros(2 * n2, dtype=np.uint8)
+        t.x[:n, :n], t.z[:n, :n], t.r[:n] = self.x[:n], self.z[:n], self.r[:n]
+        t.x[n2 : n2 + n, :n], t.z[n2 : n2 + n, :n], t.r[n2 : n2 + n] = self.x[n:], self.z[n:], self.r[n:]
+        np.fill_diagonal(t.x[n:n2, n:], 1)  # destabilizers X_j
+        np.fill_diagonal(t.z[n2 + n :, n:], 1)  # stabilizers Z_j
         return t
 
     def remove_qubit(self, q: int) -> "StabilizerTableau":

@@ -502,7 +502,10 @@ class PureState:
             data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError("a state file must be a JSON object")
-        reg = QuditRegister([(e["site"], e["slot"], e["dim"]) for e in data["register"]])
+        try:
+            reg = QuditRegister([(e["site"], e["slot"], e["dim"]) for e in data["register"]])
+        except (TypeError, KeyError):
+            raise ValueError("'register' must be a list of objects with site, slot and dim") from None
         return cls(reg, complex_pairs(data["amplitudes"], "'amplitudes'"))
 
 

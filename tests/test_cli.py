@@ -181,7 +181,7 @@ class TestMps:
 
         # for AKLT the envelope is vacuous (epsilon_q >= 1) up to q = 18 and
         # exceeds 1 at q = 20; at q = 22 it is about 0.26
-        monkeypatch.setattr(mps, "deficit_via_transfer_only", lambda *a, **k: 1.0)
+        monkeypatch.setattr(mps, "_deficit", lambda *a, **k: 1.0)
         rep = mps.bound_report(mps.aklt_mps(), 22, 6)
         assert rep.epsilon_q < 1 and rep.envelope_holds is False
         code, out = run_cli(["mps", "--fixture", "aklt", "--q-list", "4,22"], tmp_path)
@@ -315,6 +315,8 @@ class TestFailures:
         "mps_file_is_a_list": (["mps", "--file", "list.json"], None, EXIT_CONFIG),
         "state_amplitudes_not_pairs": (["diagnose", "--check", "prop1", "--in", "flat_state.json"], None, EXIT_CONFIG),
         "state_file_is_a_list": (["diagnose", "--check", "prop1", "--in", "list.json"], None, EXIT_CONFIG),
+        "state_register_not_objects": (["diagnose", "--check", "prop1", "--in", "int_reg.json"], None, EXIT_CONFIG),
+        "state_register_without_dim": (["diagnose", "--check", "prop1", "--in", "no_dim.json"], None, EXIT_CONFIG),
     }
     LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
 
@@ -331,6 +333,9 @@ class TestFailures:
         (tmp_path / "int_tensor.json").write_text(json.dumps({"tensor": 5}))
         register = [{"site": 0, "slot": "s", "dim": 2}]
         (tmp_path / "flat_state.json").write_text(json.dumps({"register": register, "amplitudes": [1, 0]}))
+        (tmp_path / "int_reg.json").write_text(json.dumps({"register": [1], "amplitudes": [[1, 0]]}))
+        no_dim = [{"site": 0, "slot": "s"}]
+        (tmp_path / "no_dim.json").write_text(json.dumps({"register": no_dim, "amplitudes": [[1, 0], [0, 0]]}))
         if max_amplitudes:
             monkeypatch.setenv("QCCC_MAX_AMPLITUDES", max_amplitudes)
         code = main(argv)

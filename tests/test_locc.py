@@ -735,15 +735,37 @@ class TestPauliFrames:
         assert res.engine == "frames" and len(res.reports) == 2**16
         assert res.verdict == "DETERMINISTIC" and res.min_fidelity == 1.0
 
-    @pytest.mark.parametrize("protocol, n", [("ghz", 18), ("tc", 8)], ids=["ghz18", "tc8"])
-    def test_cap_raised_after_one_history(self, protocol, n):
+    def test_ghz17_keeps_one_frame_column_per_random_outcome(self, monkeypatch):
+        """After the one history the frames hold r = 16 columns, not one per
+        record (2^16), and every measurement has one affine form over them."""
+        from qccc import locc
+
+        shapes = []
+        finalize = locc._finalize
+
+        def spy(state, protocol):
+            shapes.append((state.fx.shape[1], state.fz.shape[1], state.forms.shape))
+            return finalize(state, protocol)
+
+        monkeypatch.setattr(locc, "_finalize", spy)
+        res = enumerate_branches(_ghz(17)[0], backend="tableau")
+        assert res.engine == "frames" and len(res.reports) == 2**16
+        assert shapes == [(16, 16, (16, 17))]
+
+    @pytest.mark.parametrize(
+        "protocol, n, records",
+        [("ghz", 18, 2**17), ("tc", 8, 2**31), ("ghz", 256, 2**255)],
+        ids=["ghz18", "tc8", "ghz256"],
+    )
+    def test_cap_raised_after_one_history(self, protocol, n, records):
+        import re
         import time
 
         from qccc.protocols import ghz_protocol, toric_code_protocol
 
         proto = {"ghz": ghz_protocol, "tc": toric_code_protocol}[protocol](n)[0]
         t0 = time.perf_counter()
-        with pytest.raises(BranchCapExceeded, match="records"):
+        with pytest.raises(BranchCapExceeded, match=re.escape(f"more than 65536 branches: {records} records")):
             enumerate_branches(proto, backend="tableau")
         assert time.perf_counter() - t0 < 2.0
 

@@ -282,6 +282,21 @@ class TestBoundReport:
         slope = np.polyfit(qs, np.log(defs), 1)[0]
         assert slope <= -math.log(3) / 2 * (1 - 0.15)
 
+    def test_one_fixed_point_solve_per_report(self, monkeypatch):
+        # the envelope and the measured deficit share one transfer matrix and
+        # one set of fixed points
+        aklt = M.aklt_mps()
+        calls = {"transfer_matrix": 0, "transfer_fixed_points": 0, "fixed_point_data": 0}
+        for name in calls:
+
+            def counted(*a, fn=getattr(M, name), name=name, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+
+            monkeypatch.setattr(M, name, counted)
+        reps = [M.bound_report(aklt, q, 6) for q in range(4, 13)]
+        assert len(reps) == 9 and calls == dict.fromkeys(calls, 9)
+
     def test_chi_one_degenerate(self):
         rep = M.bound_report(M.product_mps(), 3, 4)
         assert rep.alpha == math.inf and rep.epsilon_q == 0.0

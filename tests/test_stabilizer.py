@@ -398,6 +398,20 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def _embedding_reference(t: StabilizerTableau, k: int):
+    """The (x, z, r) rows of t's state tensored with k qubits in |0>: the old
+    destabilizers padded with identities, X on each new qubit, then the old
+    stabilizers padded, Z on each new qubit."""
+    n, pad = t.n, np.zeros(k, dtype=np.uint8)
+
+    def padded(p: PauliString) -> PauliString:
+        return PauliString(np.concatenate([p.x, pad]), np.concatenate([p.z, pad]), p.phase)
+
+    rows = [padded(t.destabilizer(i)) for i in range(n)] + [PauliString.single(n + k, j, "X") for j in range(n, n + k)]
+    rows += [padded(t.stabilizer(i)) for i in range(n)] + [PauliString.single(n + k, j, "Z") for j in range(n, n + k)]
+    return tuple(np.array([getattr(p, a) for p in rows], dtype=np.uint8) for a in ("x", "z", "phase"))
+
+
 def _symplectic(t: StabilizerTableau) -> bool:
     """<d_i, s_j> = delta_ij, everything else commutes, stabilizers Hermitian."""
     x, z = t.x.astype(int), t.z.astype(int)
@@ -454,6 +468,18 @@ class TestPrimitiveProperties:
         small = t.remove_qubit(q)
         assert small.n == n and _symplectic(small)
         assert abs(np.vdot(small.to_statevector(), rest)) ** 2 > 1 - 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 7), k=st.integers(1, 3), seed=SEEDS)
+    def test_add_qubits_matches_embedding(self, n, k, seed):
+        t = random_stabilizer_tableau(n, np.random.default_rng(seed))
+        big = t.add_qubits(k)
+        rows = _embedding_reference(t, k)
+        assert big.n == n + k and _symplectic(big)
+        assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip((big.x, big.z, big.r), rows))
+        fresh = np.zeros(2**k)
+        fresh[0] = 1
+        assert abs(np.vdot(big.to_statevector(), np.kron(t.to_statevector(), fresh))) ** 2 > 1 - 1e-9
 
     @PROPERTY_SETTINGS
     @given(n=st.integers(1, 6), seed=SEEDS)
