@@ -1,8 +1,11 @@
 """Renormalization fixed points: entangled-pair states with a label register.
 
 The fixed-point family  sum_k alpha_k (x)_n |k>_{C_n} |psi_k>_{R_n, L_{n+1}}
-is prepared in gate-layer depth 4: bond Bell pairs, a label superposition via
-the parity-measurement trick, a conditioned bond writer, and teleport hops.
+is prepared in constant gate-layer depth, read from the program: bond Bell
+pairs, a label superposition via the parity-measurement trick, a conditioned
+bond writer, and teleport hops. On this ring of three sites the depth is 5:
+an odd ring's bond pairs need three site-disjoint layers, after the two of
+the label links.
 """
 
 import numpy as np

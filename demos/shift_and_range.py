@@ -1,8 +1,9 @@
-"""The cyclic shift: range-1 automaton, depth-2 circuit with ancillas.
+"""The cyclic shift: range-1 automaton, constant-depth circuit with ancillas.
 
 Without ancillas the shift needs depth growing with the ring size; with one
-ancilla per site two swap layers implement it (the ancillas absorb the inverse
-shift and return to |0>). The light-cone range estimator confirms range 1, and
+ancilla per site the ring's swaps implement it (the ancillas absorb the
+inverse shift and return to |0>), in two site-disjoint layers on an even ring
+and three on an odd one, such as N=5 below. The light-cone range estimator confirms range 1, and
 random shallow circuits never exceed their depth.
 """
 

@@ -1,7 +1,8 @@
 """Toric code in constant depth: plaquette parity measurements + sign fixes.
 
 Each A-plaquette's X-parity is kicked onto an ancilla through an 8-swap
-nearest-neighbor gadget (depth 16 in two chessboard waves). Measuring the
+nearest-neighbor gadget; all gadgets pack into 11 site-disjoint gate layers
+at every N. Measuring the
 ancillas projects onto prod_p (1 + k_p X_p)|0...0>; a product of sigma^z
 along plaquette-graph paths flips the negative k_p, landing on the toric code
 deterministically. The product of all outcomes is always +1.

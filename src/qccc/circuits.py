@@ -1,9 +1,12 @@
-"""Finite-depth circuits: gate layers, free local layers, validation, execution.
+"""Finite-depth circuits: gate layers, free local layers, scheduling,
+validation, execution.
 
 Depth counts gate layers only. A gate acts on exactly two qudits located at
 two distinct nearest-neighbor sites; within one layer the gates must touch
-pairwise-disjoint qudits. Local layers act site-locally (a site's physical
-qudits plus its ancillas), may create and destroy ancillas, and are free.
+pairwise-disjoint sites, since a site's ancillas belong to its local space.
+Local layers act site-locally (a site's physical qudits plus its ancillas),
+may create and destroy ancillas, and are free. `schedule` packs a sequence of
+layers into the fewest gate layers this rule allows.
 
 Gate payloads come in two forms: a dense matrix over the gate's qudits, or a
 list of named Clifford primitives ("H", "CNOT", ...) referring to positions
@@ -13,7 +16,6 @@ backend.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -89,20 +91,48 @@ class Circuit:
         return sum(len(l.gates) for l in self.layers if isinstance(l, GateLayer))
 
 
-def parallel(blocks: Sequence[Sequence[Layer]]) -> List[Layer]:
-    """Run per-block layer sequences side by side: layer i of the result holds
-    layer i of every block, and a shorter block idles. The blocks must act on
-    disjoint qudits and agree on the kind of every layer they share."""
-    out: List[Layer] = []
-    for i, stage in enumerate(itertools.zip_longest(*blocks)):
-        stage = [layer for layer in stage if layer is not None]
-        if all(isinstance(layer, GateLayer) for layer in stage):
-            out.append(GateLayer([g for layer in stage for g in layer.gates]))
-        elif all(isinstance(layer, LocalLayer) for layer in stage):
-            out.append(LocalLayer([a for layer in stage for a in layer.actions]))
+def schedule(lattice: Lattice, layers: Iterable[Layer]) -> Circuit:
+    """The layers' gates packed as soon as possible into site-disjoint layers.
+
+    Each gate, in order, goes into the first gate layer after the last gate on
+    any of its entries in which neither of its sites is busy. Local actions
+    cost no depth: each runs just before the first gate layer its entries are
+    free for, and orders those entries. Entries are keyed by name, so one that
+    is removed and added again is the same qudit. Every entry sees its gates
+    and actions in their original order, and operations on distinct entries
+    commute, so the circuit applies the same map as the layers in sequence.
+    """
+    gate_layers: List[List[Gate]] = []
+    busy: List[set] = []  # the sites of each gate layer
+    local: dict = {}  # t -> the actions that run before gate layer t
+    ready: dict = {}  # entry -> the first gate layer it is free for
+    for layer in layers:
+        if isinstance(layer, GateLayer):
+            for g in layer.gates:
+                sites = {s for s, _ in g.entries}
+                t = max(ready.get(e, 0) for e in g.entries)
+                while t < len(busy) and not busy[t].isdisjoint(sites):
+                    t += 1
+                if t == len(busy):
+                    busy.append(set())
+                    gate_layers.append([])
+                busy[t] |= sites
+                gate_layers[t].append(g)
+                for e in g.entries:
+                    ready[e] = t + 1
         else:
-            raise ValueError(f"blocks disagree on the kind of layer {i}")
-    return out
+            for act in layer.actions:
+                t = max(ready.get(e, 0) for e in act.entries)
+                local.setdefault(t, []).append(act)
+                for e in act.entries:
+                    ready[e] = t
+    out: List[Layer] = []
+    for t in range(len(gate_layers) + 1):
+        if t in local:
+            out.append(LocalLayer(local[t]))
+        if t < len(gate_layers):
+            out.append(GateLayer(gate_layers[t]))
+    return Circuit(lattice, out)
 
 
 @dataclass
@@ -133,10 +163,10 @@ def validate(circuit: Circuit, register: Optional[List[Tuple[int, str, int]]] = 
                 a, b = sorted(sites)
                 if distance(lat, [a], [b]) != 1:
                     out.append(Violation(li, (a, b), "gate sites are not nearest neighbors"))
+                for s in sites & used:
+                    out.append(Violation(li, g.sites(), f"site {s} used twice in one layer"))
+                used |= sites
                 for e in g.entries:
-                    if e in used:
-                        out.append(Violation(li, g.sites(), f"qudit {e} used twice in one layer"))
-                    used.add(e)
                     if dims is not None and e not in dims:
                         out.append(Violation(li, g.sites(), f"entry {e} does not exist here"))
                 if isinstance(g.spec, np.ndarray):
@@ -271,7 +301,9 @@ def circuit_unitary(circuit: Circuit, register: List[Tuple[int, str, int]]) -> n
 
 
 def build_shift_circuit(lat: Lattice, slot: str = "shift") -> Circuit:
-    """Depth-2 swap circuit implementing the left shift T on a 1D periodic chain.
+    """Swap circuit implementing the left shift T on a 1D periodic chain:
+    depth 2 at even n, 3 at odd n, where the ring's n edges need three
+    site-disjoint layers.
 
     One ancilla per site; the combined action is T on the system and the
     inverse shift on the ancillas, which end in their initial product state
@@ -283,15 +315,10 @@ def build_shift_circuit(lat: Lattice, slot: str = "shift") -> Circuit:
     d = lat.local_dim
     swap = [("SWAP", (0, 1))]
     adds = LocalLayer([add_ancilla(j, slot, d) for j in range(n)])
-    even = GateLayer(
-        [Gate(((j, "s"), ((j - 1) % n, slot)), swap) for j in range(0, n, 2)]
-    )
-    odd = GateLayer(
-        [Gate(((j, "s"), ((j - 1) % n, slot)), swap) for j in range(1, n, 2)]
-    )
+    swaps = GateLayer([Gate(((j, "s"), ((j - 1) % n, slot)), swap) for j in range(n)])
     unswap = LocalLayer([local_op([(j, "s"), (j, slot)], swap) for j in range(n)])
     removes = LocalLayer([remove_ancilla(j, slot) for j in range(n)])
-    return Circuit(lat, [adds, even, odd, unswap, removes])
+    return schedule(lat, [adds, swaps, unswap, removes])
 
 
 def _shift_unitary(lat: Lattice) -> np.ndarray:

@@ -121,18 +121,24 @@ def _build_protocol(args):
     raise ConfigError(f"unknown protocol {name!r}")
 
 
-def cmd_prepare(args, report: dict) -> int:
-    proto, _target = _build_protocol(args)
-    if args.backend == "tableau" and not proto.clifford:
-        raise ConfigError(f"protocol {proto.name!r} is not Clifford; use --backend dense")
-    report["protocol"] = proto.name
-    report["depth"] = proto.depth()
-    violations = proto.validate_circuit()
+def _report_circuit(report: dict, circuit: cx.Circuit, register) -> bool:
+    """Write the circuit's depth and validity (with any violations); True when valid."""
+    report["depth"] = circuit.depth()
+    violations = cx.validate(circuit, register)
     report["circuit_valid"] = not violations
     if violations:
         report["violations"] = [
             {"layer": v.layer, "sites": list(v.sites), "reason": v.reason} for v in violations
         ]
+    return not violations
+
+
+def cmd_prepare(args, report: dict) -> int:
+    proto, _target = _build_protocol(args)
+    if args.backend == "tableau" and not proto.clifford:
+        raise ConfigError(f"protocol {proto.name!r} is not Clifford; use --backend dense")
+    report["protocol"] = proto.name
+    _report_circuit(report, proto.schedule(), proto.register)
     ok = True
     if args.mode == "enumerate":
         res = enumerate_branches(proto, backend=args.backend)
@@ -311,10 +317,9 @@ def cmd_range(args, report: dict) -> int:
 def cmd_shift(args, report: dict) -> int:
     lat = Lattice((args.n,), local_dim=args.d)
     circuit = cx.build_shift_circuit(lat)
-    report["depth"] = circuit.depth()
-    ok = circuit.depth() == 2
     n, d = lat.n_sites, lat.local_dim
     reg = QuditRegister([(i, "s", d) for i in range(n)])
+    ok = _report_circuit(report, circuit, reg.entries())
     checked = 0
     for basis in np.ndindex(*(d,) * n):
         st = PureState.product(reg, {(i, "s"): np.eye(d)[basis[i]] for i in range(n)})
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_range)
 
-    p = sub.add_parser("shift", help="build and verify the depth-2 shift circuit")
+    p = sub.add_parser("shift", help="build and verify the shift circuit (depth 2, or 3 on an odd ring)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--out")

@@ -256,9 +256,7 @@ class CJProtocol:
         """The gadget program: H and the entangler on every (a, s) pair, then per
         site the Bell rotation of (a, in) and its two measurements, then w^dag."""
         n = self.n
-        lat = Lattice((n,))
-        entangle = self._entangler_layer()
-        program: List = [ApplyLayers([entangle])]
+        program: List = [ApplyLayers([self._entangler_layer()])]
         for k in range(n):
             program += [
                 ApplyLayers([cx.LocalLayer(bell_rotation_ops((k, "a"), (k, "in"), 2))]),
@@ -276,10 +274,9 @@ class CJProtocol:
         program.append(Correct(name="Pauli frame w^dag", pauli=frame))
         return Protocol(
             name=f"cj[{n}]",
-            lattice=lat,
+            lattice=Lattice((n,)),
             register=self._entries("s", "a", "in"),
             program=program,
-            circuit=cx.Circuit(lat, [entangle]),
             system_entries=[(k, "s") for k in range(n)],
             clifford=True,
         )

@@ -33,10 +33,13 @@ to phase within MERGE_TOL: the later history reports the earlier one's leaves
 under its own prefix. The rows are those of the plain depth-first search,
 which is the same protocol with `reads` stripped.
 
-The layer-exact circuit structure of each protocol is kept in a separate
-Circuit object for depth accounting and validation; the program may order
-commuting operations differently (ancillas created late, measured ancillas
-dropped early) to keep dense states small.
+A protocol's depth is read from its program: `Protocol.schedule` packs the
+gates of its ApplyLayers steps into site-disjoint layers (`cx.schedule`), so
+the program may order commuting operations for a small dense state (ancillas
+created late, measured ancillas dropped early) at no cost in depth. Every
+gate belongs to the one quantum round before the LOCC: no gate may touch an
+entry that an earlier Correct acted on, so a Correct declares the entries it
+acts on (`entries`) next to the tags it reads.
 """
 
 from __future__ import annotations
@@ -106,14 +109,23 @@ class PauliMap:
         self.matrix, self.offset = (np.asarray(a, dtype=np.uint8) % 2 for a in (self.matrix, offset))
         if len(set(self.entries)) < len(self.entries) or (self.matrix.shape, len(self.offset)) != (shape, shape[0]):
             raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offset bits")
+        # each tag's column and the offset as ints, bit i holding row i
+        pack = lambda bits: int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        self._columns = [(t, pack(column)) for t, column in zip(self.tags, self.matrix.T)]
+        self._offset_bits = pack(self.offset)
 
     def actions(self, outcomes: Dict[str, int]) -> List[cx.LocalAction]:
         """X, Y or Z on each entry whose bits are set, in entry order."""
-        v = np.array([outcomes[t] for t in self.tags], dtype=np.uint8)
-        bits = ((self.matrix @ v + self.offset) % 2).tolist()  # uint8 sums wrap mod 256, keeping parity
+        bits = self._offset_bits
+        for t, column in self._columns:
+            if outcomes[t] & 1:
+                bits ^= column
         n = len(self.entries)
-        fixes = zip(self.entries, bits[:n], bits[n:])
-        return [cx.local_op([e], [(_PAULI_CHARS[x, z], (0,))]) for e, x, z in fixes if x or z]
+        return [
+            cx.local_op([e], [(_PAULI_CHARS[bits >> i & 1, bits >> (n + i) & 1], (0,))])
+            for i, e in enumerate(self.entries)
+            if bits >> i & 1 or bits >> (n + i) & 1
+        ]
 
 
 @dataclass
@@ -121,23 +133,26 @@ class Correct:
     """Outcome-conditioned local correction: fn(outcomes) -> list[LocalAction].
 
     `reads` declares the outcome tags fn reads; fn then sees only those.
-    None means it reads every tag. A Correct that declares a `pauli` map
-    takes its fn from it, and the tableau certifies it with Pauli frames.
+    `entries` declares the entries its actions may touch. None means every
+    tag, or every entry. A Correct that declares a `pauli` map takes its fn
+    and entries from it, and the tableau certifies it with Pauli frames.
     """
 
     fn: Optional[Callable[[Dict[str, int]], List[cx.LocalAction]]] = None
     name: str = "correction"
     reads: Optional[FrozenSet[str]] = None
     pauli: Optional[PauliMap] = None
+    entries: Optional[FrozenSet[EntryKey]] = None
 
     def __post_init__(self):
         if self.pauli is None and self.fn is None:
             raise ValueError(f"correction {self.name!r} needs fn or a Pauli map")
         if self.pauli is not None:
             reads_tags = self.reads is None or self.reads.issuperset(self.pauli.tags)
-            if self.fn not in (None, self.pauli.actions) or not reads_tags:
-                raise ValueError(f"correction {self.name!r}: its Pauli map sets fn and reads only `reads`")
+            if self.fn not in (None, self.pauli.actions) or self.entries is not None or not reads_tags:
+                raise ValueError(f"correction {self.name!r}: its Pauli map sets fn and entries, and reads only `reads`")
             self.fn = self.pauli.actions
+            self.entries = frozenset(self.pauli.entries)
 
 
 Step = Union[ApplyLayers, Measure, Correct]
@@ -190,7 +205,6 @@ class Protocol:
     lattice: Lattice
     register: List[Tuple[int, str, int]]
     program: List[Step]
-    circuit: cx.Circuit
     system_entries: List[EntryKey]
     target: Optional[PureState] = None
     target_generators: Optional[list] = None  # PauliStrings over system_entries order
@@ -206,11 +220,29 @@ class Protocol:
                     raise ProtocolError(f"entry {key} is measured more than once")
                 seen.add(key)
 
+    def schedule(self) -> cx.Circuit:
+        """The program's gates and local actions packed by `cx.schedule`;
+        measurements and corrections are left out. Raises ProtocolError when a
+        gate touches an entry that an earlier Correct acted on: the program
+        is one quantum round followed by LOCC."""
+        layers: List[cx.Layer] = []
+        corrected: Optional[set] = set()  # None: every entry
+        for step in self.program:
+            if isinstance(step, ApplyLayers):
+                for layer in step.layers:
+                    for g in layer.gates if isinstance(layer, cx.GateLayer) else ():
+                        if corrected is None or corrected.intersection(g.entries):
+                            raise ProtocolError(f"{self.name}: gate on {g.entries} after a correction acted there")
+                layers += step.layers
+            elif isinstance(step, Correct) and corrected is not None:
+                corrected = None if step.entries is None else corrected | step.entries
+        return cx.schedule(self.lattice, layers)
+
     def depth(self) -> int:
-        return self.circuit.depth()
+        return self.schedule().depth()
 
     def validate_circuit(self) -> List[cx.Violation]:
-        return cx.validate(self.circuit, self.register)
+        return cx.validate(self.schedule(), self.register)
 
 
 def initial_state(protocol: Protocol, backend: str = "dense"):
@@ -223,11 +255,13 @@ def initial_state(protocol: Protocol, backend: str = "dense"):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _apply_correction(state, actions: List[cx.LocalAction]) -> None:
+def _apply_correction(state, step: Correct, actions: List[cx.LocalAction]) -> None:
     for act in actions:
         sites = {s for s, _ in act.entries}
         if act.kind == "op" and len(sites) != 1:
             raise ProtocolError("corrections must be strictly site-local")
+        if step.entries is not None and not step.entries.issuperset(act.entries):
+            raise ProtocolError(f"correction {step.name!r} acts on {act.entries}, outside its declared entries")
     cx.apply_layer(state, cx.LocalLayer(actions))
 
 
@@ -296,7 +330,7 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
             elif isinstance(step, Correct):
                 reads = step.reads
                 seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
-                _apply_correction(state, step.fn(seen))
+                _apply_correction(state, step, step.fn(seen))
                 if on_correct is not None:
                     rows = on_correct(state, j + 1, step, outcomes, prob)
                     if rows is not None:
@@ -752,7 +786,7 @@ def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: in
         ApplyLayers([cx.LocalLayer(bell_rotation_ops(source, partner, d))]),
         Measure(MeasurementSpec(source, f"{tag}s")),
         Measure(MeasurementSpec(partner, f"{tag}p")),
-        Correct(fix, f"teleport fix {tag}", frozenset({f"{tag}s", f"{tag}p"})),
+        Correct(fix, f"teleport fix {tag}", frozenset({f"{tag}s", f"{tag}p"}), entries=frozenset({target})),
     ]
 
 

@@ -676,10 +676,10 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     conditioned-writer / teleport protocol around it comes from the same
     builder as `rg_fixed_point_protocol`.
 
-    The returned protocol's `program` runs block by block, taking free-swap
-    shortcuts across a block to keep the dense register narrow; its `circuit`
-    is the staged nearest-neighbor form, whose depth depends on q but not on
-    the chain length.
+    The returned protocol's `program` runs block by block to keep the dense
+    register narrow, carrying entries across a block by nearest-neighbor SWAP
+    conveyors. Its schedule runs the same stage of every block side by side,
+    so `depth` depends on q but not on the chain length.
     """
     if n_sites % q:
         raise ValueError("chain length must be divisible by the blocking factor")

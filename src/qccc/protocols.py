@@ -1,11 +1,11 @@
 """Measurement-assisted preparation protocols: GHZ, W, 1D RG fixed points,
 and the toric code.
 
-Each constructor returns a Protocol whose `circuit` field is the layer-exact
-entangling circuit (its depth is asserted by tests) and whose `program` field
-is the runnable step sequence. The program applies the same gates; commuting
-blocks are ordered so that ancillas live only while needed, which keeps the
-dense backend inside its amplitude cap.
+Each constructor returns a Protocol whose `program` is the runnable step
+sequence; its depth is that of the program's gates packed into site-disjoint
+layers (`Protocol.schedule`), and tests assert it. Commuting blocks are
+ordered so that ancillas live only while needed, which keeps the dense
+backend inside its amplitude cap without costing depth.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ def ghz_generators(n: int) -> List[PauliString]:
 
 
 def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
-    """GHZ_n by a depth-2 circuit, ancilla parity measurements and X-string fixes."""
+    """GHZ_n by a depth-2 circuit (1 at n = 2), ancilla parity measurements
+    and X-string fixes."""
     if n < 2:
         raise ValueError("GHZ protocol needs n >= 2")
     lat = Lattice((n,))
@@ -61,24 +62,18 @@ def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
 
     adds = cx.LocalLayer([cx.add_ancilla(i, "a", 2) for i in range(1, n)])
     pair_gate = [("H", (0,)), ("CNOT", (0, 1))]
-    even = cx.GateLayer(
-        [cx.Gate(((i, "s"), (i + 1, "a")), list(pair_gate)) for i in range(0, n - 1, 2)]
-    )
-    odd = cx.GateLayer(
-        [cx.Gate(((i, "s"), (i + 1, "a")), list(pair_gate)) for i in range(1, n - 1, 2)]
-    )
+    pairs = cx.GateLayer([cx.Gate(((i, "s"), (i + 1, "a")), list(pair_gate)) for i in range(n - 1)])
     # v|0> = |+> on the last site, then parity CNOTs; all site-local, hence free
     locals_ = cx.LocalLayer(
         [cx.local_op([(n - 1, "s")], [("Z", (0,)), ("H", (0,))])]
         + [cx.local_op([(i, "s"), (i, "a")], [("CNOT", (0, 1))]) for i in range(1, n)]
     )
-    circuit = cx.Circuit(lat, [adds, even, odd, locals_])
 
     # X on site i when k1 + ... + ki is odd: a lower-triangular prefix-parity map
     prefix = np.tril(np.ones((n - 1, n - 1), dtype=np.uint8))
     parity = PauliMap([f"k{i}" for i in range(1, n)], system[1:], np.concatenate([prefix, 0 * prefix]))
     program = [
-        ApplyLayers([adds, even, odd, locals_]),
+        ApplyLayers([adds, pairs, locals_]),
         *[Measure(MeasurementSpec((i, "a"), f"k{i}")) for i in range(1, n)],
         Correct(name="parity X string", pauli=parity),
     ]
@@ -90,7 +85,6 @@ def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
         lattice=lat,
         register=register,
         program=program,
-        circuit=circuit,
         system_entries=system,
         target=target,
         target_generators=ghz_generators(n),
@@ -138,25 +132,9 @@ def w_protocol(n: int) -> Tuple[Protocol, PureState]:
     zs = w_z_sequence(n)
 
     pair_gate = [("H", (0,)), ("CNOT", (0, 1))]
-    adds = cx.LocalLayer(
-        [cx.add_ancilla(0, "al", 2)]
-        + [cx.add_ancilla(i, "ar", 2) for i in range(n)]
-        + [cx.add_ancilla(i + 1, "al", 2) for i in range(n - 1)]
-        + [cx.add_ancilla(n - 1, "al2", 2)]
-        + [cx.local_op([(0, "s")], [("X", (0,))])]
-    )
-    even = cx.GateLayer(
-        [cx.Gate(((i, "ar"), (i + 1, "al")), list(pair_gate)) for i in range(0, n - 1, 2)]
-    )
-    odd = cx.GateLayer(
-        [cx.Gate(((i, "ar"), (i + 1, "al")), list(pair_gate)) for i in range(1, n - 1, 2)]
-    )
-    last_pair = cx.LocalLayer(
-        [cx.local_op([(n - 1, "ar"), (n - 1, "al2")], list(pair_gate))]
-    )
-    circuit = cx.Circuit(lat, [adds, even, odd, last_pair])
 
-    # program: one lazily built hop per site so only one Bell pair is alive at a time
+    # one lazily built hop per site so only one Bell pair is alive at a time;
+    # the pair gates pack into two layers (one at n = 2)
     program: List = [
         ApplyLayers(
             [
@@ -193,7 +171,6 @@ def w_protocol(n: int) -> Tuple[Protocol, PureState]:
         lattice=lat,
         register=register,
         program=program,
-        circuit=circuit,
         system_entries=system,
         target=target,
         clifford=False,
@@ -276,7 +253,9 @@ def rg_target_state(spec: RGFixedPointSpec) -> PureState:
 
 def rg_fixed_point_protocol(spec: RGFixedPointSpec) -> Tuple[Protocol, PureState]:
     """Example-2 style preparation: bond Bell pairs, a C-register superposition,
-    conditioned bond writing, and teleport hops. Gate-layer depth 4 (2 if B=1)."""
+    conditioned bond writing, and teleport hops. Gate-layer depth 4 at even N
+    (2 if B=1; 3 for B > 1 at N = 2), one more at odd N, whose ring of bond
+    pairs needs a third layer."""
     bonds = [b.reshape(spec.bond_dim, spec.bond_dim) for b in spec.bond_states]
     target = rg_target_state(spec)
     proto = _fixed_point_protocol(
@@ -305,30 +284,21 @@ def _polished_columns(cols: Dict[int, np.ndarray]) -> Tuple[Dict[int, np.ndarray
     return out, defect
 
 
-def _conveyor(n: int, src: EntryKey, dst: EntryKey, dim: int) -> List[cx.Layer]:
-    """Layers moving the content of entry `src` into a new entry `dst`, one
-    nearest-neighbor SWAP per hop the shorter way round a ring of n sites;
-    `src` and the temps on the way end in |0> and are removed."""
+def _conveyor(src: EntryKey, dst: EntryKey, dim: int, via: str) -> List[cx.Layer]:
+    """Layers moving the content of entry `src` into a new entry `dst` along
+    the chain, one nearest-neighbor SWAP per hop through temps in slot `via`;
+    `src` and the temps end in |0> and are removed."""
     if src == dst:
         return []
     s, t = src[0], dst[0]
-    step = 1 if (t - s) % n <= (s - t) % n else -1
-    hops = ((t - s) * step) % n
-    chain = [src] + [((s + h * step) % n, "hop") for h in range(1, hops)] + [dst]
+    step = 1 if t > s else -1
+    chain = [src] + [(site, via) for site in range(s + step, t, step)] + [dst]
     swap = [("SWAP", (0, 1))]
-    return (
-        [cx.LocalLayer([cx.add_ancilla(site, slot, dim) for site, slot in chain[1:]])]
-        + [cx.GateLayer([cx.Gate((a, b), swap)]) for a, b in zip(chain, chain[1:])]
-        + [cx.LocalLayer([cx.remove_ancilla(site, slot) for site, slot in chain[:-1]])]
-    )
-
-
-def _in_turns(pairs: List[List[cx.Layer]]) -> List[cx.Layer]:
-    """Run the layers of pairs 0, 2, 4, ... side by side, then those of the odd
-    pairs; neighboring pairs share a site. Both turns keep their layers even
-    when the odd one is empty."""
-    idle = [type(layer)() for layer in pairs[0]]
-    return cx.parallel([p + idle if i % 2 == 0 else idle + p for i, p in enumerate(pairs)])
+    return [
+        cx.LocalLayer([cx.add_ancilla(site, slot, dim) for site, slot in chain[1:]]),
+        cx.GateLayer([cx.Gate((a, b), swap) for a, b in zip(chain, chain[1:])]),
+        cx.LocalLayer([cx.remove_ancilla(site, slot) for site, slot in chain[:-1]]),
+    ]
 
 
 def _fixed_point_protocol(
@@ -344,37 +314,37 @@ def _fixed_point_protocol(
     of q sites: bond Bell pairs, a C-register GHZ with its alignment fix, a
     conditioned bond writer, and teleport hops.
 
-    Block b spans sites bq..bq+q-1; its hub (first site) holds the label C and
-    the left bond leg L, its tail (last site) the right bond leg R. Each bond
-    matrix psi_k is indexed (R leg, L leg). C takes part only with more than
-    one label, and the bonds only at bond dimension > 1.
+    Block b spans sites bq..bq+q-1 and works at its hub (first site), which
+    holds the label C and the bond legs L and R. Each bond matrix psi_k is
+    indexed (R leg, L leg). C takes part only with more than one label, and
+    the bonds only at bond dimension > 1.
 
-    Without `writer`, C, L and R are the system. A `writer` is a unitary on
-    (C, L, R, s_hub ... s_tail) that writes every block onto its physical sites
-    and leaves C, L and R in |0>; they are then ancillas, added and removed.
+    Without `writer`, q is 1 and C, L and R are the system. A `writer` is a
+    unitary on (C, L, R, s_hub, w_1 ... w_{q-1}) that writes every block onto
+    the hub's site and fresh hub entries w_j, and leaves C, L and R in |0>;
+    they are then ancillas, added and removed. Each w_j replaces the |0> qudit
+    of site hub + j.
 
-    The program runs block by block so that few ancillas are alive at once,
-    taking free-swap shortcuts across a block. The circuit is the staged
-    nearest-neighbor form: shortcuts become swap conveyors, and the same stage
-    of every block shares its layers, so its depth does not grow with the
-    chain length.
+    Every gate joins neighboring sites. A label link is one gate from a hub
+    to its neighbor and a bond pair one gate across a block boundary; SWAP
+    conveyors (`_conveyor`) carry the link's far half on to the next hub, the
+    pair's Rp back to its hub, and each w_j out to its site. The program runs
+    block by block so that few ancillas are alive at once; `Protocol.schedule`
+    runs the same stage of every block side by side, so the depth does not
+    grow with the chain length.
     """
     n = lat.n_sites
     m = n // q
     hub = lambda b: b * q
     tail = lambda b: b * q + q - 1
-    sites = lambda b: [(b * q + j, "s") for j in range(q)]
     alphas = np.asarray(alphas, dtype=complex)
     cdim = max(len(alphas), 2)
     ddim = bonds[0].shape[0]
     use_c = len(alphas) > 1
     use_bonds = ddim > 1
+    label = lambda b: [(hub(b), "C")] if use_c else []
     if writer is None:
-        register = [
-            (site, slot, cdim if slot == "C" else ddim)
-            for b in range(m)
-            for site, slot in ((hub(b), "C"), (hub(b), "L"), (tail(b), "R"))
-        ]
+        register = [(hub(b), slot, cdim if slot == "C" else ddim) for b in range(m) for slot in ("C", "L", "R")]
     else:
         register = [(i, "s", lat.local_dim) for i in range(n)]
 
@@ -385,55 +355,59 @@ def _fixed_point_protocol(
         vec[k] = psi.T
         cols[k * ddim * ddim] = vec.reshape(-1)
     bond_writer = gates.complete_to_unitary(_polished_columns(cols)[0])
+    bell = gates.bell_pair_gate(ddim)
 
-    def bond_write(b: int, c_site: int) -> cx.LocalAction:
-        head = [(c_site, "C")] if use_c else []
-        return cx.local_op(head + [(tail(b), "Lp"), (tail(b), "R")], bond_writer)
-
-    def block_write(b: int, r_site: int, out: List[EntryKey]) -> cx.LocalLayer:
-        head = [(hub(b), "C")] if use_c else []
-        if use_bonds:
-            head += [(hub(b), "L"), (r_site, "R")]
-        return cx.LocalLayer(
-            [cx.local_op(head + out, writer)]
-            + [cx.remove_ancilla(site, slot) for site, slot in head]
+    def bond_pair(b: int) -> List[cx.Layer]:
+        """A Bell pair on (Rp, L) across bond b, Rp carried to the hub, and
+        psi_k written on (Lp, R) there."""
+        legs = [(tail(b), "Rp"), (hub(b), "Lp")]
+        if writer is not None:
+            legs += [(hub((b + 1) % m), "L"), (hub(b), "R")]
+        return (
+            [
+                cx.LocalLayer([cx.add_ancilla(site, slot, ddim) for site, slot in legs]),
+                cx.GateLayer([cx.Gate(((tail(b), "Rp"), (hub((b + 1) % m), "L")), bell)]),
+            ]
+            + _conveyor((tail(b), "Rp"), (hub(b), "Rp"), ddim, "Rp")
+            + [cx.LocalLayer([cx.local_op(label(b) + [(hub(b), "Lp"), (hub(b), "R")], bond_writer)])]
         )
 
-    def bond_adds(b: int) -> List[cx.LocalAction]:
-        legs = [(tail(b), "Rp"), (tail(b), "Lp")]
-        if writer is not None:
-            legs += [(hub((b + 1) % m), "L"), (tail(b), "R")]
-        return [cx.add_ancilla(site, slot, ddim) for site, slot in legs]
-
-    bell = gates.bell_pair_gate(ddim)
-    pair_gates = [cx.Gate(((tail(b), "Rp"), (hub((b + 1) % m), "L")), bell) for b in range(m)]
+    def block_write(b: int) -> List[cx.Layer]:
+        """The writer at the hub, then each w_j carried to site hub + j."""
+        d = lat.local_dim
+        legs = label(b) + ([(hub(b), "L"), (hub(b), "R")] if use_bonds else [])
+        fresh = [(hub(b), f"w{j}") for j in range(1, q)]
+        sites = [(hub(b) + j, "s") for j in range(1, q)]
+        write = cx.LocalLayer(
+            [cx.remove_ancilla(site, slot) for site, slot in sites]
+            + [cx.add_ancilla(site, slot, d) for site, slot in fresh]
+            + [cx.local_op(legs + [(hub(b), "s")] + fresh, writer)]
+            + [cx.remove_ancilla(site, slot) for site, slot in legs]
+        )
+        return [write] + [layer for w, e in zip(fresh, sites) for layer in _conveyor(w, e, d, w[1])]
 
     program: List = []
-    circuit: List[cx.Layer] = []
-    if use_bonds:
-        circuit.append(cx.LocalLayer([a for b in range(m) for a in bond_adds(b)]))
-        circuit += _in_turns([[cx.GateLayer([g])] for g in pair_gates])
     if use_c:
         bell_c = gates.bell_pair_gate(cdim)
-        labels = cx.LocalLayer(
-            [cx.add_ancilla(hub(b), "C", cdim) for b in range(m) if writer is not None]
-            + [cx.local_op([(hub(m - 1), "C")], gates.complete_to_unitary({0: alphas}))]
-        )
-        fuse = cx.LocalLayer(
-            [cx.local_op([(hub(b), "C"), (hub(b), "Cp")], gates.cnot_d(cdim)) for b in range(1, m)]
-        )
         program.append(
             ApplyLayers(
                 [
-                    labels,
                     cx.LocalLayer(
-                        [cx.add_ancilla(hub(b), "Cp", cdim) for b in range(1, m)]
-                        + [
-                            cx.local_op([(hub(b), "C"), (hub(b + 1), "Cp")], bell_c)
-                            for b in range(m - 1)
-                        ]
+                        [cx.add_ancilla(hub(b), "C", cdim) for b in range(m) if writer is not None]
+                        + [cx.local_op([(hub(m - 1), "C")], gates.complete_to_unitary({0: alphas}))]
+                        + [cx.add_ancilla(hub(b) + 1, "Cp", cdim) for b in range(m - 1)]
                     ),
-                    fuse,
+                    cx.GateLayer([cx.Gate(((hub(b), "C"), (hub(b) + 1, "Cp")), bell_c) for b in range(m - 1)]),
+                ]
+                + [
+                    layer
+                    for b in range(m - 1)
+                    for layer in _conveyor((hub(b) + 1, "Cp"), (hub(b + 1), "Cp"), cdim, "Cp")
+                ]
+                + [
+                    cx.LocalLayer(
+                        [cx.local_op([(hub(b), "C"), (hub(b), "Cp")], gates.cnot_d(cdim)) for b in range(1, m)]
+                    )
                 ]
             )
         )
@@ -447,75 +421,30 @@ def _fixed_point_protocol(
                     acts.append(cx.local_op([(hub(b), "C")], gates.shift_x(cdim, shift)))
             return acts
 
-        program.append(Correct(c_fix, "label alignment", frozenset(f"c{b}" for b in range(1, m))))
-        circuit.append(labels)
-        circuit += _in_turns(
-            [
-                [
-                    cx.LocalLayer(
-                        [
-                            cx.add_ancilla(hub(b), "mv", cdim),
-                            cx.local_op([(hub(b), "C"), (hub(b), "mv")], bell_c),
-                        ]
-                    )
-                ]
-                + _conveyor(n, (hub(b), "mv"), (hub(b + 1), "Cp"), cdim)
-                for b in range(m - 1)
-            ]
+        program.append(
+            Correct(
+                c_fix,
+                "label alignment",
+                frozenset(f"c{b}" for b in range(1, m)),
+                entries=frozenset((hub(b), "C") for b in range(m - 1)),
+            )
         )
-        circuit.append(fuse)
 
     for b in range(m):
         if use_bonds:
-            program.append(
-                ApplyLayers(
-                    [
-                        cx.LocalLayer(bond_adds(b)),
-                        cx.GateLayer([pair_gates[b]]),
-                        cx.LocalLayer([bond_write(b, hub(b))]),
-                    ]
-                )
-            )
+            program.append(ApplyLayers(bond_pair(b)))
         if writer is not None and b >= 1:
-            program.append(ApplyLayers([block_write(b, tail(b), sites(b))]))
+            program.append(ApplyLayers(block_write(b)))
         if use_bonds:
-            program += _teleport_steps(
-                (tail(b), "Lp"), (tail(b), "Rp"), (hub((b + 1) % m), "L"), ddim, f"T{b}"
-            )
+            program += _teleport_steps((hub(b), "Lp"), (hub(b), "Rp"), (hub((b + 1) % m), "L"), ddim, f"T{b}")
     if writer is not None:
-        program.append(ApplyLayers([block_write(0, tail(0), sites(0))]))
-
-    if use_bonds:
-        # C visits the tail, where the bond writer acts
-        carry_c = lambda a, z: _conveyor(n, (a, "C"), (z, "C"), cdim) if use_c else []
-        circuit += cx.parallel(
-            [
-                carry_c(hub(b), tail(b))
-                + [cx.LocalLayer([bond_write(b, tail(b))])]
-                + carry_c(tail(b), hub(b))
-                for b in range(m)
-            ]
-        )
-    if writer is not None:
-        # R and the block's other sites visit the hub, where the writer acts
-        d = lat.local_dim
-        visits = lambda b: [((hub(b) + j, "s"), (hub(b), f"w{j}")) for j in range(1, q)]
-        circuit += cx.parallel(
-            [
-                (_conveyor(n, (tail(b), "R"), (hub(b), "R"), ddim) if use_bonds else [])
-                + [layer for src, dst in visits(b) for layer in _conveyor(n, src, dst, d)]
-                + [block_write(b, hub(b), [(hub(b), "s")] + [dst for _, dst in visits(b)])]
-                + [layer for src, dst in visits(b) for layer in _conveyor(n, dst, src, d)]
-                for b in range(m)
-            ]
-        )
+        program.append(ApplyLayers(block_write(0)))
 
     return Protocol(
         name=name,
         lattice=lat,
         register=register,
         program=program,
-        circuit=cx.Circuit(lat, circuit),
         system_entries=[(site, slot) for site, slot, _ in register],
         target=target,
         clifford=False,
@@ -706,7 +635,7 @@ def _tc_plaquette_block(layout: ToricCodeLayout, p: Tuple[int, int]) -> List[cx.
 
 
 def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
-    """|0...0> -> |TC> with depth-16 nearest-neighbor gates plus LOCC.
+    """|0...0> -> |TC> with depth-11 nearest-neighbor gates plus LOCC.
 
     The dense target state is attached for N = 4; larger sizes certify against
     the stabilizer generators on the tableau backend.
@@ -717,18 +646,9 @@ def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
     register = [(s, "s", 2) for s in range(m)]
     system = [(s, "s") for s in range(m)]
 
-    wave1 = [p for p in layout.plaquettes_a if p[0] % 2 == 0]
-    wave2 = [p for p in layout.plaquettes_a if p[0] % 2 == 1]
-
-    # layer-exact circuit: two waves of eight parallel gate layers each
-    circuit_layers: List[cx.Layer] = []
-    for wave in (wave1, wave2):
-        circuit_layers += cx.parallel([_tc_plaquette_block(layout, p) for p in wave])
-    circuit = cx.Circuit(lat, circuit_layers)
-
-    # program: plaquette blocks in wave order, each measured and dropped right away
+    # plaquette blocks, even rows first, each measured and dropped right away
     program: List = []
-    for p in wave1 + wave2:
+    for p in sorted(layout.plaquettes_a, key=lambda p: p[0] % 2):
         program.append(ApplyLayers(_tc_plaquette_block(layout, p)))
         corner = lat.site_index(p)
         program.append(Measure(MeasurementSpec((corner, "ap"), f"k{p[0]},{p[1]}")))
@@ -741,7 +661,6 @@ def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
         lattice=lat,
         register=register,
         program=program,
-        circuit=circuit,
         system_entries=system,
         target=target,
         target_generators=tc_target_generators(layout),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qccc import gates
 from qccc import circuits as cx
@@ -42,8 +44,9 @@ class TestValidate:
         out = cx.validate(c, qreg(4))
         assert any("not unitary" in v.reason for v in out)
 
-    def test_same_site_qudits_allowed_in_one_layer(self):
-        # two gates may touch the same site provided the qudits differ
+    def test_same_site_qudits_rejected_in_one_layer(self):
+        # a site's ancillas belong to its local space: two gates of one layer
+        # may not touch the same site, even on different qudits
         lat = Lattice((3,))
         layer = cx.LocalLayer([cx.add_ancilla(1, "a", 2)])
         g = cx.GateLayer(
@@ -53,7 +56,7 @@ class TestValidate:
             ]
         )
         out = cx.validate(cx.Circuit(lat, [layer, g]), qreg(3))
-        assert out == []
+        assert [v.reason for v in out] == ["site 1 used twice in one layer"]
 
     def test_register_tracking(self):
         lat = Lattice((3,))
@@ -66,22 +69,85 @@ class TestValidate:
         assert any("removed but absent" in v.reason for v in out)
 
 
-class TestParallel:
-    def test_stages_merge_layer_by_layer(self):
-        def block(i):
-            return [
-                cx.LocalLayer([cx.add_ancilla(i, "a", 2)]),
-                cx.GateLayer([cx.Gate(((i, "a"), (i + 1, "s")), [("SWAP", (0, 1))])]),
-            ]
+@hst.composite
+def _gate_programs(draw):
+    """A ring of 3-5 qubit sites, some with an ancilla, and a random sequence
+    of two-site gates and site-local ops over them, one per layer."""
+    n = draw(hst.integers(3, 5))
+    ancillas = draw(hst.sets(hst.integers(0, n - 1)))
+    register = [(i, "s", 2) for i in range(n)] + [(i, "a", 2) for i in sorted(ancillas)]
+    slot = lambda site: hst.sampled_from(["s", "a"] if site in ancillas else ["s"])
+    layers = []
+    for _ in range(draw(hst.integers(1, 12))):
+        site = draw(hst.integers(0, n - 1))
+        rng = np.random.default_rng(draw(hst.integers(0, 2**16)))
+        if draw(hst.booleans()):
+            nb = (site + 1) % n
+            gate = cx.Gate(((site, draw(slot(site))), (nb, draw(slot(nb)))), gates.random_unitary(4, rng))
+            layers.append(cx.GateLayer([gate]))
+        else:
+            entries = [(site, "s")] + ([(site, "a")] if site in ancillas else [])
+            u = gates.random_unitary(2 ** len(entries), rng)
+            layers.append(cx.LocalLayer([cx.local_op(entries, u)]))
+    return Lattice((n,)), register, layers
 
-        merged = cx.parallel([block(0), block(2), block(4)[:1]])
-        assert [type(layer) for layer in merged] == [cx.LocalLayer, cx.GateLayer]
-        assert len(merged[0].actions) == 3 and len(merged[1].gates) == 2
-        assert cx.validate(cx.Circuit(Lattice((6,)), merged), qreg(6)) == []
 
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cx.parallel([[cx.LocalLayer()], [cx.GateLayer()]])
+class TestSchedule:
+    @settings(max_examples=60, deadline=None)
+    @given(_gate_programs())
+    def test_site_disjoint_in_order_and_equal(self, program):
+        lat, register, layers = program
+        circuit = cx.schedule(lat, layers)
+        placed = {}
+        for t, layer in enumerate(l for l in circuit.layers if isinstance(l, cx.GateLayer)):
+            sites = [s for g in layer.gates for s, _ in g.entries]
+            assert len(sites) == len(set(sites))
+            placed.update((id(g), t) for g in layer.gates)
+        gate_list = [g for l in layers if isinstance(l, cx.GateLayer) for g in l.gates]
+        assert sorted(placed) == sorted(map(id, gate_list))
+        for entry in {e for g in gate_list for e in g.entries}:
+            ts = [placed[id(g)] for g in gate_list if entry in g.entries]
+            assert ts == sorted(set(ts))
+        expect = cx.circuit_unitary(cx.Circuit(lat, layers), register)
+        assert np.allclose(cx.circuit_unitary(circuit, register), expect, atol=1e-12)
+
+    def test_a_reused_entry_waits_for_its_previous_use(self):
+        # gate B would fit in layer 0, but its entry (0, "t") was removed and
+        # added again after gate A in layer 1: the same qudit, so B follows A
+        swap = [("SWAP", (0, 1))]
+        layers = [
+            cx.LocalLayer([cx.add_ancilla(0, "t", 2)]),
+            cx.GateLayer([cx.Gate(((1, "s"), (2, "s")), swap), cx.Gate(((0, "t"), (1, "s")), swap)]),
+            cx.LocalLayer([cx.remove_ancilla(0, "t"), cx.add_ancilla(0, "t", 2)]),
+            cx.GateLayer([cx.Gate(((3, "s"), (0, "t")), swap)]),
+        ]
+        circuit = cx.schedule(Lattice((4,)), layers)
+        assert [len(l.gates) for l in circuit.layers if isinstance(l, cx.GateLayer)] == [1, 1, 1]
+        assert cx.validate(circuit, qreg(4)) == []
+
+    def test_a_local_action_orders_its_entries(self):
+        # the op on (0, s) and (0, a) follows the gate on (0, a) in layer 1,
+        # so the later gate on (0, s) may not move up into layer 0
+        rng = np.random.default_rng(4)
+        g = lambda a, b: cx.GateLayer([cx.Gate((a, b), gates.random_unitary(4, rng))])
+        layers = [
+            g((1, "s"), (2, "s")),
+            g((0, "a"), (1, "s")),
+            cx.LocalLayer([cx.local_op([(0, "s"), (0, "a")], gates.random_unitary(4, rng))]),
+            g((0, "s"), (3, "s")),
+        ]
+        lat, register = Lattice((4,)), qreg(4) + [(0, "a", 2)]
+        circuit = cx.schedule(lat, layers)
+        assert [type(l) for l in circuit.layers] == [cx.GateLayer, cx.GateLayer, cx.LocalLayer, cx.GateLayer]
+        expect = cx.circuit_unitary(cx.Circuit(lat, layers), register)
+        assert np.allclose(cx.circuit_unitary(circuit, register), expect, atol=1e-12)
+
+    def test_local_actions_cost_no_depth(self):
+        g = lambda a, b: cx.GateLayer([cx.Gate(((a, "s"), (b, "s")), [("CZ", (0, 1))])])
+        h = lambda a: cx.LocalLayer([cx.local_op([(a, "s")], [("H", (0,))])])
+        circuit = cx.schedule(Lattice((4,)), [g(0, 1), h(1), h(2), g(2, 3), h(3), g(1, 2)])
+        assert circuit.depth() == 2
+        assert [type(l) for l in circuit.layers] == [cx.LocalLayer, cx.GateLayer, cx.LocalLayer, cx.GateLayer]
 
 
 class TestRun:
@@ -139,7 +205,8 @@ class TestShift:
     def test_n3_qutrits(self):
         lat = Lattice((3,), local_dim=3)
         circuit = cx.build_shift_circuit(lat)
-        assert circuit.depth() == 2
+        assert circuit.depth() == 3  # an odd ring's three edges need three layers
+        assert cx.validate(circuit, qreg(3, 3)) == []
         reg = QuditRegister(qreg(3, 3))
         st = PureState.product(
             reg, {(0, "s"): [1, 0, 0], (1, "s"): [0, 1, 0], (2, "s"): [0, 0, 1]}
@@ -160,7 +227,8 @@ class TestShift:
         for n in range(2, 7):
             lat = Lattice((n,))
             circuit = cx.build_shift_circuit(lat)
-            assert circuit.depth() == 2
+            assert circuit.depth() == (2 if n % 2 == 0 else 3)
+            assert cx.validate(circuit, qreg(n)) == []
             reg = QuditRegister(qreg(n))
             for b in range(2**n):
                 bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]

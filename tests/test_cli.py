@@ -275,7 +275,7 @@ class TestRangeAndShift:
     def test_shift_verification(self, tmp_path):
         code, rep = run_cli(["shift", "--n", "5"], tmp_path)
         assert code == EXIT_OK
-        assert rep["depth"] == 2
+        assert rep["depth"] == 3 and rep["circuit_valid"] is True
         assert rep["basis_states_checked"] == 32
 
     def test_shift_qutrits(self, tmp_path):

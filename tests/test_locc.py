@@ -28,7 +28,7 @@ from qccc.statevector import PureState, QuditRegister, RegionOperator
 
 def _noop_protocol():
     lat = Lattice((2,))
-    return Protocol("noop", lat, [(0, "s", 2)], [], cx.Circuit(lat, []), [(0, "s")])
+    return Protocol("noop", lat, [(0, "s", 2)], [], [(0, "s")])
 
 
 def _forget_protocol():
@@ -49,7 +49,7 @@ def _forget_protocol():
         Measure(MeasurementSpec((0, "a"), "k")),
     ]
     return Protocol(
-        "forget", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")], clifford=True
+        "forget", lat, [(0, "s", 2)], prog, [(0, "s")], clifford=True
     )
 
 
@@ -171,7 +171,7 @@ class TestEngine:
                 ]
             ),
         ]
-        proto = Protocol("bad", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+        proto = Protocol("bad", lat, [(0, "s", 2)], prog, [(0, "s")])
         with pytest.raises(ProtocolError):
             run_sampled(proto, seed=0)
 
@@ -181,10 +181,38 @@ class TestEngine:
             Correct(lambda o: [cx.local_op([(0, "s"), (1, "s")], [("CNOT", (0, 1))])]),
         ]
         proto = Protocol(
-            "bad2", lat, [(0, "s", 2), (1, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s"), (1, "s")]
+            "bad2", lat, [(0, "s", 2), (1, "s", 2)], prog, [(0, "s"), (1, "s")]
         )
         with pytest.raises(ProtocolError):
             run_sampled(proto, seed=0)
+
+    def test_correction_outside_its_entries_rejected(self):
+        lat = Lattice((2,))
+        register = [(0, "s", 2), (1, "s", 2)]
+        flip = lambda site: lambda o: [cx.local_op([(site, "s")], [("X", (0,))])]
+        for site, ok in ((0, True), (1, False)):
+            prog = [Correct(flip(site), "flip", entries=frozenset({(0, "s")}))]
+            proto = Protocol("declared", lat, register, prog, [(0, "s"), (1, "s")])
+            if ok:
+                run_sampled(proto, seed=0)
+            else:
+                with pytest.raises(ProtocolError, match="outside its declared entries"):
+                    run_sampled(proto, seed=0)
+
+    def test_gate_after_a_correction_on_its_entry_rejected(self):
+        # one quantum round, then LOCC: a gate may not follow a correction
+        # on its entries; an undeclared correction may touch every entry
+        lat = Lattice((3,))
+        register = [(i, "s", 2) for i in range(3)]
+        gate = lambda a, b: ApplyLayers([cx.GateLayer([cx.Gate(((a, "s"), (b, "s")), [("CZ", (0, 1))])])])
+        fix = lambda entries: Correct(lambda o: [], "fix", entries=entries)
+        system = [(i, "s") for i in range(3)]
+        later = Protocol("later", lat, register, [gate(0, 1), fix(frozenset({(2, "s")})), gate(0, 1)], system)
+        assert later.depth() == 2
+        for entries in (frozenset({(1, "s")}), None):
+            proto = Protocol("after", lat, register, [gate(0, 1), fix(entries), gate(1, 2)], system)
+            with pytest.raises(ProtocolError, match="after a correction"):
+                proto.schedule()
 
     @pytest.mark.parametrize(
         "build, backend",
@@ -222,7 +250,7 @@ class TestEngine:
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", 2), cx.local_op([(0, "a")], ry)])]),
             Measure(MeasurementSpec((0, "a"), "k")),
         ]
-        proto = Protocol("lossy", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+        proto = Protocol("lossy", lat, [(0, "s", 2)], prog, [(0, "s")])
         res = enumerate_branches(proto, prob_floor=0.2)
         assert len(res.reports) == 1
         assert abs(res.total_probability() - 0.9) < 1e-12
@@ -427,7 +455,7 @@ def _kicked_sibling(theta):
         Measure(MeasurementSpec((0, "a"), "k")),
         Correct(lambda o: [], "no-op", frozenset()),
     ]
-    return Protocol("kick", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+    return Protocol("kick", lat, [(0, "s", 2)], prog, [(0, "s")])
 
 
 class TestBranchMerging:
@@ -489,7 +517,7 @@ class TestBranchMerging:
             Correct(lambda o: [], "no-op", frozenset()),
             Correct(lambda o: [cx.local_op([(0, "s")], [("X", (0,))])] * o["k"], "flip", flip_reads),
         ]
-        proto = Protocol("late-flip", lat, [(0, "s", 2)], prog, cx.Circuit(lat, []), [(0, "s")])
+        proto = Protocol("late-flip", lat, [(0, "s", 2)], prog, [(0, "s")])
         res = enumerate_branches(proto)
         assert res.verdict == "NOT_DETERMINISTIC"
         assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.0])
@@ -600,7 +628,7 @@ def _random_pauli_program(rng) -> Protocol:
         program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 3))))]))
     register = [(i, "s", 2) for i in range(k)]
     lat = Lattice((k,))
-    return Protocol("random-pauli", lat, register, program, cx.Circuit(lat, []), system, clifford=True)
+    return Protocol("random-pauli", lat, register, program, system, clifford=True)
 
 
 def _ghz_with_fix(n, fix):
@@ -699,9 +727,27 @@ class TestPauliFrames:
         assert [a.spec for a in fix.actions({"k": 0})] == [[("Z", (0,))]]
         assert [a.spec for a in fix.actions({"k": 1})] == [[("X", (0,))]]
         assert Correct(pauli=fix).fn == fix.actions
-        for bad in (dict(fn=lambda o: []), dict(reads=frozenset({"j"}))):
+        assert Correct(pauli=fix).entries == frozenset(entry)
+        for bad in (dict(fn=lambda o: []), dict(reads=frozenset({"j"})), dict(entries=frozenset(entry))):
             with pytest.raises(ValueError, match="Pauli map"):
                 Correct(pauli=fix, **bad)
+
+    def test_actions_equal_the_matrix_product_on_every_record(self):
+        # the int columns give the same fix as (matrix @ v + offset) mod 2
+        from qccc.stabilizer import _PAULI_CHARS
+
+        parity = next(s for s in _ghz(10)[0].program if isinstance(s, Correct)).pauli
+        offset = np.random.default_rng(2).integers(0, 2, size=len(parity.offset))
+        fix = PauliMap(parity.tags, parity.entries, parity.matrix, offset)
+        n = len(fix.entries)
+        for k in range(2 ** len(fix.tags)):
+            v = np.array([(k >> i) & 1 for i in range(len(fix.tags))])
+            bits = (fix.matrix.astype(int) @ v + fix.offset) % 2
+            expect = [
+                ([e], [(_PAULI_CHARS[x, z], (0,))]) for e, x, z in zip(fix.entries, bits[:n], bits[n:]) if x or z
+            ]
+            got = fix.actions(dict(zip(fix.tags, v.tolist())))
+            assert [(list(a.entries), a.spec) for a in got] == expect, k
 
     def test_ghz17_derives_one_fix(self, monkeypatch):
         """The declared fix runs once, for the reference history; the other

@@ -421,14 +421,14 @@ class TestPipeline:
         ids=["random-q1", "aklt-q2"],
     )
     def test_staged_writer_reads_the_bond(self, tensor, q, n):
-        # follow what each entry holds through the staged circuit: a fresh
+        # follow what each entry holds through the scheduled circuit: a fresh
         # ancilla holds "0", a local op or entangling gate leaves its own mark
         # on its entries, a swap exchanges contents. The writer reads
         # (L, R, sites); the bond writer is the op on Lp.
         res = M.preparation_pipeline(tensor(), q, n)
         held = {(i, "s"): "0" for i in range(n)}
         bond_marks, writer_inputs = set(), []
-        for layer in res.protocol.circuit.layers:
+        for layer in res.protocol.schedule().layers:
             items = layer.gates if isinstance(layer, cx.GateLayer) else layer.actions
             for item in items:
                 kind = getattr(item, "kind", "op")

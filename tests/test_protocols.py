@@ -44,10 +44,22 @@ class TestGHZ:
         assert zero.fidelity > 1 - 1e-9
 
     def test_depth_exactly_two(self):
+        # one pair gate at n = 2
         for n in (2, 3, 5, 8):
             proto, _ = ghz_protocol(n)
-            assert proto.depth() == 2
+            assert proto.depth() == (1 if n == 2 else 2)
             assert proto.validate_circuit() == []
+
+    def test_merged_pair_layer_fails_validation(self):
+        # the program keeps all pair gates in one GateLayer, which shares
+        # sites; run as one layer it is not a depth-1 circuit
+        from qccc import circuits as cx
+
+        proto, _ = ghz_protocol(6)
+        merged = cx.Circuit(proto.lattice, proto.program[0].layers)
+        assert sum(isinstance(layer, cx.GateLayer) for layer in merged.layers) == 1
+        reasons = [v.reason for v in cx.validate(merged, proto.register)]
+        assert reasons and all("used twice in one layer" in r for r in reasons)
 
     def test_tableau_n8_stabilizer_group(self):
         proto, _ = ghz_protocol(8)
@@ -86,8 +98,8 @@ class TestGHZ:
         n = 4
         proto, _ = ghz_protocol(n)
         st = PureState.product(QuditRegister(proto.register))
-        adds, even, odd, locals_ = proto.circuit.layers
-        for layer in (adds, even, odd):
+        adds, pairs, locals_ = proto.program[0].layers
+        for layer in (adds, pairs):
             cx.apply_layer(st, layer)
         st.apply_named("Z", [(n - 1, "s")])
         st.apply_named("H", [(n - 1, "s")])
@@ -138,9 +150,10 @@ class TestW:
             assert abs(res.total_probability() - 1) < 1e-9
 
     def test_entangling_depth_two(self):
+        # one pair gate at n = 2
         for n in (2, 4, 7):
             proto, _ = w_protocol(n)
-            assert proto.depth() == 2
+            assert proto.depth() == (1 if n == 2 else 2)
             assert proto.validate_circuit() == []
 
 
@@ -168,7 +181,7 @@ class TestRG:
     def test_b2_eq3_state(self):
         spec = RGFixedPointSpec(2, np.array([1, 1]) / np.sqrt(2), gates.bell_state(2), 2)
         proto, target = rg_fixed_point_protocol(spec)
-        assert proto.depth() == 4
+        assert proto.depth() == 3
         res = enumerate_branches(proto)
         assert res.verdict == "DETERMINISTIC" and res.min_fidelity > 1 - 1e-9
 
@@ -185,7 +198,7 @@ class TestRG:
         proto, _ = rg_fixed_point_protocol(spec)
         assert proto.depth() == 2
 
-    @pytest.mark.parametrize("b, n, depth", [(1, 2, 2), (1, 5, 2), (2, 2, 4), (3, 5, 4)])
+    @pytest.mark.parametrize("b, n, depth", [(1, 2, 2), (1, 5, 3), (2, 2, 3), (2, 4, 4), (3, 5, 5)])
     def test_circuit_validates(self, b, n, depth):
         spec = RGFixedPointSpec(b, np.ones(b) / np.sqrt(b), gates.bell_state(2), n)
         proto, _ = rg_fixed_point_protocol(spec)
@@ -373,10 +386,11 @@ class TestTCDecoder:
 
 
 class TestToricCodeProtocol:
-    def test_depth_sixteen_and_valid(self):
-        proto, _ = toric_code_protocol(4)
-        assert proto.depth() == 16
-        assert proto.validate_circuit() == []
+    def test_depth_eleven_and_valid(self):
+        for n in (4, 8):
+            proto, _ = toric_code_protocol(n)
+            assert proto.depth() == 11
+            assert proto.validate_circuit() == []
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -432,33 +446,35 @@ class TestToricCodeProtocol:
         assert st.fidelity(target) > 1 - 1e-9
 
     def test_circuit_vs_program_equivalence_tableau(self):
-        # running the wave-parallel 16-layer circuit, then measuring, matches
-        # the plaquette-sequential program on the same forced outcomes
+        # running the scheduled 11-layer circuit, then measuring, matches the
+        # plaquette-sequential program on the same forced outcomes
         from qccc import circuits as cx
         from qccc.locc import replay, OutcomeRecord
         from qccc.stabilizer import TableauState
 
-        proto, _ = toric_code_protocol(4)
-        layout = ToricCodeLayout(4)
-        order = sorted(layout.plaquettes_a, key=lambda p: (p[0] % 2, p[0], p[1]))
         rng = np.random.default_rng(5)
-        # pick a random forced pattern with even parity
-        bits = list(rng.integers(0, 2, size=7)) + [0]
-        bits[-1] = sum(bits) % 2
-        ts = TableauState(proto.register)
-        cx.run(proto.circuit, ts)
-        for p, b in zip(order, bits):
-            corner = layout.lattice.site_index(p)
-            ts.measure((corner, "ap"), force=int(b))
-            ts.remove_entry((corner, "ap"))
-        signs = {p: 1 - 2 * b for p, b in zip(order, bits)}
-        for site in find_tc_correction(layout, signs):
-            ts.apply_named("Z", [(site, "s")])
-        record = OutcomeRecord(
-            tuple((f"k{p[0]},{p[1]}", int(b), 0.5) for p, b in zip(order, bits))
-        )
-        st2, _ = replay(proto, record, backend="tableau")
-        assert ts.permuted(proto.system_entries).tab.states_equal(st2.tab)
+        for n in (4, 8):
+            proto, _ = toric_code_protocol(n)
+            layout = ToricCodeLayout(n)
+            circuit = proto.schedule()
+            assert circuit.depth() == 11
+            order = sorted(layout.plaquettes_a, key=lambda p: (p[0] % 2, p[0], p[1]))
+            for _ in range(5):
+                # a random forced pattern with even parity
+                bits = rng.integers(0, 2, size=len(order))
+                bits[-1] = bits[:-1].sum() % 2
+                ts = TableauState(proto.register)
+                cx.run(circuit, ts)
+                for p, b in zip(order, bits):
+                    corner = layout.lattice.site_index(p)
+                    ts.measure((corner, "ap"), force=int(b))
+                    ts.remove_entry((corner, "ap"))
+                signs = {p: 1 - 2 * int(b) for p, b in zip(order, bits)}
+                for site in find_tc_correction(layout, signs):
+                    ts.apply_named("Z", [(site, "s")])
+                record = OutcomeRecord(tuple((f"k{p[0]},{p[1]}", int(b), 0.5) for p, b in zip(order, bits)))
+                st2, _ = replay(proto, record, backend="tableau")
+                assert ts.permuted(proto.system_entries).tab.states_equal(st2.tab), (n, bits)
 
     def test_plaquette_block_equals_direct_vp(self):
         # the 8-swap gadget with a local parity kick equals the direct
@@ -489,3 +505,37 @@ class TestToricCodeProtocol:
         expect = np.kron(plusx @ psi, [1, 0]) + np.kron(minusx @ psi, [0, 1])
         assert abs(abs(np.vdot(st.amps, expect)) - 1) < 1e-10
 
+
+
+def _builders():
+    from qccc import diagnostics, mps
+
+    rg = lambda b, n: rg_fixed_point_protocol(RGFixedPointSpec(b, np.ones(b) / np.sqrt(b), gates.bell_state(2), n))[0]
+    tc4 = StabilizerTableau.from_generators(tc_target_generators(ToricCodeLayout(4)))
+    return {
+        "ghz5": lambda: ghz_protocol(5)[0],
+        "w4": lambda: w_protocol(4)[0],
+        "rg-B1-N3": lambda: rg(1, 3),
+        "rg-B3-N4": lambda: rg(3, 4),
+        "tc4": lambda: toric_code_protocol(4)[0],
+        "aklt-q4": lambda: mps.preparation_pipeline(mps.aklt_mps(), 4, 8).protocol,
+        "cluster-q3": lambda: mps.preparation_pipeline(mps.cluster_mps(), 3, 9).protocol,
+        "ghz-mps-q2": lambda: mps.preparation_pipeline(mps.ghz_mps(), 2, 6).protocol,
+        "cj-ghz3": lambda: diagnostics.ghz_unitary_cj(3).protocol(),
+        "cj-tc4": lambda: diagnostics.build_cj_protocol(tc4).protocol(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_builders()))
+def test_programs_act_site_locally_between_gates(name):
+    # every multi-site action of a program is a nearest-neighbor gate, so
+    # the schedule accounts for all of its depth
+    from qccc import circuits as cx
+    from qccc.locc import ApplyLayers
+
+    proto = _builders()[name]()
+    for step in proto.program:
+        for layer in step.layers if isinstance(step, ApplyLayers) else ():
+            for act in layer.actions if isinstance(layer, cx.LocalLayer) else ():
+                assert len({site for site, _ in act.entries}) == 1, (name, act.entries)
+    assert proto.validate_circuit() == []

@@ -730,6 +730,6 @@ def _random_clifford_protocol(rng) -> Protocol:
         program.append(Correct(correction))
     register = [(i, "s", 2) for i in range(k)]
     return Protocol(
-        "random-clifford", Lattice((k,)), register, program, cx.Circuit(Lattice((k,)), []), system,
+        "random-clifford", Lattice((k,)), register, program, system,
         clifford=True,
     )
