@@ -27,7 +27,8 @@ res = M.preparation_pipeline(aklt, 4, 8)
 out = enumerate_branches(res.protocol)
 print(f"  verdict {out.verdict} over {len(out.reports)} branches")
 print(f"  fidelity to the exact AKLT_8 state: {out.min_fidelity:.6f}")
-print(f"  circuit depth (nearest-neighbor, swap-expanded): {res.depth}")
+n_rounds = len(res.protocol.rounds())
+print(f"  circuit depth (nearest-neighbor, swap-expanded): {res.depth} over {n_rounds} quantum rounds")
 
 print("\nnon-normal input: the GHZ tensor splits into two product blocks")
 res_g = M.preparation_pipeline(M.ghz_mps(), 2, 6)

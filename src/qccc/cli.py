@@ -138,7 +138,7 @@ def cmd_prepare(args, report: dict) -> int:
     if args.backend == "tableau" and not proto.clifford:
         raise ConfigError(f"protocol {proto.name!r} is not Clifford; use --backend dense")
     report["protocol"] = proto.name
-    _report_circuit(report, proto.schedule(), proto.register)
+    valid = _report_circuit(report, proto.schedule(), proto.register)
     ok = True
     if args.mode == "enumerate":
         res = enumerate_branches(proto, backend=args.backend)
@@ -172,7 +172,7 @@ def cmd_prepare(args, report: dict) -> int:
             else:
                 report["stabilizer_match"] = fid == 1.0
             ok = fid >= 1 - 1e-9
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if ok and valid else EXIT_FAIL
 
 
 def cmd_mps(args, report: dict) -> int:
@@ -203,6 +203,7 @@ def cmd_mps(args, report: dict) -> int:
         out = enumerate_branches(res.protocol)
         report["pipeline"] = {
             "depth": res.depth,
+            "rounds": len(res.protocol.rounds()),
             "verdict": out.verdict,
             "n_branches": len(out.reports),
             "min_fidelity": out.min_fidelity,

@@ -36,10 +36,10 @@ which is the same protocol with `reads` stripped.
 A protocol's depth is read from its program: `Protocol.schedule` packs the
 gates of its ApplyLayers steps into site-disjoint layers (`cx.schedule`), so
 the program may order commuting operations for a small dense state (ancillas
-created late, measured ancillas dropped early) at no cost in depth. Every
-gate belongs to the one quantum round before the LOCC: no gate may touch an
-entry that an earlier Correct acted on, so a Correct declares the entries it
-acts on (`entries`) next to the tags it reads.
+created late, measured ancillas dropped early) at no cost in depth. A gate
+that depends on a correction starts a new quantum round (`Protocol.rounds`),
+so a Correct declares the entries it acts on (`entries`) next to the tags it
+reads.
 """
 
 from __future__ import annotations
@@ -109,23 +109,14 @@ class PauliMap:
         self.matrix, self.offset = (np.asarray(a, dtype=np.uint8) % 2 for a in (self.matrix, offset))
         if len(set(self.entries)) < len(self.entries) or (self.matrix.shape, len(self.offset)) != (shape, shape[0]):
             raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offset bits")
-        # each tag's column and the offset as ints, bit i holding row i
-        pack = lambda bits: int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        self._columns = [(t, pack(column)) for t, column in zip(self.tags, self.matrix.T)]
-        self._offset_bits = pack(self.offset)
 
     def actions(self, outcomes: Dict[str, int]) -> List[cx.LocalAction]:
         """X, Y or Z on each entry whose bits are set, in entry order."""
-        bits = self._offset_bits
-        for t, column in self._columns:
-            if outcomes[t] & 1:
-                bits ^= column
+        v = np.array([outcomes[t] for t in self.tags], dtype=np.uint8)
+        bits = ((self.matrix @ v + self.offset) % 2).tolist()  # uint8 sums wrap mod 256, keeping parity
         n = len(self.entries)
-        return [
-            cx.local_op([e], [(_PAULI_CHARS[bits >> i & 1, bits >> (n + i) & 1], (0,))])
-            for i, e in enumerate(self.entries)
-            if bits >> i & 1 or bits >> (n + i) & 1
-        ]
+        fixes = zip(self.entries, bits[:n], bits[n:])
+        return [cx.local_op([e], [(_PAULI_CHARS[x, z], (0,))]) for e, x, z in fixes if x or z]
 
 
 @dataclass
@@ -220,23 +211,46 @@ class Protocol:
                     raise ProtocolError(f"entry {key} is measured more than once")
                 seen.add(key)
 
-    def schedule(self) -> cx.Circuit:
-        """The program's gates and local actions packed by `cx.schedule`;
-        measurements and corrections are left out. Raises ProtocolError when a
-        gate touches an entry that an earlier Correct acted on: the program
-        is one quantum round followed by LOCC."""
-        layers: List[cx.Layer] = []
-        corrected: Optional[set] = set()  # None: every entry
+    def rounds(self) -> List[cx.Circuit]:
+        """The program's gates and local actions (not its measurements and
+        corrections) split into quantum rounds, each packed by `cx.schedule`.
+        A gate joins round r + 1 when an entry of it depends on the LOCC after
+        round r, directly or through local actions that joined it to one."""
+        # an entry's level is 2r - 1 after a gate of round r, 2r after the LOCC
+        # that follows; local actions share their highest level, gates go odd
+        level: Dict[EntryKey, int] = {}
+        measured: Dict[str, int] = {}  # tag -> level of its measurement
+        floor = 0  # set by a Correct that may act on every entry
+        split: List[List[cx.Layer]] = []
+        at = lambda entries: max([floor] + [level.get(e, 0) for e in entries])
         for step in self.program:
             if isinstance(step, ApplyLayers):
                 for layer in step.layers:
-                    for g in layer.gates if isinstance(layer, cx.GateLayer) else ():
-                        if corrected is None or corrected.intersection(g.entries):
-                            raise ProtocolError(f"{self.name}: gate on {g.entries} after a correction acted there")
-                layers += step.layers
-            elif isinstance(step, Correct) and corrected is not None:
-                corrected = None if step.entries is None else corrected | step.entries
-        return cx.schedule(self.lattice, layers)
+                    gate = isinstance(layer, cx.GateLayer)
+                    parts: Dict[int, list] = {}
+                    for item in layer.gates if gate else layer.actions:
+                        lvl = at(item.entries) | gate
+                        level.update(dict.fromkeys(item.entries, lvl))
+                        parts.setdefault(lvl // 2, []).append(item)
+                    for r, items in parts.items():
+                        split += [[] for _ in range(r + 1 - len(split))]
+                        split[r].append(type(layer)(items))
+            elif isinstance(step, Measure):
+                level[step.spec.entry] = measured[step.spec.tag] = max(2, at([step.spec.entry]) + 1 & ~1)
+            else:
+                entries = list(level) if step.entries is None else step.entries
+                tags = measured if step.reads is None else step.reads
+                lvl = max([2, at(entries)] + [measured.get(t, 0) for t in tags])
+                lvl += lvl & 1
+                level.update(dict.fromkeys(entries, lvl))
+                floor = lvl if step.entries is None else floor
+        if len(split) > 1 and not any(isinstance(layer, cx.GateLayer) for layer in split[-1]):
+            split[-2:] = [split[-2] + split[-1]]  # trailing local actions join the last round
+        return [cx.schedule(self.lattice, layers) for layers in split]
+
+    def schedule(self) -> cx.Circuit:
+        """The rounds' circuits, one after the other."""
+        return cx.Circuit(self.lattice, [layer for c in self.rounds() for layer in c.layers])
 
     def depth(self) -> int:
         return self.schedule().depth()

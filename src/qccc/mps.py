@@ -679,7 +679,8 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     The returned protocol's `program` runs block by block to keep the dense
     register narrow, carrying entries across a block by nearest-neighbor SWAP
     conveyors. Its schedule runs the same stage of every block side by side,
-    so `depth` depends on q but not on the chain length.
+    so `depth` depends on q but not on the chain length. For q > 1 the
+    writer's output conveyors follow its corrections in a second round.
     """
     if n_sites % q:
         raise ValueError("chain length must be divisible by the blocking factor")

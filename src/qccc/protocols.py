@@ -331,7 +331,7 @@ def _fixed_point_protocol(
     pair's Rp back to its hub, and each w_j out to its site. The program runs
     block by block so that few ancillas are alive at once; `Protocol.schedule`
     runs the same stage of every block side by side, so the depth does not
-    grow with the chain length.
+    grow with the chain length. The w_j conveyors are a second quantum round.
     """
     n = lat.n_sites
     m = n // q

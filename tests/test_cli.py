@@ -43,6 +43,26 @@ class TestPrepare:
         assert code == EXIT_OK
         assert rep["fidelity"] > 1 - 1e-9
 
+    def test_invalid_schedule_fails_the_run(self, tmp_path, monkeypatch):
+        # a CZ between sites 0 and 2 leaves |0000> as it is, so the run
+        # passes, but the schedule is not nearest-neighbor
+        from qccc import circuits as cx
+        from qccc import protocols
+        from qccc.locc import ApplyLayers
+
+        real = protocols.ghz_protocol
+
+        def far_gate(n):
+            proto, target = real(n)
+            gate = cx.Gate(((0, "s"), (2, "s")), [("CZ", (0, 1))])
+            proto.program.insert(0, ApplyLayers([cx.GateLayer([gate])]))
+            return proto, target
+
+        monkeypatch.setattr(protocols, "ghz_protocol", far_gate)
+        code, rep = run_cli(["prepare", "--protocol", "ghz", "--n", "4", "--mode", "sample", "--seed", "1"], tmp_path)
+        assert code == EXIT_FAIL and rep["fidelity"] > 1 - 1e-9
+        assert rep["circuit_valid"] is False and rep["violations"]
+
     def test_sample_requires_seed(self):
         code = main(["prepare", "--protocol", "ghz", "--n", "4", "--mode", "sample"])
         assert code == EXIT_CONFIG
@@ -205,6 +225,7 @@ class TestMps:
         assert code == EXIT_OK
         assert rep["pipeline"]["verdict"] == "DETERMINISTIC"
         assert rep["pipeline"]["min_fidelity"] > 1 - 1e-9
+        assert (rep["pipeline"]["depth"], rep["pipeline"]["rounds"]) == (4, 2)
         from qccc import mps
         from qccc.locc import enumerate_branches
 

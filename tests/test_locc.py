@@ -199,20 +199,34 @@ class TestEngine:
                 with pytest.raises(ProtocolError, match="outside its declared entries"):
                     run_sampled(proto, seed=0)
 
-    def test_gate_after_a_correction_on_its_entry_rejected(self):
-        # one quantum round, then LOCC: a gate may not follow a correction
-        # on its entries; an undeclared correction may touch every entry
+    def test_gate_after_a_correction_starts_a_round(self):
+        # a gate on an entry that a correction acted on, directly or through
+        # a local op that joined it to a corrected entry, follows the LOCC in
+        # a second round; an undeclared correction may touch every entry
         lat = Lattice((3,))
         register = [(i, "s", 2) for i in range(3)]
         gate = lambda a, b: ApplyLayers([cx.GateLayer([cx.Gate(((a, "s"), (b, "s")), [("CZ", (0, 1))])])])
         fix = lambda entries: Correct(lambda o: [], "fix", entries=entries)
         system = [(i, "s") for i in range(3)]
         later = Protocol("later", lat, register, [gate(0, 1), fix(frozenset({(2, "s")})), gate(0, 1)], system)
-        assert later.depth() == 2
+        assert later.depth() == 2 and [c.depth() for c in later.rounds()] == [2]
         for entries in (frozenset({(1, "s")}), None):
             proto = Protocol("after", lat, register, [gate(0, 1), fix(entries), gate(1, 2)], system)
-            with pytest.raises(ProtocolError, match="after a correction"):
-                proto.schedule()
+            assert [c.depth() for c in proto.rounds()] == [1, 1]
+        ancilla = [(0, "a")]
+        joined = [
+            ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", 2)])]),
+            gate(1, 2),
+            fix(frozenset(ancilla)),
+            ApplyLayers([cx.LocalLayer([cx.local_op(ancilla + [(0, "s")], [("CNOT", (0, 1))])])]),
+            gate(0, 1),
+            ApplyLayers([cx.LocalLayer([cx.remove_ancilla(0, "a")])]),
+        ]
+        proto = Protocol("joined", lat, register, joined, system)
+        first, second = proto.rounds()
+        assert (first.depth(), second.depth()) == (1, 1)
+        assert [len(layer.actions) for layer in second.layers if isinstance(layer, cx.LocalLayer)] == [2]
+        assert proto.validate_circuit() == []
 
     @pytest.mark.parametrize(
         "build, backend",
@@ -731,23 +745,6 @@ class TestPauliFrames:
         for bad in (dict(fn=lambda o: []), dict(reads=frozenset({"j"})), dict(entries=frozenset(entry))):
             with pytest.raises(ValueError, match="Pauli map"):
                 Correct(pauli=fix, **bad)
-
-    def test_actions_equal_the_matrix_product_on_every_record(self):
-        # the int columns give the same fix as (matrix @ v + offset) mod 2
-        from qccc.stabilizer import _PAULI_CHARS
-
-        parity = next(s for s in _ghz(10)[0].program if isinstance(s, Correct)).pauli
-        offset = np.random.default_rng(2).integers(0, 2, size=len(parity.offset))
-        fix = PauliMap(parity.tags, parity.entries, parity.matrix, offset)
-        n = len(fix.entries)
-        for k in range(2 ** len(fix.tags)):
-            v = np.array([(k >> i) & 1 for i in range(len(fix.tags))])
-            bits = (fix.matrix.astype(int) @ v + fix.offset) % 2
-            expect = [
-                ([e], [(_PAULI_CHARS[x, z], (0,))]) for e, x, z in zip(fix.entries, bits[:n], bits[n:]) if x or z
-            ]
-            got = fix.actions(dict(zip(fix.tags, v.tolist())))
-            assert [(list(a.entries), a.spec) for a in got] == expect, k
 
     def test_ghz17_derives_one_fix(self, monkeypatch):
         """The declared fix runs once, for the reference history; the other

@@ -451,6 +451,28 @@ class TestPipeline:
         assert all(mark in bond_marks for mark in writer_inputs)
         assert not [e for e in held if e[1] == "R"]
 
+    @pytest.mark.parametrize(
+        "tensor, q, n, depths",
+        [
+            (lambda: M.random_normal_mps(4, 2, np.random.default_rng(3)), 1, 3, [3]),
+            (M.aklt_mps, 2, 4, [2, 1]),
+            (M.aklt_mps, 4, 8, [4, 6]),
+        ],
+        ids=["random-q1", "aklt-q2", "aklt-q4"],
+    )
+    def test_writer_conveyors_are_a_second_round(self, tensor, q, n, depths):
+        # the writer reads the bond leg L and the label C after their
+        # corrections, so the SWAPs that carry its outputs w_j to their
+        # sites run in a round after the LOCC
+        rounds = M.preparation_pipeline(tensor(), q, n).protocol.rounds()
+        assert [c.depth() for c in rounds] == depths
+        for i, c in enumerate(rounds):
+            ops = [a for layer in c.layers if isinstance(layer, cx.LocalLayer) for a in layer.actions]
+            swaps = [g for layer in c.layers if isinstance(layer, cx.GateLayer) for g in layer.gates]
+            writers = sum(a.kind == "op" and (a.entries[-1][0], "L") in a.entries for a in ops)
+            assert writers == (n // q if i == len(rounds) - 1 else 0)
+            assert i == 0 or all(g.entries[0][1].startswith("w") and _is_swap(g.spec) for g in swaps)
+
 
 def _is_swap(spec) -> bool:
     if not isinstance(spec, np.ndarray):
