@@ -217,7 +217,7 @@ class CJProtocol:
 
     def _choi_tableau(self) -> TableauState:
         ts = TableauState(self._entries("s", "a"))
-        ts.tab = self.resource.add_qubits(self.n)
+        ts.tab = self.resource.copy().add_qubits(self.n)
         cx.apply_layer(ts, self._entangler_layer())
         return ts
 
@@ -246,7 +246,7 @@ class CJProtocol:
             return PureState(QuditRegister(self._entries("s", "a", "in")), amps)
         if backend == "tableau":
             ts = TableauState(self._entries("s", "a", "in"))
-            ts.tab = self.resource.add_qubits(2 * self.n)
+            ts.tab = self.resource.copy().add_qubits(2 * self.n)
             for name, qubits in input_state or []:
                 ts.apply_named(name, [(q, "in") for q in qubits])
             return ts

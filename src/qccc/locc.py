@@ -581,13 +581,27 @@ class _FramedTableau(TableauState):
     (shape (m, 1 + r)) is measurement t's outcome as an affine form
     [reference bit | linear part]. Frame phases are not kept: F only moves
     stabilizer signs, which its bits fix.
+
+    `fx` and `fz` are views into one zero buffer that doubles along an axis
+    it outgrows, so their rows move with the tableau's qubits: an added qubit
+    takes a zero row, a removed one hands its row to the last qubit.
     """
 
     def __init__(self, state: TableauState):
-        self.keys, self.tab = state.keys, state.tab
-        self.fx = np.zeros((self.tab.n, 0), dtype=np.uint8)
-        self.fz = np.zeros_like(self.fx)
+        self.keys, self._index, self.tab = state.keys, state._index, state.tab
+        self._frames = np.zeros((2, 0, 0), dtype=np.uint8)
+        self._frame_view(len(self.keys), 0)
         self.forms = np.zeros((0, 1), dtype=np.uint8)
+
+    def _frame_view(self, n: int, r: int) -> None:
+        """Point fx, fz at the buffer's first n rows and r columns."""
+        f = self._frames
+        rows, cols = f.shape[1:]
+        if n > rows or r > cols:
+            grown = np.zeros((2, max(rows, 2 * n), max(cols, 2 * r)), dtype=np.uint8)
+            grown[:, :rows, :cols] = f
+            self._frames = f = grown
+        self.fx, self.fz = f[0, :n, :r], f[1, :n, :r]
 
     def apply_named(self, name: str, entries) -> "_FramedTableau":
         qubits = [self.index(e) for e in entries]
@@ -597,13 +611,15 @@ class _FramedTableau(TableauState):
 
     def add_entry(self, site: int, slot: str, dim: int = 2, local_state=None) -> "_FramedTableau":
         super().add_entry(site, slot, dim, local_state)
-        self.fx, self.fz = (np.vstack([f, np.zeros(f.shape[1], dtype=np.uint8)]) for f in (self.fx, self.fz))
+        self._frame_view(len(self.keys), self.fx.shape[1])
         return self
 
     def remove_entry(self, entry) -> "_FramedTableau":
-        q = self.index(entry)
+        q, last = self.index(entry), len(self.keys) - 1
         super().remove_entry(entry)
-        self.fx, self.fz = (np.delete(f, q, axis=0) for f in (self.fx, self.fz))
+        self.fx[q], self.fz[q] = self.fx[last], self.fz[last]
+        self.fx[last] = self.fz[last] = 0
+        self._frame_view(last, self.fx.shape[1])
         return self
 
     def measure(self, entry, basis=None, force=None, rng=None):
@@ -612,26 +628,25 @@ class _FramedTableau(TableauState):
         A record reads the reference bit XOR x_q of its frame. A random
         measurement adds a variable t, the record's outcome; where t XOR x_q(F)
         is 1 the frame takes the flip Pauli D, the old stabilizer that
-        anticommuted with Z_q, which `measure_pauli` leaves in the pivot's
+        anticommuted with Z_q, which `measure_z` leaves in the pivot's
         destabilizer row. So the columns gain D (e_t + x_q(F)).
         """
-        q = self.index(entry)
-        anti = np.flatnonzero(self.tab.x[self.tab.n :, q])
+        q, tab = self.index(entry), self.tab
+        anti = np.flatnonzero(tab.x[tab.n :, q])
         if basis is not None or anti.size == 0:
             bit, p = super().measure(entry, basis)
             self.forms = np.vstack([self.forms, np.hstack([np.uint8(bit), self.fx[q]])])
             return bit, p
         bit, p = super().measure(entry, force=0)
-        self.fx, self.fz, self.forms = (
-            np.hstack([f, np.zeros((len(f), 1), dtype=np.uint8)]) for f in (self.fx, self.fz, self.forms)
-        )
+        self._frame_view(len(self.keys), self.fx.shape[1] + 1)
+        self.forms = np.hstack([self.forms, np.zeros((len(self.forms), 1), dtype=np.uint8)])
         e_t = np.zeros(self.forms.shape[1], dtype=np.uint8)
         e_t[-1] = 1
         self.forms = np.vstack([self.forms, e_t])
         flip = e_t[1:] ^ self.fx[q]
-        d = int(anti[0])
-        self.fx ^= self.tab.x[d][:, None] & flip
-        self.fz ^= self.tab.z[d][:, None] & flip
+        d = tab._partner(tab.n + int(anti[0]))
+        self.fx ^= tab.x[d][:, None] & flip
+        self.fz ^= tab.z[d][:, None] & flip
         return bit, p
 
     def correct(self, j: int, step: Correct, outcomes, prob) -> None:

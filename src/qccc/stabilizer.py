@@ -4,13 +4,18 @@ Pauli strings use the Y convention: bits (x, z) = (1, 1) denote Y, and a
 string is i^phase * (tensor of I/X/Y/Z). Stabilizer generators are kept
 Hermitian with phase in {0, 2} (plus / minus).
 
-The tableau stores n destabilizers followed by n stabilizers, giving O(n^2)
-measurements. Qubits can be appended freely and removed again once they are
-decoupled, which is what LOCC protocols need when they discard measured
-ancillas. Removal is O(n^2): row operations on whole arrays bring one
-stabilizer to the qubit's local Pauli and keep the destabilizers, so the
-tableau is never rebuilt from its generators. Row products track phases with
-one array expression per batch of rows (`_rowmult`, `_product`).
+The tableau stores n destabilizers and n stabilizers, giving O(n w)
+measurements, w the rows that anticommute with the measured Pauli. Qubits can
+be appended freely and removed again once they are decoupled, which is what
+LOCC protocols need when they discard measured ancillas. Both work in place,
+inside a buffer with spare slots (Stim-style in-place updates, Gidney,
+arXiv:2103.02202): an add writes one destabilizer/stabilizer pair into reserved
+slots, and a removal brings one stabilizer to the qubit's local Pauli, then
+moves the last qubit's pair and column into the freed ones, so the last qubit
+takes the removed one's index. After a random Z measurement that stabilizer is
+already there and a removal costs O(n w), w the stabilizers on the qubit;
+otherwise an O(n^2) row reduction finds it. Row products track phases with one
+array expression per batch of rows (`_rowmult`, `_product`).
 
 How each named Clifford conjugates a Pauli is written once, in
 `_conjugate_rows`, which updates any stack of Pauli rows in place. The
@@ -21,8 +26,9 @@ as tableau-shaped rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,35 +228,81 @@ def _popcount64(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a).astype(np.int64)
 
 
+def _capacity(n: int) -> int:
+    """Qubit slots reserved for a tableau of n qubits: n plus bounded headroom."""
+    return n + max(8, n // 8)
+
+
+def _buffer_view(name: str) -> property:
+    """The active rows of a buffer array: reading gives the view, and assigning
+    writes into it, so the buffer stays the one store of the tableau."""
+    attr = "_" + name
+
+    def write(self, value) -> None:
+        getattr(self, attr)[...] = value
+
+    return property(operator.attrgetter(attr), write)
+
+
 class StabilizerTableau:
-    """CHP tableau: rows 0..n-1 destabilizers, rows n..2n-1 stabilizers."""
+    """CHP tableau of n qubits kept inside a buffer with room for C >= n.
+
+    Destabilizer i lives in buffer row C-1-i and stabilizer i in row C+i, so
+    the tableau is one (2n, n) view `buf[C-n : C+n, :n]` (`x`, `z`, `r`):
+    rows 0..n-1 hold the destabilizers n-1..0, rows n..2n-1 the stabilizers
+    0..n-1, and row j pairs with row 2n-1-j (`_partner`). Every buffer entry
+    outside the view is zero, so adding a qubit writes one pair and widens the
+    view by a row at each end and a column; the buffer doubles when full.
+    """
+
+    x = _buffer_view("x")
+    z = _buffer_view("z")
+    r = _buffer_view("r")  # phase exponent mod 4
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one qubit")
-        self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)  # phase exponent mod 4
-        for i in range(n):
-            self.x[i, i] = 1
-            self.z[n + i, i] = 1
+        self._allocate(n, _capacity(n))
+        self._write_fresh(0, n)
 
     # -- bookkeeping ---------------------------------------------------------
 
+    def _allocate(self, n: int, cap: int) -> None:
+        """Fresh zero buffers with room for `cap` qubits, viewed as n qubits."""
+        self._cap = cap
+        self._bx = np.zeros((2 * cap, cap), dtype=np.uint8)
+        self._bz = np.zeros_like(self._bx)
+        self._br = np.zeros(2 * cap, dtype=np.uint8)
+        self._set_n(n)
+
+    def _set_n(self, n: int) -> None:
+        rows = slice(self._cap - n, self._cap + n)
+        self.n = n
+        self._x, self._z, self._r = self._bx[rows, :n], self._bz[rows, :n], self._br[rows]
+
+    def _write_fresh(self, lo: int, hi: int) -> None:
+        """Qubits lo..hi-1 in |0>: destabilizer X_j and stabilizer Z_j, written
+        into their buffer rows, which lie outside the view until it widens."""
+        j = np.arange(lo, hi)
+        self._bx[self._cap - 1 - j, j] = 1
+        self._bz[self._cap + j, j] = 1
+
+    def _partner(self, rows):
+        """The row paired with each of `rows`: destabilizer i <-> stabilizer i."""
+        return 2 * self.n - 1 - rows
+
     def copy(self) -> "StabilizerTableau":
         t = StabilizerTableau.__new__(StabilizerTableau)
-        t.n = self.n
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.r = self.r.copy()
+        t._allocate(self.n, _capacity(self.n))
+        t.x, t.z, t.r = self.x, self.z, self.r
         return t
 
     def stabilizer(self, i: int) -> PauliString:
         return PauliString(self.x[self.n + i].copy(), self.z[self.n + i].copy(), int(self.r[self.n + i]))
 
     def destabilizer(self, i: int) -> PauliString:
-        return PauliString(self.x[i].copy(), self.z[i].copy(), int(self.r[i]))
+        row = self.n - 1 - i
+        return PauliString(self.x[row].copy(), self.z[row].copy(), int(self.r[row]))
 
     def generators(self) -> List[PauliString]:
         return [self.stabilizer(i) for i in range(self.n)]
@@ -291,8 +343,12 @@ class StabilizerTableau:
         force: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> Tuple[int, float, bool]:
-        """Measure Z on qubit q. Returns (outcome bit, probability, deterministic)."""
-        return self.measure_pauli(PauliString.single(self.n, q, "Z"), force=force, rng=rng)
+        """Measure Z on qubit q. Returns (outcome bit, probability, deterministic).
+
+        The rows anticommuting with Z_q are those with an X bit on q.
+        """
+        _check_qubit(q, self.n)
+        return self._measure(PauliString.single(self.n, q, "Z"), np.flatnonzero(self.x[:, q]), force, rng)
 
     def measure_pauli(
         self,
@@ -305,28 +361,27 @@ class StabilizerTableau:
             raise ValueError("length mismatch")
         if p.phase % 2 != 0:
             raise ValueError("measured Pauli must be Hermitian")
-        sym = (
-            self.x.astype(np.int64) @ p.z.astype(np.int64)
-            + self.z.astype(np.int64) @ p.x.astype(np.int64)
-        ) % 2
-        anti = np.flatnonzero(sym)
-        anti_stab = anti[anti >= self.n]
+        # the symplectic product with each row, read from the columns p acts on
+        sym = self.x[:, p.z.nonzero()[0]].sum(axis=1) + self.z[:, p.x.nonzero()[0]].sum(axis=1)
+        return self._measure(p, np.flatnonzero(sym & 1), force, rng)
+
+    def _measure(self, p: PauliString, anti: np.ndarray, force, rng) -> Tuple[int, float, bool]:
+        """Measure p, given the rows `anti` that anticommute with it."""
+        n = self.n
+        anti_stab = anti[anti >= n]
         if anti_stab.size:
+            if force is not None:
+                bit = int(force)
+            elif rng is None:
+                raise ValueError("sampled measurement requires an rng")
+            else:
+                bit = int(rng.integers(0, 2))
             pivot = int(anti_stab[0])
             self._rowmult(anti[anti != pivot], pivot)
             # pivot stabilizer row becomes +/- P; old row becomes its destabilizer
-            d = pivot - self.n
-            self.x[d] = self.x[pivot]
-            self.z[d] = self.z[pivot]
-            self.r[d] = self.r[pivot]
-            if force is not None:
-                bit = int(force)
-            else:
-                if rng is None:
-                    raise ValueError("sampled measurement requires an rng")
-                bit = int(rng.integers(0, 2))
-            self.x[pivot] = p.x
-            self.z[pivot] = p.z
+            d = self._partner(pivot)
+            self.x[d], self.z[d], self.r[d] = self.x[pivot], self.z[pivot], self.r[pivot]
+            self.x[pivot], self.z[pivot] = p.x, p.z
             self.r[pivot] = (p.phase + (2 if bit else 0)) % 4
             return bit, 0.5, False
         bit = self._deterministic_bit(p, anti)
@@ -340,7 +395,7 @@ class StabilizerTableau:
         `destabs` are the destabilizer rows anticommuting with p; the product
         of their stabilizer partners is +/- p, and its sign is the outcome.
         """
-        rows = self.n + destabs
+        rows = self._partner(destabs)
         x, z, phase = _product(self.x[rows], self.z[rows], self.r[rows])
         if not (np.array_equal(x, p.x) and np.array_equal(z, p.z)):
             raise InternalError("deterministic measurement did not reproduce the Pauli")
@@ -359,28 +414,28 @@ class StabilizerTableau:
                 raise ValueError("generator length mismatch")
             if g.phase % 2 != 0:
                 raise ValueError("generator phases must be +/-1")
-        gx = np.array([g.x for g in gens], dtype=np.int64)
-        gz = np.array([g.z for g in gens], dtype=np.int64)
+        # GF(2) products as float64 matrix products, exact while sums stay below 2^53
+        gx = np.array([g.x for g in gens], dtype=np.float64)
+        gz = np.array([g.z for g in gens], dtype=np.float64)
         anti = np.argwhere(np.triu((gx @ gz.T + gz @ gx.T) % 2, 1))
         if anti.size:
             i, j = anti[0]
             raise ValueError(f"generators {i} and {j} anticommute")
-        g_mat = np.concatenate([gx, gz], axis=1)
-        # destabilizers: solve <d_i, g_j> = delta_ij, then orthogonalize pairwise;
-        # every right-hand side is solvable exactly when the generators are independent
-        a = np.concatenate([gz, gx], axis=1)  # z parts multiply vx, x parts multiply vz
+        # destabilizers: solve <d_i, g_j> = delta_ij; every right-hand side is
+        # solvable exactly when the generators are independent
+        a = np.concatenate([gz, gx], axis=1).astype(np.uint8)  # z parts multiply vx, x parts multiply vz
         sols = _gf2_solve_many(a, np.eye(n, dtype=np.uint8))
         if sols is None:
             raise ValueError("generators are not independent over GF(2)")
-        d = sols.T.astype(np.int64)  # row i: destabilizer i as (x | z)
-        for i in range(1, n):
-            sp = (d[:i, n:] @ d[i, :n] + d[:i, :n] @ d[i, n:]) % 2
-            d[i] ^= (sp @ g_mat[:i]) % 2
+        d = sols.T.astype(np.float64)  # row i: destabilizer i as (x | z)
+        # then make them commute: d_i += sum over j < i of <d_j, d_i> g_j, which
+        # leaves every <d_i, g_j> as it was
+        gram = (d[:, n:] @ d[:, :n].T + d[:, :n] @ d[:, n:].T) % 2
+        d = (d + np.tril(gram, -1) @ np.concatenate([gx, gz], axis=1)) % 2
         tab = cls.__new__(cls)
-        tab.n = n
-        tab.x = np.concatenate([d[:, :n], gx]).astype(np.uint8)
-        tab.z = np.concatenate([d[:, n:], gz]).astype(np.uint8)
-        tab.r = np.zeros(2 * n, dtype=np.uint8)
+        tab._allocate(n, _capacity(n))
+        tab.x = np.concatenate([d[::-1, :n], gx])
+        tab.z = np.concatenate([d[::-1, n:], gz])
         tab.r[n:] = [g.phase for g in gens]
         return tab
 
@@ -428,60 +483,83 @@ class StabilizerTableau:
         return np.array_equal(ma, mb) and np.array_equal(ra, rb)
 
     def add_qubits(self, k: int) -> "StabilizerTableau":
-        """Append k fresh qubits in |0>, returning a new tableau."""
-        n, n2 = self.n, self.n + k
-        t = StabilizerTableau.__new__(StabilizerTableau)
-        t.n = n2
-        t.x = np.zeros((2 * n2, n2), dtype=np.uint8)
-        t.z = np.zeros_like(t.x)
-        t.r = np.zeros(2 * n2, dtype=np.uint8)
-        t.x[:n, :n], t.z[:n, :n], t.r[:n] = self.x[:n], self.z[:n], self.r[:n]
-        t.x[n2 : n2 + n, :n], t.z[n2 : n2 + n, :n], t.r[n2 : n2 + n] = self.x[n:], self.z[n:], self.r[n:]
-        np.fill_diagonal(t.x[n:n2, n:], 1)  # destabilizers X_j
-        np.fill_diagonal(t.z[n2 + n :, n:], 1)  # stabilizers Z_j
-        return t
+        """Append k fresh qubits in |0>, in place; amortised O(n) per qubit."""
+        n = self.n + k
+        if n > self._cap:
+            x, z, r = self.x, self.z, self.r
+            self._allocate(self.n, max(2 * self._cap, n))
+            self.x, self.z, self.r = x, z, r
+        self._write_fresh(self.n, n)
+        self._set_n(n)
+        return self
 
     def remove_qubit(self, q: int) -> "StabilizerTableau":
-        """Drop a decoupled qubit, returning a new tableau on n-1 qubits.
+        """Drop a decoupled qubit in place; the last qubit takes index q.
 
-        Row operations on a copy, O(n^2): one stabilizer s_p is brought to
-        +/- P_q while every (destabilizer, stabilizer) pair stays symplectic,
-        then that pair and column q are dropped.
+        One stabilizer s_p is brought to +/- P_q while every (destabilizer,
+        stabilizer) pair stays symplectic; then the last qubit's pair and
+        column move into p's pair and column q. After a random `measure_z` of
+        q some stabilizer already is +/- Z_q and the w others on q carry Z
+        there, so this costs O(n w); otherwise a row reduction finds s_p. An
+        entangled qubit raises ValueError with the state unchanged, though its
+        rows may be recombined.
         """
         n = self.n
         _check_qubit(q, n)
-        t = self.copy()
-        x, z = t.x, t.z
-        on_q = n + np.flatnonzero(x[n:, q] | z[n:, q])
+        x, z = self.x, self.z
+        paulis = (x[n:, q] << 1) | z[n:, q]  # each stabilizer's Pauli on q, 0 for I
+        on_q = np.flatnonzero(paulis)
         if on_q.size == 0:
             raise InternalError("no stabilizer acts on the qubit")
         entangled = ValueError(f"qubit {q} is entangled; cannot remove")
-        p = int(on_q[0])
-        if np.any(x[on_q, q] != x[p, q]) or np.any(z[on_q, q] != z[p, q]):
+        if (paulis[on_q] != paulis[on_q[0]]).any():
             raise entangled
-        # clear q from the other stabilizers; the pivot's destabilizer absorbs theirs
-        t._rowmult(on_q[1:], p)
-        t._rowmult_all(p - n, on_q[1:] - n)
-        # s_p off q must be the product of the stabilizers j with <d_j, s_p off q> = 1
-        rx, rz = x[p].astype(np.int64), z[p].astype(np.int64)
-        rx[q] = rz[q] = 0
-        c = (x[:n].astype(np.int64) @ rz + z[:n].astype(np.int64) @ rx) % 2
-        if c[p - n]:
-            raise entangled
-        js = np.flatnonzero(c)
-        t._rowmult_all(p, n + js)
-        t._rowmult(js, p - n)
-        if np.any(np.delete(x[p] | z[p], q)):
-            raise entangled
+        on_q += n
+        local = on_q[(x[on_q] | z[on_q]).sum(axis=1) == 1]
+        if local.size:
+            # s_p is +/- P_q, and the others carry the same P on q: each product
+            # clears q and takes s_p's sign, with no other phase term. Only the
+            # pivot's destabilizer stops pairing with them, and it is dropped.
+            p = int(local[0])
+            others = on_q[on_q != p]
+            self.r[others] = (self.r[others] + self.r[p]) % 4
+            x[others, q] = z[others, q] = 0
+        else:
+            p = int(on_q[0])
+            d = self._partner(p)
+            # clear q from the other stabilizers; the pivot's destabilizer absorbs theirs
+            self._rowmult(on_q[1:], p)
+            self._rowmult_all(d, self._partner(on_q[1:]))
+            # s_p off q must be the product of the stabilizers paired with the
+            # destabilizers that anticommute with it
+            rx, rz = x[p].copy(), z[p].copy()
+            rx[q] = rz[q] = 0
+            # uint8 products wrap modulo 256, which keeps their parity
+            c = (x[:n] @ rz + z[:n] @ rx) & 1
+            if c[d]:
+                raise entangled
+            js = np.flatnonzero(c)
+            self._rowmult_all(p, self._partner(js))
+            self._rowmult(js, d)
+            if np.count_nonzero(x[p] | z[p]) > 1:
+                raise entangled
         # s_p = +/- P_q now, so every other destabilizer carries I or P on q and
         # dropping column q keeps all symplectic products
-        out = StabilizerTableau.__new__(StabilizerTableau)
-        out.n = n - 1
-        rows = [p - n, p]
-        out.x = np.delete(np.delete(x, rows, axis=0), q, axis=1)
-        out.z = np.delete(np.delete(z, rows, axis=0), q, axis=1)
-        out.r = np.delete(t.r, rows)
-        return out
+        self._drop(p, q)
+        return self
+
+    def _drop(self, p: int, q: int) -> None:
+        """Remove the pair of stabilizer row p and column q: the last pair and
+        the last column move into their slots, and the vacated ones are zeroed."""
+        n, last = self.n, 2 * self.n - 1
+        d = self._partner(p)
+        for a in (self._x, self._z, self._r):
+            a[p], a[d] = a[last], a[0]
+            a[0] = a[last] = 0
+        for a in (self._x, self._z):
+            a[:, q] = a[:, n - 1]
+            a[:, n - 1] = 0
+        self._set_n(n - 1)
 
     def to_statevector(self, seed: int = 7) -> np.ndarray:
         """Dense amplitude vector (2^n), qubit 0 slowest-varying. Small n only."""
@@ -603,9 +681,8 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
 class CliffordMap:
     """A Clifford unitary U represented by the images U P U^dag of X_k and Z_k.
 
-    The images are tableau-shaped Pauli rows (x, z, r) of shape (2n, n): the
-    image of X_k in row k and that of Z_k in row n + k, the layout
-    `StabilizerTableau(n)` starts from.
+    The images are Pauli rows (x, z, r) of shape (2n, n): the image of X_k in
+    row k and that of Z_k in row n + k.
     """
 
     def __init__(self, x_images: Sequence[PauliString], z_images: Sequence[PauliString]):
@@ -623,8 +700,8 @@ class CliffordMap:
 
     @classmethod
     def identity(cls, n: int) -> "CliffordMap":
-        t = StabilizerTableau(n)
-        return cls._from_rows(t.x, t.z, t.r)
+        eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+        return cls._from_rows(np.concatenate([eye, zero]), np.concatenate([zero, eye]), np.zeros(2 * n, dtype=np.uint8))
 
     @classmethod
     def from_gates(cls, n: int, circuit: Iterable[Tuple[str, Tuple[int, ...]]]) -> "CliffordMap":
@@ -678,27 +755,29 @@ class TableauState:
 
     def __init__(self, entries: Iterable[Tuple[int, str, int]]):
         self.keys: List[Tuple[int, str]] = []
+        self._index: Dict[Tuple[int, str], int] = {}
         for site, slot, dim in entries:
             if dim != 2:
                 raise ValueError("tableau backend supports qubits only")
             key = (int(site), str(slot))
-            if key in self.keys:
+            if key in self._index:
                 raise ValueError(f"duplicate entry {key}")
+            self._index[key] = len(self.keys)
             self.keys.append(key)
         self.tab = StabilizerTableau(len(self.keys))
 
     def index(self, key) -> int:
         try:
-            return self.keys.index(tuple(key))
-        except ValueError:
+            return self._index[tuple(key)]
+        except KeyError:
             raise KeyError(f"entry {key} not in register") from None
 
     def __contains__(self, key) -> bool:
-        return tuple(key) in self.keys
+        return tuple(key) in self._index
 
     def clone(self) -> "TableauState":
         s = TableauState.__new__(TableauState)
-        s.keys = list(self.keys)
+        s.keys, s._index = list(self.keys), dict(self._index)
         s.tab = self.tab.copy()
         return s
 
@@ -734,16 +813,23 @@ class TableauState:
             if not (abs(ls[0]) > 1 - 1e-9):
                 raise ValueError("tableau ancillas must start in |0>")
         key = (int(site), str(slot))
-        if key in self.keys:
+        if key in self._index:
             raise ValueError(f"entry {key} already present")
-        self.tab = self.tab.add_qubits(1)
+        self.tab.add_qubits(1)
+        self._index[key] = len(self.keys)
         self.keys.append(key)
         return self
 
     def remove_entry(self, entry) -> "TableauState":
+        """Drop a decoupled entry; the last entry takes its index, as in
+        `StabilizerTableau.remove_qubit`."""
         q = self.index(entry)
-        self.tab = self.tab.remove_qubit(q)
-        self.keys.pop(q)
+        self.tab.remove_qubit(q)
+        del self._index[self.keys[q]]
+        last = self.keys.pop()
+        if q < len(self.keys):
+            self.keys[q] = last
+            self._index[last] = q
         return self
 
     def permuted(self, new_order) -> "TableauState":
@@ -752,11 +838,9 @@ class TableauState:
             raise ValueError("new order must be a permutation of the register")
         perm = [self.index(k) for k in keys]
         s = TableauState.__new__(TableauState)
-        s.keys = keys
-        t = self.tab.copy()
-        t.x = t.x[:, perm]
-        t.z = t.z[:, perm]
-        s.tab = t
+        s.keys, s._index = keys, {k: i for i, k in enumerate(keys)}
+        s.tab = self.tab.copy()
+        s.tab.x, s.tab.z = s.tab.x[:, perm], s.tab.z[:, perm]
         return s
 
     def to_pure_state(self, seed: int = 7):

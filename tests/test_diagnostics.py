@@ -323,6 +323,16 @@ class TestCJExecution:
         assert ts.tab.states_equal(graph_tab)
         assert verify_clifford_table(cj)
 
+    def test_runs_leave_the_resource_alone(self):
+        # a run adds its ancilla and input qubits to a copy of the resource
+        from qccc.protocols import ToricCodeLayout, tc_target_generators
+
+        cj = build_cj_protocol(StabilizerTableau.from_generators(tc_target_generators(ToricCodeLayout(4))))
+        n, rows = cj.resource.n, [g.label() for g in cj.resource.canonical_stabilizers()]
+        for seed in (1, 2):
+            assert run_cj_unitary(cj, [], backend="tableau", seed=seed).tab.states_equal(cj.resource)
+        assert cj.resource.n == n and [g.label() for g in cj.resource.canonical_stabilizers()] == rows
+
     def test_resource_prepared_by_its_own_protocol(self):
         # composability: prepare the GHZ resource with the LOCC protocol, then
         # feed it through the gadget instead of the analytic resource state

@@ -667,6 +667,34 @@ def _ghz_with_map(n, edit):
     return replace(proto, program=proto.program[:-1] + [fix])
 
 
+def _rows_digest(res) -> str:
+    """SHA-256 prefix of every row's outcomes, probability and fidelity, bit for bit."""
+    import hashlib
+
+    reps, h = res.reports, hashlib.sha256()
+    tags, bits, probs = zip(*[o for rep in reps for o in rep.record.outcomes])
+    h.update("/".join(tags).encode())
+    for col in ([len(rep.record.outcomes) for rep in reps], bits, probs, [rep.probability for rep in reps],
+                [rep.fidelity for rep in reps]):
+        h.update(np.array(col, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _recorded_cases():
+    """`_rows_digest` of the tableau enumerations of GHZ 2-17, TC N=4 and the
+    Choi gadgets at n = 2, 3."""
+    from qccc.diagnostics import ghz_unitary_cj
+    from qccc.protocols import toric_code_protocol
+
+    got = {f"ghz{n}": _rows_digest(enumerate_branches(_ghz(n)[0], backend="tableau")) for n in range(2, 18)}
+    got["tc4"] = _rows_digest(enumerate_branches(toric_code_protocol(4)[0], backend="tableau"))
+    for n in (2, 3):
+        cj = ghz_unitary_cj(n)
+        prep = [("H", (0,)), ("S", (0,)), ("CNOT", (0, n - 1)), ("H", (n - 1,))]
+        got[f"cj{n}"] = _rows_digest(enumerate_branches(cj.protocol(), input_state=cj.initial_state(prep, "tableau")))
+    return got
+
+
 class TestPauliFrames:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_ghz_matches_dfs(self, n):
@@ -689,6 +717,34 @@ class TestPauliFrames:
         prep = [("H", (0,)), ("S", (0,)), ("CNOT", (0, n - 1)), ("H", (n - 1,))]
         frames, _ = _assert_frames_match_dfs(cj.protocol(), input_state=cj.initial_state(prep, "tableau"))
         assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 4**n
+
+    # SHA-256 prefixes of `_rows_digest`, recorded with the tableau that
+    # copied itself on every qubit add and removal
+    RECORDED_ROWS = {
+        "ghz2": "bd330983da6d7b52",
+        "ghz3": "691fb01da5f58d6a",
+        "ghz4": "e94c91b0e6fee353",
+        "ghz5": "24e9894c2c181ea0",
+        "ghz6": "b0a2392527ca0bd2",
+        "ghz7": "ce9ac354e8f60593",
+        "ghz8": "8598dac673197aa7",
+        "ghz9": "d97cc640afa2644e",
+        "ghz10": "b6eb56818b808db7",
+        "ghz11": "79e0987d4db72262",
+        "ghz12": "e53c1ee84eb04e9f",
+        "ghz13": "2ff128a8f4b7f21a",
+        "ghz14": "d0e74e5841fe23d3",
+        "ghz15": "b9e4d8764d7b3089",
+        "ghz16": "a4d3e4d60a1564fb",
+        "ghz17": "19201509e5f551db",
+        "tc4": "58aea3a54c3c139c",
+        "cj2": "99473bb90a9c37ed",
+        "cj3": "2e0847ef632ed09c",
+    }
+
+    def test_rows_bit_equal_to_recorded(self):
+        """The in-place tableau relabels qubits on removal; the rows must not move."""
+        assert _recorded_cases() == self.RECORDED_ROWS
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=hst.integers(0, 2**32 - 1))

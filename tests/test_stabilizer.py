@@ -14,6 +14,8 @@ from qccc.stabilizer import (
     PauliString,
     StabilizerTableau,
     TableauState,
+    _g_exponent_sum,
+    _product,
     conjugate_pauli,
     random_stabilizer_tableau,
     to_graph_state,
@@ -360,6 +362,21 @@ class TestTableauState:
         ts.remove_entry((0, "a"))
         assert len(ts.keys) == 2
 
+    def test_remove_entry_moves_the_last_entry(self):
+        keys = [(0, "s"), (1, "s"), (0, "a"), (1, "a")]
+        ts = TableauState([(site, slot, 2) for site, slot in keys])
+        ts.apply_named("X", [(1, "a")])
+        ts.remove_entry((1, "s"))
+        assert ts.keys == [(0, "s"), (1, "a"), (0, "a")]
+        assert [ts.index(k) for k in ts.keys] == [0, 1, 2] and (1, "s") not in ts
+        assert ts.branch_probabilities((1, "a"))[1] == 1.0  # its |1> moved with it
+        with pytest.raises(KeyError, match="not in register"):
+            ts.index((1, "s"))
+        ts.remove_entry((0, "a"))  # the last entry itself
+        assert ts.keys == [(0, "s"), (1, "a")] and ts.index((1, "a")) == 1
+        ts.add_entry(1, "s")
+        assert ts.index((1, "s")) == 2 and ts.tab.n == 3
+
     def test_to_pure_state(self):
         ts = TableauState([(0, "s", 2), (1, "s", 2)])
         ts.apply_named("H", [(0, "s")])
@@ -399,32 +416,36 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _embedding_reference(t: StabilizerTableau, k: int):
-    """The (x, z, r) rows of t's state tensored with k qubits in |0>: the old
-    destabilizers padded with identities, X on each new qubit, then the old
-    stabilizers padded, Z on each new qubit."""
+    """The (x, z, r) rows of t's state tensored with k qubits in |0>, in the
+    tableau's row order: the destabilizers last to first (X on each new qubit,
+    then the old ones padded with identities), then the stabilizers first to
+    last (the old ones padded, then Z on each new qubit)."""
     n, pad = t.n, np.zeros(k, dtype=np.uint8)
 
     def padded(p: PauliString) -> PauliString:
         return PauliString(np.concatenate([p.x, pad]), np.concatenate([p.z, pad]), p.phase)
 
     rows = [padded(t.destabilizer(i)) for i in range(n)] + [PauliString.single(n + k, j, "X") for j in range(n, n + k)]
+    rows = rows[::-1]
     rows += [padded(t.stabilizer(i)) for i in range(n)] + [PauliString.single(n + k, j, "Z") for j in range(n, n + k)]
     return tuple(np.array([getattr(p, a) for p in rows], dtype=np.uint8) for a in ("x", "z", "phase"))
 
 
 def _symplectic(t: StabilizerTableau) -> bool:
-    """<d_i, s_j> = delta_ij, everything else commutes, stabilizers Hermitian."""
+    """<d_i, s_j> = delta_ij, everything else commutes, stabilizers Hermitian.
+
+    Destabilizer i is row n-1-i and stabilizer i row n+i, so row j pairs with
+    row 2n-1-j: the Gram matrix is the anti-diagonal identity."""
     x, z = t.x.astype(int), t.z.astype(int)
     gram = (x @ z.T + z @ x.T) % 2
-    eye = np.eye(t.n, dtype=int)
-    zero = np.zeros_like(eye)
-    return np.array_equal(gram, np.block([[zero, eye], [eye, zero]])) and not np.any(t.r[t.n :] % 2)
+    return np.array_equal(gram, np.eye(2 * t.n, dtype=int)[::-1]) and not np.any(t.r[t.n :] % 2)
 
 
-def _with_local_qubit(n: int, rng, entangle: bool):
+def _placed_local_qubit(n: int, rng, entangle: bool):
     """A random n-qubit state with one extra qubit in a random single-qubit
     stabilizer state (or CNOT-entangled with another qubit), moved to a random
-    position q. Returns (tableau, q)."""
+    position q. Returns (tableau, q); a decoupled qubit's stabilizer is still
+    the row +/- P_q."""
     t = random_stabilizer_tableau(n, rng).add_qubits(1)
     if entangle:
         c = int(rng.integers(0, n))
@@ -436,6 +457,12 @@ def _with_local_qubit(n: int, rng, entangle: bool):
     q = int(rng.integers(0, n + 1))
     if q != n:
         t.apply_gate("SWAP", q, n)
+    return t, q
+
+
+def _with_local_qubit(n: int, rng, entangle: bool):
+    """`_placed_local_qubit` with its generators multiplied together at random."""
+    t, q = _placed_local_qubit(n, rng, entangle)
     return _mixed_generators(t, rng), q
 
 
@@ -467,13 +494,15 @@ class TestPrimitiveProperties:
         assert purity > 1 - 1e-9
         small = t.remove_qubit(q)
         assert small.n == n and _symplectic(small)
+        if q < n:  # the last qubit takes index q
+            rest = np.moveaxis(rest.reshape((2,) * n), n - 1, q).reshape(-1)
         assert abs(np.vdot(small.to_statevector(), rest)) ** 2 > 1 - 1e-9
 
     @PROPERTY_SETTINGS
     @given(n=st.integers(1, 7), k=st.integers(1, 3), seed=SEEDS)
     def test_add_qubits_matches_embedding(self, n, k, seed):
         t = random_stabilizer_tableau(n, np.random.default_rng(seed))
-        big = t.add_qubits(k)
+        big = t.copy().add_qubits(k)
         rows = _embedding_reference(t, k)
         assert big.n == n + k and _symplectic(big)
         assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip((big.x, big.z, big.r), rows))
@@ -488,7 +517,12 @@ class TestPrimitiveProperties:
         purity, _ = _split_off(t.to_statevector(), n + 1, q)
         assert purity < 1 - 1e-9
         with pytest.raises(ValueError, match="entangled"):
+            _remove_qubit_reference(t, q)
+        before = t.copy()
+        with pytest.raises(ValueError, match="entangled"):
             t.remove_qubit(q)
+        # the rows may be recombined, the state is not
+        assert t.n == n + 1 and _symplectic(t) and t.states_equal(before)
 
     @PROPERTY_SETTINGS
     @given(n=st.integers(1, 7), seed=SEEDS)
@@ -534,6 +568,111 @@ class TestPrimitiveProperties:
             assert [t for t, _, _ in a.record.outcomes] == [t for t, _, _ in b.record.outcomes]
             assert abs(a.probability - b.probability) < 1e-9
             assert sa.fidelity(sb.to_pure_state()) > 1 - 1e-9
+
+
+def _remove_qubit_reference(t: StabilizerTableau, q: int) -> StabilizerTableau:
+    """The removal the tableau made before it worked in place, kept as the
+    reference: row operations on a copy laid out as destabilizer i in row i
+    and stabilizer i in row n + i, then that pair and column q deleted, so
+    the other qubits keep their order."""
+    n = t.n
+    rows = [t.destabilizer(i) for i in range(n)] + t.generators()
+    x = np.array([p.x for p in rows], dtype=np.uint8)
+    z = np.array([p.z for p in rows], dtype=np.uint8)
+    r = np.array([p.phase for p in rows], dtype=np.uint8)
+
+    def rowmult(h, i):
+        extra = _g_exponent_sum(x[h], z[h], x[i], z[i])
+        r[h] = (r[h].astype(np.int64) + int(r[i]) + extra) % 4
+        x[h] ^= x[i]
+        z[h] ^= z[i]
+
+    def rowmult_all(h, idx):
+        if len(idx) == 0:
+            return
+        idx = np.concatenate([[h], idx]).astype(np.intp)
+        x[h], z[h], r[h] = _product(x[idx], z[idx], r[idx])
+
+    on_q = n + np.flatnonzero(x[n:, q] | z[n:, q])
+    if on_q.size == 0:
+        raise InternalError("no stabilizer acts on the qubit")
+    entangled = ValueError(f"qubit {q} is entangled; cannot remove")
+    p = int(on_q[0])
+    if np.any(x[on_q, q] != x[p, q]) or np.any(z[on_q, q] != z[p, q]):
+        raise entangled
+    rowmult(on_q[1:], p)
+    rowmult_all(p - n, on_q[1:] - n)
+    rx, rz = x[p].astype(np.int64), z[p].astype(np.int64)
+    rx[q] = rz[q] = 0
+    c = (x[:n].astype(np.int64) @ rz + z[:n].astype(np.int64) @ rx) % 2
+    if c[p - n]:
+        raise entangled
+    js = np.flatnonzero(c)
+    rowmult_all(p, n + js)
+    rowmult(js, p - n)
+    if np.any(np.delete(x[p] | z[p], q)):
+        raise entangled
+    keep = [n + i for i in range(n) if n + i != p]
+    return StabilizerTableau.from_generators([PauliString(np.delete(x[i], q), np.delete(z[i], q), r[i]) for i in keep])
+
+
+def _removal_case(n: int, rng, path: str):
+    """A random n-qubit state plus a decoupled qubit q, with rows that send
+    `remove_qubit` down `path`:
+    - "local": the stabilizer +/- P_q is kept and multiplied into random others;
+    - "measured": q is entangled, then Z_q is measured at random, as a
+      protocol does before it discards an ancilla;
+    - "mixed": every generator is multiplied into others, and none is local.
+    Returns (tableau, q)."""
+    if path == "measured":
+        t, q = _with_local_qubit(n, rng, entangle=True)
+        t.measure_z(q, force=int(rng.integers(0, 2)))
+        return t, q
+    t, q = _placed_local_qubit(n, rng, entangle=False)
+    gens = t.generators()
+    local = next(i for i, g in enumerate(gens) if g.support() == (q,))
+    for _ in range(2 * t.n):
+        i, j = rng.integers(0, t.n, size=2)
+        if i != j and (i != local or path == "mixed"):
+            gens[i] = gens[i] * gens[j]
+    if path == "mixed":
+        k = next((i for i, g in enumerate(gens) if g.support() == (q,)), None)
+        if k is not None:
+            gens[k] = gens[k] * gens[k - 1]
+    return StabilizerTableau.from_generators(gens), q
+
+
+class TestRemovalAgainstReference:
+    """In-place removal, on its local-pivot path and its general path, against
+    the copy-and-delete removal it replaced (`test_remove_entangled_raises`
+    holds it to the reference on entangled qubits)."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 7), path=st.sampled_from(["local", "measured", "mixed"]), seed=SEEDS)
+    def test_same_state_as_reference(self, n, path, seed):
+        t, q = _removal_case(n, np.random.default_rng(seed), path)
+        # the local-pivot path needs a stabilizer that is exactly +/- P_q
+        assert any(g.support() == (q,) for g in t.generators()) == (path != "mixed")
+        want = _remove_qubit_reference(t, q)
+        got = t.remove_qubit(q)
+        assert got is t and got.n == n and _symplectic(got)
+        perm = list(range(n))
+        perm.insert(q, perm.pop())  # the last qubit takes index q
+        want.x, want.z = want.x[:, perm], want.z[:, perm]
+        assert got.states_equal(want)
+        # the vacated row pair and column were zeroed: a fresh qubit is |0>
+        assert got.add_qubits(1).states_equal(want.add_qubits(1)) and _symplectic(got)
+
+    def test_adds_past_the_reserved_slots(self):
+        from qccc.protocols import ghz_generators
+
+        t = StabilizerTableau(1).apply_gate("H", 0)
+        for k in range(1, 40):  # through several doublings of the buffer
+            t.add_qubits(1).apply_gate("CNOT", k - 1, k)
+        assert _symplectic(t) and t.states_equal(StabilizerTableau.from_generators(ghz_generators(40)))
+        for k in range(39, 20, -1):  # disentangle and discard down to 21 qubits
+            t.apply_gate("CNOT", k - 1, k).remove_qubit(k)
+        assert _symplectic(t) and t.states_equal(StabilizerTableau.from_generators(ghz_generators(21)))
 
 
 class TestConjugationRuleAgainstLoopReference:
