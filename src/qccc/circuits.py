@@ -161,7 +161,7 @@ def validate(circuit: Circuit, register: Optional[List[Tuple[int, str, int]]] = 
                     out.append(Violation(li, tuple(sites), "gate must touch two qudits at two distinct sites"))
                     continue
                 a, b = sorted(sites)
-                if distance(lat, [a], [b]) != 1:
+                if not lat.adjacent(a, b):
                     out.append(Violation(li, (a, b), "gate sites are not nearest neighbors"))
                 for s in sites & used:
                     out.append(Violation(li, g.sites(), f"site {s} used twice in one layer"))

@@ -87,7 +87,8 @@ class Lattice:
         return tuple(sorted(nbrs))
 
     def adjacent(self, a: int, b: int) -> bool:
-        return b in self.neighbors(a)
+        """True when b is a nearest neighbor of a; either site out of range raises."""
+        return self.site_index(b) in self.neighbors(a)
 
     def region(self, sites: Iterable[Coord]) -> "Region":
         return Region(tuple(self.site_index(s) for s in sites))

@@ -657,8 +657,10 @@ class _FramedTableau(TableauState):
         offset and c cancel."""
         pauli = step.pauli
         row = {t: i for i, (t, _, _) in enumerate(outcomes)}
-        # uint8 sums wrap modulo 256, which keeps their parity
-        flips = (pauli.matrix @ self.forms[[row[t] for t in pauli.tags], 1:]) % 2
+        # a float32 product is exact below 2^24 terms and takes the BLAS path
+        # that a uint8 product lacks
+        forms = self.forms[[row[t] for t in pauli.tags], 1:].astype(np.float32)
+        flips = ((pauli.matrix.astype(np.float32) @ forms) % 2).astype(np.uint8)
         qubits, n = [self.index(e) for e in pauli.entries], len(pauli.entries)
         self.fx[qubits] ^= flips[:n]
         self.fz[qubits] ^= flips[n:]

@@ -14,7 +14,17 @@ acts on it. A SWAP is a relabelling, whatever each side holds, so carrier
 ancillas that only move qudits around never grow the tensor, and removing a
 factor costs O(1). A tensor entry back in |0> is removed by taking its
 index-0 slice; only other entries need the reduced-state test. `amps`,
-`tensor` and every other reader see the logical state in register order.
+`tensor` and every other reader see the logical state in register order;
+when the tensor already follows the register, `amps` is a reshape of it.
+
+X, Y and Z on a qubit entry move indices instead of multiplying by a matrix:
+X flips the entry's axis (a view, so the tensor may be strided), Z multiplies
+by one sign per index, Y does both, and a product factor flips or phases its
+own 2-vector. A forced measurement outcome reads only its own slice: its
+probability is the slice's squared norm, summed in the order that
+`branch_probabilities` sums the whole distribution, so both give the same
+bits. Adding or dropping an entry edits the register in O(n) without
+re-validating the other entries.
 """
 
 from __future__ import annotations
@@ -61,11 +71,7 @@ class QuditRegister:
         self._pos: Dict[EntryKey, int] = {}
         dims: List[int] = []
         for site, slot, dim in entries:
-            key = (int(site), str(slot))
-            if key in self._pos:
-                raise ValueError(f"duplicate register entry {key}")
-            if dim < 2:
-                raise ValueError(f"local dimension must be >= 2, got {dim} for {key}")
+            key = self._new_key(site, slot, dim)
             self._pos[key] = len(dims)
             dims.append(int(dim))
         total = math.prod(dims)
@@ -115,6 +121,37 @@ class QuditRegister:
     def describe(self) -> List[dict]:
         return [{"site": s, "slot": sl, "dim": d} for (s, sl), d in zip(self._keys, self._dims)]
 
+    def appended(self, site: int, slot: str, dim: int) -> "QuditRegister":
+        """A copy with one entry appended; only the new entry is validated."""
+        key = self._new_key(site, slot, dim)
+        total = self._total * int(dim)
+        check_amplitudes(total, "the register")
+        pos = dict(self._pos)
+        pos[key] = len(self._keys)
+        return self._derived(pos, self._keys + (key,), self._dims + (int(dim),), total)
+
+    def without(self, key: EntryKey) -> "QuditRegister":
+        """A copy with one entry dropped."""
+        i = self.index(key)
+        keys = self._keys[:i] + self._keys[i + 1 :]
+        dims = self._dims[:i] + self._dims[i + 1 :]
+        return self._derived(dict(zip(keys, range(len(keys)))), keys, dims, self._total // self._dims[i])
+
+    def _new_key(self, site: int, slot: str, dim: int) -> EntryKey:
+        """The key of an entry that may join: not present yet, dimension >= 2."""
+        key = (int(site), str(slot))
+        if key in self._pos:
+            raise ValueError(f"duplicate register entry {key}")
+        if dim < 2:
+            raise ValueError(f"local dimension must be >= 2, got {dim} for {key}")
+        return key
+
+    @classmethod
+    def _derived(cls, pos, keys, dims, total) -> "QuditRegister":
+        reg = cls.__new__(cls)
+        reg._pos, reg._keys, reg._dims, reg._total = pos, keys, dims, total
+        return reg
+
 
 @dataclass
 class RegionOperator:
@@ -141,13 +178,52 @@ def pauli_on(entry: EntryKey, name: str) -> RegionOperator:
     return RegionOperator((entry,), gates.named_gate(name))
 
 
+# each qubit Pauli as (flips the index, phase per output index)
+_PAULI_MOVES = {
+    "X": (True, None),
+    "Y": (True, np.array([-1j, 1j])),
+    "Z": (False, np.array([1, -1], dtype=complex)),
+}
+
+
+def _pauli_along(t: np.ndarray, ax: int, name: str) -> np.ndarray:
+    """X, Y or Z on the dimension-2 axis `ax` of `t`, without a matrix: a
+    flip is a view, a phase one broadcast multiply."""
+    flip, phase = _PAULI_MOVES[name]
+    if flip:
+        t = np.flip(t, ax)
+    if phase is not None:
+        t = t * phase.reshape((2,) + (1,) * (t.ndim - ax - 1))
+    return t
+
+
+def _mass(weights: np.ndarray) -> np.ndarray:
+    """Sum weights of shape (lead, d, rest) over the first and last axes:
+    each row of `rest` pairwise, then the `lead` rows in order. That is the
+    order of numpy's own sum over every axis but one of a C-ordered tensor,
+    so one outcome's slice (d = 1) gives the bits of the full distribution."""
+    return np.cumsum(weights.sum(axis=2), axis=0)[-1]
+
+
+def _factor_probabilities(local: np.ndarray, basis: Optional[np.ndarray]) -> np.ndarray:
+    return np.abs(local if basis is None else basis.conj().T @ local) ** 2
+
+
+def _forced(k: int, p) -> float:
+    """The probability of forced outcome k; raises below FORCE_FLOOR."""
+    if p < FORCE_FLOOR:
+        raise ValueError(f"forced outcome {k} has vanishing probability {p:.3e}")
+    return float(p)
+
+
 class PureState:
     """Normalized dense pure state over a QuditRegister.
 
     The state is the materialised tensor `_t`, one axis per key in `_keys`,
     times one normalised product factor per key in `_lazy`. Every register key
     is in exactly one of the two. Arrays held in `_t` and `_lazy` are never
-    written in place, so a clone may share the factor vectors.
+    written in place, so a clone may share the factor vectors, and `_t` or a
+    factor may be a strided view, such as the flipped axis an X leaves.
     """
 
     def __init__(self, register: QuditRegister, amplitudes: np.ndarray, norm_tol: float = NORM_TOL):
@@ -201,6 +277,8 @@ class PureState:
     @property
     def amps(self) -> np.ndarray:
         """Flat amplitudes in register order (first entry slowest-varying)."""
+        if tuple(self._keys) == self.register.keys:  # so no factor is left out
+            return self._t.reshape(-1)
         return self._split(self.register.keys).reshape(-1)
 
     def tensor(self) -> np.ndarray:
@@ -275,6 +353,13 @@ class PureState:
                 raise ValueError("swap requires equal local dimensions")
             self._exchange(a, b)
             return self
+        if name in _PAULI_MOVES and len(entries) == 1 and self.register.dim(tuple(entries[0])) == 2:
+            key = tuple(entries[0])
+            if key in self._lazy:
+                self._lazy[key] = _pauli_along(self._lazy[key], 0, name)
+            else:
+                self._t = _pauli_along(self._t, self._axis[key], name)
+            return self
         return self.apply(RegionOperator(tuple(entries), gates.named_gate(name)), unitary_check=False)
 
     def _exchange(self, a: EntryKey, b: EntryKey) -> None:
@@ -298,24 +383,15 @@ class PureState:
         `basis` has the basis vectors as columns; None means computational.
         """
         key = tuple(entry)
-        d = self.register.dim(key)
-        if basis is not None:
-            basis = np.asarray(basis, dtype=complex)
-            if basis.shape != (d, d) or not gates.is_unitary(basis):
-                raise ValueError("measurement basis must be an orthonormal d x d frame")
+        basis = self._frame(key, basis)
         if key in self._lazy:
-            local = self._lazy[key] if basis is None else basis.conj().T @ self._lazy[key]
-            return np.abs(local) ** 2
+            return _factor_probabilities(self._lazy[key], basis)
         ax = self._axis[key]
+        d = self._t.shape[ax]
         if basis is None:
-            weights = np.abs(self._t) ** 2
-            other = tuple(a for a in range(self._t.ndim) if a != ax)
-            probs = weights.sum(axis=other) if other else weights
-        else:
-            proj = np.tensordot(basis.conj().T, self._t, axes=(1, ax))
-            other = tuple(range(1, proj.ndim))
-            probs = (np.abs(proj) ** 2).sum(axis=other) if other else np.abs(proj) ** 2
-        return np.asarray(probs).real.reshape(-1)
+            return _mass((np.abs(self._t) ** 2).reshape(math.prod(self._t.shape[:ax]), d, -1))
+        proj = np.tensordot(basis.conj().T, self._t, axes=(1, ax))
+        return _mass((np.abs(proj) ** 2).reshape(1, d, -1))
 
     def measure(
         self,
@@ -355,28 +431,49 @@ class PureState:
     def _collapse(self, key, basis, force, rng) -> Tuple[int, float, complex]:
         """Pick an outcome and project `key` out of the state, leaving it in
         neither `_t` nor `_lazy`. Returns (outcome, probability, phase): the
-        collapsed state is (phase * basis vector) (x) the rest."""
+        collapsed state is (phase * basis vector) (x) the rest.
+
+        A sampled outcome draws from the full distribution; a forced one reads
+        only its own slice, whose squared norm is its probability."""
         d = self.register.dim(key)
-        probs = self.branch_probabilities(key, basis)
+        basis = self._frame(key, basis)
         if force is None:
             if rng is None:
                 raise ValueError("sampled measurement requires an rng")
+            probs = self.branch_probabilities(key, basis)
             k = int(rng.choice(d, p=probs / probs.sum()))
+            p = float(probs[k])
         else:
             k = int(force)
             if not 0 <= k < d:
                 raise ValueError(f"forced outcome {k} out of range")
-            if probs[k] < FORCE_FLOOR:
-                raise ValueError(f"forced outcome {k} has vanishing probability {probs[k]:.3e}")
-        p = float(probs[k])
         if key in self._lazy:
-            local = self._lazy.pop(key)
-            amp = local[k] if basis is None else np.vdot(np.asarray(basis, dtype=complex)[:, k], local)
+            local = self._lazy[key]
+            if force is not None:
+                p = _forced(k, _factor_probabilities(local, basis)[k])
+            del self._lazy[key]
+            amp = local[k] if basis is None else np.vdot(basis[:, k], local)
             return k, p, amp / abs(amp)
         ax = self._axis[key]
-        self._t = self._project(ax, k, basis) / np.sqrt(probs[k])
+        rest = self._project(ax, k, basis)
+        if force is not None:
+            lead = math.prod(self._t.shape[:ax]) if basis is None else 1
+            p = _forced(k, _mass((np.abs(rest) ** 2).reshape(lead, 1, -1))[0])
+        rest /= np.sqrt(p)  # a fresh array from `_project`
+        self._t = rest
         self._drop_axis(ax)
         return k, p, 1.0
+
+    def _frame(self, key: EntryKey, basis) -> Optional[np.ndarray]:
+        """The measurement basis of `key` as a checked complex array; None
+        means computational."""
+        if basis is None:
+            return None
+        d = self.register.dim(key)
+        basis = np.asarray(basis, dtype=complex)
+        if basis.shape != (d, d) or not gates.is_unitary(basis):
+            raise ValueError("measurement basis must be an orthonormal d x d frame")
+        return basis
 
     def _project(self, ax: int, k: int, basis) -> np.ndarray:
         if basis is None:
@@ -385,7 +482,7 @@ class PureState:
         return np.tensordot(bk.conj(), self._t, axes=(0, ax))
 
     def _drop_register_entry(self, key: EntryKey) -> None:
-        self.register = QuditRegister([e for e in self.register.entries() if (e[0], e[1]) != key])
+        self.register = self.register.without(key)
 
     def expectation(self, op: RegionOperator) -> complex:
         mat = self._split(op.entries)
@@ -446,7 +543,7 @@ class PureState:
         local_state = np.array(local_state, dtype=complex).reshape(-1)
         if local_state.size != dim or abs(np.linalg.norm(local_state) - 1.0) > NORM_TOL:
             raise ValueError("ancilla init state must be normalized and of the declared dim")
-        self.register = QuditRegister(self.register.entries() + [(site, slot, dim)])
+        self.register = self.register.appended(site, slot, dim)
         self._lazy[key] = local_state
         return self
 
@@ -479,7 +576,9 @@ class PureState:
 
     def permuted(self, new_order: Sequence[EntryKey]) -> "PureState":
         """Return a copy with register entries reordered."""
-        keys = [tuple(k) for k in new_order]
+        keys = tuple(tuple(k) for k in new_order)
+        if keys == self.register.keys:
+            return PureState(self.register, self.amps)
         if sorted(keys) != sorted(self.register.keys):
             raise ValueError("new order must be a permutation of the register")
         reg = QuditRegister([(s, sl, self.register.dim((s, sl))) for s, sl in keys])

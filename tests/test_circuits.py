@@ -36,6 +36,24 @@ class TestValidate:
         out = cx.validate(c, qreg(6))
         assert any("nearest neighbors" in v.reason for v in out)
 
+    # (0, 5) closes the ring; on the 3 x 4 torus, (0, 3) wraps a row and (0, 8) a column
+    @pytest.mark.parametrize("dims, pair", [((6,), (0, 5)), ((3, 4), (0, 3)), ((3, 4), (0, 8))])
+    def test_gate_across_the_periodic_wrap_validates(self, dims, pair):
+        lat = Lattice(dims, periodic=True)
+        (a, b) = pair
+        c = cx.Circuit(lat, [cx.GateLayer([cx.Gate(((a, "s"), (b, "s")), [("CZ", (0, 1))])])])
+        assert cx.validate(c, qreg(lat.n_sites)) == []
+        assert cx.validate(cx.Circuit(Lattice(dims, periodic=False), c.layers), qreg(lat.n_sites)) != []
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("dims, pair", [((6,), (1, 3)), ((6,), (0, 4)), ((4, 4), (0, 5)), ((4, 4), (0, 8))])
+    def test_distance_two_flagged_open_and_periodic(self, dims, pair, periodic):
+        lat = Lattice(dims, periodic=periodic)
+        (a, b) = pair
+        c = cx.Circuit(lat, [cx.GateLayer([cx.Gate(((a, "s"), (b, "s")), [("CZ", (0, 1))])])])
+        reasons = [v.reason for v in cx.validate(c, qreg(lat.n_sites))]
+        assert reasons == ["gate sites are not nearest neighbors"]
+
     def test_nonunitary_matrix_violation(self):
         lat = Lattice((4,))
         bad = np.eye(4)

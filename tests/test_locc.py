@@ -869,6 +869,58 @@ class TestPauliFrames:
         assert time.perf_counter() - t0 < 2.0
 
 
+class TestDenseRows:
+    """The dense DFS moves indices for Pauli fixes and reads a forced outcome's
+    probability from its own slice; the rows must not move."""
+
+    # SHA-256 prefixes of `_rows_digest`, recorded (numpy 2.4, OpenBLAS,
+    # x86-64) with the state that applied every Pauli as a matrix and summed
+    # the whole distribution for each forced outcome
+    RECORDED_ROWS = {
+        "ghz2": "a36d03bde0331857",
+        "ghz3": "8ca570a33529bdb2",
+        "ghz4": "85eeab770d129f3b",
+        "ghz5": "f2578baee53a9b1d",
+        "ghz6": "058aed171ed63227",
+        "ghz7": "b205ca1315718bb3",
+        "ghz8": "d0afc2ab6499c7d4",
+        "ghz9": "f21ea222c21321ee",
+        "ghz10": "d1e1f296cd10deaa",
+        "ghz11": "19b5923682520874",
+        "ghz12": "b038abbe8606d09c",
+        "w2": "8612bae96ddf1f19",
+        "w3": "2fa0cea21b52d0dd",
+        "w4": "eff7aea8e057e69e",
+        "w5": "e9ec93ebd152e342",
+        "w6": "d47c673f49c3df9e",
+    }
+
+    @pytest.mark.parametrize("case", list(RECORDED_ROWS))
+    def test_rows_bit_equal_to_recorded(self, case):
+        family, n = case.rstrip("0123456789"), int(case.lstrip("ghzw"))
+        res = enumerate_branches({"ghz": _ghz, "w": _w}[family](n)[0])
+        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC"
+        assert _rows_digest(res) == self.RECORDED_ROWS[case]
+
+    def test_toric_code_n4_rows_within_rounding_of_recorded(self):
+        """Same records in the same order; every row's probability within
+        1e-15 and fidelity within 1e-14 of the recorded ones (each the same
+        for all 128 rows)."""
+        import hashlib
+
+        from qccc.protocols import toric_code_protocol
+
+        res = enumerate_branches(toric_code_protocol(4)[0])
+        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC" and len(res.reports) == 128
+        h = hashlib.sha256()
+        for rep in res.reports:
+            tags, bits, _ = zip(*rep.record.outcomes)
+            h.update(("/".join(tags) + ":" + "".join(map(str, bits)) + ";").encode())
+        assert h.hexdigest()[:16] == "b087f718ef331a46"
+        assert max(abs(r.probability - 0.007812499999999979) for r in res.reports) <= 1e-15
+        assert max(abs(r.fidelity - 0.9999999999999998) for r in res.reports) <= 1e-14
+
+
 class TestTargets:
     """A target must fit the backend that runs, on either engine."""
 

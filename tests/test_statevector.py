@@ -5,6 +5,7 @@ from hypothesis import strategies as hst
 
 from qccc import gates
 from qccc.statevector import (
+    FORCE_FLOOR,
     CapacityError,
     PureState,
     QuditRegister,
@@ -558,3 +559,162 @@ class TestDifferential:
             st.remove_entry((1, "b"))
         st.remove_entry((0, "a"))
         assert st.register.keys == ((0, "s"), (1, "s"), (1, "b"))
+
+
+# -- the index-moving Paulis, one-slice forced outcomes and derived registers ----------
+
+
+def _scrambled_state(rng, dims, n_ancillas):
+    """A random state over `dims` whose tensor axes are out of register order,
+    with `n_ancillas` fresh qubit ancillas left as product factors."""
+    psi = _unit_vector(int(np.prod(dims)), rng)
+    st = PureState(QuditRegister([(i, "s", d) for i, d in enumerate(dims)]), psi)
+    if len(dims) > 1:
+        i, j = (int(x) for x in rng.permutation(len(dims))[:2])
+        st.apply(RegionOperator(((j, "s"), (i, "s")), gates.random_unitary(dims[i] * dims[j], rng)))
+    for a in range(n_ancillas):
+        st.add_entry(a, "a", 2, _unit_vector(2, rng) if rng.random() < 0.5 else None)
+    return st
+
+
+class TestPauliMoves:
+    @PROPERTY_SETTINGS
+    @given(
+        dims=hst.lists(hst.sampled_from([2, 2, 3]), min_size=1, max_size=4),
+        n_ancillas=hst.integers(1, 2),
+        seed=SEEDS,
+    )
+    def test_paulis_match_their_matrices(self, dims, n_ancillas, seed):
+        """X, Y and Z on materialised axes, on product factors and on axes
+        already flipped by an earlier Pauli, then every reader and editor."""
+        rng = np.random.default_rng(seed)
+        fast = _scrambled_state(rng, dims, n_ancillas)
+        ref = fast.clone()
+        qubits_ = [k for k, d in zip(fast.register.keys, fast.register.dims) if d == 2]
+        for _ in range(8):
+            key, name = qubits_[int(rng.integers(len(qubits_)))], "XYZ"[int(rng.integers(3))]
+            fast.apply_named(name, [key])
+            ref.apply(RegionOperator((key,), gates.named_gate(name)))
+            # equal up to the rounding of the reference's own factor contraction
+            np.testing.assert_allclose(fast.amps, ref.amps, rtol=0, atol=1e-15)
+        assert all(k in fast._lazy for k in fast.register.keys if k[1] == "a")
+        copy = fast.clone()
+        assert np.array_equal(copy.amps, fast.amps) and abs(copy.fidelity(ref) - 1) < 1e-12
+        np.testing.assert_allclose(fast.tensor(), ref.tensor(), rtol=0, atol=1e-15)
+        for _ in range(2):
+            # a product factor leaves without a test; its reference sits in the tensor
+            lazy = [k for k in fast.register.keys if k in fast._lazy]
+            if lazy:
+                key = lazy[int(rng.integers(len(lazy)))]
+                fast.remove_entry(key)
+                ref.remove_entry(key)
+                assert abs(fast.fidelity(ref) - 1) < 1e-12
+            if fast.register.size > 1:
+                key = fast.register.keys[int(rng.integers(fast.register.size))]
+                k = int(np.argmax(ref.branch_probabilities(key)))
+                (kf, pf), (kr, pr) = fast.measure_remove(key, force=k), ref.measure_remove(key, force=k)
+                assert kf == kr == k and abs(pf - pr) <= 1e-15
+                assert fast.register == ref.register and abs(fast.fidelity(ref) - 1) < 1e-12
+
+    def test_x_is_a_view(self):
+        st = ghz(3)
+        before = st._t
+        st.apply_named("X", [(1, "s")])
+        assert np.shares_memory(st._t, before) and st._keys == [(0, "s"), (1, "s"), (2, "s")]
+        oracle = np.zeros(8)
+        oracle[[2, 5]] = 1 / np.sqrt(2)
+        assert np.array_equal(st.amps, oracle) and np.array_equal(before.reshape(-1), ghz(3).amps)
+
+    def test_qutrit_x_still_raises(self):
+        st = PureState.product(QuditRegister([(0, "s", 3)]))
+        with pytest.raises(ValueError, match="does not match support dimension"):
+            st.apply_named("X", [(0, "s")])
+
+
+class TestForcedOutcomes:
+    @PROPERTY_SETTINGS
+    @given(dims=hst.lists(hst.sampled_from([2, 3]), min_size=1, max_size=4), seed=SEEDS)
+    def test_forced_probability_matches_the_distribution(self, dims, seed):
+        """Computational-basis slices sum in the distribution's order, so the
+        bits agree; a given basis projects by a vector, not a matrix."""
+        rng = np.random.default_rng(seed)
+        st = _scrambled_state(rng, dims, 1)
+        if rng.random() < 0.5:
+            st.apply_named("X", [st.register.keys[-1]])
+        for key, d in zip(st.register.keys, st.register.dims):
+            for basis in (None, gates.random_unitary(d, rng)):
+                probs = st.branch_probabilities(key, basis)
+                for k in np.flatnonzero(probs >= 2 * FORCE_FLOOR):
+                    for op in ("measure", "measure_remove"):
+                        if op == "measure_remove" and st.register.size == 1:
+                            continue
+                        got, p = getattr(st.clone(), op)(key, basis=basis, force=k)
+                        assert got == k
+                        if basis is None:
+                            assert p == probs[k]
+                        else:
+                            assert abs(p - probs[k]) <= 1e-15
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("op", ["measure", "measure_remove"])
+    def test_vanishing_and_out_of_range_still_raise(self, lazy, op):
+        st = PureState(qubits(2), np.array([0, 1, 0, 0]))  # |01>
+        st.add_entry(0, "a", 2, np.array([1, 1]) / np.sqrt(2))
+        if not lazy:
+            st.apply_named("H", [(0, "a")])  # materialised, now |0>
+        key, plus = ((0, "a"), np.array([1, 1]) / np.sqrt(2)) if lazy else ((1, "s"), None)
+        zero_basis = gates.H if lazy else None  # the outcome |-> of |+>, or |0> of |1>
+        before, layout = st.amps.copy(), (list(st._keys), dict(st._lazy))
+        for force, match in [(1 if lazy else 0, "vanishing"), (2, "out of range"), (-1, "out of range")]:
+            with pytest.raises(ValueError, match=match):
+                getattr(st, op)(key, basis=zero_basis, force=force)
+        assert st.register.size == 3 and np.array_equal(st.amps, before)
+        assert (list(st._keys), dict(st._lazy)) == layout
+        assert plus is None or np.array_equal(st._lazy[key], plus)
+
+
+class TestRegisterEdits:
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS)
+    def test_edits_match_the_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        entries, reg = [], QuditRegister([])
+        for _ in range(12):
+            if entries and rng.random() < 0.4:
+                site, slot, _ = entries.pop(int(rng.integers(len(entries))))
+                reg = reg.without((site, slot))
+            else:
+                entry = (int(rng.integers(4)), str(rng.choice(["s", "a", "b"])), int(rng.integers(2, 4)))
+                if (entry[0], entry[1]) in reg:
+                    with pytest.raises(ValueError, match="duplicate"):
+                        reg.appended(*entry)
+                    continue
+                entries.append(entry)
+                reg = reg.appended(*entry)
+            built = QuditRegister(entries)
+            assert reg == built and reg.total_dim == built.total_dim and reg.entries() == entries
+            assert [reg.index(k) for k in built.keys] == list(range(len(entries)))
+
+    def test_bad_edits_raise(self):
+        reg = qubits(2)
+        with pytest.raises(ValueError, match="local dimension"):
+            reg.appended(5, "a", 1)
+        with pytest.raises(KeyError):
+            reg.without((5, "a"))
+
+    def test_append_past_the_cap_raises_before_it_allocates(self, monkeypatch):
+        monkeypatch.setenv("QCCC_MAX_AMPLITUDES", "64")
+        st = PureState.product(qubits(5))
+        st.add_entry(5, "a", 2)
+        st.apply_named("H", [(5, "a")])
+        before = st.amps.copy()
+        with pytest.raises(CapacityError, match="128 amplitudes"):
+            st.add_entry(6, "a", 2)
+        assert st.register == qubits(5).appended(5, "a", 2) and (6, "a") not in st._lazy
+        assert np.array_equal(st.amps, before)
+
+    def test_permuted_to_its_order_keeps_the_register(self):
+        st = ghz(3)
+        st.apply_named("CNOT", [(2, "s"), (0, "s")])
+        same = st.permuted(st.register.keys)
+        assert same.register is st.register and np.array_equal(same.amps, st.amps)
