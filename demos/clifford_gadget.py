@@ -29,5 +29,5 @@ rng = np.random.default_rng(0)
 psi = rng.normal(size=2**M) + 1j * rng.normal(size=2**M)
 psi /= np.linalg.norm(psi)
 inp = PureState(QuditRegister([(k, "in", 2) for k in range(M)]), psi)
-det, min_fid = enumerate_cj_branches(cj, inp, reference=u @ psi)
-print(f"\nexhaustive Bell branches ({4**M}): deterministic={det}, min fidelity={min_fid:.12f}")
+det, min_fid, n_branches = enumerate_cj_branches(cj, inp, reference=u @ psi)
+print(f"\nexhaustive Bell branches ({n_branches}): deterministic={det}, min fidelity={min_fid:.12f}")

@@ -16,7 +16,6 @@ from .statevector import (
     QuditRegister,
     RegionOperator,
     fidelity,
-    global_phase_equal,
 )
 from .stabilizer import (
     CliffordMap,
@@ -34,8 +33,6 @@ from .circuits import (
     GateLayer,
     LocalLayer,
     build_shift_circuit,
-    circuit_from_json,
-    circuit_to_json,
     estimate_range,
     operator_support,
     run,
@@ -43,13 +40,10 @@ from .circuits import (
 )
 from .locc import (
     BranchReport,
-    Channel,
-    Ensemble,
     EnumerationResult,
     MeasurementSpec,
     OutcomeRecord,
     Protocol,
-    as_channel,
     enumerate_branches,
     replay,
     run_sampled,

@@ -16,7 +16,6 @@ backend.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -406,76 +405,3 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
                     r = max(r, distance(lat, [i], [j]))
     return r
 
-
-# -- serialization -----------------------------------------------------------------
-
-
-def _spec_to_json(spec: OpSpec):
-    if isinstance(spec, np.ndarray):
-        return {"matrix": [[[float(v.real), float(v.imag)] for v in row] for row in spec]}
-    return {"named": [[name, list(idx)] for name, idx in spec]}
-
-
-def _spec_from_json(data) -> OpSpec:
-    if "matrix" in data:
-        return np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-    return [(name, tuple(idx)) for name, idx in data["named"]]
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    layers = []
-    for layer in circuit.layers:
-        if isinstance(layer, GateLayer):
-            layers.append(
-                {
-                    "type": "gates",
-                    "gates": [
-                        {"entries": [list(e) for e in g.entries], "spec": _spec_to_json(g.spec)}
-                        for g in layer.gates
-                    ],
-                }
-            )
-        else:
-            acts = []
-            for a in layer.actions:
-                item = {"kind": a.kind, "entries": [list(e) for e in a.entries]}
-                if a.kind == "op":
-                    item["spec"] = _spec_to_json(a.spec)
-                elif a.kind == "add":
-                    item["dim"] = a.dim
-                    if a.init_state is not None:
-                        item["state"] = [[float(v.real), float(v.imag)] for v in a.init_state]
-                acts.append(item)
-            layers.append({"type": "local", "actions": acts})
-    return json.dumps({"lattice": circuit.lattice.to_config(), "layers": layers})
-
-
-def circuit_from_json(text: str) -> Circuit:
-    data = json.loads(text)
-    lat = Lattice.from_config(data["lattice"])
-    layers: List[Layer] = []
-    for ld in data["layers"]:
-        if ld["type"] == "gates":
-            layers.append(
-                GateLayer(
-                    [
-                        Gate(tuple(tuple(e) for e in g["entries"]), _spec_from_json(g["spec"]))
-                        for g in ld["gates"]
-                    ]
-                )
-            )
-        else:
-            acts = []
-            for a in ld["actions"]:
-                entries = tuple(tuple(e) for e in a["entries"])
-                if a["kind"] == "op":
-                    acts.append(LocalAction("op", entries, _spec_from_json(a["spec"])))
-                elif a["kind"] == "add":
-                    init = None
-                    if "state" in a:
-                        init = np.array([complex(re, im) for re, im in a["state"]])
-                    acts.append(LocalAction("add", entries, None, a.get("dim", 2), init))
-                else:
-                    acts.append(LocalAction("remove", entries))
-            layers.append(LocalLayer(acts))
-    return Circuit(lat, layers)

@@ -19,8 +19,9 @@ first matching row of `FAILURES`:
 
 A usage error found by argparse exits 2 with argparse's own message.
 
-All sampling commands require an explicit --seed so reports are reproducible;
-identical configurations produce identical reports except for the timing
+Sampling commands require an explicit --seed so reports are reproducible;
+`diagnose`, whose random inputs only probe a certificate, defaults to seed 1.
+Identical configurations produce identical reports except for the timing
 fields. QCCC_MAX_AMPLITUDES (default 2^27) bounds every dense array, checked
 before it is allocated: registers, dim^2 unitaries, blocked tensors and the
 pipeline writer. Qubit `qccc range` reaches n = 13 at the default cap.
@@ -228,6 +229,7 @@ def cmd_diagnose(args, report: dict) -> int:
     from . import protocols as P
 
     ok = True
+    seed = 1 if args.seed is None else args.seed
     if args.check == "prop1":
         n = args.n
         lat = Lattice((n,))
@@ -265,7 +267,7 @@ def cmd_diagnose(args, report: dict) -> int:
                 regions.append(
                     [proto.lattice.site_index((i, j)) for i in range(rows) for j in range(side)]
                 )
-        rep = dg.area_law_audit(proto, regions, seed=args.seed or 1, rank_tol=args.rank_tol)
+        rep = dg.area_law_audit(proto, regions, seed=seed, rank_tol=args.rank_tol)
         report["arealaw"] = rep.to_dict()
         report["rank_tol"] = args.rank_tol
         ok = rep.passes
@@ -275,7 +277,7 @@ def cmd_diagnose(args, report: dict) -> int:
         cj = dg.ghz_unitary_cj(args.n)
         table_ok = dg.verify_clifford_table(cj)
         report["clifford_table"] = table_ok
-        rng = np.random.default_rng(args.seed or 1)
+        rng = np.random.default_rng(seed)
         # branches are enumerated on random dense inputs for n <= 3 only; for
         # larger n the verdict rests on the Clifford table alone
         det = minf = None
@@ -287,7 +289,7 @@ def cmd_diagnose(args, report: dict) -> int:
                 psi = rng.normal(size=2**args.n) + 1j * rng.normal(size=2**args.n)
                 psi /= np.linalg.norm(psi)
                 inp = PureState(QuditRegister([(k, "in", 2) for k in range(args.n)]), psi)
-                d, f, k = dg._enumerate_cj(cj, inp, reference=u @ psi)
+                d, f, k = dg.enumerate_cj_branches(cj, inp, reference=u @ psi)
                 det = det and d
                 minf = min(minf, f)
                 branches += k

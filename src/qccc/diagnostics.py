@@ -376,19 +376,13 @@ def run_cj_unitary(cj: CJProtocol, input_state, backend: str = "dense", seed: in
 
 def enumerate_cj_branches(
     cj: CJProtocol, input_state: PureState, reference: Optional[np.ndarray] = None
-) -> Tuple[bool, float]:
-    """Run every Bell-outcome pattern; returns (deterministic, min fidelity).
+) -> Tuple[bool, float, int]:
+    """Run every Bell-outcome pattern; returns (deterministic, min fidelity,
+    number of branches).
 
     Fidelity is against `reference` amplitudes when given, else against the
     first branch.
     """
-    return _enumerate_cj(cj, input_state, reference)[:2]
-
-
-def _enumerate_cj(
-    cj: CJProtocol, input_state: PureState, reference: Optional[np.ndarray]
-) -> Tuple[bool, float, int]:
-    """`enumerate_cj_branches` plus the number of branches it ran."""
     target = None
     if reference is not None:
         target = PureState(QuditRegister([(k, "s", 2) for k in range(cj.n)]), reference)

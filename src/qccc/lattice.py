@@ -6,10 +6,9 @@ indexed row-major so that state-vector tensor layouts are reproducible.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 Coord = Union[int, Tuple[int, ...]]
 
@@ -92,15 +91,6 @@ class Lattice:
 
     def region(self, sites: Iterable[Coord]) -> "Region":
         return Region(tuple(self.site_index(s) for s in sites))
-
-    def to_config(self) -> dict:
-        return {"dims": list(self.dims), "periodic": self.periodic, "local_dim": self.local_dim}
-
-    @classmethod
-    def from_config(cls, cfg: Union[dict, str]) -> "Lattice":
-        if isinstance(cfg, str):
-            cfg = json.loads(cfg)
-        return cls(tuple(cfg["dims"]), bool(cfg.get("periodic", True)), int(cfg.get("local_dim", 2)))
 
 
 @dataclass(frozen=True)

@@ -820,87 +820,3 @@ def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: in
         Correct(fix, f"teleport fix {tag}", frozenset({f"{tag}s", f"{tag}p"}), entries=frozenset({target})),
     ]
 
-
-# -- channels ------------------------------------------------------------------------
-
-
-@dataclass
-class Ensemble:
-    """Probability-weighted pure branches over a common register."""
-
-    branches: List[Tuple[float, PureState]]
-
-    def density_matrix(self) -> np.ndarray:
-        dim = self.branches[0][1].register.total_dim
-        rho = np.zeros((dim, dim), dtype=complex)
-        for p, st in self.branches:
-            rho += p * np.outer(st.amps, st.amps.conj())
-        return rho
-
-    def trace_distance_to_pure(self, target: PureState) -> float:
-        """|| sigma - |t><t| ||_1 computed in the span of the branches and target."""
-        vecs = [target.amps] + [st.amps for _, st in self.branches]
-        basis: List[np.ndarray] = []
-        for v in vecs:
-            w = v.astype(complex).copy()
-            for b in basis:
-                w -= np.vdot(b, w) * b
-            nw = np.linalg.norm(w)
-            if nw > 1e-12:
-                basis.append(w / nw)
-        r = len(basis)
-        coeff = np.array([[np.vdot(b, v) for b in basis] for v in vecs])  # vec x basis
-        sigma = np.zeros((r, r), dtype=complex)
-        for (p, _), c in zip(self.branches, coeff[1:]):
-            sigma += p * np.outer(c, c.conj())
-        t = coeff[0]
-        diff = sigma - np.outer(t, t.conj())
-        eig = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-        return float(np.sum(np.abs(eig)))
-
-
-class Channel:
-    """The quantum channel induced by a protocol (ancillas traced out)."""
-
-    def __init__(self, protocol: Protocol, prob_floor: float = DEFAULT_PROB_FLOOR, branch_cap: int = DEFAULT_BRANCH_CAP):
-        self.protocol = protocol
-        self.prob_floor = prob_floor
-        self.branch_cap = branch_cap
-
-    def apply(self, input_state: Optional[PureState] = None) -> Ensemble:
-        res = enumerate_branches(
-            self.protocol,
-            backend="dense",
-            prob_floor=self.prob_floor,
-            branch_cap=self.branch_cap,
-            input_state=input_state,
-            target=None,
-            keep_states=True,
-        )
-        return Ensemble([(rep.probability, st) for rep, st in zip(res.reports, res.finals)])
-
-    def then(self, other: "Channel") -> "ComposedChannel":
-        return ComposedChannel([self, other])
-
-
-class ComposedChannel:
-    def __init__(self, channels: List[Channel]):
-        self.channels = channels
-
-    def apply(self, input_state: Optional[PureState] = None) -> Ensemble:
-        ensembles = [(1.0, input_state)]
-        for ch in self.channels:
-            new: List[Tuple[float, Optional[PureState]]] = []
-            for p, st in ensembles:
-                out = ch.apply(st)
-                for q, branch in out.branches:
-                    new.append((p * q, branch))
-            ensembles = new
-        return Ensemble([(p, st) for p, st in ensembles])
-
-    def then(self, other: Channel) -> "ComposedChannel":
-        return ComposedChannel(self.channels + [other])
-
-
-def as_channel(protocol: Protocol, **kw) -> Channel:
-    return Channel(protocol, **kw)

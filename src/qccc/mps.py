@@ -636,14 +636,6 @@ def fixture(name: str) -> MPS:
         raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}") from None
 
 
-def load_fixture_file(name: str) -> MPS:
-    """Read one of the packaged fixture JSON files."""
-    from importlib import resources
-
-    path = resources.files("qccc").joinpath(f"fixtures/{name}.json")
-    return MPS.load(path.read_text())
-
-
 def random_normal_mps(d: int, chi: int, rng: np.random.Generator, attempts: int = 20) -> MPS:
     """A random canonically-scaled normal tensor (rejection sampled)."""
     for _ in range(attempts):

@@ -619,6 +619,3 @@ def complex_pairs(rows, what: str) -> np.ndarray:
 def fidelity(a: PureState, b: PureState) -> float:
     return a.fidelity(b)
 
-
-def global_phase_equal(a: PureState, b: PureState, tol: float = 1e-9) -> bool:
-    return a.fidelity(b) >= 1.0 - tol

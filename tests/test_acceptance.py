@@ -262,7 +262,7 @@ def test_criterion_09_clifford_unitaries():
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
         inp = PureState(QuditRegister([(k, "in", 2) for k in range(3)]), psi)
-        det, min_fid = enumerate_cj_branches(cj, inp, reference=u_expect @ psi)
+        det, min_fid, _ = enumerate_cj_branches(cj, inp, reference=u_expect @ psi)
         assert det and min_fid >= 1 - FID_TOL, (trial, min_fid)
     img = cj.u_map.conjugate(PauliString.single(3, 0, "Z"))
     assert len(img.support()) == 3

@@ -309,35 +309,3 @@ class TestRange:
         lat = Lattice((15,))
         with pytest.raises(CapacityError):
             cx.estimate_range(np.eye(2, dtype=complex), lat)
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(31)
-        lat = Lattice((4,))
-        circuit = cx.Circuit(
-            lat,
-            [
-                cx.LocalLayer(
-                    [
-                        cx.add_ancilla(0, "a", 2),
-                        cx.local_op([(0, "s"), (0, "a")], [("CNOT", (0, 1))]),
-                    ]
-                ),
-                cx.GateLayer(
-                    [
-                        cx.Gate(((0, "s"), (1, "s")), [("H", (0,)), ("CNOT", (0, 1))]),
-                        cx.Gate(((2, "s"), (3, "s")), gates.random_unitary(4, rng)),
-                    ]
-                ),
-                cx.LocalLayer([cx.remove_ancilla(0, "a")]),
-            ],
-        )
-        text = cx.circuit_to_json(circuit)
-        back = cx.circuit_from_json(text)
-        assert back.depth() == circuit.depth()
-        st1 = PureState.product(QuditRegister(qreg(4)))
-        st2 = PureState.product(QuditRegister(qreg(4)))
-        cx.run(circuit, st1)
-        cx.run(back, st2)
-        assert abs(abs(np.vdot(st1.amps, st2.amps)) - 1) < 1e-12

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import numpy as np
@@ -280,6 +281,38 @@ class TestDiagnose:
         assert rep["branches_checked"] == 0
         assert rep["deterministic"] is None and rep["min_fidelity"] is None
         assert rep["clifford_table"] and rep["passed"]
+
+    @pytest.mark.parametrize("seed_args,expected", [(["--seed", "0"], 0), ([], 1)])
+    def test_arealaw_seed_reaches_audit(self, seed_args, expected, tmp_path, monkeypatch):
+        from qccc import diagnostics
+
+        seeds = []
+        audit = diagnostics.area_law_audit
+
+        def spy(*a, **kw):
+            seeds.append(kw["seed"])
+            return audit(*a, **kw)
+
+        monkeypatch.setattr(diagnostics, "area_law_audit", spy)
+        code, _ = run_cli(
+            ["diagnose", "--check", "arealaw", "--protocol", "ghz", "--n", "4"] + seed_args, tmp_path
+        )
+        assert code == EXIT_OK and seeds == [expected]
+
+    @pytest.mark.parametrize("seed_args,expected", [(["--seed", "0"], 0), ([], 1)])
+    def test_cj_seed_reaches_rng(self, seed_args, expected, tmp_path, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            # only the CLI's own call: the library seeds other generators
+            if sys._getframe(1).f_globals["__name__"] == "qccc.cli":
+                seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        code, _ = run_cli(["diagnose", "--check", "cj", "--target", "ghz", "--n", "2"] + seed_args, tmp_path)
+        assert code == EXIT_OK and seeds == [expected]
 
 
 class TestRangeAndShift:

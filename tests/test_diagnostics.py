@@ -252,7 +252,7 @@ class TestCJExecution:
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
             inp = PureState(QuditRegister([(k, "in", 2) for k in range(2)]), psi)
-            det, fid = enumerate_cj_branches(cj, inp, reference=u @ psi)
+            det, fid, _ = enumerate_cj_branches(cj, inp, reference=u @ psi)
             assert det and fid > 1 - 1e-9
 
     def test_sampled_run_matches(self):

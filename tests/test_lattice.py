@@ -116,7 +116,3 @@ class TestGeometry:
     def test_region_duplicates_rejected(self):
         with pytest.raises(ValueError):
             Region((1, 1, 2))
-
-    def test_config_round_trip(self):
-        lat = Lattice((4, 4), periodic=True, local_dim=3)
-        assert Lattice.from_config(lat.to_config()) == lat

@@ -15,7 +15,6 @@ from qccc.locc import (
     PauliMap,
     Protocol,
     ProtocolError,
-    as_channel,
     enumerate_branches,
     replay,
     run_sampled,
@@ -369,46 +368,6 @@ class TestTeleport:
         (act,) = teleport_correction((1, "e2"), a, b, 3)
         want = gates.shift_x(3, a) @ np.linalg.matrix_power(gates.clock_z(3), b)
         assert np.array_equal(act.spec, want)
-
-
-class TestChannel:
-    def test_deterministic_protocol_collapses(self):
-        from qccc.protocols import ghz_protocol, ghz_state
-
-        proto, target = ghz_protocol(3)
-        ens = as_channel(proto).apply()
-        assert ens.trace_distance_to_pure(target) < 1e-9
-
-    def test_measure_and_forget_trace_distance(self):
-        proto = _forget_protocol()
-        ens = as_channel(proto).apply()
-        plus = PureState(
-            QuditRegister([(0, "s", 2)]), np.array([1, 1]) / np.sqrt(2)
-        )
-        td = ens.trace_distance_to_pure(plus)
-        # oracle: diagonalize sigma - |+><+| directly
-        sigma = ens.density_matrix()
-        diff = sigma - np.outer(plus.amps, plus.amps.conj())
-        oracle = np.sum(np.abs(np.linalg.eigvalsh(diff)))
-        assert abs(td - oracle) < 1e-12
-        assert abs(td - 1.0) < 1e-9
-
-    def test_identity_composition(self):
-        proto = _noop_protocol()
-        composed = as_channel(proto).then(as_channel(proto))
-        inp = PureState(QuditRegister([(0, "s", 2)]), np.array([0.6, 0.8]))
-        ens = composed.apply(inp)
-        assert len(ens.branches) == 1
-        assert ens.trace_distance_to_pure(inp) < 1e-9
-
-    def test_composed_forgetting(self):
-        proto = _forget_protocol()
-        # applying the channel twice from |0>: first H makes |+>, forget,
-        # then H of |0> or |1> forgotten again: 4 branches
-        composed = as_channel(proto).then(as_channel(proto))
-        ens = composed.apply()
-        assert len(ens.branches) == 4
-        assert abs(sum(p for p, _ in ens.branches) - 1) < 1e-12
 
 
 def _dfs(proto):

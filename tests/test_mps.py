@@ -318,12 +318,6 @@ class TestBoundReport:
 
 
 class TestFixtures:
-    def test_files_match_builders(self):
-        for name in M.FIXTURES:
-            a = M.fixture(name)
-            b = M.load_fixture_file(name)
-            assert np.allclose(a.tensor, b.tensor), name
-
     def test_save_load_round_trip(self):
         rng = np.random.default_rng(2)
         m = M.random_normal_mps(2, 2, rng)
