@@ -353,8 +353,9 @@ def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[i
 
     Site j is in the support when ||A - 1_j (x) tr_j A / d|| > tol max(||A||, 1).
     The residual is summed block by block over the (j, j') index pair: the
-    off-diagonal blocks by their weight in |A|^2, the diagonal ones minus
-    their mean, never as a difference of large norms.
+    off-diagonal blocks by their weight in |A|^2, the diagonal blocks A_aa by
+    sum_a ||A_aa - mean||^2 = (1/d) sum_{a<b} ||A_aa - A_bb||^2 over strided
+    views of A, never as a difference of large norms.
     """
     n = lat.n_sites
     d = lat.local_dim
@@ -362,14 +363,13 @@ def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[i
     # block weights of every site at once: E^T |A|^2 E, E[r, (j, a)] = [digit j of r is a]
     digits = np.indices((d,) * n).reshape(n, -1).T
     e = (digits[:, :, None] == np.arange(d)).reshape(-1, n * d).astype(float)
-    w = (e.T @ ((op.real**2 + op.imag**2) @ e)).reshape(n, d, n, d)
+    w = (e.T @ (np.abs(op) ** 2 @ e)).reshape(n, d, n, d)
     off = ~np.eye(d, dtype=bool)
-    diag_ix = np.arange(d)
     support = []
     for j in range(n):
-        diag = op.reshape((d**j, d, d ** (n - j - 1)) * 2)[:, diag_ix, :, :, diag_ix, :]
-        dev = diag - diag.sum(axis=0) / d
-        res2 = w[j, :, j, :][off].sum() + np.vdot(dev, dev).real
+        blocks = op.reshape((d**j, d, d ** (n - j - 1)) * 2)
+        diffs = (blocks[:, a, :, :, a, :] - blocks[:, b, :, :, b, :] for a in range(d) for b in range(a + 1, d))
+        res2 = w[j, :, j, :][off].sum() + sum(np.vdot(x, x).real for x in diffs) / d
         if np.sqrt(res2) > bound:
             support.append(j)
     return tuple(support)
@@ -379,10 +379,12 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
     """QCA range: the largest site-distance growth of Heisenberg-evolved
     single-site operators.
 
-    Only the shift X and the clock Z of each site are evolved: they generate
-    the site's operator algebra, and supp(U^dag A B U) lies within
-    supp(U^dag A U) | supp(U^dag B U), so every other site operator reaches
-    no further than these two.
+    Each site i evolves the d - 1 matrix units E_k = |k><k+1|_i: with U_k the
+    rows of U whose digit i is k, U^dag E_k U = U_k^dag U_{k+1}, one product of
+    inner size dim/d. The E_k and their adjoints generate the site's algebra
+    (E_k E_k^dag = |k><k|, E_k E_{k+1} = |k><k+2|), supp(A^dag) = supp(A) and
+    supp(U^dag A B U) lies within supp(U^dag A U) | supp(U^dag B U), so the
+    union of their supports is the support of the whole evolved site algebra.
     """
     n = lat.n_sites
     d = lat.local_dim
@@ -390,18 +392,12 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
     check_amplitudes(dim * dim, "estimate_range")
     if unitary.shape != (dim, dim):
         raise ValueError("unitary dimension does not match the lattice")
-    basis = (gates.shift_x(d), gates.clock_z(d))
-    udag = unitary.conj().T
     u_sites = unitary.reshape((d,) * n + (dim,))
     r = 0
     for i in range(n):
-        for op in basis:
-            # O_i U: O contracted into output axis i of U, O(d dim^2)
-            ou = np.moveaxis(np.tensordot(op, u_sites, axes=(1, i)), 0, i)
-            evolved = udag @ ou.reshape(dim, dim)
-            supp = operator_support(evolved, lat, tol)
-            for j in supp:
+        rows = [np.take(u_sites, k, axis=i).reshape(dim // d, dim) for k in range(d)]
+        for k in range(d - 1):
+            for j in operator_support(rows[k].conj().T @ rows[k + 1], lat, tol):
                 if j != i:
                     r = max(r, distance(lat, [i], [j]))
     return r
-

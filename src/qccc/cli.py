@@ -229,7 +229,6 @@ def cmd_diagnose(args, report: dict) -> int:
     from . import protocols as P
 
     ok = True
-    seed = 1 if args.seed is None else args.seed
     if args.check == "prop1":
         n = args.n
         lat = Lattice((n,))
@@ -267,7 +266,7 @@ def cmd_diagnose(args, report: dict) -> int:
                 regions.append(
                     [proto.lattice.site_index((i, j)) for i in range(rows) for j in range(side)]
                 )
-        rep = dg.area_law_audit(proto, regions, seed=seed, rank_tol=args.rank_tol)
+        rep = dg.area_law_audit(proto, regions, seed=args.seed, rank_tol=args.rank_tol)
         report["arealaw"] = rep.to_dict()
         report["rank_tol"] = args.rank_tol
         ok = rep.passes
@@ -277,7 +276,7 @@ def cmd_diagnose(args, report: dict) -> int:
         cj = dg.ghz_unitary_cj(args.n)
         table_ok = dg.verify_clifford_table(cj)
         report["clifford_table"] = table_ok
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         # branches are enumerated on random dense inputs for n <= 3 only; for
         # larger n the verdict rests on the Clifford table alone
         det = minf = None
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["ghz", "w", "rg", "tc"])
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--depth-claim", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--spec")
     p.add_argument("--in", dest="state_in", help="state JSON for prop1 checks")
     p.add_argument("--site-a", type=int, default=0)

@@ -78,11 +78,12 @@ class MPS:
 def _physical_sum(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     """a_mat^T conj(b_mat) for two (d x n) matrices: a sum over the physical index.
 
-    One zgemm that conjugates b inside BLAS, so no conjugated d x n copy is made.
+    One gemm per 4096-row chunk, so no conjugated d x n copy of b is made.
     """
-    import scipy.linalg
-
-    return scipy.linalg.blas.zgemm(1.0, a_mat.T, b_mat.T, trans_b=2)
+    out = np.zeros((a_mat.shape[1], b_mat.shape[1]), dtype=complex)
+    for s in range(0, a_mat.shape[0], 4096):
+        out += a_mat[s : s + 4096].T @ b_mat[s : s + 4096].conj()
+    return out
 
 
 def transfer_matrix(mps_or_tensor, chain: bool = True) -> np.ndarray:

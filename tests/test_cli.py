@@ -314,6 +314,12 @@ class TestDiagnose:
         code, _ = run_cli(["diagnose", "--check", "cj", "--target", "ghz", "--n", "2"] + seed_args, tmp_path)
         assert code == EXIT_OK and seeds == [expected]
 
+    @pytest.mark.parametrize("seed_args,expected", [(["--seed", "0"], 0), ([], 1)])
+    @pytest.mark.parametrize("check", [["cj", "--target", "ghz", "--n", "2"], ["arealaw", "--protocol", "ghz", "--n", "4"]])
+    def test_report_records_the_seed_used(self, check, seed_args, expected, tmp_path):
+        code, rep = run_cli(["diagnose", "--check"] + check + seed_args, tmp_path)
+        assert code == EXIT_OK and rep["config"]["seed"] == expected
+
 
 class TestRangeAndShift:
     def test_shift_range_one(self, tmp_path):

@@ -2,7 +2,8 @@
 
 Each kernel is checked against the implementation it replaced, kept here as a
 plain reference: the column-by-column `circuit_unitary`, the basis-state loop
-of `_shift_unitary`, the rebuild-and-subtract `operator_support` with the `np.kron` site embedding,
+of `_shift_unitary`, the rebuild-and-subtract `operator_support` with the `np.kron` site embedding
+and every shift-clock monomial evolved in `estimate_range`,
 the `einsum` forms of `block`, the transfer matrices and `state_from_mps`,
 and the Gram-Schmidt `complete_to_unitary`.
 """
@@ -303,6 +304,23 @@ class TestOperatorSupport:
         circuit = cx._random_circuit(lat, 2, np.random.default_rng(5))
         u = cx.circuit_unitary(circuit, [(i, "s", 3) for i in range(4)])
         assert cx.estimate_range(u, lat) == ref_estimate_range(u, lat) == 2
+
+    @PROPERTY_SETTINGS
+    @given(d=hst.sampled_from([2, 3]), n=hst.integers(2, 6), depth=hst.integers(0, 3), seed=SEEDS)
+    def test_estimate_range_random_brickworks(self, d, n, depth, seed):
+        # the d - 1 matrix units |k><k+1| against all d^2 - 1 shift-clock monomials
+        n = min(n, 4) if d == 3 else n
+        lat = Lattice((n,), local_dim=d)
+        u = cx.circuit_unitary(cx._random_circuit(lat, depth, np.random.default_rng(seed)), [(i, "s", d) for i in range(n)])
+        assert cx.estimate_range(u, lat) == ref_estimate_range(u, lat)
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (2, 6), (3, 3), (3, 4)])
+    def test_estimate_range_ring_shift(self, d, n):
+        lat = Lattice((n,), local_dim=d)
+        u = cx._shift_unitary(lat)
+        assert cx.estimate_range(u, lat) == ref_estimate_range(u, lat) == 1
+        # a real float64 permutation matrix, as the benchmark builds the shift
+        assert cx.estimate_range(u.real.copy(), lat) == 1
 
 
 # -- MPS ---------------------------------------------------------------------------------

@@ -489,3 +489,22 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_transfer_matrices_leave_scipy_unloaded():
+    """Blocking, canonical form and transfer matrices run on numpy alone."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; from qccc import mps; a = mps.aklt_mps(); b = mps.block(a, 6); "
+        "mps.transfer_matrix(b); mps.transfer_matrix(b, chain=False); print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
