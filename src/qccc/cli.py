@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -72,13 +73,35 @@ def _write_report(report: dict, out_path):
     text = json.dumps(dict(report, branches=[]) if rows else report, indent=2, sort_keys=True)
     if rows:
         encode = json.JSONEncoder(sort_keys=True).encode
-        body = ",\n".join("    " + encode(row) for row in rows)
+        pairs = _PairText()
+        body = ",\n".join(["    " + _row_line(row, pairs, encode) for row in rows])
         text = text.replace('\n  "branches": []', '\n  "branches": [\n' + body + "\n  ]", 1)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+class _PairText(dict):
+    """Each outcome pair `[tag, k]` as the encoder writes it, encoded once."""
+
+    def __missing__(self, pair):
+        text = self[pair] = json.dumps(list(pair))
+        return text
+
+
+def _row_line(row: dict, pairs: _PairText, encode) -> str:
+    """One `cmd_prepare` branch row, byte for byte as `encode` writes it, at a
+    fraction of its cost: the outcome pairs come from `pairs` and the floats
+    from `float.__repr__`, as in the encoder. A row with a non-finite float
+    goes through `encode`."""
+    fid, p = row["fidelity"], row["probability"]
+    if not (math.isfinite(fid) and math.isfinite(p)):
+        return encode(row)
+    outcomes = ", ".join([pairs[t, k] for t, k in row["outcomes"]])
+    fid, p = float.__repr__(fid), float.__repr__(p)
+    return f'{{"fidelity": {fid}, "outcomes": [{outcomes}], "probability": {p}}}'
 
 
 def _int_field(value, name: str) -> int:

@@ -299,10 +299,11 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
 
     `choose(state, spec, outcomes)` returns the `_measure_step` keyword
     arguments of each outcome to follow at a Measure step: one `rng` to sample,
-    one `force` to replay, or one `force` per live outcome to enumerate. Every
-    outcome but the last runs on a clone; the last, and a single one, reuse
-    the state, so single-history policies mutate `state` in place. Pending
-    outcomes wait on an explicit stack and are visited depth-first in order.
+    one `force` to replay, or one `force` per live outcome to enumerate, with
+    its probability `p` on a dense state. Every outcome but the last runs on a
+    clone; the last, and a single one, reuse the state, so single-history
+    policies mutate `state` in place. Pending outcomes wait on an explicit
+    stack and are visited depth-first in order.
 
     After each Correct, `on_correct(state, j, step, outcomes, prob)` sees the
     history at position j, just past the Correct `step`. It may absorb the
@@ -359,10 +360,10 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
             yield state, outcomes, prob
 
 
-def _measure_step(state, spec: MeasurementSpec, force=None, rng=None):
+def _measure_step(state, spec: MeasurementSpec, **options):
     if spec.remove and hasattr(state, "measure_remove"):
-        return state.measure_remove(spec.entry, basis=spec.basis, force=force, rng=rng)
-    k, p = state.measure(spec.entry, basis=spec.basis, force=force, rng=rng)
+        return state.measure_remove(spec.entry, basis=spec.basis, **options)
+    k, p = state.measure(spec.entry, basis=spec.basis, **options)
     if spec.remove:
         state.remove_entry(spec.entry)
     return k, p
@@ -499,7 +500,11 @@ def _enumerate_dfs(
 
     def live(state, spec, outcomes):
         probs = state.branch_probabilities(spec.entry, spec.basis)
-        return [{"force": k} for k, p in enumerate(probs) if p > prob_floor]
+        if not isinstance(state, PureState):
+            return [{"force": k} for k, p in enumerate(probs) if p > prob_floor]
+        # a dense outcome takes its probability from this distribution, so its
+        # slice is not summed again: the bits are the same (see statevector)
+        return [{"force": k, "p": p} for k, p in enumerate(probs) if p > prob_floor]
 
     reports: List[BranchReport] = []
     finals: List[object] = []

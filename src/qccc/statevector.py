@@ -20,11 +20,18 @@ when the tensor already follows the register, `amps` is a reshape of it.
 X, Y and Z on a qubit entry move indices instead of multiplying by a matrix:
 X flips the entry's axis (a view, so the tensor may be strided), Z multiplies
 by one sign per index, Y does both, and a product factor flips or phases its
-own 2-vector. A forced measurement outcome reads only its own slice: its
-probability is the slice's squared norm, summed in the order that
-`branch_probabilities` sums the whole distribution, so both give the same
-bits. Adding or dropping an entry edits the register in O(n) without
-re-validating the other entries.
+own 2-vector. CNOT and CZ between two materialised qubit axes move indices
+too: CNOT joins the control's 0-slice to its 1-slice flipped on the target
+axis, and CZ negates the target's 1-half of the control's 1-slice. Each is
+exact, so it gives the bits of the matrix product; the tensor keeps its axis
+order. Nothing writes `_t` in place, so a clone shares it.
+
+A forced measurement outcome reads only its own slice, and divides it by the
+norm in the same pass. Its probability is the slice's squared norm, summed in
+the order that `branch_probabilities` sums the whole distribution, so both
+give the same bits; a caller that already holds that distribution passes the
+outcome's entry as `p`, and the slice is not summed again. Adding or dropping
+an entry edits the register in O(n) without re-validating the other entries.
 """
 
 from __future__ import annotations
@@ -197,6 +204,20 @@ def _pauli_along(t: np.ndarray, ax: int, name: str) -> np.ndarray:
     return t
 
 
+def _controlled_along(t: np.ndarray, c: int, x: int, name: str) -> np.ndarray:
+    """CNOT or CZ with control axis `c` and target axis `x` of `t`, both of
+    dimension 2, in one copy: CNOT joins the control's 0-slice to its 1-slice
+    flipped on `x`, CZ negates the (1, 1) quarter of a copy."""
+    if name == "CNOT":
+        zero, one = np.split(t, 2, axis=c)
+        return np.concatenate((zero, np.flip(one, x)), axis=c)
+    out = t.copy()
+    quarter = [slice(None)] * t.ndim
+    quarter[c] = quarter[x] = slice(1, 2)
+    np.negative(out[tuple(quarter)], out=out[tuple(quarter)])
+    return out
+
+
 def _mass(weights: np.ndarray) -> np.ndarray:
     """Sum weights of shape (lead, d, rest) over the first and last axes:
     each row of `rest` pairwise, then the `lead` rows in order. That is the
@@ -222,8 +243,9 @@ class PureState:
     The state is the materialised tensor `_t`, one axis per key in `_keys`,
     times one normalised product factor per key in `_lazy`. Every register key
     is in exactly one of the two. Arrays held in `_t` and `_lazy` are never
-    written in place, so a clone may share the factor vectors, and `_t` or a
-    factor may be a strided view, such as the flipped axis an X leaves.
+    written in place: every operation binds a new array, so a clone shares
+    `_t` and the factor vectors, and `_t` or a factor may be a strided view,
+    such as the flipped axis an X leaves.
     """
 
     def __init__(self, register: QuditRegister, amplitudes: np.ndarray, norm_tol: float = NORM_TOL):
@@ -265,7 +287,7 @@ class PureState:
     def clone(self) -> "PureState":
         s = PureState.__new__(PureState)
         s.register = self.register
-        s._t = self._t.copy()
+        s._t = self._t
         s._keys = list(self._keys)
         s._axis = dict(self._axis)
         s._lazy = dict(self._lazy)
@@ -360,6 +382,11 @@ class PureState:
             else:
                 self._t = _pauli_along(self._t, self._axis[key], name)
             return self
+        if name in ("CNOT", "CZ") and len(entries) == 2:
+            c, x = (self._axis.get(tuple(k)) for k in entries)
+            if None not in (c, x) and c != x and self._t.shape[c] == self._t.shape[x] == 2:
+                self._t = _controlled_along(self._t, c, x, name)
+                return self
         return self.apply(RegionOperator(tuple(entries), gates.named_gate(name)), unitary_check=False)
 
     def _exchange(self, a: EntryKey, b: EntryKey) -> None:
@@ -399,15 +426,18 @@ class PureState:
         basis: Optional[np.ndarray] = None,
         force: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
+        p: Optional[float] = None,
     ) -> Tuple[int, float]:
         """Projective measurement of one entry; collapses in place.
 
         The measured entry is left as a product factor holding its basis
         vector. Returns (outcome index, probability). Forced outcomes with
-        probability below FORCE_FLOOR raise.
+        probability below FORCE_FLOOR raise. With `force`, `p` may give the
+        outcome's entry of `branch_probabilities(entry, basis)`, which the
+        caller already holds; the slice is then not summed again.
         """
         key = tuple(entry)
-        k, p, phase = self._collapse(key, basis, force, rng)
+        k, p, phase = self._collapse(key, basis, force, rng, p)
         d = self.register.dim(key)
         frame = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
         self._lazy[key] = phase * frame[:, k]
@@ -419,22 +449,25 @@ class PureState:
         basis: Optional[np.ndarray] = None,
         force: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
+        p: Optional[float] = None,
     ) -> Tuple[int, float]:
-        """Measure one entry and drop it from the register in a single pass."""
+        """Measure one entry and drop it from the register in a single pass;
+        the arguments are those of `measure`."""
         key = tuple(entry)
-        k, p, phase = self._collapse(key, basis, force, rng)
+        k, p, phase = self._collapse(key, basis, force, rng, p)
         if phase != 1:
             self._t = self._t * phase
         self._drop_register_entry(key)
         return k, p
 
-    def _collapse(self, key, basis, force, rng) -> Tuple[int, float, complex]:
+    def _collapse(self, key, basis, force, rng, p) -> Tuple[int, float, complex]:
         """Pick an outcome and project `key` out of the state, leaving it in
         neither `_t` nor `_lazy`. Returns (outcome, probability, phase): the
         collapsed state is (phase * basis vector) (x) the rest.
 
         A sampled outcome draws from the full distribution; a forced one reads
-        only its own slice, whose squared norm is its probability."""
+        only its own slice, whose squared norm is its probability unless the
+        caller gave it as `p`."""
         d = self.register.dim(key)
         basis = self._frame(key, basis)
         if force is None:
@@ -450,17 +483,18 @@ class PureState:
         if key in self._lazy:
             local = self._lazy[key]
             if force is not None:
-                p = _forced(k, _factor_probabilities(local, basis)[k])
+                p = _forced(k, _factor_probabilities(local, basis)[k] if p is None else p)
             del self._lazy[key]
             amp = local[k] if basis is None else np.vdot(basis[:, k], local)
             return k, p, amp / abs(amp)
         ax = self._axis[key]
         rest = self._project(ax, k, basis)
         if force is not None:
-            lead = math.prod(self._t.shape[:ax]) if basis is None else 1
-            p = _forced(k, _mass((np.abs(rest) ** 2).reshape(lead, 1, -1))[0])
-        rest /= np.sqrt(p)  # a fresh array from `_project`
-        self._t = rest
+            if p is None:
+                lead = math.prod(self._t.shape[:ax]) if basis is None else 1
+                p = _mass((np.abs(rest) ** 2).reshape(lead, 1, -1))[0]
+            p = _forced(k, p)
+        self._t = np.divide(rest, np.sqrt(p))
         self._drop_axis(ax)
         return k, p, 1.0
 
@@ -476,8 +510,10 @@ class PureState:
         return basis
 
     def _project(self, ax: int, k: int, basis) -> np.ndarray:
+        """The slice of `_t` at outcome k of axis `ax`: a view in the
+        computational basis, a new array in any other."""
         if basis is None:
-            return np.take(self._t, k, axis=ax)
+            return self._t[(slice(None),) * ax + (k,)]
         bk = np.asarray(basis, dtype=complex)[:, k]
         return np.tensordot(bk.conj(), self._t, axes=(0, ax))
 
@@ -512,19 +548,6 @@ class PureState:
             raise ValueError("cannot trace out every entry")
         mat = self._split(keep)
         return mat @ mat.conj().T
-
-    def purity(self, keep: Sequence[EntryKey]) -> float:
-        rho = self.reduced_density(keep)
-        return float(np.trace(rho @ rho).real)
-
-    def is_product_across(self, entries: Sequence[EntryKey], tol: float = DECOUPLE_TOL) -> bool:
-        """True when rho factorizes as rho_A (x) rho_rest, i.e. Schmidt rank one."""
-        mat = self._split(entries)
-        if mat.shape[0] <= mat.shape[1]:
-            w = np.linalg.eigvalsh(mat @ mat.conj().T)
-        else:
-            w = np.linalg.eigvalsh(mat.conj().T @ mat)
-        return bool(1.0 - w[-1] <= tol)
 
     # -- dynamic register --------------------------------------------------
 

@@ -183,6 +183,45 @@ class TestPrepare:
         assert rows == ["    " + json.dumps(r, sort_keys=True) for r in report["branches"]]
 
 
+class TestRowWriter:
+    """The hand-built row lines are the encoder's bytes."""
+
+    ENCODE = staticmethod(json.JSONEncoder(sort_keys=True).encode)
+
+    def _rows_as_encoded(self, text, rows):
+        lines = [line for line in text.splitlines() if '"outcomes"' in line]
+        assert "\n".join(lines) == ",\n".join("    " + self.ENCODE(r) for r in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--protocol", "ghz", "--n", "5"],
+            ["--protocol", "ghz", "--n", "6", "--backend", "tableau"],
+            ["--protocol", "w", "--n", "3"],
+            ["--protocol", "rg", "--n", "3"],
+        ],
+    )
+    def test_reports_match_the_encoder(self, tmp_path, argv):
+        code, rep = run_cli(["prepare", *argv, "--mode", "enumerate"], tmp_path)
+        assert code == EXIT_OK and rep["n_branches"] == len(rep["branches"]) > 1
+        # floats round-trip through their repr, so the parsed rows encode as written
+        self._rows_as_encoded((tmp_path / "report.json").read_text(), rep["branches"])
+
+    def test_crafted_rows_match_the_encoder(self, tmp_path):
+        tag = 'a"b\\c\n\u00e9\u2028'  # a quote, a backslash, a newline and two non-ASCII characters
+        rows = [
+            {"outcomes": [[tag, 1], ["k1", 0]], "probability": 0.25, "fidelity": 1 - 2**-52},
+            {"outcomes": [["k1", 2], [tag, 1]], "probability": 5e-324, "fidelity": float("nan")},
+            {"outcomes": [], "probability": float("inf"), "fidelity": -0.0},
+            {"outcomes": [["k1", 10**20]], "probability": 1e16, "fidelity": 1.0},
+        ]
+        out = tmp_path / "report.json"
+        _write_report({"branches": rows, "verdict": "NOT_DETERMINISTIC"}, str(out))
+        text = out.read_text()
+        self._rows_as_encoded(text, rows)
+        assert "NaN" in text and "Infinity" in text
+
+
 class TestMps:
     def test_aklt_sweep_monotone(self, tmp_path):
         code, rep = run_cli(

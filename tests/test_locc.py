@@ -861,6 +861,21 @@ class TestDenseRows:
         assert res.engine == "dfs" and res.verdict == "DETERMINISTIC"
         assert _rows_digest(res) == self.RECORDED_ROWS[case]
 
+    @pytest.mark.parametrize(
+        "case", [f"ghz{n}" for n in range(2, 9)] + [f"w{n}" for n in range(2, 5)] + ["rg2"]
+    )
+    def test_replay_sums_the_bits_the_rows_were_given(self, case):
+        """The DFS hands each forced outcome its probability from the parent's
+        distribution; `replay` sums the outcome's own slice. Every row,
+        merged ones included, must read the same bits both ways."""
+        family, n = case.rstrip("0123456789"), int(case.lstrip("ghzwrg"))
+        proto = {"ghz": _ghz, "w": _w, "rg": lambda b: _rg(b, 3)}[family](n)[0]
+        res = enumerate_branches(proto)
+        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC"
+        for row in res.reports:
+            _, record = replay(proto, row.record)
+            assert record.outcomes == row.record.outcomes
+
     def test_toric_code_n4_rows_within_rounding_of_recorded(self):
         """Same records in the same order; every row's probability within
         1e-15 and fidelity within 1e-14 of the recorded ones (each the same

@@ -476,7 +476,8 @@ def _is_swap(spec) -> bool:
 
 
 def test_import_leaves_scipy_unloaded():
-    """scipy is imported by the two mps functions that use it, not by `import qccc`."""
+    """scipy is imported by `mps.gauge_condition_number`, the one function
+    that uses it, not by `import qccc`."""
     import os
     import subprocess
     import sys

@@ -24,6 +24,8 @@ from qccc.protocols import (
 )
 from qccc.stabilizer import StabilizerTableau
 
+from oracles import is_product_across
+
 
 class TestGHZ:
     def test_n2_all_branches(self):
@@ -166,7 +168,7 @@ class TestRG:
         # a product bond makes the whole target a product state
         st = target
         for key in st.register.keys:
-            assert st.is_product_across([key])
+            assert is_product_across(st, [key])
 
     def test_bell_ring(self):
         spec = RGFixedPointSpec(1, [1.0], gates.bell_state(2), 3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from qccc import gates
@@ -12,6 +12,8 @@ from qccc.statevector import (
     RegionOperator,
     pauli_on,
 )
+
+from oracles import is_product_across, purity
 
 
 def qubits(n):
@@ -224,8 +226,8 @@ class TestEntropyAndTrace:
 
     def test_product_purity_one(self):
         st = PureState.product(qubits(3), {(1, "s"): np.array([1, 1j]) / np.sqrt(2)})
-        assert abs(st.purity([(1, "s")]) - 1) < 1e-12
-        assert st.is_product_across([(1, "s")])
+        assert abs(purity(st, [(1, "s")]) - 1) < 1e-12
+        assert is_product_across(st, [(1, "s")])
 
     def test_ghz3_partial_trace(self):
         st = ghz(3)
@@ -628,6 +630,70 @@ class TestPauliMoves:
         st = PureState.product(QuditRegister([(0, "s", 3)]))
         with pytest.raises(ValueError, match="does not match support dimension"):
             st.apply_named("X", [(0, "s")])
+
+
+class TestControlledMoves:
+    @PROPERTY_SETTINGS
+    @given(
+        dims=hst.lists(hst.sampled_from([2, 2, 3]), min_size=1, max_size=4),
+        n_ancillas=hst.integers(1, 2),
+        seed=SEEDS,
+    )
+    def test_cnot_cz_match_their_matrices(self, dims, n_ancillas, seed):
+        """CNOT and CZ through `apply_named` against `apply` of their matrices
+        on the same state, bit for bit: on tensor axes in any order, on one
+        and on two product factors, and on axes an earlier X left flipped."""
+        rng = np.random.default_rng(seed)
+        st = _scrambled_state(rng, dims, n_ancillas)
+        qubits_ = [k for k, d in zip(st.register.keys, st.register.dims) if d == 2]
+        assume(len(qubits_) >= 2)
+        for _ in range(10):
+            if rng.random() < 0.3:
+                st.apply_named("X", [qubits_[int(rng.integers(len(qubits_)))]])
+                continue
+            a, b = (qubits_[int(i)] for i in rng.permutation(len(qubits_))[:2])
+            name = ("CNOT", "CZ")[int(rng.integers(2))]
+            before, amps = st.clone(), st.amps.copy()
+            want = before.clone().apply(RegionOperator((a, b), gates.named_gate(name)))
+            st.apply_named(name, [a, b])
+            assert np.array_equal(st.amps, want.amps) and st.register == want.register
+            assert np.array_equal(before.amps, amps)  # the clone kept its amplitudes
+
+    @pytest.mark.parametrize("name", ["CNOT", "CZ"])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_qutrit_entry_still_raises(self, name, lazy):
+        psi = _unit_vector(6, np.random.default_rng(1))
+        st = PureState(QuditRegister([(0, "s", 2), (1, "s", 3)]), psi)
+        if lazy:
+            st.add_entry(2, "a", 3)
+        qutrit = (2, "a") if lazy else (1, "s")
+        for pair in ([(0, "s"), qutrit], [qutrit, (0, "s")]):
+            with pytest.raises(ValueError, match="does not match support dimension"):
+                st.apply_named(name, pair)
+        with pytest.raises(ValueError, match="duplicate"):
+            st.apply_named(name, [(0, "s"), (0, "s")])
+
+    def test_mutating_a_clone_leaves_the_original_bit_equal(self):
+        rng = np.random.default_rng(5)
+        st = _scrambled_state(rng, [2, 2, 3, 2], 2)
+        st.apply_named("X", [(1, "s")])
+        st.apply_named("CNOT", [(0, "s"), (0, "a")])
+        amps, layout = st.amps.copy(), (list(st._keys), dict(st._lazy))
+        for edit in ("measure", "measure_remove", "CNOT", "CZ", "X", "remove_entry"):
+            copy = st.clone()
+            assert copy._t is st._t
+            if edit in ("measure", "measure_remove"):
+                getattr(copy, edit)((1, "s"), force=int(np.argmax(copy.branch_probabilities((1, "s")))))
+            elif edit == "remove_entry":
+                # undo the CNOT, so the materialised ancilla leaves through its slice
+                copy.apply_named("CNOT", [(0, "s"), (0, "a")])
+                copy.remove_entry((0, "a"))
+                assert (0, "a") not in copy.register
+            elif edit == "X":
+                copy.apply_named("X", [(3, "s")])
+            else:
+                copy.apply_named(edit, [(3, "s"), (0, "s")])
+            assert np.array_equal(st.amps, amps) and (list(st._keys), dict(st._lazy)) == layout
 
 
 class TestForcedOutcomes:
