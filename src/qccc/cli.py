@@ -42,7 +42,7 @@ from . import __version__
 from . import circuits as cx
 from . import gates, mps
 from .lattice import Lattice
-from .locc import BranchCapExceeded, ProtocolError, _resolve_target, enumerate_branches, run_sampled
+from .locc import BranchCapExceeded, BranchRows, ProtocolError, _resolve_target, enumerate_branches, run_sampled
 from .stabilizer import InternalError
 from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, complex_pairs, pauli_on
 
@@ -67,41 +67,45 @@ class ConfigError(ValueError):
 
 
 def _write_report(report: dict, out_path):
-    """Indented JSON, except that each `branches` row is one compact line:
-    the indented encoder is pure Python and slow on thousands of rows."""
+    """Indented JSON, except that each `branches` row is one compact line as
+    the encoder writes it (by `_row_text` for a BranchRows): the indented
+    encoder is pure Python and slow on thousands of rows."""
     rows = report.get("branches")
-    text = json.dumps(dict(report, branches=[]) if rows else report, indent=2, sort_keys=True)
+    text = json.dumps(report if rows is None else dict(report, branches=[]), indent=2, sort_keys=True)
+    parts = [text, "\n"]
     if rows:
-        encode = json.JSONEncoder(sort_keys=True).encode
-        pairs = _PairText()
-        body = ",\n".join(["    " + _row_line(row, pairs, encode) for row in rows])
-        text = text.replace('\n  "branches": []', '\n  "branches": [\n' + body + "\n  ]", 1)
+        body = (_row_text(rows) if isinstance(rows, BranchRows)
+                else ",\n".join(["    " + json.dumps(r, sort_keys=True) for r in rows]))
+        head, tail = text.split('\n  "branches": []', 1)
+        parts = [head, '\n  "branches": [\n', body, "\n  ]", tail, "\n"]
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(parts)
     else:
-        print(text)
+        sys.stdout.writelines(parts)
 
 
-class _PairText(dict):
-    """Each outcome pair `[tag, k]` as the encoder writes it, encoded once."""
-
-    def __missing__(self, pair):
-        text = self[pair] = json.dumps(list(pair))
-        return text
+def _float_text(x: float) -> str:
+    """A float as the encoder writes it, NaN and Infinity included."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _row_line(row: dict, pairs: _PairText, encode) -> str:
-    """One `cmd_prepare` branch row, byte for byte as `encode` writes it, at a
-    fraction of its cost: the outcome pairs come from `pairs` and the floats
-    from `float.__repr__`, as in the encoder. A row with a non-finite float
-    goes through `encode`."""
-    fid, p = row["fidelity"], row["probability"]
-    if not (math.isfinite(fid) and math.isfinite(p)):
-        return encode(row)
-    outcomes = ", ".join([pairs[t, k] for t, k in row["outcomes"]])
-    fid, p = float.__repr__(fid), float.__repr__(p)
-    return f'{{"fidelity": {fid}, "outcomes": [{outcomes}], "probability": {p}}}'
+def _row_text(rows: BranchRows) -> str:
+    """The rows' lines joined by ",\\n", each byte for byte as the encoder
+    writes the row's dict. A line is cut into pieces that each read one
+    column (the fidelity, each outcome pair, the probability), and each
+    column writes each of its distinct values once."""
+
+    def column(values, write):  # an object array of write(v), v by bit pattern, so -0.0 is not 0.0
+        distinct, at = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+        return np.array([write(v) for v in distinct.view(values.dtype).tolist()], object)[at]
+
+    table = np.empty((len(rows), len(rows.tags) + 2), object)
+    table[:, 0] = column(rows.fidelities, lambda f: f',\n    {{"fidelity": {_float_text(f)}, "outcomes": [')
+    for c, tag in enumerate(rows.tags):
+        table[:, c + 1] = column(rows.outcomes[:, c], lambda k: (", " if c else "") + json.dumps([tag, k]))
+    table[:, -1] = column(rows.probabilities, lambda p: f'], "probability": {_float_text(p)}}}')
+    return "".join(table.ravel().tolist())[2:]
 
 
 def _int_field(value, name: str) -> int:
@@ -174,14 +178,7 @@ def cmd_prepare(args, report: dict) -> int:
         report["n_merged"] = res.n_merged
         report["merge_error"] = res.merge_error
         report["engine"] = res.engine
-        report["branches"] = [
-            {
-                "outcomes": [[t, k] for t, k, _ in r.record.outcomes],
-                "probability": r.probability,
-                "fidelity": r.fidelity,
-            }
-            for r in res.reports
-        ]
+        report["branches"] = res.reports
         ok = res.deterministic and res.min_fidelity >= 1 - 1e-9
     else:
         if args.seed is None:

@@ -21,8 +21,11 @@ state, the first branch's with stabilizer signs flipped by its frame. Every
 other program runs the depth-first search, one history per leaf.
 Both engines score a branch by its final state's `fidelity` to the first
 branch's and to the target (1 or 0 on the tableau, where it tests equality),
-and one rule gives both verdicts. A target fits the backend that runs: a
-PureState on dense states, stabilizer generators on the tableau.
+and one rule gives both verdicts. Both write their rows straight into arrays
+(`BranchRows`: tags, outcomes and their probabilities, each row's probability
+and fidelity), which build a BranchReport only for a row that is read, and
+which the CLI writes from. A target fits the backend that runs: a PureState
+on dense states, stabilizer generators on the tableau.
 
 A Correct may declare the outcome tags it reads (`reads`); the teleport fixes
 and the fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
@@ -44,7 +47,6 @@ reads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -110,13 +112,15 @@ class PauliMap:
         if len(set(self.entries)) < len(self.entries) or (self.matrix.shape, len(self.offset)) != (shape, shape[0]):
             raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offset bits")
 
-    def actions(self, outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-        """X, Y or Z on each entry whose bits are set, in entry order."""
+    def paulis(self, outcomes: Dict[str, int]) -> List[Tuple[EntryKey, str]]:
+        """(entry, X, Y or Z) for each entry whose bits are set, in entry order."""
         v = np.array([outcomes[t] for t in self.tags], dtype=np.uint8)
         bits = ((self.matrix @ v + self.offset) % 2).tolist()  # uint8 sums wrap mod 256, keeping parity
         n = len(self.entries)
-        fixes = zip(self.entries, bits[:n], bits[n:])
-        return [cx.local_op([e], [(_PAULI_CHARS[x, z], (0,))]) for e, x, z in fixes if x or z]
+        return [(e, _PAULI_CHARS[x, z]) for e, x, z in zip(self.entries, bits[:n], bits[n:]) if x or z]
+
+    def actions(self, outcomes: Dict[str, int]) -> List[cx.LocalAction]:
+        return [cx.local_op([e], [(name, (0,))]) for e, name in self.paulis(outcomes)]
 
 
 @dataclass
@@ -170,9 +174,41 @@ class BranchReport:
     fidelity: float
 
 
+@dataclass(eq=False)
+class BranchRows:
+    """Every branch's row as arrays, in depth-first order, and a read-only
+    sequence of BranchReports, each built when it is read. Row i has the
+    outcomes `outcomes[i]` (one column per tag, in a type wide enough for
+    each) with their probabilities, and its probability and fidelity."""
+
+    tags: Tuple[str, ...]
+    outcomes: np.ndarray  # (rows, m)
+    outcome_probs: np.ndarray  # (rows, m)
+    probabilities: np.ndarray  # (rows,)
+    fidelities: np.ndarray  # (rows,)
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, i):
+        reports = self._reports(i if isinstance(i, slice) else [i])  # numpy raises IndexError past the end
+        return list(reports) if isinstance(i, slice) else next(reports)
+
+    def __iter__(self):
+        return self._reports(slice(None))
+
+    def _reports(self, picked):
+        columns = (self.outcomes, self.outcome_probs, self.probabilities, self.fidelities)
+        report = lambda ks, ps, p, f: BranchReport(OutcomeRecord(tuple(zip(self.tags, ks, ps))), p, f)
+        return map(report, *(a[picked].tolist() for a in columns))
+
+
 @dataclass
 class EnumerationResult:
-    reports: List[BranchReport]
+    """The certificate of `enumerate_branches`. `reports` holds the rows as
+    arrays (a BranchRows); it builds a BranchReport for each row read."""
+
+    reports: BranchRows
     deterministic: bool
     min_fidelity: float
     max_fidelity: float
@@ -187,7 +223,8 @@ class EnumerationResult:
         return "DETERMINISTIC" if self.deterministic else "NOT_DETERMINISTIC"
 
     def total_probability(self) -> float:
-        return sum(r.probability for r in self.reports)
+        """The rows' probabilities summed left to right, as `sum` did before 3.12."""
+        return float(np.cumsum(self.reports.probabilities)[-1])
 
 
 @dataclass
@@ -269,7 +306,14 @@ def initial_state(protocol: Protocol, backend: str = "dense"):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _apply_correction(state, step: Correct, actions: List[cx.LocalAction]) -> None:
+def _apply_correction(state, step: Correct, outcomes: Dict[str, int]) -> None:
+    """Apply `step` at `outcomes`. A declared Pauli map goes to a dense state in
+    one `apply_paulis`: its entries are distinct single qubits, so it passes
+    the checks on `fn`'s actions by construction."""
+    if step.pauli is not None and isinstance(state, PureState):
+        state.apply_paulis(step.pauli.paulis(outcomes))
+        return
+    actions = step.fn(outcomes)
     for act in actions:
         sites = {s for s, _ in act.entries}
         if act.kind == "op" and len(sites) != 1:
@@ -345,7 +389,7 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
             elif isinstance(step, Correct):
                 reads = step.reads
                 seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
-                _apply_correction(state, step, step.fn(seen))
+                _apply_correction(state, step, seen)
                 if on_correct is not None:
                     rows = on_correct(state, j + 1, step, outcomes, prob)
                     if rows is not None:
@@ -465,16 +509,38 @@ def _resolve_target(protocol: Protocol, start, target):
     return state
 
 
-def _result(reports, agree, reference, finals, engine: str, n_merged=0, merge_error=0.0) -> EnumerationResult:
+def _result(rows: BranchRows, agree, reference, finals, engine: str, n_merged=0, merge_error=0.0) -> EnumerationResult:
     """The one verdict: DETERMINISTIC when every branch agrees with the first
     (`agree`), the probabilities sum to 1 and every merged row is exact, each
     within DETERMINISM_TOL."""
-    fids = [r.fidelity for r in reports]
-    mass = sum(r.probability for r in reports)
-    deterministic = bool(agree) and abs(1.0 - mass) <= DETERMINISM_TOL and 2 * merge_error <= DETERMINISM_TOL
-    return EnumerationResult(
-        reports, deterministic, min(fids), max(fids), reference, finals, n_merged, merge_error, engine
-    )
+    fids = float(rows.fidelities.min()), float(rows.fidelities.max())
+    res = EnumerationResult(rows, bool(agree), *fids, reference, finals, n_merged, merge_error, engine)
+    res.deterministic &= abs(1.0 - res.total_probability()) <= DETERMINISM_TOL and 2 * merge_error <= DETERMINISM_TOL
+    return res
+
+
+class _RowBuffer:
+    """The first `n` rows of the depth-first search, in arrays that double when
+    they fill: outcomes `k` (in the narrowest unsigned type that holds them so
+    far) and their probabilities `pk`, row probabilities `p`, fidelities `f`."""
+
+    def __init__(self, m: int):
+        self.n, self.top = 0, 255
+        self.k, self.pk, self.p, self.f = np.zeros((0, m), np.uint8), np.zeros((0, m)), np.zeros(0), np.zeros(0)
+
+    def extend(self, count: int, outcomes) -> slice:
+        """The slice of `count` new rows, their first columns set to `outcomes`."""
+        ks = [k for _, k, _ in outcomes]
+        start, end, top = self.n, self.n + count, max(ks, default=0)
+        if end > len(self.p) or top > self.top:
+            wide = np.promote_types(self.k.dtype, np.min_scalar_type(top))
+            self.top, size = np.iinfo(wide).max, max(end, 2 * len(self.p))
+            # the filled rows lead the flat data, so np.resize keeps them
+            self.k = np.resize(self.k.astype(wide), (size, self.k.shape[1]))
+            self.pk, self.p, self.f = (np.resize(a, (size,) + a.shape[1:]) for a in (self.pk, self.p, self.f))
+        self.n, new = end, slice(start, end)
+        self.k[new, : len(ks)], self.pk[new, : len(ks)] = ks, [p for _, _, p in outcomes]
+        return new
 
 
 def _enumerate_dfs(
@@ -506,7 +572,8 @@ def _enumerate_dfs(
         # slice is not summed again: the bits are the same (see statevector)
         return [{"force": k, "p": p} for k, p in enumerate(probs) if p > prob_floor]
 
-    reports: List[BranchReport] = []
+    tags = [step.spec.tag for step in protocol.program if isinstance(step, Measure)]
+    rows = _RowBuffer(len(tags))  # every history measures the tags in program order
     finals: List[object] = []
     reference = None
     agree = True
@@ -524,7 +591,7 @@ def _enumerate_dfs(
         amps = state.amps
         seen = memo.get(key)
         if seen is None:
-            memo[key] = [state.register, amps, outcomes, len(reports), None]
+            memo[key] = [state.register, amps, outcomes, rows.n, None]
             return None
         register, stored, prefix, first, end = seen
         if state.register != register:
@@ -539,19 +606,16 @@ def _enumerate_dfs(
         if end is None:
             # the stack is LIFO, so the stored history's subtree is finished
             # before any history outside it gets here: its rows are complete
-            # and run contiguously from `first`
-            end = first
-            while end < len(reports) and reports[end].record.outcomes[:n] == prefix:
-                end += 1
-            seen[4] = end
-        if len(reports) + end - first > branch_cap:
+            # and run contiguously from `first`, up to the first row outside it
+            inside = (rows.k[first : rows.n, :n] == [k for _, k, _ in prefix]).all(axis=1)
+            end = seen[4] = first + int(np.argmin(np.append(inside, False)))
+        if rows.n + end - first > branch_cap:
             raise BranchCapExceeded(f"more than {branch_cap} branches")
-        for rep in reports[first:end]:
-            suffix = rep.record.outcomes[n:]
-            p = prob
-            for _, _, pk in suffix:
-                p *= pk
-            reports.append(BranchReport(OutcomeRecord(outcomes + suffix), p, rep.fidelity))
+        new, old = rows.extend(end - first, outcomes), slice(first, end)
+        rows.k[new, n:], rows.pk[new, n:], rows.f[new] = rows.k[old, n:], rows.pk[old, n:], rows.f[old]
+        rows.p[new] = prob
+        for column in rows.pk[old, n:].T:
+            rows.p[new] *= column  # left to right, as a history multiplies its own
         if keep_states:
             finals.extend(finals[first:end])
         n_merged += 1
@@ -565,12 +629,14 @@ def _enumerate_dfs(
         agree_first = final.fidelity(reference)
         agree = agree and agree_first >= 1.0 - DETERMINISM_TOL
         fid = agree_first if target is None else final.fidelity(target)
-        reports.append(BranchReport(OutcomeRecord(outcomes), prob, fid))
+        i = rows.extend(1, outcomes)
+        rows.p[i], rows.f[i] = prob, fid
         if keep_states:
             finals.append(final)
-    if not reports:
+    if not rows.n:
         raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
-    return _result(reports, agree, reference, finals if keep_states else None, "dfs", n_merged, merge_error)
+    table = BranchRows(tuple(tags), *(a[: rows.n] for a in (rows.k, rows.pk, rows.p, rows.f)))
+    return _result(table, agree, reference, finals if keep_states else None, "dfs", n_merged, merge_error)
 
 
 class _FramedTableau(TableauState):
@@ -713,11 +779,8 @@ def _enumerate_frames(
         diff = (target_signs - signs) % 4
         same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
         fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
-    choices = [((t, 0, p), (t, 1, p)) for t, _, p in outcomes]
-    reports = [
-        BranchReport(OutcomeRecord(tuple(map(operator.getitem, choices, ks))), prob, fid)
-        for ks, fid in zip(bits.tolist(), fids.tolist())
-    ]
+    ps = np.broadcast_to([p for _, _, p in outcomes], bits.shape)
+    table = BranchRows(tuple(t for t, _, _ in outcomes), bits, ps, np.full(len(bits), prob), fids)
     finals = None
     if keep_states:
         finals = []
@@ -725,7 +788,7 @@ def _enumerate_frames(
             final = reference.clone()
             final.tab.r = ((tab.r + 2 * row) % 4).astype(np.uint8)
             finals.append(final)
-    return _result(reports, agree.all(), reference, finals, "frames")
+    return _result(table, agree.all(), reference, finals, "frames")
 
 
 def _merge_points(program: Sequence[Step]) -> Dict[int, FrozenSet[str]]:

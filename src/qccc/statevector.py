@@ -20,11 +20,12 @@ when the tensor already follows the register, `amps` is a reshape of it.
 X, Y and Z on a qubit entry move indices instead of multiplying by a matrix:
 X flips the entry's axis (a view, so the tensor may be strided), Z multiplies
 by one sign per index, Y does both, and a product factor flips or phases its
-own 2-vector. CNOT and CZ between two materialised qubit axes move indices
-too: CNOT joins the control's 0-slice to its 1-slice flipped on the target
-axis, and CZ negates the target's 1-half of the control's 1-slice. Each is
-exact, so it gives the bits of the matrix product; the tensor keeps its axis
-order. Nothing writes `_t` in place, so a clone shares it.
+own 2-vector; `apply_paulis` does a whole string in one flip and one
+multiply. CNOT and CZ between two materialised qubit axes move indices too:
+CNOT joins the control's 0-slice to its 1-slice flipped on the target axis,
+and CZ negates the target's 1-half of the control's 1-slice. Each is exact,
+so it gives the bits of the matrix product; the tensor keeps its axis order.
+Nothing writes `_t` in place, so a clone shares it.
 
 A forced measurement outcome reads only its own slice, and divides it by the
 norm in the same pass. Its probability is the slice's squared norm, summed in
@@ -388,6 +389,24 @@ class PureState:
                 self._t = _controlled_along(self._t, c, x, name)
                 return self
         return self.apply(RegionOperator(tuple(entries), gates.named_gate(name)), unitary_check=False)
+
+    def apply_paulis(self, paulis: Sequence[Tuple[EntryKey, str]]) -> "PureState":
+        """X, Y or Z on each of distinct qubit entries, as `apply_named` one at
+        a time: the tensor's X and Y axes flip in one `np.flip`, and its Z and
+        Y phases multiply in one broadcast. A product factor (no axis), or an
+        entry that is no qubit (which raises there), takes `apply_named`."""
+        flips, phase = [], np.ones(())
+        for key, name in paulis:
+            ax = self._axis.get(key)
+            if ax is None or self._t.shape[ax] != 2:
+                self.apply_named(name, [key])
+                continue
+            flip, vec = _PAULI_MOVES[name]
+            flips += [ax] * flip
+            phase = phase if vec is None else phase * vec.reshape((2,) + (1,) * (self._t.ndim - ax - 1))
+        t = np.flip(self._t, flips)
+        self._t = t * phase if phase.ndim else t
+        return self
 
     def _exchange(self, a: EntryKey, b: EntryKey) -> None:
         """Swap the contents of two entries by relabelling: no amplitude moves."""

@@ -208,18 +208,27 @@ class TestRowWriter:
         self._rows_as_encoded((tmp_path / "report.json").read_text(), rep["branches"])
 
     def test_crafted_rows_match_the_encoder(self, tmp_path):
+        from qccc.locc import BranchRows
+
         tag = 'a"b\\c\n\u00e9\u2028'  # a quote, a backslash, a newline and two non-ASCII characters
-        rows = [
-            {"outcomes": [[tag, 1], ["k1", 0]], "probability": 0.25, "fidelity": 1 - 2**-52},
-            {"outcomes": [["k1", 2], [tag, 1]], "probability": 5e-324, "fidelity": float("nan")},
-            {"outcomes": [], "probability": float("inf"), "fidelity": -0.0},
-            {"outcomes": [["k1", 10**20]], "probability": 1e16, "fidelity": 1.0},
+        big, inf, nan = 2**64 - 1, float("inf"), float("nan")  # big: the largest uint64 outcome
+        tables = [
+            ((tag, "k1"), [[1, 0], [2, 1], [0, big], [1, 0]], [0.25, 5e-324, inf, 1e16], [1 - 2**-52, nan, -0.0, 0.0]),
+            ((), [[]], [-inf], [1.0]),  # a row with no outcomes
         ]
-        out = tmp_path / "report.json"
-        _write_report({"branches": rows, "verdict": "NOT_DETERMINISTIC"}, str(out))
-        text = out.read_text()
-        self._rows_as_encoded(text, rows)
-        assert "NaN" in text and "Infinity" in text
+        texts = []
+        for tags, ks, probs, fids in tables:
+            outcomes = np.array(ks, dtype=np.uint64).reshape(len(probs), len(tags))
+            rows = BranchRows(tags, outcomes, np.zeros(outcomes.shape), np.array(probs), np.array(fids))
+            out = tmp_path / "report.json"
+            _write_report({"branches": rows, "verdict": "NOT_DETERMINISTIC"}, str(out))
+            dicts = [
+                {"outcomes": [[t, k] for t, k in zip(tags, row)], "probability": p, "fidelity": f}
+                for row, p, f in zip(ks, probs, fids)
+            ]
+            texts.append(out.read_text())
+            self._rows_as_encoded(texts[-1], dicts)
+        assert "NaN" in texts[0] and "Infinity" in texts[0] and "-Infinity" in texts[1]
 
 
 class TestMps:

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -505,14 +508,15 @@ class TestBranchMerging:
             run_sampled(proto, seed=0)
 
     def test_cap_counts_derived_rows(self, monkeypatch):
+        """The search stops before its row arrays hold more than the cap."""
         from qccc import locc
 
-        rows = []
-        report = locc.BranchReport
-        monkeypatch.setattr(locc, "BranchReport", lambda *a: rows.append(1) or report(*a))
+        buffers = []
+        buffer = locc._RowBuffer
+        monkeypatch.setattr(locc, "_RowBuffer", lambda m: buffers.append(buffer(m)) or buffers[-1])
         with pytest.raises(BranchCapExceeded):
             enumerate_branches(_w(4)[0], branch_cap=100)  # 256 rows
-        assert 0 < len(rows) <= 100
+        assert len(buffers) == 1 and 0 < buffers[0].n <= 100
 
     def test_w8_at_the_cap(self):
         import time
@@ -522,6 +526,44 @@ class TestBranchMerging:
         assert time.perf_counter() - t0 < 10.0
         assert len(res.reports) == 2**16 and res.verdict == "DETERMINISTIC"
         assert res.min_fidelity > 1 - 1e-9
+
+
+class TestBranchRows:
+    """`reports` is a read-only sequence of BranchReports over the row arrays."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: enumerate_branches(_w(4)[0]), lambda: enumerate_branches(_ghz(6)[0], backend="tableau")],
+        ids=["w4-merged", "ghz6-frames"],
+    )
+    def test_sequence(self, build):
+        res = build()
+        rows, listed = res.reports, list(res.reports)
+        assert len(rows) == len(listed) > 8 and listed == [rows[i] for i in range(len(rows))]
+        assert rows[-1] == listed[-1] and rows[-len(rows)] == listed[0]
+        assert rows[:4] == listed[:4] and rows[3:-2:5] == listed[3:-2:5] and rows[::-1] == listed[::-1]
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        rep = rows[1]
+        assert type(rep.probability) is float and type(rep.fidelity) is float
+        assert all(type(k) is int and type(p) is float for _, k, p in rep.record.outcomes)
+        # left to right, as `sum` added floats before Python 3.12
+        assert res.total_probability() == functools.reduce(operator.add, [r.probability for r in listed])
+
+    def test_outcomes_past_a_byte(self):
+        """Outcome 299 of a 300-level ancilla widens the search's outcome
+        column, on a row that needs no more room."""
+        d, levels = 300, [0, 1, 2, 299]
+        init = np.zeros(d)
+        init[levels] = 0.5
+        program = [
+            ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", d, init)])]),
+            Measure(MeasurementSpec((0, "a"), "k")),
+        ]
+        res = enumerate_branches(Protocol("dial", Lattice((2,)), [(0, "s", 2)], program, [(0, "s")]))
+        assert res.verdict == "DETERMINISTIC" and res.reports.outcomes.dtype == np.uint16
+        assert [r.record.key() for r in res.reports] == [(k,) for k in levels]
 
 
 # -- the Pauli-frame engine against the DFS -----------------------------------------

@@ -617,6 +617,40 @@ class TestPauliMoves:
                 assert kf == kr == k and abs(pf - pr) <= 1e-15
                 assert fast.register == ref.register and abs(fast.fidelity(ref) - 1) < 1e-12
 
+    @PROPERTY_SETTINGS
+    @given(
+        dims=hst.lists(hst.sampled_from([2, 2, 3]), min_size=1, max_size=5),
+        n_ancillas=hst.integers(0, 2),
+        seed=SEEDS,
+    )
+    def test_a_string_matches_its_letters(self, dims, n_ancillas, seed):
+        """`apply_paulis` against `apply_named` letter by letter, bit for bit
+        up to the sign of a zero: on tensor axes in any order, on product
+        factors, on axes and factors an earlier X left flipped, and on the
+        exact zeros a CNOT onto an ancilla writes into the tensor."""
+        rng = np.random.default_rng(seed)
+        st = _scrambled_state(rng, dims, n_ancillas)
+        qubits_ = [k for k, d in zip(st.register.keys, st.register.dims) if d == 2]
+        assume(qubits_)
+        control = next((k for k in qubits_ if k[1] == "s"), None)
+        if n_ancillas and control is not None and rng.random() < 0.5:
+            st.apply(RegionOperator((control, (0, "a")), gates.named_gate("CNOT")))
+        for key in qubits_:
+            if rng.random() < 0.3:
+                st.apply_named("X", [key])
+        for _ in range(3):
+            chosen = rng.permutation(len(qubits_))[: int(rng.integers(1, len(qubits_) + 1))]
+            paulis = [(qubits_[int(i)], "XYZ"[int(rng.integers(3))]) for i in chosen]
+            before, amps = st.clone(), st.amps.copy()
+            ref = st.clone()
+            for key, name in paulis:
+                ref.apply_named(name, [key])
+            st.apply_paulis(paulis)
+            # + 0 clears the sign of a zero, which one combined phase may set differently
+            assert (st.amps + 0).tobytes() == (ref.amps + 0).tobytes()
+            assert st._keys == ref._keys and st._lazy.keys() == ref._lazy.keys()
+            assert np.array_equal(before.amps, amps)  # the clone kept its amplitudes
+
     def test_x_is_a_view(self):
         st = ghz(3)
         before = st._t
