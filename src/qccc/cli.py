@@ -30,6 +30,7 @@ pipeline writer. Qubit `qccc range` reaches n = 13 at the default cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -358,7 +359,9 @@ def cmd_shift(args, report: dict) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qccc` parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="qccc",
         description="Simulate and certify measurement-assisted (LOCC) constant-depth circuits.",
@@ -373,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="enumerate", choices=["sample", "enumerate"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("mps", help="canonical form, bound sweeps, pipeline certification")
     p.add_argument("--fixture", choices=sorted(mps.FIXTURES))
@@ -385,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_mps)
 
     p = sub.add_parser("diagnose", help="factorization witness, area law, Clifford gadget")
     p.add_argument("--check", required=True, choices=["prop1", "arealaw", "cj"])
@@ -402,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op-b", default="Z")
     p.add_argument("--rank-tol", type=float, default=1e-10)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("range", help="estimate the light-cone range of a unitary")
     p.add_argument("--n", type=int, default=6)
@@ -411,13 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", action="store_true")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_range)
 
     p = sub.add_parser("shift", help="build and verify the shift circuit (depth 2, or 3 on an odd ring)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_shift)
     return ap
 
 
@@ -426,11 +424,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    cfg = {k: v for k, v in vars(args).items() if v is not None}
     report = {"version": __version__, "config": cfg, "timings": {}}
     t0 = time.time()
     try:
-        code = args.func(args, report)
+        code = globals()[f"cmd_{args.command}"](args, report)  # the command is looked up when it runs
         report["passed"] = code == EXIT_OK
         report["timings"]["total_s"] = time.time() - t0
         _write_report(report, args.out)

@@ -8,17 +8,22 @@ explores every measurement branch and certifies determinism (all branches
 agree up to a global phase and their probabilities sum to 1) plus, if a
 target is given, the fidelity to it.
 
+Every correction is a Pauli by-product fix: a Correct holds a PauliMap, which
+gives each entry it touches X^x Z^z with (x | z) affine over Z_d in the
+outcomes of the tags it reads (the teleport fix X^a Z^b, the fixed-point
+label alignment, the GHZ parity string, the toric-code sign fix, the Choi
+gadgets' frames). The map is all the engine, the round splitter and the
+merge planner read of it: its tags, its entries and its matrix.
+
 `enumerate_branches` has two engines, chosen before the run. On the tableau,
-a program whose corrections all declare a PauliMap (GF(2)-affine Pauli fixes,
-from which their fn is derived: GHZ, the toric code, the Choi gadgets) is
-certified from one history (the first branch) whose Pauli frame is a
-GF(2)-linear function of the r random outcomes, kept as r frame columns:
+a program is certified from one history (the first branch) whose Pauli frame
+is a GF(2)-linear function of the r random outcomes, kept as r frame columns:
 outcome flips enter as Aaronson-Gottesman destabilizers, and a Correct moves
 the columns by one matrix product. That history counts the 2^r records
 exactly, so the branch cap is checked right after it; below the cap one GF(2)
 product with the record vectors expands every record's outcomes and its final
-state, the first branch's with stabilizer signs flipped by its frame. Every
-other program runs the depth-first search, one history per leaf.
+state, the first branch's with stabilizer signs flipped by its frame. Dense
+programs run the depth-first search, one history per leaf.
 Both engines score a branch by its final state's `fidelity` to the first
 branch's and to the target (1 or 0 on the tableau, where it tests equality),
 and one rule gives both verdicts. Both write their rows straight into arrays
@@ -27,28 +32,26 @@ and fidelity), which build a BranchReport only for a row that is read, and
 which the CLI writes from. A target fits the backend that runs: a PureState
 on dense states, stabilizer generators on the tableau.
 
-A Correct may declare the outcome tags it reads (`reads`); the teleport fixes
-and the fixed-point label alignment do, the GHZ, toric-code and Choi-gadget
-corrections do not. On dense states, `enumerate_branches` runs the rest of
-the program once for sibling histories that meet after a Correct with `reads`
-with equal live outcomes (those read by a later Correct) and states equal up
-to phase within MERGE_TOL: the later history reports the earlier one's leaves
-under its own prefix. The rows are those of the plain depth-first search,
-which is the same protocol with `reads` stripped.
+On dense states, the search has a merge point after every Correct that a
+Measure or ApplyLayers follows (`_merge_points`; past the last one there is
+no work to share). Sibling histories that meet there with equal live
+outcomes (those read by a later Correct) and states equal up to phase within
+MERGE_TOL run the rest of the program once: the later history reports the
+earlier one's leaves under its own prefix. The rows are those of the plain
+depth-first search.
 
 A protocol's depth is read from its program: `Protocol.schedule` packs the
 gates of its ApplyLayers steps into site-disjoint layers (`cx.schedule`), so
 the program may order commuting operations for a small dense state (ancillas
 created late, measured ancillas dropped early) at no cost in depth. A gate
-that depends on a correction starts a new quantum round (`Protocol.rounds`),
-so a Correct declares the entries it acts on (`entries`) next to the tags it
-reads.
+that depends on a correction starts a new quantum round (`Protocol.rounds`):
+one on an entry of its map, or joined to one by local actions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,16 +59,12 @@ from . import circuits as cx
 from . import gates
 from .lattice import Lattice
 from .stabilizer import _PAULI_CHARS, StabilizerTableau, TableauState, _conjugate_rows
-from .statevector import EntryKey, PureState, QuditRegister
+from .statevector import EntryKey, ProtocolError, PureState, QuditRegister
 
 DETERMINISM_TOL = 1e-9
 DEFAULT_BRANCH_CAP = 2**16
 DEFAULT_PROB_FLOOR = 1e-12
 MERGE_TOL = 1e-12
-
-
-class ProtocolError(RuntimeError):
-    pass
 
 
 class BranchCapExceeded(ProtocolError):
@@ -95,59 +94,40 @@ class Measure:
 
 @dataclass(eq=False)
 class PauliMap:
-    """A Pauli correction that is GF(2)-affine in the outcome bits: entry e
-    gets X^x_e Z^z_e, named X, Y or Z, where (x | z) = matrix @ v + offset
-    (mod 2) and v lists the outcome bits of `tags` in order."""
+    """A Pauli correction that is affine over Z_d in the outcomes: entry e
+    gets X^x_e Z^z_e (Z first; on qubits named X, Y or Z), where
+    (x | z) = matrix @ v + offset (mod d) and v lists the outcomes of `tags`
+    in order."""
 
     tags: Tuple[str, ...]
-    entries: Tuple[EntryKey, ...]  # distinct single qubits
+    entries: Tuple[EntryKey, ...]  # distinct single qudits of dimension d
     matrix: np.ndarray  # (2 * len(entries), len(tags)): the entries' x rows, then their z rows
     offset: Optional[np.ndarray] = None  # (2 * len(entries),); None is zero
+    d: int = 2
 
     def __post_init__(self):
         self.tags, self.entries = tuple(self.tags), tuple(map(tuple, self.entries))
         shape = (2 * len(self.entries), len(self.tags))
         offset = np.zeros(shape[0]) if self.offset is None else self.offset
-        self.matrix, self.offset = (np.asarray(a, dtype=np.uint8) % 2 for a in (self.matrix, offset))
+        self.matrix, self.offset = (np.asarray(a, dtype=np.int64) % self.d for a in (self.matrix, offset))
         if len(set(self.entries)) < len(self.entries) or (self.matrix.shape, len(self.offset)) != (shape, shape[0]):
-            raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offset bits")
+            raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offsets")
 
-    def paulis(self, outcomes: Dict[str, int]) -> List[Tuple[EntryKey, str]]:
-        """(entry, X, Y or Z) for each entry whose bits are set, in entry order."""
-        v = np.array([outcomes[t] for t in self.tags], dtype=np.uint8)
-        bits = ((self.matrix @ v + self.offset) % 2).tolist()  # uint8 sums wrap mod 256, keeping parity
+    def paulis(self, outcomes: Dict[str, int]) -> List[Tuple[EntryKey, int, int]]:
+        """(entry, x, z) for each entry with x or z nonzero, in entry order."""
+        v = np.array([outcomes[t] for t in self.tags], dtype=np.int64)
+        powers = ((self.matrix @ v + self.offset) % self.d).tolist()
         n = len(self.entries)
-        return [(e, _PAULI_CHARS[x, z]) for e, x, z in zip(self.entries, bits[:n], bits[n:]) if x or z]
-
-    def actions(self, outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-        return [cx.local_op([e], [(name, (0,))]) for e, name in self.paulis(outcomes)]
+        return [(e, x, z) for e, x, z in zip(self.entries, powers[:n], powers[n:]) if x or z]
 
 
 @dataclass
 class Correct:
-    """Outcome-conditioned local correction: fn(outcomes) -> list[LocalAction].
+    """An outcome-conditioned Pauli correction: the map's Pauli at the
+    outcomes of its tags. It reads those tags and acts on the map's entries."""
 
-    `reads` declares the outcome tags fn reads; fn then sees only those.
-    `entries` declares the entries its actions may touch. None means every
-    tag, or every entry. A Correct that declares a `pauli` map takes its fn
-    and entries from it, and the tableau certifies it with Pauli frames.
-    """
-
-    fn: Optional[Callable[[Dict[str, int]], List[cx.LocalAction]]] = None
+    pauli: PauliMap
     name: str = "correction"
-    reads: Optional[FrozenSet[str]] = None
-    pauli: Optional[PauliMap] = None
-    entries: Optional[FrozenSet[EntryKey]] = None
-
-    def __post_init__(self):
-        if self.pauli is None and self.fn is None:
-            raise ValueError(f"correction {self.name!r} needs fn or a Pauli map")
-        if self.pauli is not None:
-            reads_tags = self.reads is None or self.reads.issuperset(self.pauli.tags)
-            if self.fn not in (None, self.pauli.actions) or self.entries is not None or not reads_tags:
-                raise ValueError(f"correction {self.name!r}: its Pauli map sets fn and entries, and reads only `reads`")
-            self.fn = self.pauli.actions
-            self.entries = frozenset(self.pauli.entries)
 
 
 Step = Union[ApplyLayers, Measure, Correct]
@@ -257,9 +237,8 @@ class Protocol:
         # that follows; local actions share their highest level, gates go odd
         level: Dict[EntryKey, int] = {}
         measured: Dict[str, int] = {}  # tag -> level of its measurement
-        floor = 0  # set by a Correct that may act on every entry
         split: List[List[cx.Layer]] = []
-        at = lambda entries: max([floor] + [level.get(e, 0) for e in entries])
+        at = lambda entries: max([0] + [level.get(e, 0) for e in entries])
         for step in self.program:
             if isinstance(step, ApplyLayers):
                 for layer in step.layers:
@@ -275,12 +254,9 @@ class Protocol:
             elif isinstance(step, Measure):
                 level[step.spec.entry] = measured[step.spec.tag] = max(2, at([step.spec.entry]) + 1 & ~1)
             else:
-                entries = list(level) if step.entries is None else step.entries
-                tags = measured if step.reads is None else step.reads
-                lvl = max([2, at(entries)] + [measured.get(t, 0) for t in tags])
+                lvl = max([2, at(step.pauli.entries)] + [measured.get(t, 0) for t in step.pauli.tags])
                 lvl += lvl & 1
-                level.update(dict.fromkeys(entries, lvl))
-                floor = lvl if step.entries is None else floor
+                level.update(dict.fromkeys(step.pauli.entries, lvl))
         if len(split) > 1 and not any(isinstance(layer, cx.GateLayer) for layer in split[-1]):
             split[-2:] = [split[-2] + split[-1]]  # trailing local actions join the last round
         return [cx.schedule(self.lattice, layers) for layers in split]
@@ -306,21 +282,17 @@ def initial_state(protocol: Protocol, backend: str = "dense"):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _apply_correction(state, step: Correct, outcomes: Dict[str, int]) -> None:
-    """Apply `step` at `outcomes`. A declared Pauli map goes to a dense state in
-    one `apply_paulis`: its entries are distinct single qubits, so it passes
-    the checks on `fn`'s actions by construction."""
-    if step.pauli is not None and isinstance(state, PureState):
-        state.apply_paulis(step.pauli.paulis(outcomes))
-        return
-    actions = step.fn(outcomes)
-    for act in actions:
-        sites = {s for s, _ in act.entries}
-        if act.kind == "op" and len(sites) != 1:
-            raise ProtocolError("corrections must be strictly site-local")
-        if step.entries is not None and not step.entries.issuperset(act.entries):
-            raise ProtocolError(f"correction {step.name!r} acts on {act.entries}, outside its declared entries")
-    cx.apply_layer(state, cx.LocalLayer(actions))
+def _apply_correction(state, pauli: PauliMap, outcomes: Dict[str, int]) -> None:
+    """The map's Pauli at `outcomes`: on a dense state in one `apply_paulis`,
+    on the tableau (qubits only) one named Pauli per entry."""
+    paulis = pauli.paulis(outcomes)
+    if isinstance(state, PureState):
+        state.apply_paulis(paulis, pauli.d)
+    elif pauli.d != 2:
+        raise ProtocolError(f"the tableau takes Pauli maps over Z_2, not Z_{pauli.d}")
+    else:
+        for e, x, z in paulis:
+            state.apply_named(_PAULI_CHARS[x, z], [e])
 
 
 def _finalize(state, protocol: Protocol):
@@ -387,9 +359,7 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
                 outcomes += ((spec.tag, int(k), float(p)),)
                 prob *= p
             elif isinstance(step, Correct):
-                reads = step.reads
-                seen = {t: k for t, k, _ in outcomes if reads is None or t in reads}
-                _apply_correction(state, step, seen)
+                _apply_correction(state, step.pauli, {t: k for t, k, _ in outcomes})
                 if on_correct is not None:
                     rows = on_correct(state, j + 1, step, outcomes, prob)
                     if rows is not None:
@@ -472,18 +442,17 @@ def enumerate_branches(
     requires all branches to agree with the first branch up to global phase
     and their probabilities to sum to 1 within DETERMINISM_TOL.
 
-    A tableau program whose corrections all declare a Pauli map is certified
-    by `_enumerate_frames` (engine "frames"): one history and r frame
-    columns, one per random outcome, with BranchCapExceeded raised as soon as
-    that history has counted its 2^r records. Any other program, and every
-    dense one, runs through the depth-first search `_enumerate_dfs` (engine
-    "dfs"). The engine is chosen before the run; both report the same rows in
-    the same order, and `_result` gives both verdicts. A target that does not
-    fit the backend (see `_resolve_target`) raises ValueError before the run.
+    A tableau program is certified by `_enumerate_frames` (engine "frames"):
+    one history and r frame columns, one per random outcome, with
+    BranchCapExceeded raised as soon as that history has counted its 2^r
+    records. A dense program, or one with a probability floor of 0.5 or more,
+    runs through the depth-first search `_enumerate_dfs` (engine "dfs"). The
+    engine is chosen before the run; both report the same rows in the same
+    order, and `_result` gives both verdicts. A target that does not fit the
+    backend (see `_resolve_target`) raises ValueError before the run.
     """
     tableau = isinstance(input_state, TableauState) if input_state is not None else backend == "tableau"
-    declared = all(step.pauli is not None for step in protocol.program if isinstance(step, Correct))
-    if tableau and prob_floor < 0.5 and declared:
+    if tableau and prob_floor < 0.5:
         start = _start(protocol, backend, input_state)
         return _enumerate_frames(protocol, start, branch_cap, _resolve_target(protocol, start, target), keep_states)
     return _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
@@ -558,8 +527,8 @@ def _enumerate_dfs(
     same live outcomes and states equal up to phase within MERGE_TOL run the
     rest of the program once: the later one reports the first one's leaves
     under its own prefix and probability. The report lists the same rows in
-    the same order as the plain DFS, which is the protocol with `reads`
-    stripped; 2 * merge_error bounds the fidelity error of a derived row.
+    the same order as the plain DFS, which merges nothing; 2 * merge_error
+    bounds the fidelity error of a derived row.
     """
     start = _start(protocol, backend, input_state)
     target = _resolve_target(protocol, start, target)
@@ -577,7 +546,6 @@ def _enumerate_dfs(
     finals: List[object] = []
     reference = None
     agree = True
-    # merge points lie just past Corrects with `reads`, so one without never merges
     points = _merge_points(protocol.program) if isinstance(start, PureState) else {}
     # (position, live outcomes) -> [register, amplitudes, outcomes, first row, end row]
     memo: Dict[tuple, list] = {}
@@ -792,19 +760,20 @@ def _enumerate_frames(
 
 
 def _merge_points(program: Sequence[Step]) -> Dict[int, FrozenSet[str]]:
-    """Map the position after each Correct with `reads` to its live tags, the
-    tags read by every later Correct; a position with a Correct without `reads`
-    after it reads everything, so it is no merge point."""
+    """Map the position after each Correct that a Measure or ApplyLayers
+    follows to its live tags, the tags read by every later Correct. Past the
+    last such step there is no work to share."""
     points: Dict[int, FrozenSet[str]] = {}
-    live: Optional[FrozenSet[str]] = frozenset()
+    live: FrozenSet[str] = frozenset()
+    work = False
     for j in reversed(range(len(program))):
         step = program[j]
-        if isinstance(step, Correct):
-            if step.reads is None:
-                live = None
-            elif live is not None:
+        if not isinstance(step, Correct):
+            work = True
+        else:
+            if work:
                 points[j + 1] = live
-                live = live | step.reads
+            live = live | frozenset(step.pauli.tags)
     return points
 
 
@@ -823,23 +792,6 @@ def bell_rotation_ops(source: EntryKey, partner: EntryKey, d: int) -> List[cx.Lo
         ]
     rot = np.kron(gates.fourier(d).conj().T, np.eye(d)) @ gates.cnot_d(d)
     return [cx.local_op([source, partner], rot)]
-
-
-def bell_outcome_to_pauli(m_source: int, m_partner: int, d: int) -> Tuple[int, int]:
-    """(a, b) of the measured Bell state from raw computational outcomes."""
-    return (-m_partner) % d, m_source % d
-
-
-def teleport_correction(target: EntryKey, a: int, b: int, d: int) -> List[cx.LocalAction]:
-    """Pauli-frame fix X^a Z^b on the receiving qudit."""
-    if d == 2:
-        ops = []
-        if b:
-            ops.append(("Z", (0,)))
-        if a:
-            ops.append(("X", (0,)))
-        return [cx.local_op([target], ops)] if ops else []
-    return [cx.local_op([target], gates.shift_x(d, a) @ np.linalg.matrix_power(gates.clock_z(d), b))]
 
 
 def teleport(
@@ -875,16 +827,12 @@ def teleport(
 
 
 def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: int, tag: str) -> List[Step]:
-    """Bell-rotate two co-located qudits, measure them, fix the receiver."""
-
-    def fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-        a, b = bell_outcome_to_pauli(outcomes[f"{tag}s"], outcomes[f"{tag}p"], d)
-        return teleport_correction(target, a, b, d)
-
+    """Bell-rotate two co-located qudits, measure them, fix the receiver: the
+    Bell state X^a Z^b reads a = -m_p and b = m_s, so X^a Z^b on the target."""
+    fix = PauliMap([f"{tag}s", f"{tag}p"], [target], [[0, -1], [1, 0]], d=d)
     return [
         ApplyLayers([cx.LocalLayer(bell_rotation_ops(source, partner, d))]),
         Measure(MeasurementSpec(source, f"{tag}s")),
         Measure(MeasurementSpec(partner, f"{tag}p")),
-        Correct(fix, f"teleport fix {tag}", frozenset({f"{tag}s", f"{tag}p"}), entries=frozenset({target})),
+        Correct(fix, f"teleport fix {tag}"),
     ]
-

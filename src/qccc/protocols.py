@@ -413,22 +413,11 @@ def _fixed_point_protocol(
         )
         program += [Measure(MeasurementSpec((hub(b), "Cp"), f"c{b}")) for b in range(1, m)]
 
-        def c_fix(outcomes: Dict[str, int]) -> List[cx.LocalAction]:
-            acts = []
-            for b in range(m - 1):
-                shift = -sum(outcomes[f"c{j}"] for j in range(b + 1, m)) % cdim
-                if shift:
-                    acts.append(cx.local_op([(hub(b), "C")], gates.shift_x(cdim, shift)))
-            return acts
-
-        program.append(
-            Correct(
-                c_fix,
-                "label alignment",
-                frozenset(f"c{b}" for b in range(1, m)),
-                entries=frozenset((hub(b), "C") for b in range(m - 1)),
-            )
-        )
+        # hub b's label takes X^(-c_{b+1} - ... - c_{m-1})
+        shifts = -np.triu(np.ones((m - 1, m - 1), dtype=int))
+        labels = [(hub(b), "C") for b in range(m - 1)]
+        align = PauliMap([f"c{b}" for b in range(1, m)], labels, np.vstack([shifts, 0 * shifts]), d=cdim)
+        program.append(Correct(align, "label alignment"))
 
     for b in range(m):
         if use_bonds:

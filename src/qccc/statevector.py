@@ -17,14 +17,16 @@ index-0 slice; only other entries need the reduced-state test. `amps`,
 `tensor` and every other reader see the logical state in register order;
 when the tensor already follows the register, `amps` is a reshape of it.
 
-X, Y and Z on a qubit entry move indices instead of multiplying by a matrix:
-X flips the entry's axis (a view, so the tensor may be strided), Z multiplies
-by one sign per index, Y does both, and a product factor flips or phases its
-own 2-vector; `apply_paulis` does a whole string in one flip and one
-multiply. CNOT and CZ between two materialised qubit axes move indices too:
-CNOT joins the control's 0-slice to its 1-slice flipped on the target axis,
-and CZ negates the target's 1-half of the control's 1-slice. Each is exact,
-so it gives the bits of the matrix product; the tensor keeps its axis order.
+A Pauli X^x Z^z on a qudit moves indices instead of multiplying by a matrix
+(`apply_paulis`, which `apply_named` uses for X, Y and Z on a qubit): X^x
+rolls the entry's axis by x, a flip on a qubit (a view, so the tensor may be
+strided), Z^z multiplies by one phase per index, and a product factor rolls
+and phases its own vector. A whole string takes one flip of its qubit axes,
+one roll of its other axes and one multiply. CNOT and CZ between two
+materialised qubit axes move indices too: CNOT joins the control's 0-slice
+to its 1-slice flipped on the target axis, and CZ negates the target's
+1-half of the control's 1-slice. Each is exact, so it gives the bits of the
+matrix product; the tensor keeps its axis order.
 Nothing writes `_t` in place, so a clone shares it.
 
 A forced measurement outcome reads only its own slice, and divides it by the
@@ -57,6 +59,10 @@ FORCE_FLOOR = 1e-12  # a forced outcome below this probability raises
 
 class CapacityError(RuntimeError):
     """Raised instead of allocating a dense array beyond the amplitude cap."""
+
+
+class ProtocolError(RuntimeError):
+    """A protocol step that cannot run on its state (see `qccc.locc`)."""
 
 
 def max_amplitudes() -> int:
@@ -186,23 +192,19 @@ def pauli_on(entry: EntryKey, name: str) -> RegionOperator:
     return RegionOperator((entry,), gates.named_gate(name))
 
 
-# each qubit Pauli as (flips the index, phase per output index)
-_PAULI_MOVES = {
-    "X": (True, None),
-    "Y": (True, np.array([-1j, 1j])),
-    "Z": (False, np.array([1, -1], dtype=complex)),
-}
+# each qubit Pauli as the powers (x, z) of X^x Z^z, up to phase
+_PAULI_POWERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# the phase a qubit index takes after X^x flips it, by (x, z); XZ is applied as Y
+_QUBIT_PHASES = {(0, 0): None, (1, 0): None, (1, 1): np.array([-1j, 1j]), (0, 1): np.array([1, -1], dtype=complex)}
 
 
-def _pauli_along(t: np.ndarray, ax: int, name: str) -> np.ndarray:
-    """X, Y or Z on the dimension-2 axis `ax` of `t`, without a matrix: a
-    flip is a view, a phase one broadcast multiply."""
-    flip, phase = _PAULI_MOVES[name]
-    if flip:
-        t = np.flip(t, ax)
-    if phase is not None:
-        t = t * phase.reshape((2,) + (1,) * (t.ndim - ax - 1))
-    return t
+def _pauli_phase(d: int, x: int, z: int) -> Optional[np.ndarray]:
+    """The phase of each index after X^x Z^z (Z first) has rolled a
+    dimension-d axis by x: index j takes w^(z (j - x)), w = exp(2 pi i / d).
+    None when there is none; on a qubit, XZ is Y."""
+    if d == 2:
+        return _QUBIT_PHASES[x, z]
+    return np.exp(2j * np.pi / d) ** (z * (np.arange(d) - x) % d) if z else None
 
 
 def _controlled_along(t: np.ndarray, c: int, x: int, name: str) -> np.ndarray:
@@ -376,13 +378,8 @@ class PureState:
                 raise ValueError("swap requires equal local dimensions")
             self._exchange(a, b)
             return self
-        if name in _PAULI_MOVES and len(entries) == 1 and self.register.dim(tuple(entries[0])) == 2:
-            key = tuple(entries[0])
-            if key in self._lazy:
-                self._lazy[key] = _pauli_along(self._lazy[key], 0, name)
-            else:
-                self._t = _pauli_along(self._t, self._axis[key], name)
-            return self
+        if name in _PAULI_POWERS and len(entries) == 1 and self.register.dim(tuple(entries[0])) == 2:
+            return self.apply_paulis([(tuple(entries[0]), *_PAULI_POWERS[name])])
         if name in ("CNOT", "CZ") and len(entries) == 2:
             c, x = (self._axis.get(tuple(k)) for k in entries)
             if None not in (c, x) and c != x and self._t.shape[c] == self._t.shape[x] == 2:
@@ -390,21 +387,33 @@ class PureState:
                 return self
         return self.apply(RegionOperator(tuple(entries), gates.named_gate(name)), unitary_check=False)
 
-    def apply_paulis(self, paulis: Sequence[Tuple[EntryKey, str]]) -> "PureState":
-        """X, Y or Z on each of distinct qubit entries, as `apply_named` one at
-        a time: the tensor's X and Y axes flip in one `np.flip`, and its Z and
-        Y phases multiply in one broadcast. A product factor (no axis), or an
-        entry that is no qubit (which raises there), takes `apply_named`."""
-        flips, phase = [], np.ones(())
-        for key, name in paulis:
-            ax = self._axis.get(key)
-            if ax is None or self._t.shape[ax] != 2:
-                self.apply_named(name, [key])
+    def apply_paulis(self, paulis: Sequence[Tuple[EntryKey, int, int]], d: int = 2) -> "PureState":
+        """X^x Z^z (Z first, x and z in Z_d) on each of distinct entries of
+        dimension d, without a matrix; on a qubit, XZ is applied as Y. A
+        product factor rolls and phases its vector. The tensor's qubit axes
+        flip in one `np.flip`, its other axes roll in one `np.roll`, and every
+        phase multiplies in one broadcast. An entry of another dimension
+        raises ProtocolError."""
+        flips, shifts, rolled, phase = [], [], [], np.ones(())
+        for key, x, z in paulis:
+            if self.register.dim(key) != d:
+                raise ProtocolError(f"a Pauli over Z_{d} on entry {key} of dimension {self.register.dim(key)}")
+            vec = _pauli_phase(d, x, z)
+            if key in self._lazy:
+                v = np.roll(self._lazy[key], x)
+                self._lazy[key] = v if vec is None else v * vec
                 continue
-            flip, vec = _PAULI_MOVES[name]
-            flips += [ax] * flip
-            phase = phase if vec is None else phase * vec.reshape((2,) + (1,) * (self._t.ndim - ax - 1))
+            ax = self._axis[key]
+            if d == 2:
+                flips += [ax] * x
+            elif x:
+                shifts.append(x)
+                rolled.append(ax)
+            if vec is not None:
+                phase = phase * vec.reshape((d,) + (1,) * (self._t.ndim - ax - 1))
         t = np.flip(self._t, flips)
+        if shifts:
+            t = np.roll(t, shifts, rolled)
         self._t = t * phase if phase.ndim else t
         return self
 

@@ -1,5 +1,6 @@
 import functools
 import operator
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from qccc.locc import (
     replay,
     run_sampled,
     teleport,
-    teleport_correction,
 )
 from qccc.stabilizer import _CHAR_BITS
 from qccc.statevector import PureState, QuditRegister, RegionOperator
@@ -85,6 +85,11 @@ def _cj_ghz(n):
     return cj.protocol(), cj.initial_state(inp)
 
 
+def _no_op():
+    """A correction that reads no tag and touches no entry."""
+    return Correct(PauliMap([], [], np.zeros((0, 0))), "no-op")
+
+
 def _same_state(a, b):
     if isinstance(a, PureState):
         return a.fidelity(b) > 1 - 1e-12
@@ -130,26 +135,33 @@ class TestEngine:
         from qccc.protocols import ghz_protocol
 
         finalized, completed = [], []
-        real_finalize = locc._finalize
+        real_finalize, real_correction = locc._finalize, locc._apply_correction
 
         def counting_finalize(state, protocol):
             finalized.append(protocol.name)
             return real_finalize(state, protocol)
 
+        def counting_correction(state, pauli, outcomes):
+            if pauli is end.pauli:
+                completed.append(outcomes)
+            return real_correction(state, pauli, outcomes)
+
         monkeypatch.setattr(locc, "_finalize", counting_finalize)
+        monkeypatch.setattr(locc, "_apply_correction", counting_correction)
         ghz, _ = ghz_protocol(5)  # 16 branches
-        # an undeclared last step, so the DFS runs: it is called once for every
-        # history reaching the end of the program
-        proto = replace(ghz, program=ghz.program + [Correct(lambda o: completed.append(o) or [])])
+        # a last step that every history reaching the end of the program runs once
+        end = _no_op()
+        proto = replace(ghz, program=ghz.program + [end])
+        dfs = locc._enumerate_dfs  # the tableau would otherwise take the frames
         with pytest.raises(BranchCapExceeded):
-            enumerate_branches(proto, backend=backend, branch_cap=cap)
+            dfs(proto, backend=backend, branch_cap=cap)
         assert len(finalized) <= cap and len(completed) <= cap
         finalized.clear()
         completed.clear()
-        res = enumerate_branches(proto, backend=backend, branch_cap=16)
+        res = dfs(proto, backend=backend, branch_cap=16)
         assert res.engine == "dfs" and len(res.reports) == len(completed) == len(finalized) == 16
         if backend == "tableau":
-            # GHZ's declared fix runs on the Pauli-frame engine, which raises
+            # `enumerate_branches` runs GHZ on the Pauli-frame engine, which raises
             # before it finalizes anything and otherwise finalizes only its reference
             finalized.clear()
             with pytest.raises(BranchCapExceeded):
@@ -177,49 +189,24 @@ class TestEngine:
         with pytest.raises(ProtocolError):
             run_sampled(proto, seed=0)
 
-    def test_nonlocal_correction_rejected(self):
-        lat = Lattice((2,))
-        prog = [
-            Correct(lambda o: [cx.local_op([(0, "s"), (1, "s")], [("CNOT", (0, 1))])]),
-        ]
-        proto = Protocol(
-            "bad2", lat, [(0, "s", 2), (1, "s", 2)], prog, [(0, "s"), (1, "s")]
-        )
-        with pytest.raises(ProtocolError):
-            run_sampled(proto, seed=0)
-
-    def test_correction_outside_its_entries_rejected(self):
-        lat = Lattice((2,))
-        register = [(0, "s", 2), (1, "s", 2)]
-        flip = lambda site: lambda o: [cx.local_op([(site, "s")], [("X", (0,))])]
-        for site, ok in ((0, True), (1, False)):
-            prog = [Correct(flip(site), "flip", entries=frozenset({(0, "s")}))]
-            proto = Protocol("declared", lat, register, prog, [(0, "s"), (1, "s")])
-            if ok:
-                run_sampled(proto, seed=0)
-            else:
-                with pytest.raises(ProtocolError, match="outside its declared entries"):
-                    run_sampled(proto, seed=0)
-
     def test_gate_after_a_correction_starts_a_round(self):
-        # a gate on an entry that a correction acted on, directly or through
-        # a local op that joined it to a corrected entry, follows the LOCC in
-        # a second round; an undeclared correction may touch every entry
+        # a gate on an entry of a correction's map, directly or through a local
+        # op that joined it to a corrected entry, follows the LOCC in a second
+        # round
         lat = Lattice((3,))
         register = [(i, "s", 2) for i in range(3)]
         gate = lambda a, b: ApplyLayers([cx.GateLayer([cx.Gate(((a, "s"), (b, "s")), [("CZ", (0, 1))])])])
-        fix = lambda entries: Correct(lambda o: [], "fix", entries=entries)
+        fix = lambda entries: Correct(PauliMap([], entries, np.zeros((2 * len(entries), 0))), "fix")
         system = [(i, "s") for i in range(3)]
-        later = Protocol("later", lat, register, [gate(0, 1), fix(frozenset({(2, "s")})), gate(0, 1)], system)
+        later = Protocol("later", lat, register, [gate(0, 1), fix([(2, "s")]), gate(0, 1)], system)
         assert later.depth() == 2 and [c.depth() for c in later.rounds()] == [2]
-        for entries in (frozenset({(1, "s")}), None):
-            proto = Protocol("after", lat, register, [gate(0, 1), fix(entries), gate(1, 2)], system)
-            assert [c.depth() for c in proto.rounds()] == [1, 1]
+        proto = Protocol("after", lat, register, [gate(0, 1), fix([(1, "s")]), gate(1, 2)], system)
+        assert [c.depth() for c in proto.rounds()] == [1, 1]
         ancilla = [(0, "a")]
         joined = [
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", 2)])]),
             gate(1, 2),
-            fix(frozenset(ancilla)),
+            fix(ancilla),
             ApplyLayers([cx.LocalLayer([cx.local_op(ancilla + [(0, "s")], [("CNOT", (0, 1))])])]),
             gate(0, 1),
             ApplyLayers([cx.LocalLayer([cx.remove_ancilla(0, "a")])]),
@@ -356,29 +343,34 @@ class TestTeleport:
             teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 3)
 
     def test_qubit_correction_is_named_and_builds_no_matrix(self, monkeypatch):
+        """The fix X^a Z^b moves indices on qubits and qutrits alike."""
+
         def no_matrix(*args, **kwargs):
-            raise AssertionError("a qubit correction needs no dense matrix")
+            raise AssertionError("a Pauli correction needs no dense matrix")
 
         monkeypatch.setattr(gates, "shift_x", no_matrix)
         monkeypatch.setattr(gates, "clock_z", no_matrix)
-        target = (1, "e2")
-        assert teleport_correction(target, 0, 0, 2) == []
-        acts = teleport_correction(target, 1, 1, 2)
-        assert [(a.entries, a.spec) for a in acts] == [((target,), [("Z", (0,)), ("X", (0,))])]
+        psi = {2: np.array([0.6, 0.8j]), 3: np.array([0.6, 0.0, 0.8j])}
+        for d in (2, 3):
+            for ms in range(d):
+                for mp in range(d):
+                    st = self._with_pair(psi[d], d)
+                    teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), d, force=(ms, mp))
+                    assert abs(np.vdot(st.amps, psi[d])) ** 2 > 1 - 1e-12
 
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 2), (2, 1)])
     def test_qudit_correction_matrix(self, a, b):
-        (act,) = teleport_correction((1, "e2"), a, b, 3)
-        want = gates.shift_x(3, a) @ np.linalg.matrix_power(gates.clock_z(3), b)
-        assert np.array_equal(act.spec, want)
+        """The fix read off outcomes (m_s, m_p) = (b, -a) is X^a Z^b on the receiver."""
+        from qccc.locc import _teleport_steps
 
-
-def _dfs(proto):
-    """The plain DFS reference: the same protocol with every `reads` stripped."""
-    from dataclasses import replace
-
-    program = [replace(s, reads=None) if isinstance(s, Correct) else s for s in proto.program]
-    return replace(proto, program=program)
+        target = (1, "e2")
+        fix = _teleport_steps((0, "src"), (0, "e1"), target, 3, "t")[-1].pauli
+        assert fix.paulis({"ts": b, "tp": -a % 3}) == ([(target, a, b)] if a or b else [])
+        psi = np.array([0.6, 0.48j, 0.64])
+        st = PureState.product(QuditRegister([(0, "e1", 3), (*target, 3)]), {target: psi})
+        st.apply_paulis(fix.paulis({"ts": b, "tp": -a % 3}), 3)
+        want = gates.shift_x(3, a) @ np.linalg.matrix_power(gates.clock_z(3), b) @ psi
+        np.testing.assert_allclose(st.amps[:3], want, rtol=0, atol=1e-15)
 
 
 def _random_rg(b, n, seed):
@@ -398,7 +390,13 @@ def _pipeline(fixture, q, n):
 
 
 def _assert_same_as_dfs(proto):
-    merged, dfs = enumerate_branches(proto), enumerate_branches(_dfs(proto))
+    """The merged search against the plain DFS, which plans no merge point."""
+    from qccc import locc
+
+    merged = enumerate_branches(proto)
+    with pytest.MonkeyPatch.context() as plain:
+        plain.setattr(locc, "_merge_points", lambda program: {})
+        dfs = enumerate_branches(proto)
     assert merged.verdict == dfs.verdict
     assert len(merged.reports) == len(dfs.reports)
     for a, b in zip(merged.reports, dfs.reports):
@@ -412,7 +410,8 @@ def _assert_same_as_dfs(proto):
 
 def _kicked_sibling(theta):
     """Measure a |+> ancilla that rotates the system by Ry(theta) when it is 1,
-    then run a no-op correction that declares it reads nothing."""
+    then run a correction that reads nothing, and measure a fresh |0> ancilla
+    after it: the correction is a merge point."""
     lat = Lattice((2,))
     ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]])
     cry = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), ry]])
@@ -429,7 +428,9 @@ def _kicked_sibling(theta):
             ]
         ),
         Measure(MeasurementSpec((0, "a"), "k")),
-        Correct(lambda o: [], "no-op", frozenset()),
+        _no_op(),
+        ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "b", 2)])]),
+        Measure(MeasurementSpec((0, "b"), "m")),
     ]
     return Protocol("kick", lat, [(0, "s", 2)], prog, [(0, "s")])
 
@@ -459,6 +460,7 @@ class TestBranchMerging:
         _assert_same_as_dfs(_random_rg(2, n, seed))
 
     def test_undeclared_corrections_never_merge(self):
+        # GHZ's correction ends its program: no later Measure, no merge point
         res = enumerate_branches(_ghz(6)[0])
         assert res.n_merged == 0 and len(res.reports) == 32
 
@@ -481,31 +483,44 @@ class TestBranchMerging:
         assert res.merge_error == pytest.approx(eps / 2, rel=1e-3)
         assert res.verdict == "NOT_DETERMINISTIC"
 
-    @pytest.mark.parametrize("flip_reads", [frozenset({"k"}), None], ids=["declared", "undeclared"])
-    def test_live_tags_keep_equal_siblings_apart(self, flip_reads):
+    def test_live_tags_keep_equal_siblings_apart(self):
         """Equal states still differ in what a later correction reads."""
+        from qccc import locc
+
         lat = Lattice((2,))
         prog = [
             ApplyLayers(
                 [cx.LocalLayer([cx.add_ancilla(0, "a", 2), cx.local_op([(0, "a")], [("H", (0,))])])]
             ),
             Measure(MeasurementSpec((0, "a"), "k")),
-            Correct(lambda o: [], "no-op", frozenset()),
-            Correct(lambda o: [cx.local_op([(0, "s")], [("X", (0,))])] * o["k"], "flip", flip_reads),
+            _no_op(),
+            ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "b", 2)])]),
+            Measure(MeasurementSpec((0, "b"), "m")),
+            Correct(PauliMap(["k"], [(0, "s")], [[1], [0]]), "flip"),
         ]
         proto = Protocol("late-flip", lat, [(0, "s", 2)], prog, [(0, "s")])
+        assert locc._merge_points(prog) == {3: frozenset({"k"})}
         res = enumerate_branches(proto)
         assert res.verdict == "NOT_DETERMINISTIC"
         assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.0])
         assert res.n_merged == 0
 
-    def test_undeclared_read_raises(self):
-        proto = _forget_protocol()
-        proto.program.append(Correct(lambda o: [] if o["k"] else [], "reads k", frozenset()))
-        with pytest.raises(KeyError):
-            enumerate_branches(proto)
-        with pytest.raises(KeyError):
-            run_sampled(proto, seed=0)
+    @pytest.mark.parametrize(
+        "build, name, edit",
+        [
+            # the first hop's Z^b (b = m_s) dropped
+            (lambda: _w(4)[0], "teleport fix", lambda fix: fix.matrix.__setitem__((1, 0), 0)),
+            # hub 0's label shifted by one more step of Z_3
+            (lambda: _rg(3, 3)[0], "label alignment", lambda fix: fix.offset.__setitem__(0, 1)),
+        ],
+        ids=["w4-no-z", "rg-B3-N3-offset"],
+    )
+    def test_edited_map_is_never_certified(self, build, name, edit):
+        """A one-entry edit of a map, found by the merged search and the DFS alike."""
+        proto = build()
+        edit(next(s.pauli for s in proto.program if isinstance(s, Correct) and s.name.startswith(name)))
+        res = _assert_same_as_dfs(proto)
+        assert res.verdict == "NOT_DETERMINISTIC" or res.min_fidelity < 1 - 1e-9
 
     def test_cap_counts_derived_rows(self, monkeypatch):
         """The search stops before its row arrays hold more than the cap."""
@@ -635,7 +650,7 @@ def _random_pauli_program(rng) -> Protocol:
         matrix = np.array(matrix, dtype=np.uint8).reshape(2 * len(fixes), len(read))
         fix = PauliMap(read, [e for e, *_ in fixes], matrix, offset)
         program += [
-            Correct(name=f"fix {j}", reads=frozenset(read) if rng.random() < 0.5 else None, pauli=fix),
+            Correct(fix, f"fix {j}"),
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(*copy), cx.local_op([anc, copy], [("CNOT", (0, 1))])])]),
             Measure(MeasurementSpec(copy, f"c{j}")),
         ]
@@ -644,16 +659,6 @@ def _random_pauli_program(rng) -> Protocol:
     register = [(i, "s", 2) for i in range(k)]
     lat = Lattice((k,))
     return Protocol("random-pauli", lat, register, program, system, clifford=True)
-
-
-def _ghz_with_fix(n, fix):
-    """GHZ_n with its correction replaced by fix(outcomes, parity X string)."""
-    from dataclasses import replace
-
-    proto = _ghz(n)[0]
-    step = proto.program[-1]
-    program = proto.program[:-1] + [Correct(lambda o: fix(o, step.fn(o)), "edited fix")]
-    return replace(proto, program=program)
 
 
 def _ghz_with_map(n, edit):
@@ -761,13 +766,15 @@ class TestPauliFrames:
             _assert_frames_match_dfs(proto, target=target, keep_states=False)
 
     def test_wrong_correction_is_not_deterministic(self):
-        # the X string is skipped whenever k1 = k2 = 1: not affine, so it cannot
-        # be declared and the DFS certifies it
-        proto = _ghz_with_fix(5, lambda o, acts: [] if o["k1"] and o["k2"] else acts)
-        res = enumerate_branches(proto, backend="tableau")
-        assert res.engine == "dfs" and res.verdict == "NOT_DETERMINISTIC"
-        fids = [r.fidelity for r in res.reports]
-        assert set(fids) == {0.0, 1.0} and fids.count(0.0) == 4
+        # the last site's X is dropped, so every record with k1 + ... + k4 odd
+        # ends X_4-flipped
+        def edit(matrix, offset):
+            matrix[3] = 0
+
+        frames, _ = _assert_frames_match_dfs(_ghz_with_map(5, edit))
+        assert frames.verdict == "NOT_DETERMINISTIC"
+        fids = [r.fidelity for r in frames.reports]
+        assert set(fids) == {0.0, 1.0} and fids.count(0.0) == 8
 
     def test_wrong_matrix_entry_is_not_deterministic(self):
         # site 1 also reads k2, so every record with k2 = 1 ends X_1-flipped
@@ -792,16 +799,17 @@ class TestPauliFrames:
         entry = [(0, "s")]
         with pytest.raises(ValueError, match="distinct entries"):
             PauliMap(["k"], entry * 2, np.zeros((4, 1)))
-        with pytest.raises(ValueError, match=r"\(2, 1\) matrix and 2 offset bits"):
+        with pytest.raises(ValueError, match=r"\(2, 1\) matrix and 2 offsets"):
             PauliMap(["k"], entry, np.zeros((1, 2)))
         fix = PauliMap(["k"], entry, [[1], [1]], offset=[0, 1])
-        assert [a.spec for a in fix.actions({"k": 0})] == [[("Z", (0,))]]
-        assert [a.spec for a in fix.actions({"k": 1})] == [[("X", (0,))]]
-        assert Correct(pauli=fix).fn == fix.actions
-        assert Correct(pauli=fix).entries == frozenset(entry)
-        for bad in (dict(fn=lambda o: []), dict(reads=frozenset({"j"})), dict(entries=frozenset(entry))):
-            with pytest.raises(ValueError, match="Pauli map"):
-                Correct(pauli=fix, **bad)
+        assert fix.paulis({"k": 0}) == [((0, "s"), 0, 1)]
+        assert fix.paulis({"k": 1}) == [((0, "s"), 1, 0)]
+        # over Z_3, -1 is 2 and the offset wraps
+        fix = PauliMap(["j", "k"], entry, [[0, -1], [1, 0]], offset=[0, 4], d=3)
+        assert fix.matrix.tolist() == [[0, 2], [1, 0]] and fix.offset.tolist() == [0, 1]
+        assert fix.paulis({"j": 2, "k": 1, "i": 5}) == [((0, "s"), 2, 0)]
+        assert fix.paulis({"j": 2, "k": 0}) == []
+        assert [f.name for f in fields(Correct)] == ["pauli", "name"]
 
     def test_ghz17_derives_one_fix(self, monkeypatch):
         """The declared fix runs once, for the reference history; the other
@@ -809,21 +817,10 @@ class TestPauliFrames:
         from qccc import locc
 
         calls = []
-        actions = locc.PauliMap.actions
-        monkeypatch.setattr(locc.PauliMap, "actions", lambda self, o: calls.append(1) or actions(self, o))
+        paulis = locc.PauliMap.paulis
+        monkeypatch.setattr(locc.PauliMap, "paulis", lambda self, o: calls.append(1) or paulis(self, o))
         res = enumerate_branches(_ghz(17)[0], backend="tableau")
         assert res.engine == "frames" and len(res.reports) == 2**16 and calls == [1]
-
-    def test_non_pauli_correction_falls_back_to_the_dfs(self):
-        from qccc import locc
-
-        s_fix = [cx.local_op([(0, "s")], [("S", (0,))])]
-        proto = _ghz_with_fix(4, lambda o, acts: acts + s_fix * o["k3"])
-        res, dfs = enumerate_branches(proto, backend="tableau"), locc._enumerate_dfs(proto, backend="tableau")
-        assert res.engine == "dfs" and res.verdict == dfs.verdict == "NOT_DETERMINISTIC"
-        assert [(r.record.outcomes, r.probability, r.fidelity) for r in res.reports] == [
-            (r.record.outcomes, r.probability, r.fidelity) for r in dfs.reports
-        ]
 
     def test_ghz17_at_the_cap(self):
         import time

@@ -364,10 +364,10 @@ class TestTCDecoder:
         for _ in range(10):
             k = rng.integers(0, 2, size=len(layout.plaquettes_a))
             k[0] = k[1:].sum() % 2  # an even number of negative plaquettes
-            acts = fix.fn({f"k{i},{j}": int(b) for (i, j), b in zip(layout.plaquettes_a, k)})
-            assert all(a.spec == [("Z", (0,))] for a in acts)
+            paulis = fix.pauli.paulis({f"k{i},{j}": int(b) for (i, j), b in zip(layout.plaquettes_a, k)})
+            assert all((x, z) == (0, 1) for _, x, z in paulis)
             signs = {p: 1 - 2 * int(b) for p, b in zip(layout.plaquettes_a, k)}
-            assert [a.entries[0][0] for a in acts] == find_tc_correction(layout, signs)
+            assert [e[0] for e, _, _ in paulis] == find_tc_correction(layout, signs)
 
     @pytest.mark.parametrize("row", [0, 5])
     def test_corrupted_table_fails_when_the_protocol_is_built(self, monkeypatch, row):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qccc import circuits as cx
 from qccc import gates
 from qccc.lattice import Lattice
-from qccc.locc import ApplyLayers, Correct, Measure, MeasurementSpec, Protocol, enumerate_branches
+from qccc.locc import ApplyLayers, Correct, Measure, MeasurementSpec, PauliMap, Protocol, enumerate_branches
 from qccc.stabilizer import (
     CliffordMap,
     GraphState,
@@ -859,14 +859,9 @@ def _random_clifford_protocol(rng) -> Protocol:
         program.append(Measure(MeasurementSpec(anc, tags[-1])))
         fix_site = int(rng.integers(0, k))
         fix = str(rng.choice(["X", "Z", "Y"]))
-        read = list(tags)
-
-        def correction(outcomes, fix_site=fix_site, fix=fix, read=read):
-            if sum(outcomes[t] for t in read) % 2:
-                return [cx.local_op([(fix_site, "s")], [(fix, (0,))])]
-            return []
-
-        program.append(Correct(correction))
+        # the Pauli `fix` on fix_site when the outcomes so far have odd parity
+        x, z = {"X": (1, 0), "Z": (0, 1), "Y": (1, 1)}[fix]
+        program.append(Correct(PauliMap(tags, [(fix_site, "s")], [[x] * len(tags), [z] * len(tags)])))
     register = [(i, "s", 2) for i in range(k)]
     return Protocol(
         "random-clifford", Lattice((k,)), register, program, system,

@@ -7,6 +7,7 @@ from qccc import gates
 from qccc.statevector import (
     FORCE_FLOOR,
     CapacityError,
+    ProtocolError,
     PureState,
     QuditRegister,
     RegionOperator,
@@ -638,18 +639,58 @@ class TestPauliMoves:
         for key in qubits_:
             if rng.random() < 0.3:
                 st.apply_named("X", [key])
+        powers = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
         for _ in range(3):
             chosen = rng.permutation(len(qubits_))[: int(rng.integers(1, len(qubits_) + 1))]
-            paulis = [(qubits_[int(i)], "XYZ"[int(rng.integers(3))]) for i in chosen]
+            letters = [(qubits_[int(i)], "XYZ"[int(rng.integers(3))]) for i in chosen]
             before, amps = st.clone(), st.amps.copy()
             ref = st.clone()
-            for key, name in paulis:
+            for key, name in letters:
                 ref.apply_named(name, [key])
-            st.apply_paulis(paulis)
+            st.apply_paulis([(key, *powers[name]) for key, name in letters])
             # + 0 clears the sign of a zero, which one combined phase may set differently
             assert (st.amps + 0).tobytes() == (ref.amps + 0).tobytes()
             assert st._keys == ref._keys and st._lazy.keys() == ref._lazy.keys()
             assert np.array_equal(before.amps, amps)  # the clone kept its amplitudes
+
+    @PROPERTY_SETTINGS
+    @given(
+        d=hst.sampled_from([2, 3, 4]),
+        x=hst.integers(0, 3),
+        z=hst.integers(0, 3),
+        on_factor=hst.booleans(),
+        n_axes=hst.integers(1, 3),
+        seed=SEEDS,
+    )
+    def test_qudit_paulis_match_their_matrices(self, d, x, z, on_factor, n_axes, seed):
+        """X^x Z^z against the matrix shift_x(d, x) @ clock_z(d, z), up to one
+        global phase (a qubit's XZ is applied as Y): on a tensor axis in a
+        scrambled axis order or on a product factor, with other Paulis of
+        the same string on the other entries."""
+        rng = np.random.default_rng(seed)
+        st = _scrambled_state(rng, [d] * n_axes, 0)
+        for a in range(2):
+            st.add_entry(a, "a", d, _unit_vector(d, rng))
+        keys = list(st.register.keys)
+        target = (0, "a") if on_factor else keys[int(rng.integers(n_axes))]
+        others = [k for k in keys if k != target and rng.random() < 0.5]
+        paulis = [(k, int(rng.integers(d)), int(rng.integers(d))) for k in others]
+        paulis.insert(int(rng.integers(len(paulis) + 1)), (target, x % d, z % d))
+        ref, factors = st.clone(), set(st._lazy)
+        for key, xk, zk in paulis:
+            ref.apply(RegionOperator((key,), gates.shift_x(d, xk) @ gates.clock_z(d, zk)))
+        st.apply_paulis(paulis, d)
+        assert set(st._lazy) == factors  # no factor joined the tensor
+        phase = np.vdot(ref.amps, st.amps)
+        assert abs(abs(phase) - 1) < 1e-12
+        np.testing.assert_allclose(st.amps, phase * ref.amps, rtol=0, atol=1e-12)
+
+    def test_a_map_over_another_dimension_raises(self):
+        st = PureState.product(QuditRegister([(0, "s", 2), (1, "s", 3)]))
+        with pytest.raises(ProtocolError, match="Z_2 on entry \\(1, 's'\\) of dimension 3"):
+            st.apply_paulis([((0, "s"), 1, 0), ((1, "s"), 1, 0)])
+        with pytest.raises(ProtocolError, match="Z_3"):
+            st.apply_paulis([((0, "s"), 1, 0)], 3)
 
     def test_x_is_a_view(self):
         st = ghz(3)
