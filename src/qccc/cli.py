@@ -176,8 +176,6 @@ def cmd_prepare(args, report: dict) -> int:
         report["min_fidelity"] = res.min_fidelity
         report["max_fidelity"] = res.max_fidelity
         report["total_probability"] = res.total_probability()
-        report["n_merged"] = res.n_merged
-        report["merge_error"] = res.merge_error
         report["engine"] = res.engine
         report["branches"] = res.reports
         ok = res.deterministic and res.min_fidelity >= 1 - 1e-9
@@ -229,8 +227,6 @@ def cmd_mps(args, report: dict) -> int:
             "verdict": out.verdict,
             "n_branches": len(out.reports),
             "min_fidelity": out.min_fidelity,
-            "n_merged": out.n_merged,
-            "merge_error": out.merge_error,
             "epsilon_q": res.report.epsilon_q,
             "measured_deficit": res.report.measured_deficit,
             "envelope_holds": res.report.envelope_holds,

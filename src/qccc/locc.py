@@ -12,33 +12,26 @@ Every correction is a Pauli by-product fix: a Correct holds a PauliMap, which
 gives each entry it touches X^x Z^z with (x | z) affine over Z_d in the
 outcomes of the tags it reads (the teleport fix X^a Z^b, the fixed-point
 label alignment, the GHZ parity string, the toric-code sign fix, the Choi
-gadgets' frames). The map is all the engine, the round splitter and the
-merge planner read of it: its tags, its entries and its matrix.
+gadgets' frames). The map is all the engines and the round splitter read of
+it: its tags, its entries and its matrix.
 
-`enumerate_branches` has two engines, chosen before the run. On the tableau,
-a program is certified from one history (the first branch) whose Pauli frame
-is a GF(2)-linear function of the r random outcomes, kept as r frame columns:
-outcome flips enter as Aaronson-Gottesman destabilizers, and a Correct moves
-the columns by one matrix product. That history counts the 2^r records
-exactly, so the branch cap is checked right after it; below the cap one GF(2)
-product with the record vectors expands every record's outcomes and its final
-state, the first branch's with stabilizer signs flipped by its frame. Dense
-programs run the depth-first search, one history per leaf.
-Both engines score a branch by its final state's `fidelity` to the first
-branch's and to the target (1 or 0 on the tableau, where it tests equality),
-and one rule gives both verdicts. Both write their rows straight into arrays
-(`BranchRows`: tags, outcomes and their probabilities, each row's probability
-and fidelity), which build a BranchReport only for a row that is read, and
-which the CLI writes from. A target fits the backend that runs: a PureState
-on dense states, stabilizer generators on the tableau.
-
-On dense states, the search has a merge point after every Correct that a
-Measure or ApplyLayers follows (`_merge_points`; past the last one there is
-no work to share). Sibling histories that meet there with equal live
-outcomes (those read by a later Correct) and states equal up to phase within
-MERGE_TOL run the rest of the program once: the later history reports the
-earlier one's leaves under its own prefix. The rows are those of the plain
-depth-first search.
+`enumerate_branches` certifies a program from one history where it can
+(engine "frames"), so the branch cap is checked right after it. On the
+tableau, that history takes outcome 0 at every random measurement, and its
+Pauli frame is a GF(2)-linear function of the r random outcomes, kept as r
+frame columns: outcome flips enter as Aaronson-Gottesman destabilizers, and
+a Correct moves the columns by one matrix product; one GF(2) product with
+the record vectors then expands every record's outcomes and final state. On
+dense states, each random outcome's slice, moved by the by-product that the
+next Correct declares for it, must equal outcome 0's; then every record ends
+in the history's state (`_enumerate_dense_frames`). Any other program runs
+the depth-first search, one history per leaf, which the tests take as the
+oracle. Every engine scores a branch by its final state's `fidelity` to the
+first branch's and to the target (1 or 0 on the tableau, where it tests
+equality), gives its verdict by one rule and writes its rows straight into
+arrays (`BranchRows`), which build a BranchReport only for a row that is
+read, and which the CLI writes from. A target fits the backend that runs: a
+PureState on dense states, stabilizer generators on the tableau.
 
 A protocol's depth is read from its program: `Protocol.schedule` packs the
 gates of its ApplyLayers steps into site-disjoint layers (`cx.schedule`), so
@@ -50,8 +43,10 @@ one on an entry of its map, or joined to one by local actions.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +59,7 @@ from .statevector import EntryKey, ProtocolError, PureState, QuditRegister
 DETERMINISM_TOL = 1e-9
 DEFAULT_BRANCH_CAP = 2**16
 DEFAULT_PROB_FLOOR = 1e-12
-MERGE_TOL = 1e-12
+BYPRODUCT_TOL = 1e-12  # the by-product check's residual, on normalised states
 
 
 class BranchCapExceeded(ProtocolError):
@@ -108,8 +103,10 @@ class PauliMap:
     def __post_init__(self):
         self.tags, self.entries = tuple(self.tags), tuple(map(tuple, self.entries))
         shape = (2 * len(self.entries), len(self.tags))
-        offset = np.zeros(shape[0]) if self.offset is None else self.offset
-        self.matrix, self.offset = (np.asarray(a, dtype=np.int64) % self.d for a in (self.matrix, offset))
+        raw = [np.asarray(a) for a in (self.matrix, np.zeros(shape[0]) if self.offset is None else self.offset)]
+        if not all(np.array_equal(a, np.round(a)) for a in raw):
+            raise ValueError("a Pauli map takes integer matrix and offset entries")
+        self.matrix, self.offset = (a.astype(np.int64) % self.d for a in raw)
         if len(set(self.entries)) < len(self.entries) or (self.matrix.shape, len(self.offset)) != (shape, shape[0]):
             raise ValueError(f"a Pauli map takes distinct entries, a {shape} matrix and {shape[0]} offsets")
 
@@ -194,9 +191,7 @@ class EnumerationResult:
     max_fidelity: float
     reference: object  # final state of the first branch
     finals: Optional[List[object]] = None  # all branch states when requested
-    n_merged: int = 0  # histories absorbed into an equal sibling's subtree
-    merge_error: float = 0.0  # sum of their state difference norms
-    engine: str = "dfs"  # "frames": one tableau history plus Pauli frames; "dfs": one history per leaf
+    engine: str = "dfs"  # "frames": one history, its random outcomes checked or framed; "dfs": one history per leaf
 
     @property
     def verdict(self) -> str:
@@ -282,10 +277,11 @@ def initial_state(protocol: Protocol, backend: str = "dense"):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _apply_correction(state, pauli: PauliMap, outcomes: Dict[str, int]) -> None:
-    """The map's Pauli at `outcomes`: on a dense state in one `apply_paulis`,
-    on the tableau (qubits only) one named Pauli per entry."""
-    paulis = pauli.paulis(outcomes)
+def _apply_correction(state, pauli: PauliMap, outcomes) -> None:
+    """The map's Pauli at `outcomes`, (tag, k, p) triples: on a dense state in
+    one `apply_paulis`, on the tableau (qubits only) one named Pauli per
+    entry, after which a `_FramedTableau` moves its frame columns."""
+    paulis = pauli.paulis({t: k for t, k, _ in outcomes})
     if isinstance(state, PureState):
         state.apply_paulis(paulis, pauli.d)
     elif pauli.d != 2:
@@ -293,6 +289,8 @@ def _apply_correction(state, pauli: PauliMap, outcomes: Dict[str, int]) -> None:
     else:
         for e, x, z in paulis:
             state.apply_named(_PAULI_CHARS[x, z], [e])
+        if isinstance(state, _FramedTableau):
+            state.correct(pauli, outcomes)
 
 
 def _finalize(state, protocol: Protocol):
@@ -309,7 +307,7 @@ def _finalize(state, protocol: Protocol):
     return state.permuted(system)
 
 
-def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, on_correct=None):
+def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
     """The step interpreter: run `program` on `state` and yield
     (final state, outcomes, probability) for every history it follows.
 
@@ -320,11 +318,6 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
     clone; the last, and a single one, reuse the state, so single-history
     policies mutate `state` in place. Pending outcomes wait on an explicit
     stack and are visited depth-first in order.
-
-    After each Correct, `on_correct(state, j, step, outcomes, prob)` sees the
-    history at position j, just past the Correct `step`. It may absorb the
-    history: it returns the number of rows it reported for it, and the
-    history stops there; None lets it go on.
 
     Every pending outcome yields at least one history, so the histories
     finished, pending and in progress bound the total from below; with a
@@ -359,14 +352,7 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None, 
                 outcomes += ((spec.tag, int(k), float(p)),)
                 prob *= p
             elif isinstance(step, Correct):
-                _apply_correction(state, step.pauli, {t: k for t, k, _ in outcomes})
-                if on_correct is not None:
-                    rows = on_correct(state, j + 1, step, outcomes, prob)
-                    if rows is not None:
-                        histories += rows - 1
-                        if cap is not None and histories > cap:
-                            raise BranchCapExceeded(f"more than {cap} branches")
-                        break
+                _apply_correction(state, step.pauli, outcomes)
             else:
                 raise TypeError(f"unknown step {step!r}")
             j += 1
@@ -442,19 +428,20 @@ def enumerate_branches(
     requires all branches to agree with the first branch up to global phase
     and their probabilities to sum to 1 within DETERMINISM_TOL.
 
-    A tableau program is certified by `_enumerate_frames` (engine "frames"):
-    one history and r frame columns, one per random outcome, with
-    BranchCapExceeded raised as soon as that history has counted its 2^r
-    records. A dense program, or one with a probability floor of 0.5 or more,
-    runs through the depth-first search `_enumerate_dfs` (engine "dfs"). The
-    engine is chosen before the run; both report the same rows in the same
-    order, and `_result` gives both verdicts. A target that does not fit the
+    Engine "frames" certifies from one history and raises BranchCapExceeded
+    right after it: `_enumerate_frames` on the tableau below a floor of 0.5,
+    `_enumerate_dense_frames` on dense states. The depth-first search
+    `_enumerate_dfs` (engine "dfs") runs the rest, a dense fallback included.
+    All give the same rows in the same order. A target that does not fit the
     backend (see `_resolve_target`) raises ValueError before the run.
     """
-    tableau = isinstance(input_state, TableauState) if input_state is not None else backend == "tableau"
-    if tableau and prob_floor < 0.5:
-        start = _start(protocol, backend, input_state)
-        return _enumerate_frames(protocol, start, branch_cap, _resolve_target(protocol, start, target), keep_states)
+    start = _start(protocol, backend, input_state)
+    resolved = _resolve_target(protocol, start, target)
+    if isinstance(start, PureState):
+        with contextlib.suppress(_Fallback):
+            return _enumerate_dense_frames(protocol, start, prob_floor, branch_cap, resolved, keep_states)
+    elif prob_floor < 0.5:
+        return _enumerate_frames(protocol, start, branch_cap, resolved, keep_states)
     return _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
 
 
@@ -478,38 +465,20 @@ def _resolve_target(protocol: Protocol, start, target):
     return state
 
 
-def _result(rows: BranchRows, agree, reference, finals, engine: str, n_merged=0, merge_error=0.0) -> EnumerationResult:
-    """The one verdict: DETERMINISTIC when every branch agrees with the first
-    (`agree`), the probabilities sum to 1 and every merged row is exact, each
-    within DETERMINISM_TOL."""
-    fids = float(rows.fidelities.min()), float(rows.fidelities.max())
-    res = EnumerationResult(rows, bool(agree), *fids, reference, finals, n_merged, merge_error, engine)
-    res.deterministic &= abs(1.0 - res.total_probability()) <= DETERMINISM_TOL and 2 * merge_error <= DETERMINISM_TOL
+def _result(tags, k, pk, fids, agree, reference, finals, engine: str) -> EnumerationResult:
+    """The rows and the one verdict. Row i has outcomes k[i] (in the narrowest
+    unsigned type), their probabilities pk[i], whose product left to right,
+    as a history takes it, is its probability, and fidelity fids[i]; it is
+    DETERMINISTIC when every branch agrees with the first (`agree`) and the
+    probabilities sum to 1, within DETERMINISM_TOL."""
+    p = np.ones(len(fids))
+    for column in pk.T:
+        p *= column
+    k = k.astype(np.promote_types(np.uint8, np.min_scalar_type(k.max(initial=0))), copy=False)
+    rows = BranchRows(tuple(tags), k, pk, p, np.asarray(fids, dtype=float))
+    res = EnumerationResult(rows, bool(agree), float(np.min(fids)), float(np.max(fids)), reference, finals, engine)
+    res.deterministic &= abs(1.0 - res.total_probability()) <= DETERMINISM_TOL
     return res
-
-
-class _RowBuffer:
-    """The first `n` rows of the depth-first search, in arrays that double when
-    they fill: outcomes `k` (in the narrowest unsigned type that holds them so
-    far) and their probabilities `pk`, row probabilities `p`, fidelities `f`."""
-
-    def __init__(self, m: int):
-        self.n, self.top = 0, 255
-        self.k, self.pk, self.p, self.f = np.zeros((0, m), np.uint8), np.zeros((0, m)), np.zeros(0), np.zeros(0)
-
-    def extend(self, count: int, outcomes) -> slice:
-        """The slice of `count` new rows, their first columns set to `outcomes`."""
-        ks = [k for _, k, _ in outcomes]
-        start, end, top = self.n, self.n + count, max(ks, default=0)
-        if end > len(self.p) or top > self.top:
-            wide = np.promote_types(self.k.dtype, np.min_scalar_type(top))
-            self.top, size = np.iinfo(wide).max, max(end, 2 * len(self.p))
-            # the filled rows lead the flat data, so np.resize keeps them
-            self.k = np.resize(self.k.astype(wide), (size, self.k.shape[1]))
-            self.pk, self.p, self.f = (np.resize(a, (size,) + a.shape[1:]) for a in (self.pk, self.p, self.f))
-        self.n, new = end, slice(start, end)
-        self.k[new, : len(ks)], self.pk[new, : len(ks)] = ks, [p for _, _, p in outcomes]
-        return new
 
 
 def _enumerate_dfs(
@@ -521,15 +490,8 @@ def _enumerate_dfs(
     target: Optional[object] = "protocol",
     keep_states: bool = False,
 ) -> EnumerationResult:
-    """`enumerate_branches` by depth-first exploration: one history per leaf.
-
-    Dense histories that meet at a merge point (see `_merge_points`) with the
-    same live outcomes and states equal up to phase within MERGE_TOL run the
-    rest of the program once: the later one reports the first one's leaves
-    under its own prefix and probability. The report lists the same rows in
-    the same order as the plain DFS, which merges nothing; 2 * merge_error
-    bounds the fidelity error of a derived row.
-    """
+    """`enumerate_branches` by depth-first exploration: one history per leaf,
+    each scored on its own final state (the fallback, and the tests' oracle)."""
     start = _start(protocol, backend, input_state)
     target = _resolve_target(protocol, start, target)
 
@@ -542,69 +504,113 @@ def _enumerate_dfs(
         return [{"force": k, "p": p} for k, p in enumerate(probs) if p > prob_floor]
 
     tags = [step.spec.tag for step in protocol.program if isinstance(step, Measure)]
-    rows = _RowBuffer(len(tags))  # every history measures the tags in program order
+    ks, pks, fs = [], [], []  # every history measures the tags in program order
     finals: List[object] = []
     reference = None
     agree = True
-    points = _merge_points(protocol.program) if isinstance(start, PureState) else {}
-    # (position, live outcomes) -> [register, amplitudes, outcomes, first row, end row]
-    memo: Dict[tuple, list] = {}
-    n_merged, merge_error = 0, 0.0
-
-    def merge(state, j, step, outcomes, prob):
-        nonlocal n_merged, merge_error
-        if j not in points:
-            return None
-        key = (j, tuple((t, k) for t, k, _ in outcomes if t in points[j]))
-        amps = state.amps
-        seen = memo.get(key)
-        if seen is None:
-            memo[key] = [state.register, amps, outcomes, rows.n, None]
-            return None
-        register, stored, prefix, first, end = seen
-        if state.register != register:
-            return None
-        overlap = np.vdot(stored, amps)
-        if overlap == 0:
-            return None
-        err = float(np.linalg.norm(amps - (overlap / abs(overlap)) * stored))
-        if err > MERGE_TOL:
-            return None
-        n = len(outcomes)
-        if end is None:
-            # the stack is LIFO, so the stored history's subtree is finished
-            # before any history outside it gets here: its rows are complete
-            # and run contiguously from `first`, up to the first row outside it
-            inside = (rows.k[first : rows.n, :n] == [k for _, k, _ in prefix]).all(axis=1)
-            end = seen[4] = first + int(np.argmin(np.append(inside, False)))
-        if rows.n + end - first > branch_cap:
-            raise BranchCapExceeded(f"more than {branch_cap} branches")
-        new, old = rows.extend(end - first, outcomes), slice(first, end)
-        rows.k[new, n:], rows.pk[new, n:], rows.f[new] = rows.k[old, n:], rows.pk[old, n:], rows.f[old]
-        rows.p[new] = prob
-        for column in rows.pk[old, n:].T:
-            rows.p[new] *= column  # left to right, as a history multiplies its own
-        if keep_states:
-            finals.extend(finals[first:end])
-        n_merged += 1
-        merge_error += err
-        return end - first
-
-    for state, outcomes, prob in _execute(protocol.program, start, live, branch_cap, merge):
+    for state, outcomes, _ in _execute(protocol.program, start, live, branch_cap):
         final = _finalize(state, protocol)
         if reference is None:
             reference = final
         agree_first = final.fidelity(reference)
         agree = agree and agree_first >= 1.0 - DETERMINISM_TOL
-        fid = agree_first if target is None else final.fidelity(target)
-        i = rows.extend(1, outcomes)
-        rows.p[i], rows.f[i] = prob, fid
+        ks.append([k for _, k, _ in outcomes])
+        pks.append([p for _, _, p in outcomes])
+        fs.append(agree_first if target is None else final.fidelity(target))
         if keep_states:
             finals.append(final)
-    if not rows.n:
+    if not fs:
         raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
-    table = BranchRows(tuple(tags), *(a[: rows.n] for a in (rows.k, rows.pk, rows.p, rows.f)))
-    return _result(table, agree, reference, finals if keep_states else None, "dfs", n_merged, merge_error)
+    k, pk = np.array(ks, dtype=np.int64).reshape(len(fs), len(tags)), np.reshape(pks, (len(fs), len(tags)))
+    return _result(tags, k, pk, fs, agree, reference, finals if keep_states else None, "dfs")
+
+
+class _Fallback(Exception):
+    """A dense program that the by-product check cannot certify from one history."""
+
+
+def _byproduct_plan(program: Sequence[Step]) -> Optional[Dict[str, tuple]]:
+    """Each measured tag's `byproduct_residuals` arguments: the tag's column in
+    the Correct right after its run of Measures, as (entry, x, z), that map's
+    modulus, and the entries that the run measures later. None when a
+    Correct reads a tag from outside the run right before it or touches an
+    entry it measures, a measurement keeps its entry or takes a basis, or a
+    tag repeats."""
+    plan: Dict[str, tuple] = {}
+    run: List[MeasurementSpec] = []
+    for step in list(program) + [None]:
+        if isinstance(step, Measure):
+            if not step.spec.remove or step.spec.basis is not None or step.spec.tag in plan:
+                return None
+            run.append(step.spec)
+            plan[step.spec.tag] = ()
+            continue
+        fix = step.pauli if isinstance(step, Correct) else PauliMap([], [], np.zeros((0, 0)))
+        if not {s.tag for s in run} >= set(fix.tags) or {s.entry for s in run} & set(fix.entries):
+            return None
+        for i, spec in enumerate(run):
+            c, n = fix.matrix[:, [t == spec.tag for t in fix.tags]].sum(axis=1) % fix.d, len(fix.entries)
+            column = tuple((e, int(x), int(z)) for e, x, z in zip(fix.entries, c[:n], c[n:]) if x or z)
+            plan[spec.tag] = (column, fix.d, tuple(s.entry for s in run[i + 1 :]))
+        run = []
+    return plan
+
+
+def _enumerate_dense_frames(
+    protocol: Protocol, start: PureState, prob_floor: float, branch_cap: int, target, keep_states: bool
+) -> EnumerationResult:
+    """`enumerate_branches` on a dense state from one history that takes the
+    first live outcome of each measurement. At a random one of tag t, every
+    outcome k must be live and its slice psi_k, moved by P_t^k, must equal
+    psi_0 within BYPRODUCT_TOL (normalised), up to one phase per basis state
+    of the entries that the same run measures later: P_t is the column for t
+    of the Correct after the run, or the identity. Otherwise, or for a
+    program that `_byproduct_plan` rejects, it raises _Fallback.
+
+    Then every record ends in the history's state: with all records in one
+    state before a run (by induction), outcomes k_1 ... k_r leave the slice
+    psi[k_1, ..., k_r], which the Correct hits with P_1^k_1 ... P_r^k_r
+    times a record-free Pauli. The first check gives P_1^k_1 psi[k_1, j] =
+    c(j) psi[0, j] for each index j of the later entries, so it turns k_1
+    into 0 at j = (k_2, ..., k_r); the second, on the history, turns k_2
+    into 0, and so on, and the moved slices keep their norms. So the rows
+    are all combinations of the random outcomes in depth-first order, with
+    the history's probabilities and fidelity; 2 * the sum of the accepted
+    residuals, which bounds a record's fidelity error, enters the verdict.
+    """
+    plan = _byproduct_plan(protocol.program)
+    if plan is None:
+        raise _Fallback
+    dists: List[np.ndarray] = []  # each measurement's distribution, in program order
+    random: List[int] = []  # the positions of the random ones
+    residuals: List[float] = []  # the accepted ones, on normalised states
+
+    def check(state, spec, outcomes):
+        probs = state.branch_probabilities(spec.entry)
+        live = np.flatnonzero(probs > prob_floor)
+        if len(live) != 1:
+            moved = state.byproduct_residuals(spec.entry, *plan[spec.tag]) if len(live) == len(probs) else None
+            if moved is None or not moved.max() <= BYPRODUCT_TOL * np.sqrt(probs[0]):
+                raise _Fallback
+            residuals.append(moved.sum() / np.sqrt(probs[0]))
+            random.append(len(dists))
+        dists.append(probs)
+        return ({"force": int(live[0]), "p": probs[live[0]]},)
+
+    state, outcomes, _ = next(_execute(protocol.program, start, check))
+    dims = [len(dists[i]) for i in random]
+    count = math.prod(dims)
+    if count > branch_cap:
+        raise BranchCapExceeded(f"more than {branch_cap} branches: {count} records")
+    reference = _finalize(state, protocol)
+    agree_first = reference.fidelity(reference)
+    fid = agree_first if target is None else reference.fidelity(target)
+    k = np.tile(np.array([k for _, k, _ in outcomes], dtype=np.int64), (count, 1))
+    k[:, random] = np.indices(dims).reshape(len(dims), count).T
+    pk = np.array([dist[k[:, i]] for i, dist in enumerate(dists)]).reshape(len(dists), count).T
+    agree = agree_first >= 1.0 - DETERMINISM_TOL and 2 * sum(residuals) <= DETERMINISM_TOL
+    finals = [reference.clone() for _ in range(count)] if keep_states else None  # equal up to phase
+    return _result([t for t, _, _ in outcomes], k, pk, np.full(count, fid), agree, reference, finals, "frames")
 
 
 class _FramedTableau(TableauState):
@@ -688,13 +694,11 @@ class _FramedTableau(TableauState):
         self.fz ^= tab.z[d][:, None] & flip
         return bit, p
 
-    def correct(self, j: int, step: Correct, outcomes, prob) -> None:
-        """The `_execute` hook after a Correct (passed unbound, so `self` is the
-        state): the reference took the map's Pauli at its own bits c, and
-        record v reads c + L v, L the linear parts of the forms of the step's
-        tags; so the columns gain M L, M the step's declared matrix, and the
-        offset and c cancel."""
-        pauli = step.pauli
+    def correct(self, pauli: PauliMap, outcomes) -> None:
+        """After `_apply_correction`: the reference took the map's Pauli at its
+        own bits c, and record v reads c + L v, L the linear parts of the
+        forms of the map's tags; so the columns gain M L, M the map's declared
+        matrix, and the offset and c cancel."""
         row = {t: i for i, (t, _, _) in enumerate(outcomes)}
         # a float32 product is exact below 2^24 terms and takes the BLAS path
         # that a uint8 product lacks
@@ -722,8 +726,7 @@ def _enumerate_frames(
     differences.
     """
     framed = _FramedTableau(start)
-    history = _execute(protocol.program, framed, lambda *_: ({},), on_correct=_FramedTableau.correct)
-    _, outcomes, prob = next(history)
+    _, outcomes, _ = next(_execute(protocol.program, framed, lambda *_: ({},)))
     r, m = framed.fx.shape[1], len(outcomes)
     if 2**r > branch_cap:
         raise BranchCapExceeded(f"more than {branch_cap} branches: {2**r} records")
@@ -748,7 +751,6 @@ def _enumerate_frames(
         same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
         fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
     ps = np.broadcast_to([p for _, _, p in outcomes], bits.shape)
-    table = BranchRows(tuple(t for t, _, _ in outcomes), bits, ps, np.full(len(bits), prob), fids)
     finals = None
     if keep_states:
         finals = []
@@ -756,25 +758,7 @@ def _enumerate_frames(
             final = reference.clone()
             final.tab.r = ((tab.r + 2 * row) % 4).astype(np.uint8)
             finals.append(final)
-    return _result(table, agree.all(), reference, finals, "frames")
-
-
-def _merge_points(program: Sequence[Step]) -> Dict[int, FrozenSet[str]]:
-    """Map the position after each Correct that a Measure or ApplyLayers
-    follows to its live tags, the tags read by every later Correct. Past the
-    last such step there is no work to share."""
-    points: Dict[int, FrozenSet[str]] = {}
-    live: FrozenSet[str] = frozenset()
-    work = False
-    for j in reversed(range(len(program))):
-        step = program[j]
-        if not isinstance(step, Correct):
-            work = True
-        else:
-            if work:
-                points[j + 1] = live
-            live = live | frozenset(step.pauli.tags)
-    return points
+    return _result([t for t, _, _ in outcomes], bits, ps, fids, agree.all(), reference, finals, "frames")
 
 
 # -- teleportation ------------------------------------------------------------------

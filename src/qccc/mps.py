@@ -405,20 +405,12 @@ def fidelity_deficit(a: MPS, b: MPS, m_sites: int) -> float:
     return float(abs(val))
 
 
-def deficit_via_transfer_only(mps: MPS, q: int, m_sites: int, rank_cutoff: float = 1e-10) -> float:
-    """|<psi_M|phi_M> - 1| at blocking q from chi^2-sized matrices alone.
-
-    Equals fidelity_deficit(block(mps, q), rg_fixed_point_tensor(block(mps, q)).b,
-    m_sites) without building the d^q blocked tensor: tau_AA is T^q re-paired
-    and tau_AB = A~ B~. Raises ValueError where rg_fixed_point_tensor does: when
-    the blocked tau_AA is rank-deficient (the blocked map is not injective).
-    """
-    t = transfer_matrix(mps)
-    return _deficit(t, fixed_point_data(*transfer_fixed_points(t)), q, m_sites, rank_cutoff)
-
-
 def _deficit(t: np.ndarray, data: FixedPointData, q: int, m_sites: int, rank_cutoff: float = 1e-10) -> float:
-    """`deficit_via_transfer_only` from the transfer matrix t and its fixed-point data."""
+    """fidelity_deficit(block(mps, q), rg_fixed_point_tensor(block(mps, q)).b,
+    m_sites) from the transfer matrix t of mps and its fixed-point data alone,
+    without the d^q blocked tensor: tau_AA is T^q re-paired, tau_AB = A~ B~.
+    Raises ValueError where rg_fixed_point_tensor does: when the blocked tau_AA
+    is rank-deficient (the blocked map is not injective)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if m_sites < 2:
@@ -516,7 +508,7 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
 
     `envelope_holds` is False when the measured deficit exceeds the envelope;
     the report says so and leaves the verdict to the caller. The measured
-    deficit is deficit_via_transfer_only's at every q, from the same transfer
+    deficit is `_deficit`'s at every q, from the same transfer
     matrix and fixed points as the envelope, so nothing d^q-sized is built
     and no q is too large to report.
     """

@@ -22,7 +22,8 @@ A Pauli X^x Z^z on a qudit moves indices instead of multiplying by a matrix
 rolls the entry's axis by x, a flip on a qubit (a view, so the tensor may be
 strided), Z^z multiplies by one phase per index, and a product factor rolls
 and phases its own vector. A whole string takes one flip of its qubit axes,
-one roll of its other axes and one multiply. CNOT and CZ between two
+one roll of its other axes and one multiply, and `byproduct_residuals` moves
+a measurement outcome's slice (a view) the same way. CNOT and CZ between two
 materialised qubit axes move indices too: CNOT joins the control's 0-slice
 to its 1-slice flipped on the target axis, and CZ negates the target's
 1-half of the control's 1-slice. Each is exact, so it gives the bits of the
@@ -207,6 +208,27 @@ def _pauli_phase(d: int, x: int, z: int) -> Optional[np.ndarray]:
     return np.exp(2j * np.pi / d) ** (z * (np.arange(d) - x) % d) if z else None
 
 
+def _pauli_moved(t: np.ndarray, axis: Dict[EntryKey, int], paulis, d: int) -> np.ndarray:
+    """`t` with X^x Z^z (Z first) on axis `axis[key]` of each (key, x, z) in
+    `paulis`, all of dimension d: qubit axes flip in one `np.flip` (a view),
+    other axes roll in one `np.roll`, every phase multiplies at once."""
+    flips, shifts, rolled, phase = [], [], [], np.ones(())
+    for key, x, z in paulis:
+        ax = axis[key]
+        if d == 2:
+            flips += [ax] * x
+        elif x:
+            shifts.append(x)
+            rolled.append(ax)
+        vec = _pauli_phase(d, x, z)
+        if vec is not None:
+            phase = phase * vec.reshape((d,) + (1,) * (t.ndim - ax - 1))
+    t = np.flip(t, flips)
+    if shifts:
+        t = np.roll(t, shifts, rolled)
+    return t * phase if phase.ndim else t
+
+
 def _controlled_along(t: np.ndarray, c: int, x: int, name: str) -> np.ndarray:
     """CNOT or CZ with control axis `c` and target axis `x` of `t`, both of
     dimension 2, in one copy: CNOT joins the control's 0-slice to its 1-slice
@@ -388,34 +410,38 @@ class PureState:
         return self.apply(RegionOperator(tuple(entries), gates.named_gate(name)), unitary_check=False)
 
     def apply_paulis(self, paulis: Sequence[Tuple[EntryKey, int, int]], d: int = 2) -> "PureState":
-        """X^x Z^z (Z first, x and z in Z_d) on each of distinct entries of
-        dimension d, without a matrix; on a qubit, XZ is applied as Y. A
-        product factor rolls and phases its vector. The tensor's qubit axes
-        flip in one `np.flip`, its other axes roll in one `np.roll`, and every
-        phase multiplies in one broadcast. An entry of another dimension
-        raises ProtocolError."""
-        flips, shifts, rolled, phase = [], [], [], np.ones(())
-        for key, x, z in paulis:
+        """X^x Z^z (Z first, x and z in Z_d; on a qubit XZ is Y) on each of
+        distinct entries of dimension d by `_pauli_moved`, once on the tensor
+        and once per product factor. Another dimension raises ProtocolError
+        before any edit."""
+        for key, _, _ in paulis:
             if self.register.dim(key) != d:
                 raise ProtocolError(f"a Pauli over Z_{d} on entry {key} of dimension {self.register.dim(key)}")
-            vec = _pauli_phase(d, x, z)
-            if key in self._lazy:
-                v = np.roll(self._lazy[key], x)
-                self._lazy[key] = v if vec is None else v * vec
-                continue
-            ax = self._axis[key]
-            if d == 2:
-                flips += [ax] * x
-            elif x:
-                shifts.append(x)
-                rolled.append(ax)
-            if vec is not None:
-                phase = phase * vec.reshape((d,) + (1,) * (self._t.ndim - ax - 1))
-        t = np.flip(self._t, flips)
-        if shifts:
-            t = np.roll(t, shifts, rolled)
-        self._t = t * phase if phase.ndim else t
+        factors = [p for p in paulis if p[0] in self._lazy]
+        self._lazy.update({k: _pauli_moved(self._lazy[k], {k: 0}, [(k, x, z)], d) for k, x, z in factors})
+        self._t = _pauli_moved(self._t, self._axis, [p for p in paulis if p[0] not in self._lazy], d)
         return self
+
+    def byproduct_residuals(self, entry: EntryKey, paulis, d: int, free=()) -> Optional[np.ndarray]:
+        """For k = 1 ... dim - 1, the least norm of P^k psi_k - c psi_0 over one
+        unit phase c per basis state of the `free` entries: psi_k is the
+        unnormalised slice of `entry` at k (a view of the tensor) and P^k the
+        string `paulis` over Z_d with its powers times k. None when `entry` or
+        an entry of the string is not a tensor axis (a product factor, which
+        no slice shows)."""
+        key = tuple(entry)
+        if key not in self._axis or any(e not in self._axis for e, _, _ in paulis):
+            return None
+        ax = self._axis[key]
+        axis = {e: a - (a > ax) for e, a in self._axis.items() if e != key}
+        summed = tuple(a for e, a in axis.items() if e not in free)
+        zero = self._project(ax, 0, None)
+        residuals = []
+        for k in range(1, self._t.shape[ax]):
+            moved = _pauli_moved(self._project(ax, k, None), axis, [(e, k * x % d, k * z % d) for e, x, z in paulis], d)
+            overlap = np.sum(zero.conj() * moved, axis=summed, keepdims=True)
+            residuals.append(np.linalg.norm(moved - np.exp(1j * np.angle(overlap)) * zero))
+        return np.array(residuals)
 
     def _exchange(self, a: EntryKey, b: EntryKey) -> None:
         """Swap the contents of two entries by relabelling: no amplitude moves."""

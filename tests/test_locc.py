@@ -390,28 +390,26 @@ def _pipeline(fixture, q, n):
 
 
 def _assert_same_as_dfs(proto):
-    """The merged search against the plain DFS, which plans no merge point."""
+    """`enumerate_branches` against the plain depth-first search: the same
+    verdict and records in the same order, probabilities and fidelities
+    within 1e-12."""
     from qccc import locc
 
-    merged = enumerate_branches(proto)
-    with pytest.MonkeyPatch.context() as plain:
-        plain.setattr(locc, "_merge_points", lambda program: {})
-        dfs = enumerate_branches(proto)
-    assert merged.verdict == dfs.verdict
-    assert len(merged.reports) == len(dfs.reports)
-    for a, b in zip(merged.reports, dfs.reports):
-        assert a.record.key() == b.record.key()
-        assert [t for t, _, _ in a.record.outcomes] == [t for t, _, _ in b.record.outcomes]
-        assert abs(a.probability - b.probability) <= 1e-12
-        assert abs(a.fidelity - b.fidelity) <= 1e-12
-    assert dfs.n_merged == 0 and dfs.merge_error == 0.0
-    return merged
+    res, dfs = enumerate_branches(proto), locc._enumerate_dfs(proto)
+    assert dfs.engine == "dfs"
+    assert res.verdict == dfs.verdict
+    assert res.reports.tags == dfs.reports.tags
+    assert np.array_equal(res.reports.outcomes, dfs.reports.outcomes)
+    assert np.abs(res.reports.outcome_probs - dfs.reports.outcome_probs).max(initial=0) <= 1e-12
+    assert np.abs(res.reports.probabilities - dfs.reports.probabilities).max() <= 1e-12
+    assert np.abs(res.reports.fidelities - dfs.reports.fidelities).max() <= 1e-12
+    return res
 
 
 def _kicked_sibling(theta):
     """Measure a |+> ancilla that rotates the system by Ry(theta) when it is 1,
     then run a correction that reads nothing, and measure a fresh |0> ancilla
-    after it: the correction is a merge point."""
+    after it: the outcome 1 slice is outcome 0's only when theta = 0."""
     lat = Lattice((2,))
     ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]])
     cry = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), ry]])
@@ -435,7 +433,75 @@ def _kicked_sibling(theta):
     return Protocol("kick", lat, [(0, "s", 2)], prog, [(0, "s")])
 
 
+def _kept_entry():
+    """H on the system qubit, then a measurement that keeps it: the outcome
+    lives in the kept entry, which no slice of the rest shows."""
+    lat = Lattice((2,))
+    prog = [
+        ApplyLayers([cx.LocalLayer([cx.local_op([(0, "s")], [("H", (0,))])])]),
+        Measure(MeasurementSpec((0, "s"), "k", remove=False)),
+    ]
+    return Protocol("kept", lat, [(0, "s", 2)], prog, [(0, "s")])
+
+
+def _cz_d(d):
+    """Controlled-Z over Z_d: |a b> -> w^(a b) |a b>."""
+    return np.diag(np.exp(2j * np.pi / d * np.outer(np.arange(d), np.arange(d)).reshape(-1)))
+
+
+def _random_byproduct_program(rng) -> Protocol:
+    """Qudits of dimension d = 2 or 3 on 2-3 sites under random unitaries.
+    Each round adds |+> ancillas at random sites, kicks system qudits by
+    X^a or Z^a controlled on them (sometimes by a random unitary instead),
+    may join two of them by a controlled-Z (a by-product on a partner that
+    the same run measures later), measures them in one run and applies a
+    declared map over Z_d: the fix that undoes the kicks in half the rounds,
+    in the others each entry random with probability 0.3; and a rare offset. A fresh |0> ancilla measured after it
+    gives a deterministic outcome, and a rare measurement keeps its entry."""
+    d, k = int(rng.choice([2, 3])), int(rng.integers(2, 4))
+    system = [(i, "s") for i in range(k)]
+    plus = gates.fourier(d)[:, 0]
+    program = [
+        ApplyLayers([cx.LocalLayer([cx.local_op([e], gates.random_unitary(d, rng)) for e in system])]),
+        ApplyLayers([cx.LocalLayer([cx.local_op(system[:2], gates.random_unitary(d * d, rng))])]),
+    ]
+    for j in range(int(rng.integers(1, 3))):
+        ancillas = [(int(rng.integers(k)), f"a{j}{i}") for i in range(int(rng.integers(1, 3)))]
+        acts = [cx.add_ancilla(*a, d, plus) for a in ancillas]
+        right = {}  # (tag, entry) -> (x, z) of the fix that undoes the kick
+        for i, a in enumerate(ancillas):
+            e = system[int(rng.integers(k))]
+            kind = rng.choice(["X", "Z", "U"], p=[0.45, 0.45, 0.1])
+            if kind == "U":
+                u = np.kron(np.diag(np.eye(d)[0]), np.eye(d)) + np.kron(np.diag(1 - np.eye(d)[0]), gates.random_unitary(d, rng))
+                acts.append(cx.local_op([a, e], u))
+            else:
+                acts.append(cx.local_op([a, e], gates.cnot_d(d) if kind == "X" else _cz_d(d)))
+                right[a[1], e] = (-1, 0) if kind == "X" else (0, -1)
+        if len(ancillas) == 2 and rng.random() < 0.5:
+            acts.append(cx.local_op(ancillas, _cz_d(d)))
+        program.append(ApplyLayers([cx.LocalLayer(acts)]))
+        keep = rng.random() < 0.1
+        program += [Measure(MeasurementSpec(a, a[1], remove=not keep)) for a in ancillas]
+        tags, wrong = [a[1] for a in ancillas], 0.3 * (rng.random() < 0.5)
+        matrix = np.zeros((2 * k, len(tags)), dtype=int)
+        for c, t in enumerate(tags):
+            for r, e in enumerate(system):
+                x, z = right.get((t, e), (0, 0))
+                if rng.random() < wrong:
+                    x, z = rng.integers(d, size=2)
+                matrix[r, c], matrix[k + r, c] = x, z
+        offset = (rng.random(2 * k) < 0.1) * rng.integers(d, size=2 * k)
+        program.append(Correct(PauliMap(tags, system, matrix, offset, d=d), f"fix {j}"))
+        fresh = (int(rng.integers(k)), f"z{j}")
+        program += [ApplyLayers([cx.LocalLayer([cx.add_ancilla(*fresh, d)])]), Measure(MeasurementSpec(fresh, f"z{j}"))]
+    return Protocol("random-byproduct", Lattice((k,)), [(i, "s", d) for i in range(k)], program, system)
+
+
 class TestBranchMerging:
+    """The dense engine that checks by-products on one history, against the
+    plain depth-first search."""
+
     @pytest.mark.parametrize(
         "build",
         [lambda n=n: _w(n)[0] for n in range(2, 7)]
@@ -451,42 +517,55 @@ class TestBranchMerging:
     )
     def test_merged_matches_dfs(self, build):
         res = _assert_same_as_dfs(build())
-        assert res.verdict == "DETERMINISTIC"
-        assert res.n_merged > 0 and 2 * res.merge_error <= 1e-12
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC"
 
     @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(2, 3))
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     def test_random_rg_specs_match_dfs(self, seed, n):
-        _assert_same_as_dfs(_random_rg(2, n, seed))
+        assert _assert_same_as_dfs(_random_rg(2, n, seed)).engine == "frames"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rg_b3_matches_dfs(self, n):
+        res = _assert_same_as_dfs(_rg(3, n)[0])
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC"
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _w(7)[0], lambda: _rg(3, 4)[0], lambda: _pipeline("aklt", 2, 12)],
+        ids=["w7", "rg-B3-N4", "aklt-q2-N12"],
+    )
+    def test_frames_certify_where_the_dfs_is_slow(self, build):
+        res = enumerate_branches(build())  # the AKLT pipeline's fidelity is 1 - O(eps_q)
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC" and res.min_fidelity > 0.9
+
+    @given(seed=hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_random_byproduct_programs_match_dfs(self, seed):
+        _assert_same_as_dfs(_random_byproduct_program(np.random.default_rng(seed)))
 
     def test_undeclared_corrections_never_merge(self):
-        # GHZ's correction ends its program: no later Measure, no merge point
         res = enumerate_branches(_ghz(6)[0])
-        assert res.n_merged == 0 and len(res.reports) == 32
+        assert res.engine == "frames" and len(res.reports) == 32
 
     def test_unequal_siblings_are_not_merged(self):
         res = enumerate_branches(_kicked_sibling(np.pi / 2))  # |0> against |+>
-        assert res.verdict == "NOT_DETERMINISTIC"
+        assert res.engine == "dfs" and res.verdict == "NOT_DETERMINISTIC"
         assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.5])
-        assert res.n_merged == 0
 
     def test_merge_error_enters_the_verdict(self, monkeypatch):
-        """A merge accepted under a loose tolerance still fails the verdict."""
+        """A by-product accepted under a loose tolerance still fails the verdict."""
         from qccc import locc
 
-        eps = 1e-6
-        proto = _kicked_sibling(eps)
-        assert enumerate_branches(proto).verdict == "DETERMINISTIC"  # fidelity 1 - eps^2/4
-        monkeypatch.setattr(locc, "MERGE_TOL", 1e-3)
-        res = enumerate_branches(proto)
-        assert res.n_merged == 1 and len(res.reports) == 2
-        assert res.merge_error == pytest.approx(eps / 2, rel=1e-3)
+        proto = _kicked_sibling(1e-6)
+        res = enumerate_branches(proto)  # fidelity 1 - eps^2/4: the check fails, the DFS certifies
+        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC"
+        monkeypatch.setattr(locc, "BYPRODUCT_TOL", 1e-3)
+        res = enumerate_branches(proto)  # residual eps/2 accepted
+        assert res.engine == "frames" and len(res.reports) == 2
         assert res.verdict == "NOT_DETERMINISTIC"
 
     def test_live_tags_keep_equal_siblings_apart(self):
         """Equal states still differ in what a later correction reads."""
-        from qccc import locc
-
         lat = Lattice((2,))
         prog = [
             ApplyLayers(
@@ -499,39 +578,47 @@ class TestBranchMerging:
             Correct(PauliMap(["k"], [(0, "s")], [[1], [0]]), "flip"),
         ]
         proto = Protocol("late-flip", lat, [(0, "s", 2)], prog, [(0, "s")])
-        assert locc._merge_points(prog) == {3: frozenset({"k"})}
         res = enumerate_branches(proto)
-        assert res.verdict == "NOT_DETERMINISTIC"
+        assert res.engine == "dfs" and res.verdict == "NOT_DETERMINISTIC"
         assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.0])
-        assert res.n_merged == 0
+
+    def test_kept_entry_is_never_certified(self):
+        """The kept outcome is invisible to a slice of the rest: the program
+        runs the DFS, whose records end in |0> and |1>."""
+        res = enumerate_branches(_kept_entry())
+        assert res.engine == "dfs" and res.verdict == "NOT_DETERMINISTIC"
+        assert [r.fidelity for r in res.reports] == pytest.approx([1.0, 0.0])
 
     @pytest.mark.parametrize(
         "build, name, edit",
         [
             # the first hop's Z^b (b = m_s) dropped
             (lambda: _w(4)[0], "teleport fix", lambda fix: fix.matrix.__setitem__((1, 0), 0)),
+            # the first hop's X^a (a = -m_p) dropped
+            (lambda: _w(4)[0], "teleport fix", lambda fix: fix.matrix.__setitem__((0, 1), 0)),
             # hub 0's label shifted by one more step of Z_3
             (lambda: _rg(3, 3)[0], "label alignment", lambda fix: fix.offset.__setitem__(0, 1)),
         ],
-        ids=["w4-no-z", "rg-B3-N3-offset"],
+        ids=["w4-no-z", "w4-no-x", "rg-B3-N3-offset"],
     )
     def test_edited_map_is_never_certified(self, build, name, edit):
-        """A one-entry edit of a map, found by the merged search and the DFS alike."""
+        """A one-entry edit of a map, found by both engines alike."""
         proto = build()
         edit(next(s.pauli for s in proto.program if isinstance(s, Correct) and s.name.startswith(name)))
         res = _assert_same_as_dfs(proto)
         assert res.verdict == "NOT_DETERMINISTIC" or res.min_fidelity < 1 - 1e-9
 
     def test_cap_counts_derived_rows(self, monkeypatch):
-        """The search stops before its row arrays hold more than the cap."""
+        """W n=4 (256 records) at a cap of 100 raises after one history."""
         from qccc import locc
 
-        buffers = []
-        buffer = locc._RowBuffer
-        monkeypatch.setattr(locc, "_RowBuffer", lambda m: buffers.append(buffer(m)) or buffers[-1])
-        with pytest.raises(BranchCapExceeded):
-            enumerate_branches(_w(4)[0], branch_cap=100)  # 256 rows
-        assert len(buffers) == 1 and 0 < buffers[0].n <= 100
+        proto = _w(4)[0]
+        measured = []
+        measure = PureState.measure_remove
+        monkeypatch.setattr(PureState, "measure_remove", lambda *a, **k: measured.append(1) or measure(*a, **k))
+        with pytest.raises(BranchCapExceeded, match="more than 100 branches: 256 records"):
+            enumerate_branches(proto, branch_cap=100)
+        assert len(measured) == sum(isinstance(step, Measure) for step in proto.program)
 
     def test_w8_at_the_cap(self):
         import time
@@ -539,7 +626,7 @@ class TestBranchMerging:
         t0 = time.perf_counter()
         res = enumerate_branches(_w(8)[0])
         assert time.perf_counter() - t0 < 10.0
-        assert len(res.reports) == 2**16 and res.verdict == "DETERMINISTIC"
+        assert res.engine == "frames" and len(res.reports) == 2**16 and res.verdict == "DETERMINISTIC"
         assert res.min_fidelity > 1 - 1e-9
 
 
@@ -811,6 +898,14 @@ class TestPauliFrames:
         assert fix.paulis({"j": 2, "k": 0}) == []
         assert [f.name for f in fields(Correct)] == ["pauli", "name"]
 
+    def test_fractional_entries_raise(self):
+        entry = [(0, "s")]
+        with pytest.raises(ValueError, match="integer matrix and offset entries"):
+            PauliMap(["k"], entry, [[0.5], [1.7]])
+        with pytest.raises(ValueError, match="integer matrix and offset entries"):
+            PauliMap(["k"], entry, [[1], [0]], offset=[0, 0.5])
+        assert PauliMap(["k"], entry, [[1.0], [-1.0]], d=3).matrix.tolist() == [[1], [2]]
+
     def test_ghz17_derives_one_fix(self, monkeypatch):
         """The declared fix runs once, for the reference history; the other
         2^16 - 1 records take it from one GF(2) product."""
@@ -868,8 +963,10 @@ class TestPauliFrames:
 
 
 class TestDenseRows:
-    """The dense DFS moves indices for Pauli fixes and reads a forced outcome's
-    probability from its own slice; the rows must not move."""
+    """The dense engines move indices for Pauli fixes and read a forced
+    outcome's probability from its own slice; the rows must not move. The
+    one-history engine gives every record the probabilities of the history's
+    distributions, which must be the bits each record's own state gives."""
 
     # SHA-256 prefixes of `_rows_digest`, recorded (numpy 2.4, OpenBLAS,
     # x86-64) with the state that applied every Pauli as a matrix and summed
@@ -897,7 +994,7 @@ class TestDenseRows:
     def test_rows_bit_equal_to_recorded(self, case):
         family, n = case.rstrip("0123456789"), int(case.lstrip("ghzw"))
         res = enumerate_branches({"ghz": _ghz, "w": _w}[family](n)[0])
-        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC"
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC"
         assert _rows_digest(res) == self.RECORDED_ROWS[case]
 
     @pytest.mark.parametrize(
@@ -906,11 +1003,11 @@ class TestDenseRows:
     def test_replay_sums_the_bits_the_rows_were_given(self, case):
         """The DFS hands each forced outcome its probability from the parent's
         distribution; `replay` sums the outcome's own slice. Every row,
-        merged ones included, must read the same bits both ways."""
+        those the one history derives included, must read the same bits both ways."""
         family, n = case.rstrip("0123456789"), int(case.lstrip("ghzwrg"))
         proto = {"ghz": _ghz, "w": _w, "rg": lambda b: _rg(b, 3)}[family](n)[0]
         res = enumerate_branches(proto)
-        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC"
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC"
         for row in res.reports:
             _, record = replay(proto, row.record)
             assert record.outcomes == row.record.outcomes

@@ -692,6 +692,36 @@ class TestPauliMoves:
         with pytest.raises(ProtocolError, match="Z_3"):
             st.apply_paulis([((0, "s"), 1, 0)], 3)
 
+    def test_a_wrong_dimension_raises_before_any_edit(self):
+        """An X on a qubit factor, then an entry that is a qutrit: nothing moves."""
+        st = PureState.product(QuditRegister([(0, "s", 2), (1, "s", 3)]), {(0, "s"): [0.6, 0.8]})
+        before = st.amps.copy()
+        with pytest.raises(ProtocolError, match="dimension 3"):
+            st.apply_paulis([((0, "s"), 1, 0), ((1, "s"), 1, 0)])
+        assert np.array_equal(st.amps, before) and np.array_equal(st._lazy[(0, "s")], [0.6, 0.8])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_byproduct_residuals_read_slices(self, d):
+        """A maximally entangled pair (a, s): outcome k of a leaves |k> on s,
+        which X^(-k) takes back to outcome 0's |0>; the identity leaves it
+        orthogonal, at distance sqrt(2/d) between unnormalised slices."""
+        reg = QuditRegister([(0, "a", d), (0, "s", d)])
+        st = PureState(reg, np.eye(d).reshape(-1) / np.sqrt(d))
+        amps = st.amps.copy()
+        np.testing.assert_allclose(st.byproduct_residuals((0, "a"), [((0, "s"), d - 1, 0)], d), 0, atol=1e-15)
+        np.testing.assert_allclose(st.byproduct_residuals((0, "a"), [], d), np.sqrt(2 / d))
+        assert np.array_equal(st.amps, amps)  # slices are read, never written
+        st.add_entry(1, "b", d)
+        assert st.byproduct_residuals((0, "a"), [((1, "b"), 1, 0)], d) is None  # a product factor
+
+    def test_byproduct_residuals_free_a_later_entry(self):
+        """|+>|+> joined by CZ: outcome 1 of a leaves Z on b, equal to outcome
+        0's slice only up to one phase per basis state of b."""
+        cz = np.diag([1, 1, 1, -1]).astype(complex)
+        st = PureState(QuditRegister([(0, "a", 2), (0, "b", 2)]), cz @ np.full(4, 0.5))
+        assert st.byproduct_residuals((0, "a"), [], 2)[0] > 0.5
+        assert st.byproduct_residuals((0, "a"), [], 2, free=[(0, "b")])[0] < 1e-15
+
     def test_x_is_a_view(self):
         st = ghz(3)
         before = st._t
