@@ -177,6 +177,8 @@ def cmd_prepare(args, report: dict) -> int:
         report["max_fidelity"] = res.max_fidelity
         report["total_probability"] = res.total_probability()
         report["engine"] = res.engine
+        if res.fallback is not None:
+            report["fallback"] = res.fallback
         report["branches"] = res.reports
         ok = res.deterministic and res.min_fidelity >= 1 - 1e-9
     else:

@@ -390,29 +390,3 @@ def enumerate_cj_branches(
     deterministic = res.deterministic and res.min_fidelity >= 1 - DETERMINISM_TOL
     return deterministic, res.min_fidelity, len(res.reports)
 
-
-def graph_clifford_unitary(adjacency: np.ndarray) -> np.ndarray:
-    """Dense graph-Clifford: U = sum_i Z^{i_1}...Z^{i_n} (prod_e CZ)|+...+><i|."""
-    n = adjacency.shape[0]
-    dim = 1 << n
-    plus = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    graph_vec = plus.copy()
-    t = graph_vec.reshape((2,) * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i, j]:
-                idx = [slice(None)] * n
-                idx[i] = 1
-                idx[j] = 1
-                t[tuple(idx)] *= -1
-    graph_vec = t.reshape(-1)
-    u = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        col = graph_vec.copy().reshape((2,) * n)
-        for k in range(n):
-            if (i >> (n - 1 - k)) & 1:
-                idx = [slice(None)] * n
-                idx[k] = 1
-                col[tuple(idx)] *= -1
-        u[:, i] = col.reshape(-1)
-    return u

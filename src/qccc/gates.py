@@ -69,17 +69,6 @@ def cnot_d(d: int, inverse: bool = False) -> np.ndarray:
     return m
 
 
-def swap_d(d1: int, d2: int) -> np.ndarray:
-    """SWAP between two qudits of equal dimension (d1 must equal d2)."""
-    if d1 != d2:
-        raise ValueError("swap requires equal local dimensions")
-    d = d1
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[j * d + i, i * d + j] = 1.0
-    return m
-
 
 def bell_pair_gate(d: int) -> np.ndarray:
     """Two-qudit unitary with |0,0> -> sum_k |k,k>/sqrt(d) (completed by QR)."""

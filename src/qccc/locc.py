@@ -22,11 +22,12 @@ Pauli frame is a GF(2)-linear function of the r random outcomes, kept as r
 frame columns: outcome flips enter as Aaronson-Gottesman destabilizers, and
 a Correct moves the columns by one matrix product; one GF(2) product with
 the record vectors then expands every record's outcomes and final state. On
-dense states, each random outcome's slice, moved by the by-product that the
-next Correct declares for it, must equal outcome 0's; then every record ends
+dense states, each random outcome's slice, moved by its by-product (the
+column of the Correct that reads it, pulled back through the Clifford steps
+between, `_byproduct_plan`), must equal outcome 0's; then every record ends
 in the history's state (`_enumerate_dense_frames`). Any other program runs
 the depth-first search, one history per leaf, which the tests take as the
-oracle. Every engine scores a branch by its final state's `fidelity` to the
+oracle, and the result says why (`fallback`). Every engine scores a branch by its final state's `fidelity` to the
 first branch's and to the target (1 or 0 on the tableau, where it tests
 equality), gives its verdict by one rule and writes its rows straight into
 arrays (`BranchRows`), which build a BranchReport only for a row that is
@@ -46,14 +47,14 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import circuits as cx
 from . import gates
 from .lattice import Lattice
-from .stabilizer import _PAULI_CHARS, StabilizerTableau, TableauState, _conjugate_rows
+from .stabilizer import _PAULI_CHARS, StabilizerTableau, TableauState, _conjugate_rows, _gf2_solve_many
 from .statevector import EntryKey, ProtocolError, PureState, QuditRegister
 
 DETERMINISM_TOL = 1e-9
@@ -192,6 +193,7 @@ class EnumerationResult:
     reference: object  # final state of the first branch
     finals: Optional[List[object]] = None  # all branch states when requested
     engine: str = "dfs"  # "frames": one history, its random outcomes checked or framed; "dfs": one history per leaf
+    fallback: Optional[str] = None  # why `enumerate_branches` ran the "dfs" engine
 
     @property
     def verdict(self) -> str:
@@ -431,18 +433,24 @@ def enumerate_branches(
     Engine "frames" certifies from one history and raises BranchCapExceeded
     right after it: `_enumerate_frames` on the tableau below a floor of 0.5,
     `_enumerate_dense_frames` on dense states. The depth-first search
-    `_enumerate_dfs` (engine "dfs") runs the rest, a dense fallback included.
-    All give the same rows in the same order. A target that does not fit the
+    `_enumerate_dfs` (engine "dfs") runs the rest, a dense fallback included,
+    and `fallback` says why. All give the same rows in the same order. A target that does not fit the
     backend (see `_resolve_target`) raises ValueError before the run.
     """
     start = _start(protocol, backend, input_state)
     resolved = _resolve_target(protocol, start, target)
-    if isinstance(start, PureState):
-        with contextlib.suppress(_Fallback):
+    if not isinstance(start, PureState):
+        if prob_floor < 0.5:
+            return _enumerate_frames(protocol, start, branch_cap, resolved, keep_states)
+        reason = f"a probability floor of {prob_floor} on the tableau"
+    else:
+        try:
             return _enumerate_dense_frames(protocol, start, prob_floor, branch_cap, resolved, keep_states)
-    elif prob_floor < 0.5:
-        return _enumerate_frames(protocol, start, branch_cap, resolved, keep_states)
-    return _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
+        except _Fallback as exc:
+            reason = str(exc)
+    res = _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
+    res.fallback = reason
+    return res
 
 
 def _resolve_target(protocol: Protocol, start, target):
@@ -526,34 +534,207 @@ def _enumerate_dfs(
 
 
 class _Fallback(Exception):
-    """A dense program that the by-product check cannot certify from one history."""
+    """A dense program that the by-product check cannot certify from one
+    history; the message says why."""
 
 
-def _byproduct_plan(program: Sequence[Step]) -> Optional[Dict[str, tuple]]:
-    """Each measured tag's `byproduct_residuals` arguments: the tag's column in
-    the Correct right after its run of Measures, as (entry, x, z), that map's
-    modulus, and the entries that the run measures later. None when a
-    Correct reads a tag from outside the run right before it or touches an
-    entry it measures, a measurement keeps its entry or takes a basis, or a
-    tag repeats."""
-    plan: Dict[str, tuple] = {}
-    run: List[MeasurementSpec] = []
-    for step in list(program) + [None]:
+_CLIFFORD_NAMES = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
+
+
+def _byproduct_plan(program: Sequence[Step], start: PureState) -> Dict[str, Iterator[tuple]]:
+    """Each tag's candidate by-products, each computed when it is read:
+    (column as (entry, x, z), modulus, free entries, flipped tags), the
+    first three `byproduct_residuals`' arguments (`_PullBack`).
+
+    Tag t's Correct is the first after its Measure, and no other may read t.
+    Raises _Fallback, with the reason, when one does, a Correct reads a tag
+    that no Measure before it takes, a Measure keeps its entry or takes a
+    basis, or a tag repeats.
+    """
+    steps, ops, at, closing, closes, pending = list(program), {}, {}, {}, {}, []
+    index = {e: i for i, e in enumerate(start.register.keys)}
+    qudits = {e for e, d in zip(start.register.keys, start.register.dims) if d != 2}
+    for j, step in enumerate(steps):
         if isinstance(step, Measure):
-            if not step.spec.remove or step.spec.basis is not None or step.spec.tag in plan:
-                return None
-            run.append(step.spec)
-            plan[step.spec.tag] = ()
+            e, t = step.spec.entry, step.spec.tag
+            for bad, why in [(not step.spec.remove, f"Measure keeps {e}"), (t in at, f"tag {t} repeats"),
+                             (step.spec.basis is not None, f"Measure of {e} takes a basis")]:
+                if bad:
+                    raise _Fallback(why)
+            at[t] = j
+            pending.append(j)
             continue
-        fix = step.pauli if isinstance(step, Correct) else PauliMap([], [], np.zeros((0, 0)))
-        if not {s.tag for s in run} >= set(fix.tags) or {s.entry for s in run} & set(fix.entries):
-            return None
-        for i, spec in enumerate(run):
-            c, n = fix.matrix[:, [t == spec.tag for t in fix.tags]].sum(axis=1) % fix.d, len(fix.entries)
-            column = tuple((e, int(x), int(z)) for e, x, z in zip(fix.entries, c[:n], c[n:]) if x or z)
-            plan[spec.tag] = (column, fix.d, tuple(s.entry for s in run[i + 1 :]))
-        run = []
-    return plan
+        if isinstance(step, Correct):
+            closing.update((steps[i].spec.tag, j) for i in pending)
+            closes[j], pending = pending, []
+            for t in step.pauli.tags:
+                if closing.get(t) != j:
+                    why = f"{steps[closing[t]].name!r} closes" if t in at else "no earlier Measure takes"
+                    raise _Fallback(f"{step.name!r} reads {t}, which {why}")
+        # each gate, local action or Correct as (its entries' indices, the
+        # action when it adds or removes, its named gates as (name, indices)
+        # or one matrix gate); a Correct, a Pauli, has none: it moves a phase
+        raw = [(step.pauli.entries, None, [])] if isinstance(step, Correct) else [
+            (o.entries, o if getattr(o, "kind", "op") != "op" else None, o.spec)
+            for layer in step.layers for o in (layer.gates if isinstance(layer, cx.GateLayer) else layer.actions)]
+        ops[j] = []
+        for entries, action, spec in raw:
+            index.update((e, len(index)) for e in entries if e not in index)
+            if action is not None and action.kind == "add" and action.dim != 2:
+                qudits.add(entries[0])
+            on = [index[e] for e in entries]
+            named = [(str(g).upper(), [on[k] for k in ks]) for g, ks in spec] if isinstance(spec, list) else None
+            ops[j].append((on, action, [("a matrix gate", on)] if named is None else named))
+    keys = list(index)
+    qubit = np.array([e not in qudits for e in keys])
+    free, ahead = {}, {}  # the entries a later Measure reads, with no step on them before it
+    for j in reversed(range(len(steps))):
+        if j in ops:
+            for on, _, _ in ops[j]:
+                for k in on:
+                    ahead.pop(k, None)
+        else:
+            free[steps[j].spec.tag] = tuple(keys[k] for k in ahead)
+            ahead[index[steps[j].spec.entry]] = None
+    zero = {index[e] for e, v in start._lazy.items() if abs(v[0]) == 1.0}  # |0> factors, which Z stabilizes
+    shared, pulled = (steps, ops, index, keys, qubit, zero, closes), {}
+
+    def candidates(t: str, c: Optional[int]) -> Iterator[tuple]:
+        """The first from the steps to t's Correct (None: the identity); the
+        second, read only when the first fails the check, from the whole
+        program. A Correct is pulled back when one of its tags is first read,
+        unless only Measures lie between: then the first is t's column, as
+        the pull-back would find it with no condition to meet."""
+        if c is None:
+            yield (), 2, free[t], set()
+            return
+        if any(j in ops for j in range(at[t], c)):
+            back = pulled[c] = pulled.get(c) or _PullBack(shared, c)
+            yield (first := back.solve(at[t], free[t], False))
+        else:
+            fix = steps[c].pauli
+            col = fix.matrix[:, fix.tags.index(t)].tolist() if t in fix.tags else [0] * 2 * len(fix.entries)
+            powers = sorted((index[e], e, x, z) for e, x, z in zip(fix.entries, col, col[len(fix.entries) :]) if x or z)
+            yield (first := (tuple(p[1:] for p in powers), fix.d, free[t], set()))
+        with contextlib.suppress(_Fallback):  # none for a qudit, and the whole program may admit none
+            back = pulled[c] = pulled.get(c) or _PullBack(shared, c)
+            if (i := at[t]) in back.flip and (second := back.solve(i, free[t], True)) != first:
+                yield second
+
+    return {t: candidates(t, closing.get(t)) for t in at}
+
+
+class _PullBack:
+    """The columns of the Correct at position c, pulled back through the steps
+    before it in one backward sweep: named qubit Cliffords conjugate them
+    (`_conjugate_rows`; each bit map is its own inverse), an ancilla added on
+    the way may hold only Z (a phase on |0>), and any other operation must
+    miss them. Conjugation is linear, so the sweep carries every column at
+    once: one per tag the Correct reads, X (a flip) on the entry of each qubit
+    Measure it closes, and Z (a phase once measured) on that of each qubit
+    Measure before it. Each condition met on the way is a row over them.
+
+    Tag t's by-product is its column plus a flip bit times X and the
+    Correct's column of each qubit Measure after t's (an X there flips that
+    tag, so the Correct adds its column) plus a phase bit times each Z after
+    t's: unknown bits, in which the conditions are linear, solved with the
+    free bits 0. The whole candidate also pulls X on t's entry times the
+    by-product (then a stabilizer of the state before the Measure) back to
+    the start, where it may hold only Z on |0> factors, with a phase bit per
+    earlier qubit Measure. It fixes the bits that only the state decides,
+    such as which later plaquette of the toric code the first one's
+    by-product flips.
+    """
+
+    def __init__(self, shared: tuple, c: int):
+        self.steps, self.ops, self.index, self.keys, self.qubit, self.zero, closes = shared
+        fix, self.lo, self.whole = self.steps[c].pauli, (closes[c] or [c])[0], False
+        self.d, self.tags = fix.d, {t: r for r, t in enumerate(fix.tags)}
+        measures = [j for j in range(c) if j not in self.ops and fix.d == 2]
+        qubits = [j for j in measures if self.qubit[self.index[self.steps[j].spec.entry]]]
+        self.flip = {j: len(self.tags) + r for r, j in enumerate(j for j in qubits if j >= self.lo)}
+        self.phase = {j: len(self.tags) + len(self.flip) + r for r, j in enumerate(qubits)}
+        self.x = np.zeros((len(self.index), len(self.tags) + len(self.flip) + len(qubits)), dtype=np.int64)
+        self.z = np.zeros_like(self.x)
+        n, cols = len(fix.entries), [self.index[e] for e in fix.entries]
+        self.x[cols, : len(self.tags)], self.z[cols, : len(self.tags)] = fix.matrix[:n], fix.matrix[n:]
+        self.support = set(cols)  # the entries whose bits may be nonzero
+        self.rows: List[Tuple[int, np.ndarray, str]] = []  # the conditions: (position, bits, reason)
+        self.at: Dict[int, np.ndarray] = {}  # (x | z) right after each Measure that c closes
+        self.sweep(range(self.lo, c))
+
+    def vanish(self, j: int, bits: np.ndarray, why: str) -> None:
+        if (bits := bits % self.d).any():
+            self.rows.append((j, bits, why))
+
+    def miss(self, j: int, on, what: str) -> None:
+        for k in self.support.intersection(on):
+            for bits in (self.x[k], self.z[k]):
+                self.vanish(j, bits, f"{what} on the pulled-back support")
+
+    def sweep(self, part: range) -> None:
+        x, z, keys, support = self.x, self.z, self.keys, self.support
+        for j in reversed(part):
+            if j not in self.ops:
+                k = self.index[self.steps[j].spec.entry]
+                if j >= self.lo:
+                    self.at[j] = np.concatenate([x, z])
+                if j in self.flip:
+                    x[k, self.flip[j]] = 1
+                if j in self.phase:
+                    z[k, self.phase[j]] = 1
+                support.add(k)
+                continue
+            for on, action, gates in reversed(self.ops[j]):
+                if support.isdisjoint(on) or action is not None and action.kind != "add":
+                    continue  # a removed entry holds nothing
+                if action is not None:
+                    if action.init_state is not None:
+                        self.miss(j, on, f"the ancilla {keys[on[0]]} in a given state")
+                    self.vanish(j, x[on[0]], f"X on {keys[on[0]]} where it is added, in the by-product")
+                    x[on[0]] = z[on[0]] = 0
+                    support.discard(on[0])
+                    continue
+                for name, sub in reversed(gates):
+                    if name == "I" or support.isdisjoint(sub):
+                        continue
+                    qudits = [keys[k] for k in sub if not self.qubit[k]]
+                    if self.d == 2 and not qudits and name in _CLIFFORD_NAMES:
+                        _conjugate_rows(x.T, z.T, np.zeros(x.shape[1], dtype=np.int64), name, sub)
+                        support.update(sub)
+                    else:
+                        self.miss(j, sub, f"qudit {qudits[0]}" if qudits else name)
+
+    def solve(self, i: int, free: tuple, whole: bool) -> tuple:
+        """The first candidate of the tag measured at position i, from the
+        conditions after it, or the whole one; raises _Fallback, with the
+        reason, when they have no solution."""
+        tag, later = self.steps[i].spec.tag, [j for j in self.flip if j > i]
+        if whole and not self.whole:
+            self.whole = True
+            self.sweep(range(self.lo))
+            for k in self.support:  # at the start, only Z on |0> factors
+                for bits in (self.x[k],) if k in self.zero else (self.x[k], self.z[k]):
+                    self.vanish(-1, bits, "")
+        phases = [p for j, p in self.phase.items() if whole or j > i]
+        # the columns of each bit, as (column, bit): 1 (t's own), a flip per later qubit Measure, the phases
+        ones = [(self.tags[t], r) for r, j in enumerate([i, *later]) if (t := self.steps[j].spec.tag) in self.tags]
+        ones += [(self.flip[j], r) for r, j in enumerate([i, *later]) if r or whole]
+        ones += [(p, r) for r, p in enumerate(phases, 1 + len(later))]
+        bits = [1] + [0] * (len(later) + len(phases))  # with no conditions, every bit is free
+        if taken := [(row, why) for j, row, why in self.rows if whole or j > i]:
+            w = np.zeros((self.x.shape[1], len(bits)), dtype=np.int64)
+            w[tuple(np.array(ones, dtype=np.int64).reshape(-1, 2).T)] = 1
+            conditions = np.array([row for row, _ in taken]) @ w % self.d
+            for row, (_, why) in zip(conditions, taken):  # one that no unknown bit moves names its reason
+                if row[0] and not row[1:].any():
+                    raise _Fallback(f"{why} of {tag}")
+            if (solved := _gf2_solve_many(conditions[:, 1:], conditions[:, 0])) is None:
+                raise _Fallback(f"no flips of the later tags carry the by-product of {tag} to its Correct")
+            bits[1:] = solved[:, 0].tolist()
+        p, n = (self.at[i][:, [c for c, r in ones if bits[r]]].sum(1) % self.d).tolist(), len(self.keys)
+        column = tuple((e, x, z) for e, x, z in zip(self.keys, p[:n], p[n:]) if x or z)
+        return column, self.d, free, {self.steps[j].spec.tag for j, b in zip(later, bits[1:]) if b}
 
 
 def _enumerate_dense_frames(
@@ -561,39 +742,53 @@ def _enumerate_dense_frames(
 ) -> EnumerationResult:
     """`enumerate_branches` on a dense state from one history that takes the
     first live outcome of each measurement. At a random one of tag t, every
-    outcome k must be live and its slice psi_k, moved by P_t^k, must equal
-    psi_0 within BYPRODUCT_TOL (normalised), up to one phase per basis state
-    of the entries that the same run measures later: P_t is the column for t
-    of the Correct after the run, or the identity. Otherwise, or for a
-    program that `_byproduct_plan` rejects, it raises _Fallback.
+    outcome k must be live and, for one of `_byproduct_plan`'s candidates P_t,
+    P_t^k psi_k must equal psi_0 within BYPRODUCT_TOL (normalised slices), up
+    to one phase per basis state of the free entries; else it raises _Fallback.
 
-    Then every record ends in the history's state: with all records in one
-    state before a run (by induction), outcomes k_1 ... k_r leave the slice
-    psi[k_1, ..., k_r], which the Correct hits with P_1^k_1 ... P_r^k_r
-    times a record-free Pauli. The first check gives P_1^k_1 psi[k_1, j] =
-    c(j) psi[0, j] for each index j of the later entries, so it turns k_1
-    into 0 at j = (k_2, ..., k_r); the second, on the history, turns k_2
-    into 0, and so on, and the moved slices keep their norms. So the rows
-    are all combinations of the random outcomes in depth-first order, with
-    the history's probabilities and fidelity; 2 * the sum of the accepted
-    residuals, which bounds a record's fidelity error, enters the verdict.
+    Then every record ends in the history's state. A record that agrees with
+    the history before t and reads k at t has psi_k = P_t^-k D psi_0 up to
+    phase, D diagonal on the free entries: a phase of the record once they are
+    measured. The steps to t's Correct carry P_t^-k along (Cliffords conjugate
+    it, an added ancilla sees at most Z, and X^-k on the entry of each later
+    tag t' it flips, f_tt' = 1, shifts that outcome), so the record reaches
+    the Correct as the one reading 0 at t and k' - f_t k at the later tags
+    does, times columns that its own outcomes remove. By induction over the
+    random measurements, every record ends as the history does. A record's
+    source at a random position i is s_i = k_i - sum_j f_ji s_j over the
+    earlier random j; a deterministic position reads the history's outcome
+    (its source) plus that sum. Conditional distributions move with the
+    sources, so the record has probability prod_i dist_i[s_i], dist_i the
+    history's. So the rows are all combinations of the random outcomes in
+    depth-first order; without flips each source is its outcome. 2 * the sum
+    of the accepted residuals, which bounds a record's fidelity error, enters
+    the verdict.
     """
-    plan = _byproduct_plan(protocol.program)
-    if plan is None:
-        raise _Fallback
+    plan = _byproduct_plan(protocol.program, start)
     dists: List[np.ndarray] = []  # each measurement's distribution, in program order
     random: List[int] = []  # the positions of the random ones
     residuals: List[float] = []  # the accepted ones, on normalised states
+    flipped: Dict[int, set] = {}  # position of a random one -> the later tags its by-product flips
 
     def check(state, spec, outcomes):
         probs = state.branch_probabilities(spec.entry)
         live = np.flatnonzero(probs > prob_floor)
         if len(live) != 1:
-            moved = state.byproduct_residuals(spec.entry, *plan[spec.tag]) if len(live) == len(probs) else None
-            if moved is None or not moved.max() <= BYPRODUCT_TOL * np.sqrt(probs[0]):
-                raise _Fallback
+            if len(live) < len(probs):
+                raise _Fallback(f"an outcome of {spec.tag} lies below the probability floor")
+            reason = None
+            for column, d, free, flips in plan[spec.tag]:
+                moved = state.byproduct_residuals(spec.entry, column, d, free)
+                worst = np.inf if moved is None else moved.max() / np.sqrt(probs[0])
+                if worst <= BYPRODUCT_TOL:
+                    break
+                reason = reason or (f"check failed at tag {spec.tag}, residual {worst:.0e}" if moved is not None else
+                                    f"{spec.tag} measures a product factor, or its by-product names an absent entry")
+            else:
+                raise _Fallback(reason)
             residuals.append(moved.sum() / np.sqrt(probs[0]))
             random.append(len(dists))
+            flipped[len(dists)] = flips
         dists.append(probs)
         return ({"force": int(live[0]), "p": probs[live[0]]},)
 
@@ -605,12 +800,21 @@ def _enumerate_dense_frames(
     reference = _finalize(state, protocol)
     agree_first = reference.fidelity(reference)
     fid = agree_first if target is None else reference.fidelity(target)
+    tags = [t for t, _, _ in outcomes]
     k = np.tile(np.array([k for _, k, _ in outcomes], dtype=np.int64), (count, 1))
     k[:, random] = np.indices(dims).reshape(len(dims), count).T
-    pk = np.array([dist[k[:, i]] for i, dist in enumerate(dists)]).reshape(len(dists), count).T
+    source = k.copy()
+    for j, t in enumerate(tags):  # a flip moves a later random source or deterministic outcome
+        if flips := [i for i in random if t in flipped[i]]:
+            shift = sum(source[:, i] for i in flips)
+            if j in random:
+                source[:, j] = (k[:, j] - shift) % len(dists[j])
+            else:
+                k[:, j] = (k[:, j] + shift) % len(dists[j])
+    pk = np.array([dist[source[:, i]] for i, dist in enumerate(dists)]).reshape(len(dists), count).T
     agree = agree_first >= 1.0 - DETERMINISM_TOL and 2 * sum(residuals) <= DETERMINISM_TOL
     finals = [reference.clone() for _ in range(count)] if keep_states else None  # equal up to phase
-    return _result([t for t, _, _ in outcomes], k, pk, np.full(count, fid), agree, reference, finals, "frames")
+    return _result(tags, k, pk, np.full(count, fid), agree, reference, finals, "frames")
 
 
 class _FramedTableau(TableauState):

@@ -51,18 +51,6 @@ class MPS:
     def chi(self) -> int:
         return self.tensor.shape[1]
 
-    def save(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "chi": self.chi,
-                "tensor": [
-                    [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-                    for mat in self.tensor
-                ],
-            }
-        )
-
     @classmethod
     def load(cls, text: str) -> "MPS":
         data = json.loads(text) if isinstance(text, str) else text
@@ -446,13 +434,6 @@ def state_from_mps(mps: MPS, n: int, normalize: bool = True) -> PureState:
     return PureState(reg, amps, norm_tol=np.inf)
 
 
-def raw_overlap(a: MPS, b: MPS, n: int) -> complex:
-    """<chain(b)|chain(a)> without normalization (dense oracle partner)."""
-    sa = state_from_mps(a, n, normalize=False)
-    sb = state_from_mps(b, n, normalize=False)
-    return complex(np.vdot(sb.amps, sa.amps))
-
-
 # -- the bound quantities ---------------------------------------------------------------
 
 
@@ -627,16 +608,6 @@ def fixture(name: str) -> MPS:
         return FIXTURES[name]()
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}") from None
-
-
-def random_normal_mps(d: int, chi: int, rng: np.random.Generator, attempts: int = 20) -> MPS:
-    """A random canonically-scaled normal tensor (rejection sampled)."""
-    for _ in range(attempts):
-        t = rng.normal(size=(d, chi, chi)) + 1j * rng.normal(size=(d, chi, chi))
-        cf = canonicalize(MPS(t))
-        if not cf.reducible and is_normal(cf.blocks[0][1]):
-            return cf.blocks[0][1]
-    raise RuntimeError("failed to sample a normal tensor")
 
 
 # -- the triviality pipeline ----------------------------------------------------------

@@ -53,30 +53,31 @@ def ghz_generators(n: int) -> List[PauliString]:
 
 def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
     """GHZ_n by a depth-2 circuit (1 at n = 2), ancilla parity measurements
-    and X-string fixes."""
+    and X-string fixes. Each ancilla is measured as soon as its parity is
+    written, after the next one and its pair gate, so the dense register
+    stays at n + 2 qubits or fewer; the one prefix-parity Correct comes last
+    (`locc._byproduct_plan` pulls it back through the later pair gates)."""
     if n < 2:
         raise ValueError("GHZ protocol needs n >= 2")
     lat = Lattice((n,))
     register = [(i, "s", 2) for i in range(n)]
     system = [(i, "s") for i in range(n)]
 
-    adds = cx.LocalLayer([cx.add_ancilla(i, "a", 2) for i in range(1, n)])
     pair_gate = [("H", (0,)), ("CNOT", (0, 1))]
-    pairs = cx.GateLayer([cx.Gate(((i, "s"), (i + 1, "a")), list(pair_gate)) for i in range(n - 1)])
-    # v|0> = |+> on the last site, then parity CNOTs; all site-local, hence free
-    locals_ = cx.LocalLayer(
-        [cx.local_op([(n - 1, "s")], [("Z", (0,)), ("H", (0,))])]
-        + [cx.local_op([(i, "s"), (i, "a")], [("CNOT", (0, 1))]) for i in range(1, n)]
-    )
-
+    program: List = []
+    for i in range(n):
+        # a_{i+1} and its pair gate with s_i; then v|0> = |+> on the last site
+        # and the parity CNOT into a_i, both site-local, hence free
+        pair = cx.Gate(((i, "s"), (i + 1, "a")), list(pair_gate))
+        layers = [cx.LocalLayer([cx.add_ancilla(i + 1, "a", 2)]), cx.GateLayer([pair])] if i < n - 1 else []
+        if i:
+            last = [cx.local_op([(i, "s")], [("Z", (0,)), ("H", (0,))])] if i == n - 1 else []
+            layers.append(cx.LocalLayer(last + [cx.local_op([(i, "s"), (i, "a")], [("CNOT", (0, 1))])]))
+        program += [ApplyLayers(layers)] + ([Measure(MeasurementSpec((i, "a"), f"k{i}"))] if i else [])
     # X on site i when k1 + ... + ki is odd: a lower-triangular prefix-parity map
     prefix = np.tril(np.ones((n - 1, n - 1), dtype=np.uint8))
     parity = PauliMap([f"k{i}" for i in range(1, n)], system[1:], np.concatenate([prefix, 0 * prefix]))
-    program = [
-        ApplyLayers([adds, pairs, locals_]),
-        *[Measure(MeasurementSpec((i, "a"), f"k{i}")) for i in range(1, n)],
-        Correct(name="parity X string", pauli=parity),
-    ]
+    program.append(Correct(name="parity X string", pauli=parity))
     from .statevector import max_amplitudes
 
     target = ghz_state(n) if 2**n <= max_amplitudes() else None
@@ -474,10 +475,6 @@ class ToricCodeLayout:
     @property
     def plaquettes_a(self) -> List[Tuple[int, int]]:
         return [(i, j) for i in range(self.N) for j in range(self.N) if (i + j) % 2 == 0]
-
-    @property
-    def plaquettes_b(self) -> List[Tuple[int, int]]:
-        return [(i, j) for i in range(self.N) for j in range(self.N) if (i + j) % 2 == 1]
 
     def plaquette_sites(self, p: Tuple[int, int]) -> List[int]:
         i, j = p

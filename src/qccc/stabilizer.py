@@ -307,14 +307,6 @@ class StabilizerTableau:
     def generators(self) -> List[PauliString]:
         return [self.stabilizer(i) for i in range(self.n)]
 
-    def to_text(self) -> str:
-        return "\n".join(g.label() for g in self.generators())
-
-    @classmethod
-    def from_text(cls, text: str) -> "StabilizerTableau":
-        gens = [PauliString.from_label(line.strip()) for line in text.strip().splitlines()]
-        return cls.from_generators(gens)
-
     def _rowmult(self, h, i: int) -> None:
         """row_h <- row_h * row_i with phase tracking; h may be an index array."""
         extra = _g_exponent_sum(self.x[h], self.z[h], self.x[i], self.z[i])
@@ -843,12 +835,6 @@ class TableauState:
         s.tab.x, s.tab.z = s.tab.x[:, perm], s.tab.z[:, perm]
         return s
 
-    def to_pure_state(self, seed: int = 7):
-        from .statevector import PureState, QuditRegister
-
-        reg = QuditRegister([(s, sl, 2) for s, sl in self.keys])
-        return PureState(reg, self.tab.to_statevector(seed=seed))
-
     def states_equal(self, other: "TableauState") -> bool:
         if self.keys != other.keys:
             other = other.permuted(self.keys)
@@ -861,16 +847,3 @@ class TableauState:
             raise ValueError("fidelity requires identical registers")
         return float(self.states_equal(other))
 
-
-def random_stabilizer_tableau(n: int, rng: np.random.Generator, depth: int = 30) -> StabilizerTableau:
-    """Random stabilizer state from a random Clifford circuit on |0...0>."""
-    tab = StabilizerTableau(n)
-    one_q = ["H", "S", "X", "Z"]
-    for _ in range(depth):
-        kind = rng.integers(0, 3)
-        if kind == 0 or n == 1:
-            tab.apply_gate(one_q[rng.integers(0, len(one_q))], int(rng.integers(0, n)))
-        else:
-            a, b = rng.choice(n, size=2, replace=False)
-            tab.apply_gate("CNOT" if rng.integers(0, 2) else "CZ", int(a), int(b))
-    return tab

@@ -423,14 +423,15 @@ class PureState:
         return self
 
     def byproduct_residuals(self, entry: EntryKey, paulis, d: int, free=()) -> Optional[np.ndarray]:
-        """For k = 1 ... dim - 1, the least norm of P^k psi_k - c psi_0 over one
-        unit phase c per basis state of the `free` entries: psi_k is the
-        unnormalised slice of `entry` at k (a view of the tensor) and P^k the
-        string `paulis` over Z_d with its powers times k. None when `entry` or
-        an entry of the string is not a tensor axis (a product factor, which
-        no slice shows)."""
+        """For k = 1 ... dim - 1, a bound on the least norm of P^k psi_k - c psi_0
+        over one unit phase c per basis state of the `free` tensor entries:
+        psi_k is the unnormalised slice of `entry` at k (a view of the tensor),
+        P^k the string `paulis` over Z_d with its powers times k. A product
+        factor v on the string adds |psi_k| |P^k v - w v|, w the phase of
+        <v, P^k v>: nothing for Z on |0>. None when `entry` is a product
+        factor, which no slice shows, or the string names an absent entry."""
         key = tuple(entry)
-        if key not in self._axis or any(e not in self._axis for e, _, _ in paulis):
+        if key not in self._axis or any(e not in self._axis and e not in self._lazy for e, _, _ in paulis):
             return None
         ax = self._axis[key]
         axis = {e: a - (a > ax) for e, a in self._axis.items() if e != key}
@@ -438,9 +439,16 @@ class PureState:
         zero = self._project(ax, 0, None)
         residuals = []
         for k in range(1, self._t.shape[ax]):
-            moved = _pauli_moved(self._project(ax, k, None), axis, [(e, k * x % d, k * z % d) for e, x, z in paulis], d)
+            powers = [(e, k * x % d, k * z % d) for e, x, z in paulis]
+            moved = _pauli_moved(self._project(ax, k, None), axis, [p for p in powers if p[0] in axis], d)
             overlap = np.sum(zero.conj() * moved, axis=summed, keepdims=True)
-            residuals.append(np.linalg.norm(moved - np.exp(1j * np.angle(overlap)) * zero))
+            residual = np.linalg.norm(moved - np.exp(1j * np.angle(overlap)) * zero)
+            for e, x, z in powers:
+                if e not in axis:
+                    v = self._lazy[e]
+                    w = _pauli_moved(v, {e: 0}, [(e, x, z)], d)
+                    residual += np.linalg.norm(moved) * np.linalg.norm(w - np.exp(1j * np.angle(np.vdot(v, w))) * v)
+            residuals.append(residual)
         return np.array(residuals)
 
     def _exchange(self, a: EntryKey, b: EntryKey) -> None:

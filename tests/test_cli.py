@@ -17,6 +17,8 @@ from qccc.cli import (
 from qccc.locc import BranchCapExceeded, ProtocolError
 from qccc.stabilizer import InternalError
 
+from oracles import save_mps
+
 
 def run_cli(args, tmp_path, name="report.json"):
     out = tmp_path / name
@@ -96,17 +98,24 @@ class TestPrepare:
         "protocol, n, backend, engine, rows",
         [
             ("ghz", 4, "dense", "frames", 8),
-            ("tc", 4, "dense", "dfs", 128),  # its correction reads the tags of many runs
+            ("ghz", 4, "dense", "dfs", 8),  # every by-product check made to fail
+            ("tc", 4, "dense", "frames", 128),  # its one correction reads the tags of many runs
             ("ghz", 4, "tableau", "frames", 8),
         ],
-        ids=["dense-frames", "dense-dfs", "tableau-frames"],
+        ids=["dense-frames", "dense-dfs", "dense-tc-frames", "tableau-frames"],
     )
-    def test_enumerate_reports_its_engine(self, tmp_path, protocol, n, backend, engine, rows):
+    def test_enumerate_reports_its_engine(self, tmp_path, monkeypatch, protocol, n, backend, engine, rows):
+        """A "dfs" report also says why the program fell back; a "frames" one has no such field."""
+        from qccc import locc
+
+        if engine == "dfs":
+            monkeypatch.setattr(locc, "BYPRODUCT_TOL", -1.0)
         code, rep = run_cli(
             ["prepare", "--protocol", protocol, "--n", str(n), "--backend", backend, "--mode", "enumerate"],
             tmp_path,
         )
         assert code == EXIT_OK and rep["engine"] == engine and rep["n_branches"] == rows
+        assert rep.get("fallback", "").startswith("check failed at tag k1, residual") == (engine == "dfs")
 
     def test_tc8_tableau_enumeration_stops_at_the_cap(self, capsys):
         t0 = time.perf_counter()
@@ -295,7 +304,7 @@ class TestMps:
         from qccc import mps as M
 
         path = tmp_path / "tensor.json"
-        path.write_text(M.aklt_mps().save())
+        path.write_text(save_mps(M.aklt_mps()))
         code, rep = run_cli(["mps", "--file", str(path), "--q-list", "4"], tmp_path)
         assert code == EXIT_OK
 

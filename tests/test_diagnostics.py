@@ -3,7 +3,6 @@ import pytest
 
 from qccc import gates
 from qccc.diagnostics import (
-    graph_clifford_unitary,
     area_law_audit,
     build_cj_protocol,
     check_factorization,
@@ -14,8 +13,10 @@ from qccc.diagnostics import (
 )
 from qccc.lattice import Lattice
 from qccc.protocols import ghz_protocol, ghz_state, w_protocol, w_state
-from qccc.stabilizer import PauliString, StabilizerTableau, random_stabilizer_tableau
+from qccc.stabilizer import PauliString, StabilizerTableau
 from qccc.statevector import PureState, QuditRegister, RegionOperator, pauli_on
+
+from oracles import graph_clifford_unitary, random_stabilizer_tableau
 
 
 class TestFactorization:

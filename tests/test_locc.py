@@ -61,6 +61,35 @@ def _ghz(n):
     return ghz_protocol(n)[0], None
 
 
+def _ghz_batched(n):
+    """GHZ_n as `ghz_protocol` built it before it measured each ancilla early:
+    every ancilla added, paired and given its parity, then all measured, then
+    the same prefix-parity Correct. The dense register holds 2n - 1 qubits."""
+    from dataclasses import replace
+
+    from qccc.protocols import ghz_protocol
+
+    proto = ghz_protocol(n)[0]
+    pair_gate = [("H", (0,)), ("CNOT", (0, 1))]
+    layers = [
+        cx.LocalLayer([cx.add_ancilla(i, "a", 2) for i in range(1, n)]),
+        cx.GateLayer([cx.Gate(((i, "s"), (i + 1, "a")), list(pair_gate)) for i in range(n - 1)]),
+        cx.LocalLayer(
+            [cx.local_op([(n - 1, "s")], [("Z", (0,)), ("H", (0,))])]
+            + [cx.local_op([(i, "s"), (i, "a")], [("CNOT", (0, 1))]) for i in range(1, n)]
+        ),
+    ]
+    measures = [Measure(MeasurementSpec((i, "a"), f"k{i}")) for i in range(1, n)]
+    program = [ApplyLayers(layers), *measures, proto.program[-1]]
+    return replace(proto, program=program), None
+
+
+def _tc(n):
+    from qccc.protocols import toric_code_protocol
+
+    return toric_code_protocol(n)[0], None
+
+
 def _w(n):
     from qccc.protocols import w_protocol
 
@@ -389,13 +418,13 @@ def _pipeline(fixture, q, n):
     return mps.preparation_pipeline(mps.fixture(fixture), q, n).protocol
 
 
-def _assert_same_as_dfs(proto):
+def _assert_same_as_dfs(proto, input_state=None):
     """`enumerate_branches` against the plain depth-first search: the same
     verdict and records in the same order, probabilities and fidelities
     within 1e-12."""
     from qccc import locc
 
-    res, dfs = enumerate_branches(proto), locc._enumerate_dfs(proto)
+    res, dfs = enumerate_branches(proto, input_state=input_state), locc._enumerate_dfs(proto, input_state=input_state)
     assert dfs.engine == "dfs"
     assert res.verdict == dfs.verdict
     assert res.reports.tags == dfs.reports.tags
@@ -990,12 +1019,36 @@ class TestDenseRows:
         "w6": "d47c673f49c3df9e",
     }
 
+    # the same for the GHZ program that measures each ancilla as soon as its
+    # parity is written, whose Correct the engine pulls back through later pair
+    # gates (recorded when that program was introduced)
+    RECORDED_INTERLEAVED_GHZ = {
+        "ghz2": "a36d03bde0331857",
+        "ghz3": "8ca570a33529bdb2",
+        "ghz4": "e0fb987b008d5400",
+        "ghz5": "e5b82c1a835fa50e",
+        "ghz6": "1bb913de7d1f3242",
+        "ghz7": "912ad57c17009d82",
+        "ghz8": "42139330ce3bf909",
+        "ghz9": "8ae6745b87d6852d",
+        "ghz10": "17e53b18a662ddef",
+        "ghz11": "1587fd9f91b1639e",
+        "ghz12": "45640160448aba48",
+    }
+
     @pytest.mark.parametrize("case", list(RECORDED_ROWS))
     def test_rows_bit_equal_to_recorded(self, case):
+        """GHZ in the program order these rows were recorded with (`_ghz_batched`)."""
         family, n = case.rstrip("0123456789"), int(case.lstrip("ghzw"))
-        res = enumerate_branches({"ghz": _ghz, "w": _w}[family](n)[0])
+        res = enumerate_branches({"ghz": _ghz_batched, "w": _w}[family](n)[0])
         assert res.engine == "frames" and res.verdict == "DETERMINISTIC"
         assert _rows_digest(res) == self.RECORDED_ROWS[case]
+
+    @pytest.mark.parametrize("case", list(RECORDED_INTERLEAVED_GHZ))
+    def test_interleaved_ghz_rows_bit_equal_to_recorded(self, case):
+        res = enumerate_branches(_ghz(int(case[3:]))[0])
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC" and res.fallback is None
+        assert _rows_digest(res) == self.RECORDED_INTERLEAVED_GHZ[case]
 
     @pytest.mark.parametrize(
         "case", [f"ghz{n}" for n in range(2, 9)] + [f"w{n}" for n in range(2, 5)] + ["rg2"]
@@ -1015,13 +1068,15 @@ class TestDenseRows:
     def test_toric_code_n4_rows_within_rounding_of_recorded(self):
         """Same records in the same order; every row's probability within
         1e-15 and fidelity within 1e-14 of the recorded ones (each the same
-        for all 128 rows)."""
+        for all 128 rows). Recorded on the depth-first search; the one history
+        now derives them, its by-products pulled back through the later
+        plaquette blocks."""
         import hashlib
 
         from qccc.protocols import toric_code_protocol
 
         res = enumerate_branches(toric_code_protocol(4)[0])
-        assert res.engine == "dfs" and res.verdict == "DETERMINISTIC" and len(res.reports) == 128
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC" and len(res.reports) == 128
         h = hashlib.sha256()
         for rep in res.reports:
             tags, bits, _ = zip(*rep.record.outcomes)
@@ -1057,3 +1112,233 @@ class TestTargets:
         for run in (enumerate_branches, locc._enumerate_dfs):
             with pytest.raises(ValueError, match="4 system entries"):
                 run(_ghz(4)[0], backend="tableau", target=ghz_generators(count))
+
+
+# -- dense by-products pulled back through Clifford steps -----------------------------
+
+
+def _random_clifford_rounds(rng, wrong: bool) -> Protocol:
+    """System qubits on 2-3 sites under random Clifford layers, then 2-3
+    runs: each adds 1-2 ancillas (half the time before the previous run is
+    measured), joins them to the system by random Clifford gates and
+    measures them, with random Clifford gates on the system between runs.
+    One Correct at the end reads every tag. Its right map is the frame that
+    the tableau engine keeps; `wrong` flips one random bit of it in the
+    column of a random outcome."""
+    from qccc import locc
+
+    k = int(rng.integers(2, 4))
+    system = [(i, "s") for i in range(k)]
+
+    def ops(entries, count):
+        acts = []
+        for _ in range(count):
+            if len(entries) > 1 and rng.random() < 0.6:
+                a, b = rng.choice(len(entries), size=2, replace=False)
+                name = str(rng.choice(["CNOT", "CZ", "SWAP"]))
+                acts.append(cx.local_op([entries[a], entries[b]], [(name, (0, 1))]))
+            else:
+                name = str(rng.choice(["H", "S", "SDG", "X", "Y", "Z"]))
+                acts.append(cx.local_op([entries[int(rng.integers(len(entries)))]], [(name, (0,))]))
+        return acts
+
+    program = [ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(1, 5))))])]
+    sizes = rng.integers(1, 3, size=int(rng.integers(2, 4)))
+    runs = [[(int(rng.integers(k)), f"a{j}{i}") for i in range(size)] for j, size in enumerate(sizes)]
+    early = [rng.random() < 0.5 for _ in runs]
+    for j, run in enumerate(runs):
+        acts = [] if j and early[j] else [cx.add_ancilla(*a) for a in run]
+        acts += [cx.local_op([a], [("H", (0,))]) for a in run if rng.random() < 0.7]
+        if j + 1 < len(runs) and early[j + 1]:
+            acts += [cx.add_ancilla(*a) for a in runs[j + 1]]
+        acts += ops(system + run, int(rng.integers(2, 6)))
+        program += [ApplyLayers([cx.LocalLayer(acts)]), *[Measure(MeasurementSpec(a, a[1])) for a in run]]
+        program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 4))))]))
+    proto = Protocol("clifford-rounds", Lattice((k,)), [(i, "s", 2) for i in range(k)], program, system, clifford=True)
+    framed = locc._FramedTableau(locc.initial_state(proto, "tableau"))
+    next(locc._execute(program, framed, lambda *_: ({},)))
+    tags = [a[1] for run in runs for a in run]
+    matrix = np.zeros((2 * k, len(tags)), dtype=np.uint8)
+    rows = [framed.index(e) for e in system]
+    made = [int(np.flatnonzero(framed.forms[:, 1 + c])[0]) for c in range(framed.fx.shape[1])]
+    for c, t in enumerate(made):  # column c entered at the first form that reads it, tag t's
+        matrix[:, t] = np.concatenate([framed.fx[rows, c], framed.fz[rows, c]])
+    if wrong:
+        matrix[int(rng.integers(2 * k)), made[int(rng.integers(len(made)))] if made else 0] ^= 1
+    program.append(Correct(PauliMap(tags, system, matrix), "frame"))
+    return proto
+
+
+class TestPulledBack:
+    """The dense engine pulls each Correct's columns back through the
+    Clifford steps after a Measure; the depth-first search is the oracle."""
+
+    @given(seed=hst.integers(0, 2**32 - 1), wrong=hst.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_random_clifford_rounds_match_dfs(self, seed, wrong):
+        res = _assert_same_as_dfs(_random_clifford_rounds(np.random.default_rng(seed), wrong))
+        if not wrong:
+            assert res.verdict == "DETERMINISTIC" and res.engine == "frames"
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_ghz_certifies_from_one_history(self, n):
+        import time
+
+        proto = _ghz(n)[0]
+        t0 = time.perf_counter()
+        res = enumerate_branches(proto)
+        seconds = time.perf_counter() - t0
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC" and len(res.reports) == 2 ** (n - 1)
+        assert res.min_fidelity > 1 - 1e-9 and proto.depth() == (1 if n == 2 else 2)
+        assert seconds < {12: 0.1, 17: 2.0}.get(n, 10.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _tc(4)] + [lambda n=n: _cj_ghz(n) for n in (2, 3)],
+        ids=["tc4", "cj2", "cj3"],
+    )
+    def test_one_correct_over_many_runs_matches_dfs(self, build):
+        res = _assert_same_as_dfs(*build())
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC"
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _w(4)[0], lambda: _rg(2, 3)[0], lambda: _ghz_batched(5)[0], lambda: _pipeline("aklt", 2, 4)],
+        ids=["w4", "rg", "ghz-batched", "pipeline"],
+    )
+    def test_a_correct_right_after_its_run_gives_what_the_pull_back_gives(self, build):
+        """With only Measures between a tag and its Correct, the first
+        candidate is read off the Correct's column; an empty step before each
+        Correct makes the pass pull the columns back, and it finds the same."""
+        from qccc import locc
+
+        proto = build()
+        spaced = [s for step in proto.program for s in ([ApplyLayers([]), step] if isinstance(step, Correct) else [step])]
+
+        def firsts(program):
+            return {t: next(g) for t, g in locc._byproduct_plan(program, locc.initial_state(proto)).items()}
+
+        assert firsts(spaced) == firsts(proto.program)
+
+    def test_ghz_with_a_prefix_parity_entry_dropped_is_never_certified(self):
+        """Each of GHZ_6's 15 prefix-parity entries dropped in turn."""
+        parity = _ghz(6)[0].program[-1].pauli
+        for row, col in zip(*np.nonzero(parity.matrix)):
+            res = _assert_same_as_dfs(_ghz_with_map(6, lambda m, o: m.__setitem__((row, col), 0)))
+            assert res.verdict == "NOT_DETERMINISTIC", (row, col)
+
+    @pytest.mark.parametrize("entry", [0, 1], ids=["first", "last"])
+    def test_toric_code_with_a_sign_map_entry_dropped_is_never_certified(self, entry):
+        """The first or the last nonzero entry of TC N=4's `_tc_sign_map` dropped."""
+        proto = _tc(4)[0]
+        fix = proto.program[-1].pauli
+        rows, cols = np.nonzero(fix.matrix)
+        fix.matrix[rows[-entry], cols[-entry]] = 0
+        res = enumerate_branches(proto)
+        assert res.verdict == "NOT_DETERMINISTIC" and res.engine == "dfs" and res.fallback
+
+
+def _one_site(*steps, register=((0, "s", 2),)) -> Protocol:
+    return Protocol("one-site", Lattice((2,)), list(register), list(steps), [(0, "s")])
+
+
+def _bell_ancilla(d=2):
+    """An ancilla (0, "a") maximally entangled with the system qudit."""
+    pair = [("H", (0,)), ("CNOT", (0, 1))] if d == 2 else gates.cnot_d(d) @ np.kron(gates.fourier(d), np.eye(d))
+    return _local(cx.add_ancilla(0, "a", d), cx.local_op([(0, "a"), (0, "s")], pair))
+
+
+def _local(*actions):
+    return ApplyLayers([cx.LocalLayer(list(actions))])
+
+
+def _measure(entry=(0, "a"), tag="k", **kw):
+    return Measure(MeasurementSpec(entry, tag, **kw))
+
+
+def _x_fix(tags=("k",), entry=(0, "s"), d=2, name="fix"):
+    return Correct(PauliMap(list(tags), [entry], [[d - 1] * len(tags), [0] * len(tags)], d=d), name)
+
+
+class TestFallbackReasons:
+    """Why a dense program ran the depth-first search, one reason of each kind."""
+
+    @pytest.mark.parametrize(
+        "build, reason",
+        [
+            (lambda: _kept_entry(), "Measure keeps (0, 's')"),
+            (
+                lambda: _one_site(_bell_ancilla(), _measure(basis=np.eye(2)), _x_fix()),
+                "Measure of (0, 'a') takes a basis",
+            ),
+            (
+                lambda: _one_site(
+                    _bell_ancilla(), _measure(), _local(cx.add_ancilla(0, "b")), _measure((0, "b")), _x_fix()
+                ),
+                "tag k repeats",
+            ),
+            (lambda: _one_site(_bell_ancilla(), _measure(), _no_op(), _x_fix()), "'fix' reads k, which 'no-op' closes"),
+            (
+                lambda: _one_site(
+                    _bell_ancilla(), _measure(), _local(cx.local_op([(0, "s")], gates.fourier(2))), _x_fix()
+                ),
+                "a matrix gate on the pulled-back support of k",
+            ),
+            (
+                lambda: _one_site(
+                    _bell_ancilla(3), _measure(), _local(cx.local_op([(0, "s")], gates.fourier(3))), _x_fix(d=3),
+                    register=((0, "s", 3),),
+                ),
+                "qudit (0, 's') on the pulled-back support of k",
+            ),
+            (  # CNOT(s -> b) carries the fix's X on s back onto the fresh b
+                lambda: _one_site(
+                    _bell_ancilla(), _measure(),
+                    _local(cx.add_ancilla(0, "b"), cx.local_op([(0, "s"), (0, "b")], [("CNOT", (0, 1))])),
+                    _x_fix(), _measure((0, "b"), "m"),
+                ),
+                "X on (0, 'b') where it is added, in the by-product of k",
+            ),
+            (  # b's outcome m must flip (X on b where it is added) and must not (X on c)
+                lambda: _one_site(
+                    _bell_ancilla(), _measure(),
+                    _local(
+                        cx.add_ancilla(0, "b"), cx.add_ancilla(0, "c"), cx.local_op([(0, "s"), (0, "b")], [("CNOT", (0, 1))])
+                    ),
+                    _measure((0, "b"), "m"),
+                    Correct(PauliMap(["k", "m"], [(0, "s"), (0, "c")], [[1, 0], [0, 1], [0, 0], [0, 0]]), "fix"),
+                ),
+                "no flips of the later tags carry the by-product of k to its Correct",
+            ),
+            (lambda: _kicked_sibling(np.pi / 2), "check failed at tag k, residual 8e-01"),
+            (
+                lambda: _one_site(_local(cx.add_ancilla(0, "a", 3, np.array([1, 1, 0]) / np.sqrt(2))), _measure()),
+                "an outcome of k lies below the probability floor",
+            ),
+            (
+                lambda: _one_site(_local(cx.add_ancilla(0, "a", 2, np.array([1, 1]) / np.sqrt(2))), _measure()),
+                "k measures a product factor, or its by-product names an absent entry",
+            ),
+        ],
+        ids=["kept", "basis", "repeat", "closed", "matrix", "qudit", "ancilla-x", "no-flips", "check", "floor", "factor"],
+    )
+    def test_reason(self, build, reason):
+        res = enumerate_branches(build())
+        assert (res.engine, res.fallback) == ("dfs", reason)
+
+    def test_a_tag_read_before_it_is_measured(self):
+        from qccc import locc
+
+        proto = _one_site(_bell_ancilla(), _x_fix(), _measure())
+        with pytest.raises(locc._Fallback, match="^'fix' reads k, which no earlier Measure takes$"):
+            locc._byproduct_plan(proto.program, locc.initial_state(proto))
+
+    def test_tableau_floor(self):
+        program = [_local(cx.add_ancilla(0, "a")), _measure()]
+        proto = Protocol("fresh", Lattice((2,)), [(0, "s", 2)], program, [(0, "s")], clifford=True)
+        res = enumerate_branches(proto, backend="tableau", prob_floor=0.5)
+        assert (res.engine, res.fallback) == ("dfs", "a probability floor of 0.5 on the tableau")
+
+    def test_frames_name_no_reason(self):
+        assert enumerate_branches(_ghz(3)[0]).fallback is None
+        assert enumerate_branches(_ghz(3)[0], backend="tableau").fallback is None

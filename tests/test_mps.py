@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from qccc import circuits as cx
-from qccc import gates
 from qccc import mps as M
 from qccc.locc import enumerate_branches, run_sampled
 from qccc.mps import _sqrt_psd
 from qccc.statevector import CapacityError
+
+from oracles import random_normal_mps, raw_overlap, save_mps, swap_d
 
 
 class TestCanonicalForm:
@@ -93,7 +94,7 @@ class TestBlocking:
         for i in range(20):
             chi = int(rng.integers(2, 4))
             d = int(rng.integers(2, 4))
-            m = M.random_normal_mps(d, chi, rng)
+            m = random_normal_mps(d, chi, rng)
             q = int(rng.integers(2, 4))
             v1 = M.sorted_spectrum(M.transfer_matrix(m))
             vq = M.sorted_spectrum(M.transfer_matrix(M.block(m, q)))
@@ -134,7 +135,7 @@ class TestFixedPoint:
     def test_random_normal_tensors(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            m = M.random_normal_mps(2, 2, rng)
+            m = random_normal_mps(2, 2, rng)
             fp = M.rg_fixed_point_tensor(M.block(m, 4))
             tb = fp.data.tau_bb_chain
             assert np.linalg.norm(tb @ tb - tb) < 1e-8
@@ -155,7 +156,7 @@ class TestDeficit:
             bq = M.block(aklt, q)
             fp = M.rg_fixed_point_tensor(bq)
             d_tm = M.fidelity_deficit(bq, fp.b, m_sites)
-            d_or = abs(M.raw_overlap(bq, fp.b, m_sites) - 1)
+            d_or = abs(raw_overlap(bq, fp.b, m_sites) - 1)
             assert abs(d_tm - d_or) < 1e-8, (q, m_sites)
 
     def test_product_zero(self):
@@ -172,7 +173,7 @@ class TestDeficit:
             ("cluster", M.canonicalize(M.cluster_mps()).blocks[0][1], range(1, 7)),
             ("product", M.product_mps(), range(1, 5)),
         ] + [
-            (f"random{d}x{chi}", M.random_normal_mps(d, chi, rng), range(1, 7))
+            (f"random{d}x{chi}", random_normal_mps(d, chi, rng), range(1, 7))
             for d, chi in [(2, 2), (3, 2), (2, 3), (4, 3)]
         ]
         for name, tensor, qs in cases:
@@ -309,7 +310,7 @@ class TestBoundReport:
     def test_normal_tensor_with_subleading_near_one(self):
         # |lambda| = 1, 0.70, 0.70, 0.67: the subleading eigenvalues lie within
         # 0.5 of 1 but are separated from the leading one by the gap
-        t = M.random_normal_mps(2, 2, np.random.default_rng(39))
+        t = random_normal_mps(2, 2, np.random.default_rng(39))
         assert isinstance(M.bound_report(t, 4, 6), M.BoundReport)
 
     def test_aklt_gauge_condition_number_unchanged(self):
@@ -320,8 +321,8 @@ class TestBoundReport:
 class TestFixtures:
     def test_save_load_round_trip(self):
         rng = np.random.default_rng(2)
-        m = M.random_normal_mps(2, 2, rng)
-        m2 = M.MPS.load(m.save())
+        m = random_normal_mps(2, 2, rng)
+        m2 = M.MPS.load(save_mps(m))
         assert np.allclose(m.tensor, m2.tensor)
 
 
@@ -411,7 +412,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "tensor, q, n",
-        [(lambda: M.random_normal_mps(4, 2, np.random.default_rng(3)), 1, 3), (M.aklt_mps, 2, 4)],
+        [(lambda: random_normal_mps(4, 2, np.random.default_rng(3)), 1, 3), (M.aklt_mps, 2, 4)],
         ids=["random-q1", "aklt-q2"],
     )
     def test_staged_writer_reads_the_bond(self, tensor, q, n):
@@ -448,7 +449,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "tensor, q, n, depths",
         [
-            (lambda: M.random_normal_mps(4, 2, np.random.default_rng(3)), 1, 3, [3]),
+            (lambda: random_normal_mps(4, 2, np.random.default_rng(3)), 1, 3, [3]),
             (M.aklt_mps, 2, 4, [2, 1]),
             (M.aklt_mps, 4, 8, [4, 6]),
         ],
@@ -472,7 +473,7 @@ def _is_swap(spec) -> bool:
     if not isinstance(spec, np.ndarray):
         return list(spec) == [("SWAP", (0, 1))]
     dim = math.isqrt(spec.shape[0])
-    return dim * dim == spec.shape[0] and np.array_equal(spec, gates.swap_d(dim, dim))
+    return dim * dim == spec.shape[0] and np.array_equal(spec, swap_d(dim, dim))
 
 
 def test_import_leaves_scipy_unloaded():

@@ -24,7 +24,7 @@ from qccc.protocols import (
 )
 from qccc.stabilizer import StabilizerTableau
 
-from oracles import is_product_across
+from oracles import is_product_across, plaquettes_b, to_pure_state
 
 
 class TestGHZ:
@@ -53,15 +53,33 @@ class TestGHZ:
             assert proto.validate_circuit() == []
 
     def test_merged_pair_layer_fails_validation(self):
-        # the program keeps all pair gates in one GateLayer, which shares
-        # sites; run as one layer it is not a depth-1 circuit
+        # the program's pair gates share sites; run as one layer they are not
+        # a depth-1 circuit
         from qccc import circuits as cx
 
         proto, _ = ghz_protocol(6)
-        merged = cx.Circuit(proto.lattice, proto.program[0].layers)
+        layers = [layer for step in proto.program if hasattr(step, "layers") for layer in step.layers]
+        merged = cx.Circuit(
+            proto.lattice,
+            [layer for layer in layers if isinstance(layer, cx.LocalLayer)]
+            + [cx.GateLayer([g for layer in layers if isinstance(layer, cx.GateLayer) for g in layer.gates])],
+        )
         assert sum(isinstance(layer, cx.GateLayer) for layer in merged.layers) == 1
         reasons = [v.reason for v in cx.validate(merged, proto.register)]
         assert reasons and all("used twice in one layer" in r for r in reasons)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    def test_each_ancilla_is_measured_before_the_next_but_one_is_added(self, n):
+        """The dense register holds at most n + 2 qubits at a measurement,
+        and the program is one quantum round."""
+        from qccc.locc import _execute, _sample, initial_state
+
+        proto, _ = ghz_protocol(n)
+        widths = []
+        sample = _sample(np.random.default_rng(0))
+        choose = lambda state, spec, outcomes: widths.append(state.register.size) or sample(state, spec, outcomes)
+        next(_execute(proto.program, initial_state(proto), choose))
+        assert len(widths) == n - 1 and max(widths) <= n + 2 and len(proto.rounds()) == 1
 
     def test_tableau_n8_stabilizer_group(self):
         proto, _ = ghz_protocol(8)
@@ -85,7 +103,7 @@ class TestGHZ:
             from qccc.locc import replay
 
             st_d, _ = replay(proto, rec)
-            assert st_t.to_pure_state().fidelity(st_d) > 1 - 1e-10, n
+            assert to_pure_state(st_t).fidelity(st_d) > 1 - 1e-10, n
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
@@ -100,9 +118,10 @@ class TestGHZ:
         n = 4
         proto, _ = ghz_protocol(n)
         st = PureState.product(QuditRegister(proto.register))
-        adds, pairs, locals_ = proto.program[0].layers
-        for layer in (adds, pairs):
-            cx.apply_layer(st, layer)
+        for step in proto.program:  # the ancillas and pair gates, not the parity CNOTs
+            for layer in getattr(step, "layers", []):
+                if isinstance(layer, cx.GateLayer) or all(a.kind == "add" for a in layer.actions):
+                    cx.apply_layer(st, layer)
         st.apply_named("Z", [(n - 1, "s")])
         st.apply_named("H", [(n - 1, "s")])
         # direct product: amplitudes assembled entry by entry
@@ -232,7 +251,7 @@ class TestToricCodeLayout:
     def test_counts(self):
         layout = ToricCodeLayout(4)
         assert len(layout.plaquettes_a) == 8
-        assert len(layout.plaquettes_b) == 8
+        assert len(plaquettes_b(layout)) == 8
         from collections import Counter
 
         cnt = Counter(s for p in layout.plaquettes_a for s in layout.plaquette_sites(p))

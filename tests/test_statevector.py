@@ -14,7 +14,7 @@ from qccc.statevector import (
     pauli_on,
 )
 
-from oracles import is_product_across, purity
+from oracles import is_product_across, purity, swap_d
 
 
 def qubits(n):
@@ -462,7 +462,7 @@ class _Program:
             return None
         b = self.pick(partners)
         self.st.apply_named("SWAP", [a, b])
-        self.ref.apply([a, b], gates.swap_d(self.ref.dim(a), self.ref.dim(b)))
+        self.ref.apply([a, b], swap_d(self.ref.dim(a), self.ref.dim(b)))
         return b
 
     def remove(self, key):
@@ -711,8 +711,12 @@ class TestPauliMoves:
         np.testing.assert_allclose(st.byproduct_residuals((0, "a"), [((0, "s"), d - 1, 0)], d), 0, atol=1e-15)
         np.testing.assert_allclose(st.byproduct_residuals((0, "a"), [], d), np.sqrt(2 / d))
         assert np.array_equal(st.amps, amps)  # slices are read, never written
-        st.add_entry(1, "b", d)
-        assert st.byproduct_residuals((0, "a"), [((1, "b"), 1, 0)], d) is None  # a product factor
+        st.add_entry(1, "b", d)  # a |0> product factor: Z adds nothing, X its slice's norm times sqrt(2)
+        right = [((0, "s"), d - 1, 0), ((1, "b"), 0, 1)]
+        np.testing.assert_allclose(st.byproduct_residuals((0, "a"), right, d), 0, atol=1e-15)
+        np.testing.assert_allclose(st.byproduct_residuals((0, "a"), [((1, "b"), 1, 0)], d), 2 * np.sqrt(2 / d))
+        assert st.byproduct_residuals((1, "b"), [], d) is None  # no slice shows a product factor
+        assert st.byproduct_residuals((0, "a"), [((2, "c"), 1, 0)], d) is None  # nor an entry the state lacks
 
     def test_byproduct_residuals_free_a_later_entry(self):
         """|+>|+> joined by CZ: outcome 1 of a leaves Z on b, equal to outcome
