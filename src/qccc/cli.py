@@ -68,17 +68,15 @@ class ConfigError(ValueError):
 
 
 def _write_report(report: dict, out_path):
-    """Indented JSON, except that each `branches` row is one compact line as
-    the encoder writes it (by `_row_text` for a BranchRows): the indented
+    """Indented JSON, except that each row of `branches`, a BranchRows, is
+    one compact line as the encoder writes it (`_row_text`): the indented
     encoder is pure Python and slow on thousands of rows."""
     rows = report.get("branches")
     text = json.dumps(report if rows is None else dict(report, branches=[]), indent=2, sort_keys=True)
     parts = [text, "\n"]
     if rows:
-        body = (_row_text(rows) if isinstance(rows, BranchRows)
-                else ",\n".join(["    " + json.dumps(r, sort_keys=True) for r in rows]))
         head, tail = text.split('\n  "branches": []', 1)
-        parts = [head, '\n  "branches": [\n', body, "\n  ]", tail, "\n"]
+        parts = [head, '\n  "branches": [\n', _row_text(rows), "\n  ]", tail, "\n"]
     if out_path:
         with open(out_path, "w") as fh:
             fh.writelines(parts)

@@ -21,18 +21,20 @@ tableau, that history takes outcome 0 at every random measurement, and its
 Pauli frame is a GF(2)-linear function of the r random outcomes, kept as r
 frame columns: outcome flips enter as Aaronson-Gottesman destabilizers, and
 a Correct moves the columns by one matrix product; one GF(2) product with
-the record vectors then expands every record's outcomes and final state. On
+the record vectors then expands every record's outcomes and fidelity. On
 dense states, each random outcome's slice, moved by its by-product (the
 column of the Correct that reads it, pulled back through the Clifford steps
 between, `_byproduct_plan`), must equal outcome 0's; then every record ends
 in the history's state (`_enumerate_dense_frames`). Any other program runs
 the depth-first search, one history per leaf, which the tests take as the
-oracle, and the result says why (`fallback`). Every engine scores a branch by its final state's `fidelity` to the
-first branch's and to the target (1 or 0 on the tableau, where it tests
-equality), gives its verdict by one rule and writes its rows straight into
-arrays (`BranchRows`), which build a BranchReport only for a row that is
-read, and which the CLI writes from. A target fits the backend that runs: a
-PureState on dense states, stabilizer generators on the tableau.
+oracle, and the result says why (`fallback`). Every engine scores a branch
+by its final state's `fidelity` to the first branch's and to the target (1
+or 0 on the tableau, where it tests equality), gives its verdict by one rule
+and writes its rows straight into arrays (`BranchRows`), which build a
+BranchReport only for a row that is read, and which the CLI writes from. A
+result keeps no state but the first branch's: a record's is `replay(protocol,
+record)`. A target fits the backend that runs: a PureState on dense states,
+stabilizer generators on the tableau.
 
 A protocol's depth is read from its program: `Protocol.schedule` packs the
 gates of its ApplyLayers steps into site-disjoint layers (`cx.schedule`), so
@@ -184,14 +186,14 @@ class BranchRows:
 @dataclass
 class EnumerationResult:
     """The certificate of `enumerate_branches`. `reports` holds the rows as
-    arrays (a BranchRows); it builds a BranchReport for each row read."""
+    arrays (a BranchRows); it builds a BranchReport for each row read. It
+    keeps no state but `reference`: a record's is `replay(protocol, record)`."""
 
     reports: BranchRows
     deterministic: bool
     min_fidelity: float
     max_fidelity: float
     reference: object  # final state of the first branch
-    finals: Optional[List[object]] = None  # all branch states when requested
     engine: str = "dfs"  # "frames": one history, its random outcomes checked or framed; "dfs": one history per leaf
     fallback: Optional[str] = None  # why `enumerate_branches` ran the "dfs" engine
 
@@ -421,9 +423,10 @@ def enumerate_branches(
     branch_cap: int = DEFAULT_BRANCH_CAP,
     input_state=None,
     target: Optional[object] = "protocol",
-    keep_states: bool = False,
 ) -> EnumerationResult:
-    """Every measurement branch above prob_floor, with its probability and fidelity.
+    """Every measurement branch above prob_floor, as rows of outcomes,
+    probability and fidelity, and the first branch's final state; a row's
+    own state is `replay(protocol, row.record)`.
 
     Branch fidelity is measured against the protocol target when one exists,
     otherwise against the first branch. The DETERMINISTIC verdict additionally
@@ -434,21 +437,22 @@ def enumerate_branches(
     right after it: `_enumerate_frames` on the tableau below a floor of 0.5,
     `_enumerate_dense_frames` on dense states. The depth-first search
     `_enumerate_dfs` (engine "dfs") runs the rest, a dense fallback included,
-    and `fallback` says why. All give the same rows in the same order. A target that does not fit the
-    backend (see `_resolve_target`) raises ValueError before the run.
+    and `fallback` says why. All give the same rows in the same order. The
+    target is resolved once, here: one that does not fit the backend (see
+    `_resolve_target`) raises ValueError before the run.
     """
     start = _start(protocol, backend, input_state)
-    resolved = _resolve_target(protocol, start, target)
+    target = _resolve_target(protocol, start, target)
     if not isinstance(start, PureState):
         if prob_floor < 0.5:
-            return _enumerate_frames(protocol, start, branch_cap, resolved, keep_states)
+            return _enumerate_frames(protocol, start, branch_cap, target)
         reason = f"a probability floor of {prob_floor} on the tableau"
     else:
         try:
-            return _enumerate_dense_frames(protocol, start, prob_floor, branch_cap, resolved, keep_states)
-        except _Fallback as exc:
-            reason = str(exc)
-    res = _enumerate_dfs(protocol, backend, prob_floor, branch_cap, input_state, target, keep_states)
+            return _enumerate_dense_frames(protocol, start, prob_floor, branch_cap, target)
+        except _Fallback as exc:  # the check ran its history on `start`
+            reason, start = str(exc), _start(protocol, backend, input_state)
+    res = _enumerate_dfs(protocol, start, target, prob_floor, branch_cap)
     res.fallback = reason
     return res
 
@@ -473,7 +477,7 @@ def _resolve_target(protocol: Protocol, start, target):
     return state
 
 
-def _result(tags, k, pk, fids, agree, reference, finals, engine: str) -> EnumerationResult:
+def _result(tags, k, pk, fids, agree, reference, engine: str) -> EnumerationResult:
     """The rows and the one verdict. Row i has outcomes k[i] (in the narrowest
     unsigned type), their probabilities pk[i], whose product left to right,
     as a history takes it, is its probability, and fidelity fids[i]; it is
@@ -484,24 +488,15 @@ def _result(tags, k, pk, fids, agree, reference, finals, engine: str) -> Enumera
         p *= column
     k = k.astype(np.promote_types(np.uint8, np.min_scalar_type(k.max(initial=0))), copy=False)
     rows = BranchRows(tuple(tags), k, pk, p, np.asarray(fids, dtype=float))
-    res = EnumerationResult(rows, bool(agree), float(np.min(fids)), float(np.max(fids)), reference, finals, engine)
+    res = EnumerationResult(rows, bool(agree), float(np.min(fids)), float(np.max(fids)), reference, engine)
     res.deterministic &= abs(1.0 - res.total_probability()) <= DETERMINISM_TOL
     return res
 
 
-def _enumerate_dfs(
-    protocol: Protocol,
-    backend: str = "dense",
-    prob_floor: float = DEFAULT_PROB_FLOOR,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
-    input_state=None,
-    target: Optional[object] = "protocol",
-    keep_states: bool = False,
-) -> EnumerationResult:
-    """`enumerate_branches` by depth-first exploration: one history per leaf,
-    each scored on its own final state (the fallback, and the tests' oracle)."""
-    start = _start(protocol, backend, input_state)
-    target = _resolve_target(protocol, start, target)
+def _enumerate_dfs(protocol: Protocol, start, target, prob_floor: float, branch_cap: int) -> EnumerationResult:
+    """`enumerate_branches` by depth-first exploration from `start`, with the
+    resolved `target`: one history per leaf, each scored on its own final
+    state (the fallback, and the tests' oracle)."""
 
     def live(state, spec, outcomes):
         probs = state.branch_probabilities(spec.entry, spec.basis)
@@ -513,7 +508,6 @@ def _enumerate_dfs(
 
     tags = [step.spec.tag for step in protocol.program if isinstance(step, Measure)]
     ks, pks, fs = [], [], []  # every history measures the tags in program order
-    finals: List[object] = []
     reference = None
     agree = True
     for state, outcomes, _ in _execute(protocol.program, start, live, branch_cap):
@@ -525,12 +519,10 @@ def _enumerate_dfs(
         ks.append([k for _, k, _ in outcomes])
         pks.append([p for _, _, p in outcomes])
         fs.append(agree_first if target is None else final.fidelity(target))
-        if keep_states:
-            finals.append(final)
     if not fs:
         raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
     k, pk = np.array(ks, dtype=np.int64).reshape(len(fs), len(tags)), np.reshape(pks, (len(fs), len(tags)))
-    return _result(tags, k, pk, fs, agree, reference, finals if keep_states else None, "dfs")
+    return _result(tags, k, pk, fs, agree, reference, "dfs")
 
 
 class _Fallback(Exception):
@@ -738,7 +730,7 @@ class _PullBack:
 
 
 def _enumerate_dense_frames(
-    protocol: Protocol, start: PureState, prob_floor: float, branch_cap: int, target, keep_states: bool
+    protocol: Protocol, start: PureState, prob_floor: float, branch_cap: int, target
 ) -> EnumerationResult:
     """`enumerate_branches` on a dense state from one history that takes the
     first live outcome of each measurement. At a random one of tag t, every
@@ -813,8 +805,7 @@ def _enumerate_dense_frames(
                 k[:, j] = (k[:, j] + shift) % len(dists[j])
     pk = np.array([dist[source[:, i]] for i, dist in enumerate(dists)]).reshape(len(dists), count).T
     agree = agree_first >= 1.0 - DETERMINISM_TOL and 2 * sum(residuals) <= DETERMINISM_TOL
-    finals = [reference.clone() for _ in range(count)] if keep_states else None  # equal up to phase
-    return _result(tags, k, pk, np.full(count, fid), agree, reference, finals, "frames")
+    return _result(tags, k, pk, np.full(count, fid), agree, reference, "frames")
 
 
 class _FramedTableau(TableauState):
@@ -913,9 +904,7 @@ class _FramedTableau(TableauState):
         self.fz[qubits] ^= flips[n:]
 
 
-def _enumerate_frames(
-    protocol: Protocol, start: TableauState, branch_cap: int, target, keep_states: bool
-) -> EnumerationResult:
+def _enumerate_frames(protocol: Protocol, start: TableauState, branch_cap: int, target) -> EnumerationResult:
     """`enumerate_branches` from one tableau history and its affine Pauli frames.
 
     Every record has probability 2^-r (deterministic steps contribute 1). The
@@ -937,15 +926,13 @@ def _enumerate_frames(
     reference = _finalize(framed, protocol)
     order = [framed.index(k) for k in reference.keys]
     fx, fz = framed.fx[order], framed.fz[order]
-    tab, n = reference.tab, reference.tab.n
-    rows, signs = tab._canonical_rows()
-    # the canonical rows, then (for the finals) every tableau row
-    paulis = np.concatenate([rows, np.concatenate([tab.x, tab.z], axis=1)] if keep_states else [rows])
-    linear = np.concatenate([framed.forms[:, 1:], (paulis[:, n:] @ fx + paulis[:, :n] @ fz)]).T
+    n = reference.tab.n
+    rows, signs = reference.tab._canonical_rows()
+    linear = np.concatenate([framed.forms[:, 1:], rows[:, n:] @ fx + rows[:, :n] @ fz]).T
     records = ((np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1).astype(np.uint8)
     # uint8 sums and products wrap modulo 256, which keeps their parity
     expanded = (records @ linear) % 2
-    bits, flips = expanded[:, :m] ^ framed.forms[:, 0], expanded[:, m : m + n]
+    bits, flips = expanded[:, :m] ^ framed.forms[:, 0], expanded[:, m:]
     agree = ~flips.any(axis=1)
     if target is None:
         fids = agree.astype(float)
@@ -955,14 +942,7 @@ def _enumerate_frames(
         same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
         fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
     ps = np.broadcast_to([p for _, _, p in outcomes], bits.shape)
-    finals = None
-    if keep_states:
-        finals = []
-        for row in expanded[:, m + n :]:
-            final = reference.clone()
-            final.tab.r = ((tab.r + 2 * row) % 4).astype(np.uint8)
-            finals.append(final)
-    return _result([t for t, _, _ in outcomes], bits, ps, fids, agree.all(), reference, finals, "frames")
+    return _result([t for t, _, _ in outcomes], bits, ps, fids, agree.all(), reference, "frames")
 
 
 # -- teleportation ------------------------------------------------------------------

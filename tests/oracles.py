@@ -115,3 +115,24 @@ def raw_overlap(a: M.MPS, b: M.MPS, n: int) -> complex:
 def plaquettes_b(layout):
     """The toric-code layout's B-plaquettes, off the chessboard pattern."""
     return [(i, j) for i in range(layout.N) for j in range(layout.N) if (i + j) % 2 == 1]
+
+
+def _assert_rows_replay(proto, res, backend="dense", input_state=None, limit=32, target="protocol"):
+    """Check the rows of `enumerate_branches` against `replay` on the plain
+    backend: every row below `limit`, and a seeded sample of `limit` rows past
+    it. A row's outcomes must be the replay's, its outcome probabilities
+    within 1e-12 of the replay's, and its fidelity within 1e-9 of the replayed
+    state's fidelity to `target` (resolved as `enumerate_branches` resolves
+    it), or to the first branch's state when there is none."""
+    from qccc import locc
+
+    target = locc._resolve_target(proto, locc._start(proto, backend, input_state), target)
+    against = res.reference if target is None else target
+    rows, past = res.reports, np.arange(limit, len(res.reports))
+    sample = np.random.default_rng(0).choice(past, min(limit, len(past)), replace=False)
+    for i in [*range(min(limit, len(rows))), *np.sort(sample).tolist()]:
+        row = rows[i]
+        state, record = locc.replay(proto, row.record, backend, input_state)
+        assert [o[:2] for o in record.outcomes] == [o[:2] for o in row.record.outcomes]
+        assert np.abs([p for *_, p in record.outcomes] - rows.outcome_probs[i]).max(initial=0) <= 1e-12
+        assert abs(state.fidelity(against) - row.fidelity) <= 1e-9, (i, row)

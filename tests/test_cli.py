@@ -14,7 +14,7 @@ from qccc.cli import (
     _write_report,
     main,
 )
-from qccc.locc import BranchCapExceeded, ProtocolError
+from qccc.locc import BranchCapExceeded, BranchRows, ProtocolError
 from qccc.stabilizer import InternalError
 
 from oracles import save_mps
@@ -183,21 +183,20 @@ class TestPrepare:
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3])
     def test_branch_rows_one_per_line(self, tmp_path, n_rows):
-        report = {
-            "version": "0",
-            "config": {"branches": [1, 2]},
-            "branches": [
-                {"outcomes": [["t0s", k], ["t0p", 1]], "probability": 0.1 * k, "fidelity": 1 - 1e-16}
-                for k in range(n_rows)
-            ],
-            "verdict": "DETERMINISTIC",
-        }
+        k = np.arange(n_rows)
+        outcomes = np.stack([k, np.ones(n_rows, dtype=int)], axis=1).astype(np.uint8)
+        rows = BranchRows(("t0s", "t0p"), outcomes, np.full((n_rows, 2), 0.5), 0.1 * k, np.full(n_rows, 1 - 1e-16))
+        dicts = [
+            {"outcomes": [["t0s", int(i)], ["t0p", 1]], "probability": 0.1 * i, "fidelity": 1 - 1e-16}
+            for i in k
+        ]
+        report = {"version": "0", "config": {"branches": [1, 2]}, "verdict": "DETERMINISTIC"}
         out = tmp_path / "report.json"
-        _write_report(report, str(out))
+        _write_report(dict(report, branches=rows), str(out))
         text = out.read_text()
-        assert json.loads(text) == json.loads(json.dumps(report, indent=2, sort_keys=True))
-        rows = [line.rstrip(",") for line in text.splitlines() if '"outcomes"' in line]
-        assert rows == ["    " + json.dumps(r, sort_keys=True) for r in report["branches"]]
+        assert json.loads(text) == json.loads(json.dumps(dict(report, branches=dicts), indent=2, sort_keys=True))
+        lines = [line.rstrip(",") for line in text.splitlines() if '"outcomes"' in line]
+        assert lines == ["    " + json.dumps(r, sort_keys=True) for r in dicts]
 
 
 class TestRowWriter:

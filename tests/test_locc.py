@@ -11,6 +11,8 @@ from qccc import circuits as cx
 from qccc import gates
 from qccc.lattice import Lattice
 from qccc.locc import (
+    DEFAULT_BRANCH_CAP,
+    DEFAULT_PROB_FLOOR,
     ApplyLayers,
     BranchCapExceeded,
     Correct,
@@ -26,6 +28,8 @@ from qccc.locc import (
 )
 from qccc.stabilizer import _CHAR_BITS
 from qccc.statevector import PureState, QuditRegister, RegionOperator
+
+from oracles import _assert_rows_replay
 
 
 def _noop_protocol():
@@ -125,6 +129,16 @@ def _same_state(a, b):
     return a.states_equal(b)
 
 
+def _dfs(proto, backend="dense", input_state=None, target="protocol", prob_floor=DEFAULT_PROB_FLOOR,
+         branch_cap=DEFAULT_BRANCH_CAP):
+    """The depth-first search, the oracle, from the start and target that
+    `enumerate_branches` would resolve."""
+    from qccc import locc
+
+    start = locc._start(proto, backend, input_state)
+    return locc._enumerate_dfs(proto, start, locc._resolve_target(proto, start, target), prob_floor, branch_cap)
+
+
 class TestEngine:
     def test_empty_protocol(self):
         proto = _noop_protocol()
@@ -181,13 +195,12 @@ class TestEngine:
         # a last step that every history reaching the end of the program runs once
         end = _no_op()
         proto = replace(ghz, program=ghz.program + [end])
-        dfs = locc._enumerate_dfs  # the tableau would otherwise take the frames
-        with pytest.raises(BranchCapExceeded):
-            dfs(proto, backend=backend, branch_cap=cap)
+        with pytest.raises(BranchCapExceeded):  # the DFS: the tableau would otherwise take the frames
+            _dfs(proto, backend=backend, branch_cap=cap)
         assert len(finalized) <= cap and len(completed) <= cap
         finalized.clear()
         completed.clear()
-        res = dfs(proto, backend=backend, branch_cap=16)
+        res = _dfs(proto, backend=backend, branch_cap=16)
         assert res.engine == "dfs" and len(res.reports) == len(completed) == len(finalized) == 16
         if backend == "tableau":
             # `enumerate_branches` runs GHZ on the Pauli-frame engine, which raises
@@ -258,16 +271,18 @@ class TestEngine:
         ids=["ghz4-dense", "ghz4-tableau", "w3", "rg-B2-N2", "cj-ghz2"],
     )
     def test_sampled_matches_enumerated_branch(self, build, backend):
-        """Sampling, replaying and enumerating are three policies of one executor."""
+        """Sampling, replaying and enumerating are three policies of one
+        executor: every row matches its replay, and a sampled history is one
+        row, whose replay rebuilds the sampled state."""
         proto, inp = build()
-        res = enumerate_branches(proto, backend=backend, input_state=inp, keep_states=True)
+        res = enumerate_branches(proto, backend=backend, input_state=inp)
+        _assert_rows_replay(proto, res, backend, inp, limit=64)
         for seed in range(5):
             st, rec = run_sampled(proto, seed=seed, backend=backend, input_state=inp)
-            match = [i for i, r in enumerate(res.reports) if r.record.key() == rec.key()]
+            match = [r for r in res.reports if r.record.key() == rec.key()]
             assert len(match) == 1
-            assert abs(res.reports[match[0]].probability - rec.probability()) < 1e-12
-            assert _same_state(st, res.finals[match[0]])
-            again, rec2 = replay(proto, rec, backend=backend, input_state=inp)
+            assert abs(match[0].probability - rec.probability()) < 1e-12
+            again, rec2 = replay(proto, match[0].record, backend=backend, input_state=inp)
             assert rec2.key() == rec.key()
             assert _same_state(st, again)
 
@@ -422,9 +437,7 @@ def _assert_same_as_dfs(proto, input_state=None):
     """`enumerate_branches` against the plain depth-first search: the same
     verdict and records in the same order, probabilities and fidelities
     within 1e-12."""
-    from qccc import locc
-
-    res, dfs = enumerate_branches(proto, input_state=input_state), locc._enumerate_dfs(proto, input_state=input_state)
+    res, dfs = enumerate_branches(proto, input_state=input_state), _dfs(proto, input_state=input_state)
     assert dfs.engine == "dfs"
     assert res.verdict == dfs.verdict
     assert res.reports.tags == dfs.reports.tags
@@ -658,6 +671,14 @@ class TestBranchMerging:
         assert res.engine == "frames" and len(res.reports) == 2**16 and res.verdict == "DETERMINISTIC"
         assert res.min_fidelity > 1 - 1e-9
 
+    def test_w8_rows_replay(self):
+        """A seeded sample of the 2^16 rows that one history derives, each
+        against its own replay and `w_state(8)`."""
+        from qccc.protocols import w_state
+
+        proto = _w(8)[0]
+        _assert_rows_replay(proto, enumerate_branches(proto), limit=256, target=w_state(8))
+
 
 class TestBranchRows:
     """`reports` is a read-only sequence of BranchReports over the row arrays."""
@@ -700,13 +721,12 @@ class TestBranchRows:
 # -- the Pauli-frame engine against the DFS -----------------------------------------
 
 
-def _assert_frames_match_dfs(proto, input_state=None, target="protocol", keep_states=True):
+def _assert_frames_match_dfs(proto, input_state=None, target="protocol"):
     """Frames and DFS give the same verdict, records in order, bit-equal
-    probabilities, equal fidelities and equal reference and final states."""
-    from qccc import locc
-
-    kw = dict(backend="tableau", input_state=input_state, target=target, keep_states=keep_states)
-    frames, dfs = enumerate_branches(proto, **kw), locc._enumerate_dfs(proto, **kw)
+    probabilities, equal fidelities and equal reference states; and the
+    frames' rows match their replays (`_assert_rows_replay`)."""
+    kw = dict(backend="tableau", input_state=input_state, target=target)
+    frames, dfs = enumerate_branches(proto, **kw), _dfs(proto, **kw)
     assert (frames.engine, dfs.engine) == ("frames", "dfs")
     assert frames.verdict == dfs.verdict
     assert [r.record.outcomes for r in frames.reports] == [r.record.outcomes for r in dfs.reports]
@@ -716,9 +736,7 @@ def _assert_frames_match_dfs(proto, input_state=None, target="protocol", keep_st
     assert (frames.min_fidelity, frames.max_fidelity) == (dfs.min_fidelity, dfs.max_fidelity)
     assert frames.total_probability() == dfs.total_probability()
     assert frames.reference.keys == dfs.reference.keys and frames.reference.states_equal(dfs.reference)
-    if keep_states:
-        assert len(frames.finals) == len(dfs.finals)
-        assert all(a.states_equal(b) for a, b in zip(frames.finals, dfs.finals))
+    _assert_rows_replay(proto, frames, "tableau", input_state, limit=32, target=target)
     return frames, dfs
 
 
@@ -820,7 +838,7 @@ def _recorded_cases():
 class TestPauliFrames:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_ghz_matches_dfs(self, n):
-        frames, _ = _assert_frames_match_dfs(_ghz(n)[0], keep_states=n <= 8)
+        frames, _ = _assert_frames_match_dfs(_ghz(n)[0])
         assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 2 ** (n - 1)
 
     def test_toric_code_n4_matches_dfs(self):
@@ -872,14 +890,16 @@ class TestPauliFrames:
     @given(seed=hst.integers(0, 2**32 - 1))
     def test_random_pauli_programs_match_dfs(self, seed):
         proto = _random_pauli_program(np.random.default_rng(seed))
-        frames, dfs = _assert_frames_match_dfs(proto, target=None)
-        # against the last record's final state (sign differences enter) and
-        # against |0...0>, whose stabilizer bits mostly differ from the finals'
+        _, dfs = _assert_frames_match_dfs(proto, target=None)
+        # against the last record's replayed state (sign differences enter)
+        # and against |0...0>, whose stabilizer bits mostly differ from the
+        # records' states
         from qccc.stabilizer import PauliString
 
         n = len(proto.system_entries)
-        for target in (dfs.finals[-1].tab.generators(), [PauliString.single(n, i, "Z") for i in range(n)]):
-            _assert_frames_match_dfs(proto, target=target, keep_states=False)
+        last, _ = replay(proto, dfs.reports[-1].record, backend="tableau")
+        for target in (last.tab.generators(), [PauliString.single(n, i, "Z") for i in range(n)]):
+            _assert_frames_match_dfs(proto, target=target)
 
     def test_wrong_correction_is_not_deterministic(self):
         # the last site's X is dropped, so every record with k1 + ... + k4 odd
@@ -1087,16 +1107,27 @@ class TestDenseRows:
 
 
 class TestTargets:
-    """A target must fit the backend that runs, on either engine."""
+    """A target must fit the backend that runs, on either engine: the tableau
+    runs the frames below a probability floor of 0.5 and the DFS at it. The
+    target is resolved once, before either runs."""
 
-    def test_dense_target_on_the_tableau_raises(self):
-        # such a target once gave NaN fidelities under a DETERMINISTIC verdict
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The histories that `_execute` starts."""
         from qccc import locc
+
+        started, execute = [], locc._execute
+        monkeypatch.setattr(locc, "_execute", lambda *a, **k: started.append(a[1]) or execute(*a, **k))
+        return started
+
+    @pytest.mark.parametrize("floor", [DEFAULT_PROB_FLOOR, 0.5], ids=["frames", "dfs"])
+    def test_dense_target_on_the_tableau_raises(self, runs, floor):
+        # such a target once gave NaN fidelities under a DETERMINISTIC verdict
         from qccc.protocols import ghz_state
 
-        for run in (enumerate_branches, locc._enumerate_dfs):
-            with pytest.raises(ValueError, match="stabilizer generators"):
-                run(_ghz(4)[0], backend="tableau", target=ghz_state(4))
+        with pytest.raises(ValueError, match="stabilizer generators"):
+            enumerate_branches(_ghz(4)[0], backend="tableau", target=ghz_state(4), prob_floor=floor)
+        assert runs == []
 
     def test_generator_target_on_dense_raises(self):
         from qccc.protocols import ghz_generators
@@ -1104,14 +1135,25 @@ class TestTargets:
         with pytest.raises(ValueError, match="a PureState"):
             enumerate_branches(_ghz(4)[0], target=ghz_generators(4))
 
+    @pytest.mark.parametrize("floor", [DEFAULT_PROB_FLOOR, 0.5], ids=["frames", "dfs"])
     @pytest.mark.parametrize("count", [3, 5])
-    def test_generator_count_must_match_the_system(self, count):
-        from qccc import locc
+    def test_generator_count_must_match_the_system(self, runs, count, floor):
         from qccc.protocols import ghz_generators
 
-        for run in (enumerate_branches, locc._enumerate_dfs):
-            with pytest.raises(ValueError, match="4 system entries"):
-                run(_ghz(4)[0], backend="tableau", target=ghz_generators(count))
+        with pytest.raises(ValueError, match="4 system entries"):
+            enumerate_branches(_ghz(4)[0], backend="tableau", target=ghz_generators(count), prob_floor=floor)
+        assert runs == []
+
+    def test_generator_target_built_once(self, monkeypatch):
+        """On the DFS path as well; there a floor of 0.5 cuts every random
+        outcome of the tableau, after the target is built."""
+        from qccc.stabilizer import StabilizerTableau
+
+        built, build = [], StabilizerTableau.from_generators
+        monkeypatch.setattr(StabilizerTableau, "from_generators", classmethod(lambda _, g: built.append(1) or build(g)))
+        with pytest.raises(ProtocolError, match="lies above prob_floor=0.5"):
+            enumerate_branches(_ghz(4)[0], backend="tableau", prob_floor=0.5)
+        assert len(built) == 1
 
 
 # -- dense by-products pulled back through Clifford steps -----------------------------

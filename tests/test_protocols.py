@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qccc import gates
-from qccc.locc import ProtocolError, enumerate_branches, run_sampled
+from qccc.locc import ProtocolError, enumerate_branches, replay, run_sampled
 from qccc.protocols import (
     RGFixedPointSpec,
     ToricCodeLayout,
@@ -24,7 +24,7 @@ from qccc.protocols import (
 )
 from qccc.stabilizer import StabilizerTableau
 
-from oracles import is_product_across, plaquettes_b, to_pure_state
+from oracles import _assert_rows_replay, is_product_across, plaquettes_b, to_pure_state
 
 
 class TestGHZ:
@@ -36,14 +36,16 @@ class TestGHZ:
         assert res.min_fidelity > 1 - 1e-9
 
     def test_n3_branch_structure(self):
-        proto, _ = ghz_protocol(3)
-        res = enumerate_branches(proto, keep_states=True)
+        proto, target = ghz_protocol(3)
+        res = enumerate_branches(proto)
         assert len(res.reports) == 4
         for rep in res.reports:
             assert abs(rep.probability - 0.25) < 1e-12
+        _assert_rows_replay(proto, res)
         # all-zero record needs no correction: the state is GHZ already
-        zero = next(r for i, r in enumerate(res.reports) if r.record.key() == (0, 0))
+        zero = next(r for r in res.reports if r.record.key() == (0, 0))
         assert zero.fidelity > 1 - 1e-9
+        assert replay(proto, zero.record)[0].fidelity(target) > 1 - 1e-9
 
     def test_depth_exactly_two(self):
         # one pair gate at n = 2
