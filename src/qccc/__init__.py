@@ -41,7 +41,6 @@ from .circuits import (
 from .locc import (
     BranchReport,
     EnumerationResult,
-    MeasurementSpec,
     OutcomeRecord,
     Protocol,
     enumerate_branches,

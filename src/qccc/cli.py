@@ -324,6 +324,8 @@ def cmd_range(args, report: dict) -> int:
     else:
         if args.seed is None:
             raise ConfigError("random circuits require --seed")
+        if args.depth < 0:
+            raise ConfigError("--depth must be >= 0")
         rng = np.random.default_rng(args.seed)
         circuit = cx._random_circuit(lat, args.depth, rng)
         u = cx.circuit_unitary(circuit, [(i, "s", lat.local_dim) for i in range(lat.n_sites)])

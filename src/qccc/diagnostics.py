@@ -28,7 +28,6 @@ from .locc import (
     ApplyLayers,
     Correct,
     Measure,
-    MeasurementSpec,
     PauliMap,
     Protocol,
     bell_rotation_ops,
@@ -260,8 +259,8 @@ class CJProtocol:
         for k in range(n):
             program += [
                 ApplyLayers([cx.LocalLayer(bell_rotation_ops((k, "a"), (k, "in"), 2))]),
-                Measure(MeasurementSpec((k, "in"), f"in{k}")),
-                Measure(MeasurementSpec((k, "a"), f"a{k}")),
+                Measure((k, "in"), f"in{k}"),
+                Measure((k, "a"), f"a{k}"),
             ]
 
         # the rotation CNOT(a -> in), H(a) maps (X^alpha Z^beta x 1)_{a,in}|Phi+>

@@ -1,7 +1,10 @@
 """The LOCC-assisted execution model.
 
 A Protocol is a program of steps over a register: circuit chunks, single-qudit
-measurements with fixed bases, and outcome-conditioned local corrections.
+measurements, and outcome-conditioned local corrections. A Measure reads one
+entry in the computational basis and drops it from the register (another
+basis is a local unitary before it, as `bell_rotation_ops` writes the Bell
+basis).
 One step interpreter runs it under three outcome policies: `run_sampled`
 samples one history, `replay` forces a recorded one, and `enumerate_branches`
 explores every measurement branch and certifies determinism (all branches
@@ -70,24 +73,20 @@ class BranchCapExceeded(ProtocolError):
 
 
 @dataclass
-class MeasurementSpec:
-    entry: EntryKey
-    tag: str
-    basis: Optional[np.ndarray] = None  # columns = basis vectors; None = computational
-    remove: bool = True
-
-    def __post_init__(self):
-        self.entry = (int(self.entry[0]), str(self.entry[1]))
-
-
-@dataclass
 class ApplyLayers:
     layers: List[cx.Layer]
 
 
 @dataclass
 class Measure:
-    spec: MeasurementSpec
+    """Measure `entry` in the computational basis, record the outcome under
+    `tag`, and drop the entry from the register."""
+
+    entry: EntryKey
+    tag: str
+
+    def __post_init__(self):
+        self.entry = (int(self.entry[0]), str(self.entry[1]))
 
 
 @dataclass(eq=False)
@@ -222,7 +221,7 @@ class Protocol:
         seen = set()
         for step in self.program:
             if isinstance(step, Measure):
-                key = tuple(step.spec.entry)
+                key = step.entry
                 if key in seen:
                     raise ProtocolError(f"entry {key} is measured more than once")
                 seen.add(key)
@@ -251,7 +250,7 @@ class Protocol:
                         split += [[] for _ in range(r + 1 - len(split))]
                         split[r].append(type(layer)(items))
             elif isinstance(step, Measure):
-                level[step.spec.entry] = measured[step.spec.tag] = max(2, at([step.spec.entry]) + 1 & ~1)
+                level[step.entry] = measured[step.tag] = max(2, at([step.entry]) + 1 & ~1)
             else:
                 lvl = max([2, at(step.pauli.entries)] + [measured.get(t, 0) for t in step.pauli.tags])
                 lvl += lvl & 1
@@ -315,13 +314,13 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
     """The step interpreter: run `program` on `state` and yield
     (final state, outcomes, probability) for every history it follows.
 
-    `choose(state, spec, outcomes)` returns the `_measure_step` keyword
+    `choose(state, step, outcomes)` returns the `measure_remove` keyword
     arguments of each outcome to follow at a Measure step: one `rng` to sample,
     one `force` to replay, or one `force` per live outcome to enumerate, with
-    its probability `p` on a dense state. Every outcome but the last runs on a
-    clone; the last, and a single one, reuse the state, so single-history
-    policies mutate `state` in place. Pending outcomes wait on an explicit
-    stack and are visited depth-first in order.
+    its probability `p`. Every outcome but the last runs on a clone; the last,
+    and a single one, reuse the state, so single-history policies mutate
+    `state` in place. Pending outcomes wait on an explicit stack and are
+    visited depth-first in order.
 
     Every pending outcome yields at least one history, so the histories
     finished, pending and in progress bound the total from below; with a
@@ -339,9 +338,8 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
                 for layer in step.layers:
                     cx.apply_layer(state, layer)
             elif isinstance(step, Measure):
-                spec = step.spec
                 if options is None:
-                    options = choose(state, spec, outcomes)
+                    options = choose(state, step, outcomes)
                     if not options:  # every outcome is below the probability floor
                         histories -= 1
                         break
@@ -351,9 +349,9 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
                 if len(options) > 1:
                     stack.append((state, j, outcomes, prob, options[1:]))
                     state = state.clone()
-                k, p = _measure_step(state, spec, **options[0])
+                k, p = state.measure_remove(step.entry, **options[0])
                 options = None
-                outcomes += ((spec.tag, int(k), float(p)),)
+                outcomes += ((step.tag, int(k), float(p)),)
                 prob *= p
             elif isinstance(step, Correct):
                 _apply_correction(state, step.pauli, outcomes)
@@ -364,23 +362,14 @@ def _execute(program: Sequence[Step], state, choose, cap: Optional[int] = None):
             yield state, outcomes, prob
 
 
-def _measure_step(state, spec: MeasurementSpec, **options):
-    if spec.remove and hasattr(state, "measure_remove"):
-        return state.measure_remove(spec.entry, basis=spec.basis, **options)
-    k, p = state.measure(spec.entry, basis=spec.basis, **options)
-    if spec.remove:
-        state.remove_entry(spec.entry)
-    return k, p
-
-
 def _sample(rng: np.random.Generator):
-    return lambda state, spec, outcomes: ({"rng": rng},)
+    return lambda state, step, outcomes: ({"rng": rng},)
 
 
 def _force(record: OutcomeRecord):
-    def choose(state, spec, outcomes):
+    def choose(state, step, outcomes):
         i = len(outcomes)
-        if i >= len(record.outcomes) or record.outcomes[i][0] != spec.tag:
+        if i >= len(record.outcomes) or record.outcomes[i][0] != step.tag:
             raise ProtocolError("record does not match protocol schedule")
         return ({"force": record.outcomes[i][1]},)
 
@@ -419,12 +408,11 @@ def replay(
 def enumerate_branches(
     protocol: Protocol,
     backend: str = "dense",
-    prob_floor: float = DEFAULT_PROB_FLOOR,
     branch_cap: int = DEFAULT_BRANCH_CAP,
     input_state=None,
     target: Optional[object] = "protocol",
 ) -> EnumerationResult:
-    """Every measurement branch above prob_floor, as rows of outcomes,
+    """Every measurement branch above DEFAULT_PROB_FLOOR, as rows of outcomes,
     probability and fidelity, and the first branch's final state; a row's
     own state is `replay(protocol, row.record)`.
 
@@ -434,25 +422,22 @@ def enumerate_branches(
     and their probabilities to sum to 1 within DETERMINISM_TOL.
 
     Engine "frames" certifies from one history and raises BranchCapExceeded
-    right after it: `_enumerate_frames` on the tableau below a floor of 0.5,
+    right after it: `_enumerate_frames` on the tableau, always, and
     `_enumerate_dense_frames` on dense states. The depth-first search
-    `_enumerate_dfs` (engine "dfs") runs the rest, a dense fallback included,
-    and `fallback` says why. All give the same rows in the same order. The
+    `_enumerate_dfs` (engine "dfs") runs a dense program that the latter
+    cannot certify, and `fallback` says why. All give the same rows in the same order. The
     target is resolved once, here: one that does not fit the backend (see
     `_resolve_target`) raises ValueError before the run.
     """
     start = _start(protocol, backend, input_state)
     target = _resolve_target(protocol, start, target)
     if not isinstance(start, PureState):
-        if prob_floor < 0.5:
-            return _enumerate_frames(protocol, start, branch_cap, target)
-        reason = f"a probability floor of {prob_floor} on the tableau"
-    else:
-        try:
-            return _enumerate_dense_frames(protocol, start, prob_floor, branch_cap, target)
-        except _Fallback as exc:  # the check ran its history on `start`
-            reason, start = str(exc), _start(protocol, backend, input_state)
-    res = _enumerate_dfs(protocol, start, target, prob_floor, branch_cap)
+        return _enumerate_frames(protocol, start, branch_cap, target)
+    try:
+        return _enumerate_dense_frames(protocol, start, branch_cap, target)
+    except _Fallback as exc:  # the check ran its history on `start`
+        reason, start = str(exc), _start(protocol, backend, input_state)
+    res = _enumerate_dfs(protocol, start, target, branch_cap)
     res.fallback = reason
     return res
 
@@ -493,20 +478,18 @@ def _result(tags, k, pk, fids, agree, reference, engine: str) -> EnumerationResu
     return res
 
 
-def _enumerate_dfs(protocol: Protocol, start, target, prob_floor: float, branch_cap: int) -> EnumerationResult:
+def _enumerate_dfs(protocol: Protocol, start, target, branch_cap: int) -> EnumerationResult:
     """`enumerate_branches` by depth-first exploration from `start`, with the
     resolved `target`: one history per leaf, each scored on its own final
     state (the fallback, and the tests' oracle)."""
 
-    def live(state, spec, outcomes):
-        probs = state.branch_probabilities(spec.entry, spec.basis)
-        if not isinstance(state, PureState):
-            return [{"force": k} for k, p in enumerate(probs) if p > prob_floor]
+    def live(state, step, outcomes):
         # a dense outcome takes its probability from this distribution, so its
         # slice is not summed again: the bits are the same (see statevector)
-        return [{"force": k, "p": p} for k, p in enumerate(probs) if p > prob_floor]
+        probs = state.branch_probabilities(step.entry)
+        return [{"force": k, "p": p} for k, p in enumerate(probs) if p > DEFAULT_PROB_FLOOR]
 
-    tags = [step.spec.tag for step in protocol.program if isinstance(step, Measure)]
+    tags = [step.tag for step in protocol.program if isinstance(step, Measure)]
     ks, pks, fs = [], [], []  # every history measures the tags in program order
     reference = None
     agree = True
@@ -520,7 +503,7 @@ def _enumerate_dfs(protocol: Protocol, start, target, prob_floor: float, branch_
         pks.append([p for _, _, p in outcomes])
         fs.append(agree_first if target is None else final.fidelity(target))
     if not fs:
-        raise ProtocolError(f"no branch of {protocol.name!r} lies above prob_floor={prob_floor}")
+        raise ProtocolError(f"no branch of {protocol.name!r} lies above the probability floor {DEFAULT_PROB_FLOOR}")
     k, pk = np.array(ks, dtype=np.int64).reshape(len(fs), len(tags)), np.reshape(pks, (len(fs), len(tags)))
     return _result(tags, k, pk, fs, agree, reference, "dfs")
 
@@ -540,24 +523,20 @@ def _byproduct_plan(program: Sequence[Step], start: PureState) -> Dict[str, Iter
 
     Tag t's Correct is the first after its Measure, and no other may read t.
     Raises _Fallback, with the reason, when one does, a Correct reads a tag
-    that no Measure before it takes, a Measure keeps its entry or takes a
-    basis, or a tag repeats.
+    that no Measure before it takes, or a tag repeats.
     """
     steps, ops, at, closing, closes, pending = list(program), {}, {}, {}, {}, []
     index = {e: i for i, e in enumerate(start.register.keys)}
     qudits = {e for e, d in zip(start.register.keys, start.register.dims) if d != 2}
     for j, step in enumerate(steps):
         if isinstance(step, Measure):
-            e, t = step.spec.entry, step.spec.tag
-            for bad, why in [(not step.spec.remove, f"Measure keeps {e}"), (t in at, f"tag {t} repeats"),
-                             (step.spec.basis is not None, f"Measure of {e} takes a basis")]:
-                if bad:
-                    raise _Fallback(why)
-            at[t] = j
+            if step.tag in at:
+                raise _Fallback(f"tag {step.tag} repeats")
+            at[step.tag] = j
             pending.append(j)
             continue
         if isinstance(step, Correct):
-            closing.update((steps[i].spec.tag, j) for i in pending)
+            closing.update((steps[i].tag, j) for i in pending)
             closes[j], pending = pending, []
             for t in step.pauli.tags:
                 if closing.get(t) != j:
@@ -586,8 +565,8 @@ def _byproduct_plan(program: Sequence[Step], start: PureState) -> Dict[str, Iter
                 for k in on:
                     ahead.pop(k, None)
         else:
-            free[steps[j].spec.tag] = tuple(keys[k] for k in ahead)
-            ahead[index[steps[j].spec.entry]] = None
+            free[steps[j].tag] = tuple(keys[k] for k in ahead)
+            ahead[index[steps[j].entry]] = None
     zero = {index[e] for e, v in start._lazy.items() if abs(v[0]) == 1.0}  # |0> factors, which Z stabilizes
     shared, pulled = (steps, ops, index, keys, qubit, zero, closes), {}
 
@@ -643,7 +622,7 @@ class _PullBack:
         fix, self.lo, self.whole = self.steps[c].pauli, (closes[c] or [c])[0], False
         self.d, self.tags = fix.d, {t: r for r, t in enumerate(fix.tags)}
         measures = [j for j in range(c) if j not in self.ops and fix.d == 2]
-        qubits = [j for j in measures if self.qubit[self.index[self.steps[j].spec.entry]]]
+        qubits = [j for j in measures if self.qubit[self.index[self.steps[j].entry]]]
         self.flip = {j: len(self.tags) + r for r, j in enumerate(j for j in qubits if j >= self.lo)}
         self.phase = {j: len(self.tags) + len(self.flip) + r for r, j in enumerate(qubits)}
         self.x = np.zeros((len(self.index), len(self.tags) + len(self.flip) + len(qubits)), dtype=np.int64)
@@ -668,7 +647,7 @@ class _PullBack:
         x, z, keys, support = self.x, self.z, self.keys, self.support
         for j in reversed(part):
             if j not in self.ops:
-                k = self.index[self.steps[j].spec.entry]
+                k = self.index[self.steps[j].entry]
                 if j >= self.lo:
                     self.at[j] = np.concatenate([x, z])
                 if j in self.flip:
@@ -701,7 +680,7 @@ class _PullBack:
         """The first candidate of the tag measured at position i, from the
         conditions after it, or the whole one; raises _Fallback, with the
         reason, when they have no solution."""
-        tag, later = self.steps[i].spec.tag, [j for j in self.flip if j > i]
+        tag, later = self.steps[i].tag, [j for j in self.flip if j > i]
         if whole and not self.whole:
             self.whole = True
             self.sweep(range(self.lo))
@@ -710,7 +689,7 @@ class _PullBack:
                     self.vanish(-1, bits, "")
         phases = [p for j, p in self.phase.items() if whole or j > i]
         # the columns of each bit, as (column, bit): 1 (t's own), a flip per later qubit Measure, the phases
-        ones = [(self.tags[t], r) for r, j in enumerate([i, *later]) if (t := self.steps[j].spec.tag) in self.tags]
+        ones = [(self.tags[t], r) for r, j in enumerate([i, *later]) if (t := self.steps[j].tag) in self.tags]
         ones += [(self.flip[j], r) for r, j in enumerate([i, *later]) if r or whole]
         ones += [(p, r) for r, p in enumerate(phases, 1 + len(later))]
         bits = [1] + [0] * (len(later) + len(phases))  # with no conditions, every bit is free
@@ -726,12 +705,10 @@ class _PullBack:
             bits[1:] = solved[:, 0].tolist()
         p, n = (self.at[i][:, [c for c, r in ones if bits[r]]].sum(1) % self.d).tolist(), len(self.keys)
         column = tuple((e, x, z) for e, x, z in zip(self.keys, p[:n], p[n:]) if x or z)
-        return column, self.d, free, {self.steps[j].spec.tag for j, b in zip(later, bits[1:]) if b}
+        return column, self.d, free, {self.steps[j].tag for j, b in zip(later, bits[1:]) if b}
 
 
-def _enumerate_dense_frames(
-    protocol: Protocol, start: PureState, prob_floor: float, branch_cap: int, target
-) -> EnumerationResult:
+def _enumerate_dense_frames(protocol: Protocol, start: PureState, branch_cap: int, target) -> EnumerationResult:
     """`enumerate_branches` on a dense state from one history that takes the
     first live outcome of each measurement. At a random one of tag t, every
     outcome k must be live and, for one of `_byproduct_plan`'s candidates P_t,
@@ -762,20 +739,20 @@ def _enumerate_dense_frames(
     residuals: List[float] = []  # the accepted ones, on normalised states
     flipped: Dict[int, set] = {}  # position of a random one -> the later tags its by-product flips
 
-    def check(state, spec, outcomes):
-        probs = state.branch_probabilities(spec.entry)
-        live = np.flatnonzero(probs > prob_floor)
+    def check(state, step, outcomes):
+        probs = state.branch_probabilities(step.entry)
+        live = np.flatnonzero(probs > DEFAULT_PROB_FLOOR)
         if len(live) != 1:
             if len(live) < len(probs):
-                raise _Fallback(f"an outcome of {spec.tag} lies below the probability floor")
+                raise _Fallback(f"an outcome of {step.tag} lies below the probability floor")
             reason = None
-            for column, d, free, flips in plan[spec.tag]:
-                moved = state.byproduct_residuals(spec.entry, column, d, free)
+            for column, d, free, flips in plan[step.tag]:
+                moved = state.byproduct_residuals(step.entry, column, d, free)
                 worst = np.inf if moved is None else moved.max() / np.sqrt(probs[0])
                 if worst <= BYPRODUCT_TOL:
                     break
-                reason = reason or (f"check failed at tag {spec.tag}, residual {worst:.0e}" if moved is not None else
-                                    f"{spec.tag} measures a product factor, or its by-product names an absent entry")
+                reason = reason or (f"check failed at tag {step.tag}, residual {worst:.0e}" if moved is not None else
+                                    f"{step.tag} measures a product factor, or its by-product names an absent entry")
             else:
                 raise _Fallback(reason)
             residuals.append(moved.sum() / np.sqrt(probs[0]))
@@ -862,7 +839,7 @@ class _FramedTableau(TableauState):
         self._frame_view(last, self.fx.shape[1])
         return self
 
-    def measure(self, entry, basis=None, force=None, rng=None):
+    def measure(self, entry, force=None, rng=None):
         """Measure Z on the reference, taking outcome 0 when it is random.
 
         A record reads the reference bit XOR x_q of its frame. A random
@@ -873,8 +850,8 @@ class _FramedTableau(TableauState):
         """
         q, tab = self.index(entry), self.tab
         anti = np.flatnonzero(tab.x[tab.n :, q])
-        if basis is not None or anti.size == 0:
-            bit, p = super().measure(entry, basis)
+        if anti.size == 0:
+            bit, p = super().measure(entry)
             self.forms = np.vstack([self.forms, np.hstack([np.uint8(bit), self.fx[q]])])
             return bit, p
         bit, p = super().measure(entry, force=0)
@@ -1000,7 +977,7 @@ def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: in
     fix = PauliMap([f"{tag}s", f"{tag}p"], [target], [[0, -1], [1, 0]], d=d)
     return [
         ApplyLayers([cx.LocalLayer(bell_rotation_ops(source, partner, d))]),
-        Measure(MeasurementSpec(source, f"{tag}s")),
-        Measure(MeasurementSpec(partner, f"{tag}p")),
+        Measure(source, f"{tag}s"),
+        Measure(partner, f"{tag}p"),
         Correct(fix, f"teleport fix {tag}"),
     ]

@@ -638,6 +638,8 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
     so `depth` depends on q but not on the chain length. For q > 1 the
     writer's output conveyors follow its corrections in a second round.
     """
+    if q < 1:
+        raise ValueError("q must be >= 1")
     if n_sites % q:
         raise ValueError("chain length must be divisible by the blocking factor")
     m_sites = n_sites // q

@@ -22,7 +22,6 @@ from .locc import (
     ApplyLayers,
     Correct,
     Measure,
-    MeasurementSpec,
     PauliMap,
     Protocol,
     ProtocolError,
@@ -73,7 +72,7 @@ def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
         if i:
             last = [cx.local_op([(i, "s")], [("Z", (0,)), ("H", (0,))])] if i == n - 1 else []
             layers.append(cx.LocalLayer(last + [cx.local_op([(i, "s"), (i, "a")], [("CNOT", (0, 1))])]))
-        program += [ApplyLayers(layers)] + ([Measure(MeasurementSpec((i, "a"), f"k{i}"))] if i else [])
+        program += [ApplyLayers(layers)] + ([Measure((i, "a"), f"k{i}")] if i else [])
     # X on site i when k1 + ... + ki is odd: a lower-triangular prefix-parity map
     prefix = np.tril(np.ones((n - 1, n - 1), dtype=np.uint8))
     parity = PauliMap([f"k{i}" for i in range(1, n)], system[1:], np.concatenate([prefix, 0 * prefix]))
@@ -412,7 +411,7 @@ def _fixed_point_protocol(
                 ]
             )
         )
-        program += [Measure(MeasurementSpec((hub(b), "Cp"), f"c{b}")) for b in range(1, m)]
+        program += [Measure((hub(b), "Cp"), f"c{b}") for b in range(1, m)]
 
         # hub b's label takes X^(-c_{b+1} - ... - c_{m-1})
         shifts = -np.triu(np.ones((m - 1, m - 1), dtype=int))
@@ -637,7 +636,7 @@ def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
     for p in sorted(layout.plaquettes_a, key=lambda p: p[0] % 2):
         program.append(ApplyLayers(_tc_plaquette_block(layout, p)))
         corner = lat.site_index(p)
-        program.append(Measure(MeasurementSpec((corner, "ap"), f"k{p[0]},{p[1]}")))
+        program.append(Measure((corner, "ap"), f"k{p[0]},{p[1]}"))
 
     program.append(Correct(name="plaquette sign fix", pauli=_tc_sign_map(layout)))
 

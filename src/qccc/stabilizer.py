@@ -778,9 +778,7 @@ class TableauState:
         self.tab.apply_gate(name, *qubits)
         return self
 
-    def branch_probabilities(self, entry, basis=None) -> np.ndarray:
-        if basis is not None:
-            raise ValueError("tableau backend measures in the computational basis only")
+    def branch_probabilities(self, entry) -> np.ndarray:
         q = self.index(entry)
         tab = self.tab
         if np.any(tab.x[tab.n :, q]):
@@ -790,12 +788,17 @@ class TableauState:
         probs[bit] = 1.0
         return probs
 
-    def measure(self, entry, basis=None, force=None, rng=None):
-        if basis is not None:
-            raise ValueError("tableau backend measures in the computational basis only")
-        q = self.index(entry)
-        bit, prob, _ = self.tab.measure_z(q, force=force, rng=rng)
+    def measure(self, entry, force=None, rng=None):
+        bit, prob, _ = self.tab.measure_z(self.index(entry), force=force, rng=rng)
         return bit, prob
+
+    def measure_remove(self, entry, force=None, rng=None, p=None):
+        """`measure`, then `remove_entry`: the one measurement the LOCC engine
+        makes, as on dense states. `p` is not read; the tableau's
+        probabilities are exact."""
+        k, prob = self.measure(entry, force=force, rng=rng)
+        self.remove_entry(entry)
+        return k, prob
 
     def add_entry(self, site: int, slot: str, dim: int = 2, local_state=None) -> "TableauState":
         if dim != 2:

@@ -8,11 +8,10 @@ dynamically; removal requires the entry to be decoupled from the rest.
 Amplitude layout: C order over the register, first entry slowest-varying.
 Internally the state is a tensor whose axes are labelled by entry key, in
 whatever order the applied operators left them, times one small product factor
-per entry known to be unentangled: a fresh ancilla, and an entry collapsed by
-`measure`. A factor joins the tensor only when an operation other than SWAP
-acts on it. A SWAP is a relabelling, whatever each side holds, so carrier
-ancillas that only move qudits around never grow the tensor, and removing a
-factor costs O(1). A tensor entry back in |0> is removed by taking its
+per entry known to be unentangled, such as a fresh ancilla. A factor joins
+the tensor only when an operation other than SWAP acts on it. A SWAP is a
+relabelling, whatever each side holds, so carrier ancillas that only move
+qudits around never grow the tensor, and removing a factor costs O(1). A tensor entry back in |0> is removed by taking its
 index-0 slice; only other entries need the reduced-state test. `amps`,
 `tensor` and every other reader see the logical state in register order;
 when the tensor already follows the register, `amps` is a reshape of it.
@@ -30,12 +29,14 @@ to its 1-slice flipped on the target axis, and CZ negates the target's
 matrix product; the tensor keeps its axis order.
 Nothing writes `_t` in place, so a clone shares it.
 
-A forced measurement outcome reads only its own slice, and divides it by the
-norm in the same pass. Its probability is the slice's squared norm, summed in
-the order that `branch_probabilities` sums the whole distribution, so both
-give the same bits; a caller that already holds that distribution passes the
-outcome's entry as `p`, and the slice is not summed again. Adding or dropping
-an entry edits the register in O(n) without re-validating the other entries.
+A measurement (`measure_remove`) reads one entry in the computational basis
+and drops it from the register. A forced outcome reads only its own slice, and
+divides it by the norm in the same pass. Its probability is the slice's
+squared norm, summed in the order that `branch_probabilities` sums the whole
+distribution, so both give the same bits; a caller that already holds that
+distribution passes the outcome's entry as `p`, and the slice is not summed
+again. Adding or dropping an entry edits the register in O(n) without
+re-validating the other entries.
 """
 
 from __future__ import annotations
@@ -251,10 +252,6 @@ def _mass(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(weights.sum(axis=2), axis=0)[-1]
 
 
-def _factor_probabilities(local: np.ndarray, basis: Optional[np.ndarray]) -> np.ndarray:
-    return np.abs(local if basis is None else basis.conj().T @ local) ** 2
-
-
 def _forced(k: int, p) -> float:
     """The probability of forced outcome k; raises below FORCE_FLOOR."""
     if p < FORCE_FLOOR:
@@ -436,11 +433,11 @@ class PureState:
         ax = self._axis[key]
         axis = {e: a - (a > ax) for e, a in self._axis.items() if e != key}
         summed = tuple(a for e, a in axis.items() if e not in free)
-        zero = self._project(ax, 0, None)
+        zero = self._project(ax, 0)
         residuals = []
         for k in range(1, self._t.shape[ax]):
             powers = [(e, k * x % d, k * z % d) for e, x, z in paulis]
-            moved = _pauli_moved(self._project(ax, k, None), axis, [p for p in powers if p[0] in axis], d)
+            moved = _pauli_moved(self._project(ax, k), axis, [p for p in powers if p[0] in axis], d)
             overlap = np.sum(zero.conj() * moved, axis=summed, keepdims=True)
             residual = np.linalg.norm(moved - np.exp(1j * np.angle(overlap)) * zero)
             for e, x, z in powers:
@@ -466,76 +463,35 @@ class PureState:
             self._axis[a] = ib
             self._keys[ib] = a
 
-    def branch_probabilities(self, entry: EntryKey, basis: Optional[np.ndarray] = None) -> np.ndarray:
-        """Born-rule probabilities for measuring one entry in the given basis.
-
-        `basis` has the basis vectors as columns; None means computational.
-        """
+    def branch_probabilities(self, entry: EntryKey) -> np.ndarray:
+        """Born-rule probabilities for measuring one entry in the computational basis."""
         key = tuple(entry)
-        basis = self._frame(key, basis)
         if key in self._lazy:
-            return _factor_probabilities(self._lazy[key], basis)
+            return np.abs(self._lazy[key]) ** 2
         ax = self._axis[key]
-        d = self._t.shape[ax]
-        if basis is None:
-            return _mass((np.abs(self._t) ** 2).reshape(math.prod(self._t.shape[:ax]), d, -1))
-        proj = np.tensordot(basis.conj().T, self._t, axes=(1, ax))
-        return _mass((np.abs(proj) ** 2).reshape(1, d, -1))
-
-    def measure(
-        self,
-        entry: EntryKey,
-        basis: Optional[np.ndarray] = None,
-        force: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        p: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Projective measurement of one entry; collapses in place.
-
-        The measured entry is left as a product factor holding its basis
-        vector. Returns (outcome index, probability). Forced outcomes with
-        probability below FORCE_FLOOR raise. With `force`, `p` may give the
-        outcome's entry of `branch_probabilities(entry, basis)`, which the
-        caller already holds; the slice is then not summed again.
-        """
-        key = tuple(entry)
-        k, p, phase = self._collapse(key, basis, force, rng, p)
-        d = self.register.dim(key)
-        frame = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
-        self._lazy[key] = phase * frame[:, k]
-        return k, p
+        return _mass((np.abs(self._t) ** 2).reshape(math.prod(self._t.shape[:ax]), self._t.shape[ax], -1))
 
     def measure_remove(
         self,
         entry: EntryKey,
-        basis: Optional[np.ndarray] = None,
         force: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         p: Optional[float] = None,
     ) -> Tuple[int, float]:
-        """Measure one entry and drop it from the register in a single pass;
-        the arguments are those of `measure`."""
-        key = tuple(entry)
-        k, p, phase = self._collapse(key, basis, force, rng, p)
-        if phase != 1:
-            self._t = self._t * phase
-        self._drop_register_entry(key)
-        return k, p
+        """Measure one entry in the computational basis and drop it from the
+        register in a single pass. Returns (outcome index, probability).
 
-    def _collapse(self, key, basis, force, rng, p) -> Tuple[int, float, complex]:
-        """Pick an outcome and project `key` out of the state, leaving it in
-        neither `_t` nor `_lazy`. Returns (outcome, probability, phase): the
-        collapsed state is (phase * basis vector) (x) the rest.
-
-        A sampled outcome draws from the full distribution; a forced one reads
+        A sampled outcome draws from the full distribution. A forced one reads
         only its own slice, whose squared norm is its probability unless the
-        caller gave it as `p`."""
+        caller, which already holds `branch_probabilities(entry)`, gives the
+        outcome's entry as `p`; below FORCE_FLOOR it raises.
+        """
+        key = tuple(entry)
         d = self.register.dim(key)
-        basis = self._frame(key, basis)
         if force is None:
             if rng is None:
                 raise ValueError("sampled measurement requires an rng")
-            probs = self.branch_probabilities(key, basis)
+            probs = self.branch_probabilities(key)
             k = int(rng.choice(d, p=probs / probs.sum()))
             p = float(probs[k])
         else:
@@ -545,39 +501,26 @@ class PureState:
         if key in self._lazy:
             local = self._lazy[key]
             if force is not None:
-                p = _forced(k, _factor_probabilities(local, basis)[k] if p is None else p)
+                p = _forced(k, (np.abs(local) ** 2)[k] if p is None else p)
             del self._lazy[key]
-            amp = local[k] if basis is None else np.vdot(basis[:, k], local)
-            return k, p, amp / abs(amp)
-        ax = self._axis[key]
-        rest = self._project(ax, k, basis)
-        if force is not None:
-            if p is None:
-                lead = math.prod(self._t.shape[:ax]) if basis is None else 1
-                p = _mass((np.abs(rest) ** 2).reshape(lead, 1, -1))[0]
-            p = _forced(k, p)
-        self._t = np.divide(rest, np.sqrt(p))
-        self._drop_axis(ax)
-        return k, p, 1.0
+            phase = local[k] / abs(local[k])
+            if phase != 1:
+                self._t = self._t * phase
+        else:
+            ax = self._axis[key]
+            rest = self._project(ax, k)
+            if force is not None:
+                if p is None:
+                    p = _mass((np.abs(rest) ** 2).reshape(math.prod(self._t.shape[:ax]), 1, -1))[0]
+                p = _forced(k, p)
+            self._t = np.divide(rest, np.sqrt(p))
+            self._drop_axis(ax)
+        self._drop_register_entry(key)
+        return k, p
 
-    def _frame(self, key: EntryKey, basis) -> Optional[np.ndarray]:
-        """The measurement basis of `key` as a checked complex array; None
-        means computational."""
-        if basis is None:
-            return None
-        d = self.register.dim(key)
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (d, d) or not gates.is_unitary(basis):
-            raise ValueError("measurement basis must be an orthonormal d x d frame")
-        return basis
-
-    def _project(self, ax: int, k: int, basis) -> np.ndarray:
-        """The slice of `_t` at outcome k of axis `ax`: a view in the
-        computational basis, a new array in any other."""
-        if basis is None:
-            return self._t[(slice(None),) * ax + (k,)]
-        bk = np.asarray(basis, dtype=complex)[:, k]
-        return np.tensordot(bk.conj(), self._t, axes=(0, ax))
+    def _project(self, ax: int, k: int) -> np.ndarray:
+        """The slice of `_t` at outcome k of axis `ax`, a view."""
+        return self._t[(slice(None),) * ax + (k,)]
 
     def _drop_register_entry(self, key: EntryKey) -> None:
         self.register = self.register.without(key)
@@ -644,7 +587,7 @@ class PureState:
         self.register.index(key)
         if self._lazy.pop(key, None) is None:
             ax = self._axis[key]
-            rest = self._project(ax, 0, None)
+            rest = self._project(ax, 0)
             weight = np.vdot(rest, rest).real
             if weight < 1.0 - tol:
                 d = self._t.shape[ax]

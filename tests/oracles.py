@@ -123,12 +123,21 @@ def _assert_rows_replay(proto, res, backend="dense", input_state=None, limit=32,
     it. A row's outcomes must be the replay's, its outcome probabilities
     within 1e-12 of the replay's, and its fidelity within 1e-9 of the replayed
     state's fidelity to `target` (resolved as `enumerate_branches` resolves
-    it), or to the first branch's state when there is none."""
+    it), or to the first branch's state when there is none.
+
+    Every row, sampled or not, must come after the one before it in
+    lexicographic order of the outcomes: depth-first order with outcomes
+    ascending, as every engine lists them. A replay cannot see a record
+    listed twice; this order can."""
     from qccc import locc
 
+    rows, past = res.reports, np.arange(limit, len(res.reports))
+    step = np.diff(rows.outcomes.astype(np.int64), axis=0)
+    if len(step):
+        first = np.argmax(step != 0, axis=1)  # the first column where a row differs from the one before
+        assert (step[np.arange(len(step)), first] > 0).all(), "rows not in strictly increasing order"
     target = locc._resolve_target(proto, locc._start(proto, backend, input_state), target)
     against = res.reference if target is None else target
-    rows, past = res.reports, np.arange(limit, len(res.reports))
     sample = np.random.default_rng(0).choice(past, min(limit, len(past)), replace=False)
     for i in [*range(min(limit, len(rows))), *np.sort(sample).tolist()]:
         row = rows[i]

@@ -391,6 +391,10 @@ class TestRangeAndShift:
         )
         assert code == EXIT_OK and rep["range"] <= 2
 
+    def test_depth_zero_is_the_identity(self, tmp_path):
+        code, rep = run_cli(["range", "--n", "4", "--depth", "0", "--seed", "1"], tmp_path)
+        assert code == EXIT_OK and rep["range"] == 0 and rep["depth"] == 0
+
     def test_shift_verification(self, tmp_path):
         code, rep = run_cli(["shift", "--n", "5"], tmp_path)
         assert code == EXIT_OK
@@ -425,6 +429,8 @@ class TestFailures:
             None,
             EXIT_CAPACITY,
         ),
+        "pipeline_q0": (["mps", "--fixture", "aklt", "--pipeline", "--n", "4", "--q", "0"], None, EXIT_CONFIG),
+        "range_negative_depth": (["range", "--n", "4", "--depth", "-1", "--seed", "1"], None, EXIT_CONFIG),
         "spec_is_a_list": (RG + ["list.json"], None, EXIT_CONFIG),
         "spec_alphas_not_pairs": (RG + ["not_pairs.json"], None, EXIT_CONFIG),
         "spec_b_not_an_integer": (RG + ["b_list.json"], None, EXIT_CONFIG),

@@ -12,12 +12,10 @@ from qccc import gates
 from qccc.lattice import Lattice
 from qccc.locc import (
     DEFAULT_BRANCH_CAP,
-    DEFAULT_PROB_FLOOR,
     ApplyLayers,
     BranchCapExceeded,
     Correct,
     Measure,
-    MeasurementSpec,
     PauliMap,
     Protocol,
     ProtocolError,
@@ -52,7 +50,7 @@ def _forget_protocol():
                 )
             ]
         ),
-        Measure(MeasurementSpec((0, "a"), "k")),
+        Measure((0, "a"), "k"),
     ]
     return Protocol(
         "forget", lat, [(0, "s", 2)], prog, [(0, "s")], clifford=True
@@ -83,7 +81,7 @@ def _ghz_batched(n):
             + [cx.local_op([(i, "s"), (i, "a")], [("CNOT", (0, 1))]) for i in range(1, n)]
         ),
     ]
-    measures = [Measure(MeasurementSpec((i, "a"), f"k{i}")) for i in range(1, n)]
+    measures = [Measure((i, "a"), f"k{i}") for i in range(1, n)]
     program = [ApplyLayers(layers), *measures, proto.program[-1]]
     return replace(proto, program=program), None
 
@@ -129,14 +127,13 @@ def _same_state(a, b):
     return a.states_equal(b)
 
 
-def _dfs(proto, backend="dense", input_state=None, target="protocol", prob_floor=DEFAULT_PROB_FLOOR,
-         branch_cap=DEFAULT_BRANCH_CAP):
+def _dfs(proto, backend="dense", input_state=None, target="protocol", branch_cap=DEFAULT_BRANCH_CAP):
     """The depth-first search, the oracle, from the start and target that
     `enumerate_branches` would resolve."""
     from qccc import locc
 
     start = locc._start(proto, backend, input_state)
-    return locc._enumerate_dfs(proto, start, locc._resolve_target(proto, start, target), prob_floor, branch_cap)
+    return locc._enumerate_dfs(proto, start, locc._resolve_target(proto, start, target), branch_cap)
 
 
 class TestEngine:
@@ -286,8 +283,12 @@ class TestEngine:
             assert rec2.key() == rec.key()
             assert _same_state(st, again)
 
-    def test_pruned_mass_is_not_deterministic(self):
+    def test_pruned_mass_is_not_deterministic(self, monkeypatch):
         # one ancilla rotated to outcome probabilities 0.9 / 0.1, then measured
+        # under a probability floor raised to 0.2
+        from qccc import locc
+
+        monkeypatch.setattr(locc, "DEFAULT_PROB_FLOOR", 0.2)
         lat = Lattice((2,))
         theta = 2 * np.arccos(np.sqrt(0.9))
         ry = np.array(
@@ -295,10 +296,10 @@ class TestEngine:
         )
         prog = [
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", 2), cx.local_op([(0, "a")], ry)])]),
-            Measure(MeasurementSpec((0, "a"), "k")),
+            Measure((0, "a"), "k"),
         ]
         proto = Protocol("lossy", lat, [(0, "s", 2)], prog, [(0, "s")])
-        res = enumerate_branches(proto, prob_floor=0.2)
+        res = enumerate_branches(proto)
         assert len(res.reports) == 1
         assert abs(res.total_probability() - 0.9) < 1e-12
         assert res.verdict == "NOT_DETERMINISTIC"
@@ -467,21 +468,23 @@ def _kicked_sibling(theta):
                 )
             ]
         ),
-        Measure(MeasurementSpec((0, "a"), "k")),
+        Measure((0, "a"), "k"),
         _no_op(),
         ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "b", 2)])]),
-        Measure(MeasurementSpec((0, "b"), "m")),
+        Measure((0, "b"), "m"),
     ]
     return Protocol("kick", lat, [(0, "s", 2)], prog, [(0, "s")])
 
 
 def _kept_entry():
-    """H on the system qubit, then a measurement that keeps it: the outcome
-    lives in the kept entry, which no slice of the rest shows."""
+    """H on the system qubit, then a measurement that keeps it, written as a
+    CNOT onto a fresh ancilla that is then measured: the outcome lives in
+    the kept entry, which no by-product on the rest moves back."""
     lat = Lattice((2,))
+    copy = [cx.add_ancilla(0, "k", 2), cx.local_op([(0, "s"), (0, "k")], [("CNOT", (0, 1))])]
     prog = [
-        ApplyLayers([cx.LocalLayer([cx.local_op([(0, "s")], [("H", (0,))])])]),
-        Measure(MeasurementSpec((0, "s"), "k", remove=False)),
+        ApplyLayers([cx.LocalLayer([cx.local_op([(0, "s")], [("H", (0,))]), *copy])]),
+        Measure((0, "k"), "k"),
     ]
     return Protocol("kept", lat, [(0, "s", 2)], prog, [(0, "s")])
 
@@ -498,8 +501,8 @@ def _random_byproduct_program(rng) -> Protocol:
     may join two of them by a controlled-Z (a by-product on a partner that
     the same run measures later), measures them in one run and applies a
     declared map over Z_d: the fix that undoes the kicks in half the rounds,
-    in the others each entry random with probability 0.3; and a rare offset. A fresh |0> ancilla measured after it
-    gives a deterministic outcome, and a rare measurement keeps its entry."""
+    in the others each entry random with probability 0.3; and a rare offset.
+    A fresh |0> ancilla measured after it gives a deterministic outcome."""
     d, k = int(rng.choice([2, 3])), int(rng.integers(2, 4))
     system = [(i, "s") for i in range(k)]
     plus = gates.fourier(d)[:, 0]
@@ -523,8 +526,7 @@ def _random_byproduct_program(rng) -> Protocol:
         if len(ancillas) == 2 and rng.random() < 0.5:
             acts.append(cx.local_op(ancillas, _cz_d(d)))
         program.append(ApplyLayers([cx.LocalLayer(acts)]))
-        keep = rng.random() < 0.1
-        program += [Measure(MeasurementSpec(a, a[1], remove=not keep)) for a in ancillas]
+        program += [Measure(a, a[1]) for a in ancillas]
         tags, wrong = [a[1] for a in ancillas], 0.3 * (rng.random() < 0.5)
         matrix = np.zeros((2 * k, len(tags)), dtype=int)
         for c, t in enumerate(tags):
@@ -536,7 +538,7 @@ def _random_byproduct_program(rng) -> Protocol:
         offset = (rng.random(2 * k) < 0.1) * rng.integers(d, size=2 * k)
         program.append(Correct(PauliMap(tags, system, matrix, offset, d=d), f"fix {j}"))
         fresh = (int(rng.integers(k)), f"z{j}")
-        program += [ApplyLayers([cx.LocalLayer([cx.add_ancilla(*fresh, d)])]), Measure(MeasurementSpec(fresh, f"z{j}"))]
+        program += [ApplyLayers([cx.LocalLayer([cx.add_ancilla(*fresh, d)])]), Measure(fresh, f"z{j}")]
     return Protocol("random-byproduct", Lattice((k,)), [(i, "s", d) for i in range(k)], program, system)
 
 
@@ -613,10 +615,10 @@ class TestBranchMerging:
             ApplyLayers(
                 [cx.LocalLayer([cx.add_ancilla(0, "a", 2), cx.local_op([(0, "a")], [("H", (0,))])])]
             ),
-            Measure(MeasurementSpec((0, "a"), "k")),
+            Measure((0, "a"), "k"),
             _no_op(),
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "b", 2)])]),
-            Measure(MeasurementSpec((0, "b"), "m")),
+            Measure((0, "b"), "m"),
             Correct(PauliMap(["k"], [(0, "s")], [[1], [0]]), "flip"),
         ]
         proto = Protocol("late-flip", lat, [(0, "s", 2)], prog, [(0, "s")])
@@ -711,7 +713,7 @@ class TestBranchRows:
         init[levels] = 0.5
         program = [
             ApplyLayers([cx.LocalLayer([cx.add_ancilla(0, "a", d, init)])]),
-            Measure(MeasurementSpec((0, "a"), "k")),
+            Measure((0, "a"), "k"),
         ]
         res = enumerate_branches(Protocol("dial", Lattice((2,)), [(0, "s", 2)], program, [(0, "s")]))
         assert res.verdict == "DETERMINISTIC" and res.reports.outcomes.dtype == np.uint16
@@ -742,10 +744,10 @@ def _assert_frames_match_dfs(proto, input_state=None, target="protocol"):
 
 def _random_pauli_program(rng) -> Protocol:
     """System qubits on 2-3 sites under random Clifford layers. Each round adds
-    an ancilla, entangles it, measures it in place, applies a declared Pauli
-    correction whose entries each read a random parity of the outcomes so far
-    plus a random offset (and may flip the ancilla), then copies the ancilla's
-    Z value onto a fresh qubit and measures that: a deterministic measurement
+    an ancilla, entangles it, copies its Z value onto a fresh qubit and
+    measures that, applies a declared Pauli correction whose entries each
+    read a random parity of the outcomes so far plus a random offset (and may
+    flip the ancilla), then measures the ancilla: a deterministic measurement
     whose outcome the frames move."""
     k = int(rng.integers(2, 4))
     system = [(i, "s") for i in range(k)]
@@ -769,7 +771,8 @@ def _random_pauli_program(rng) -> Protocol:
         start = [cx.add_ancilla(*anc)] + ([cx.local_op([anc], [("H", (0,))])] if rng.random() < 0.8 else [])
         program += [
             ApplyLayers([cx.LocalLayer(start), cx.LocalLayer(ops(system + [anc], int(rng.integers(1, 4))))]),
-            Measure(MeasurementSpec(anc, f"m{j}", remove=False)),
+            ApplyLayers([cx.LocalLayer([cx.add_ancilla(*copy), cx.local_op([anc, copy], [("CNOT", (0, 1))])])]),
+            Measure(copy, f"m{j}"),
         ]
         tags.append(f"m{j}")
         read = [t for t in tags if rng.random() < 0.7]
@@ -783,11 +786,7 @@ def _random_pauli_program(rng) -> Protocol:
         offset = [_CHAR_BITS[p][b] * offset for b in (0, 1) for _, p, _, offset in fixes]
         matrix = np.array(matrix, dtype=np.uint8).reshape(2 * len(fixes), len(read))
         fix = PauliMap(read, [e for e, *_ in fixes], matrix, offset)
-        program += [
-            Correct(fix, f"fix {j}"),
-            ApplyLayers([cx.LocalLayer([cx.add_ancilla(*copy), cx.local_op([anc, copy], [("CNOT", (0, 1))])])]),
-            Measure(MeasurementSpec(copy, f"c{j}")),
-        ]
+        program += [Correct(fix, f"fix {j}"), Measure(anc, f"c{j}")]
         tags.append(f"c{j}")
         program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 3))))]))
     register = [(i, "s", 2) for i in range(k)]
@@ -1106,14 +1105,9 @@ class TestDenseRows:
         assert max(abs(r.fidelity - 0.9999999999999998) for r in res.reports) <= 1e-14
 
 
-# the frames engine runs below a floor of 0.5, the DFS at it
-_ENGINE_FLOORS = (DEFAULT_PROB_FLOOR, 0.5)
-
-
 class TestTargets:
-    """A target must fit the backend that runs, on either engine: the tableau
-    runs the frames below a probability floor of 0.5 and the DFS at it. The
-    target is resolved once, before either runs."""
+    """A target must fit the backend that runs. The target is resolved once,
+    before any history runs."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -1128,9 +1122,8 @@ class TestTargets:
         # such a target once gave NaN fidelities under a DETERMINISTIC verdict
         from qccc.protocols import ghz_state
 
-        for floor in _ENGINE_FLOORS:
-            with pytest.raises(ValueError, match="stabilizer generators"):
-                enumerate_branches(_ghz(4)[0], backend="tableau", target=ghz_state(4), prob_floor=floor)
+        with pytest.raises(ValueError, match="stabilizer generators"):
+            enumerate_branches(_ghz(4)[0], backend="tableau", target=ghz_state(4))
         assert runs == []
 
     def test_generator_target_on_dense_raises(self):
@@ -1143,21 +1136,19 @@ class TestTargets:
     def test_generator_count_must_match_the_system(self, runs, count):
         from qccc.protocols import ghz_generators
 
-        for floor in _ENGINE_FLOORS:
-            with pytest.raises(ValueError, match="4 system entries"):
-                enumerate_branches(_ghz(4)[0], backend="tableau", target=ghz_generators(count), prob_floor=floor)
+        with pytest.raises(ValueError, match="4 system entries"):
+            enumerate_branches(_ghz(4)[0], backend="tableau", target=ghz_generators(count))
         assert runs == []
 
-    def test_generator_target_built_once(self, monkeypatch):
-        """On the DFS path as well; there a floor of 0.5 cuts every random
-        outcome of the tableau, after the target is built."""
+    def test_generator_target_built_once(self, runs, monkeypatch):
+        """Once for the one history that the frames engine runs."""
         from qccc.stabilizer import StabilizerTableau
 
         built, build = [], StabilizerTableau.from_generators
         monkeypatch.setattr(StabilizerTableau, "from_generators", classmethod(lambda _, g: built.append(1) or build(g)))
-        with pytest.raises(ProtocolError, match="lies above prob_floor=0.5"):
-            enumerate_branches(_ghz(4)[0], backend="tableau", prob_floor=0.5)
-        assert len(built) == 1
+        res = enumerate_branches(_ghz(4)[0], backend="tableau")
+        assert res.engine == "frames" and res.verdict == "DETERMINISTIC" and res.min_fidelity == 1.0
+        assert len(built) == 1 and len(runs) == 1
 
 
 # -- dense by-products pulled back through Clifford steps -----------------------------
@@ -1198,7 +1189,7 @@ def _random_clifford_rounds(rng, wrong: bool) -> Protocol:
         if j + 1 < len(runs) and early[j + 1]:
             acts += [cx.add_ancilla(*a) for a in runs[j + 1]]
         acts += ops(system + run, int(rng.integers(2, 6)))
-        program += [ApplyLayers([cx.LocalLayer(acts)]), *[Measure(MeasurementSpec(a, a[1])) for a in run]]
+        program += [ApplyLayers([cx.LocalLayer(acts)]), *[Measure(a, a[1]) for a in run]]
         program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 4))))]))
     proto = Protocol("clifford-rounds", Lattice((k,)), [(i, "s", 2) for i in range(k)], program, system, clifford=True)
     framed = locc._FramedTableau(locc.initial_state(proto, "tableau"))
@@ -1298,8 +1289,8 @@ def _local(*actions):
     return ApplyLayers([cx.LocalLayer(list(actions))])
 
 
-def _measure(entry=(0, "a"), tag="k", **kw):
-    return Measure(MeasurementSpec(entry, tag, **kw))
+def _measure(entry=(0, "a"), tag="k"):
+    return Measure(entry, tag)
 
 
 def _x_fix(tags=("k",), entry=(0, "s"), d=2, name="fix"):
@@ -1312,10 +1303,10 @@ class TestFallbackReasons:
     @pytest.mark.parametrize(
         "build, reason",
         [
-            (lambda: _kept_entry(), "Measure keeps (0, 's')"),
-            (
-                lambda: _one_site(_bell_ancilla(), _measure(basis=np.eye(2)), _x_fix()),
-                "Measure of (0, 'a') takes a basis",
+            (lambda: _kept_entry(), "check failed at tag k, residual 1e+00"),
+            (  # an X-basis measurement, H then Z, leaves Z on s: the X fix misses it
+                lambda: _one_site(_bell_ancilla(), _local(cx.local_op([(0, "a")], gates.H)), _measure(), _x_fix()),
+                "check failed at tag k, residual 1e+00",
             ),
             (
                 lambda: _one_site(
@@ -1380,10 +1371,12 @@ class TestFallbackReasons:
             locc._byproduct_plan(proto.program, locc.initial_state(proto))
 
     def test_tableau_floor(self):
+        """The tableau has no floor to fall back at: a fresh ancilla's
+        measurement, whose outcome 1 has probability 0, runs the frames."""
         program = [_local(cx.add_ancilla(0, "a")), _measure()]
         proto = Protocol("fresh", Lattice((2,)), [(0, "s", 2)], program, [(0, "s")], clifford=True)
-        res = enumerate_branches(proto, backend="tableau", prob_floor=0.5)
-        assert (res.engine, res.fallback) == ("dfs", "a probability floor of 0.5 on the tableau")
+        res = enumerate_branches(proto, backend="tableau")
+        assert (res.engine, res.fallback) == ("frames", None) and len(res.reports) == 1
 
     def test_frames_name_no_reason(self):
         assert enumerate_branches(_ghz(3)[0]).fallback is None

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qccc import circuits as cx
 from qccc import gates
 from qccc.lattice import Lattice
-from qccc.locc import ApplyLayers, Correct, Measure, MeasurementSpec, PauliMap, Protocol, enumerate_branches, replay
+from qccc.locc import ApplyLayers, Correct, Measure, PauliMap, Protocol, enumerate_branches, replay
 from qccc.stabilizer import (
     CliffordMap,
     GraphState,
@@ -857,7 +857,7 @@ def _random_clifford_protocol(rng) -> Protocol:
             )
         )
         tags.append(f"m{a}")
-        program.append(Measure(MeasurementSpec(anc, tags[-1])))
+        program.append(Measure(anc, tags[-1]))
         fix_site = int(rng.integers(0, k))
         fix = str(rng.choice(["X", "Z", "Y"]))
         # the Pauli `fix` on fix_site when the outcomes so far have odd parity

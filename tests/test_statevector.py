@@ -116,56 +116,62 @@ class TestApply:
 
 
 class TestMeasure:
+    """`measure_remove` reads one entry in the computational basis and drops it."""
+
     def test_plus_forced_zero(self):
-        st = PureState.product(qubits(1), {(0, "s"): np.array([1, 1]) / np.sqrt(2)})
-        k, p = st.measure((0, "s"), force=0)
+        st = PureState.product(qubits(2), {(0, "s"): np.array([1, 1]) / np.sqrt(2)})
+        k, p = st.measure_remove((0, "s"), force=0)
         assert k == 0 and abs(p - 0.5) < 1e-12
-        assert np.allclose(st.amps, [1, 0])
+        assert st.register.keys == ((1, "s"),) and np.allclose(st.amps, [1, 0])
 
     def test_zero_state_deterministic(self):
         st = PureState.product(qubits(1))
-        k, p = st.measure((0, "s"), rng=np.random.default_rng(0))
-        assert k == 0 and abs(p - 1) < 1e-12
+        k, p = st.measure_remove((0, "s"), rng=np.random.default_rng(0))
+        assert k == 0 and abs(p - 1) < 1e-12 and st.register.size == 0
 
     def test_bell_correlation(self):
         st = PureState.product(qubits(2))
         st.apply_named("H", [(0, "s")])
         st.apply_named("CNOT", [(0, "s"), (1, "s")])
-        k, p = st.measure((0, "s"), force=1)
+        k, p = st.measure_remove((0, "s"), force=1)
         assert abs(p - 0.5) < 1e-12
-        assert abs(st.amps[3] - 1) < 1e-12
+        assert abs(st.amps[1] - 1) < 1e-12
 
     def test_probabilities_sum_to_one(self):
+        """Also in another basis: its rotation, then the computational one."""
         rng = np.random.default_rng(7)
         reg = QuditRegister([(0, "s", 3), (1, "s", 2)])
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
         st = PureState(reg, psi)
-        basis = gates.random_unitary(3, rng)
-        probs = st.branch_probabilities((0, "s"), basis)
-        assert abs(probs.sum() - 1) < 1e-10
+        assert abs(st.branch_probabilities((0, "s")).sum() - 1) < 1e-10
+        st.apply(RegionOperator(((0, "s"),), gates.random_unitary(3, rng).conj().T))
+        assert abs(st.branch_probabilities((0, "s")).sum() - 1) < 1e-10
 
     def test_forced_vanishing_probability(self):
         st = PureState.product(qubits(1))
         with pytest.raises(ValueError):
-            st.measure((0, "s"), force=1)
+            st.measure_remove((0, "s"), force=1)
 
     def test_non_orthonormal_basis_rejected(self):
+        """Another basis is the rotation to it before the measurement; a frame
+        that is not orthonormal is not unitary, and `apply` rejects it."""
         st = PureState.product(qubits(1))
-        with pytest.raises(ValueError):
-            st.measure((0, "s"), basis=np.array([[1, 1], [0, 1.0]]), force=0)
+        with pytest.raises(ValueError, match="not unitary"):
+            st.apply(RegionOperator(((0, "s"),), np.array([[1, 1], [0, 1.0]]).conj().T))
 
     def test_measure_remove_matches_measure_plus_remove(self):
+        """The outcome's normalised slice, as a projection followed by the
+        entry's removal leaves it."""
         rng = np.random.default_rng(11)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
-        a = PureState(qubits(3), psi.copy())
         b = PureState(qubits(3), psi.copy())
-        ka, pa = a.measure((1, "s"), force=1)
-        a.remove_entry((1, "s"))
         kb, pb = b.measure_remove((1, "s"), force=1)
-        assert ka == kb and abs(pa - pb) < 1e-12
-        assert abs(abs(np.vdot(a.amps, b.amps)) - 1) < 1e-12
+        rest = psi.reshape(2, 2, 2)[:, 1, :].reshape(-1)
+        assert kb == 1 and abs(np.vdot(rest, rest).real - pb) < 1e-12
+        assert b.register.keys == ((0, "s"), (2, "s"))
+        assert abs(abs(np.vdot(rest / np.linalg.norm(rest), b.amps)) - 1) < 1e-12
 
 
 class TestExpectation:
@@ -375,18 +381,14 @@ class _Reference:
         self.entries = [e for e in self.entries if e[0] != key]
         self.vec = rest / np.linalg.norm(rest)
 
-    def probabilities(self, key, basis):
-        return (np.abs(basis.conj().T @ self.grouped([key])) ** 2).sum(axis=1)
+    def probabilities(self, key):
+        return (np.abs(self.grouped([key])) ** 2).sum(axis=1)
 
     def expectation(self, keys, matrix):
         return np.vdot(self.vec, self.applied(keys, matrix))
 
-    def collapse(self, key, basis, k, remove):
-        if remove:
-            self.drop(key, basis[:, k])
-        else:
-            self.apply([key], np.outer(basis[:, k], basis[:, k].conj()))
-            self.vec = self.vec / np.linalg.norm(self.vec)
+    def collapse(self, key, k):
+        self.drop(key, np.eye(self.dim(key))[k])
 
 
 def _unit_vector(d, rng):
@@ -491,19 +493,16 @@ class _Program:
         self.remove(key)
 
     def measure(self):
+        if len(self.ref.keys) == 1:
+            return
         key = self.pick(self.ref.keys)
-        d = self.ref.dim(key)
-        basis = gates.random_unitary(d, self.rng) if self.rng.random() < 0.5 else None
-        frame = np.eye(d) if basis is None else basis
-        probs = self.ref.probabilities(key, frame)
-        assert np.allclose(self.st.branch_probabilities(key, basis), probs, atol=1e-10)
+        probs = self.ref.probabilities(key)
+        assert np.allclose(self.st.branch_probabilities(key), probs, atol=1e-10)
         live = np.flatnonzero(probs > 1e-6)
         k = int(self.rng.choice(live, p=probs[live] / probs[live].sum()))
-        remove = len(self.ref.keys) > 1 and self.rng.random() < 0.5
-        op = self.st.measure_remove if remove else self.st.measure
-        got, p = op(key, basis=basis, force=k)
+        got, p = self.st.measure_remove(key, force=k)
         assert got == k and abs(p - probs[k]) < 1e-10
-        self.ref.collapse(key, frame, k, remove)
+        self.ref.collapse(key, k)
 
     def clone(self):
         """Edit a clone; the original must not move. Continue with either one."""
@@ -788,11 +787,11 @@ class TestControlledMoves:
         st.apply_named("X", [(1, "s")])
         st.apply_named("CNOT", [(0, "s"), (0, "a")])
         amps, layout = st.amps.copy(), (list(st._keys), dict(st._lazy))
-        for edit in ("measure", "measure_remove", "CNOT", "CZ", "X", "remove_entry"):
+        for edit in ("measure_remove", "CNOT", "CZ", "X", "remove_entry"):
             copy = st.clone()
             assert copy._t is st._t
-            if edit in ("measure", "measure_remove"):
-                getattr(copy, edit)((1, "s"), force=int(np.argmax(copy.branch_probabilities((1, "s")))))
+            if edit == "measure_remove":
+                copy.measure_remove((1, "s"), force=int(np.argmax(copy.branch_probabilities((1, "s")))))
             elif edit == "remove_entry":
                 # undo the CNOT, so the materialised ancilla leaves through its slice
                 copy.apply_named("CNOT", [(0, "s"), (0, "a")])
@@ -809,42 +808,42 @@ class TestForcedOutcomes:
     @PROPERTY_SETTINGS
     @given(dims=hst.lists(hst.sampled_from([2, 3]), min_size=1, max_size=4), seed=SEEDS)
     def test_forced_probability_matches_the_distribution(self, dims, seed):
-        """Computational-basis slices sum in the distribution's order, so the
-        bits agree; a given basis projects by a vector, not a matrix."""
+        """A forced outcome's slice sums in the distribution's order, so the
+        bits agree."""
         rng = np.random.default_rng(seed)
         st = _scrambled_state(rng, dims, 1)
         if rng.random() < 0.5:
             st.apply_named("X", [st.register.keys[-1]])
-        for key, d in zip(st.register.keys, st.register.dims):
-            for basis in (None, gates.random_unitary(d, rng)):
-                probs = st.branch_probabilities(key, basis)
-                for k in np.flatnonzero(probs >= 2 * FORCE_FLOOR):
-                    for op in ("measure", "measure_remove"):
-                        if op == "measure_remove" and st.register.size == 1:
-                            continue
-                        got, p = getattr(st.clone(), op)(key, basis=basis, force=k)
-                        assert got == k
-                        if basis is None:
-                            assert p == probs[k]
-                        else:
-                            assert abs(p - probs[k]) <= 1e-15
+        for key in st.register.keys:
+            probs = st.branch_probabilities(key)
+            for k in np.flatnonzero(probs >= 2 * FORCE_FLOOR):
+                got, p = st.clone().measure_remove(key, force=k)
+                assert got == k and p == probs[k]
 
     @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize("op", ["measure", "measure_remove"])
     def test_vanishing_and_out_of_range_still_raise(self, lazy, op):
+        """Through `measure_remove`, or through a forced Measure step of the
+        LOCC engine ("measure"), which calls it: nothing moves before the raise."""
+        from qccc.locc import Measure, OutcomeRecord, _execute, _force
+
+        measure = {
+            "measure": lambda key, k: next(_execute([Measure(key, "k")], st, _force(OutcomeRecord((("k", k, 0.0),))))),
+            "measure_remove": lambda key, k: st.measure_remove(key, force=k),
+        }[op]
+        one, plus = np.array([0, 1.0]), np.array([1, 1]) / np.sqrt(2)
         st = PureState(qubits(2), np.array([0, 1, 0, 0]))  # |01>
-        st.add_entry(0, "a", 2, np.array([1, 1]) / np.sqrt(2))
+        st.add_entry(0, "a", 2, one if lazy else plus)
         if not lazy:
             st.apply_named("H", [(0, "a")])  # materialised, now |0>
-        key, plus = ((0, "a"), np.array([1, 1]) / np.sqrt(2)) if lazy else ((1, "s"), None)
-        zero_basis = gates.H if lazy else None  # the outcome |-> of |+>, or |0> of |1>
+        key = (0, "a") if lazy else (1, "s")  # a |1> factor, or |1> in the tensor
         before, layout = st.amps.copy(), (list(st._keys), dict(st._lazy))
-        for force, match in [(1 if lazy else 0, "vanishing"), (2, "out of range"), (-1, "out of range")]:
+        for force, match in [(0, "vanishing"), (2, "out of range"), (-1, "out of range")]:
             with pytest.raises(ValueError, match=match):
-                getattr(st, op)(key, basis=zero_basis, force=force)
+                measure(key, force)
         assert st.register.size == 3 and np.array_equal(st.amps, before)
         assert (list(st._keys), dict(st._lazy)) == layout
-        assert plus is None or np.array_equal(st._lazy[key], plus)
+        assert not lazy or np.array_equal(st._lazy[key], one)
 
 
 class TestRegisterEdits:
