@@ -19,6 +19,9 @@ first matching row of `FAILURES`:
 
 A usage error found by argparse exits 2 with argparse's own message.
 
+`prepare --mode enumerate` reports hold the branch rows as columns: row i
+is outcomes[i], probability[i] and fidelity[i], in depth-first order.
+
 Sampling commands require an explicit --seed so reports are reproducible;
 `diagnose`, whose random inputs only probe a certificate, defaults to seed 1.
 Identical configurations produce identical reports except for the timing
@@ -32,7 +35,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -43,7 +45,7 @@ from . import __version__
 from . import circuits as cx
 from . import gates, mps
 from .lattice import Lattice
-from .locc import BranchCapExceeded, BranchRows, ProtocolError, _resolve_target, enumerate_branches, run_sampled
+from .locc import BranchCapExceeded, ProtocolError, _resolve_target, enumerate_branches, run_sampled
 from .stabilizer import InternalError
 from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, complex_pairs, pauli_on
 
@@ -68,15 +70,23 @@ class ConfigError(ValueError):
 
 
 def _write_report(report: dict, out_path):
-    """Indented JSON, except that each row of `branches`, a BranchRows, is
-    one compact line as the encoder writes it (`_row_text`): the indented
-    encoder is pure Python and slow on thousands of rows."""
+    """Indented JSON with sorted keys, except `branches`, a BranchRows, written
+    as its columns: `tags` once, `outcomes` (a line per row, an integer per tag
+    in `tags` order), `probability` and `fidelity`. They are written by hand, each
+    distinct value once: the indented encoder is slow on thousands of rows."""
     rows = report.get("branches")
     text = json.dumps(report if rows is None else dict(report, branches=[]), indent=2, sort_keys=True)
     parts = [text, "\n"]
-    if rows:
+    if rows is not None:
+        table = np.full((len(rows), len(rows.tags) + 2), "]", object)
+        table[:, 0] = ",\n      ["
+        for c in range(len(rows.tags)):
+            table[:, c + 1] = _column_text(rows.outcomes[:, c], lambda k: (", " if c else "") + str(k))
+        outcomes = f"[{''.join(table.ravel().tolist())[1:]}\n    ]" if len(rows) else "[]"
+        p, f = (", ".join(_column_text(a, json.dumps).tolist()) for a in (rows.probabilities, rows.fidelities))
         head, tail = text.split('\n  "branches": []', 1)
-        parts = [head, '\n  "branches": [\n', _row_text(rows), "\n  ]", tail, "\n"]
+        parts = [head, f'\n  "branches": {{\n    "tags": {json.dumps(list(rows.tags))},\n    "outcomes": {outcomes},',
+                 f'\n    "probability": [{p}],\n    "fidelity": [{f}]\n  }}{tail}\n']
     if out_path:
         with open(out_path, "w") as fh:
             fh.writelines(parts)
@@ -84,27 +94,11 @@ def _write_report(report: dict, out_path):
         sys.stdout.writelines(parts)
 
 
-def _float_text(x: float) -> str:
-    """A float as the encoder writes it, NaN and Infinity included."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _row_text(rows: BranchRows) -> str:
-    """The rows' lines joined by ",\\n", each byte for byte as the encoder
-    writes the row's dict. A line is cut into pieces that each read one
-    column (the fidelity, each outcome pair, the probability), and each
-    column writes each of its distinct values once."""
-
-    def column(values, write):  # an object array of write(v), v by bit pattern, so -0.0 is not 0.0
-        distinct, at = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-        return np.array([write(v) for v in distinct.view(values.dtype).tolist()], object)[at]
-
-    table = np.empty((len(rows), len(rows.tags) + 2), object)
-    table[:, 0] = column(rows.fidelities, lambda f: f',\n    {{"fidelity": {_float_text(f)}, "outcomes": [')
-    for c, tag in enumerate(rows.tags):
-        table[:, c + 1] = column(rows.outcomes[:, c], lambda k: (", " if c else "") + json.dumps([tag, k]))
-    table[:, -1] = column(rows.probabilities, lambda p: f'], "probability": {_float_text(p)}}}')
-    return "".join(table.ravel().tolist())[2:]
+def _column_text(values: np.ndarray, write) -> np.ndarray:
+    """An object array of write(v) for each value, called once per distinct
+    value (by bit pattern, so -0.0 is not 0.0)."""
+    distinct, at = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return np.array([write(v) for v in distinct.view(values.dtype).tolist()], object)[at]
 
 
 def _int_field(value, name: str) -> int:

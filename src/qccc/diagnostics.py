@@ -255,6 +255,8 @@ class CJProtocol:
         """The gadget program: H and the entangler on every (a, s) pair, then per
         site the Bell rotation of (a, in) and its two measurements, then w^dag."""
         n = self.n
+        if n < 2:
+            raise ValueError(f"a gadget's protocol runs on n >= 2 sites, got n = {n}")
         program: List = [ApplyLayers([self._entangler_layer()])]
         for k in range(n):
             program += [
@@ -325,6 +327,8 @@ def ghz_unitary_cj(n: int, dagger: bool = False) -> CJProtocol:
     (1 +- i X^(x)n) / sqrt(2)."""
     from .protocols import ghz_generators
 
+    if n < 1:
+        raise ValueError(f"GHZ unitary gadget needs n >= 1, got n = {n}")
     tab = StabilizerTableau.from_generators(ghz_generators(n))
     phase = [("S", 0)] if not dagger else [("SDG", 0)]
     for name, q in phase:

@@ -2,8 +2,11 @@ import json
 import sys
 import time
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from qccc.cli import (
     EXIT_CAPACITY,
@@ -25,6 +28,26 @@ def run_cli(args, tmp_path, name="report.json"):
     code = main(args + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def outcome_lines(text):
+    """The lines of a report's `outcomes` column, one per row."""
+    lines = text.splitlines()
+    if '    "outcomes": [],' in lines:
+        return []
+    start = lines.index('    "outcomes": [') + 1
+    return lines[start : lines.index("    ],", start)]
+
+
+def assert_columns(branches, rows):
+    """The parsed `branches` columns equal the BranchRows arrays bit for bit."""
+    assert list(branches) == ["tags", "outcomes", "probability", "fidelity"]
+    assert branches["tags"] == list(rows.tags)
+    outcomes = np.array(branches["outcomes"], dtype=np.uint64).reshape(rows.outcomes.shape)
+    assert len(branches["outcomes"]) == len(rows) and np.array_equal(outcomes, rows.outcomes)
+    for key, column in (("probability", rows.probabilities), ("fidelity", rows.fidelities)):
+        parsed = np.array(branches[key], dtype=np.float64)
+        assert np.array_equal(parsed.view(np.uint64), column.astype(np.float64).view(np.uint64)), key
 
 
 class TestPrepare:
@@ -178,35 +201,38 @@ class TestPrepare:
         assert code == EXIT_OK
         assert rep["verdict"] == "DETERMINISTIC" and rep["n_branches"] == 256
         assert rep["engine"] == "frames" and "n_merged" not in rep and "merge_error" not in rep
-        lines = (tmp_path / "report.json").read_text().splitlines()
-        assert sum('"outcomes"' in line for line in lines) == 256
+        lines = outcome_lines((tmp_path / "report.json").read_text())
+        assert [json.loads(line.rstrip(",")) for line in lines] == rep["branches"]["outcomes"]
+        assert len(lines) == len(rep["branches"]["probability"]) == len(rep["branches"]["fidelity"]) == 256
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3])
     def test_branch_rows_one_per_line(self, tmp_path, n_rows):
         k = np.arange(n_rows)
         outcomes = np.stack([k, np.ones(n_rows, dtype=int)], axis=1).astype(np.uint8)
         rows = BranchRows(("t0s", "t0p"), outcomes, np.full((n_rows, 2), 0.5), 0.1 * k, np.full(n_rows, 1 - 1e-16))
-        dicts = [
-            {"outcomes": [["t0s", int(i)], ["t0p", 1]], "probability": 0.1 * i, "fidelity": 1 - 1e-16}
-            for i in k
-        ]
         report = {"version": "0", "config": {"branches": [1, 2]}, "verdict": "DETERMINISTIC"}
         out = tmp_path / "report.json"
         _write_report(dict(report, branches=rows), str(out))
         text = out.read_text()
-        assert json.loads(text) == json.loads(json.dumps(dict(report, branches=dicts), indent=2, sort_keys=True))
-        lines = [line.rstrip(",") for line in text.splitlines() if '"outcomes"' in line]
-        assert lines == ["    " + json.dumps(r, sort_keys=True) for r in dicts]
+        parsed = json.loads(text)
+        assert_columns(parsed.pop("branches"), rows)
+        assert parsed == report
+        assert outcome_lines(text) == [f"      [{i}, 1]" + ("," if i < n_rows - 1 else "") for i in k]
+
+    def test_stdout_matches_the_out_file(self, tmp_path, capsys):
+        argv = ["prepare", "--protocol", "w", "--n", "3", "--mode", "enumerate"]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        code, rep = run_cli(argv, tmp_path)
+        assert code == EXIT_OK and rep["config"].pop("out") == str(tmp_path / "report.json")
+        from_stdout = json.loads(printed)
+        assert from_stdout.pop("timings").keys() == rep.pop("timings").keys()
+        assert from_stdout == rep and rep["n_branches"] == 64
+        assert outcome_lines(printed) == outcome_lines((tmp_path / "report.json").read_text())
 
 
 class TestRowWriter:
-    """The hand-built row lines are the encoder's bytes."""
-
-    ENCODE = staticmethod(json.JSONEncoder(sort_keys=True).encode)
-
-    def _rows_as_encoded(self, text, rows):
-        lines = [line for line in text.splitlines() if '"outcomes"' in line]
-        assert "\n".join(lines) == ",\n".join("    " + self.ENCODE(r) for r in rows)
+    """The hand-written columns parse back to the BranchRows bit for bit."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -218,14 +244,15 @@ class TestRowWriter:
         ],
     )
     def test_reports_match_the_encoder(self, tmp_path, argv):
+        from qccc.cli import _build_protocol, build_parser
+        from qccc.locc import enumerate_branches
+
         code, rep = run_cli(["prepare", *argv, "--mode", "enumerate"], tmp_path)
-        assert code == EXIT_OK and rep["n_branches"] == len(rep["branches"]) > 1
-        # floats round-trip through their repr, so the parsed rows encode as written
-        self._rows_as_encoded((tmp_path / "report.json").read_text(), rep["branches"])
+        assert code == EXIT_OK and rep["n_branches"] == len(rep["branches"]["outcomes"]) > 1
+        args = build_parser().parse_args(["prepare", *argv])
+        assert_columns(rep["branches"], enumerate_branches(_build_protocol(args)[0], backend=args.backend).reports)
 
     def test_crafted_rows_match_the_encoder(self, tmp_path):
-        from qccc.locc import BranchRows
-
         tag = 'a"b\\c\n\u00e9\u2028'  # a quote, a backslash, a newline and two non-ASCII characters
         big, inf, nan = 2**64 - 1, float("inf"), float("nan")  # big: the largest uint64 outcome
         tables = [
@@ -238,13 +265,29 @@ class TestRowWriter:
             rows = BranchRows(tags, outcomes, np.zeros(outcomes.shape), np.array(probs), np.array(fids))
             out = tmp_path / "report.json"
             _write_report({"branches": rows, "verdict": "NOT_DETERMINISTIC"}, str(out))
-            dicts = [
-                {"outcomes": [[t, k] for t, k in zip(tags, row)], "probability": p, "fidelity": f}
-                for row, p, f in zip(ks, probs, fids)
-            ]
             texts.append(out.read_text())
-            self._rows_as_encoded(texts[-1], dicts)
+            assert_columns(json.loads(texts[-1])["branches"], rows)
         assert "NaN" in texts[0] and "Infinity" in texts[0] and "-Infinity" in texts[1]
+        assert outcome_lines(texts[1]) == ["      []"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=hst.data())
+    def test_random_rows_round_trip(self, tmp_path, data):
+        # JSON has one NaN, so the canonical NaN is the one drawn; the edge
+        # values are drawn often, so that one column holds several of them
+        edges = [0.0, -0.0, 5e-324, float("inf"), float("-inf"), float("nan")]
+        floats = hst.sampled_from(edges) | hst.floats(allow_nan=False)
+        tags = data.draw(hst.lists(hst.text(hst.sampled_from('"\\\n\u2028\u00e9') | hst.characters(), max_size=6), max_size=4))
+        n_rows = data.draw(hst.integers(0, 6))
+        outcomes = data.draw(hnp.arrays(np.uint64, (n_rows, len(tags))))
+        probs, fids = (data.draw(hnp.arrays(np.float64, n_rows, elements=floats)) for _ in range(2))
+        rows = BranchRows(tuple(tags), outcomes, np.zeros(outcomes.shape), probs, fids)
+        out = tmp_path / "report.json"
+        _write_report({"branches": rows, "n_branches": n_rows}, str(out))
+        text = out.read_text()
+        assert_columns(json.loads(text)["branches"], rows)
+        assert len(outcome_lines(text)) == n_rows
 
 
 class TestMps:
@@ -323,6 +366,11 @@ class TestDiagnose:
             ["diagnose", "--check", "arealaw", "--protocol", "ghz", "--n", "10"], tmp_path
         )
         assert code == EXIT_OK and rep["arealaw"]["passes"]
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_cj_small_n_names_n(self, n, capsys):
+        assert main(["diagnose", "--check", "cj", "--target", "ghz", "--n", str(n)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(f"got n = {n}\n")
 
     def test_cj_ghz(self, tmp_path):
         code, rep = run_cli(
@@ -414,6 +462,8 @@ class TestFailures:
     CASES = {
         "tc_odd_n": (["prepare", "--protocol", "tc", "--n", "3"], None, EXIT_CONFIG),
         "ghz_n1": (["prepare", "--protocol", "ghz", "--n", "1"], None, EXIT_CONFIG),
+        "cj_n0": (["diagnose", "--check", "cj", "--target", "ghz", "--n", "0"], None, EXIT_CONFIG),
+        "cj_n1": (["diagnose", "--check", "cj", "--target", "ghz", "--n", "1"], None, EXIT_CONFIG),
         "bad_json": (RG + ["bad.json"], None, EXIT_CONFIG),
         "missing_key": (RG + ["no_key.json"], None, EXIT_CONFIG),
         "missing_spec": (RG + ["missing.json"], None, EXIT_CONFIG),
