@@ -46,7 +46,6 @@ from .locc import (
     enumerate_branches,
     replay,
     run_sampled,
-    teleport,
 )
 from .protocols import (
     RGFixedPointSpec,

@@ -26,6 +26,7 @@ from .lattice import Lattice, distance
 from .statevector import EntryKey, PureState, QuditRegister, RegionOperator, check_amplitudes
 
 OpSpec = Union[np.ndarray, List[Tuple[str, Tuple[int, ...]]]]
+SUPPORT_TOL = 1e-9  # `operator_support`'s residual threshold, relative to max(||A||, 1)
 
 
 @dataclass
@@ -141,16 +142,16 @@ class Violation:
     reason: str
 
 
-def validate(circuit: Circuit, register: Optional[List[Tuple[int, str, int]]] = None) -> List[Violation]:
-    """Structural validation; returns an empty list when the circuit is valid.
+def validate(circuit: Circuit, register: List[Tuple[int, str, int]]) -> List[Violation]:
+    """Structural validation against the initial register, which is required;
+    returns an empty list when the circuit is valid.
 
-    When an initial register is given, entry existence and dimensions are
-    tracked through add/remove actions and dense gate payloads are checked for
-    unitarity at the correct dimension.
+    Entry existence and dimensions are tracked through add/remove actions, and
+    dense gate payloads are checked for unitarity at the correct dimension.
     """
     out: List[Violation] = []
     lat = circuit.lattice
-    dims = {(s, sl): d for s, sl, d in register} if register is not None else None
+    dims = {(s, sl): d for s, sl, d in register}
     for li, layer in enumerate(circuit.layers):
         if isinstance(layer, GateLayer):
             used = set()
@@ -166,12 +167,12 @@ def validate(circuit: Circuit, register: Optional[List[Tuple[int, str, int]]] = 
                     out.append(Violation(li, g.sites(), f"site {s} used twice in one layer"))
                 used |= sites
                 for e in g.entries:
-                    if dims is not None and e not in dims:
+                    if e not in dims:
                         out.append(Violation(li, g.sites(), f"entry {e} does not exist here"))
                 if isinstance(g.spec, np.ndarray):
                     if not gates.is_unitary(g.spec):
                         out.append(Violation(li, g.sites(), "gate matrix is not unitary"))
-                    elif dims is not None and all(e in dims for e in g.entries):
+                    elif all(e in dims for e in g.entries):
                         want = dims[g.entries[0]] * dims[g.entries[1]]
                         if g.spec.shape[0] != want:
                             out.append(Violation(li, g.sites(), "gate matrix dimension mismatch"))
@@ -183,17 +184,16 @@ def validate(circuit: Circuit, register: Optional[List[Tuple[int, str, int]]] = 
                         out.append(Violation(li, tuple(sites), "local op spans several sites"))
                     if isinstance(act.spec, np.ndarray) and not gates.is_unitary(act.spec):
                         out.append(Violation(li, tuple(sites), "local op matrix is not unitary"))
-                    if dims is not None:
-                        for e in act.entries:
-                            if e not in dims:
-                                out.append(Violation(li, tuple(sites), f"entry {e} does not exist here"))
-                elif act.kind == "add" and dims is not None:
+                    for e in act.entries:
+                        if e not in dims:
+                            out.append(Violation(li, tuple(sites), f"entry {e} does not exist here"))
+                elif act.kind == "add":
                     e = act.entries[0]
                     if e in dims:
                         out.append(Violation(li, tuple(sites), f"entry {e} added twice"))
                     else:
                         dims[e] = act.dim
-                elif act.kind == "remove" and dims is not None:
+                elif act.kind == "remove":
                     e = act.entries[0]
                     if e not in dims:
                         out.append(Violation(li, tuple(sites), f"entry {e} removed but absent"))
@@ -299,12 +299,12 @@ def circuit_unitary(circuit: Circuit, register: List[Tuple[int, str, int]]) -> n
 # -- the shift construction ------------------------------------------------------
 
 
-def build_shift_circuit(lat: Lattice, slot: str = "shift") -> Circuit:
+def build_shift_circuit(lat: Lattice) -> Circuit:
     """Swap circuit implementing the left shift T on a 1D periodic chain:
     depth 2 at even n, 3 at odd n, where the ring's n edges need three
     site-disjoint layers.
 
-    One ancilla per site; the combined action is T on the system and the
+    One "shift" ancilla per site; the combined action is T on the system and the
     inverse shift on the ancillas, which end in their initial product state
     and are removed at the end.
     """
@@ -313,10 +313,10 @@ def build_shift_circuit(lat: Lattice, slot: str = "shift") -> Circuit:
     n = lat.n_sites
     d = lat.local_dim
     swap = [("SWAP", (0, 1))]
-    adds = LocalLayer([add_ancilla(j, slot, d) for j in range(n)])
-    swaps = GateLayer([Gate(((j, "s"), ((j - 1) % n, slot)), swap) for j in range(n)])
-    unswap = LocalLayer([local_op([(j, "s"), (j, slot)], swap) for j in range(n)])
-    removes = LocalLayer([remove_ancilla(j, slot) for j in range(n)])
+    adds = LocalLayer([add_ancilla(j, "shift", d) for j in range(n)])
+    swaps = GateLayer([Gate(((j, "s"), ((j - 1) % n, "shift")), swap) for j in range(n)])
+    unswap = LocalLayer([local_op([(j, "s"), (j, "shift")], swap) for j in range(n)])
+    removes = LocalLayer([remove_ancilla(j, "shift") for j in range(n)])
     return schedule(lat, [adds, swaps, unswap, removes])
 
 
@@ -348,10 +348,10 @@ def _random_circuit(lat: Lattice, depth: int, rng: np.random.Generator) -> Circu
 # -- QCA range estimation ----------------------------------------------------------
 
 
-def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[int, ...]:
+def operator_support(op: np.ndarray, lat: Lattice) -> Tuple[int, ...]:
     """Sites where the operator acts nontrivially, by the partial-trace criterion.
 
-    Site j is in the support when ||A - 1_j (x) tr_j A / d|| > tol max(||A||, 1).
+    Site j is in the support when ||A - 1_j (x) tr_j A / d|| > SUPPORT_TOL max(||A||, 1).
     The residual is summed block by block over the (j, j') index pair: the
     off-diagonal blocks by their weight in |A|^2, the diagonal blocks A_aa by
     sum_a ||A_aa - mean||^2 = (1/d) sum_{a<b} ||A_aa - A_bb||^2 over strided
@@ -359,7 +359,7 @@ def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[i
     """
     n = lat.n_sites
     d = lat.local_dim
-    bound = tol * max(np.linalg.norm(op), 1.0)
+    bound = SUPPORT_TOL * max(np.linalg.norm(op), 1.0)
     # block weights of every site at once: E^T |A|^2 E, E[r, (j, a)] = [digit j of r is a]
     digits = np.indices((d,) * n).reshape(n, -1).T
     e = (digits[:, :, None] == np.arange(d)).reshape(-1, n * d).astype(float)
@@ -375,7 +375,7 @@ def operator_support(op: np.ndarray, lat: Lattice, tol: float = 1e-9) -> Tuple[i
     return tuple(support)
 
 
-def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
+def estimate_range(unitary: np.ndarray, lat: Lattice) -> int:
     """QCA range: the largest site-distance growth of Heisenberg-evolved
     single-site operators.
 
@@ -397,7 +397,7 @@ def estimate_range(unitary: np.ndarray, lat: Lattice, tol: float = 1e-9) -> int:
     for i in range(n):
         rows = [np.take(u_sites, k, axis=i).reshape(dim // d, dim) for k in range(d)]
         for k in range(d - 1):
-            for j in operator_support(rows[k].conj().T @ rows[k + 1], lat, tol):
+            for j in operator_support(rows[k].conj().T @ rows[k + 1], lat):
                 if j != i:
                     r = max(r, distance(lat, [i], [j]))
     return r

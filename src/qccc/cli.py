@@ -45,7 +45,7 @@ from . import __version__
 from . import circuits as cx
 from . import gates, mps
 from .lattice import Lattice
-from .locc import BranchCapExceeded, ProtocolError, _resolve_target, enumerate_branches, run_sampled
+from .locc import DETERMINISM_TOL, BranchCapExceeded, ProtocolError, _resolve_target, enumerate_branches, run_sampled
 from .stabilizer import InternalError
 from .statevector import CapacityError, PureState, QuditRegister, RegionOperator, complex_pairs, pauli_on
 
@@ -172,7 +172,7 @@ def cmd_prepare(args, report: dict) -> int:
         if res.fallback is not None:
             report["fallback"] = res.fallback
         report["branches"] = res.reports
-        ok = res.deterministic and res.min_fidelity >= 1 - 1e-9
+        ok = res.deterministic and res.min_fidelity >= 1 - DETERMINISM_TOL
     else:
         if args.seed is None:
             raise ConfigError("sample mode requires --seed")
@@ -185,7 +185,7 @@ def cmd_prepare(args, report: dict) -> int:
                 report["fidelity"] = fid
             else:
                 report["stabilizer_match"] = fid == 1.0
-            ok = fid >= 1 - 1e-9
+            ok = fid >= 1 - DETERMINISM_TOL
     return EXIT_OK if ok and valid else EXIT_FAIL
 
 
@@ -230,7 +230,7 @@ def cmd_mps(args, report: dict) -> int:
             ok
             and res.report.envelope_holds is not False
             and out.deterministic
-            and out.min_fidelity >= 1 - max(res.report.epsilon_q, 1e-9)
+            and out.min_fidelity >= 1 - max(res.report.epsilon_q, DETERMINISM_TOL)
         )
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -265,6 +265,8 @@ def cmd_diagnose(args, report: dict) -> int:
         rep = dg.check_factorization(state, lat, op_a, op_b, depth_claim=args.depth_claim)
         report["factorization"] = rep.to_dict()
     elif args.check == "arealaw":
+        if args.protocol is None:
+            raise ConfigError("--check arealaw needs --protocol")
         proto, _ = _build_protocol(args)
         n_sites = proto.lattice.n_sites
         regions = []

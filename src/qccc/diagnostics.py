@@ -47,6 +47,9 @@ from .stabilizer import (
 )
 from .statevector import PureState, QuditRegister, RegionOperator
 
+WITNESS_TOL = 1e-6  # a factorization residual above it witnesses correlations
+CLIFFORD_DENSE_MAX = 4  # `verify_clifford_table` cross-checks the dense unitary up to this n
+
 # -- factorization of distant observables ------------------------------------------
 
 
@@ -80,11 +83,10 @@ def check_factorization(
     op_a: RegionOperator,
     op_b: RegionOperator,
     depth_claim: Optional[int] = None,
-    tol: float = 1e-6,
 ) -> FactorizationReport:
     """Compare <X_A Y_B> with <X_A><Y_B> for operators on disjoint supports.
 
-    A residual above tol at separation d(A, B) > 2 ell witnesses that no
+    A residual above WITNESS_TOL at separation d(A, B) > 2 ell witnesses that no
     depth-ell circuit (without measurements) prepares the state.
     """
     sites_a = tuple(sorted({s for s, _ in op_a.entries}))
@@ -98,7 +100,7 @@ def check_factorization(
     residual = abs(lhs - rhs)
     violates = None
     if depth_claim is not None:
-        violates = bool(residual > tol and sep > 2 * depth_claim)
+        violates = bool(residual > WITNESS_TOL and sep > 2 * depth_claim)
     return FactorizationReport(sites_a, sites_b, sep, lhs, rhs, residual, depth_claim, violates)
 
 
@@ -145,7 +147,6 @@ class AreaLawReport:
 def area_law_audit(
     subject,
     regions: Sequence[Sequence[int]],
-    c: Optional[float] = None,
     depth: Optional[int] = None,
     lat: Optional[Lattice] = None,
     seed: int = 1,
@@ -155,7 +156,7 @@ def area_law_audit(
 
     `subject` is a Protocol (one sampled branch is prepared; deterministic
     protocols make the branch choice irrelevant) or a PureState with `lat` and
-    `depth` supplied. The default budget constant is c = 2 * depth * log2(d):
+    `depth` supplied. The budget constant is c = 2 * depth * log2(d):
     each gate layer can add at most one cut-crossing two-qudit gate per
     boundary site.
     """
@@ -167,8 +168,7 @@ def area_law_audit(
         state = subject
         if lat is None or depth is None:
             raise ValueError("state audits need an explicit lattice and depth")
-    if c is None:
-        c = 2.0 * depth * math.log2(lat.local_dim)
+    c = 2.0 * depth * math.log2(lat.local_dim)
     entries = []
     for sites in regions:
         reg = lat.region(sites)
@@ -279,7 +279,6 @@ class CJProtocol:
             register=self._entries("s", "a", "in"),
             program=program,
             system_entries=[(k, "s") for k in range(n)],
-            clifford=True,
         )
 
 
@@ -345,7 +344,7 @@ def ghz_unitary_cj(n: int, dagger: bool = False) -> CJProtocol:
     return cj
 
 
-def verify_clifford_table(cj: CJProtocol, dense_max: int = 4) -> bool:
+def verify_clifford_table(cj: CJProtocol) -> bool:
     """Every single-site Pauli must conjugate to a Hermitian Pauli string;
     dense cross-check of the map at small sizes."""
     for k in range(cj.n):
@@ -353,7 +352,7 @@ def verify_clifford_table(cj: CJProtocol, dense_max: int = 4) -> bool:
             img = cj.u_map.conjugate(PauliString.single(cj.n, k, p))
             if img.phase % 2 != 0:
                 return False
-    if cj.n <= dense_max:
+    if cj.n <= CLIFFORD_DENSE_MAX:
         u = cj.u_dense()
         if not gates.is_unitary(u, tol=1e-9):
             return False

@@ -55,17 +55,16 @@ def fourier(d: int) -> np.ndarray:
     return w ** (j * k) / np.sqrt(d)
 
 
-def cnot_d(d: int, inverse: bool = False) -> np.ndarray:
-    """Generalized CNOT on two qudits: |i, j> -> |i, j -/+ i mod d>.
+def cnot_d(d: int) -> np.ndarray:
+    """Generalized CNOT on two qudits, subtractive: |i, j> -> |i, j - i mod d>.
 
-    The subtractive form maps the maximally entangled pair to |i, 0>, which is
-    what the Bell-measurement rotation needs.
+    It maps the maximally entangled pair to |i, 0>, which is what the
+    Bell-measurement rotation needs.
     """
     m = np.zeros((d * d, d * d), dtype=complex)
-    sign = 1 if inverse else -1
     for i in range(d):
         for j in range(d):
-            m[i * d + ((j + sign * i) % d), i * d + j] = 1.0
+            m[i * d + ((j - i) % d), i * d + j] = 1.0
     return m
 
 

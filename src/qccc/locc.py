@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,6 +66,7 @@ DETERMINISM_TOL = 1e-9
 DEFAULT_BRANCH_CAP = 2**16
 DEFAULT_PROB_FLOOR = 1e-12
 BYPRODUCT_TOL = 1e-12  # the by-product check's residual, on normalised states
+_CLIFFORD_NAMES = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
 
 
 class BranchCapExceeded(ProtocolError):
@@ -214,17 +215,25 @@ class Protocol:
     system_entries: List[EntryKey]
     target: Optional[PureState] = None
     target_generators: Optional[list] = None  # PauliStrings over system_entries order
-    clifford: bool = False
+    clifford: bool = field(init=False)  # the tableau runs it; read from the program at construction
 
     def __post_init__(self):
-        # single-shot schedule: at most one measurement per qudit
+        # single-shot schedule: at most one measurement per qudit; the tableau
+        # takes qubits, `_on_tableau` actions and Pauli maps over Z_2
         seen = set()
+        clifford = all(d == 2 for _, _, d in self.register)
         for step in self.program:
             if isinstance(step, Measure):
                 key = step.entry
                 if key in seen:
                     raise ProtocolError(f"entry {key} is measured more than once")
                 seen.add(key)
+            elif isinstance(step, Correct):
+                clifford = clifford and step.pauli.d == 2
+            elif clifford and isinstance(step, ApplyLayers):
+                clifford = all(_on_tableau(o) for layer in step.layers
+                               for o in (layer.gates if isinstance(layer, cx.GateLayer) else layer.actions))
+        self.clifford = clifford
 
     def rounds(self) -> List[cx.Circuit]:
         """The program's gates and local actions (not its measurements and
@@ -268,6 +277,15 @@ class Protocol:
 
     def validate_circuit(self) -> List[cx.Violation]:
         return cx.validate(self.schedule(), self.register)
+
+
+def _on_tableau(op) -> bool:
+    """A gate or local action the tableau runs: named Cliffords, a qubit
+    ancilla added in |0>, or a removal."""
+    kind = getattr(op, "kind", "op")
+    if kind == "add":
+        return op.dim == 2 and op.init_state is None
+    return kind == "remove" or isinstance(op.spec, list) and all(str(g).upper() in _CLIFFORD_NAMES for g, _ in op.spec)
 
 
 def initial_state(protocol: Protocol, backend: str = "dense"):
@@ -511,9 +529,6 @@ def _enumerate_dfs(protocol: Protocol, start, target, branch_cap: int) -> Enumer
 class _Fallback(Exception):
     """A dense program that the by-product check cannot certify from one
     history; the message says why."""
-
-
-_CLIFFORD_NAMES = frozenset({"H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
 
 
 def _byproduct_plan(program: Sequence[Step], start: PureState) -> Dict[str, Iterator[tuple]]:
@@ -937,38 +952,6 @@ def bell_rotation_ops(source: EntryKey, partner: EntryKey, d: int) -> List[cx.Lo
         ]
     rot = np.kron(gates.fourier(d).conj().T, np.eye(d)) @ gates.cnot_d(d)
     return [cx.local_op([source, partner], rot)]
-
-
-def teleport(
-    state: PureState,
-    source: EntryKey,
-    pair: Tuple[EntryKey, EntryKey],
-    d: int,
-    rng: Optional[np.random.Generator] = None,
-    force: Optional[Tuple[int, int]] = None,
-    tol: float = 1e-9,
-) -> PureState:
-    """Teleport the quantum content of `source` onto pair[1] (in place).
-
-    pair must hold the maximally entangled state sum_k |kk>/sqrt(d); source
-    and pair[0] are measured and removed.
-    """
-    e1, e2 = pair
-    for e in (source, e1, e2):
-        if state.register.dim(e) != d:
-            raise ValueError(f"entry {e} does not have dimension {d}")
-    if source[0] != e1[0]:
-        raise ProtocolError("source and pair[0] must share a site")
-    rho = state.reduced_density([e1, e2])
-    bell = gates.bell_state(d)
-    if abs(np.vdot(bell, rho @ bell) - 1.0) > tol:
-        raise ValueError("pair entries do not hold the maximally entangled state")
-    if force is not None:
-        choose = _force(OutcomeRecord((("ts", force[0], 0.0), ("tp", force[1], 0.0))))
-    else:
-        choose = _sample(rng if rng is not None else np.random.default_rng(0))
-    next(_execute(_teleport_steps(source, e1, e2, d, "t"), state, choose))
-    return state
 
 
 def _teleport_steps(source: EntryKey, partner: EntryKey, target: EntryKey, d: int, tag: str) -> List[Step]:

@@ -29,12 +29,14 @@ from .statevector import PureState, QuditRegister, check_amplitudes, max_amplitu
 
 SPECTRAL_TOL = 1e-9
 RANK_TOL = 1e-9
+RANK_CUTOFF = 1e-10  # tau_AA's relative rank cutoff: the blocked tensor and the transfer-only route must agree
+PROJECTOR_TOL = 1e-8  # how far an invariant projector may leave A^s P = P A^s P
+PSD_CLAMP = 1e-12  # eigenvalues below it are rounding, clamped at 0
 
 
 @dataclass
 class MPS:
     tensor: np.ndarray  # (d, chi, chi)
-    normal: Optional[bool] = None
 
     def __post_init__(self):
         self.tensor = np.asarray(self.tensor, dtype=complex)
@@ -136,7 +138,7 @@ def _hermitian_fixed_basis(t: np.ndarray, tol: float) -> List[np.ndarray]:
     return cands
 
 
-def _invariant_projector(a: np.ndarray, tol: float = 1e-8) -> Optional[np.ndarray]:
+def _invariant_projector(a: np.ndarray) -> Optional[np.ndarray]:
     """A proper projector P with A^s P = P A^s P for all s, or None."""
     chi = a.shape[1]
     t = transfer_matrix(a)
@@ -153,20 +155,10 @@ def _invariant_projector(a: np.ndarray, tol: float = 1e-8) -> Optional[np.ndarra
         for cut in range(1, chi):
             if abs(w[cut] - w[cut - 1]) < 1e-9:
                 continue
-            basis = v[:, cut:]
-            p = basis @ basis.conj().T
-            ok = all(
-                np.linalg.norm(a[s] @ p - p @ a[s] @ p) < tol for s in range(a.shape[0])
-            )
-            if ok:
-                return p
-            basis = v[:, :cut]
-            p = basis @ basis.conj().T
-            ok = all(
-                np.linalg.norm(a[s] @ p - p @ a[s] @ p) < tol for s in range(a.shape[0])
-            )
-            if ok:
-                return p
+            for basis in (v[:, cut:], v[:, :cut]):
+                p = basis @ basis.conj().T
+                if all(np.linalg.norm(a[s] @ p - p @ a[s] @ p) < PROJECTOR_TOL for s in range(a.shape[0])):
+                    return p
     return None
 
 
@@ -202,12 +194,12 @@ def canonicalize(mps: MPS) -> CanonicalForm:
     if not found:
         raise ValueError("tensor has vanishing spectral radius")
     top = max(mu for mu, _ in found)
-    blocks = [(mu / top, MPS(blk, normal=True)) for mu, blk in found]
+    blocks = [(mu / top, MPS(blk)) for mu, blk in found]
     blocks.sort(key=lambda b: -b[0])
     return CanonicalForm(blocks)
 
 
-def is_normal(mps: MPS, gap_tol: float = SPECTRAL_TOL) -> bool:
+def is_normal(mps: MPS) -> bool:
     """Spectral condition (unique leading eigenvalue 1, gapped) plus
     injectivity of blocked maps within chi^4 blocking steps."""
     a = mps.tensor
@@ -216,7 +208,7 @@ def is_normal(mps: MPS, gap_tol: float = SPECTRAL_TOL) -> bool:
     vals = sorted_spectrum(t)
     if abs(vals[0] - 1.0) > 1e-7:
         raise ValueError("tensor is not canonically scaled (leading eigenvalue != 1)")
-    if len(vals) > 1 and abs(vals[1]) > 1 - gap_tol:
+    if len(vals) > 1 and abs(vals[1]) > 1 - SPECTRAL_TOL:
         return False
     # injectivity: products of length L span the full matrix algebra
     span = [a[s] for s in range(a.shape[0])]
@@ -270,7 +262,7 @@ def block(mps: MPS, q: int) -> MPS:
         raise ValueError("q must be >= 1")
     d, chi = mps.d, mps.chi
     check_amplitudes(d**q * chi * chi, f"the {d}^{q} x {chi}^2 blocked tensor")
-    return MPS(_chain_power(mps.tensor, q), normal=mps.normal)
+    return MPS(_chain_power(mps.tensor, q))
 
 
 # -- fixed points ----------------------------------------------------------------------
@@ -285,7 +277,7 @@ class FixedPointData:
     bond_matrix: np.ndarray  # sqrt(sigma) sqrt(rho), indexed (right leg, left leg)
 
 
-def transfer_fixed_points(t_chain: np.ndarray, tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+def transfer_fixed_points(t_chain: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Hermitian PSD right/left fixed points (rho, sigma) with tr(sigma rho) = 1."""
     chi = int(round(math.isqrt(t_chain.shape[0])))
 
@@ -312,9 +304,9 @@ def transfer_fixed_points(t_chain: np.ndarray, tol: float = 1e-9) -> Tuple[np.nd
     return rho, sigma
 
 
-def _sqrt_psd(m: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.where(w < clamp, np.maximum(w, 0.0), w)
+    w = np.where(w < PSD_CLAMP, np.maximum(w, 0.0), w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -335,12 +327,12 @@ class RGFixedPointTensor:
     data: FixedPointData
 
 
-def rg_fixed_point_tensor(blocked: MPS, rank_cutoff: float = 1e-10) -> RGFixedPointTensor:
+def rg_fixed_point_tensor(blocked: MPS) -> RGFixedPointTensor:
     """B = U sqrt(tau_BB) from a (blocked) normal tensor A = U sqrt(tau_AA).
 
     The square root of tau_AA and its pseudo-inverse come from one
-    eigendecomposition with a shared relative rank cutoff, so the support
-    projector is consistent.
+    eigendecomposition with a shared relative rank cutoff, RANK_CUTOFF, so
+    the support projector is consistent.
     """
     a = blocked.tensor
     d_eff, chi = a.shape[0], a.shape[1]
@@ -349,7 +341,7 @@ def rg_fixed_point_tensor(blocked: MPS, rank_cutoff: float = 1e-10) -> RGFixedPo
     w, v = np.linalg.eigh((tau_aa_io + tau_aa_io.conj().T) / 2)
     if w[-1] <= 0:
         raise ValueError("tau_AA is numerically zero")
-    kept = w > rank_cutoff * w[-1]
+    kept = w > RANK_CUTOFF * w[-1]
     if w[0] < -1e-10 * w[-1]:
         raise ValueError("tau_AA is not PSD")
     if not kept.all():
@@ -372,7 +364,7 @@ def rg_fixed_point_tensor(blocked: MPS, rank_cutoff: float = 1e-10) -> RGFixedPo
     if np.linalg.norm(tau_bb @ tau_bb - tau_bb) > 1e-9 * max(1.0, np.linalg.norm(tau_bb)):
         raise ValueError("tau_BB is not idempotent")
     b_mat = u @ data.b_tilde
-    b = MPS(b_mat.reshape(d_eff, chi, chi), normal=None)
+    b = MPS(b_mat.reshape(d_eff, chi, chi))
     return RGFixedPointTensor(b, u, data)
 
 
@@ -393,7 +385,7 @@ def fidelity_deficit(a: MPS, b: MPS, m_sites: int) -> float:
     return float(abs(val))
 
 
-def _deficit(t: np.ndarray, data: FixedPointData, q: int, m_sites: int, rank_cutoff: float = 1e-10) -> float:
+def _deficit(t: np.ndarray, data: FixedPointData, q: int, m_sites: int) -> float:
     """fidelity_deficit(block(mps, q), rg_fixed_point_tensor(block(mps, q)).b,
     m_sites) from the transfer matrix t of mps and its fixed-point data alone,
     without the d^q blocked tensor: tau_AA is T^q re-paired, tau_AB = A~ B~.
@@ -405,7 +397,7 @@ def _deficit(t: np.ndarray, data: FixedPointData, q: int, m_sites: int, rank_cut
         raise ValueError("need at least two blocked sites")
     tau_aa_io = chain_from_io(np.linalg.matrix_power(t, q))
     w = np.linalg.eigvalsh((tau_aa_io + tau_aa_io.conj().T) / 2)
-    if w[0] < rank_cutoff * w[-1]:
+    if w[0] < RANK_CUTOFF * w[-1]:
         raise ValueError("blocked tau_AA is rank-deficient; transfer-only route invalid")
     tab = chain_from_io(_sqrt_psd(tau_aa_io) @ data.b_tilde)
     tbb = data.tau_bb_chain
@@ -456,7 +448,7 @@ class BoundReport:
         return asdict(self)
 
 
-def gauge_condition_number(t_chain: np.ndarray, gap_tol: float = 1e-8) -> float:
+def gauge_condition_number(t_chain: np.ndarray) -> float:
     """kappa of a similarity separating the leading eigenvalue from the rest.
 
     Schur-based two-block decoupling; an upper-bound surrogate for the exact

@@ -88,7 +88,6 @@ def ghz_protocol(n: int) -> Tuple[Protocol, PureState]:
         system_entries=system,
         target=target,
         target_generators=ghz_generators(n),
-        clifford=True,
     )
     return proto, target
 
@@ -173,7 +172,6 @@ def w_protocol(n: int) -> Tuple[Protocol, PureState]:
         program=program,
         system_entries=system,
         target=target,
-        clifford=False,
     )
     return proto, target
 
@@ -436,7 +434,6 @@ def _fixed_point_protocol(
         program=program,
         system_entries=[(site, slot) for site, slot, _ in register],
         target=target,
-        clifford=False,
     )
 
 
@@ -649,6 +646,5 @@ def toric_code_protocol(n: int) -> Tuple[Protocol, Optional[PureState]]:
         system_entries=system,
         target=target,
         target_generators=tc_target_generators(layout),
-        clifford=True,
     )
     return proto, target

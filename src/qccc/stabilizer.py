@@ -553,12 +553,13 @@ class StabilizerTableau:
             a[:, n - 1] = 0
         self._set_n(n - 1)
 
-    def to_statevector(self, seed: int = 7) -> np.ndarray:
-        """Dense amplitude vector (2^n), qubit 0 slowest-varying. Small n only."""
+    def to_statevector(self) -> np.ndarray:
+        """Dense amplitude vector (2^n), qubit 0 slowest-varying, projected from
+        seeded random vectors. Small n only."""
         if self.n > 20:
             raise ValueError("dense conversion capped at 20 qubits")
         dim = 1 << self.n
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         for attempt in range(8):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             for g in self.generators():

@@ -283,7 +283,6 @@ class PureState:
         self._t = amps.reshape(register.dims) if register.size else amps.reshape(())
         self._relabel(list(register.keys))
         self._lazy: Dict[EntryKey, np.ndarray] = {}
-        self.norm_tol = norm_tol
 
     # -- construction ------------------------------------------------------
 
@@ -313,7 +312,6 @@ class PureState:
         s._keys = list(self._keys)
         s._axis = dict(self._axis)
         s._lazy = dict(self._lazy)
-        s.norm_tol = self.norm_tol
         return s
 
     # -- layout helpers ----------------------------------------------------
@@ -539,7 +537,10 @@ class PureState:
         return float(abs(np.vdot(self.amps, other.amps)) ** 2)
 
     def max_entropy(self, entries: Sequence[EntryKey], rank_tol: float = 1e-10) -> float:
-        """log2 of the Schmidt rank across the bipartition entries | rest."""
+        """log2 of the Schmidt rank across the bipartition entries | rest: the
+        Schmidt coefficients above rank_tol times the largest, rank_tol in [0, 1)."""
+        if not 0 <= rank_tol < 1:
+            raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
         keys = [tuple(k) for k in entries]
         if len(keys) == 0 or len(keys) == self.register.size:
             raise ValueError("max_entropy requires a proper non-empty sub-register")
@@ -575,11 +576,11 @@ class PureState:
         self._lazy[key] = local_state
         return self
 
-    def remove_entry(self, entry: EntryKey, tol: float = DECOUPLE_TOL) -> "PureState":
+    def remove_entry(self, entry: EntryKey) -> "PureState":
         """Drop a decoupled entry; raises when it is still entangled with the rest.
 
         A product factor goes in O(1). A materialised entry in |0> is accepted
-        when its index-0 slice keeps weight >= 1 - tol, which bounds the top
+        when its index-0 slice keeps weight >= 1 - DECOUPLE_TOL, which bounds the top
         eigenvalue of its reduced state from below; any other entry is tested
         on that reduced state.
         """
@@ -589,11 +590,11 @@ class PureState:
             ax = self._axis[key]
             rest = self._project(ax, 0)
             weight = np.vdot(rest, rest).real
-            if weight < 1.0 - tol:
+            if weight < 1.0 - DECOUPLE_TOL:
                 d = self._t.shape[ax]
                 mat = np.moveaxis(self._t, ax, 0).reshape(d, -1)
                 w, v = np.linalg.eigh(mat @ mat.conj().T)
-                if 1.0 - w[-1] > tol:
+                if 1.0 - w[-1] > DECOUPLE_TOL:
                     raise ValueError(f"entry {key} is not decoupled (residual {1.0 - w[-1]:.3e})")
                 rest = np.tensordot(v[:, -1].conj(), self._t, axes=(0, ax))
                 weight = np.vdot(rest, rest).real

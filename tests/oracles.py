@@ -83,10 +83,10 @@ def tableau_from_text(text: str) -> StabilizerTableau:
     return StabilizerTableau.from_generators([PauliString.from_label(g.strip()) for g in text.strip().splitlines()])
 
 
-def to_pure_state(ts, seed: int = 7) -> PureState:
+def to_pure_state(ts) -> PureState:
     """A TableauState as a dense state over the same keys."""
     reg = QuditRegister([(s, sl, 2) for s, sl in ts.keys])
-    return PureState(reg, ts.tab.to_statevector(seed=seed))
+    return PureState(reg, ts.tab.to_statevector())
 
 
 def random_normal_mps(d: int, chi: int, rng: np.random.Generator, attempts: int = 20) -> M.MPS:

@@ -367,6 +367,10 @@ class TestDiagnose:
         )
         assert code == EXIT_OK and rep["arealaw"]["passes"]
 
+    def test_arealaw_without_protocol_names_it(self, capsys):
+        assert main(["diagnose", "--check", "arealaw"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: --check arealaw needs --protocol\n"
+
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_cj_small_n_names_n(self, n, capsys):
         assert main(["diagnose", "--check", "cj", "--target", "ghz", "--n", str(n)]) == EXIT_CONFIG
@@ -459,7 +463,11 @@ class TestFailures:
     stderr line and no traceback."""
 
     RG = ["prepare", "--protocol", "rg", "--n", "3", "--spec"]
+    AREALAW = ["diagnose", "--check", "arealaw", "--protocol", "ghz", "--n", "6", "--rank-tol"]
     CASES = {
+        "arealaw_rank_tol_1": (AREALAW + ["1"], None, EXIT_CONFIG),
+        "arealaw_rank_tol_nan": (AREALAW + ["nan"], None, EXIT_CONFIG),
+        "arealaw_rank_tol_negative": (AREALAW + ["-1"], None, EXIT_CONFIG),
         "tc_odd_n": (["prepare", "--protocol", "tc", "--n", "3"], None, EXIT_CONFIG),
         "ghz_n1": (["prepare", "--protocol", "ghz", "--n", "1"], None, EXIT_CONFIG),
         "cj_n0": (["diagnose", "--check", "cj", "--target", "ghz", "--n", "0"], None, EXIT_CONFIG),

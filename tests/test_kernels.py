@@ -291,7 +291,7 @@ class TestOperatorSupport:
         pert = ref_embed(gates.Z, 4, n, 2)
         op = base + scale * tol * np.linalg.norm(base) / ref_residuals(pert, lat)[4] * pert
         want = ref_operator_support(op, lat, tol)
-        assert cx.operator_support(op, lat, tol) == want
+        assert cx.operator_support(op, lat) == want
         assert want == ((0, 1, 4) if scale > 1 else (0, 1))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -454,7 +454,7 @@ def _enumerate_pipeline():
 
 class TestPipelineRoute:
     def test_aklt_q4_n8_same_as_reference_kernels(self, monkeypatch):
-        monkeypatch.setattr(M, "block", lambda m, q: M.MPS(ref_block(m.tensor, q), normal=m.normal))
+        monkeypatch.setattr(M, "block", lambda m, q: M.MPS(ref_block(m.tensor, q)))
         monkeypatch.setattr(M, "transfer_matrix", lambda m, chain=True: ref_transfer(
             m.tensor if isinstance(m, M.MPS) else np.asarray(m), chain))
         monkeypatch.setattr(M, "mixed_transfer", ref_mixed_transfer)

@@ -16,13 +16,14 @@ from qccc.locc import (
     BranchCapExceeded,
     Correct,
     Measure,
+    OutcomeRecord,
     PauliMap,
     Protocol,
     ProtocolError,
+    _teleport_steps,
     enumerate_branches,
     replay,
     run_sampled,
-    teleport,
 )
 from qccc.stabilizer import _CHAR_BITS
 from qccc.statevector import PureState, QuditRegister, RegionOperator
@@ -52,9 +53,7 @@ def _forget_protocol():
         ),
         Measure((0, "a"), "k"),
     ]
-    return Protocol(
-        "forget", lat, [(0, "s", 2)], prog, [(0, "s")], clifford=True
-    )
+    return Protocol("forget", lat, [(0, "s", 2)], prog, [(0, "s")])
 
 
 def _ghz(n):
@@ -329,12 +328,25 @@ class TestEngine:
 
 
 class TestTeleport:
+    """`_teleport_steps` run as a program over a source and a Bell pair."""
+
     def _with_pair(self, psi, d):
         st = PureState.product(QuditRegister([(0, "src", d)]), {(0, "src"): psi})
         st.add_entry(0, "e1", d)
         st.add_entry(1, "e2", d)
         st.apply(RegionOperator(((0, "e1"), (1, "e2")), gates.bell_pair_gate(d)))
         return st
+
+    def _protocol(self, source_dim, d):
+        register = [(0, "src", source_dim), (0, "e1", d), (1, "e2", d)]
+        steps = _teleport_steps((0, "src"), (0, "e1"), (1, "e2"), d, "t")
+        return Protocol("teleport", Lattice((2,)), register, steps, [(1, "e2")])
+
+    def _teleported(self, psi, d, ms, mp):
+        """The receiver's state after the branch that reads (ms, mp)."""
+        record = OutcomeRecord((("ts", ms, 0.0), ("tp", mp, 0.0)))
+        state, _ = replay(self._protocol(d, d), record, input_state=self._with_pair(psi, d))
+        return state
 
     def test_qubit_all_branches(self):
         rng = np.random.default_rng(5)
@@ -343,8 +355,7 @@ class TestTeleport:
             psi /= np.linalg.norm(psi)
             for ms in range(2):
                 for mp in range(2):
-                    st = self._with_pair(psi, 2)
-                    teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 2, force=(ms, mp))
+                    st = self._teleported(psi, 2, ms, mp)
                     assert abs(np.vdot(st.amps, psi)) ** 2 > 1 - 1e-10
 
     def test_qutrit_all_branches(self):
@@ -354,13 +365,11 @@ class TestTeleport:
             psi /= np.linalg.norm(psi)
             for ms in range(3):
                 for mp in range(3):
-                    st = self._with_pair(psi, 3)
-                    teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 3, force=(ms, mp))
+                    st = self._teleported(psi, 3, ms, mp)
                     assert abs(np.vdot(st.amps, psi)) ** 2 > 1 - 1e-10
 
     def test_zero_state(self):
-        st = self._with_pair(np.array([1.0, 0.0]), 2)
-        teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 2, rng=np.random.default_rng(1))
+        st, _ = run_sampled(self._protocol(2, 2), seed=1, input_state=self._with_pair(np.array([1.0, 0.0]), 2))
         assert abs(st.amps[0]) > 1 - 1e-10
 
     def test_fifty_random_states_every_branch(self):
@@ -370,22 +379,21 @@ class TestTeleport:
             psi /= np.linalg.norm(psi)
             for ms in range(2):
                 for mp in range(2):
-                    st = self._with_pair(psi, 2)
-                    teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 2, force=(ms, mp))
+                    st = self._teleported(psi, 2, ms, mp)
                     assert abs(np.vdot(st.amps, psi)) ** 2 > 1 - 1e-10
 
     def test_pair_not_entangled_rejected(self):
-        st = PureState.product(
-            QuditRegister([(0, "src", 2), (0, "e1", 2), (1, "e2", 2)]),
-            {(0, "src"): [0, 1]},
-        )
-        with pytest.raises(ValueError):
-            teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 2)
+        """A product pair does not teleport: no branch reaches the source state."""
+        psi = np.array([0.6, 0.8j])
+        st = PureState.product(QuditRegister([(0, "src", 2), (0, "e1", 2), (1, "e2", 2)]), {(0, "src"): psi})
+        target = PureState(QuditRegister([(1, "e2", 2)]), psi)
+        res = enumerate_branches(self._protocol(2, 2), input_state=st, target=target)
+        assert len(res.reports) == 4 and max(res.reports.fidelities) < 1 - 1e-3
 
     def test_dimension_mismatch(self):
-        st = PureState.product(QuditRegister([(0, "src", 2), (0, "e1", 3), (1, "e2", 3)]))
-        with pytest.raises(ValueError):
-            teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), 3)
+        """The qutrit Bell rotation does not fit a qubit source."""
+        with pytest.raises(ValueError, match="operator dimension 9 does not match support dimension 6"):
+            run_sampled(self._protocol(2, 3), seed=0)
 
     def test_qubit_correction_is_named_and_builds_no_matrix(self, monkeypatch):
         """The fix X^a Z^b moves indices on qubits and qutrits alike."""
@@ -399,15 +407,12 @@ class TestTeleport:
         for d in (2, 3):
             for ms in range(d):
                 for mp in range(d):
-                    st = self._with_pair(psi[d], d)
-                    teleport(st, (0, "src"), ((0, "e1"), (1, "e2")), d, force=(ms, mp))
+                    st = self._teleported(psi[d], d, ms, mp)
                     assert abs(np.vdot(st.amps, psi[d])) ** 2 > 1 - 1e-12
 
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 2), (2, 1)])
     def test_qudit_correction_matrix(self, a, b):
         """The fix read off outcomes (m_s, m_p) = (b, -a) is X^a Z^b on the receiver."""
-        from qccc.locc import _teleport_steps
-
         target = (1, "e2")
         fix = _teleport_steps((0, "src"), (0, "e1"), target, 3, "t")[-1].pauli
         assert fix.paulis({"ts": b, "tp": -a % 3}) == ([(target, a, b)] if a or b else [])
@@ -791,7 +796,7 @@ def _random_pauli_program(rng) -> Protocol:
         program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 3))))]))
     register = [(i, "s", 2) for i in range(k)]
     lat = Lattice((k,))
-    return Protocol("random-pauli", lat, register, program, system, clifford=True)
+    return Protocol("random-pauli", lat, register, program, system)
 
 
 def _ghz_with_map(n, edit):
@@ -1191,7 +1196,7 @@ def _random_clifford_rounds(rng, wrong: bool) -> Protocol:
         acts += ops(system + run, int(rng.integers(2, 6)))
         program += [ApplyLayers([cx.LocalLayer(acts)]), *[Measure(a, a[1]) for a in run]]
         program.append(ApplyLayers([cx.LocalLayer(ops(system, int(rng.integers(0, 4))))]))
-    proto = Protocol("clifford-rounds", Lattice((k,)), [(i, "s", 2) for i in range(k)], program, system, clifford=True)
+    proto = Protocol("clifford-rounds", Lattice((k,)), [(i, "s", 2) for i in range(k)], program, system)
     framed = locc._FramedTableau(locc.initial_state(proto, "tableau"))
     next(locc._execute(program, framed, lambda *_: ({},)))
     tags = [a[1] for run in runs for a in run]
@@ -1374,10 +1379,89 @@ class TestFallbackReasons:
         """The tableau has no floor to fall back at: a fresh ancilla's
         measurement, whose outcome 1 has probability 0, runs the frames."""
         program = [_local(cx.add_ancilla(0, "a")), _measure()]
-        proto = Protocol("fresh", Lattice((2,)), [(0, "s", 2)], program, [(0, "s")], clifford=True)
+        proto = Protocol("fresh", Lattice((2,)), [(0, "s", 2)], program, [(0, "s")])
         res = enumerate_branches(proto, backend="tableau")
         assert (res.engine, res.fallback) == ("frames", None) and len(res.reports) == 1
 
     def test_frames_name_no_reason(self):
         assert enumerate_branches(_ghz(3)[0]).fallback is None
         assert enumerate_branches(_ghz(3)[0], backend="tableau").fallback is None
+
+
+def _ghz3_with(**edits):
+    """GHZ_3 rebuilt with each named field f set to edits[f](its value)."""
+    from dataclasses import replace
+
+    proto = _ghz(3)[0]
+    return replace(proto, **{f: edit(list(getattr(proto, f))) for f, edit in edits.items()})
+
+
+def _pair_gate_as_matrix(program):
+    """The first pair gate, a named H then CNOT, as its 4 x 4 matrix."""
+    layers = list(program[0].layers)
+    (gate,) = layers[1].gates
+    names = tuple((name, tuple(idx)) for name, idx in gate.spec)
+    layers[1] = cx.GateLayer([cx.Gate(gate.entries, cx.composed_named_matrix(names, (2, 2)))])
+    return [ApplyLayers(layers)] + program[1:]
+
+
+def _with_qutrit_ancilla(program):
+    return [_local(cx.add_ancilla(0, "q", 3))] + program
+
+
+def _with_ancilla_in_one(program):
+    return [_local(cx.add_ancilla(0, "q", 2, np.array([0.0, 1.0])))] + program
+
+
+def _parity_over_z3(program):
+    parity = program[-1].pauli
+    return program[:-1] + [Correct(PauliMap(parity.tags, parity.entries, parity.matrix, d=3), "parity over Z_3")]
+
+
+def _cj_tc4():
+    from qccc.diagnostics import build_cj_protocol
+    from qccc.protocols import ToricCodeLayout, tc_target_generators
+    from qccc.stabilizer import StabilizerTableau
+
+    return build_cj_protocol(StabilizerTableau.from_generators(tc_target_generators(ToricCodeLayout(4)))).protocol()
+
+
+class TestCliffordFlag:
+    """`Protocol.clifford` is read from the program: qubits only, named
+    Cliffords, qubit ancillas added in |0>, and Pauli maps over Z_2."""
+
+    CLIFFORD = {
+        **{f"ghz{n}": lambda n=n: _ghz(n)[0] for n in range(2, 7)},
+        "tc4": lambda: _tc(4)[0],
+        **{f"cj_ghz{n}": lambda n=n: _cj_ghz(n)[0] for n in (2, 3)},
+        "cj_tc4": _cj_tc4,
+    }
+    NOT_CLIFFORD = {
+        **{f"w{n}": lambda n=n: _w(n)[0] for n in range(2, 5)},
+        "rg_b2": lambda: _rg(2, 3)[0],
+        "rg_b3": lambda: _random_rg(3, 3, 0),
+        "aklt_pipeline": lambda: _pipeline("aklt", 4, 8),
+        "cluster_pipeline": lambda: _pipeline("cluster", 3, 9),
+        "ghz_matrix_gate": lambda: _ghz3_with(program=_pair_gate_as_matrix),
+        "ghz_qutrit_ancilla": lambda: _ghz3_with(program=_with_qutrit_ancilla),
+        "ghz_qutrit_register_entry": lambda: _ghz3_with(register=lambda r: r + [(0, "q", 3)]),
+        "ghz_ancilla_in_a_given_state": lambda: _ghz3_with(program=_with_ancilla_in_one),
+        "ghz_correct_over_z3": lambda: _ghz3_with(program=_parity_over_z3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLIFFORD))
+    def test_clifford(self, name):
+        assert self.CLIFFORD[name]().clifford is True
+
+    @pytest.mark.parametrize("name", sorted(NOT_CLIFFORD))
+    def test_not_clifford(self, name):
+        from qccc import locc
+
+        proto = self.NOT_CLIFFORD[name]()
+        assert proto.clifford is False
+        with pytest.raises(ProtocolError, match="is not Clifford; tableau backend unavailable"):
+            locc.initial_state(proto, "tableau")
+
+    def test_matrix_gate_certifies_on_dense(self):
+        """The edit changes the program's form, not the state it prepares."""
+        assert enumerate_branches(_ghz3_with(program=_pair_gate_as_matrix)).verdict == "DETERMINISTIC"

@@ -864,7 +864,4 @@ def _random_clifford_protocol(rng) -> Protocol:
         x, z = {"X": (1, 0), "Z": (0, 1), "Y": (1, 1)}[fix]
         program.append(Correct(PauliMap(tags, [(fix_site, "s")], [[x] * len(tags), [z] * len(tags)])))
     register = [(i, "s", 2) for i in range(k)]
-    return Protocol(
-        "random-clifford", Lattice((k,)), register, program, system,
-        clifford=True,
-    )
+    return Protocol("random-clifford", Lattice((k,)), register, program, system)
