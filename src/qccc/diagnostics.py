@@ -89,6 +89,8 @@ def check_factorization(
     A residual above WITNESS_TOL at separation d(A, B) > 2 ell witnesses that no
     depth-ell circuit (without measurements) prepares the state.
     """
+    if depth_claim is not None and depth_claim < 0:
+        raise ValueError(f"depth claim {depth_claim} is negative: a circuit has depth 0 or more")
     sites_a = tuple(sorted({s for s, _ in op_a.entries}))
     sites_b = tuple(sorted({s for s, _ in op_b.entries}))
     if set(op_a.entries) & set(op_b.entries):
@@ -98,9 +100,7 @@ def check_factorization(
     lhs = state.expectation(joint)
     rhs = complex(state.expectation(op_a) * state.expectation(op_b))
     residual = abs(lhs - rhs)
-    violates = None
-    if depth_claim is not None:
-        violates = bool(residual > WITNESS_TOL and sep > 2 * depth_claim)
+    violates = None if depth_claim is None else bool(residual > WITNESS_TOL and sep > 2 * depth_claim)
     return FactorizationReport(sites_a, sites_b, sep, lhs, rhs, residual, depth_claim, violates)
 
 

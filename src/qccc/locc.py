@@ -19,16 +19,16 @@ gadgets' frames). The map is all the engines and the round splitter read of
 it: its tags, its entries and its matrix.
 
 `enumerate_branches` certifies a program from one history where it can
-(engine "frames"), so the branch cap is checked right after it. On the
-tableau, that history takes outcome 0 at every random measurement, and its
-Pauli frame is a GF(2)-linear function of the r random outcomes, kept as r
-frame columns: outcome flips enter as Aaronson-Gottesman destabilizers, and
-a Correct moves the columns by one matrix product; one GF(2) product with
-the record vectors then expands every record's outcomes and fidelity. On
-dense states, each random outcome's slice, moved by its by-product (the
-column of the Correct that reads it, pulled back through the Clifford steps
-between, `_byproduct_plan`), must equal outcome 0's; then every record ends
-in the history's state (`_enumerate_dense_frames`). Any other program runs
+(engine "frames"), and `_expand` turns that history into rows on either
+backend, so the branch cap is checked right after it. On the tableau, the
+history takes outcome 0 at every random measurement, and its Pauli frame is
+a GF(2)-linear function of the r random outcomes, kept as r frame columns:
+flips enter as Aaronson-Gottesman destabilizers, a Correct moves the columns
+by one matrix product, and one GF(2) product scores every record. On dense
+states, each random outcome's slice, moved by its by-product (the Correct's
+column for it, pulled back through the Clifford steps between,
+`_byproduct_plan`), must equal outcome 0's; then every record ends in the
+history's state (`_enumerate_dense_frames`). Any other program runs
 the depth-first search, one history per leaf, which the tests take as the
 oracle, and the result says why (`fallback`). Every engine scores a branch
 by its final state's `fidelity` to the first branch's and to the target (1
@@ -723,6 +723,39 @@ class _PullBack:
         return column, self.d, free, {self.steps[j].tag for j, b in zip(later, bits[1:]) if b}
 
 
+def _expand(outcomes, dists, random: List[int], flipped: Dict[int, set], branch_cap: int):
+    """A frames engine's rows (tags, outcomes, their probabilities) from its one
+    history's (tag, k, p) `outcomes` and distributions `dists`, `random` the
+    positions of the random ones and `flipped[j]` the later positions that
+    random position j flips (f_ji = 1); raises BranchCapExceeded first. The
+    records are all combinations of the random outcomes in depth-first order.
+    A record's source at a random position i is s_i = k_i - sum_j f_ji s_j
+    over the earlier random j; a deterministic position reads the history's
+    outcome (its source) plus that sum. Conditional distributions move with
+    the sources, so the record has probability prod_i dist_i[s_i], dist_i the
+    history's; without flips each source is its outcome.
+    """
+    dims = [len(dists[i]) for i in random]
+    count = math.prod(dims)
+    if count > branch_cap:
+        raise BranchCapExceeded(f"more than {branch_cap} branches: {count} records")
+    # one uint8 row per measurement up to 256 levels; a flip shifts only qubits
+    # (`_PullBack` makes flip columns only for qubit Measures), and wrapping keeps parity
+    kind = np.min_scalar_type(max(map(len, dists), default=1) - 1)
+    k = np.repeat(np.array([k for _, k, _ in outcomes], dtype=kind)[:, None], count, axis=1)
+    k[random] = np.indices(dims, dtype=kind).reshape(len(dims), count)
+    source = k.copy()
+    for j in range(len(k)):
+        if flips := [i for i in random if j in flipped[i]]:
+            shift = sum(source[i] for i in flips)
+            if j in random:
+                source[j] = (k[j] - shift) % len(dists[j])
+            else:
+                k[j] = (k[j] + shift) % len(dists[j])
+    pk = np.array([dist[s] for dist, s in zip(dists, source)]).reshape(len(dists), count).T
+    return [t for t, _, _ in outcomes], k.T, pk
+
+
 def _enumerate_dense_frames(protocol: Protocol, start: PureState, branch_cap: int, target) -> EnumerationResult:
     """`enumerate_branches` on a dense state from one history that takes the
     first live outcome of each measurement. At a random one of tag t, every
@@ -738,15 +771,9 @@ def _enumerate_dense_frames(protocol: Protocol, start: PureState, branch_cap: in
     tag t' it flips, f_tt' = 1, shifts that outcome), so the record reaches
     the Correct as the one reading 0 at t and k' - f_t k at the later tags
     does, times columns that its own outcomes remove. By induction over the
-    random measurements, every record ends as the history does. A record's
-    source at a random position i is s_i = k_i - sum_j f_ji s_j over the
-    earlier random j; a deterministic position reads the history's outcome
-    (its source) plus that sum. Conditional distributions move with the
-    sources, so the record has probability prod_i dist_i[s_i], dist_i the
-    history's. So the rows are all combinations of the random outcomes in
-    depth-first order; without flips each source is its outcome. 2 * the sum
-    of the accepted residuals, which bounds a record's fidelity error, enters
-    the verdict.
+    random measurements, every record ends as the history does: `_expand`
+    lists the records. 2 * the sum of the accepted residuals, which bounds a
+    record's fidelity error, enters the verdict.
     """
     plan = _byproduct_plan(protocol.program, start)
     dists: List[np.ndarray] = []  # each measurement's distribution, in program order
@@ -777,27 +804,13 @@ def _enumerate_dense_frames(protocol: Protocol, start: PureState, branch_cap: in
         return ({"force": int(live[0]), "p": probs[live[0]]},)
 
     state, outcomes, _ = next(_execute(protocol.program, start, check))
-    dims = [len(dists[i]) for i in random]
-    count = math.prod(dims)
-    if count > branch_cap:
-        raise BranchCapExceeded(f"more than {branch_cap} branches: {count} records")
+    at = {t: j for j, (t, _, _) in enumerate(outcomes)}  # a dense program's tags are distinct
+    tags, k, pk = _expand(outcomes, dists, random, {i: {at[t] for t in f} for i, f in flipped.items()}, branch_cap)
     reference = _finalize(state, protocol)
     agree_first = reference.fidelity(reference)
     fid = agree_first if target is None else reference.fidelity(target)
-    tags = [t for t, _, _ in outcomes]
-    k = np.tile(np.array([k for _, k, _ in outcomes], dtype=np.int64), (count, 1))
-    k[:, random] = np.indices(dims).reshape(len(dims), count).T
-    source = k.copy()
-    for j, t in enumerate(tags):  # a flip moves a later random source or deterministic outcome
-        if flips := [i for i in random if t in flipped[i]]:
-            shift = sum(source[:, i] for i in flips)
-            if j in random:
-                source[:, j] = (k[:, j] - shift) % len(dists[j])
-            else:
-                k[:, j] = (k[:, j] + shift) % len(dists[j])
-    pk = np.array([dist[source[:, i]] for i, dist in enumerate(dists)]).reshape(len(dists), count).T
     agree = agree_first >= 1.0 - DETERMINISM_TOL and 2 * sum(residuals) <= DETERMINISM_TOL
-    return _result(tags, k, pk, np.full(count, fid), agree, reference, "frames")
+    return _result(tags, k, pk, np.full(len(k), fid), agree, reference, "frames")
 
 
 class _FramedTableau(TableauState):
@@ -810,9 +823,9 @@ class _FramedTableau(TableauState):
     measurement. A record is the vector v of its r random outcomes, and its
     state is F(v) |reference> up to phase, F(v) the sum of the columns i of
     `fx`/`fz` (qubit-major, shape (n, r)) with v_i = 1. Row t of `forms`
-    (shape (m, 1 + r)) is measurement t's outcome as an affine form
-    [reference bit | linear part]. Frame phases are not kept: F only moves
-    stabilizer signs, which its bits fix.
+    (shape (m, r)) is the linear part of measurement t's outcome, an affine
+    form whose offset is the history's outcome. Frame phases are not kept: F
+    only moves stabilizer signs, which its bits fix.
 
     `fx` and `fz` are views into one zero buffer that doubles along an axis
     it outgrows, so their rows move with the tableau's qubits: an added qubit
@@ -823,7 +836,7 @@ class _FramedTableau(TableauState):
         self.keys, self._index, self.tab = state.keys, state._index, state.tab
         self._frames = np.zeros((2, 0, 0), dtype=np.uint8)
         self._frame_view(len(self.keys), 0)
-        self.forms = np.zeros((0, 1), dtype=np.uint8)
+        self.forms = np.zeros((0, 0), dtype=np.uint8)
 
     def _frame_view(self, n: int, r: int) -> None:
         """Point fx, fz at the buffer's first n rows and r columns."""
@@ -857,7 +870,7 @@ class _FramedTableau(TableauState):
     def measure(self, entry, force=None, rng=None):
         """Measure Z on the reference, taking outcome 0 when it is random.
 
-        A record reads the reference bit XOR x_q of its frame. A random
+        A record reads the history's bit XOR x_q of its frame. A random
         measurement adds a variable t, the record's outcome; where t XOR x_q(F)
         is 1 the frame takes the flip Pauli D, the old stabilizer that
         anticommuted with Z_q, which `measure_z` leaves in the pivot's
@@ -867,15 +880,13 @@ class _FramedTableau(TableauState):
         anti = np.flatnonzero(tab.x[tab.n :, q])
         if anti.size == 0:
             bit, p = super().measure(entry)
-            self.forms = np.vstack([self.forms, np.hstack([np.uint8(bit), self.fx[q]])])
+            self.forms = np.vstack([self.forms, self.fx[q]])
             return bit, p
         bit, p = super().measure(entry, force=0)
         self._frame_view(len(self.keys), self.fx.shape[1] + 1)
-        self.forms = np.hstack([self.forms, np.zeros((len(self.forms), 1), dtype=np.uint8)])
-        e_t = np.zeros(self.forms.shape[1], dtype=np.uint8)
-        e_t[-1] = 1
-        self.forms = np.vstack([self.forms, e_t])
-        flip = e_t[1:] ^ self.fx[q]
+        forms = np.zeros((len(self.forms) + 1, self.fx.shape[1]), dtype=np.uint8)
+        forms[:-1, :-1], forms[-1, -1] = self.forms, 1  # e_t
+        self.forms, flip = forms, forms[-1] ^ self.fx[q]
         d = tab._partner(tab.n + int(anti[0]))
         self.fx ^= tab.x[d][:, None] & flip
         self.fz ^= tab.z[d][:, None] & flip
@@ -883,13 +894,13 @@ class _FramedTableau(TableauState):
 
     def correct(self, pauli: PauliMap, outcomes) -> None:
         """After `_apply_correction`: the reference took the map's Pauli at its
-        own bits c, and record v reads c + L v, L the linear parts of the
-        forms of the map's tags; so the columns gain M L, M the map's declared
-        matrix, and the offset and c cancel."""
+        own bits c, and record v reads c + L v, L the rows of `forms` of the
+        map's tags; so the columns gain M L, M the map's declared matrix, and
+        the offset and c cancel."""
         row = {t: i for i, (t, _, _) in enumerate(outcomes)}
         # a float32 product is exact below 2^24 terms and takes the BLAS path
         # that a uint8 product lacks
-        forms = self.forms[[row[t] for t in pauli.tags], 1:].astype(np.float32)
+        forms = self.forms[[row[t] for t in pauli.tags]].astype(np.float32)
         flips = ((pauli.matrix.astype(np.float32) @ forms) % 2).astype(np.uint8)
         qubits, n = [self.index(e) for e in pauli.entries], len(pauli.entries)
         self.fx[qubits] ^= flips[:n]
@@ -899,42 +910,31 @@ class _FramedTableau(TableauState):
 def _enumerate_frames(protocol: Protocol, start: TableauState, branch_cap: int, target) -> EnumerationResult:
     """`enumerate_branches` from one tableau history and its affine Pauli frames.
 
-    Every record has probability 2^-r (deterministic steps contribute 1). The
-    records are the vectors v in GF(2)^r in depth-first order: binary
-    counting, first variable most significant. Record v's outcomes are its
-    forms at v, and its final state is F(v) |reference>: the reference's
-    canonical rows c_j with signs flipped by the symplectic products
-    <F(v), c_j>, linear in v. So one GF(2) product of the record vectors with
-    the forms' linear parts and the columns' products expands every row. A
-    record agrees with the first branch iff every product is 0, and matches a
-    target with the reference's bits iff the products equal the sign
-    differences.
+    Every record has probability 2^-r (deterministic steps contribute 1). A
+    record is the vector v in GF(2)^r of its random outcomes, and `_expand`
+    lists them as it does the dense engine's, each random one flipping the
+    outcomes whose forms read it. Record v's final state is F(v) |reference>:
+    the reference's canonical rows c_j with signs flipped by the symplectic
+    products <F(v), c_j>, linear in v, so one GF(2) product of the records
+    with the columns' products scores every row. A record agrees with the
+    first branch iff every product is 0, and matches a target with the
+    reference's bits iff the products equal the sign differences.
     """
     framed = _FramedTableau(start)
     _, outcomes, _ = next(_execute(protocol.program, framed, lambda *_: ({},)))
-    r, m = framed.fx.shape[1], len(outcomes)
-    if 2**r > branch_cap:
-        raise BranchCapExceeded(f"more than {branch_cap} branches: {2**r} records")
+    random = [j for j, (_, _, p) in enumerate(outcomes) if p == 0.5]
+    flipped = {i: set(np.flatnonzero(framed.forms[:, c]).tolist()) - {i} for c, i in enumerate(random)}
+    tags, k, pk = _expand(outcomes, [np.full(2, p) for _, _, p in outcomes], random, flipped, branch_cap)
     reference = _finalize(framed, protocol)
-    order = [framed.index(k) for k in reference.keys]
-    fx, fz = framed.fx[order], framed.fz[order]
-    n = reference.tab.n
+    n, order = reference.tab.n, [framed.index(e) for e in reference.keys]
     rows, signs = reference.tab._canonical_rows()
-    linear = np.concatenate([framed.forms[:, 1:], rows[:, n:] @ fx + rows[:, :n] @ fz]).T
-    records = ((np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1).astype(np.uint8)
     # uint8 sums and products wrap modulo 256, which keeps their parity
-    expanded = (records @ linear) % 2
-    bits, flips = expanded[:, :m] ^ framed.forms[:, 0], expanded[:, m:]
-    agree = ~flips.any(axis=1)
-    if target is None:
-        fids = agree.astype(float)
-    else:
-        target_rows, target_signs = target.tab._canonical_rows()
-        diff = (target_signs - signs) % 4
-        same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
-        fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
-    ps = np.broadcast_to([p for _, _, p in outcomes], bits.shape)
-    return _result([t for t, _, _ in outcomes], bits, ps, fids, agree.all(), reference, "frames")
+    flips = (k[:, random] @ (rows[:, n:] @ framed.fx[order] + rows[:, :n] @ framed.fz[order]).T) % 2
+    target_rows, target_signs = (rows, signs) if target is None else target.tab._canonical_rows()
+    diff = (target_signs - signs) % 4  # 0 without a target
+    same = np.array_equal(rows, target_rows) and not np.any(diff % 2)
+    fids = ((flips == diff // 2).all(axis=1) & same).astype(float)
+    return _result(tags, k, pk, fids, not flips.any(), reference, "frames")
 
 
 # -- teleportation ------------------------------------------------------------------

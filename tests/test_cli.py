@@ -500,6 +500,11 @@ class TestFailures:
         "state_file_is_a_list": (["diagnose", "--check", "prop1", "--in", "list.json"], None, EXIT_CONFIG),
         "state_register_not_objects": (["diagnose", "--check", "prop1", "--in", "int_reg.json"], None, EXIT_CONFIG),
         "state_register_without_dim": (["diagnose", "--check", "prop1", "--in", "no_dim.json"], None, EXIT_CONFIG),
+        "prop1_negative_depth_claim": (
+            ["diagnose", "--check", "prop1", "--target", "w", "--n", "2", "--depth-claim", "-1"],
+            None,
+            EXIT_CONFIG,
+        ),
     }
     LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
 
