@@ -15,7 +15,6 @@ from .statevector import (
     PureState,
     QuditRegister,
     RegionOperator,
-    fidelity,
 )
 from .stabilizer import (
     CliffordMap,
@@ -24,7 +23,6 @@ from .stabilizer import (
     PauliString,
     StabilizerTableau,
     TableauState,
-    conjugate_pauli,
     to_graph_state,
 )
 from .circuits import (

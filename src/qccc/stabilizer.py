@@ -19,9 +19,9 @@ array expression per batch of rows (`_rowmult`, `_product`).
 
 How each named Clifford conjugates a Pauli is written once, in
 `_conjugate_rows`, which updates any stack of Pauli rows in place. The
-tableau, the graph-state reduction, `conjugate_pauli` and `CliffordMap` all
-run their gates through it; a `CliffordMap` holds the images of X_k and Z_k
-as tableau-shaped rows.
+tableau, the graph-state reduction and `CliffordMap` all run their gates
+through it; a `CliffordMap` holds the images of X_k and Z_k as
+tableau-shaped rows.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _check_qubit(q: int, n: int) -> None:
 def _conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, name: str, qubits: Sequence[int]) -> None:
     """Conjugate the k Pauli rows (x, z, r) of shape (k, n) by a named Clifford, in place.
 
-    The one conjugation rule: the tableau, `CliffordMap`, `conjugate_pauli` and
-    the graph reduction all run their gates through it.
+    The one conjugation rule: the tableau, `CliffordMap` and the graph
+    reduction all run their gates through it.
     """
     for q in qubits:
         _check_qubit(q, x.shape[1])
@@ -671,6 +671,7 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
 # -- Clifford maps (symbolic conjugation) ------------------------------------------
 
 
+@dataclass(eq=False)  # rows are arrays: compare them with np.array_equal
 class CliffordMap:
     """A Clifford unitary U represented by the images U P U^dag of X_k and Z_k.
 
@@ -678,27 +679,18 @@ class CliffordMap:
     row k and that of Z_k in row n + k.
     """
 
-    def __init__(self, x_images: Sequence[PauliString], z_images: Sequence[PauliString]):
-        images = list(x_images) + list(z_images)
-        self.n = len(x_images)
-        self.x = np.array([p.x for p in images], dtype=np.uint8).reshape(2 * self.n, self.n)
-        self.z = np.array([p.z for p in images], dtype=np.uint8).reshape(2 * self.n, self.n)
-        self.r = np.array([p.phase for p in images], dtype=np.uint8)
+    x: np.ndarray
+    z: np.ndarray
+    r: np.ndarray
 
-    @classmethod
-    def _from_rows(cls, x: np.ndarray, z: np.ndarray, r: np.ndarray) -> "CliffordMap":
-        m = cls.__new__(cls)
-        m.n, m.x, m.z, m.r = x.shape[1], x, z, r
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "CliffordMap":
-        eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
-        return cls._from_rows(np.concatenate([eye, zero]), np.concatenate([zero, eye]), np.zeros(2 * n, dtype=np.uint8))
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
 
     @classmethod
     def from_gates(cls, n: int, circuit: Iterable[Tuple[str, Tuple[int, ...]]]) -> "CliffordMap":
-        m = cls.identity(n)
+        """The map of an ordered gate list (first gate acts first) on n qubits."""
+        m = cls(np.eye(2 * n, n, dtype=np.uint8), np.eye(2 * n, n, -n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
         for name, qubits in circuit:
             _conjugate_rows(m.x, m.z, m.r, name, qubits)
         return m
@@ -713,29 +705,6 @@ class CliffordMap:
         x, z, phase = _product(self.x[rows], self.z[rows], self.r[rows])
         # (x,z)=(1,1) denotes Y = i X Z
         return PauliString(x, z, phase + p.phase + int(np.sum(p.x & p.z)))
-
-    def inverse(self) -> "CliffordMap":
-        """Symplectic inverse: images of X_k, Z_k under U^dag . U."""
-        n = self.n
-        # column j of the GF(2) map on (x|z) bit vectors is the image in row j;
-        # column t of the solution selects the images whose product is X_t (t < n) or Z_{t-n}
-        mat = np.concatenate([self.x, self.z], axis=1).T
-        sols = _gf2_solve_many(mat, np.eye(2 * n, dtype=np.uint8))
-        if sols is None:
-            raise ValueError("images are not independent over GF(2)")
-        x, z = sols[:n].T.copy(), sols[n:].T.copy()
-        # each preimage's sign cancels its product's phase and its Y = i X Z factors
-        phases = np.array([_product(self.x[sel], self.z[sel], self.r[sel])[2] for sel in sols.T.astype(bool)])
-        r = (-phases - np.sum(x & z, axis=1, dtype=np.int64)) % 4
-        return self._from_rows(x, z, r.astype(np.uint8))
-
-
-def conjugate_pauli(circuit: Iterable[Tuple[str, Tuple[int, ...]]], p: PauliString) -> PauliString:
-    """U p U^dag for U given as an ordered gate list (first gate acts first)."""
-    x, z, r = p.x[None].copy(), p.z[None].copy(), np.array([p.phase], dtype=np.uint8)
-    for name, qubits in circuit:
-        _conjugate_rows(x, z, r, name, qubits)
-    return PauliString(x[0], z[0], r[0])
 
 
 class TableauState:

@@ -644,7 +644,3 @@ def complex_pairs(rows, what: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a list of [re, im] pairs") from None
 
-
-def fidelity(a: PureState, b: PureState) -> float:
-    return a.fidelity(b)
-

@@ -3,6 +3,7 @@ import pytest
 
 from qccc import gates
 from qccc.diagnostics import (
+    CJProtocol,
     area_law_audit,
     build_cj_protocol,
     check_factorization,
@@ -12,7 +13,7 @@ from qccc.diagnostics import (
     verify_clifford_table,
 )
 from qccc.lattice import Lattice
-from qccc.protocols import ghz_protocol, ghz_state, w_protocol, w_state
+from qccc.protocols import ghz_generators, ghz_protocol, ghz_state, w_protocol, w_state
 from qccc.stabilizer import PauliString, StabilizerTableau
 from qccc.statevector import PureState, QuditRegister, RegionOperator, pauli_on
 
@@ -242,6 +243,23 @@ class TestCJConstruction:
             tab = random_stabilizer_tableau(n, rng)
             cj = build_cj_protocol(tab)
             assert verify_clifford_table(cj)
+
+    @pytest.mark.parametrize("tamper", ["sign", "bit"])
+    @pytest.mark.parametrize("n", [3, 6, 16])
+    def test_clifford_table_rejects_tampered_maps(self, n, tamper):
+        cj = ghz_unitary_cj(n)
+        assert verify_clifford_table(cj)
+        if tamper == "sign":
+            cj.u_map.r[0] ^= 2  # image of X_0 with the wrong sign: still Hermitian
+        else:
+            cj.u_map.z[0, 1] ^= 1
+        assert not verify_clifford_table(cj)
+
+    def test_resource_not_maximally_entangled_rejected(self):
+        # GHZ without the phase gate: X on every site fixes it, so the implied map
+        # sends a and its complement to one state and is not unitary
+        with pytest.raises(ValueError, match="^resource is not maximally entangled with the ancillas$"):
+            CJProtocol(StabilizerTableau.from_generators(ghz_generators(3)), "CNOT", [])
 
 
 class TestCJExecution:
