@@ -204,10 +204,8 @@ def cmd_mps(args, report: dict) -> int:
         report["error"] = "tensor is not normal; rerun with --allow-blocks"
         return EXIT_NOT_NORMAL
     qs = [int(x) for x in args.q_list.split(",")] if args.q_list else []
-    if qs and not cf.reducible:
-        report["bound_sweep"] = [
-            mps.bound_report(cf.blocks[0][1], q, args.m_sites).to_dict() for q in qs
-        ]
+    if qs:
+        report["bound_sweep"] = [mps.worst_block_report(cf, q, args.m_sites).to_dict() for q in qs]
     # a deficit above its envelope fails the run; a vacuous bound (None) does not
     ok = all(row["envelope_holds"] is not False for row in report.get("bound_sweep", []))
     if args.pipeline:

@@ -451,24 +451,23 @@ class BoundReport:
 def gauge_condition_number(t_chain: np.ndarray) -> float:
     """kappa of a similarity separating the leading eigenvalue from the rest.
 
-    Schur-based two-block decoupling; an upper-bound surrogate for the exact
-    Jordan gauge, reported as such. The leading block holds the eigenvalues
-    within half the spectral gap of 1, which is the leading one alone when the
-    tensor is normal.
+    Two-block decoupling in a unitary basis whose first vector is the leading
+    eigenvector (kappa does not depend on the completion); an upper-bound
+    surrogate for the exact Jordan gauge, reported as such. The leading block
+    holds the eigenvalues within half the spectral gap of 1, which is the
+    leading one alone when the tensor is normal.
     """
     n = t_chain.shape[0]
     if n == 1:
         return 1.0
-    import scipy.linalg
-
-    half_gap = (1.0 - abs(sorted_spectrum(t_chain)[1])) / 2
-    t, z, sdim = scipy.linalg.schur(
-        t_chain.astype(complex), output="complex", sort=lambda x: abs(x - 1.0) < half_gap
-    )
-    if sdim != 1:
+    vals, vecs = np.linalg.eig(t_chain)
+    half_gap = (1.0 - np.sort(np.abs(vals))[-2]) / 2
+    lead = np.flatnonzero(np.abs(vals - 1.0) < half_gap)
+    if len(lead) != 1:
         raise ValueError("leading eigenvalue is not simple; tensor not normal")
-    t12 = t[:1, 1:]
-    t22 = t[1:, 1:]
+    z = np.linalg.qr(np.column_stack([vecs[:, lead[0]], np.eye(n)]))[0]
+    t = z.conj().T @ t_chain @ z
+    t12, t22 = t[:1, 1:], t[1:, 1:]
     y = -t12 @ np.linalg.inv(np.eye(n - 1) - t22)
     s = np.eye(n, dtype=complex)
     s[:1, 1:] = y
@@ -528,6 +527,11 @@ def bound_report(mps: MPS, q: int, m_sites: int) -> BoundReport:
         measured,
         envelope,
     )
+
+
+def worst_block_report(cf: CanonicalForm, q: int, m_sites: int) -> BoundReport:
+    """The bound report of the block with the largest epsilon_q (the first of equals)."""
+    return max((bound_report(blk, q, m_sites) for _, blk in cf.blocks), key=lambda rep: rep.epsilon_q)
 
 
 # -- bundled example tensors --------------------------------------------------------------
@@ -683,6 +687,4 @@ def preparation_pipeline(mps: MPS, q: int, n_sites: int) -> PipelineResult:
         writer,
         target,
     )
-    # aggregate bound data: the worst block (the first of equals)
-    worst = max((bound_report(blk, q, m_sites) for _, blk in cf.blocks), key=lambda rep: rep.epsilon_q)
-    return PipelineResult(proto, worst, alphas, chis, writer_defect, proto.depth())
+    return PipelineResult(proto, worst_block_report(cf, q, m_sites), alphas, chis, writer_defect, proto.depth())

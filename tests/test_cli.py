@@ -308,7 +308,7 @@ class TestMps:
         from qccc import mps
 
         # for AKLT the envelope is vacuous (epsilon_q >= 1) up to q = 18 and
-        # exceeds 1 at q = 20; at q = 22 it is about 0.26
+        # below 1 from q = 19; at q = 22 it is about 0.21
         monkeypatch.setattr(mps, "_deficit", lambda *a, **k: 1.0)
         rep = mps.bound_report(mps.aklt_mps(), 22, 6)
         assert rep.epsilon_q < 1 and rep.envelope_holds is False
@@ -324,6 +324,34 @@ class TestMps:
         code, rep = run_cli(["mps", "--fixture", "ghz", "--allow-blocks"], tmp_path)
         assert code == EXIT_OK
         assert len(rep["blocks"]) == 2
+
+    @pytest.mark.parametrize("fixture", ["ghz", "w_chi2"])
+    def test_reducible_sweep_runs_with_allow_blocks(self, tmp_path, fixture):
+        code, rep = run_cli(["mps", "--fixture", fixture, "--allow-blocks", "--q-list", "2,4"], tmp_path)
+        assert code == EXIT_OK and len(rep["blocks"]) == 2
+        assert [row["q"] for row in rep["bound_sweep"]] == [2, 4]
+
+    def test_reducible_sweep_reports_the_worst_block(self, tmp_path, monkeypatch):
+        from qccc import mps as M
+
+        # a heavier product block (chi = 1, epsilon_q = 0) comes first and an
+        # AKLT block (chi = 2) second: the sweep reports the AKLT block, the
+        # one with the larger epsilon_q
+        tensor = np.zeros((3, 3, 3), dtype=complex)
+        tensor[:, :2, :2] = M.aklt_mps().tensor
+        tensor[0, 2, 2] = 2.0
+        path = tmp_path / "tensor.json"
+        path.write_text(save_mps(M.MPS(tensor)))
+        cf = M.canonicalize(M.MPS(tensor))
+        assert [blk.chi for _, blk in cf.blocks] == [1, 2]
+        code, rep = run_cli(["mps", "--file", str(path), "--allow-blocks", "--q-list", "4,22"], tmp_path)
+        assert code == EXIT_OK
+        assert rep["bound_sweep"] == [M.bound_report(cf.blocks[1][1], q, 6).to_dict() for q in (4, 22)]
+        # a deficit above the envelope in that block fails the run
+        monkeypatch.setattr(M, "_deficit", lambda *a, **k: 1.0)
+        code, rep = run_cli(["mps", "--file", str(path), "--allow-blocks", "--q-list", "4,22"], tmp_path)
+        assert code == EXIT_FAIL and rep["passed"] is False
+        assert [row["envelope_holds"] for row in rep["bound_sweep"]] == [None, False]
 
     def test_pipeline(self, tmp_path):
         code, rep = run_cli(

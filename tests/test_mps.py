@@ -7,7 +7,7 @@ import pytest
 from qccc import circuits as cx
 from qccc import mps as M
 from qccc.locc import enumerate_branches, run_sampled
-from qccc.mps import _sqrt_psd
+from qccc.mps import _sqrt_psd, sorted_spectrum
 from qccc.statevector import CapacityError
 
 from oracles import random_normal_mps, raw_overlap, save_mps, swap_d
@@ -317,6 +317,52 @@ class TestBoundReport:
         c_v = M.gauge_condition_number(M.transfer_matrix(M.aklt_mps()))
         assert abs(c_v - 1.0000000000000002) < 1e-12
 
+    def test_gauge_condition_number_matches_schur_oracle(self):
+        # 36 seeded normal tensors, chi = 2, 3, 4 and d = 2, 3
+        rng = np.random.default_rng(43)
+        for i in range(36):
+            t = M.transfer_matrix(random_normal_mps(2 + i // 3 % 2, 2 + i % 3, rng))
+            expect = _schur_gauge_condition_number(t)
+            assert abs(M.gauge_condition_number(t) - expect) <= 1e-12 * expect, i
+
+    @pytest.mark.parametrize(
+        "t_chain",
+        [
+            lambda: M.transfer_matrix(M.ghz_mps()),
+            lambda: M.transfer_matrix(M.w_chi2_mps()),
+            lambda: np.kron(np.eye(2), M.transfer_matrix(M.aklt_mps())),
+            lambda: np.array([[1.0, 1.0], [0.0, 1.0]]),
+        ],
+        ids=["ghz", "w_chi2", "aklt-twice", "jordan"],
+    )
+    def test_non_simple_leading_eigenvalue_raises_in_both(self, t_chain):
+        for fn in (_schur_gauge_condition_number, M.gauge_condition_number):
+            with pytest.raises(ValueError, match="leading eigenvalue is not simple"):
+                fn(t_chain())
+
+
+def _schur_gauge_condition_number(t_chain: np.ndarray) -> float:
+    """The Schur-based `gauge_condition_number` that the numpy one replaced,
+    kept as the oracle it is checked against."""
+    n = t_chain.shape[0]
+    if n == 1:
+        return 1.0
+    import scipy.linalg
+
+    half_gap = (1.0 - abs(sorted_spectrum(t_chain)[1])) / 2
+    t, z, sdim = scipy.linalg.schur(
+        t_chain.astype(complex), output="complex", sort=lambda x: abs(x - 1.0) < half_gap
+    )
+    if sdim != 1:
+        raise ValueError("leading eigenvalue is not simple; tensor not normal")
+    t12 = t[:1, 1:]
+    t22 = t[1:, 1:]
+    y = -t12 @ np.linalg.inv(np.eye(n - 1) - t22)
+    s = np.eye(n, dtype=complex)
+    s[:1, 1:] = y
+    v = z @ s
+    return float(np.linalg.norm(v, 2) * np.linalg.norm(np.linalg.inv(v), 2))
+
 
 class TestFixtures:
     def test_save_load_round_trip(self):
@@ -477,8 +523,7 @@ def _is_swap(spec) -> bool:
 
 
 def test_import_leaves_scipy_unloaded():
-    """scipy is imported by `mps.gauge_condition_number`, the one function
-    that uses it, not by `import qccc`."""
+    """`import qccc` leaves scipy unloaded; no qccc code path imports it."""
     import os
     import subprocess
     import sys
@@ -510,3 +555,25 @@ def test_transfer_matrices_leave_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_bound_sweep_and_pipeline_leave_scipy_unloaded(tmp_path):
+    """The bound report, the pipeline and the `qccc mps` command run on numpy alone."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = str(tmp_path / "report.json")
+    code = (
+        "import sys; from qccc import cli, mps; a = mps.aklt_mps(); mps.bound_report(a, 4, 6); "
+        "mps.preparation_pipeline(a, 4, 8); "
+        "code = cli.main(['mps', '--fixture', 'aklt', '--q-list', '2,4', '--pipeline', '--q', '4', '--n', '8', "
+        f"'--out', {out!r}]); print(code, 'scipy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "0 False"
