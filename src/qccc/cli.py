@@ -17,7 +17,8 @@ first matching row of `FAILURES`:
                                        unwritable --out)
   any other exception               1  internal error
 
-A usage error found by argparse exits 2 with argparse's own message.
+A usage error found by argparse exits 2 with argparse's own one-line
+message, `qccc prepare: error: ...`, and no usage block.
 
 `prepare --mode enumerate` reports hold the branch rows as columns: row i
 is outcomes[i], probability[i] and fidelity[i], in depth-first order.
@@ -351,10 +352,18 @@ def cmd_shift(args, report: dict) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line, as every other
+    failure does; its subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `qccc` parser, built once per process: parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qccc",
         description="Simulate and certify measurement-assisted (LOCC) constant-depth circuits.",
     )

@@ -293,7 +293,7 @@ def _extract_clifford_map(choi: TableauState, n: int) -> CliffordMap:
     are isolated by solving a GF(2) system over the generators' a-side bits.
     """
     tab = choi.tab
-    gx, gz, gr = tab.x[tab.n :], tab.z[tab.n :], tab.r[tab.n :]
+    gx, gz, gr = (a[tab.n :] for a in tab.rows())
     # column j: generator j's a-side bits, x then z; all 2n targets X_k, Z_k in one solve
     a_cols = np.concatenate([gx[:, n:], gz[:, n:]], axis=1).T
     sols = _gf2_solve_many(a_cols, np.eye(2 * n, dtype=np.uint8))

@@ -59,7 +59,7 @@ import numpy as np
 from . import circuits as cx
 from . import gates
 from .lattice import Lattice
-from .stabilizer import _PAULI_CHARS, StabilizerTableau, TableauState, _conjugate_rows, _gf2_solve_many
+from .stabilizer import _PAULI_CHARS, StabilizerTableau, TableauState, _bit_matrix, _conjugate_rows, _gf2_solve_many
 from .statevector import EntryKey, ProtocolError, PureState, QuditRegister
 
 DETERMINISM_TOL = 1e-9
@@ -317,7 +317,8 @@ def _apply_correction(state, pauli: PauliMap, outcomes) -> None:
 def _finalize(state, protocol: Protocol):
     """Remove leftover ancillas (must be decoupled) and order the system register."""
     system = [tuple(e) for e in protocol.system_entries]
-    leftover = [k for k in (state.register.keys if isinstance(state, PureState) else state.keys) if tuple(k) not in system]
+    kept = set(system)
+    leftover = [k for k in (state.register.keys if isinstance(state, PureState) else state.keys) if tuple(k) not in kept]
     for k in leftover:
         try:
             state.remove_entry(k)
@@ -686,7 +687,7 @@ class _PullBack:
                         continue
                     qudits = [keys[k] for k in sub if not self.qubit[k]]
                     if self.d == 2 and not qudits and name in _CLIFFORD_NAMES:
-                        _conjugate_rows(x.T, z.T, np.zeros(x.shape[1], dtype=np.int64), name, sub)
+                        _conjugate_rows(x, z, name, sub)
                         support.update(sub)
                     else:
                         self.miss(j, sub, f"qudit {qudits[0]}" if qudits else name)
@@ -827,70 +828,73 @@ class _FramedTableau(TableauState):
     form whose offset is the history's outcome. Frame phases are not kept: F
     only moves stabilizer signs, which its bits fix.
 
-    `fx` and `fz` are views into one zero buffer that doubles along an axis
-    it outgrows, so their rows move with the tableau's qubits: an added qubit
-    takes a zero row, a removed one hands its row to the last qubit.
+    As on the tableau, each qubit's frame bits are one int over the frame
+    columns (`_fx[q]`, `_fz[q]`, bit i for column i), so a gate conjugates
+    them with the tableau's own rule and a removed qubit hands its ints to the
+    last qubit; each form is one int too (`_forms`). `fx`, `fz` and `forms`
+    export them as 0/1 arrays.
     """
 
     def __init__(self, state: TableauState):
         self.keys, self._index, self.tab = state.keys, state._index, state.tab
-        self._frames = np.zeros((2, 0, 0), dtype=np.uint8)
-        self._frame_view(len(self.keys), 0)
-        self.forms = np.zeros((0, 0), dtype=np.uint8)
+        self._fx, self._fz = [0] * len(self.keys), [0] * len(self.keys)
+        self._forms: List[int] = []
+        self._columns = 0
 
-    def _frame_view(self, n: int, r: int) -> None:
-        """Point fx, fz at the buffer's first n rows and r columns."""
-        f = self._frames
-        rows, cols = f.shape[1:]
-        if n > rows or r > cols:
-            grown = np.zeros((2, max(rows, 2 * n), max(cols, 2 * r)), dtype=np.uint8)
-            grown[:, :rows, :cols] = f
-            self._frames = f = grown
-        self.fx, self.fz = f[0, :n, :r], f[1, :n, :r]
+    fx = property(lambda self: _bit_matrix(self._fx, self._columns))
+    fz = property(lambda self: _bit_matrix(self._fz, self._columns))
+    forms = property(lambda self: _bit_matrix(self._forms, self._columns))
 
     def apply_named(self, name: str, entries) -> "_FramedTableau":
         qubits = [self.index(e) for e in entries]
         self.tab.apply_gate(name, *qubits)
-        _conjugate_rows(self.fx.T, self.fz.T, np.zeros(self.fx.shape[1], dtype=np.uint8), name, qubits)
+        _conjugate_rows(self._fx, self._fz, name, qubits)
         return self
 
     def add_entry(self, site: int, slot: str, dim: int = 2, local_state=None) -> "_FramedTableau":
         super().add_entry(site, slot, dim, local_state)
-        self._frame_view(len(self.keys), self.fx.shape[1])
+        self._fx.append(0)
+        self._fz.append(0)
         return self
 
     def remove_entry(self, entry) -> "_FramedTableau":
-        q, last = self.index(entry), len(self.keys) - 1
+        q = self.index(entry)
         super().remove_entry(entry)
-        self.fx[q], self.fz[q] = self.fx[last], self.fz[last]
-        self.fx[last] = self.fz[last] = 0
-        self._frame_view(last, self.fx.shape[1])
+        self._drop_frame(q)
         return self
 
-    def measure(self, entry, force=None, rng=None):
-        """Measure Z on the reference, taking outcome 0 when it is random.
+    def _drop_frame(self, q: int) -> None:
+        """Qubit q's frame bits go, and the last qubit's take its index."""
+        fx, fz = self._fx.pop(), self._fz.pop()
+        if q < len(self._fx):
+            self._fx[q], self._fz[q] = fx, fz
 
-        A record reads the history's bit XOR x_q of its frame. A random
-        measurement adds a variable t, the record's outcome; where t XOR x_q(F)
-        is 1 the frame takes the flip Pauli D, the old stabilizer that
-        anticommuted with Z_q, which `measure_z` leaves in the pivot's
-        destabilizer row. So the columns gain D (e_t + x_q(F)).
+    def measure_remove(self, entry, force=None, rng=None, p=None):
+        """Measure Z on the reference, taking outcome 0 when it is random, and
+        drop the entry.
+
+        A record reads the history's bit XOR x_q(F). A random measurement adds
+        a variable t, the record's outcome; where t XOR x_q(F) is 1 the frame
+        takes the flip Pauli D, the old stabilizer that anticommuted with Z_q,
+        whose support `StabilizerTableau.measure_remove` returns. So the
+        columns gain D (e_t + x_q(F)).
         """
         q, tab = self.index(entry), self.tab
-        anti = np.flatnonzero(tab.x[tab.n :, q])
-        if anti.size == 0:
-            bit, p = super().measure(entry)
-            self.forms = np.vstack([self.forms, self.fx[q]])
-            return bit, p
-        bit, p = super().measure(entry, force=0)
-        self._frame_view(len(self.keys), self.fx.shape[1] + 1)
-        forms = np.zeros((len(self.forms) + 1, self.fx.shape[1]), dtype=np.uint8)
-        forms[:-1, :-1], forms[-1, -1] = self.forms, 1  # e_t
-        self.forms, flip = forms, forms[-1] ^ self.fx[q]
-        d = tab._partner(tab.n + int(anti[0]))
-        self.fx ^= tab.x[d][:, None] & flip
-        self.fz ^= tab.z[d][:, None] & flip
-        return bit, p
+        bit, prob, d = tab.measure_remove(q, force=0 if tab.z_random(q) else None)
+        if d is None:
+            self._forms.append(self._fx[q])
+        else:
+            t = 1 << self._columns
+            self._columns += 1
+            self._forms.append(t)
+            flip = t ^ self._fx[q]
+            for k in d[0]:
+                self._fx[k] ^= flip
+            for k in d[1]:
+                self._fz[k] ^= flip
+        self._drop_key(q)
+        self._drop_frame(q)
+        return bit, prob
 
     def correct(self, pauli: PauliMap, outcomes) -> None:
         """After `_apply_correction`: the reference took the map's Pauli at its
@@ -898,13 +902,14 @@ class _FramedTableau(TableauState):
         map's tags; so the columns gain M L, M the map's declared matrix, and
         the offset and c cancel."""
         row = {t: i for i, (t, _, _) in enumerate(outcomes)}
-        # a float32 product is exact below 2^24 terms and takes the BLAS path
-        # that a uint8 product lacks
-        forms = self.forms[[row[t] for t in pauli.tags]].astype(np.float32)
-        flips = ((pauli.matrix.astype(np.float32) @ forms) % 2).astype(np.uint8)
-        qubits, n = [self.index(e) for e in pauli.entries], len(pauli.entries)
-        self.fx[qubits] ^= flips[:n]
-        self.fz[qubits] ^= flips[n:]
+        forms = [self._forms[row[t]] for t in pauli.tags]
+        qubits = [self.index(e) for e in pauli.entries]
+        n = len(qubits)
+        for i, j in np.argwhere(pauli.matrix % 2).tolist():
+            if i < n:
+                self._fx[qubits[i]] ^= forms[j]
+            else:
+                self._fz[qubits[i - n]] ^= forms[j]
 
 
 def _enumerate_frames(protocol: Protocol, start: TableauState, branch_cap: int, target) -> EnumerationResult:
@@ -923,7 +928,8 @@ def _enumerate_frames(protocol: Protocol, start: TableauState, branch_cap: int, 
     framed = _FramedTableau(start)
     _, outcomes, _ = next(_execute(protocol.program, framed, lambda *_: ({},)))
     random = [j for j, (_, _, p) in enumerate(outcomes) if p == 0.5]
-    flipped = {i: set(np.flatnonzero(framed.forms[:, c]).tolist()) - {i} for c, i in enumerate(random)}
+    forms = framed.forms
+    flipped = {i: set(np.flatnonzero(forms[:, c]).tolist()) - {i} for c, i in enumerate(random)}
     tags, k, pk = _expand(outcomes, [np.full(2, p) for _, _, p in outcomes], random, flipped, branch_cap)
     reference = _finalize(framed, protocol)
     n, order = reference.tab.n, [framed.index(e) for e in reference.keys]

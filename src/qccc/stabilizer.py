@@ -4,31 +4,51 @@ Pauli strings use the Y convention: bits (x, z) = (1, 1) denote Y, and a
 string is i^phase * (tensor of I/X/Y/Z). Stabilizer generators are kept
 Hermitian with phase in {0, 2} (plus / minus).
 
-The tableau stores n destabilizers and n stabilizers, giving O(n w)
-measurements, w the rows that anticommute with the measured Pauli. Qubits can
-be appended freely and removed again once they are decoupled, which is what
-LOCC protocols need when they discard measured ancillas. Both work in place,
-inside a buffer with spare slots (Stim-style in-place updates, Gidney,
-arXiv:2103.02202): an add writes one destabilizer/stabilizer pair into reserved
-slots, and a removal brings one stabilizer to the qubit's local Pauli, then
-moves the last qubit's pair and column into the freed ones, so the last qubit
-takes the removed one's index. After a random Z measurement that stabilizer is
-already there and a removal costs O(n w), w the stabilizers on the qubit;
-otherwise an O(n^2) row reduction finds it. Row products track phases with one
-array expression per batch of rows (`_rowmult`, `_product`).
+The tableau of n qubits holds n destabilizer/stabilizer pairs, stored
+qubit-major on bitset columns as in Stim (Gidney, arXiv:2103.02202): qubit
+q's x column and z column are each one Python int whose bit b is row slot b.
+Pair i sits in slot pair s = `_slot[i]`, its destabilizer at bit 2s and its
+stabilizer at bit 2s + 1, and the phases mod 4 are two more ints used as bit
+planes (`_r0` + 2 `_r1`). One int operation acts on every row at once, so,
+with n qubits and w the rows an operation touches:
+
+- a named Clifford is a few & and ^ on two columns and the sign plane;
+- a measurement reads the rows that anticommute with its Pauli off the
+  columns (Z_q: column x_q; a Pauli p: the XOR of the columns on p's
+  support). A random outcome multiplies the pivot into them: one read of the
+  pivot's row finds its support (a scan of the n columns on small tableaux,
+  else a read of a byte copy of the columns, refreshed from the columns
+  written since), then each qubit of it costs a few int operations, the
+  i-exponents of all the rows adding up in a bit-sliced two-bit counter. A
+  determined outcome's sign comes from an O(n^2) export;
+- `remove_qubit` reads whether the qubit is decoupled off two columns; when
+  one stabilizer is +/- P_q (exactly one destabilizer anticommutes with P_q)
+  it costs O(1) int operations, otherwise an O(n w) row reduction finds it;
+- `measure_remove`, the one measurement the LOCC engine makes, fuses a Z
+  measurement with the removal: after a random outcome the stabilizers with
+  Z on q take the outcome's sign, and the pivot's pair and column q go.
+
+A removal moves the last pair and the last column into the freed ones, so
+the last qubit takes the removed one's index. The freed slots stay in the
+columns, masked out of every read by the live stabilizer bits `_sm`, until
+`_compact` drops them in one batch. Rows keep the bookkeeping of a row-major
+tableau: a random measurement's pivot is the anticommuting stabilizer with
+the lowest index. `rows()` (and `x`, `z`, `r`) exports them as read-only
+(2n, n) 0/1 arrays in that order, for the canonical form, the graph-state
+reduction, dense conversion and the gadget extraction.
 
 How each named Clifford conjugates a Pauli is written once, in
-`_conjugate_rows`, which updates any stack of Pauli rows in place. The
-tableau, the graph-state reduction and `CliffordMap` all run their gates
-through it; a `CliffordMap` holds the images of X_k and Z_k as
-tableau-shaped rows.
+`_conjugate_rows`, over columns with & and ^ only: it runs on the int
+columns of the tableau and of the frames engine, and on the numpy 0/1 rows of
+the graph-state reduction, `CliffordMap` (which holds the images of X_k and
+Z_k as tableau-shaped rows) and the by-product pull-back.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,60 +85,71 @@ def _product(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, n
 
 
 def _check_qubit(q: int, n: int) -> None:
-    """Reject a qubit outside 0..n-1, which numpy indexing would wrap or miss."""
+    """Reject a qubit outside 0..n-1, which indexing would wrap or miss."""
     if not 0 <= q < n:
         raise ValueError(f"qubit {q} out of range")
 
 
-def _conjugate_rows(x: np.ndarray, z: np.ndarray, r: np.ndarray, name: str, qubits: Sequence[int]) -> None:
-    """Conjugate the k Pauli rows (x, z, r) of shape (k, n) by a named Clifford, in place.
+def _conjugate_rows(x, z, name: str, qubits: Sequence[int]):
+    """Conjugate Pauli rows by a named Clifford, in place, column by column.
 
-    The one conjugation rule: the tableau, `CliffordMap` and the graph
-    reduction all run their gates through it.
+    x[q] and z[q] are qubit q's columns: Python ints whose bit b is row b, or
+    0/1 numpy arrays (the transpose of a (k, n) row stack). Only & and ^ touch
+    them, so both kinds run through this one rule. Returns the rows whose
+    sign flips, of the same kind: the tableau toggles its sign plane with it,
+    a numpy caller applies `r ^= 2 * flip`.
     """
+    n = len(x)
     for q in qubits:
-        _check_qubit(q, x.shape[1])
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"{name} requires distinct qubits")
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range")
     name = name.upper()
-    if name == "H":
-        (q,) = qubits
-        r += 2 * (x[:, q] & z[:, q])
-        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-    elif name == "S":
-        (q,) = qubits
-        r += 2 * (x[:, q] & z[:, q])
-        z[:, q] ^= x[:, q]
-    elif name == "SDG":
-        (q,) = qubits
-        r += 2 * (x[:, q] & (z[:, q] ^ 1))
-        z[:, q] ^= x[:, q]
-    elif name == "X":
-        (q,) = qubits
-        r += 2 * z[:, q]
-    elif name == "Z":
-        (q,) = qubits
-        r += 2 * x[:, q]
-    elif name == "Y":
-        (q,) = qubits
-        r += 2 * (x[:, q] ^ z[:, q])
-    elif name == "CNOT":
+    if len(qubits) == 2:
         a, b = qubits
-        r += 2 * (x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1))
-        x[:, b] ^= x[:, a]
-        z[:, a] ^= z[:, b]
-    elif name == "CZ":
-        a, b = qubits
-        r += 2 * (x[:, a] & x[:, b] & (z[:, a] ^ z[:, b]))
-        z[:, a] ^= x[:, b]
-        z[:, b] ^= x[:, a]
-    elif name == "SWAP":
-        a, b = qubits
-        x[:, [a, b]] = x[:, [b, a]]
-        z[:, [a, b]] = z[:, [b, a]]
-    else:
-        raise ValueError(f"gate {name!r} is not a supported Clifford primitive")
-    r %= 4
+        if a == b:
+            raise ValueError(f"{name} requires distinct qubits")
+        if name == "CNOT":
+            t = x[a] & z[b]
+            flip = t ^ (t & (x[b] ^ z[a]))
+            x[b] ^= x[a]
+            z[a] ^= z[b]
+            return flip
+        if name == "CZ":
+            flip = x[a] & x[b] & (z[a] ^ z[b])
+            z[a] ^= x[b]
+            z[b] ^= x[a]
+            return flip
+        if name == "SWAP":
+            for c in (x, z):
+                c[a] ^= c[b]
+                c[b] ^= c[a]
+                c[a] ^= c[b]
+            return 0
+    elif name in _ONE_QUBIT:
+        (q,) = qubits
+        if name == "H":
+            flip = x[q] & z[q]
+            x[q] ^= z[q]
+            z[q] ^= x[q]
+            x[q] ^= z[q]
+            return flip
+        if name == "S":
+            flip = x[q] & z[q]
+            z[q] ^= x[q]
+            return flip
+        if name == "SDG":
+            flip = x[q] ^ (x[q] & z[q])
+            z[q] ^= x[q]
+            return flip
+        if name == "X":
+            return z[q]
+        if name == "Z":
+            return x[q]
+        return x[q] ^ z[q]
+    raise ValueError(f"gate {name!r} is not a supported Clifford primitive")
+
+
+_ONE_QUBIT = frozenset({"H", "S", "SDG", "X", "Y", "Z"})
 
 
 @dataclass
@@ -218,116 +249,256 @@ class PauliString:
             if self.z[k]:
                 zmask |= 1 << bitpos
         ny = int(np.sum(self.x & self.z))
-        signs = (-1.0) ** _popcount64(idx & zmask)
+        # (-1)^popcount(idx & zmask) as 1 - 2 * parity, and a scalar 1.0 when
+        # there are no Z bits: the same products as one sign array, so the
+        # same amplitudes, zero signs included
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & zmask) & 1) if zmask else 1.0
         out = np.zeros(dim, dtype=complex)
         out[idx ^ xmask] = (1j ** ((self.phase + ny) % 4)) * signs * vec
         return out
 
 
-def _popcount64(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).astype(np.int64)
+def _stabilizer_bits(k: int) -> int:
+    """The stabilizer bits 1, 3, ..., 2k - 1 of k slot pairs."""
+    return int("10" * k, 2) if k else 0
 
 
-def _capacity(n: int) -> int:
-    """Qubit slots reserved for a tableau of n qubits: n plus bounded headroom."""
-    return n + max(8, n // 8)
+def _set_bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _buffer_view(name: str) -> property:
-    """The active rows of a buffer array: reading gives the view, and assigning
-    writes into it, so the buffer stays the one store of the tableau."""
-    attr = "_" + name
+def _bit_matrix(cols: Sequence[int], nbits: int) -> np.ndarray:
+    """0/1 uint8 matrix of shape (len(cols), nbits): entry [k, b] is bit b of cols[k]."""
+    nbytes = (nbits + 7) // 8
+    buf = b"".join([c.to_bytes(nbytes, "little") for c in cols])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(cols), nbytes)
+    return np.unpackbits(packed, axis=1, count=nbits, bitorder="little")
+
+
+def _int_columns(bits: np.ndarray) -> List[int]:
+    """Each row of a 0/1 matrix as an int whose bit b is entry b (`_bit_matrix` inverted)."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1, bitorder="little")
+    w, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[k * w : (k + 1) * w], "little") for k in range(len(packed))]
+
+
+def _export(name: str) -> property:
+    """One of the read-only row arrays of `rows()`; assigning one loads the
+    rows back into the columns, the other two as they are."""
+    k = "xzr".index(name)
 
     def write(self, value) -> None:
-        getattr(self, attr)[...] = value
+        rows = list(self.rows())
+        rows[k] = np.asarray(value)
+        self._load(*rows)
 
-    return property(operator.attrgetter(attr), write)
+    return property(lambda self: self.rows()[k], write)
+
+
+# `_drop` compacts once the freed slots outnumber the live ones by this many
+_FREED = 64
+# from this many qubits on, a row read goes through the packed bytes, whose
+# refresh costs less than a scan of every column
+_PACKED_FROM = 256
 
 
 class StabilizerTableau:
-    """CHP tableau of n qubits kept inside a buffer with room for C >= n.
+    """CHP tableau of n qubits on bitset columns (see the module docstring).
 
-    Destabilizer i lives in buffer row C-1-i and stabilizer i in row C+i, so
-    the tableau is one (2n, n) view `buf[C-n : C+n, :n]` (`x`, `z`, `r`):
-    rows 0..n-1 hold the destabilizers n-1..0, rows n..2n-1 the stabilizers
-    0..n-1, and row j pairs with row 2n-1-j (`_partner`). Every buffer entry
-    outside the view is zero, so adding a qubit writes one pair and widens the
-    view by a row at each end and a column; the buffer doubles when full.
+    `_x[q]`, `_z[q]`: qubit q's columns; `_r0`, `_r1`: the phase bit planes;
+    `_slot[i]`: the slot pair of destabilizer/stabilizer i; `_pair[s]`: the
+    pair in slot s, -1 once freed; `_sm`: the live stabilizer bits. Row reads
+    go through `_packed`, a copy of the columns as bytes that is refreshed
+    from the columns written since the last read (`_dirty`).
     """
 
-    x = _buffer_view("x")
-    z = _buffer_view("z")
-    r = _buffer_view("r")  # phase exponent mod 4
+    x = _export("x")
+    z = _export("z")
+    r = _export("r")  # phase exponent mod 4
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one qubit")
-        self._allocate(n, _capacity(n))
-        self._write_fresh(0, n)
+        self.n, self._x, self._z, self._r0, self._r1 = 0, [], [], 0, 0
+        self._slot, self._pair, self._sm = [], [], 0
+        self._px = self._pz = None
+        self._dirty = set()
+        self.add_qubits(n)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _allocate(self, n: int, cap: int) -> None:
-        """Fresh zero buffers with room for `cap` qubits, viewed as n qubits."""
-        self._cap = cap
-        self._bx = np.zeros((2 * cap, cap), dtype=np.uint8)
-        self._bz = np.zeros_like(self._bx)
-        self._br = np.zeros(2 * cap, dtype=np.uint8)
-        self._set_n(n)
+    def _load(self, x: np.ndarray, z: np.ndarray, r: np.ndarray) -> None:
+        """Store the rows (x, z, r), of shapes (2n, n), (2n, n) and (2n,) in
+        the order of `rows()`, with pair i in slot pair i."""
+        n = x.shape[1]
+        order = np.empty(2 * n, dtype=np.intp)
+        order[0::2], order[1::2] = np.arange(n - 1, -1, -1), np.arange(n, 2 * n)
+        r = np.asarray(r, dtype=np.uint8)[order]
+        self._store(np.take(x.T, order, axis=1), np.take(z.T, order, axis=1), np.stack([r & 1, r >> 1 & 1]))
 
-    def _set_n(self, n: int) -> None:
-        rows = slice(self._cap - n, self._cap + n)
-        self.n = n
-        self._x, self._z, self._r = self._bx[rows, :n], self._bz[rows, :n], self._br[rows]
+    def _store(self, x: np.ndarray, z: np.ndarray, r: np.ndarray) -> None:
+        """Store 0/1 matrices x, z of shape (n, 2n), entry [q, b] the bit of
+        qubit q in row slot b, and r (2, 2n), the phase bit planes, with pair
+        i in slot pair i."""
+        n = len(x)
+        self._x, self._z, (self._r0, self._r1) = _int_columns(x), _int_columns(z), _int_columns(r)
+        self.n, self._slot, self._pair, self._sm = n, list(range(n)), list(range(n)), _stabilizer_bits(n)
+        self._px = self._pz = None
+        self._dirty = set()
 
-    def _write_fresh(self, lo: int, hi: int) -> None:
-        """Qubits lo..hi-1 in |0>: destabilizer X_j and stabilizer Z_j, written
-        into their buffer rows, which lie outside the view until it widens."""
-        j = np.arange(lo, hi)
-        self._bx[self._cap - 1 - j, j] = 1
-        self._bz[self._cap + j, j] = 1
+    def _packed(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The x and z columns as little-endian bytes, one row per qubit, in
+        uint8 arrays with headroom for the slots that `_drop` lets build up:
+        rebuilt when they no longer fit, else refreshed from the columns in
+        `_dirty`."""
+        n, width = self.n, (2 * len(self._pair) + 7) // 8
+        if self._px is None or self._px.shape[0] < n or self._px.shape[1] < width:
+            width = (4 * n + 2 * _FREED + 7) // 8 + 16  # past the slots `_drop` allows before `_compact`
+            self._px, self._pz = (np.zeros((n + n // 4 + 8, width), dtype=np.uint8) for _ in "xz")
+            dirty = list(range(n))
+        else:
+            width, dirty = self._px.shape[1], [q for q in self._dirty if q < n]
+        if dirty:
+            for packed, cols in ((self._px, self._x), (self._pz, self._z)):
+                buf = b"".join([cols[q].to_bytes(width, "little") for q in dirty])
+                packed[dirty] = np.frombuffer(buf, dtype=np.uint8).reshape(len(dirty), width)
+        self._dirty = set()
+        return self._px, self._pz
 
-    def _partner(self, rows):
-        """The row paired with each of `rows`: destabilizer i <-> stabilizer i."""
-        return 2 * self.n - 1 - rows
+    def _columns_at(self, bits: np.ndarray) -> List[np.ndarray]:
+        """The x and z columns and the two phase planes cut down to the row
+        bits `bits`, in that order: 0/1 arrays of shapes (n, k), (n, k), (2, k)."""
+        nbits = 2 * len(self._pair)
+        return [np.take(_bit_matrix(cols, nbits), bits, axis=1) for cols in (self._x, self._z, [self._r0, self._r1])]
+
+    def _gather(self, bits) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows at bit positions `bits`, in that order, as 0/1 arrays x, z
+        of shape (len(bits), n) and phases r."""
+        x, z, (r0, r1) = self._columns_at(np.asarray(bits, dtype=np.intp))
+        return np.ascontiguousarray(x.T), np.ascontiguousarray(z.T), r0 | r1 << 1
+
+    def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tableau as read-only row arrays x, z (2n, n) and r (2n,): rows
+        0..n-1 hold the destabilizers n-1..0 and rows n..2n-1 the stabilizers
+        0..n-1, so row j pairs with row 2n-1-j."""
+        slots = 2 * np.array(self._slot, dtype=np.intp)
+        rows = self._gather(np.concatenate([slots[::-1], slots + 1]))
+        for a in rows:
+            a.flags.writeable = False
+        return rows
+
+    def _stabilizer_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows n..2n-1 of `rows()`: x, z (n, n) and r (n,), writable."""
+        return self._gather(2 * np.array(self._slot, dtype=np.intp) + 1)
+
+    def _compact(self) -> None:
+        """Drop the freed slots: pair i moves to slot pair i."""
+        slots = 2 * np.array(self._slot, dtype=np.intp)
+        self._store(*self._columns_at(np.stack([slots, slots + 1], axis=1).ravel()))
 
     def copy(self) -> "StabilizerTableau":
         t = StabilizerTableau.__new__(StabilizerTableau)
-        t._allocate(self.n, _capacity(self.n))
-        t.x, t.z, t.r = self.x, self.z, self.r
+        t.__dict__.update(self.__dict__)
+        t._x, t._z, t._slot, t._pair = self._x.copy(), self._z.copy(), self._slot.copy(), self._pair.copy()
+        t._px, t._pz, t._dirty = None, None, set()
         return t
 
+    def permuted(self, perm: Sequence[int]) -> "StabilizerTableau":
+        """A copy whose qubit k is this tableau's qubit perm[k]."""
+        t = self.copy()
+        t._x, t._z = [self._x[q] for q in perm], [self._z[q] for q in perm]
+        return t
+
+    def _phase(self, b: int) -> int:
+        return (self._r0 >> b & 1) | (self._r1 >> b & 1) << 1
+
+    def _add_phase(self, h: int, k: int) -> None:
+        """r <- r + k (mod 4) on the rows of mask h."""
+        if k & 1:
+            self._r1 ^= self._r0 & h
+            self._r0 ^= h
+        if k & 2:
+            self._r1 ^= h
+
+    def _row(self, b: int) -> PauliString:
+        return PauliString([c >> b & 1 for c in self._x], [c >> b & 1 for c in self._z], self._phase(b))
+
     def stabilizer(self, i: int) -> PauliString:
-        return PauliString(self.x[self.n + i].copy(), self.z[self.n + i].copy(), int(self.r[self.n + i]))
+        return self._row(2 * self._slot[i] + 1)
 
     def destabilizer(self, i: int) -> PauliString:
-        row = self.n - 1 - i
-        return PauliString(self.x[row].copy(), self.z[row].copy(), int(self.r[row]))
+        return self._row(2 * self._slot[i])
 
     def generators(self) -> List[PauliString]:
-        return [self.stabilizer(i) for i in range(self.n)]
+        x, z, r = self._stabilizer_rows()
+        return [PauliString(x[i], z[i], r[i]) for i in range(self.n)]
 
-    def _rowmult(self, h, i: int) -> None:
-        """row_h <- row_h * row_i with phase tracking; h may be an index array."""
-        extra = _g_exponent_sum(self.x[h], self.z[h], self.x[i], self.z[i])
-        self.r[h] = (self.r[h].astype(np.int64) + int(self.r[i]) + extra) % 4
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+    def _support(self, b: int) -> Tuple[List[int], List[int]]:
+        """The qubits on which row bit b has an X bit, and those with a Z bit:
+        a scan of the columns on fewer than `_PACKED_FROM` qubits, else one
+        read of `_packed`, whose refresh costs O(1) per column written since."""
+        if self.n < _PACKED_FROM:
+            m, qubits = 1 << b, range(self.n)
+            return list(compress(qubits, map(m.__and__, self._x))), list(compress(qubits, map(m.__and__, self._z)))
+        byte, bit = b >> 3, 1 << (b & 7)
+        return [np.flatnonzero(packed[: self.n, byte] & bit).tolist() for packed in self._packed()]
 
-    def _rowmult_all(self, h: int, rows: np.ndarray) -> None:
-        """row_h <- row_h * row_rows[0] * row_rows[1] * ... with phase tracking."""
-        if len(rows) == 0:
-            return
-        idx = np.concatenate([[h], rows]).astype(np.intp)
-        self.x[h], self.z[h], self.r[h] = _product(self.x[idx], self.z[idx], self.r[idx])
+    def _rowmult(self, h: int, b: int, support=None) -> None:
+        """Rows h (a mask) <- rows h * row b, with phase tracking, over row b's
+        `support` (scanned when not given). At each qubit the rows that
+        anticommute with row b's Pauli there add +1 or -1 to the i-exponent, in
+        a two-bit counter (c0, c1) bit-sliced over the rows."""
+        xs, zs = support or self._support(b)
+        x, z, zset = self._x, self._z, set(zs)
+        c0 = c1 = 0
+        for q in xs:
+            xh, zh = x[q] & h, z[q] & h
+            if q in zset:  # Y: X rows +1, Z rows -1
+                t = xh ^ zh
+                minus = zh & t
+                z[q] ^= h
+            else:  # X: Z rows +1, Y rows -1
+                t = zh
+                minus = xh & t
+            c1 ^= (c0 & t) ^ minus
+            c0 ^= t
+            x[q] ^= h
+        for q in zset.difference(xs):  # Z: Y rows +1, X rows -1
+            xh = x[q] & h
+            t = xh
+            minus = t ^ (z[q] & t)
+            c1 ^= (c0 & t) ^ minus
+            c0 ^= t
+            z[q] ^= h
+        self._dirty.update(xs, zs)
+        self._r1 ^= c1 ^ (self._r0 & c0)
+        self._r0 ^= c0
+        self._add_phase(h, self._phase(b))
+
+    def _pivot(self, stabs: int) -> int:
+        """The bit of the stabilizer with the lowest index among the mask `stabs`."""
+        if not stabs & (stabs - 1):
+            return stabs.bit_length() - 1
+        return 2 * self._slot[min(self._pair[b >> 1] for b in _set_bits(stabs))] + 1
 
     # -- gates ----------------------------------------------------------------
 
     def apply_gate(self, name: str, *qubits: int) -> "StabilizerTableau":
-        _conjugate_rows(self.x, self.z, self.r, name, qubits)
+        self._r1 ^= _conjugate_rows(self._x, self._z, name, qubits)
+        self._dirty.update(qubits)
         return self
 
     # -- measurement -----------------------------------------------------------
+
+    def z_random(self, q: int) -> bool:
+        """Whether measuring Z on qubit q has a random outcome: some stabilizer
+        has an X bit there."""
+        _check_qubit(q, self.n)
+        return bool(self._x[q] & self._sm)
 
     def measure_z(
         self,
@@ -340,7 +511,7 @@ class StabilizerTableau:
         The rows anticommuting with Z_q are those with an X bit on q.
         """
         _check_qubit(q, self.n)
-        return self._measure(PauliString.single(self.n, q, "Z"), np.flatnonzero(self.x[:, q]), force, rng)
+        return self._measure(PauliString.single(self.n, q, "Z"), self._x[q], force, rng)
 
     def measure_pauli(
         self,
@@ -353,45 +524,93 @@ class StabilizerTableau:
             raise ValueError("length mismatch")
         if p.phase % 2 != 0:
             raise ValueError("measured Pauli must be Hermitian")
-        # the symplectic product with each row, read from the columns p acts on
-        sym = self.x[:, p.z.nonzero()[0]].sum(axis=1) + self.z[:, p.x.nonzero()[0]].sum(axis=1)
-        return self._measure(p, np.flatnonzero(sym & 1), force, rng)
+        # the symplectic product with each row: the XOR of the columns p acts on
+        anti = 0
+        for q in np.flatnonzero(p.z).tolist():
+            anti ^= self._x[q]
+        for q in np.flatnonzero(p.x).tolist():
+            anti ^= self._z[q]
+        return self._measure(p, anti, force, rng)
 
-    def _measure(self, p: PauliString, anti: np.ndarray, force, rng) -> Tuple[int, float, bool]:
-        """Measure p, given the rows `anti` that anticommute with it."""
-        n = self.n
-        anti_stab = anti[anti >= n]
-        if anti_stab.size:
-            if force is not None:
-                bit = int(force)
-            elif rng is None:
-                raise ValueError("sampled measurement requires an rng")
-            else:
-                bit = int(rng.integers(0, 2))
-            pivot = int(anti_stab[0])
-            self._rowmult(anti[anti != pivot], pivot)
-            # pivot stabilizer row becomes +/- P; old row becomes its destabilizer
-            d = self._partner(pivot)
-            self.x[d], self.z[d], self.r[d] = self.x[pivot], self.z[pivot], self.r[pivot]
-            self.x[pivot], self.z[pivot] = p.x, p.z
-            self.r[pivot] = (p.phase + (2 if bit else 0)) % 4
+    def _outcome(self, force, rng) -> int:
+        if force is not None:
+            return int(force)
+        if rng is None:
+            raise ValueError("sampled measurement requires an rng")
+        return int(rng.integers(0, 2))
+
+    def _measure(self, p: PauliString, anti: int, force, rng) -> Tuple[int, float, bool]:
+        """Measure p, given the mask `anti` of the rows that anticommute with it."""
+        sm = self._sm
+        if anti & sm:
+            bit = self._outcome(force, rng)
+            b = self._pivot(anti & sm)
+            support = self._support(b)
+            self._rowmult(anti & (sm | sm >> 1) & ~(1 << b), b, support)
+            # the pivot's destabilizer takes its row, and the pivot becomes +/- p
+            d, mb, md = b - 1, 1 << b, 1 << b - 1
+            for cols, old, row, new in zip((self._x, self._z), self._support(d), support, (p.x, p.z)):
+                for q in old:
+                    cols[q] ^= md
+                for q in row:
+                    cols[q] ^= mb | md
+                for q in np.flatnonzero(new).tolist():
+                    cols[q] |= mb
+                    self._dirty.add(q)
+                self._dirty.update(old, row)
+            keep = ~(mb | md)
+            self._r0 = self._r0 & keep | self._r0 >> 1 & md | (p.phase & 1) << b
+            self._r1 = self._r1 & keep | self._r1 >> 1 & md | (p.phase >> 1 ^ bit) << b
             return bit, 0.5, False
-        bit = self._deterministic_bit(p, anti)
+        bit = self._deterministic_bit(p, anti & sm >> 1)
         if force is not None and int(force) != bit:
             raise ValueError(f"forced outcome {force} has probability 0")
         return bit, 1.0, True
 
-    def _deterministic_bit(self, p: PauliString, destabs: np.ndarray) -> int:
+    def _deterministic_bit(self, p: PauliString, destabs: int) -> int:
         """Outcome bit of a Pauli p that commutes with every stabilizer.
 
-        `destabs` are the destabilizer rows anticommuting with p; the product
-        of their stabilizer partners is +/- p, and its sign is the outcome.
+        `destabs` masks the destabilizers anticommuting with p; the product of
+        their stabilizer partners is +/- p, and its sign is the outcome.
         """
-        rows = self._partner(destabs)
-        x, z, phase = _product(self.x[rows], self.z[rows], self.r[rows])
+        x, z, phase = _product(*self._gather([b + 1 for b in _set_bits(destabs)]))
         if not (np.array_equal(x, p.x) and np.array_equal(z, p.z)):
             raise InternalError("deterministic measurement did not reproduce the Pauli")
         return 0 if phase == p.phase else 1
+
+    def measure_remove(
+        self,
+        q: int,
+        force: Optional[int] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, float, Optional[Tuple[List[int], List[int]]]]:
+        """Measure Z on qubit q and remove it, in one step: the state and rows
+        of `measure_z` then `remove_qubit`. Returns (outcome bit, probability,
+        flip); flip is None for a determined outcome, else the qubits (before
+        the removal) on which the stabilizer that the outcome replaced has X
+        bits and Z bits: the Pauli that maps one outcome's state to the other's.
+
+        A random outcome multiplies the pivot into the rows that anticommute
+        with Z_q; then the pivot is +/- Z_q, the other stabilizers with Z on q
+        take its sign, and the pivot's pair and column q go.
+        """
+        _check_qubit(q, self.n)
+        sm = self._sm
+        stabs = self._x[q] & sm
+        if not (stabs or self._z[q] & sm):
+            raise InternalError("no stabilizer acts on the qubit")
+        if not stabs:
+            bit, prob, _ = self.measure_z(q, force, rng)
+            self.remove_qubit(q)
+            return bit, prob, None
+        bit = self._outcome(force, rng)
+        b = self._pivot(stabs)
+        flip = self._support(b)
+        self._rowmult(self._x[q] & (sm | sm >> 1) & ~(3 << b - 1), b, flip)
+        if bit:
+            self._r1 ^= self._z[q] & sm & ~(1 << b)
+        self._drop(b, q)
+        return bit, 0.5, flip
 
     # -- structure ---------------------------------------------------------------
 
@@ -425,10 +644,9 @@ class StabilizerTableau:
         gram = (d[:, n:] @ d[:, :n].T + d[:, :n] @ d[:, n:].T) % 2
         d = (d + np.tril(gram, -1) @ np.concatenate([gx, gz], axis=1)) % 2
         tab = cls.__new__(cls)
-        tab._allocate(n, _capacity(n))
-        tab.x = np.concatenate([d[::-1, :n], gx])
-        tab.z = np.concatenate([d[::-1, n:], gz])
-        tab.r[n:] = [g.phase for g in gens]
+        x = np.concatenate([d[::-1, :n], gx]).astype(np.uint8)
+        z = np.concatenate([d[::-1, n:], gz]).astype(np.uint8)
+        tab._load(x, z, np.concatenate([np.zeros(n, dtype=np.uint8), [g.phase for g in gens]]))
         return tab
 
     def canonical_stabilizers(self) -> List[PauliString]:
@@ -444,8 +662,9 @@ class StabilizerTableau:
         carrying the column is multiplied by the pivot row in one step.
         """
         n = self.n
-        m = np.concatenate([self.x[n:], self.z[n:]], axis=1)
-        r = self.r[n:].astype(np.int64)
+        x, z, r = self._stabilizer_rows()
+        m = np.concatenate([x, z], axis=1)
+        r = r.astype(np.int64)
         rank = 0
         for col in range(2 * n):
             hits = m[rank:, col].nonzero()[0]
@@ -475,83 +694,109 @@ class StabilizerTableau:
         return np.array_equal(ma, mb) and np.array_equal(ra, rb)
 
     def add_qubits(self, k: int) -> "StabilizerTableau":
-        """Append k fresh qubits in |0>, in place; amortised O(n) per qubit."""
-        n = self.n + k
-        if n > self._cap:
-            x, z, r = self.x, self.z, self.r
-            self._allocate(self.n, max(2 * self._cap, n))
-            self.x, self.z, self.r = x, z, r
-        self._write_fresh(self.n, n)
-        self._set_n(n)
+        """Append k fresh qubits in |0>, in place: destabilizer X_j and
+        stabilizer Z_j in new slots, which every old column has clear."""
+        s0, n = len(self._pair), self.n
+        self._slot += range(s0, s0 + k)
+        self._pair += range(n, n + k)
+        self._x += [1 << 2 * s for s in range(s0, s0 + k)]
+        self._z += [2 << 2 * s for s in range(s0, s0 + k)]
+        self._sm |= _stabilizer_bits(k) << 2 * s0
+        self._dirty.update(range(n, n + k))
+        self.n = n + k
         return self
 
     def remove_qubit(self, q: int) -> "StabilizerTableau":
         """Drop a decoupled qubit in place; the last qubit takes index q.
 
-        One stabilizer s_p is brought to +/- P_q while every (destabilizer,
-        stabilizer) pair stays symplectic; then the last qubit's pair and
-        column move into p's pair and column q. After a random `measure_z` of
-        q some stabilizer already is +/- Z_q and the w others on q carry Z
-        there, so this costs O(n w); otherwise a row reduction finds s_p. An
-        entangled qubit raises ValueError with the state unchanged, though its
-        rows may be recombined.
+        q is decoupled iff every stabilizer acting on it carries the same Pauli
+        P there, read off columns x_q and z_q; else it is entangled and this
+        raises ValueError with the state and rows unchanged. Then one
+        stabilizer s_p is brought to +/- P_q while every (destabilizer,
+        stabilizer) pair stays symplectic, and the last qubit's pair and column
+        move into p's pair and column q. When exactly one destabilizer
+        anticommutes with P_q its partner already is +/- P_q, found with no
+        scan, and the w others on q lose P by taking its sign; otherwise an
+        O(n w) row reduction finds s_p.
         """
-        n = self.n
-        _check_qubit(q, n)
-        x, z = self.x, self.z
-        paulis = (x[n:, q] << 1) | z[n:, q]  # each stabilizer's Pauli on q, 0 for I
-        on_q = np.flatnonzero(paulis)
-        if on_q.size == 0:
+        _check_qubit(q, self.n)
+        sm = self._sm
+        xs, zs = self._x[q] & sm, self._z[q] & sm
+        on = xs | zs
+        if not on:
             raise InternalError("no stabilizer acts on the qubit")
-        entangled = ValueError(f"qubit {q} is entangled; cannot remove")
-        if (paulis[on_q] != paulis[on_q[0]]).any():
-            raise entangled
-        on_q += n
-        local = on_q[(x[on_q] | z[on_q]).sum(axis=1) == 1]
-        if local.size:
-            # s_p is +/- P_q, and the others carry the same P on q: each product
-            # clears q and takes s_p's sign, with no other phase term. Only the
-            # pivot's destabilizer stops pairing with them, and it is dropped.
-            p = int(local[0])
-            others = on_q[on_q != p]
-            self.r[others] = (self.r[others] + self.r[p]) % 4
-            x[others, q] = z[others, q] = 0
+        if xs not in (0, on) or zs not in (0, on):
+            raise ValueError(f"qubit {q} is entangled; cannot remove")
+        # the destabilizers anticommuting with P_q
+        anti = ((self._z[q] if xs else 0) ^ (self._x[q] if zs else 0)) & sm >> 1
+        if anti and not anti & (anti - 1):
+            b = anti.bit_length()  # its partner's bit
+            self._add_phase(on & ~(1 << b), self._phase(b))
         else:
-            p = int(on_q[0])
-            d = self._partner(p)
-            # clear q from the other stabilizers; the pivot's destabilizer absorbs theirs
-            self._rowmult(on_q[1:], p)
-            self._rowmult_all(d, self._partner(on_q[1:]))
-            # s_p off q must be the product of the stabilizers paired with the
-            # destabilizers that anticommute with it
-            rx, rz = x[p].copy(), z[p].copy()
-            rx[q] = rz[q] = 0
-            # uint8 products wrap modulo 256, which keeps their parity
-            c = (x[:n] @ rz + z[:n] @ rx) & 1
-            if c[d]:
-                raise entangled
-            js = np.flatnonzero(c)
-            self._rowmult_all(p, self._partner(js))
-            self._rowmult(js, d)
-            if np.count_nonzero(x[p] | z[p]) > 1:
-                raise entangled
-        # s_p = +/- P_q now, so every other destabilizer carries I or P on q and
-        # dropping column q keeps all symplectic products
-        self._drop(p, q)
+            b = self._reduce(q, on)
+        self._drop(b, q)
         return self
 
-    def _drop(self, p: int, q: int) -> None:
-        """Remove the pair of stabilizer row p and column q: the last pair and
-        the last column move into their slots, and the vacated ones are zeroed."""
-        n, last = self.n, 2 * self.n - 1
-        d = self._partner(p)
-        for a in (self._x, self._z, self._r):
-            a[p], a[d] = a[last], a[0]
-            a[0] = a[last] = 0
-        for a in (self._x, self._z):
-            a[:, q] = a[:, n - 1]
-            a[:, n - 1] = 0
-        self._set_n(n - 1)
+    def _reduce(self, q: int, on: int) -> int:
+        """Row-reduce until the stabilizer with the lowest index among `on`
+        (those acting on q) is +/- P_q; returns its bit. The row operations
+        are those of a row-major tableau, so the rows match its rows."""
+        b = self._pivot(on)
+        d, others = b - 1, on & ~(1 << b)
+        support = self._support(b)
+        # clear q from the other stabilizers; the pivot's destabilizer absorbs theirs
+        self._rowmult(others, b, support)
+        dsupport = self._absorb(d, [s - 1 for s in _set_bits(others)])
+        # s_p off q must be the product of the stabilizers paired with the
+        # destabilizers that anticommute with it
+        c = 0
+        for k in support[0]:
+            c ^= self._z[k] if k != q else 0
+        for k in support[1]:
+            c ^= self._x[k] if k != q else 0
+        c &= self._sm >> 1
+        if c >> d & 1:
+            raise InternalError("the pivot's destabilizer anticommutes with the rest of its stabilizer")
+        xs, zs = self._absorb(b, [j + 1 for j in _set_bits(c)])
+        if c:
+            self._rowmult(c, d, dsupport)
+        if set(xs + zs) != {q}:
+            raise InternalError("row reduction left the stabilizer off the qubit")
+        return b
+
+    def _absorb(self, b: int, bits: List[int]) -> Tuple[List[int], List[int]]:
+        """Row b <- row b times the rows at `bits`, all commuting with it, as
+        one product of exported rows; returns row b's support as `_support` does."""
+        if not bits:
+            return self._support(b)
+        x, z, r = _product(*self._gather([b, *bits]))
+        m = 1 << b
+        for cols, on in ((self._x, x), (self._z, z)):
+            cols[:] = [c | m if v else c & ~m for c, v in zip(cols, on.tolist())]
+        self._px = self._pz = None
+        self._r0 = self._r0 & ~m | (r & 1) << b
+        self._r1 = self._r1 & ~m | (r >> 1) << b
+        return np.flatnonzero(x).tolist(), np.flatnonzero(z).tolist()
+
+    def _drop(self, b: int, q: int) -> None:
+        """Remove the pair of stabilizer bit b and column q: the last pair and
+        the last column take their places. The pair's slots are freed, and
+        dropped in a batch once freed slots outnumber live ones by `_FREED`."""
+        s, last = b >> 1, self.n - 1
+        i = self._pair[s]
+        self._sm &= ~(1 << b)
+        self._pair[s] = -1
+        moved = self._slot.pop()
+        if i < last:
+            self._slot[i] = moved
+            self._pair[moved] = i
+        x, z = self._x.pop(), self._z.pop()
+        if q < last:
+            self._x[q], self._z[q] = x, z
+            self._dirty.add(q)
+        self.n = last
+        if len(self._pair) > 2 * self.n + _FREED:
+            self._compact()
 
     def to_statevector(self) -> np.ndarray:
         """Dense amplitude vector (2^n), qubit 0 slowest-varying, projected from
@@ -635,13 +880,13 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
     available row, Hadamard fixes are used for rank repair, S for Y diagonals.
     """
     n = tab.n
-    x, z, r = tab.x[n:].copy(), tab.z[n:].copy(), tab.r[n:].copy()
+    x, z, r = tab._stabilizer_rows()
     applied: List[Tuple[str, int]] = []
     for col in range(n):
         if not x[col:, col].any():
             if not z[col:, col].any():
                 raise InternalError("invalid tableau: empty pivot column")
-            _conjugate_rows(x, z, r, "H", (col,))
+            r ^= 2 * _conjugate_rows(x.T, z.T, "H", (col,))
             applied.append(("H", col))
         pivot = col + int(np.flatnonzero(x[col:, col])[0])
         for a in (x, z, r):
@@ -653,11 +898,11 @@ def to_graph_state(tab: StabilizerTableau) -> GraphState:
         z[hits] ^= z[col]
     for q in range(n):
         if z[q, q]:
-            _conjugate_rows(x, z, r, "S", (q,))
+            r ^= 2 * _conjugate_rows(x.T, z.T, "S", (q,))
             applied.append(("S", q))
     for q in range(n):
         if r[q] == 2:
-            _conjugate_rows(x, z, r, "Z", (q,))
+            r ^= 2 * _conjugate_rows(x.T, z.T, "Z", (q,))
             applied.append(("Z", q))
     if r.any():
         raise InternalError("graph reduction left a nontrivial phase")
@@ -692,7 +937,7 @@ class CliffordMap:
         """The map of an ordered gate list (first gate acts first) on n qubits."""
         m = cls(np.eye(2 * n, n, dtype=np.uint8), np.eye(2 * n, n, -n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
         for name, qubits in circuit:
-            _conjugate_rows(m.x, m.z, m.r, name, qubits)
+            m.r ^= 2 * _conjugate_rows(m.x.T, m.z.T, name, qubits)
         return m
 
     def conjugate(self, p: PauliString) -> "PauliString":
@@ -751,9 +996,9 @@ class TableauState:
     def branch_probabilities(self, entry) -> np.ndarray:
         q = self.index(entry)
         tab = self.tab
-        if np.any(tab.x[tab.n :, q]):
+        if tab.z_random(q):
             return np.array([0.5, 0.5])
-        bit = tab._deterministic_bit(PauliString.single(tab.n, q, "Z"), np.flatnonzero(tab.x[: tab.n, q]))
+        bit = tab._deterministic_bit(PauliString.single(tab.n, q, "Z"), tab._x[q] & tab._sm >> 1)
         probs = np.zeros(2)
         probs[bit] = 1.0
         return probs
@@ -763,11 +1008,12 @@ class TableauState:
         return bit, prob
 
     def measure_remove(self, entry, force=None, rng=None, p=None):
-        """`measure`, then `remove_entry`: the one measurement the LOCC engine
-        makes, as on dense states. `p` is not read; the tableau's
-        probabilities are exact."""
-        k, prob = self.measure(entry, force=force, rng=rng)
-        self.remove_entry(entry)
+        """`measure`, then `remove_entry`, fused in `StabilizerTableau.measure_remove`:
+        the one measurement the LOCC engine makes, as on dense states. `p` is
+        not read; the tableau's probabilities are exact."""
+        q = self.index(entry)
+        k, prob, _ = self.tab.measure_remove(q, force=force, rng=rng)
+        self._drop_key(q)
         return k, prob
 
     def add_entry(self, site: int, slot: str, dim: int = 2, local_state=None) -> "TableauState":
@@ -790,12 +1036,16 @@ class TableauState:
         `StabilizerTableau.remove_qubit`."""
         q = self.index(entry)
         self.tab.remove_qubit(q)
+        self._drop_key(q)
+        return self
+
+    def _drop_key(self, q: int) -> None:
+        """Forget the key at index q; the last key takes the index."""
         del self._index[self.keys[q]]
         last = self.keys.pop()
         if q < len(self.keys):
             self.keys[q] = last
             self._index[last] = q
-        return self
 
     def permuted(self, new_order) -> "TableauState":
         keys = [tuple(k) for k in new_order]
@@ -804,8 +1054,7 @@ class TableauState:
         perm = [self.index(k) for k in keys]
         s = TableauState.__new__(TableauState)
         s.keys, s._index = keys, {k: i for i, k in enumerate(keys)}
-        s.tab = self.tab.copy()
-        s.tab.x, s.tab.z = s.tab.x[:, perm], s.tab.z[:, perm]
+        s.tab = self.tab.permuted(perm)
         return s
 
     def states_equal(self, other: "TableauState") -> bool:

@@ -149,13 +149,14 @@ class TestPrepare:
     def test_internal_error_exit(self, monkeypatch, capsys):
         from qccc.stabilizer import StabilizerTableau
 
-        real = StabilizerTableau.remove_qubit
+        real = StabilizerTableau.measure_remove
 
-        def corrupted(self, q):
-            self.x[self.n :, q] = self.z[self.n :, q] = 0  # no stabilizer acts on q
-            return real(self, q)
+        def corrupted(self, q, **kwargs):
+            self._x[q] &= ~self._sm  # no stabilizer acts on q
+            self._z[q] &= ~self._sm
+            return real(self, q, **kwargs)
 
-        monkeypatch.setattr(StabilizerTableau, "remove_qubit", corrupted)
+        monkeypatch.setattr(StabilizerTableau, "measure_remove", corrupted)
         argv = ["prepare", "--protocol", "ghz", "--n", "3", "--backend", "tableau", "--mode", "sample"]
         code = main(argv + ["--seed", "1"])
         err = capsys.readouterr().err
@@ -533,8 +534,11 @@ class TestFailures:
             None,
             EXIT_CONFIG,
         ),
+        "usage_unknown_protocol": (["prepare", "--protocol", "nope"], None, EXIT_CONFIG),
+        "usage_n_not_an_integer": (["prepare", "--protocol", "ghz", "--n", "x"], None, EXIT_CONFIG),
     }
     LABELS = {EXIT_CONFIG: "configuration error: ", EXIT_CAPACITY: "capacity exceeded: "}
+    USAGE_LABEL = "qccc prepare: error: "  # argparse's line for the usage_ cases
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_error_path(self, case, tmp_path, monkeypatch, capsys):
@@ -557,7 +561,8 @@ class TestFailures:
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == expected
-        assert err.startswith(self.LABELS[expected]) and err.count("\n") == 1 and err.endswith("\n")
+        label = self.USAGE_LABEL if case.startswith("usage_") else self.LABELS[expected]
+        assert err.startswith(label) and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize(

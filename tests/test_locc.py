@@ -845,6 +845,16 @@ class TestPauliFrames:
         frames, _ = _assert_frames_match_dfs(_ghz(n)[0])
         assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 2 ** (n - 1)
 
+    def test_an_idle_entry_removed_at_the_end_matches_dfs(self):
+        """An entry no step touches is removed when the run ends, and the last
+        entry takes its index: the frames are read after that move."""
+        from dataclasses import replace
+
+        proto = _ghz(5)[0]
+        proto = replace(proto, register=[(0, "idle", 2), *proto.register])
+        frames, _ = _assert_frames_match_dfs(proto)
+        assert frames.verdict == "DETERMINISTIC" and len(frames.reports) == 2**4
+
     def test_toric_code_n4_matches_dfs(self):
         from qccc.protocols import toric_code_protocol
 

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from qccc import circuits as cx
 from qccc import gates
+from qccc import stabilizer
 from qccc.lattice import Lattice
 from qccc.locc import ApplyLayers, Correct, Measure, PauliMap, Protocol, enumerate_branches, replay
 from qccc.stabilizer import (
@@ -20,7 +24,14 @@ from qccc.stabilizer import (
 )
 from qccc.statevector import PureState, QuditRegister
 
-from oracles import graph_clifford_unitary, random_stabilizer_tableau, tableau_from_text, tableau_text, to_pure_state
+from oracles import (
+    RowTableau,
+    graph_clifford_unitary,
+    random_stabilizer_tableau,
+    tableau_from_text,
+    tableau_text,
+    to_pure_state,
+)
 
 
 def conjugate_pauli(circuit, p: PauliString) -> PauliString:
@@ -328,13 +339,13 @@ class TestInternalErrors:
 
     def test_corrupted_stabilizer_row_fails_the_deterministic_bit(self):
         t = StabilizerTableau(2)
-        t.z[t.n] = 1  # the stabilizer paired with X_0 becomes Z_0 Z_1
+        t._z[1] |= 1 << 2 * t._slot[0] + 1  # the stabilizer paired with X_0 becomes Z_0 Z_1
         with pytest.raises(InternalError, match="did not reproduce"):
             t.measure_z(0)
 
     def test_qubit_without_stabilizer_support(self):
         t = StabilizerTableau(2)
-        t.z[t.n :, 1] = 0
+        t._z[1] &= ~t._sm  # no stabilizer bit left in qubit 1's z column
         with pytest.raises(InternalError, match="no stabilizer acts"):
             t.remove_qubit(1)
         with pytest.raises(InternalError, match="empty pivot column"):
@@ -550,6 +561,25 @@ class TestPrimitiveProperties:
         got = [g.label() for g in t.canonical_stabilizers()]
         assert got == [g.label() for g in _canonical_reference(t)]
 
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 10), seed=SEEDS)
+    def test_apply_to_vector_matches_the_sign_power(self, n, seed):
+        """Signs read as 1 - 2 * parity, and skipped without Z bits, give the
+        amplitudes of (-1.0) ** popcount bit for bit, zero signs included."""
+        rng = np.random.default_rng(seed)
+        p = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n) * int(rng.integers(0, 2)), int(rng.integers(0, 4)))
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        vec[rng.random(2**n) < 0.3] = 0
+        idx, bits = np.arange(2**n), 1 << np.arange(n - 1, -1, -1)
+        xmask, zmask = int(p.x @ bits), int(p.z @ bits)
+        want = np.zeros(2**n, dtype=complex)
+        signs = (-1.0) ** np.bitwise_count(idx & zmask).astype(np.int64)
+        want[idx ^ xmask] = (1j ** ((p.phase + int(np.sum(p.x & p.z))) % 4)) * signs * vec
+        got = p.apply_to_vector(vec)
+        assert np.array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(seed=SEEDS)
     def test_backends_agree_on_random_clifford_protocols(self, seed):
@@ -668,6 +698,102 @@ class TestRemovalAgainstReference:
         for k in range(39, 20, -1):  # disentangle and discard down to 21 qubits
             t.apply_gate("CNOT", k - 1, k).remove_qubit(k)
         assert _symplectic(t) and t.states_equal(StabilizerTableau.from_generators(ghz_generators(21)))
+
+
+class TestColumnsAgainstRowReference:
+    """The bitset-column tableau against the row-major numpy tableau it
+    replaced (`oracles.RowTableau`), step by step: equal outcomes and
+    probabilities, and equal exported rows x, z and r, not just equal states."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 7),
+        path=st.sampled_from(["local", "measured", "mixed"]),
+        packed=st.booleans(),
+        compact=st.booleans(),
+        seed=SEEDS,
+    )
+    def test_same_rows_as_reference(self, n, path, packed, compact, seed):
+        rng = np.random.default_rng(seed)
+        t, q = _removal_case(n, rng, path)
+        gens = t.generators()
+        ts = TableauState([(k, "s", 2) for k in range(n + 1)])
+        ts.tab, ref = StabilizerTableau.from_generators(gens), RowTableau.from_generators(gens)
+        keys = list(ts.keys)
+        # some cases read rows through the packed bytes that large tableaux
+        # use, and some drop freed slots after every removal
+        with mock.patch.multiple(
+            stabilizer,
+            _PACKED_FROM=0 if packed else stabilizer._PACKED_FROM,
+            _FREED=0 if compact else stabilizer._FREED,
+        ):
+            _assert_same_rows(ts.tab, ref)
+            assert _same(lambda: ref.remove_qubit(q).n, lambda: ts.remove_entry(keys[q]).tab.n)
+            _drop_key(keys, q)
+            for step in range(16):
+                _assert_same_rows(ts.tab, ref)
+                _random_step(ts, ref, keys, rng, step)
+                assert ts.keys == keys and [ts.index(k) for k in keys] == list(range(len(keys)))
+            _assert_same_rows(ts.tab, ref)
+
+
+def _same(on_ref, on_new) -> bool:
+    """Run on_ref, then on_new: equal results (True), or the same exception (False)."""
+    try:
+        want = on_ref()
+    except (ValueError, InternalError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            on_new()
+        return False
+    assert on_new() == want
+    return True
+
+
+def _assert_same_rows(tab: StabilizerTableau, ref: RowTableau) -> None:
+    x, z, r = tab.rows()
+    assert tab.n == ref.n and (x.shape, z.shape, r.shape) == (ref.x.shape, ref.z.shape, ref.r.shape)
+    assert np.array_equal(x, ref.x) and np.array_equal(z, ref.z) and np.array_equal(r, ref.r)
+    assert _symplectic(tab)
+
+
+def _random_step(ts: TableauState, ref: RowTableau, keys, rng, step: int) -> None:
+    """One random step on both: named Cliffords, a Z or Pauli measurement
+    (forced, or sampled from equal rngs), added qubits, the removal of a qubit
+    (which may be entangled), or `TableauState.measure_remove`."""
+    tab, n = ts.tab, ts.tab.n
+    kind = int(rng.integers(0, 6))
+    q = int(rng.integers(0, n))
+    seed, force = int(rng.integers(0, 2**32)), int(rng.integers(0, 2)) if rng.random() < 0.5 else None
+
+    def outcome():
+        return {"force": force} if force is not None else {"rng": np.random.default_rng(seed)}
+
+    if kind == 0:
+        for name, qubits in _random_circuit(n, rng, 3):
+            assert _same(lambda: ref.apply_gate(name, *qubits).n, lambda: tab.apply_gate(name, *qubits).n)
+    elif kind == 1:
+        _same(lambda: ref.measure_z(q, **outcome()), lambda: tab.measure_z(q, **outcome()))
+    elif kind == 2:
+        p = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), 2 * int(rng.integers(0, 2)))
+        _same(lambda: ref.measure_pauli(p, **outcome()), lambda: tab.measure_pauli(p, **outcome()))
+    elif kind == 3 or n == 1:
+        k = int(rng.integers(1, 3))
+        ref.add_qubits(k)
+        for j in range(k):
+            keys.append((100 + 10 * step + j, "a"))
+            ts.add_entry(*keys[-1])
+    elif kind == 4:
+        if _same(lambda: ref.remove_qubit(q).n, lambda: ts.remove_entry(keys[q]).tab.n):
+            _drop_key(keys, q)
+    elif _same(lambda: ref.measure_remove(q, **outcome()), lambda: ts.measure_remove(keys[q], **outcome())):
+        _drop_key(keys, q)
+
+
+def _drop_key(keys, q: int) -> None:
+    """The keys after a removal at index q: the last one takes it."""
+    last = keys.pop()
+    if q < len(keys):
+        keys[q] = last
 
 
 class TestConjugationRuleAgainstLoopReference:
