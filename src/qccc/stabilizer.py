@@ -15,12 +15,13 @@ with n qubits and w the rows an operation touches:
 - a named Clifford is a few & and ^ on two columns and the sign plane;
 - a measurement reads the rows that anticommute with its Pauli off the
   columns (Z_q: column x_q; a Pauli p: the XOR of the columns on p's
-  support). A random outcome multiplies the pivot into them: one read of the
-  pivot's row finds its support (a scan of the n columns on small tableaux,
-  else a read of a byte copy of the columns, refreshed from the columns
-  written since), then each qubit of it costs a few int operations, the
-  i-exponents of all the rows adding up in a bit-sliced two-bit counter. A
-  determined outcome's sign comes from an O(n^2) export;
+  support). A random outcome multiplies the pivot into them: one scan of the
+  n columns finds the pivot's support, then each qubit of it costs a few int
+  operations, the i-exponents of all the rows adding up in a bit-sliced
+  two-bit counter. A determined outcome's sign is the product of the w
+  stabilizers whose destabilizers anticommute with the Pauli, read by
+  `_gather`: one byte copy of the columns (n S / 8 bytes, S the row slots)
+  and O(n) per row;
 - `remove_qubit` reads whether the qubit is decoupled off two columns; when
   one stabilizer is +/- P_q (exactly one destabilizer anticommutes with P_q)
   it costs O(1) int operations, otherwise an O(n w) row reduction finds it;
@@ -31,9 +32,10 @@ with n qubits and w the rows an operation touches:
 A removal moves the last pair and the last column into the freed ones, so
 the last qubit takes the removed one's index. The freed slots stay in the
 columns, masked out of every read by the live stabilizer bits `_sm`, until
-`_compact` drops them in one batch. Rows keep the bookkeeping of a row-major
-tableau: a random measurement's pivot is the anticommuting stabilizer with
-the lowest index. `rows()` (and `x`, `z`, `r`) exports them as read-only
+they outnumber the live ones and `_compact` drops them in one batch (moving
+the last pair's bits at once would cost a scan of the columns per removal).
+Rows keep the bookkeeping of a row-major tableau: a random measurement's
+pivot is the anticommuting stabilizer with the lowest index. `rows()` (and `x`, `z`, `r`) exports them as read-only
 (2n, n) 0/1 arrays in that order, for the canonical form, the graph-state
 reduction, dense conversion and the gadget extraction.
 
@@ -271,12 +273,18 @@ def _set_bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-def _bit_matrix(cols: Sequence[int], nbits: int) -> np.ndarray:
-    """0/1 uint8 matrix of shape (len(cols), nbits): entry [k, b] is bit b of cols[k]."""
+def _bit_matrix(cols: Sequence[int], nbits: int, bits: Optional[np.ndarray] = None) -> np.ndarray:
+    """0/1 uint8 matrix of shape (len(cols), nbits), entry [k, b] bit b of
+    cols[k]; or of shape (len(cols), len(bits)), entry [k, t] bit bits[t] of
+    cols[k], when `bits` is given. The ints below nbits are copied as bytes
+    (len(cols) nbits / 8 of them), and only the bytes that hold `bits` are
+    read: a few bits cost one byte copy, not an nbits-wide unpack."""
     nbytes = (nbits + 7) // 8
     buf = b"".join([c.to_bytes(nbytes, "little") for c in cols])
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(cols), nbytes)
-    return np.unpackbits(packed, axis=1, count=nbits, bitorder="little")
+    if bits is None:
+        return np.unpackbits(packed, axis=1, count=nbits, bitorder="little")
+    return np.take(packed, bits >> 3, axis=1) >> (bits & 7).astype(np.uint8) & 1
 
 
 def _int_columns(bits: np.ndarray) -> List[int]:
@@ -299,21 +307,12 @@ def _export(name: str) -> property:
     return property(lambda self: self.rows()[k], write)
 
 
-# `_drop` compacts once the freed slots outnumber the live ones by this many
-_FREED = 64
-# from this many qubits on, a row read goes through the packed bytes, whose
-# refresh costs less than a scan of every column
-_PACKED_FROM = 256
-
-
 class StabilizerTableau:
     """CHP tableau of n qubits on bitset columns (see the module docstring).
 
     `_x[q]`, `_z[q]`: qubit q's columns; `_r0`, `_r1`: the phase bit planes;
     `_slot[i]`: the slot pair of destabilizer/stabilizer i; `_pair[s]`: the
-    pair in slot s, -1 once freed; `_sm`: the live stabilizer bits. Row reads
-    go through `_packed`, a copy of the columns as bytes that is refreshed
-    from the columns written since the last read (`_dirty`).
+    pair in slot s, -1 once freed; `_sm`: the live stabilizer bits.
     """
 
     x = _export("x")
@@ -325,8 +324,6 @@ class StabilizerTableau:
             raise ValueError("need at least one qubit")
         self.n, self._x, self._z, self._r0, self._r1 = 0, [], [], 0, 0
         self._slot, self._pair, self._sm = [], [], 0
-        self._px = self._pz = None
-        self._dirty = set()
         self.add_qubits(n)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -347,38 +344,18 @@ class StabilizerTableau:
         n = len(x)
         self._x, self._z, (self._r0, self._r1) = _int_columns(x), _int_columns(z), _int_columns(r)
         self.n, self._slot, self._pair, self._sm = n, list(range(n)), list(range(n)), _stabilizer_bits(n)
-        self._px = self._pz = None
-        self._dirty = set()
 
-    def _packed(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The x and z columns as little-endian bytes, one row per qubit, in
-        uint8 arrays with headroom for the slots that `_drop` lets build up:
-        rebuilt when they no longer fit, else refreshed from the columns in
-        `_dirty`."""
-        n, width = self.n, (2 * len(self._pair) + 7) // 8
-        if self._px is None or self._px.shape[0] < n or self._px.shape[1] < width:
-            width = (4 * n + 2 * _FREED + 7) // 8 + 16  # past the slots `_drop` allows before `_compact`
-            self._px, self._pz = (np.zeros((n + n // 4 + 8, width), dtype=np.uint8) for _ in "xz")
-            dirty = list(range(n))
-        else:
-            width, dirty = self._px.shape[1], [q for q in self._dirty if q < n]
-        if dirty:
-            for packed, cols in ((self._px, self._x), (self._pz, self._z)):
-                buf = b"".join([cols[q].to_bytes(width, "little") for q in dirty])
-                packed[dirty] = np.frombuffer(buf, dtype=np.uint8).reshape(len(dirty), width)
-        self._dirty = set()
-        return self._px, self._pz
-
-    def _columns_at(self, bits: np.ndarray) -> List[np.ndarray]:
+    def _columns_at(self, bits) -> List[np.ndarray]:
         """The x and z columns and the two phase planes cut down to the row
         bits `bits`, in that order: 0/1 arrays of shapes (n, k), (n, k), (2, k)."""
-        nbits = 2 * len(self._pair)
-        return [np.take(_bit_matrix(cols, nbits), bits, axis=1) for cols in (self._x, self._z, [self._r0, self._r1])]
+        bits, nbits = np.asarray(bits, dtype=np.intp), 2 * len(self._pair)
+        return [_bit_matrix(cols, nbits, bits) for cols in (self._x, self._z, [self._r0, self._r1])]
 
     def _gather(self, bits) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows at bit positions `bits`, in that order, as 0/1 arrays x, z
-        of shape (len(bits), n) and phases r."""
-        x, z, (r0, r1) = self._columns_at(np.asarray(bits, dtype=np.intp))
+        of shape (len(bits), n) and phases r: one byte copy of the columns,
+        then O(n) per row."""
+        x, z, (r0, r1) = self._columns_at(bits)
         return np.ascontiguousarray(x.T), np.ascontiguousarray(z.T), r0 | r1 << 1
 
     def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,7 +381,6 @@ class StabilizerTableau:
         t = StabilizerTableau.__new__(StabilizerTableau)
         t.__dict__.update(self.__dict__)
         t._x, t._z, t._slot, t._pair = self._x.copy(), self._z.copy(), self._slot.copy(), self._pair.copy()
-        t._px, t._pz, t._dirty = None, None, set()
         return t
 
     def permuted(self, perm: Sequence[int]) -> "StabilizerTableau":
@@ -439,13 +415,9 @@ class StabilizerTableau:
 
     def _support(self, b: int) -> Tuple[List[int], List[int]]:
         """The qubits on which row bit b has an X bit, and those with a Z bit:
-        a scan of the columns on fewer than `_PACKED_FROM` qubits, else one
-        read of `_packed`, whose refresh costs O(1) per column written since."""
-        if self.n < _PACKED_FROM:
-            m, qubits = 1 << b, range(self.n)
-            return list(compress(qubits, map(m.__and__, self._x))), list(compress(qubits, map(m.__and__, self._z)))
-        byte, bit = b >> 3, 1 << (b & 7)
-        return [np.flatnonzero(packed[: self.n, byte] & bit).tolist() for packed in self._packed()]
+        one scan of the columns."""
+        m, qubits = 1 << b, range(self.n)
+        return list(compress(qubits, map(m.__and__, self._x))), list(compress(qubits, map(m.__and__, self._z)))
 
     def _rowmult(self, h: int, b: int, support=None) -> None:
         """Rows h (a mask) <- rows h * row b, with phase tracking, over row b's
@@ -474,7 +446,6 @@ class StabilizerTableau:
             c1 ^= (c0 & t) ^ minus
             c0 ^= t
             z[q] ^= h
-        self._dirty.update(xs, zs)
         self._r1 ^= c1 ^ (self._r0 & c0)
         self._r0 ^= c0
         self._add_phase(h, self._phase(b))
@@ -489,7 +460,6 @@ class StabilizerTableau:
 
     def apply_gate(self, name: str, *qubits: int) -> "StabilizerTableau":
         self._r1 ^= _conjugate_rows(self._x, self._z, name, qubits)
-        self._dirty.update(qubits)
         return self
 
     # -- measurement -----------------------------------------------------------
@@ -556,8 +526,6 @@ class StabilizerTableau:
                     cols[q] ^= mb | md
                 for q in np.flatnonzero(new).tolist():
                     cols[q] |= mb
-                    self._dirty.add(q)
-                self._dirty.update(old, row)
             keep = ~(mb | md)
             self._r0 = self._r0 & keep | self._r0 >> 1 & md | (p.phase & 1) << b
             self._r1 = self._r1 & keep | self._r1 >> 1 & md | (p.phase >> 1 ^ bit) << b
@@ -702,7 +670,6 @@ class StabilizerTableau:
         self._x += [1 << 2 * s for s in range(s0, s0 + k)]
         self._z += [2 << 2 * s for s in range(s0, s0 + k)]
         self._sm |= _stabilizer_bits(k) << 2 * s0
-        self._dirty.update(range(n, n + k))
         self.n = n + k
         return self
 
@@ -766,14 +733,16 @@ class StabilizerTableau:
 
     def _absorb(self, b: int, bits: List[int]) -> Tuple[List[int], List[int]]:
         """Row b <- row b times the rows at `bits`, all commuting with it, as
-        one product of exported rows; returns row b's support as `_support` does."""
+        one product of gathered rows, written back on the qubits where row b
+        changes; returns row b's support as `_support` does."""
         if not bits:
             return self._support(b)
-        x, z, r = _product(*self._gather([b, *bits]))
+        rows = self._gather([b, *bits])
+        x, z, r = _product(*rows)
         m = 1 << b
-        for cols, on in ((self._x, x), (self._z, z)):
-            cols[:] = [c | m if v else c & ~m for c, v in zip(cols, on.tolist())]
-        self._px = self._pz = None
+        for cols, new, old in ((self._x, x, rows[0][0]), (self._z, z, rows[1][0])):
+            for q in np.flatnonzero(new ^ old).tolist():
+                cols[q] ^= m
         self._r0 = self._r0 & ~m | (r & 1) << b
         self._r1 = self._r1 & ~m | (r >> 1) << b
         return np.flatnonzero(x).tolist(), np.flatnonzero(z).tolist()
@@ -781,7 +750,8 @@ class StabilizerTableau:
     def _drop(self, b: int, q: int) -> None:
         """Remove the pair of stabilizer bit b and column q: the last pair and
         the last column take their places. The pair's slots are freed, and
-        dropped in a batch once freed slots outnumber live ones by `_FREED`."""
+        dropped in one batch once they outnumber the live ones: the batch
+        rewrites every column, O(n) bits per freed pair."""
         s, last = b >> 1, self.n - 1
         i = self._pair[s]
         self._sm &= ~(1 << b)
@@ -793,9 +763,8 @@ class StabilizerTableau:
         x, z = self._x.pop(), self._z.pop()
         if q < last:
             self._x[q], self._z[q] = x, z
-            self._dirty.add(q)
         self.n = last
-        if len(self._pair) > 2 * self.n + _FREED:
+        if len(self._pair) > 2 * self.n:
             self._compact()
 
     def to_statevector(self) -> np.ndarray:
